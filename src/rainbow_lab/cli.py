@@ -86,34 +86,54 @@ def parse_range(text: str, integer: bool = False) -> list:
     return vals
 
 
-def _profile_for(L: int, args) -> object:
-    given = [name for name in ("alpha", "h", "z") if getattr(args, name) is not None]
-    if len(given) != 1:
-        raise ValueError("give exactly one of --alpha, --h, --z")
-    name = given[0]
-    value = getattr(args, name)
-    if isinstance(value, list):
-        raise ValueError(f"--{name} must be a single value for this command")
-    if name == "alpha":
-        return build_rainbow_profile(L, value)
-    if name == "h":
-        return profile_from_z(L, value * L)
-    return profile_from_z(L, value)
-
-
 def _geometry_values(args) -> tuple:
-    """(flag name, list of its values) for whichever geometry flag was given."""
+    """(flag name, its value or values) for whichever geometry flag was given."""
     given = [name for name in ("alpha", "h", "z") if getattr(args, name) is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --alpha, --h, --z")
     return given[0], getattr(args, given[0])
 
 
-def _mapper(jobs: int):
-    if jobs <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=jobs)
-    return pool.map, pool
+def _z_from(name: str, value: float, L: int) -> float:
+    """Deformation z = h L for a value of the geometry flag `name`."""
+    if name == "alpha":
+        return -2 * math.log(value) * L
+    if name == "h":
+        return value * L
+    return value
+
+
+def _profile_for(L: int, args) -> object:
+    name, value = _geometry_values(args)
+    if isinstance(value, list):
+        raise ValueError(f"--{name} must be a single value for this command")
+    if name == "alpha":
+        return build_rainbow_profile(L, value)
+    return profile_from_z(L, _z_from(name, value, L))
+
+
+def _worker_count(args) -> int:
+    """--jobs, else RAINBOW_LAB_JOBS, else 1; anything below 1 is refused."""
+    jobs = args.jobs
+    if jobs is None:
+        text = os.environ.get("RAINBOW_LAB_JOBS", "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise ValueError(
+                f"RAINBOW_LAB_JOBS must be a positive integer, got {text!r}"
+            ) from None
+    if jobs < 1:
+        raise ValueError(f"--jobs must be a positive integer, got {jobs}")
+    return jobs
+
+
+def _sweep(kernel, points, jobs: int) -> list:
+    """kernel(point) for every point, in order; jobs > 1 uses a thread pool."""
+    if jobs == 1:
+        return list(map(kernel, points))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(kernel, points))
 
 
 def _provenance(args) -> dict:
@@ -185,12 +205,7 @@ def cmd_velocity_scan(args) -> int:
         fit = fermi_velocity_fit(spec, L, z)
         return (z, est.a_numeric, fit.a_numeric, est.a_analytic)
 
-    run, pool = _mapper(args.jobs)
-    try:
-        rows = list(run(one, args.z))
-    finally:
-        if pool:
-            pool.shutdown()
+    rows = _sweep(one, args.z, args.jobs)
     _write_csv(
         args.out,
         _csv_header(args, ("z", "a_numeric", "a_fit4", "a_analytic")),
@@ -200,12 +215,10 @@ def cmd_velocity_scan(args) -> int:
 
 
 def cmd_validity_map(args) -> int:
-    run, pool = _mapper(args.jobs)
-    try:
-        vm = validity_map(args.L, args.z, executor_map=run)
-    finally:
-        if pool:
-            pool.shutdown()
+    vm = validity_map(
+        args.L, args.z,
+        executor_map=lambda kernel, points: _sweep(kernel, points, args.jobs),
+    )
     rows = [
         (L, z, float(vm.overlaps[i, j]))
         for i, L in enumerate(vm.L_values)
@@ -236,9 +249,7 @@ def cmd_entropy_scan(args) -> int:
 
     def one(point):
         L, value = point
-        z = {"alpha": lambda v: -2 * math.log(v) * L, "h": lambda v: v * L,
-             "z": lambda v: v}[name](value)
-        profile = profile_from_z(L, z)
+        profile = profile_from_z(L, _z_from(name, value, L))
         curve = entropy_scan(profile, args.blocks, orders)
         return [
             (L, profile.alpha, profile.h, profile.z, p.size, p.order, p.value)
@@ -246,19 +257,13 @@ def cmd_entropy_scan(args) -> int:
         ]
 
     points = [(L, v) for L in args.L for v in values]
-    run, pool = _mapper(args.jobs)
-    try:
-        chunks = list(run(one, points))
-    finally:
-        if pool:
-            pool.shutdown()
+    chunks = _sweep(one, points, args.jobs)
     rows = [row for chunk in chunks for row in chunk]
     header = _csv_header(args, ("L", "alpha", "h", "z", "block", "n", "S"))
     if len(points) == 1:
         L, value = points[0]
-        z = {"alpha": lambda v: -2 * math.log(v) * L, "h": lambda v: v * L,
-             "z": lambda v: v}[name](value)
-        header.insert(-1, f"# profile: {profile_from_z(L, z).to_json()}")
+        profile = profile_from_z(L, _z_from(name, value, L))
+        header.insert(-1, f"# profile: {profile.to_json()}")
     _write_csv(args.out, header, rows)
     return 0
 
@@ -280,12 +285,7 @@ def cmd_renyi_fit(args) -> int:
         return correlation_matrix(occ, range(L))
 
     points = [(L, z) for L in sizes for z in args.z]
-    run, pool = _mapper(args.jobs)
-    try:
-        mats = dict(zip(points, run(nu_for, points)))
-    finally:
-        if pool:
-            pool.shutdown()
+    mats = dict(zip(points, _sweep(nu_for, points, args.jobs)))
 
     rows = []
     fits = []
@@ -330,12 +330,7 @@ def cmd_es_collapse(args) -> int:
         ]
 
     points = [(L, z) for L in args.L for z in args.z]
-    run, pool = _mapper(args.jobs)
-    try:
-        chunks = list(run(one, points))
-    finally:
-        if pool:
-            pool.shutdown()
+    chunks = _sweep(one, points, args.jobs)
     rows = [row for chunk in chunks for row in chunk]
     _write_csv(
         args.out,
@@ -374,12 +369,7 @@ def cmd_entropy_2d(args) -> int:
         return (alpha, L, S, S / L)
 
     points = [(alpha, L) for alpha in args.alpha for L in args.L]
-    run, pool = _mapper(args.jobs)
-    try:
-        rows = list(run(one, points))
-    finally:
-        if pool:
-            pool.shutdown()
+    rows = _sweep(one, points, args.jobs)
     _write_csv(
         args.out,
         _csv_header(args, ("alpha", "L", "S", "s_per_L")),
@@ -509,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=int,
-            default=int(os.environ.get("RAINBOW_LAB_JOBS", "1")),
             help="worker threads for sweeps (default RAINBOW_LAB_JOBS or 1)",
         )
         return p
@@ -597,6 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.jobs = _worker_count(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

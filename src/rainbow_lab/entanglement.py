@@ -23,7 +23,7 @@ import numpy as np
 from .continuum import deformed_length
 from .lattice import CouplingProfile, Lattice2D, hopping_matrix
 from .qubism import AmplitudeTable
-from .spectra import SpectrumResult, ZeroModeError, diagonalize
+from .spectra import NumericsError, SpectrumResult, ZeroModeError, diagonalize
 
 NU_CLIP = 1e-14
 # Number of levels around eps = 0 averaged for the spacing Delta_L.  Two
@@ -51,9 +51,10 @@ class CorrelationMatrix:
         return len(self.block)
 
     def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues clipped to [0, 1]; NumericsError if they stray further."""
         nu = np.linalg.eigvalsh(self.entries)
         if nu.min() < -1e-10 or nu.max() > 1 + 1e-10:
-            raise ValueError(
+            raise NumericsError(
                 f"correlation eigenvalues outside [0,1]: [{nu.min()}, {nu.max()}]"
             )
         return np.clip(nu, 0.0, 1.0)

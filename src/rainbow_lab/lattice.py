@@ -106,22 +106,42 @@ class CouplingProfile:
 
 @dataclass(frozen=True)
 class HoppingMatrix:
-    """Real symmetric single-particle hopping matrix, element -J/2 per link."""
+    """Real symmetric bipartite hopping matrix, element -J/2 per link.
+
+    ``sublattice[i]`` (0 or 1) is the sublattice of site i.  Both
+    sublattices hold dim/2 sites and every link joins the two, so in the
+    sublattice basis the matrix has the block form ``[[0, M], [M^T, 0]]``.
+    """
 
     dim: int
     entries: np.ndarray = field(repr=False)
+    sublattice: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {m.shape}")
+        sub = np.asarray(self.sublattice)
+        if sub.shape != (self.dim,) or not np.isin(sub, (0, 1)).all():
+            raise ValueError(
+                f"sublattice needs a 0/1 label for each of {self.dim} sites"
+            )
+        scale = float(np.max(np.abs(m))) if m.size else 0.0
+        if not np.allclose(m, m.T, atol=1e-12 * max(1.0, scale)):
+            raise ValueError("hopping matrix must be symmetric")
+        n_odd = int(np.count_nonzero(sub))
+        if 2 * n_odd != self.dim:
+            raise ValueError(
+                f"sublattices hold {self.dim - n_odd} and {n_odd} sites; "
+                "need equal halves"
+            )
+        for part in (sub == 0, sub == 1):
+            if np.any(m[np.ix_(part, part)]):
+                raise ValueError("hopping matrix links two sites of one sublattice")
         m.setflags(write=False)
+        sub.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    @property
-    def spectral_bound(self) -> float:
-        """Cheap upper bound on the spectral radius (max abs row sum)."""
-        return float(np.max(np.sum(np.abs(self.entries), axis=1)))
+        object.__setattr__(self, "sublattice", sub)
 
 
 @dataclass(frozen=True)
@@ -232,6 +252,7 @@ def hopping_matrix_1d(profile) -> HoppingMatrix:
     """Tridiagonal hopping matrix with element -J/2 on each link.
 
     Accepts a CouplingProfile or a plain coupling sequence of odd length.
+    The sublattice is the site index parity.
     """
     if isinstance(profile, CouplingProfile):
         c = profile.couplings
@@ -242,7 +263,7 @@ def hopping_matrix_1d(profile) -> HoppingMatrix:
     idx = np.arange(n - 1)
     m[idx, idx + 1] = -c / 2.0
     m[idx + 1, idx] = -c / 2.0
-    return HoppingMatrix(dim=n, entries=m)
+    return HoppingMatrix(dim=n, entries=m, sublattice=np.arange(n) % 2)
 
 
 def build_lattice_2d(L: int, alpha: float) -> Lattice2D:
@@ -271,12 +292,17 @@ def build_lattice_2d(L: int, alpha: float) -> Lattice2D:
 
 
 def hopping_matrix_2d(lat: Lattice2D) -> HoppingMatrix:
-    """Dense hopping matrix of the 2D lattice, element -J/2 per link."""
+    """Dense hopping matrix of the 2D lattice, element -J/2 per link.
+
+    The sublattice is the checkerboard (ix + iy) % 2.
+    """
     n = lat.n_sites
     m = np.zeros((n, n))
     for i, j, J in lat.links:
         m[i, j] = m[j, i] = -J / 2.0
-    return HoppingMatrix(dim=n, entries=m)
+    ranks = np.arange(2 * lat.L)
+    checkerboard = np.add.outer(ranks, ranks).ravel() % 2
+    return HoppingMatrix(dim=n, entries=m, sublattice=checkerboard)
 
 
 def hopping_matrix(geometry) -> HoppingMatrix:

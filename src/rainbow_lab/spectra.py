@@ -1,8 +1,8 @@
 """Exact single-particle diagonalization and Fermi-velocity extraction.
 
-Every hopping matrix built in this package is bipartite with zero
-diagonal (even/odd sublattices in 1D, checkerboard in 2D), so it has the
-block form ``[[0, M], [M^T, 0]]`` in the sublattice basis.  Its
+Every hopping matrix is bipartite with zero diagonal, and its builder
+records the sublattice (even/odd sites in 1D, checkerboard in 2D), so it
+has the block form ``[[0, M], [M^T, 0]]`` in the sublattice basis.  Its
 eigenpairs follow from the SVD ``M = U S V^T``: energies come in exact
 ``+-s`` pairs with eigenvectors ``(u, +-v)/sqrt(2)``.
 
@@ -28,7 +28,6 @@ import scipy.linalg as sla
 from .lattice import HoppingMatrix
 
 RESIDUAL_TOL = 1e-10
-DEGENERACY_SPREAD = 1e-12
 ZERO_MODE_TOL = 1e-12
 
 
@@ -47,14 +46,15 @@ class SpectrumResult:
     ``orbitals[:, k]`` is the unit eigenvector with energy ``energies[k]``.
     ``residual`` is the largest ``|H psi - E psi|`` over all columns.
     ``zero_tol`` is the absolute threshold below which a level counts as a
-    zero mode; bidiagonal-SVD spectra carry relative accuracy, so for them
-    only exact zeros qualify and zero_tol is 0.
+    zero mode; bidiagonal-SVD spectra (1D chains) carry relative accuracy,
+    so for them only exact zeros qualify and zero_tol is 0; otherwise it
+    is ZERO_MODE_TOL times the spectral radius (at least 1).
     """
 
     energies: np.ndarray = field(repr=False)
     orbitals: np.ndarray = field(repr=False)
     residual: float
-    zero_tol: float | None = None
+    zero_tol: float
 
     @property
     def dim(self) -> int:
@@ -66,10 +66,7 @@ class SpectrumResult:
 
     def zero_modes(self) -> np.ndarray:
         """Boolean mask of levels indistinguishable from zero."""
-        tol = self.zero_tol
-        if tol is None:
-            tol = ZERO_MODE_TOL * max(self.spectral_radius, 1.0)
-        return np.abs(self.energies) <= tol
+        return np.abs(self.energies) <= self.zero_tol
 
 
 @dataclass(frozen=True)
@@ -90,31 +87,10 @@ def velocity_scaling(z: float) -> float:
     return z / np.expm1(z)
 
 
-def _bipartition(m: np.ndarray) -> np.ndarray | None:
-    """2-color the adjacency graph of m; None if not bipartite."""
-    n = m.shape[0]
-    nbrs = [np.nonzero(m[i])[0] for i in range(n)]
-    color = np.full(n, -1, dtype=int)
-    for start in range(n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in nbrs[i]:
-                if color[j] < 0:
-                    color[j] = 1 - color[i]
-                    stack.append(j)
-                elif color[j] == color[i]:
-                    return None
-    return color
-
-
-def _svd_bipartite(m: np.ndarray, color: np.ndarray):
+def _svd_bipartite(m: np.ndarray, sublattice: np.ndarray):
     """Exact +-pair spectrum of [[0, M], [M^T, 0]] via SVD of M."""
-    a_idx = np.nonzero(color == 0)[0]
-    b_idx = np.nonzero(color == 1)[0]
+    a_idx = np.nonzero(sublattice == 0)[0]
+    b_idx = np.nonzero(sublattice == 1)[0]
     block = m[np.ix_(a_idx, b_idx)]
     # QR-iteration SVD keeps the relative accuracy of severely graded
     # spectra (couplings spanning hundreds of decades); divide and conquer
@@ -143,32 +119,10 @@ def _svd_bipartite(m: np.ndarray, color: np.ndarray):
     return energies, orbitals, bidiagonal
 
 
-def _fix_phases(energies: np.ndarray, orbitals: np.ndarray, scale: float,
-                cluster_fix: bool = True):
-    """Deterministic output: re-orthogonalize degenerate clusters, order them
-    by the index of the largest-magnitude component, and make the first
-    significant component of every column positive.
-
-    cluster_fix must be off for bidiagonal-SVD spectra: their levels are
-    distinct to relative accuracy, and an absolute degeneracy window would
-    mix occupied with empty orbitals across the Fermi point.
-    """
-    n = energies.size
-    if cluster_fix:
-        tol = DEGENERACY_SPREAD * max(1.0, scale)
-        start = 0
-        while start < n:
-            stop = start + 1
-            while stop < n and energies[stop] - energies[start] < tol:
-                stop += 1
-            if stop - start > 1:
-                q, _ = np.linalg.qr(orbitals[:, start:stop])
-                order = np.argsort(
-                    [int(np.argmax(np.abs(q[:, j]))) for j in range(q.shape[1])]
-                )
-                orbitals[:, start:stop] = q[:, order]
-            start = stop
-    for k in range(n):
+def _fix_phases(orbitals: np.ndarray) -> np.ndarray:
+    """Deterministic output: make the first significant component of every
+    column positive."""
+    for k in range(orbitals.shape[1]):
         col = orbitals[:, k]
         nz = np.nonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]
         if nz.size and col[nz[0]] < 0:
@@ -176,49 +130,29 @@ def _fix_phases(energies: np.ndarray, orbitals: np.ndarray, scale: float,
     return orbitals
 
 
-def diagonalize(H) -> SpectrumResult:
-    """Full spectrum of a symmetric hopping matrix.
+def diagonalize(H: HoppingMatrix) -> SpectrumResult:
+    """Full spectrum of a bipartite hopping matrix from the builders.
 
-    Zero-diagonal bipartite matrices (all 1D chains and the 2D lattice
-    built here) are solved through the sublattice SVD, which enforces
-    exact particle-hole pairing; anything else falls back to a dense
-    symmetric eigensolver.
+    The matrix is solved through the SVD of its sublattice block, which
+    enforces exact particle-hole pairing.
 
     Raises
     ------
-    ValueError
-        If the matrix is not symmetric.
+    TypeError
+        If H is not a HoppingMatrix.
     NumericsError
-        If the eigensolver fails to converge or the final residual
-        exceeds RESIDUAL_TOL relative to the spectral radius.
+        If the SVD fails to converge or the final residual exceeds
+        RESIDUAL_TOL relative to the spectral radius.
     """
-    if isinstance(H, HoppingMatrix):
-        m = H.entries
-    else:
-        m = np.asarray(H, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if not np.allclose(m, m.T, atol=1e-12 * max(1.0, scale)):
-        raise ValueError("hopping matrix must be symmetric")
-
-    color = None
-    if scale > 0 and np.all(np.abs(np.diag(m)) <= 1e-300):
-        color = _bipartition(m)
-        if color is not None and np.count_nonzero(color == 0) != m.shape[0] // 2:
-            color = None  # unequal sublattices; forced zero modes, use eigh
-    bidiagonal = False
+    if not isinstance(H, HoppingMatrix):
+        raise TypeError(f"expected a HoppingMatrix, got {type(H).__name__}")
+    m = H.entries
     try:
-        if color is not None:
-            energies, orbitals, bidiagonal = _svd_bipartite(m, color)
-        else:
-            energies, orbitals = sla.eigh(m)
+        energies, orbitals, bidiagonal = _svd_bipartite(m, H.sublattice)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericsError(f"eigensolver failed on dim {m.shape[0]}: {exc}") from exc
+        raise NumericsError(f"SVD failed on dim {m.shape[0]}: {exc}") from exc
 
-    orbitals = _fix_phases(
-        energies, np.ascontiguousarray(orbitals), scale, cluster_fix=not bidiagonal
-    )
+    orbitals = _fix_phases(orbitals)
     residual = float(np.max(np.abs(m @ orbitals - orbitals * energies)))
     radius = float(np.max(np.abs(energies))) if energies.size else 0.0
     if residual > RESIDUAL_TOL * max(radius, 1e-300):

@@ -79,6 +79,30 @@ class TestGeometryFlags:
         assert rc == 2
         assert "alpha" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exit_2(self, tmp_path, capsys, jobs):
+        rc = main(["velocity-scan", "--L", "10", "--z", "0", "--jobs", jobs,
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+    def test_bad_jobs_env_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RAINBOW_LAB_JOBS", "abc")
+        rc = main(["velocity-scan", "--L", "10", "--z", "0",
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "RAINBOW_LAB_JOBS" in err["message"]
+
+    def test_underflowed_chain_exit_3(self, tmp_path, capsys):
+        # outer couplings underflow to exactly 0: exact zero modes
+        with pytest.warns(RuntimeWarning):
+            rc = main(["es-collapse", "--L", "10", "--z", "2000",
+                       "--out", str(tmp_path / "es.csv")])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ZeroModeError"
+
     def test_numeric_error_exit_3(self, tmp_path, capsys):
         # uniform couplings tie at the first decimation
         rc = main(["sdrg", "--couplings", "1,1,1", "--out", str(tmp_path / "b.json")])

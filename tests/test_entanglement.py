@@ -24,7 +24,7 @@ from rainbow_lab import (
     uniform_profile,
     vn_entropy,
 )
-from rainbow_lab.spectra import ZeroModeError
+from rainbow_lab.spectra import NumericsError, ZeroModeError
 
 from conftest import chain_occupied, chain_spectrum, halfchain_C
 
@@ -93,6 +93,11 @@ class TestCorrelationMatrix:
         occ = chain_occupied(2, alpha=0.5)
         with pytest.raises(ValueError):
             correlation_matrix(occ, [0, 0])
+
+    def test_eigenvalue_outside_unit_interval_is_numerical(self):
+        C = CorrelationMatrix(block=(0, 1), entries=np.diag([1.5, 0.2]))
+        with pytest.raises(NumericsError):
+            C.eigenvalues()
 
 
 class TestRenyiEntropies:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rainbow_lab import (
     CouplingProfile,
+    HoppingMatrix,
     build_lattice_2d,
     build_rainbow_profile,
     hopping_matrix_1d,
@@ -123,6 +124,32 @@ class TestHoppingMatrix1D:
     def test_signed_chain_rejects_even_length(self):
         with pytest.raises(ValueError):
             signed_profile([1.0, 0.5])
+
+
+class TestSublattice:
+    @pytest.mark.parametrize("L", [1, 2, 5])
+    def test_chain_parity(self, L):
+        H = hopping_matrix_1d(build_rainbow_profile(L, 0.5))
+        assert np.array_equal(H.sublattice, np.arange(2 * L) % 2)
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_lattice_checkerboard(self, L):
+        lat = build_lattice_2d(L, 0.5)
+        H = hopping_matrix_2d(lat)
+        want = [int(x + y + 2 * L - 1) % 2 for (x, y) in lat.sites]
+        assert np.array_equal(H.sublattice, want)
+
+    def test_link_inside_sublattice_rejected(self):
+        m = hopping_matrix_1d([1.0, 0.5, 1.0]).entries.copy()
+        m[0, 2] = m[2, 0] = -0.25  # next-nearest neighbours share parity
+        with pytest.raises(ValueError, match="one sublattice"):
+            HoppingMatrix(dim=4, entries=m, sublattice=[0, 1, 0, 1])
+
+    def test_unequal_halves_rejected(self):
+        # a 3-site path is bipartite, but its sublattices hold 2 and 1 sites
+        m = hopping_matrix_1d([1.0, 1.0, 1.0]).entries[:3, :3]
+        with pytest.raises(ValueError, match="equal halves"):
+            HoppingMatrix(dim=3, entries=m, sublattice=[0, 1, 0])
 
 
 class TestLattice2D:

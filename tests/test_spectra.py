@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from rainbow_lab import (
+    HoppingMatrix,
     ZeroModeError,
     build_lattice_2d,
     build_rainbow_profile,
@@ -11,10 +13,12 @@ from rainbow_lab import (
     hopping_matrix_1d,
     hopping_matrix_2d,
     occupied_orbitals,
+    profile_from_z,
     site_occupations,
     uniform_profile,
     velocity_scaling,
 )
+from rainbow_lab.entanglement import ground_state_correlation
 from rainbow_lab.spectra import load_orbitals, save_orbitals, spectrum_rows
 
 from conftest import chain_occupied, chain_spectrum
@@ -68,8 +72,22 @@ class TestDiagonalize:
 
     def test_asymmetric_matrix_rejected(self):
         m = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric"):
+            HoppingMatrix(dim=2, entries=m, sublattice=[0, 1])
+
+    def test_plain_array_rejected(self):
+        m = hopping_matrix_1d(build_rainbow_profile(2, 0.5)).entries
+        with pytest.raises(TypeError):
             diagonalize(m)
+
+    def test_underflowed_couplings_give_exact_zero_modes(self):
+        # outer couplings exp(-900) and beyond are exactly 0 in float64
+        with pytest.warns(RuntimeWarning):
+            profile = profile_from_z(10, 2000.0)
+        spec = diagonalize(hopping_matrix_1d(profile))
+        assert np.count_nonzero(spec.energies == 0.0) > 0
+        with pytest.raises(ZeroModeError):
+            occupied_orbitals(spec)
 
     def test_deterministic_repeat(self):
         p = build_rainbow_profile(12, 0.35)
@@ -81,6 +99,35 @@ class TestDiagonalize:
         spec = diagonalize(hopping_matrix_2d(build_lattice_2d(2, 1.0)))
         e = spec.energies
         assert np.max(np.abs(e + e[::-1])) < 1e-12
+
+
+class TestDenseOracle:
+    """diagonalize against a dense symmetric eigensolver that is blind to
+    the sublattice."""
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 30, 51])
+    @pytest.mark.parametrize("z", [0.0, 1.0, 3.0])
+    def test_chain_energies_and_projector(self, L, z):
+        H = hopping_matrix_1d(profile_from_z(L, z))
+        spec = diagonalize(H)
+        energies, vecs = sla.eigh(H.entries)
+        assert np.max(np.abs(spec.energies - energies)) < 1e-13
+        occ = occupied_orbitals(spec)
+        want = vecs[:, :L] @ vecs[:, :L].T
+        assert np.max(np.abs(occ @ occ.T - want)) < 1e-11
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5])
+    def test_lattice_half_filled_correlation(self, L, alpha):
+        H = hopping_matrix_2d(build_lattice_2d(L, alpha))
+        c = ground_state_correlation(diagonalize(H), zero_modes="half")
+        energies, vecs = sla.eigh(H.entries)
+        zero = np.abs(energies) < 1e-10
+        assert zero.any() == (alpha == 1.0)  # the uniform zero-mode shell
+        neg = vecs[:, (energies < 0) & ~zero]
+        shell = vecs[:, zero]
+        want = neg @ neg.T + 0.5 * (shell @ shell.T)
+        assert np.max(np.abs(c - want)) < 1e-11
 
 
 class TestOccupiedOrbitals:
