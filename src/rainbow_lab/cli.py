@@ -182,8 +182,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_wavefunction(args) -> int:
     profile = _profile_for(args.L, args)
-    spec = diagonalize(hopping_matrix_1d(profile))
     m = args.m
+    if not -args.L <= m <= args.L - 1:
+        raise ValueError(f"--m must lie in [{-args.L}, {args.L - 1}], got {m}")
+    spec = diagonalize(hopping_matrix_1d(profile))
     exact = spec.orbitals[:, args.L + m]
     ana = analytic_wavefunction(m, profile.h, args.L).components
     if exact @ ana < 0:  # global eigenvector sign is arbitrary; align for plots
@@ -278,22 +280,20 @@ def cmd_renyi_fit(args) -> int:
         raise ValueError("sizes must mix even and odd L for the oscillation term")
     orders = args.orders
 
-    def nu_for(point):
+    def entropies_for(point):
         L, z = point
         spec = diagonalize(hopping_matrix_1d(profile_from_z(L, z)))
         occ = occupied_orbitals(spec)
-        return correlation_matrix(occ, range(L))
+        return renyi_entropies(correlation_matrix(occ, range(L)), orders)
 
     points = [(L, z) for L in sizes for z in args.z]
-    mats = dict(zip(points, _sweep(nu_for, points, args.jobs)))
+    entropies = dict(zip(points, _sweep(entropies_for, points, args.jobs)))
 
     rows = []
     fits = []
     for z in args.z:
-        for n in orders:
-            curve = EntropyCurve(
-                points=[renyi_entropies(mats[(L, z)], [n])[0] for L in sizes]
-            )
+        for i, n in enumerate(orders):
+            curve = EntropyCurve(points=[entropies[(L, z)][i] for L in sizes])
             fit = fit_renyi_halfchain(curve, n=n, z=z)
             fits.append({"n": n, "z": z, **fit.coefficients,
                          "chi2": fit.chi2, "condition": fit.condition})
@@ -311,6 +311,9 @@ def cmd_renyi_fit(args) -> int:
 
 
 def cmd_es_collapse(args) -> int:
+    if args.levels < 1:
+        raise ValueError(f"--levels must be a positive integer, got {args.levels}")
+
     def one(point):
         L, z = point
         spec = diagonalize(hopping_matrix_1d(profile_from_z(L, z)))

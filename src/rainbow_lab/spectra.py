@@ -13,17 +13,21 @@ arbitrary mixture of the outer bond orbitals, which wrecks occupations
 and entropies).  ``M`` of a zero-diagonal tridiagonal chain is
 bidiagonal, and bidiagonal SVD determines every singular value to high
 *relative* accuracy, so the ground-state projector stays correct even
-when the smallest couplings are ~1e-300.  The matrix is handed to LAPACK
-in upper-bidiagonal orientation so the reduction step cannot mix the
-graded entries.
+when the smallest couplings are ~1e-300.  A chain's two bands go straight
+to LAPACK's bidiagonal SVD routines (``dbdsdc``, or ``dbdsqr`` once the
+couplings span more than ten decades), so there is no reduction step at
+all; the dense block of the 2D lattice goes to ``scipy.linalg.svd``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import cython_lapack
 
 from .lattice import HoppingMatrix
 
@@ -87,46 +91,128 @@ def velocity_scaling(z: float) -> float:
     return z / np.expm1(z)
 
 
-def _svd_bipartite(m: np.ndarray, sublattice: np.ndarray):
-    """Exact +-pair spectrum of [[0, M], [M^T, 0]] via SVD of M."""
-    a_idx = np.nonzero(sublattice == 0)[0]
-    b_idx = np.nonzero(sublattice == 1)[0]
-    block = m[np.ix_(a_idx, b_idx)]
-    # QR-iteration SVD keeps the relative accuracy of severely graded
-    # spectra (couplings spanning hundreds of decades); divide and conquer
-    # is much faster and loses nothing when the grading is mild.
+_CHAR = ctypes.c_char_p
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_capsule_name = ctypes.pythonapi.PyCapsule_GetName
+_capsule_name.argtypes = [ctypes.py_object]
+_capsule_name.restype = ctypes.c_char_p
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+_capsule_pointer.restype = ctypes.c_void_p
+
+
+def _lapack(name: str, *argtypes):
+    """LAPACK routine ``name`` from SciPy's Cython LAPACK table, as a ctypes
+    function (ctypes releases the GIL for the duration of the call).
+
+    The capsule name spells the C signature; it must match ``argtypes``
+    exactly, so an ILP64 (64-bit integer) LAPACK fails here instead of
+    corrupting memory later.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    spelled = {_CHAR: "char *", _INT: "int *", _DOUBLE: "double *"}
+    want = "void (" + ", ".join(spelled[t] for t in argtypes) + ")"
+    got = re.sub(r"__pyx_t_\w+_d \*", "double *", signature.decode())
+    if got != want:
+        raise ImportError(f"LAPACK {name} has signature {got!r}, expected {want!r}")
+    address = _capsule_pointer(capsule, signature)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+# dbdsdc(uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
+_dbdsdc = _lapack(
+    "dbdsdc", _CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT, _DOUBLE,
+    _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT,
+)
+# dbdsqr(uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work, info)
+_dbdsqr = _lapack(
+    "dbdsqr", _CHAR, _INT, _INT, _INT, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT,
+    _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _INT,
+)
+
+
+def _ptr(a: np.ndarray):
+    return a.ctypes.data_as(_DOUBLE)
+
+
+def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
+    """SVD ``B = U S V^T`` of the upper-bidiagonal B with diagonal d and
+    superdiagonal e, returned as (V, s descending, U^T).
+
+    Graded B goes to dbdsqr (Demmel-Kahan zero-shift QR, high relative
+    accuracy); otherwise dbdsdc (Gu-Eisenstat divide and conquer).  These
+    are the solvers gesvd/gesdd call after reducing a dense matrix to
+    bidiagonal form, a reduction that is the identity on B itself.
+    """
+    n = d.size
+    s = np.array(d, dtype=float)  # overwritten with the singular values
+    e_work = np.append(e, 0.0)  # length n, so never an empty buffer
+    # LAPACK fills column-major n x n arrays; read back row-major, the
+    # buffer holding U is U^T and the one holding V^T is V.
+    u_buf = np.zeros((n, n))
+    vt_buf = np.zeros((n, n))
+    size = ctypes.c_int(n)
+    info = ctypes.c_int(0)
+    if graded:
+        np.fill_diagonal(u_buf, 1.0)
+        np.fill_diagonal(vt_buf, 1.0)
+        work = np.empty(4 * n)
+        _dbdsqr(
+            b"U", size, size, size, ctypes.c_int(0), _ptr(s), _ptr(e_work),
+            _ptr(vt_buf), size, _ptr(u_buf), size, None, ctypes.c_int(1),
+            _ptr(work), info,
+        )
+    else:
+        work = np.empty(3 * n * n + 4 * n)
+        iwork = np.empty(8 * n, dtype=np.intc)
+        _dbdsdc(
+            b"U", b"I", size, _ptr(s), _ptr(e_work), _ptr(u_buf), size,
+            _ptr(vt_buf), size, None, None, _ptr(work),
+            iwork.ctypes.data_as(_INT), info,
+        )
+    if info.value:
+        routine = "dbdsqr" if graded else "dbdsdc"
+        raise np.linalg.LinAlgError(f"{routine} failed with info={info.value}")
+    return vt_buf, s, u_buf
+
+
+def _svd_bipartite(block: np.ndarray, bidiagonal: bool):
+    """SVD ``M = U S V^T`` of the sublattice block, returned as (U, s, V^T).
+
+    A chain's block is lower bidiagonal, so its transpose goes straight to
+    a bidiagonal SVD routine; any other block (the 2D lattice) goes to dense
+    ``scipy.linalg.svd``.  QR-iteration SVD keeps the relative accuracy of
+    severely graded spectra (couplings spanning hundreds of decades);
+    divide and conquer is much faster and loses nothing when the grading
+    is mild.
+    """
     nz = np.abs(block[block != 0.0])
-    graded = nz.size and float(nz.max() / nz.min()) > 1e10
-    # For 1D chains 'block' is lower bidiagonal; transposing hands LAPACK an
-    # upper-bidiagonal matrix, which the SVD processes without a reduction
-    # step that would mix the graded entries.
+    graded = bool(nz.size) and float(nz.max() / nz.min()) > 1e10
+    if bidiagonal:
+        return _bidiagonal_svd(np.diagonal(block), np.diagonal(block, -1), graded)
     u2, s, v2t = sla.svd(block.T, lapack_driver="gesvd" if graded else "gesdd")
-    k_dim = block.shape[0]
-    off_mask = ~(np.eye(k_dim, dtype=bool) | np.eye(k_dim, k=-1, dtype=bool))
-    bidiagonal = not np.any(block[off_mask])
-    u, vt = v2t.T, u2.T
-    n = m.shape[0]
-    k = s.size
-    energies = np.concatenate([-s, s[::-1]])
-    orbitals = np.zeros((n, n))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for p in range(k):
-        orbitals[a_idx, p] = u[:, p] * inv_sqrt2
-        orbitals[b_idx, p] = -vt[p, :] * inv_sqrt2
-        q = n - 1 - p
-        orbitals[a_idx, q] = u[:, p] * inv_sqrt2
-        orbitals[b_idx, q] = vt[p, :] * inv_sqrt2
-    return energies, orbitals, bidiagonal
+    return v2t.T, s, u2.T
+
+
+def _is_bidiagonal(block: np.ndarray) -> bool:
+    """True when every nonzero of the square block is on its diagonal or
+    first subdiagonal."""
+    on_band = np.count_nonzero(np.diagonal(block)) + np.count_nonzero(
+        np.diagonal(block, -1)
+    )
+    return np.count_nonzero(block) == on_band
 
 
 def _fix_phases(orbitals: np.ndarray) -> np.ndarray:
-    """Deterministic output: make the first significant component of every
-    column positive."""
-    for k in range(orbitals.shape[1]):
-        col = orbitals[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]
-        if nz.size and col[nz[0]] < 0:
-            orbitals[:, k] = -col
+    """Deterministic output: make the first significant component (above
+    1e-8 of the column's largest) of every column positive."""
+    # |x| > t as x > t or x < -t, which needs no full-size |orbitals| copy
+    bound = 1e-8 * np.maximum(orbitals.max(axis=0), -orbitals.min(axis=0))
+    first = np.argmax((orbitals > bound) | (orbitals < -bound), axis=0)
+    leading = orbitals[first, np.arange(orbitals.shape[1])]
+    orbitals *= np.where(leading < 0, -1.0, 1.0)
     return orbitals
 
 
@@ -134,7 +220,8 @@ def diagonalize(H: HoppingMatrix) -> SpectrumResult:
     """Full spectrum of a bipartite hopping matrix from the builders.
 
     The matrix is solved through the SVD of its sublattice block, which
-    enforces exact particle-hole pairing.
+    enforces exact particle-hole pairing: with ``M = U S V^T`` the levels
+    are ``+-s`` with orbitals ``(u, +-v)/sqrt(2)``.
 
     Raises
     ------
@@ -146,20 +233,38 @@ def diagonalize(H: HoppingMatrix) -> SpectrumResult:
     """
     if not isinstance(H, HoppingMatrix):
         raise TypeError(f"expected a HoppingMatrix, got {type(H).__name__}")
-    m = H.entries
+    a_idx = np.nonzero(H.sublattice == 0)[0]
+    b_idx = np.nonzero(H.sublattice == 1)[0]
+    block = H.entries[np.ix_(a_idx, b_idx)]
+    bidiagonal = _is_bidiagonal(block)
     try:
-        energies, orbitals, bidiagonal = _svd_bipartite(m, H.sublattice)
+        u, s, vt = _svd_bipartite(block, bidiagonal)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericsError(f"SVD failed on dim {m.shape[0]}: {exc}") from exc
+        raise NumericsError(f"SVD failed on dim {H.dim}: {exc}") from exc
 
-    orbitals = _fix_phases(orbitals)
-    residual = float(np.max(np.abs(m @ orbitals - orbitals * energies)))
-    radius = float(np.max(np.abs(energies))) if energies.size else 0.0
+    # |H psi - E psi| of psi = (u, +-v)/sqrt(2), from the two half blocks
+    v = vt.T
+    residual = max(
+        float(np.max(np.abs(block @ v - u * s))),
+        float(np.max(np.abs(block.T @ u - v * s))),
+    ) / np.sqrt(2.0)
+    radius = float(s[0])
     if residual > RESIDUAL_TOL * max(radius, 1e-300):
         raise NumericsError(
             f"eigen-residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} x "
             f"spectral radius {radius:.3e}"
         )
+
+    # column p holds the level -s_p, column dim-1-p its partner +s_p
+    k = s.size
+    orbitals = np.empty((H.dim, H.dim))
+    orbitals[a_idx, :k] = u
+    orbitals[a_idx, k:] = u[:, ::-1]
+    orbitals[b_idx, :k] = -v
+    orbitals[b_idx, k:] = v[:, ::-1]
+    orbitals *= 1.0 / np.sqrt(2.0)
+    orbitals = _fix_phases(orbitals)
+    energies = np.concatenate([-s, s[::-1]])
     zero_tol = 0.0 if bidiagonal else ZERO_MODE_TOL * max(radius, 1.0)
     return SpectrumResult(
         energies=energies, orbitals=orbitals, residual=residual, zero_tol=zero_tol

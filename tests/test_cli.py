@@ -135,6 +135,25 @@ class TestWavefunction:
         assert float(overlap.split(":")[1]) > 0.99
         assert len(rows) == 100
 
+    @pytest.mark.parametrize("m", ["-10", "9"])
+    def test_level_range_ends(self, tmp_path, m):
+        out = tmp_path / "w.csv"
+        rc = main(["wavefunction", "--L", "10", "--z", "1", "--m", m,
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(read_csv(out)[1]) == 20
+
+    @pytest.mark.parametrize("m", ["-11", "10"])
+    def test_level_out_of_range_exit_2(self, tmp_path, capsys, m):
+        out = tmp_path / "w.csv"
+        rc = main(["wavefunction", "--L", "10", "--z", "1", "--m", m,
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--m" in err["message"]
+        assert not out.exists()
+
 
 class TestValidityMap:
     def test_grid_and_contours(self, tmp_path):
@@ -207,6 +226,29 @@ class TestEsCollapse:
         assert len(rows) == 2 * 6  # both signs
         ps = {float(r[2]) for r in rows}
         assert ps == {0.5, 1.5, 2.5, -0.5, -1.5, -2.5}
+
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_levels_below_one_exit_2(self, tmp_path, capsys, levels):
+        out = tmp_path / "es.csv"
+        rc = main(["es-collapse", "--L", "20", "--z", "5", "--levels", levels,
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--levels" in err["message"]
+        assert not out.exists()
+
+    def test_jobs_do_not_change_output(self, tmp_path):
+        # z = 20 stays below the 1e10 coupling ratio (divide and conquer),
+        # z = 25 and 30 pass it (zero-shift QR): two threads run both
+        # bidiagonal SVD routines at once
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        grid = ["--L", "200:240:20", "--z", "20:30:5"]
+        assert main(["es-collapse", *grid, "--out", str(a), "--jobs", "1"]) == 0
+        assert main(["es-collapse", *grid, "--out", str(b), "--jobs", "2"]) == 0
+        rows = read_csv(a)[1]
+        assert len(rows) == 9 * 10
+        assert rows == read_csv(b)[1]
 
 
 class TestSdrgCommand:

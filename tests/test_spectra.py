@@ -18,8 +18,16 @@ from rainbow_lab import (
     uniform_profile,
     velocity_scaling,
 )
+from rainbow_lab import spectra
 from rainbow_lab.entanglement import ground_state_correlation
-from rainbow_lab.spectra import load_orbitals, save_orbitals, spectrum_rows
+from rainbow_lab.spectra import (
+    NumericsError,
+    _fix_phases,
+    _svd_bipartite,
+    load_orbitals,
+    save_orbitals,
+    spectrum_rows,
+)
 
 from conftest import chain_occupied, chain_spectrum
 
@@ -128,6 +136,131 @@ class TestDenseOracle:
         shell = vecs[:, zero]
         want = neg @ neg.T + 0.5 * (shell @ shell.T)
         assert np.max(np.abs(c - want)) < 1e-11
+
+
+def _chain_block(profile):
+    """Lower-bidiagonal sublattice block (even rows, odd columns) of a chain."""
+    return hopping_matrix_1d(profile).entries[0::2, 1::2]
+
+
+def _dense_svd(block):
+    """The dense route chains took before the bidiagonal routines: gesvd past
+    a 1e10 coupling ratio, gesdd below, on the upper-bidiagonal transpose."""
+    nz = np.abs(block[block != 0.0])
+    graded = nz.max() / nz.min() > 1e10
+    u2, s, v2t = sla.svd(block.T, lapack_driver="gesvd" if graded else "gesdd")
+    return v2t.T, s, u2.T
+
+
+class TestBidiagonalSolver:
+    """The bidiagonal LAPACK routines against the dense SVD they replace."""
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 50, 51, 300])
+    @pytest.mark.parametrize("z", [0.0, 1.0, 4.0, 30.0, 92.0])
+    def test_matches_dense_svd(self, L, z):
+        self._compare(_chain_block(profile_from_z(L, z)))
+
+    def test_underflowed_chain_matches_dense_svd(self):
+        with pytest.warns(RuntimeWarning):
+            block = _chain_block(profile_from_z(10, 2000.0))
+        assert np.count_nonzero(np.diagonal(block, -1) == 0.0) > 0
+        self._compare(block)
+
+    @staticmethod
+    def _compare(block):
+        u, s, vt = _svd_bipartite(block, bidiagonal=True)
+        u_ref, s_ref, vt_ref = _dense_svd(block)
+        scale = np.where(s_ref > 0, s_ref, 1.0)
+        assert np.max(np.abs(s - s_ref) / scale) <= 1e-13
+        assert np.array_equal(s == 0, s_ref == 0)
+        assert np.max(np.abs(u @ vt - u_ref @ vt_ref)) <= 1e-13
+
+    def test_signature_mismatch_fails_loudly(self):
+        # e.g. an ILP64 LAPACK, whose integers ctypes would pass at the wrong width
+        with pytest.raises(ImportError, match="dbdsqr"):
+            spectra._lapack("dbdsqr", spectra._CHAR, spectra._INT)
+
+    def test_chains_bypass_dense_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense SVD called")
+
+        monkeypatch.setattr(spectra.sla, "svd", refuse)
+        for z in (1.0, 30.0):  # divide and conquer, then zero-shift QR
+            diagonalize(hopping_matrix_1d(profile_from_z(40, z)))
+        with pytest.raises(AssertionError, match="dense SVD"):
+            diagonalize(hopping_matrix_2d(build_lattice_2d(2, 0.5)))
+
+    @pytest.mark.parametrize("z", [1.0, 30.0])
+    def test_perturbed_vectors_fail_residual(self, monkeypatch, z):
+        solve = spectra._bidiagonal_svd
+
+        def perturbed(d, e, graded):
+            v, s, ut = solve(d, e, graded)
+            v = v.copy()
+            v[0, 0] += 1e-6
+            return v, s, ut
+
+        monkeypatch.setattr(spectra, "_bidiagonal_svd", perturbed)
+        with pytest.raises(NumericsError, match="eigen-residual"):
+            diagonalize(hopping_matrix_1d(profile_from_z(20, z)))
+
+
+def _fix_phases_loop(orbitals):
+    """Column-by-column statement of the phase rule."""
+    for k in range(orbitals.shape[1]):
+        col = orbitals[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]
+        if nz.size and col[nz[0]] < 0:
+            orbitals[:, k] = -col
+    return orbitals
+
+
+class TestFixPhases:
+    def test_sign_rule(self):
+        # one column per row here; the threshold is 1e-8 x 0.5 = 5e-9
+        cols = np.array([
+            [-0.6, 0.8, 0.0],     # leading entry negative: flipped
+            [-5e-9, 0.5, 0.0],    # negative lead at the threshold ignored: kept
+            [1e-9, -0.5, 0.0],    # positive lead below it ignored: flipped
+            [-6e-9, 0.5, 0.0],    # negative lead above it counts: flipped
+            [0.0, 0.0, 0.0],      # zero column: kept
+        ])
+        out = _fix_phases(cols.T.copy()).T
+        flipped = np.array([True, False, True, True, False])
+        assert np.array_equal(out[flipped], -cols[flipped])
+        assert np.array_equal(out[~flipped], cols[~flipped])
+
+    def test_matches_loop(self, rng):
+        orbitals = rng.standard_normal((40, 40))
+        orbitals[:5] *= 1e-9
+        orbitals[:, 7] = 0.0
+        want = _fix_phases_loop(orbitals.copy())
+        assert _fix_phases(orbitals.copy()).tobytes() == want.tobytes()
+
+
+class TestOrbitalAssembly:
+    @pytest.mark.parametrize("H", [
+        hopping_matrix_1d(profile_from_z(30, 1.0)),
+        hopping_matrix_1d(profile_from_z(30, 40.0)),
+        hopping_matrix_2d(build_lattice_2d(3, 0.7)),
+    ], ids=["mild-chain", "graded-chain", "lattice"])
+    def test_matches_pair_loop(self, H):
+        """diagonalize's orbitals, bit for bit, against the pair-by-pair
+        assembly and column-by-column phase rule."""
+        a_idx = np.nonzero(H.sublattice == 0)[0]
+        b_idx = np.nonzero(H.sublattice == 1)[0]
+        block = H.entries[np.ix_(a_idx, b_idx)]
+        u, s, vt = _svd_bipartite(block, spectra._is_bidiagonal(block))
+        n = H.dim
+        want = np.zeros((n, n))
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        for p in range(s.size):
+            want[a_idx, p] = u[:, p] * inv_sqrt2
+            want[b_idx, p] = -vt[p, :] * inv_sqrt2
+            want[a_idx, n - 1 - p] = u[:, p] * inv_sqrt2
+            want[b_idx, n - 1 - p] = vt[p, :] * inv_sqrt2
+        want = _fix_phases_loop(want)
+        assert diagonalize(H).orbitals.tobytes() == want.tobytes()
 
 
 class TestOccupiedOrbitals:
