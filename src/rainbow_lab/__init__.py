@@ -20,9 +20,11 @@ from .lattice import (
     uniform_profile,
 )
 from .spectra import (
+    ChainSVD,
     FermiVelocityEstimate,
     SpectrumResult,
     ZeroModeError,
+    chain_svd,
     diagonalize,
     fermi_velocity,
     fermi_velocity_fit,
@@ -48,6 +50,7 @@ from .entanglement import (
     EntanglementSpectrum,
     EntropyCurve,
     EntropyPoint,
+    PolarBlock,
     block_correlation,
     boundary_blocks,
     brute_force_block_entropy,
@@ -57,6 +60,7 @@ from .entanglement import (
     ground_state_correlation,
     halfchain_block,
     halfchain_entropy_prediction,
+    polar_block,
     renyi_entropies,
     thermal_cft_entropy,
     vn_entropy,

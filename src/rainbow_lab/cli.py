@@ -33,6 +33,7 @@ from .entanglement import (
     entanglement_spectrum,
     entropy_scan,
     ground_state_correlation,
+    polar_block,
     renyi_entropies,
     vn_entropy,
 )
@@ -47,6 +48,7 @@ from .qubism import render, slater_amplitudes, write_ppm
 from .sdrg import bond_state_orbitals, rainbow_bonds, render_arcs, sdrg_entropy, sdrg_run
 from .spectra import (
     NumericsError,
+    chain_svd,
     diagonalize,
     fermi_velocity,
     fermi_velocity_fit,
@@ -282,9 +284,8 @@ def cmd_renyi_fit(args) -> int:
 
     def entropies_for(point):
         L, z = point
-        spec = diagonalize(hopping_matrix_1d(profile_from_z(L, z)))
-        occ = occupied_orbitals(spec)
-        return renyi_entropies(correlation_matrix(occ, range(L)), orders)
+        svd = chain_svd(profile_from_z(L, z))
+        return renyi_entropies(polar_block(svd, range(L)), orders)
 
     points = [(L, z) for L in sizes for z in args.z]
     entropies = dict(zip(points, _sweep(entropies_for, points, args.jobs)))
@@ -316,6 +317,9 @@ def cmd_es_collapse(args) -> int:
 
     def one(point):
         L, z = point
+        # The orbital route, not polar_block: an odd-L half block has one
+        # level at nu = 1/2, which the polar route gives as eps = 0 exactly;
+        # both filters below would drop it and shift the p labels of a side.
         spec = diagonalize(hopping_matrix_1d(profile_from_z(L, z)))
         occ = occupied_orbitals(spec)
         es = entanglement_spectrum(correlation_matrix(occ, range(L)))
@@ -361,7 +365,10 @@ def cmd_sdrg(args) -> int:
 
 
 def cmd_entropy_2d(args) -> int:
-    from .fitting import fit_2d
+    from .fitting import MIN_2D_SIZES, fit_2d
+
+    if len(args.L) < MIN_2D_SIZES:
+        raise ValueError(f"need at least {MIN_2D_SIZES} sizes, got {len(args.L)}")
 
     def one(point):
         alpha, L = point
@@ -425,17 +432,17 @@ def cmd_validate(args) -> int:
         if not ok:
             failures += 1
 
-    # oracle equivalence: correlation-matrix vs brute-force entropies
+    # oracle equivalence: polar-route vs brute-force entropies
     orders = [1, 2, 3, 4]
     for twoL in (4, 6, 8):
         for alpha in (0.01, 0.3, 1.0):
             profile = build_rainbow_profile(twoL // 2, alpha)
-            spec = diagonalize(hopping_matrix_1d(profile))
-            occ = occupied_orbitals(spec)
+            svd = chain_svd(profile)
+            occ = occupied_orbitals(diagonalize(hopping_matrix_1d(profile)))
             amps = slater_amplitudes(occ, twoL)
             worst = 0.0
             for block in boundary_blocks(twoL):
-                a = renyi_entropies(correlation_matrix(occ, block), orders)
+                a = renyi_entropies(polar_block(svd, block), orders)
                 b = brute_force_block_entropy(amps, block, orders)
                 worst = max(worst, max(abs(x.value - y.value) for x, y in zip(a, b)))
             check(f"oracle equivalence 2L={twoL} alpha={alpha} (dev {worst:.2e})",
@@ -463,13 +470,11 @@ def cmd_validate(args) -> int:
           abs(sdrg_entropy(bonds, range(6)) - 6 * math.log(2)) == 0.0)
 
     # pure-state complement symmetry
-    profile = build_rainbow_profile(6, 0.4)
-    spec = diagonalize(hopping_matrix_1d(profile))
-    occ = occupied_orbitals(spec)
+    svd = chain_svd(build_rainbow_profile(6, 0.4))
     worst = 0.0
     for l in range(1, 12):
-        a = vn_entropy(correlation_matrix(occ, range(l)))
-        b = vn_entropy(correlation_matrix(occ, range(l, 12)))
+        a = vn_entropy(polar_block(svd, range(l)))
+        b = vn_entropy(polar_block(svd, range(l, 12)))
         worst = max(worst, abs(a - b))
     check(f"complement symmetry 2L=12 (dev {worst:.2e})", worst <= 1e-8)
 

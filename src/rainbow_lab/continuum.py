@@ -128,6 +128,19 @@ def wavefunction_overlap(a, b) -> float:
     return float(abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
+def _full_column_rank(a: np.ndarray) -> bool:
+    """matrix_rank(a) == a.shape[1], skipping its SVD for near-orthonormal a.
+
+    ||A^T A - I||_F < 1/2 puts every singular value above 1/sqrt(2), far
+    above matrix_rank's tolerance, so the rank can only be full.
+    """
+    gram = a.T @ a
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if np.linalg.norm(gram) < 0.5:
+        return True
+    return np.linalg.matrix_rank(a) == a.shape[1]
+
+
 def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
     """|det(A^T B)| between two Slater states given by orthonormal orbitals.
 
@@ -138,7 +151,7 @@ def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
     b = np.asarray(occ_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"orbital matrices differ in shape: {a.shape} vs {b.shape}")
-    if np.linalg.matrix_rank(a) < a.shape[1] or np.linalg.matrix_rank(b) < b.shape[1]:
+    if not (_full_column_rank(a) and _full_column_rank(b)):
         warnings.warn("rank-deficient orbital set; overlap is 0", stacklevel=2)
         return 0.0
     sign, logdet = np.linalg.slogdet(a.T @ b)

@@ -1,4 +1,4 @@
-"""Correlation-matrix entanglement machinery and its brute-force oracle.
+"""Block entanglement of free-fermion ground states and its brute-force oracle.
 
 For a Slater ground state the reduced density matrix of a block is fixed
 by the block correlation matrix C_ij = <c+_i c_j>.  Its eigenvalues
@@ -6,10 +6,20 @@ nu_p in [0, 1] give every Renyi entropy, the single-body entanglement
 energies eps_p = ln((1 - nu_p)/nu_p), and the entanglement Hamiltonian
 constant f_0.  Entropies are in nats throughout.
 
+Chains take the polar route: at half filling C = (1 - sign H)/2, and for
+the bipartite chain with sublattice block M = U S V^T the diagonal blocks
+of sign H are zero and its off-diagonal block is the polar factor U V^T.
+A block's nu are therefore (1 +- sigma)/2, sigma the singular values of
+the (even sites x odd sites) sub-block X of U V^T, plus |n_even - n_odd|
+levels at exactly 1/2 (``polar_block``).  No orbitals, phases or
+correlation matrix are formed.  The orbital route (``occupied_orbitals``,
+``correlation_matrix``, ``ground_state_correlation``) serves the 2D
+lattice and stays the oracle for the polar one.
+
 The brute-force route expands the full many-body state (small N only),
 bipartitions the amplitude matrix and takes singular values; it shares
-no code with the correlation path beyond the orbital matrix itself, so
-the two results agreeing to 1e-10 is a genuine cross-check.
+no code with either route beyond the orbital matrix itself, so the
+results agreeing to 1e-10 is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -23,7 +33,14 @@ import numpy as np
 from .continuum import deformed_length
 from .lattice import CouplingProfile, Lattice2D, hopping_matrix
 from .qubism import AmplitudeTable
-from .spectra import NumericsError, SpectrumResult, ZeroModeError, diagonalize
+from .spectra import (
+    ChainSVD,
+    NumericsError,
+    SpectrumResult,
+    ZeroModeError,
+    chain_svd,
+    diagonalize,
+)
 
 NU_CLIP = 1e-14
 # Number of levels around eps = 0 averaged for the spacing Delta_L.  Two
@@ -52,12 +69,45 @@ class CorrelationMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues clipped to [0, 1]; NumericsError if they stray further."""
-        nu = np.linalg.eigvalsh(self.entries)
-        if nu.min() < -1e-10 or nu.max() > 1 + 1e-10:
-            raise NumericsError(
-                f"correlation eigenvalues outside [0,1]: [{nu.min()}, {nu.max()}]"
-            )
-        return np.clip(nu, 0.0, 1.0)
+        return _checked_nu(np.linalg.eigvalsh(self.entries))
+
+
+def _checked_nu(nu: np.ndarray) -> np.ndarray:
+    """nu clipped to [0, 1]; NumericsError if it strays more than 1e-10."""
+    if nu.min() < -1e-10 or nu.max() > 1 + 1e-10:
+        raise NumericsError(
+            f"correlation eigenvalues outside [0,1]: [{nu.min()}, {nu.max()}]"
+        )
+    return np.clip(nu, 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class PolarBlock:
+    """Half-filled chain block spectrum from the polar factor U V^T.
+
+    ``sigma`` holds the singular values (descending) of the block's
+    (even sites x odd sites) sub-block of U V^T and ``n_half`` the
+    |n_even - n_odd| levels pinned at 1/2.  Takes the place of a
+    CorrelationMatrix in ``renyi_entropies`` and ``entanglement_spectrum``.
+    """
+
+    block: tuple
+    sigma: np.ndarray = field(repr=False)
+    n_half: int
+
+    @property
+    def size(self) -> int:
+        return len(self.block)
+
+    def eigenvalues(self) -> np.ndarray:
+        """nu = (1 -+ sigma)/2 and the 1/2 levels, ascending, clipped to
+        [0, 1]; NumericsError if they stray further."""
+        nu = np.concatenate([
+            (1.0 - self.sigma) / 2.0,
+            np.full(self.n_half, 0.5),
+            (1.0 + self.sigma[::-1]) / 2.0,
+        ])
+        return _checked_nu(nu)
 
 
 @dataclass(frozen=True)
@@ -105,13 +155,19 @@ class EntropyCurve:
         )
 
 
-def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
-    """C_ij = sum_k psi^k_i psi^k_j over occupied orbitals, i, j in block."""
+def _distinct_sites(block) -> tuple:
+    """The block as a tuple of ints; ValueError if empty or repeating."""
     block = tuple(int(b) for b in block)
     if len(block) == 0:
         raise ValueError("empty block")
     if len(set(block)) != len(block):
         raise ValueError("block indices must be distinct")
+    return block
+
+
+def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
+    """C_ij = sum_k psi^k_i psi^k_j over occupied orbitals, i, j in block."""
+    block = _distinct_sites(block)
     occ = np.asarray(occ, dtype=float)
     rows = occ[list(block), :]
     return CorrelationMatrix(block=block, entries=rows @ rows.T)
@@ -146,6 +202,41 @@ def ground_state_correlation(
     return neg @ neg.T + 0.5 * (zcols @ zcols.T)
 
 
+def polar_block(svd: ChainSVD, block, zero_modes: str = "error") -> PolarBlock:
+    """Spectrum of a half-filled chain block from the chain's sublattice SVD.
+
+    X = U[rows] V^T[:, cols] with rows (cols) the block's even (odd) sites;
+    sigma are the singular values of X, taken directly rather than from
+    X X^T, whose squaring would lose the small sigma that set nu near 1/2.
+    zero_modes is the policy of ``ground_state_correlation``: exact zero
+    singular values of the chain raise ZeroModeError under "error", and
+    under "half" they drop out of U V^T (the zero shell at density 1/2).
+    """
+    if zero_modes not in ("error", "half"):
+        raise ValueError(f"unknown zero-mode policy {zero_modes!r}")
+    block = _distinct_sites(block)
+    n_sites = 2 * svd.s.size
+    if min(block) < 0 or max(block) >= n_sites:
+        raise ValueError(f"block sites must lie in [0, {n_sites})")
+    keep = np.nonzero(svd.s > 0.0)[0]
+    if keep.size < svd.s.size and zero_modes == "error":
+        raise ZeroModeError(
+            f"{2 * (svd.s.size - keep.size)} zero modes; pass zero_modes='half' "
+            "for the particle-hole symmetric filling"
+        )
+    sites = np.asarray(block)
+    rows = sites[sites % 2 == 0] // 2
+    cols = sites[sites % 2 == 1] // 2
+    x = svd.u[np.ix_(rows, keep)] @ svd.vt[np.ix_(keep, cols)]
+    if x.size:
+        from scipy.linalg import svdvals
+
+        sigma = svdvals(x)
+    else:
+        sigma = np.empty(0)
+    return PolarBlock(block=block, sigma=sigma, n_half=abs(rows.size - cols.size))
+
+
 def block_correlation(c_full: np.ndarray, block) -> CorrelationMatrix:
     """Restrict a full correlation matrix to a block."""
     block = tuple(int(b) for b in block)
@@ -162,7 +253,7 @@ def _renyi_from_nu(nu: np.ndarray, order: float) -> float:
     return float(np.sum(np.log(nu**order + (1 - nu) ** order)) / (1 - order))
 
 
-def renyi_entropies(C: CorrelationMatrix, orders) -> list:
+def renyi_entropies(C: CorrelationMatrix | PolarBlock, orders) -> list:
     """Renyi entropies S^(n) of a block; n = 1 is the von Neumann limit.
 
     S^(n) = (1/(1-n)) sum_p ln(nu_p^n + (1-nu_p)^n).  Levels clipped at
@@ -175,11 +266,11 @@ def renyi_entropies(C: CorrelationMatrix, orders) -> list:
     return [EntropyPoint(C.size, n, _renyi_from_nu(nu, n)) for n in orders]
 
 
-def vn_entropy(C: CorrelationMatrix) -> float:
+def vn_entropy(C: CorrelationMatrix | PolarBlock) -> float:
     return renyi_entropies(C, [1])[0].value
 
 
-def entanglement_spectrum(C: CorrelationMatrix) -> EntanglementSpectrum:
+def entanglement_spectrum(C: CorrelationMatrix | PolarBlock) -> EntanglementSpectrum:
     """Single-body entanglement energies and the level spacing near zero.
 
     Levels with nu clipped at 0 or 1 are reported as +-inf and excluded
@@ -241,31 +332,44 @@ def boundary_blocks(n_sites: int):
 
 
 def entropy_scan(geometry, blocks, orders, zero_modes: str = "error") -> EntropyCurve:
-    """Diagonalize a geometry once and evaluate entropies on many blocks.
+    """Solve a geometry once and evaluate entropies on many blocks.
 
     `blocks` is an iterable of site-index lists, or one of the presets
     "half" (single canonical half block) and "boundary" (all left-anchored
-    contiguous blocks).  Curve meta records the geometry parameters.
+    contiguous blocks).  A chain takes the polar route (``chain_svd`` and
+    ``polar_block``); any other geometry goes through its orbitals and
+    full correlation matrix.  Curve meta records the geometry parameters.
     """
-    spec = diagonalize(hopping_matrix(geometry))
-    c_full = ground_state_correlation(spec, zero_modes=zero_modes)
+    if isinstance(geometry, CouplingProfile):
+        svd = chain_svd(geometry)
+
+        def block_spectrum(block):
+            return polar_block(svd, block, zero_modes=zero_modes)
+
+        n_sites = geometry.n_sites
+        meta = {"kind": "chain", "L": geometry.L, "alpha": geometry.alpha,
+                "h": geometry.h, "z": geometry.z}
+    else:
+        spec = diagonalize(hopping_matrix(geometry))
+        c_full = ground_state_correlation(spec, zero_modes=zero_modes)
+
+        def block_spectrum(block):
+            return block_correlation(c_full, block)
+
+        n_sites = spec.dim
+        meta = {}
+        if isinstance(geometry, Lattice2D):
+            meta = {"kind": "lattice2d", "L": geometry.L, "alpha": geometry.alpha}
     if isinstance(blocks, str):
         if blocks == "half":
             blocks = [halfchain_block(geometry)]
         elif blocks == "boundary":
-            blocks = boundary_blocks(spec.dim)
+            blocks = boundary_blocks(n_sites)
         else:
             raise ValueError(f"unknown block preset {blocks!r}")
-    meta = {}
-    if isinstance(geometry, CouplingProfile):
-        meta = {"kind": "chain", "L": geometry.L, "alpha": geometry.alpha,
-                "h": geometry.h, "z": geometry.z}
-    elif isinstance(geometry, Lattice2D):
-        meta = {"kind": "lattice2d", "L": geometry.L, "alpha": geometry.alpha}
     points = []
     for block in blocks:
-        C = block_correlation(c_full, block)
-        points.extend(renyi_entropies(C, orders))
+        points.extend(renyi_entropies(block_spectrum(block), orders))
     return EntropyCurve(points=points, meta=meta)
 
 

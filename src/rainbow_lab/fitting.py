@@ -156,11 +156,15 @@ def fit_renyi_halfchain(curve: EntropyCurve, n: float, z: float) -> FitResult:
     return fit
 
 
+# The three-coefficient 2D fit refuses fewer sizes than this.
+MIN_2D_SIZES = 5
+
+
 def fit_2d(curve: EntropyCurve, order: float = 1) -> FitResult:
     """Fit the 2D per-length entropy s_L = A L + B ln L + C."""
     sizes, values = _curve_xy(curve, order)
-    if sizes.size < 5:
-        raise ValueError(f"need at least 5 sizes, got {sizes.size}")
+    if sizes.size < MIN_2D_SIZES:
+        raise ValueError(f"need at least {MIN_2D_SIZES} sizes, got {sizes.size}")
     design = np.column_stack([sizes, np.log(sizes), np.ones_like(sizes)])
     return linear_lsq(design, values, names=("A", "B", "C"), model="entropy-2d")
 

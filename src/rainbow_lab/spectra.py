@@ -17,6 +17,14 @@ when the smallest couplings are ~1e-300.  A chain's two bands go straight
 to LAPACK's bidiagonal SVD routines (``dbdsdc``, or ``dbdsqr`` once the
 couplings span more than ten decades), so there is no reduction step at
 all; the dense block of the 2D lattice goes to ``scipy.linalg.svd``.
+
+``chain_svd`` takes those bands straight from a ``CouplingProfile``
+(``M^T`` has diagonal ``-c[0::2]/2`` and superdiagonal ``-c[1::2]/2``)
+and certifies the SVD with a residual taken on the bands, so no dense
+matrix or orbital is ever formed; entanglement needs nothing more (see
+``entanglement.polar_block``).  ``diagonalize`` runs the same band solve
+on a chain's ``HoppingMatrix`` and assembles the orbitals for the outputs
+that are orbitals.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import cython_lapack
 
-from .lattice import HoppingMatrix
+from .lattice import CouplingProfile, HoppingMatrix
 
 RESIDUAL_TOL = 1e-10
 ZERO_MODE_TOL = 1e-12
@@ -178,20 +186,95 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
     return vt_buf, s, u_buf
 
 
+def _graded(*bands: np.ndarray) -> bool:
+    """True when the nonzero couplings span more than ten decades, where
+    divide and conquer no longer guarantees relative accuracy."""
+    nz = np.abs(np.concatenate([b[b != 0.0] for b in bands]))
+    return bool(nz.size) and float(nz.max() / nz.min()) > 1e10
+
+
+def _certify(residual: float, s: np.ndarray) -> float:
+    """NumericsError unless the eigen-residual is within RESIDUAL_TOL of the
+    spectral radius s[0]."""
+    radius = float(s[0])
+    if residual > RESIDUAL_TOL * max(radius, 1e-300):
+        raise NumericsError(
+            f"eigen-residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} x "
+            f"spectral radius {radius:.3e}"
+        )
+    return residual
+
+
+def _chain_solve(d: np.ndarray, e: np.ndarray):
+    """Certified SVD ``M = U S V^T`` of a chain's lower-bidiagonal block with
+    diagonal d and subdiagonal e, returned as (U, s, V^T, residual).
+
+    The residual ``max(|M v - s u|, |M^T u - s v|)/sqrt(2)`` is that of the
+    orbitals ``(u, +-v)/sqrt(2)``; it is taken on the two bands, so it
+    costs O(n^2) and never forms M.
+    """
+    graded = _graded(d, e)
+    try:
+        u, s, vt = _bidiagonal_svd(d, e, graded)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericsError(f"SVD failed on dim {2 * d.size}: {exc}") from exc
+    # row k of V^T M^T is (M v_k)^T: d * v_k plus e * v_k shifted by one site
+    mv = vt * d
+    mv[:, 1:] += vt[:, :-1] * e
+    mv -= u.T * s[:, None]
+    # M^T u_k: d * u_k plus e * u_k shifted back by one site
+    mtu = u * d[:, None]
+    mtu[:-1] += u[1:] * e[:, None]
+    mtu -= vt.T * s
+    residual = max(float(np.max(np.abs(mv))), float(np.max(np.abs(mtu))))
+    return u, s, vt, _certify(residual / np.sqrt(2.0), s)
+
+
+@dataclass(frozen=True)
+class ChainSVD:
+    """Certified SVD ``M = U S V^T`` of a chain's sublattice block.
+
+    Row i of M is even site 2i and column j is odd site 2j + 1, so
+    ``u[i]`` belongs to site 2i and ``vt[:, j]`` to site 2j + 1.  ``s`` is
+    descending; ``residual`` is the eigen-residual of the orbitals
+    ``(u, +-v)/sqrt(2)``, as in SpectrumResult.
+    """
+
+    u: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)
+    vt: np.ndarray = field(repr=False)
+    residual: float
+
+
+def chain_svd(profile: CouplingProfile) -> ChainSVD:
+    """Certified sublattice SVD of a chain, straight from its couplings.
+
+    ``M^T`` is upper bidiagonal with diagonal ``-c[0::2]/2`` and
+    superdiagonal ``-c[1::2]/2`` (c the profile's couplings), so neither
+    the hopping matrix nor the orbitals are ever built; the bands, the
+    driver and hence U, s, V^T are those ``diagonalize`` uses.
+
+    Raises NumericsError when the residual exceeds RESIDUAL_TOL relative to
+    the spectral radius.
+    """
+    c = profile.couplings
+    u, s, vt, residual = _chain_solve(-c[0::2] / 2.0, -c[1::2] / 2.0)
+    return ChainSVD(u=u, s=s, vt=vt, residual=residual)
+
+
 def _svd_bipartite(block: np.ndarray, bidiagonal: bool):
     """SVD ``M = U S V^T`` of the sublattice block, returned as (U, s, V^T).
 
-    A chain's block is lower bidiagonal, so its transpose goes straight to
-    a bidiagonal SVD routine; any other block (the 2D lattice) goes to dense
-    ``scipy.linalg.svd``.  QR-iteration SVD keeps the relative accuracy of
-    severely graded spectra (couplings spanning hundreds of decades);
-    divide and conquer is much faster and loses nothing when the grading
-    is mild.
+    A chain's block is lower bidiagonal and goes to the certified band
+    solve; any other block (the 2D lattice) goes to dense
+    ``scipy.linalg.svd``, whose caller checks the residual.  QR-iteration
+    SVD keeps the relative accuracy of severely graded spectra (couplings
+    spanning hundreds of decades); divide and conquer is much faster and
+    loses nothing when the grading is mild.
     """
-    nz = np.abs(block[block != 0.0])
-    graded = bool(nz.size) and float(nz.max() / nz.min()) > 1e10
     if bidiagonal:
-        return _bidiagonal_svd(np.diagonal(block), np.diagonal(block, -1), graded)
+        return _chain_solve(np.diagonal(block), np.diagonal(block, -1))[:3]
+    graded = _graded(block)
     u2, s, v2t = sla.svd(block.T, lapack_driver="gesvd" if graded else "gesdd")
     return v2t.T, s, u2.T
 
@@ -221,7 +304,8 @@ def diagonalize(H: HoppingMatrix) -> SpectrumResult:
 
     The matrix is solved through the SVD of its sublattice block, which
     enforces exact particle-hole pairing: with ``M = U S V^T`` the levels
-    are ``+-s`` with orbitals ``(u, +-v)/sqrt(2)``.
+    are ``+-s`` with orbitals ``(u, +-v)/sqrt(2)``.  A chain's block goes
+    through the same certified band solve as ``chain_svd``.
 
     Raises
     ------
@@ -237,26 +321,23 @@ def diagonalize(H: HoppingMatrix) -> SpectrumResult:
     b_idx = np.nonzero(H.sublattice == 1)[0]
     block = H.entries[np.ix_(a_idx, b_idx)]
     bidiagonal = _is_bidiagonal(block)
-    try:
-        u, s, vt = _svd_bipartite(block, bidiagonal)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericsError(f"SVD failed on dim {H.dim}: {exc}") from exc
-
-    # |H psi - E psi| of psi = (u, +-v)/sqrt(2), from the two half blocks
-    v = vt.T
-    residual = max(
-        float(np.max(np.abs(block @ v - u * s))),
-        float(np.max(np.abs(block.T @ u - v * s))),
-    ) / np.sqrt(2.0)
-    radius = float(s[0])
-    if residual > RESIDUAL_TOL * max(radius, 1e-300):
-        raise NumericsError(
-            f"eigen-residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} x "
-            f"spectral radius {radius:.3e}"
+    if bidiagonal:
+        u, s, vt, residual = _chain_solve(np.diagonal(block), np.diagonal(block, -1))
+    else:
+        try:
+            u, s, vt = _svd_bipartite(block, bidiagonal=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericsError(f"SVD failed on dim {H.dim}: {exc}") from exc
+        # |H psi - E psi| of psi = (u, +-v)/sqrt(2), from the two half blocks
+        residual = max(
+            float(np.max(np.abs(block @ vt.T - u * s))),
+            float(np.max(np.abs(block.T @ u - vt.T * s))),
         )
+        residual = _certify(residual / np.sqrt(2.0), s)
 
     # column p holds the level -s_p, column dim-1-p its partner +s_p
     k = s.size
+    v = vt.T
     orbitals = np.empty((H.dim, H.dim))
     orbitals[a_idx, :k] = u
     orbitals[a_idx, k:] = u[:, ::-1]
@@ -265,7 +346,7 @@ def diagonalize(H: HoppingMatrix) -> SpectrumResult:
     orbitals *= 1.0 / np.sqrt(2.0)
     orbitals = _fix_phases(orbitals)
     energies = np.concatenate([-s, s[::-1]])
-    zero_tol = 0.0 if bidiagonal else ZERO_MODE_TOL * max(radius, 1.0)
+    zero_tol = 0.0 if bidiagonal else ZERO_MODE_TOL * max(float(s[0]), 1.0)
     return SpectrumResult(
         energies=energies, orbitals=orbitals, residual=residual, zero_tol=zero_tol
     )

@@ -215,6 +215,16 @@ class TestRenyiFit:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_jobs_do_not_change_output(self, tmp_path):
+        # z = 30 passes the 1e10 coupling ratio, so both SVD routines run
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        grid = ["--L", "60:65:1", "--z", "0:30:15"]
+        assert main(["renyi-fit", *grid, "--out", str(a), "--jobs", "1"]) == 0
+        assert main(["renyi-fit", *grid, "--out", str(b), "--jobs", "2"]) == 0
+        rows = read_csv(a)[1]
+        assert len(rows) == 3 * 4
+        assert rows == read_csv(b)[1]
+
 
 class TestEsCollapse:
     def test_rows(self, tmp_path):
@@ -282,6 +292,25 @@ class TestEntropy2D:
         assert rec["A_bits_per_side"] == pytest.approx(
             rec["A"] / (4 * np.log(2)), rel=1e-12
         )
+
+
+    def test_too_few_sizes_rejected_before_solving(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from rainbow_lab import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the size check")
+
+        monkeypatch.setattr(cli, "diagonalize", refuse)
+        out = tmp_path / "e2d.csv"
+        rc = main(["entropy-2d", "--L", "8:20:4", "--alpha", "0.5:1:0.25",
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "need at least 5 sizes, got 4"}
+        assert not out.exists()
+        assert not (tmp_path / "e2d_fits.json").exists()
 
 
 class TestQubism:

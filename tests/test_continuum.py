@@ -167,6 +167,30 @@ class TestOverlaps:
         with pytest.warns(UserWarning):
             assert slater_overlap(occ, occ) == 0.0
 
+    def test_slater_orthonormal_sets_skip_the_rank_svd(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix_rank called")
+
+        a = chain_occupied(6, alpha=0.8)
+        b, _ = np.linalg.qr(rng.normal(size=(12, 6)))
+        want = abs(np.linalg.det(a.T @ b))
+        monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+        assert slater_overlap(a, b) == pytest.approx(want, rel=1e-12)
+
+    def test_slater_far_from_orthonormal_asks_matrix_rank(self, monkeypatch):
+        calls = []
+        rank = np.linalg.matrix_rank
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return rank(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+        occ = chain_occupied(4, alpha=0.9)
+        # full rank, but ||A^T A - I||_F = 6: the Gram test cannot decide
+        assert slater_overlap(2.0 * occ, occ) == pytest.approx(2.0**4)
+        assert calls == [occ.shape]
+
     def test_shape_mismatch(self):
         a = chain_occupied(4, alpha=0.9)
         with pytest.raises(ValueError):

@@ -5,18 +5,23 @@ import pytest
 
 from rainbow_lab import (
     CorrelationMatrix,
+    PolarBlock,
     block_correlation,
     boundary_blocks,
     brute_force_block_entropy,
     build_lattice_2d,
     build_rainbow_profile,
+    chain_svd,
     correlation_matrix,
     diagonalize,
     entanglement_spectrum,
     entropy_scan,
     ground_state_correlation,
     halfchain_entropy_prediction,
+    hopping_matrix_1d,
     hopping_matrix_2d,
+    occupied_orbitals,
+    polar_block,
     profile_from_z,
     renyi_entropies,
     slater_amplitudes,
@@ -286,6 +291,99 @@ class TestEntropyScan:
         assert a == pytest.approx(b, abs=1e-8)
         nu = block_correlation(c_full, left).eigenvalues()
         assert np.all((nu > -1e-12) & (nu < 1 + 1e-12))
+
+
+def _sampled_boundary_blocks(n_sites: int) -> list:
+    """Every left-anchored block of a short chain; about 16 of a long one,
+    an odd stride apart so both parities occur, and always the longest."""
+    step = max(1, (n_sites - 1) // 16) | 1
+    sizes = sorted(set(range(1, n_sites, step)) | {n_sites - 1} - {0})
+    return [list(range(l)) for l in sizes]
+
+
+class TestPolarRoute:
+    """polar_block on chain_svd against the orbital route it replaces."""
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 50, 51, 300])
+    @pytest.mark.parametrize("z", [0.0, 1.0, 4.0, 30.0, 92.0])
+    def test_matches_orbital_route(self, L, z):
+        profile = profile_from_z(L, z)
+        occ = chain_occupied(L, z=z)
+        svd = chain_svd(profile)
+        blocks = [list(range(L))] + _sampled_boundary_blocks(2 * L)
+        for block in blocks:
+            C = correlation_matrix(occ, block)
+            P = polar_block(svd, block)
+            assert P.block == C.block and P.size == C.size
+            dnu = np.abs(entanglement_spectrum(P).nu - entanglement_spectrum(C).nu)
+            assert np.max(dnu) <= 1e-11
+            for a, b in zip(renyi_entropies(P, [1, 2, 3, 4]),
+                            renyi_entropies(C, [1, 2, 3, 4])):
+                assert (a.size, a.order) == (b.size, b.order)
+                assert abs(a.value - b.value) <= 1e-11
+
+    def test_scattered_block(self):
+        occ = chain_occupied(20, z=3.0)
+        svd = chain_svd(profile_from_z(20, 3.0))
+        block = [3, 0, 17, 8, 9, 30, 31, 39]
+        a = np.sort(correlation_matrix(occ, block).eigenvalues())
+        b = polar_block(svd, block).eigenvalues()
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_unpaired_sites_sit_at_one_half(self):
+        # three even sites, one odd site: at least two levels at exactly 1/2
+        svd = chain_svd(profile_from_z(10, 1.0))
+        nu = polar_block(svd, [0, 2, 4, 5]).eigenvalues()
+        assert np.count_nonzero(nu == 0.5) >= 2
+        assert np.array_equal(nu, np.sort(nu))
+
+    def test_zero_modes_follow_the_policy(self):
+        with pytest.warns(RuntimeWarning):
+            profile = profile_from_z(10, 2000.0)
+        spec = diagonalize(hopping_matrix_1d(profile))
+        svd = chain_svd(profile)
+        with pytest.raises(ZeroModeError):
+            occupied_orbitals(spec)
+        with pytest.raises(ZeroModeError):
+            polar_block(svd, range(10))
+        c_full = ground_state_correlation(spec, zero_modes="half")
+        for block in boundary_blocks(20):
+            a = np.sort(block_correlation(c_full, block).eigenvalues())
+            b = polar_block(svd, block, zero_modes="half").eigenvalues()
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+    @pytest.mark.parametrize("block", [[], [1, 1], [-1, 0], [0, 20]])
+    def test_bad_blocks_rejected(self, block):
+        svd = chain_svd(profile_from_z(10, 1.0))
+        with pytest.raises(ValueError):
+            polar_block(svd, block)
+
+    def test_unknown_policy_rejected(self):
+        svd = chain_svd(profile_from_z(10, 1.0))
+        with pytest.raises(ValueError, match="policy"):
+            polar_block(svd, range(10), zero_modes="fill")
+
+    def test_eigenvalue_outside_unit_interval_is_numerical(self):
+        P = PolarBlock(block=(0, 1), sigma=np.array([1.0 + 1e-6]), n_half=0)
+        with pytest.raises(NumericsError):
+            P.eigenvalues()
+
+    def test_entropy_scan_on_a_chain_skips_the_orbitals(self, monkeypatch):
+        from rainbow_lab import entanglement
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbital route taken")
+
+        profile = profile_from_z(30, 2.0)
+        want = [p.value for p in entropy_scan(profile, "boundary", [1, 3]).points]
+        monkeypatch.setattr(entanglement, "diagonalize", refuse)
+        monkeypatch.setattr(entanglement, "hopping_matrix", refuse)
+        got = entropy_scan(profile, "boundary", [1, 3])
+        assert [p.value for p in got.points] == want
+        occ = chain_occupied(30, z=2.0)
+        for p in got.points:
+            C = correlation_matrix(occ, range(int(p.size)))
+            assert abs(p.value - renyi_entropies(C, [p.order])[0].value) <= 1e-11
 
 
 class TestBruteForceOracle:

@@ -18,7 +18,7 @@ from rainbow_lab import (
     uniform_profile,
     velocity_scaling,
 )
-from rainbow_lab import spectra
+from rainbow_lab import lattice, spectra
 from rainbow_lab.entanglement import ground_state_correlation
 from rainbow_lab.spectra import (
     NumericsError,
@@ -203,6 +203,84 @@ class TestBidiagonalSolver:
         monkeypatch.setattr(spectra, "_bidiagonal_svd", perturbed)
         with pytest.raises(NumericsError, match="eigen-residual"):
             diagonalize(hopping_matrix_1d(profile_from_z(20, z)))
+
+
+class TestChainSVD:
+    """chain_svd: the certified band solve straight from the couplings."""
+
+    @staticmethod
+    def _band_route(H):
+        """The route chains took before chain_svd: the bands read off the
+        dense block, graded by the block's nonzeros, then the driver."""
+        block = H.entries[0::2, 1::2]
+        nz = np.abs(block[block != 0.0])
+        graded = bool(nz.size) and float(nz.max() / nz.min()) > 1e10
+        return spectra._bidiagonal_svd(
+            np.diagonal(block), np.diagonal(block, -1), graded
+        )
+
+    @pytest.mark.parametrize("z", [1.0, 40.0], ids=["mild", "graded"])
+    def test_bitwise_band_route(self, z):
+        profile = profile_from_z(30, z)
+        H = hopping_matrix_1d(profile)
+        u, s, vt = self._band_route(H)
+        svd = spectra.chain_svd(profile)
+        for got, want in ((svd.u, u), (svd.s, s), (svd.vt, vt)):
+            assert got.tobytes() == want.tobytes()
+        # diagonalize's orbitals from the same vectors, pair by pair
+        n = H.dim
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        want = np.zeros((n, n))
+        for p in range(s.size):
+            want[0::2, p] = want[0::2, n - 1 - p] = u[:, p] * inv_sqrt2
+            want[1::2, p] = -vt[p] * inv_sqrt2
+            want[1::2, n - 1 - p] = vt[p] * inv_sqrt2
+        want = _fix_phases_loop(want)
+        assert diagonalize(H).orbitals.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 51])
+    @pytest.mark.parametrize("z", [0.0, 4.0, 92.0])
+    def test_banded_residual_matches_dense(self, L, z):
+        profile = profile_from_z(L, z)
+        svd = spectra.chain_svd(profile)
+        block = _chain_block(profile)
+        v = svd.vt.T
+        dense = max(
+            np.max(np.abs(block @ v - svd.u * svd.s)),
+            np.max(np.abs(block.T @ svd.u - v * svd.s)),
+        ) / np.sqrt(2.0)
+        assert abs(svd.residual - dense) <= 1e-15 * svd.s[0]
+        assert svd.residual <= 1e-10 * svd.s[0]
+
+    def test_underflowed_chain_keeps_exact_zeros(self):
+        with pytest.warns(RuntimeWarning):
+            profile = profile_from_z(10, 2000.0)
+        zeros = np.count_nonzero(spectra.chain_svd(profile).s == 0.0)
+        energies = diagonalize(hopping_matrix_1d(profile)).energies
+        assert zeros > 0
+        assert 2 * zeros == np.count_nonzero(energies == 0.0)
+
+    @pytest.mark.parametrize("z", [1.0, 30.0])
+    def test_perturbed_vectors_fail_residual(self, monkeypatch, z):
+        solve = spectra._bidiagonal_svd
+
+        def perturbed(d, e, graded):
+            v, s, ut = solve(d, e, graded)
+            ut = ut.copy()
+            ut[0, 0] += 1e-6
+            return v, s, ut
+
+        monkeypatch.setattr(spectra, "_bidiagonal_svd", perturbed)
+        with pytest.raises(NumericsError, match="eigen-residual"):
+            spectra.chain_svd(profile_from_z(20, z))
+
+    def test_never_builds_the_hopping_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hopping matrix built")
+
+        monkeypatch.setattr(lattice, "HoppingMatrix", refuse)
+        svd = spectra.chain_svd(profile_from_z(40, 2.0))
+        assert svd.u.shape == svd.vt.shape == (40, 40)
 
 
 def _fix_phases_loop(orbitals):
