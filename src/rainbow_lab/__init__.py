@@ -28,8 +28,10 @@ from .spectra import (
     diagonalize,
     fermi_velocity,
     fermi_velocity_fit,
+    occupied_from_svd,
     occupied_orbitals,
     site_occupations,
+    spectrum_from_svd,
     velocity_scaling,
 )
 from .continuum import (

@@ -40,7 +40,6 @@ from .entanglement import (
 from .lattice import (
     build_lattice_2d,
     build_rainbow_profile,
-    hopping_matrix_1d,
     hopping_matrix_2d,
     profile_from_z,
 )
@@ -52,9 +51,10 @@ from .spectra import (
     diagonalize,
     fermi_velocity,
     fermi_velocity_fit,
-    occupied_orbitals,
+    occupied_from_svd,
     save_orbitals,
     site_occupations,
+    spectrum_from_svd,
     spectrum_rows,
 )
 
@@ -130,6 +130,13 @@ def _worker_count(args) -> int:
     return jobs
 
 
+def _renyi_orders(orders: list) -> list:
+    """--orders, refused before any chain is solved unless every order is >= 1."""
+    if any(n < 1 for n in orders):
+        raise ValueError(f"Renyi order must be >= 1, got {min(orders)}")
+    return orders
+
+
 def _sweep(kernel, points, jobs: int) -> list:
     """kernel(point) for every point, in order; jobs > 1 uses a thread pool."""
     if jobs == 1:
@@ -173,8 +180,7 @@ def _write_json(path, args, payload) -> None:
 # ----------------------------------------------------------------- commands
 
 def cmd_spectrum(args) -> int:
-    profile = _profile_for(args.L, args)
-    spec = diagonalize(hopping_matrix_1d(profile))
+    spec = spectrum_from_svd(chain_svd(_profile_for(args.L, args)))
     rows = list(spectrum_rows(spec))
     _write_csv(args.out, _csv_header(args, ("m", "energy")), rows)
     if args.orbitals:
@@ -187,7 +193,7 @@ def cmd_wavefunction(args) -> int:
     m = args.m
     if not -args.L <= m <= args.L - 1:
         raise ValueError(f"--m must lie in [{-args.L}, {args.L - 1}], got {m}")
-    spec = diagonalize(hopping_matrix_1d(profile))
+    spec = spectrum_from_svd(chain_svd(profile))
     exact = spec.orbitals[:, args.L + m]
     ana = analytic_wavefunction(m, profile.h, args.L).components
     if exact @ ana < 0:  # global eigenvector sign is arbitrary; align for plots
@@ -204,7 +210,7 @@ def cmd_velocity_scan(args) -> int:
     L = args.L
 
     def one(z):
-        spec = diagonalize(hopping_matrix_1d(profile_from_z(L, z)))
+        spec = spectrum_from_svd(chain_svd(profile_from_z(L, z)))
         est = fermi_velocity(spec, L, z)
         fit = fermi_velocity_fit(spec, L, z)
         return (z, est.a_numeric, fit.a_numeric, est.a_analytic)
@@ -245,7 +251,7 @@ def _derived_path(path: str, suffix: str, ext: str | None = None) -> str:
 
 def cmd_entropy_scan(args) -> int:
     name, values = _geometry_values(args)
-    orders = args.orders
+    orders = _renyi_orders(args.orders)
 
     if args.blocks == "boundary":
         if len(args.L) != 1 or len(values) != 1:
@@ -280,7 +286,7 @@ def cmd_renyi_fit(args) -> int:
         raise ValueError("need at least 6 sizes for the three-parameter fit")
     if len({L % 2 for L in sizes}) < 2:
         raise ValueError("sizes must mix even and odd L for the oscillation term")
-    orders = args.orders
+    orders = _renyi_orders(args.orders)
 
     def entropies_for(point):
         L, z = point
@@ -320,8 +326,7 @@ def cmd_es_collapse(args) -> int:
         # The orbital route, not polar_block: an odd-L half block has one
         # level at nu = 1/2, which the polar route gives as eps = 0 exactly;
         # both filters below would drop it and shift the p labels of a side.
-        spec = diagonalize(hopping_matrix_1d(profile_from_z(L, z)))
-        occ = occupied_orbitals(spec)
+        occ = occupied_from_svd(chain_svd(profile_from_z(L, z)))
         es = entanglement_spectrum(correlation_matrix(occ, range(L)))
         eps = es.finite_eps()
         neg = np.sort(eps[eps < 0])[::-1][: args.levels]  # closest to 0 first
@@ -405,9 +410,8 @@ def cmd_qubism(args) -> int:
     n = args.sites
     if n % 2:
         raise ValueError(f"qubism needs an even site count, got {n}")
-    profile = build_rainbow_profile(n // 2, args.alpha)
-    spec = diagonalize(hopping_matrix_1d(profile))
-    amps = slater_amplitudes(occupied_orbitals(spec), n)
+    occ = occupied_from_svd(chain_svd(build_rainbow_profile(n // 2, args.alpha)))
+    amps = slater_amplitudes(occ, n)
     img = render(amps)
     write_ppm(img, args.out)
     # PPM headers are pinned byte for byte, so provenance rides sidecar
@@ -438,8 +442,7 @@ def cmd_validate(args) -> int:
         for alpha in (0.01, 0.3, 1.0):
             profile = build_rainbow_profile(twoL // 2, alpha)
             svd = chain_svd(profile)
-            occ = occupied_orbitals(diagonalize(hopping_matrix_1d(profile)))
-            amps = slater_amplitudes(occ, twoL)
+            amps = slater_amplitudes(occupied_from_svd(svd), twoL)
             worst = 0.0
             for block in boundary_blocks(twoL):
                 a = renyi_entropies(polar_block(svd, block), orders)
@@ -450,8 +453,8 @@ def cmd_validate(args) -> int:
 
     # occupations at half filling
     for (L, alpha) in ((10, 0.6), (25, 0.9)):
-        spec = diagonalize(hopping_matrix_1d(build_rainbow_profile(L, alpha)))
-        occs = site_occupations(occupied_orbitals(spec))
+        svd = chain_svd(build_rainbow_profile(L, alpha))
+        occs = site_occupations(occupied_from_svd(svd))
         dev = float(np.max(np.abs(occs - 0.5)))
         check(f"site occupations 1/2 L={L} alpha={alpha} (dev {dev:.2e})", dev <= 1e-10)
 

@@ -4,6 +4,14 @@ Levels are indexed relative to the Fermi point: m = 0 is the first
 single-particle level above it, m = -1 the first below, so the exact
 eigenvector matching analytic level m is column ``L + m`` of the
 ascending spectrum of a 2L-site chain.
+
+The closed-form wavefunction lives in one vectorized core that samples
+any set of levels in a single broadcast: ``analytic_wavefunction`` asks
+it for one level, ``continuum_occupied`` for all L occupied levels at
+once.  The validity map compares that continuum state with the exact
+ground state, whose occupied orbitals come straight from the chain's
+sublattice SVD (``spectra.occupied_from_svd``), so neither side builds a
+hopping matrix or loops over levels.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import hopping_matrix_1d, profile_from_z, site_labels
-from .spectra import diagonalize, occupied_orbitals, velocity_scaling
+from .lattice import profile_from_z, site_labels
+from .spectra import chain_svd, occupied_from_svd, velocity_scaling
 
 # Below this h the exponentials are evaluated by series limit.
 _H_TINY = 1e-8
@@ -100,6 +108,25 @@ def coordinate_map(x, h: float):
     return out if out.shape else float(out)
 
 
+def _analytic_levels(ms: np.ndarray, h: float, L: int) -> np.ndarray:
+    """Unit-norm continuum eigenfunctions of the levels `ms` on the 2L
+    lattice sites, one row per level, all in one broadcast."""
+    if h < 0:
+        raise ValueError(f"h must be non-negative, got {h!r}")
+    ns = site_labels(L)
+    absn = np.abs(ns)
+    ms = np.asarray(ms)[:, None]
+    ratio = np.asarray(_expm1_over_h(h, absn)) / deformed_length(h, L)
+    phase = np.pi * (ns - ms) / 2.0 + np.sign(ns) * (np.pi * (ms + 0.5) / 2.0) * ratio
+    v = np.exp(h * absn / 2.0) * np.cos(phase)
+    # row norms from a stack of (1 x n)(n x 1) products: each is the dot
+    # np.linalg.norm takes of one level, so a row does not depend on which
+    # other levels share the call.  continuum_occupied needs that: its
+    # columns are near-dependent past z ~ 1, and QR turns one-ulp changes
+    # of them into O(1) changes of Q.
+    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, :, 0]
+
+
 def analytic_wavefunction(m: int, h: float, L: int) -> AnalyticWavefunction:
     """Continuum eigenfunction of level m on the 2L lattice sites, unit norm.
 
@@ -109,14 +136,8 @@ def analytic_wavefunction(m: int, h: float, L: int) -> AnalyticWavefunction:
     Accurate for |m| << L; deep levels vary on the lattice scale and are
     not captured (quantify with wavefunction_overlap).
     """
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h!r}")
-    ns = site_labels(L)
-    absn = np.abs(ns)
-    ratio = np.asarray(_expm1_over_h(h, absn)) / deformed_length(h, L)
-    phase = np.pi * (ns - m) / 2.0 + np.sign(ns) * (np.pi * (m + 0.5) / 2.0) * ratio
-    v = np.exp(h * absn / 2.0) * np.cos(phase)
-    return AnalyticWavefunction(m=m, components=v / np.linalg.norm(v))
+    components = _analytic_levels(np.array([m]), h, L)[0]
+    return AnalyticWavefunction(m=m, components=components)
 
 
 def wavefunction_overlap(a, b) -> float:
@@ -162,10 +183,7 @@ def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
 
 def continuum_occupied(L: int, h: float) -> np.ndarray:
     """QR-orthonormalized analytic orbitals of the L occupied levels m = -L..-1."""
-    cols = np.column_stack(
-        [analytic_wavefunction(m, h, L).components for m in range(-L, 0)]
-    )
-    q, _ = np.linalg.qr(cols)
+    q, _ = np.linalg.qr(_analytic_levels(np.arange(-L, 0), h, L).T)
     return q
 
 
@@ -194,7 +212,7 @@ class ValidityMap:
 
 
 def _exact_occupied(L: int, z: float) -> np.ndarray:
-    return occupied_orbitals(diagonalize(hopping_matrix_1d(profile_from_z(L, z))))
+    return occupied_from_svd(chain_svd(profile_from_z(L, z)))
 
 
 def validity_map(L_values, z_values, executor_map=map) -> ValidityMap:

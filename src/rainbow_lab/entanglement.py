@@ -12,9 +12,10 @@ of sign H are zero and its off-diagonal block is the polar factor U V^T.
 A block's nu are therefore (1 +- sigma)/2, sigma the singular values of
 the (even sites x odd sites) sub-block X of U V^T, plus |n_even - n_odd|
 levels at exactly 1/2 (``polar_block``).  No orbitals, phases or
-correlation matrix are formed.  The orbital route (``occupied_orbitals``,
-``correlation_matrix``, ``ground_state_correlation``) serves the 2D
-lattice and stays the oracle for the polar one.
+correlation matrix are formed.  The orbital route (``occupied_orbitals``
+or ``spectra.occupied_from_svd``, then ``correlation_matrix`` or
+``ground_state_correlation``) serves the 2D lattice and the chain's
+entanglement-spectrum collapse, and stays the oracle for the polar one.
 
 The brute-force route expands the full many-body state (small N only),
 bipartitions the amplitude matrix and takes singular values; it shares

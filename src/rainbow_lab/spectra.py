@@ -21,10 +21,13 @@ all; the dense block of the 2D lattice goes to ``scipy.linalg.svd``.
 ``chain_svd`` takes those bands straight from a ``CouplingProfile``
 (``M^T`` has diagonal ``-c[0::2]/2`` and superdiagonal ``-c[1::2]/2``)
 and certifies the SVD with a residual taken on the bands, so no dense
-matrix or orbital is ever formed; entanglement needs nothing more (see
-``entanglement.polar_block``).  ``diagonalize`` runs the same band solve
-on a chain's ``HoppingMatrix`` and assembles the orbitals for the outputs
-that are orbitals.
+matrix is ever formed.  Entanglement needs nothing more (see
+``entanglement.polar_block``).  The outputs that are orbitals take them
+from the same SVD: ``occupied_from_svd`` assembles the L occupied
+columns of the half-filled chain and ``spectrum_from_svd`` all 2L
+levels.  ``diagonalize`` serves the 2D lattice and, on a chain's
+``HoppingMatrix``, runs the same band solve and the same orbital
+assembly, so it stays a bitwise oracle for the chain routes.
 """
 
 from __future__ import annotations
@@ -299,13 +302,40 @@ def _fix_phases(orbitals: np.ndarray) -> np.ndarray:
     return orbitals
 
 
+def _orbitals(u, vt, a_sites, b_sites, occupied_only: bool) -> np.ndarray:
+    """Sign-fixed orbitals ``(u_p, -+v_p)/sqrt(2)`` from the SVD of the
+    sublattice block M; `a_sites` and `b_sites` index the sites of M's rows
+    and columns.
+
+    Column p holds the level -s_p.  Unless occupied_only, column 2k-1-p
+    (k = s.size) holds its partner +s_p, so the columns follow ascending
+    energy.
+    """
+    k = u.shape[1]
+    v = vt.T
+    orbitals = np.empty((2 * k, k if occupied_only else 2 * k))
+    orbitals[a_sites, :k] = u
+    orbitals[b_sites, :k] = -v
+    if not occupied_only:
+        orbitals[a_sites, k:] = u[:, ::-1]
+        orbitals[b_sites, k:] = v[:, ::-1]
+    orbitals *= 1.0 / np.sqrt(2.0)
+    return _fix_phases(orbitals)
+
+
+# a chain's even sites are the rows of M, its odd sites the columns
+_EVEN, _ODD = slice(0, None, 2), slice(1, None, 2)
+
+
 def diagonalize(H: HoppingMatrix) -> SpectrumResult:
     """Full spectrum of a bipartite hopping matrix from the builders.
 
     The matrix is solved through the SVD of its sublattice block, which
     enforces exact particle-hole pairing: with ``M = U S V^T`` the levels
     are ``+-s`` with orbitals ``(u, +-v)/sqrt(2)``.  A chain's block goes
-    through the same certified band solve as ``chain_svd``.
+    through the same certified band solve as ``chain_svd``, so
+    ``diagonalize(hopping_matrix_1d(profile))`` equals
+    ``spectrum_from_svd(chain_svd(profile))`` bit for bit.
 
     Raises
     ------
@@ -335,21 +365,36 @@ def diagonalize(H: HoppingMatrix) -> SpectrumResult:
         )
         residual = _certify(residual / np.sqrt(2.0), s)
 
-    # column p holds the level -s_p, column dim-1-p its partner +s_p
-    k = s.size
-    v = vt.T
-    orbitals = np.empty((H.dim, H.dim))
-    orbitals[a_idx, :k] = u
-    orbitals[a_idx, k:] = u[:, ::-1]
-    orbitals[b_idx, :k] = -v
-    orbitals[b_idx, k:] = v[:, ::-1]
-    orbitals *= 1.0 / np.sqrt(2.0)
-    orbitals = _fix_phases(orbitals)
-    energies = np.concatenate([-s, s[::-1]])
     zero_tol = 0.0 if bidiagonal else ZERO_MODE_TOL * max(float(s[0]), 1.0)
     return SpectrumResult(
-        energies=energies, orbitals=orbitals, residual=residual, zero_tol=zero_tol
+        energies=np.concatenate([-s, s[::-1]]),
+        orbitals=_orbitals(u, vt, a_idx, b_idx, occupied_only=False),
+        residual=residual,
+        zero_tol=zero_tol,
     )
+
+
+def spectrum_from_svd(svd: ChainSVD) -> SpectrumResult:
+    """Full spectrum of a chain from its sublattice SVD, for the outputs
+    that are orbitals or energies; no hopping matrix is built.
+
+    Bitwise ``diagonalize(hopping_matrix_1d(profile))`` for
+    ``svd = chain_svd(profile)``.
+    """
+    return SpectrumResult(
+        energies=np.concatenate([-svd.s, svd.s[::-1]]),
+        orbitals=_orbitals(svd.u, svd.vt, _EVEN, _ODD, occupied_only=False),
+        residual=svd.residual,
+        zero_tol=0.0,
+    )
+
+
+def _refuse_zero_modes(count: int) -> None:
+    if count:
+        raise ZeroModeError(
+            f"{count} single-particle zero modes; "
+            "half filling is ambiguous, choose an explicit filling policy"
+        )
 
 
 def occupied_orbitals(spec: SpectrumResult) -> np.ndarray:
@@ -362,13 +407,21 @@ def occupied_orbitals(spec: SpectrumResult) -> np.ndarray:
     """
     if spec.dim % 2:
         raise ValueError(f"dimension {spec.dim} is odd; no half filling")
-    zero = spec.zero_modes()
-    if np.any(zero):
-        raise ZeroModeError(
-            f"{int(np.count_nonzero(zero))} single-particle zero modes; "
-            "half filling is ambiguous, choose an explicit filling policy"
-        )
+    _refuse_zero_modes(int(np.count_nonzero(spec.zero_modes())))
     return spec.orbitals[:, : spec.dim // 2].copy()
+
+
+def occupied_from_svd(svd: ChainSVD) -> np.ndarray:
+    """The L occupied orbitals of a half-filled 2L-site chain, straight from
+    its sublattice SVD: column p is ``(u_p, -v_p)/sqrt(2)``, sign-fixed.
+
+    Never forms the unoccupied half or any (2L)^2 array.  Bitwise
+    ``occupied_orbitals(diagonalize(hopping_matrix_1d(profile)))`` for
+    ``svd = chain_svd(profile)``, ZeroModeError on exact zero singular
+    values included.
+    """
+    _refuse_zero_modes(2 * int(np.count_nonzero(svd.s == 0.0)))
+    return _orbitals(svd.u, svd.vt, _EVEN, _ODD, occupied_only=True)
 
 
 def site_occupations(occ: np.ndarray) -> np.ndarray:

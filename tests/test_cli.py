@@ -248,6 +248,24 @@ class TestEsCollapse:
         assert "--levels" in err["message"]
         assert not out.exists()
 
+    def test_dense_route_gives_the_same_artifact(self, tmp_path, monkeypatch):
+        # odd and even L on both bidiagonal drivers, against the route through
+        # the dense hopping matrix and diagonalize
+        from rainbow_lab import cli, diagonalize, hopping_matrix_1d, occupied_orbitals
+
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        grid = ["--L", "41:101:15", "--z", "5:35:10"]
+        assert main(["es-collapse", *grid, "--out", str(a)]) == 0
+        monkeypatch.setattr(cli, "chain_svd", lambda profile: profile)
+        monkeypatch.setattr(
+            cli, "occupied_from_svd",
+            lambda profile: occupied_orbitals(diagonalize(hopping_matrix_1d(profile))),
+        )
+        assert main(["es-collapse", *grid, "--out", str(b)]) == 0
+        rows = read_csv(a)[1]
+        assert len(rows) >= 5 * 4 * 9  # an odd-L nu = 1/2 row may drop out
+        assert rows == read_csv(b)[1]
+
     def test_jobs_do_not_change_output(self, tmp_path):
         # z = 20 stays below the 1e10 coupling ratio (divide and conquer),
         # z = 25 and 30 pass it (zero-shift QR): two threads run both
@@ -259,6 +277,58 @@ class TestEsCollapse:
         rows = read_csv(a)[1]
         assert len(rows) == 9 * 10
         assert rows == read_csv(b)[1]
+
+
+class TestOrdersRefusedBeforeSolving:
+    @pytest.mark.parametrize("argv", [
+        ["renyi-fit", "--L", "20:25:1", "--z", "0:1:1", "--orders", "1,0.5"],
+        ["entropy-scan", "--L", "20", "--z", "0:1:1", "--orders", "0"],
+        ["entropy-scan", "--L", "20", "--z", "1", "--blocks", "boundary",
+         "--orders", "2,-1"],
+    ], ids=["renyi-fit", "entropy-scan", "entropy-scan-boundary"])
+    def test_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        from rainbow_lab import cli, entanglement
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("chain solved before the order check")
+
+        monkeypatch.setattr(cli, "chain_svd", refuse)
+        monkeypatch.setattr(entanglement, "chain_svd", refuse)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "Renyi order must be >= 1" in err["message"]
+        assert not out.exists()
+
+
+class TestChainCommandsBuildNoHoppingMatrix:
+    """Every 1D command reads its orbitals off chain_svd: none builds the
+    dense (2L)^2 hopping matrix."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--L", "12", "--z", "2", "--out", "{d}/s.csv",
+         "--orbitals", "{d}/o.bin"],
+        ["wavefunction", "--L", "12", "--z", "2", "--m", "-1", "--out", "{d}/w.csv"],
+        ["velocity-scan", "--L", "20", "--z", "0:2:1", "--out", "{d}/v.csv"],
+        ["validity-map", "--L", "10:20:10", "--z", "0:0.5:0.25", "--out", "{d}/m.csv"],
+        ["es-collapse", "--L", "21", "--z", "5:10:5", "--out", "{d}/e.csv"],
+        ["qubism", "--sites", "8", "--alpha", "0.4", "--out", "{d}/q.ppm"],
+        ["validate"],
+    ], ids=lambda argv: argv[0])
+    def test_succeeds_without_the_builder(self, tmp_path, monkeypatch, argv):
+        import sys
+
+        from rainbow_lab import lattice
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense hopping matrix built")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rainbow_lab") and hasattr(module, "hopping_matrix_1d"):
+                monkeypatch.setattr(module, "hopping_matrix_1d", refuse)
+        monkeypatch.setattr(lattice.HoppingMatrix, "__post_init__", refuse)
+        assert main([a.format(d=tmp_path) for a in argv]) == 0
 
 
 class TestSdrgCommand:

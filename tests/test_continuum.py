@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbow_lab import (
+    ZeroModeError,
     analytic_energy,
     analytic_wavefunction,
     continuum_params,
     coordinate_map,
     deformed_length,
+    diagonalize,
+    hopping_matrix_1d,
+    occupied_orbitals,
+    profile_from_z,
     slater_overlap,
     validity_map,
     velocity_scaling,
     wavefunction_overlap,
 )
-from rainbow_lab.continuum import continuum_occupied
+from rainbow_lab.continuum import _expm1_over_h, continuum_occupied
 
 from conftest import chain_occupied, chain_spectrum
 
@@ -228,3 +233,58 @@ class TestValidityMap:
             continuum_occupied(50, (z90 / 2) / 50), chain_occupied(50, z=z90 / 2)
         )
         assert probe > 0.9
+
+
+GRID_L = (1, 2, 7, 50, 51, 101, 300)
+GRID_Z = (0.0, 1.0, 4.0, 30.0, 92.0)
+
+
+def _stacked_occupied(L, h):
+    """The per-level route: one analytic_wavefunction call per level."""
+    cols = np.column_stack(
+        [analytic_wavefunction(m, h, L).components for m in range(-L, 0)]
+    )
+    return np.linalg.qr(cols)[0]
+
+
+class TestVectorizedLevels:
+    """continuum_occupied builds all levels in one broadcast; the per-level
+    analytic_wavefunction and the dense exact route are its oracles."""
+
+    @pytest.mark.parametrize("L", GRID_L)
+    @pytest.mark.parametrize("z", GRID_Z)
+    def test_matches_stacked_levels(self, L, z):
+        got = continuum_occupied(L, z / L)
+        assert np.max(np.abs(got - _stacked_occupied(L, z / L))) <= 1e-14
+
+    @pytest.mark.parametrize("L,h", [(1, 0.0), (7, 1e-9), (50, 0.02), (51, 1.8)])
+    def test_formula_per_level(self, L, h):
+        # one level at a time, as the formula reads; the wavefunction artifact
+        # prints these samples, so they must not move by even one ulp
+        ns = np.arange(2 * L) - L + 0.5
+        absn = np.abs(ns)
+        ratio = np.asarray(_expm1_over_h(h, absn)) / deformed_length(h, L)
+        for m in (-L, -1, 0, L - 1):
+            phase = (np.pi * (ns - m) / 2.0
+                     + np.sign(ns) * (np.pi * (m + 0.5) / 2.0) * ratio)
+            v = np.exp(h * absn / 2.0) * np.cos(phase)
+            got = analytic_wavefunction(m, h, L).components
+            assert np.array_equal(got, v / np.linalg.norm(v))
+
+    def test_negative_h_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            continuum_occupied(5, -0.1)
+
+    def test_overlaps_match_dense_route(self):
+        vm = validity_map(GRID_L, GRID_Z)
+        for i, L in enumerate(GRID_L):
+            for j, z in enumerate(GRID_Z):
+                exact = occupied_orbitals(
+                    diagonalize(hopping_matrix_1d(profile_from_z(L, z)))
+                )
+                want = slater_overlap(_stacked_occupied(L, z / L), exact)
+                assert abs(vm.overlaps[i, j] - want) <= 1e-12, (L, z)
+
+    def test_underflowed_chain_raises(self):
+        with pytest.warns(RuntimeWarning), pytest.raises(ZeroModeError):
+            validity_map([10], [2000.0])

@@ -20,6 +20,7 @@ from rainbow_lab import (
     halfchain_entropy_prediction,
     hopping_matrix_1d,
     hopping_matrix_2d,
+    occupied_from_svd,
     occupied_orbitals,
     polar_block,
     profile_from_z,
@@ -384,6 +385,21 @@ class TestPolarRoute:
         for p in got.points:
             C = correlation_matrix(occ, range(int(p.size)))
             assert abs(p.value - renyi_entropies(C, [p.order])[0].value) <= 1e-11
+
+
+class TestOccupiedFromSVD:
+    """es-collapse's route, correlation_matrix on occupied_from_svd, against
+    the dense route it replaces: the half-chain spectrum bit for bit, so
+    the sign of every odd-L level at nu = 1/2 is kept too."""
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 50, 51, 101, 300])
+    @pytest.mark.parametrize("z", [0.0, 1.0, 4.0, 30.0, 92.0])
+    def test_halfchain_spectrum_bitwise(self, L, z):
+        occ = occupied_from_svd(chain_svd(profile_from_z(L, z)))
+        got = entanglement_spectrum(correlation_matrix(occ, range(L)))
+        want = entanglement_spectrum(halfchain_C(L, z=z))
+        assert np.array_equal(got.nu, want.nu)
+        assert np.array_equal(got.eps, want.eps)
 
 
 class TestBruteForceOracle:

@@ -25,7 +25,9 @@ from rainbow_lab.spectra import (
     _fix_phases,
     _svd_bipartite,
     load_orbitals,
+    occupied_from_svd,
     save_orbitals,
+    spectrum_from_svd,
     spectrum_rows,
 )
 
@@ -281,6 +283,54 @@ class TestChainSVD:
         monkeypatch.setattr(lattice, "HoppingMatrix", refuse)
         svd = spectra.chain_svd(profile_from_z(40, 2.0))
         assert svd.u.shape == svd.vt.shape == (40, 40)
+
+
+class TestOrbitalsFromSVD:
+    """occupied_from_svd and spectrum_from_svd against the dense route
+    diagonalize(hopping_matrix_1d(profile)), on a grid that runs both
+    bidiagonal drivers (z = 30 and 92 pass the 1e10 coupling ratio)."""
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 50, 51, 101, 300])
+    @pytest.mark.parametrize("z", [0.0, 1.0, 4.0, 30.0, 92.0])
+    def test_bitwise_dense_route(self, L, z):
+        profile = profile_from_z(L, z)
+        dense = diagonalize(hopping_matrix_1d(profile))
+        svd = spectra.chain_svd(profile)
+        spec = spectrum_from_svd(svd)
+        assert np.array_equal(spec.energies, dense.energies)
+        assert np.array_equal(spec.orbitals, dense.orbitals)
+        assert (spec.residual, spec.zero_tol) == (dense.residual, dense.zero_tol)
+        occ = occupied_from_svd(svd)
+        assert np.array_equal(occ, occupied_orbitals(dense))
+        assert occ.flags.c_contiguous
+
+    def test_zero_modes_rejected_as_by_occupied_orbitals(self):
+        with pytest.warns(RuntimeWarning):
+            profile = profile_from_z(10, 2000.0)
+        svd = spectra.chain_svd(profile)
+        dense = diagonalize(hopping_matrix_1d(profile))
+        assert np.array_equal(spectrum_from_svd(svd).orbitals, dense.orbitals)
+        with pytest.raises(ZeroModeError) as got:
+            occupied_from_svd(svd)
+        with pytest.raises(ZeroModeError) as want:
+            occupied_orbitals(dense)
+        assert str(got.value) == str(want.value)
+
+    def test_occupied_set_allocates_no_square_array(self):
+        import tracemalloc
+
+        L = 300
+        svd = spectra.chain_svd(profile_from_z(L, 2.0))
+        square = 8 * (2 * L) ** 2
+        peaks = []
+        for build in (occupied_from_svd, spectrum_from_svd):
+            tracemalloc.start()
+            try:
+                build(svd)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < square <= peaks[1]
 
 
 def _fix_phases_loop(orbitals):
