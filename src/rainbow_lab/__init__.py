@@ -1,8 +1,8 @@
 """Numerical laboratory for rainbow free-fermion chains.
 
 Builds inhomogeneous hopping chains and their 2D extension, computes
-ground-state entanglement exactly through the correlation-matrix method,
-and checks the continuum/CFT predictions for spectra, wavefunctions,
+ground-state entanglement exactly from the polar factor of the sublattice
+SVD, and checks the continuum/CFT predictions for spectra, wavefunctions,
 entropies and the entanglement spectrum.
 """
 
@@ -20,14 +20,15 @@ from .lattice import (
     uniform_profile,
 )
 from .spectra import (
-    ChainSVD,
     FermiVelocityEstimate,
     SpectrumResult,
+    SublatticeSVD,
     ZeroModeError,
     chain_svd,
     diagonalize,
     fermi_velocity,
     fermi_velocity_fit,
+    lattice_svd,
     occupied_from_svd,
     occupied_orbitals,
     site_occupations,

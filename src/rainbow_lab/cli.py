@@ -26,31 +26,25 @@ from .continuum import analytic_wavefunction, validity_map
 from .entanglement import (
     EntropyCurve,
     EntropyPoint,
-    block_correlation,
+    _checked_orders,
     boundary_blocks,
     brute_force_block_entropy,
     correlation_matrix,
     entanglement_spectrum,
     entropy_scan,
-    ground_state_correlation,
     polar_block,
     renyi_entropies,
     vn_entropy,
 )
-from .lattice import (
-    build_lattice_2d,
-    build_rainbow_profile,
-    hopping_matrix_2d,
-    profile_from_z,
-)
+from .lattice import build_lattice_2d, build_rainbow_profile, profile_from_z
 from .qubism import render, slater_amplitudes, write_ppm
 from .sdrg import bond_state_orbitals, rainbow_bonds, render_arcs, sdrg_entropy, sdrg_run
 from .spectra import (
     NumericsError,
     chain_svd,
-    diagonalize,
     fermi_velocity,
     fermi_velocity_fit,
+    lattice_svd,
     occupied_from_svd,
     save_orbitals,
     site_occupations,
@@ -128,13 +122,6 @@ def _worker_count(args) -> int:
     if jobs < 1:
         raise ValueError(f"--jobs must be a positive integer, got {jobs}")
     return jobs
-
-
-def _renyi_orders(orders: list) -> list:
-    """--orders, refused before any chain is solved unless every order is >= 1."""
-    if any(n < 1 for n in orders):
-        raise ValueError(f"Renyi order must be >= 1, got {min(orders)}")
-    return orders
 
 
 def _sweep(kernel, points, jobs: int) -> list:
@@ -251,7 +238,7 @@ def _derived_path(path: str, suffix: str, ext: str | None = None) -> str:
 
 def cmd_entropy_scan(args) -> int:
     name, values = _geometry_values(args)
-    orders = _renyi_orders(args.orders)
+    orders = _checked_orders(args.orders)  # before any solve
 
     if args.blocks == "boundary":
         if len(args.L) != 1 or len(values) != 1:
@@ -286,7 +273,7 @@ def cmd_renyi_fit(args) -> int:
         raise ValueError("need at least 6 sizes for the three-parameter fit")
     if len({L % 2 for L in sizes}) < 2:
         raise ValueError("sizes must mix even and odd L for the oscillation term")
-    orders = _renyi_orders(args.orders)
+    orders = _checked_orders(args.orders)  # before any solve
 
     def entropies_for(point):
         L, z = point
@@ -378,9 +365,8 @@ def cmd_entropy_2d(args) -> int:
     def one(point):
         alpha, L = point
         lat = build_lattice_2d(L, alpha)
-        spec = diagonalize(hopping_matrix_2d(lat))
-        c_full = ground_state_correlation(spec, zero_modes="half")
-        S = vn_entropy(block_correlation(c_full, lat.left_half()))
+        block = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
+        S = vn_entropy(block)
         return (alpha, L, S, S / L)
 
     points = [(alpha, L) for alpha in args.alpha for L in args.L]

@@ -6,16 +6,16 @@ nu_p in [0, 1] give every Renyi entropy, the single-body entanglement
 energies eps_p = ln((1 - nu_p)/nu_p), and the entanglement Hamiltonian
 constant f_0.  Entropies are in nats throughout.
 
-Chains take the polar route: at half filling C = (1 - sign H)/2, and for
-the bipartite chain with sublattice block M = U S V^T the diagonal blocks
-of sign H are zero and its off-diagonal block is the polar factor U V^T.
-A block's nu are therefore (1 +- sigma)/2, sigma the singular values of
-the (even sites x odd sites) sub-block X of U V^T, plus |n_even - n_odd|
-levels at exactly 1/2 (``polar_block``).  No orbitals, phases or
-correlation matrix are formed.  The orbital route (``occupied_orbitals``
-or ``spectra.occupied_from_svd``, then ``correlation_matrix`` or
-``ground_state_correlation``) serves the 2D lattice and the chain's
-entanglement-spectrum collapse, and stays the oracle for the polar one.
+Chains and the 2D lattice take the polar route: at half filling
+C = (1 - sign H)/2, and for a bipartite H with sublattice block
+M = U S V^T the diagonal blocks of sign H are zero and its off-diagonal
+block is the polar factor U V^T.  A block's nu are therefore
+(1 +- sigma)/2, sigma the singular values of its (row sites x column
+sites) sub-block X of U V^T, plus |n_rows - n_cols| levels at exactly
+1/2 (``polar_block``).  No orbitals or correlation matrix are formed.
+The orbital route (``correlation_matrix`` or ``ground_state_correlation``
+on orbitals) serves the chain's entanglement-spectrum collapse and stays
+the oracle for the polar one.
 
 The brute-force route expands the full many-body state (small N only),
 bipartitions the amplitude matrix and takes singular values; it shares
@@ -30,17 +30,18 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import svdvals
 
 from .continuum import deformed_length
-from .lattice import CouplingProfile, Lattice2D, hopping_matrix
+from .lattice import CouplingProfile, Lattice2D
 from .qubism import AmplitudeTable
 from .spectra import (
-    ChainSVD,
     NumericsError,
     SpectrumResult,
+    SublatticeSVD,
     ZeroModeError,
     chain_svd,
-    diagonalize,
+    lattice_svd,
 )
 
 NU_CLIP = 1e-14
@@ -84,11 +85,11 @@ def _checked_nu(nu: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarBlock:
-    """Half-filled chain block spectrum from the polar factor U V^T.
+    """Half-filled block spectrum from the polar factor U V^T.
 
     ``sigma`` holds the singular values (descending) of the block's
-    (even sites x odd sites) sub-block of U V^T and ``n_half`` the
-    |n_even - n_odd| levels pinned at 1/2.  Takes the place of a
+    (row sites x column sites) sub-block of U V^T and ``n_half`` the
+    |n_rows - n_cols| levels pinned at 1/2.  Takes the place of a
     CorrelationMatrix in ``renyi_entropies`` and ``entanglement_spectrum``.
     """
 
@@ -174,6 +175,18 @@ def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
     return CorrelationMatrix(block=block, entries=rows @ rows.T)
 
 
+def _zero_mode_policy(n_zero: int, zero_modes: str) -> None:
+    """ValueError for an unknown policy; ZeroModeError for n_zero > 0 zero
+    modes under "error"."""
+    if zero_modes not in ("error", "half"):
+        raise ValueError(f"unknown zero-mode policy {zero_modes!r}")
+    if n_zero and zero_modes == "error":
+        raise ZeroModeError(
+            f"{n_zero} zero modes; pass zero_modes='half' "
+            "for the particle-hole symmetric filling"
+        )
+
+
 def ground_state_correlation(
     spec: SpectrumResult, zero_modes: str = "error"
 ) -> np.ndarray:
@@ -187,63 +200,55 @@ def ground_state_correlation(
       C = P(E<0) + P(E=0)/2, the particle-hole symmetric zero-temperature
       limit.  The state is then Gaussian but not a single determinant.
     """
-    if zero_modes not in ("error", "half"):
-        raise ValueError(f"unknown zero-mode policy {zero_modes!r}")
     zero = spec.zero_modes()
+    _zero_mode_policy(int(np.count_nonzero(zero)), zero_modes)
     if not np.any(zero):
         occ = spec.orbitals[:, : spec.dim // 2]
         return occ @ occ.T
-    if zero_modes == "error":
-        raise ZeroModeError(
-            f"{int(np.count_nonzero(zero))} zero modes; pass zero_modes='half' "
-            "for the particle-hole symmetric filling"
-        )
     neg = spec.orbitals[:, (spec.energies < 0) & ~zero]
     zcols = spec.orbitals[:, zero]
     return neg @ neg.T + 0.5 * (zcols @ zcols.T)
 
 
-def polar_block(svd: ChainSVD, block, zero_modes: str = "error") -> PolarBlock:
-    """Spectrum of a half-filled chain block from the chain's sublattice SVD.
+def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> PolarBlock:
+    """Spectrum of a half-filled block from the sublattice SVD.
 
-    X = U[rows] V^T[:, cols] with rows (cols) the block's even (odd) sites;
-    sigma are the singular values of X, taken directly rather than from
-    X X^T, whose squaring would lose the small sigma that set nu near 1/2.
-    zero_modes is the policy of ``ground_state_correlation``: exact zero
-    singular values of the chain raise ZeroModeError under "error", and
-    under "half" they drop out of U V^T (the zero shell at density 1/2).
+    X = U[rows] V^T[:, cols] with rows (cols) the block's sites on the
+    rows (columns) of M, read from the SVD's site map; sigma are the
+    singular values of X, taken directly rather than from X X^T, whose
+    squaring would lose the small sigma that set nu near 1/2.  zero_modes
+    is the policy of ``ground_state_correlation``: singular values within
+    ``svd.zero_tol`` of zero raise ZeroModeError under "error", and under
+    "half" they drop out of U V^T (the zero shell at density 1/2).
     """
-    if zero_modes not in ("error", "half"):
-        raise ValueError(f"unknown zero-mode policy {zero_modes!r}")
+    keep = np.nonzero(svd.s > svd.zero_tol)[0]
+    _zero_mode_policy(2 * (svd.s.size - keep.size), zero_modes)
     block = _distinct_sites(block)
-    n_sites = 2 * svd.s.size
+    n_sites = svd.sublattice.size
     if min(block) < 0 or max(block) >= n_sites:
         raise ValueError(f"block sites must lie in [0, {n_sites})")
-    keep = np.nonzero(svd.s > 0.0)[0]
-    if keep.size < svd.s.size and zero_modes == "error":
-        raise ZeroModeError(
-            f"{2 * (svd.s.size - keep.size)} zero modes; pass zero_modes='half' "
-            "for the particle-hole symmetric filling"
-        )
     sites = np.asarray(block)
-    rows = sites[sites % 2 == 0] // 2
-    cols = sites[sites % 2 == 1] // 2
+    on_rows = svd.sublattice[sites] == 0
+    rows = svd.index[sites[on_rows]]
+    cols = svd.index[sites[~on_rows]]
     x = svd.u[np.ix_(rows, keep)] @ svd.vt[np.ix_(keep, cols)]
-    if x.size:
-        from scipy.linalg import svdvals
-
-        sigma = svdvals(x)
-    else:
-        sigma = np.empty(0)
-    return PolarBlock(block=block, sigma=sigma, n_half=abs(rows.size - cols.size))
+    return PolarBlock(block=block, sigma=svdvals(x), n_half=abs(rows.size - cols.size))
 
 
 def block_correlation(c_full: np.ndarray, block) -> CorrelationMatrix:
     """Restrict a full correlation matrix to a block."""
-    block = tuple(int(b) for b in block)
-    if len(block) == 0:
-        raise ValueError("empty block")
+    block = _distinct_sites(block)
     return CorrelationMatrix(block=block, entries=c_full[np.ix_(block, block)])
+
+
+def _checked_orders(orders) -> list:
+    """The Renyi order(s) as a list of floats; ValueError unless every one
+    is >= 1 (NaN fails)."""
+    orders = [float(n) for n in (orders if np.iterable(orders) else [orders])]
+    bad = [n for n in orders if not n >= 1]
+    if bad:
+        raise ValueError(f"Renyi order must be >= 1, got {bad[0]}")
+    return orders
 
 
 def _renyi_from_nu(nu: np.ndarray, order: float) -> float:
@@ -260,9 +265,7 @@ def renyi_entropies(C: CorrelationMatrix | PolarBlock, orders) -> list:
     S^(n) = (1/(1-n)) sum_p ln(nu_p^n + (1-nu_p)^n).  Levels clipped at
     0 or 1 (within 1e-14) carry no entropy and are dropped.
     """
-    orders = [float(n) for n in (orders if np.iterable(orders) else [orders])]
-    if any(n < 1 for n in orders):
-        raise ValueError(f"Renyi order must be >= 1, got {min(orders)}")
+    orders = _checked_orders(orders)
     nu = C.eigenvalues()
     return [EntropyPoint(C.size, n, _renyi_from_nu(nu, n)) for n in orders]
 
@@ -337,40 +340,31 @@ def entropy_scan(geometry, blocks, orders, zero_modes: str = "error") -> Entropy
 
     `blocks` is an iterable of site-index lists, or one of the presets
     "half" (single canonical half block) and "boundary" (all left-anchored
-    contiguous blocks).  A chain takes the polar route (``chain_svd`` and
-    ``polar_block``); any other geometry goes through its orbitals and
-    full correlation matrix.  Curve meta records the geometry parameters.
+    contiguous blocks).  Chains (``chain_svd``) and the 2D lattice
+    (``lattice_svd``) both take the polar route, ``polar_block``.  Curve
+    meta records the geometry parameters.
     """
     if isinstance(geometry, CouplingProfile):
         svd = chain_svd(geometry)
-
-        def block_spectrum(block):
-            return polar_block(svd, block, zero_modes=zero_modes)
-
-        n_sites = geometry.n_sites
         meta = {"kind": "chain", "L": geometry.L, "alpha": geometry.alpha,
                 "h": geometry.h, "z": geometry.z}
+    elif isinstance(geometry, Lattice2D):
+        svd = lattice_svd(geometry)
+        meta = {"kind": "lattice2d", "L": geometry.L, "alpha": geometry.alpha}
     else:
-        spec = diagonalize(hopping_matrix(geometry))
-        c_full = ground_state_correlation(spec, zero_modes=zero_modes)
-
-        def block_spectrum(block):
-            return block_correlation(c_full, block)
-
-        n_sites = spec.dim
-        meta = {}
-        if isinstance(geometry, Lattice2D):
-            meta = {"kind": "lattice2d", "L": geometry.L, "alpha": geometry.alpha}
+        raise TypeError(f"unsupported geometry {type(geometry).__name__}")
     if isinstance(blocks, str):
         if blocks == "half":
             blocks = [halfchain_block(geometry)]
         elif blocks == "boundary":
-            blocks = boundary_blocks(n_sites)
+            blocks = boundary_blocks(geometry.n_sites)
         else:
             raise ValueError(f"unknown block preset {blocks!r}")
     points = []
     for block in blocks:
-        points.extend(renyi_entropies(block_spectrum(block), orders))
+        points.extend(
+            renyi_entropies(polar_block(svd, block, zero_modes=zero_modes), orders)
+        )
     return EntropyCurve(points=points, meta=meta)
 
 
@@ -403,9 +397,7 @@ def brute_force_block_entropy(amps: AmplitudeTable, block, orders) -> list:
     a boundary block is decomposed by SVD and the entropies are those of
     the squared singular values.
     """
-    orders = [float(n) for n in (orders if np.iterable(orders) else [orders])]
-    if any(n < 1 for n in orders):
-        raise ValueError(f"Renyi order must be >= 1, got {min(orders)}")
+    orders = _checked_orders(orders)
     mat = _boundary_bipartition(amps, block)
     p = np.linalg.svd(mat, compute_uv=False) ** 2
     p = p[p > 1e-30]

@@ -172,6 +172,11 @@ class Lattice2D:
             raise ValueError(f"site ({x}, {y}) outside lattice")
         return ix * n + iy
 
+    def checkerboard(self) -> np.ndarray:
+        """Sublattice (ix + iy) % 2 of every site."""
+        ranks = np.arange(2 * self.L)
+        return np.add.outer(ranks, ranks).ravel() % 2
+
     def left_half(self) -> list:
         """Site indices with x < 0 (the block used for the 2D entropy)."""
         n = 2 * self.L
@@ -266,29 +271,37 @@ def hopping_matrix_1d(profile) -> HoppingMatrix:
     return HoppingMatrix(dim=n, entries=m, sublattice=np.arange(n) % 2)
 
 
-def build_lattice_2d(L: int, alpha: float) -> Lattice2D:
-    """2L x 2L lattice with link amplitude alpha**|x_mid|.
+def lattice_links(L: int, alpha: float) -> tuple:
+    """Links (i, j, J) of the 2L x 2L lattice as three arrays, sorted by
+    (i, j), i < j.
 
     Vertical links inside column x carry alpha**|x|; horizontal links
     between columns x and x+1 carry alpha**|x + 1/2|, so links crossing
-    x = 0 carry exactly 1.
+    x = 0 carry exactly 1.  Each distinct amplitude is one exp.
     """
+    n = 2 * L
+    xs = site_labels(L)
+    h = -2.0 * math.log(alpha)
+    vertical = np.array([math.exp(-h * abs(x) / 2.0) for x in xs])
+    horizontal = np.array([math.exp(-h * abs(x + 0.5) / 2.0) for x in xs[:-1]])
+    ix, iy = np.divmod(np.arange(n * n), n)
+    up, right = np.flatnonzero(iy + 1 < n), np.flatnonzero(ix + 1 < n)
+    i = np.concatenate([up, right])
+    j = np.concatenate([up + 1, right + n])
+    J = np.concatenate([vertical[ix[up]], horizontal[ix[right]]])
+    order = np.lexsort((j, i))
+    return i[order], j[order], J[order]
+
+
+def build_lattice_2d(L: int, alpha: float) -> Lattice2D:
+    """2L x 2L lattice with link amplitude alpha**|x_mid| (see
+    ``lattice_links``)."""
     _validate_geometry(L, alpha)
     n = 2 * L
     xs = site_labels(L)
     sites = tuple((float(xs[ix]), float(xs[iy])) for ix in range(n) for iy in range(n))
-    h = -2.0 * math.log(alpha)
-    links = []
-    for ix in range(n):
-        for iy in range(n):
-            i = ix * n + iy
-            if iy + 1 < n:  # vertical link, midpoint x = xs[ix]
-                links.append((i, i + 1, math.exp(-h * abs(xs[ix]) / 2.0)))
-            if ix + 1 < n:  # horizontal link, midpoint x = xs[ix] + 1/2
-                xm = abs((xs[ix] + xs[ix + 1]) / 2.0)
-                links.append((i, i + n, math.exp(-h * xm / 2.0)))
-    links.sort(key=lambda t: (t[0], t[1]))
-    return Lattice2D(L=L, alpha=alpha, sites=sites, links=tuple(links))
+    links = tuple(zip(*(a.tolist() for a in lattice_links(L, alpha))))
+    return Lattice2D(L=L, alpha=alpha, sites=sites, links=links)
 
 
 def hopping_matrix_2d(lat: Lattice2D) -> HoppingMatrix:
@@ -300,17 +313,4 @@ def hopping_matrix_2d(lat: Lattice2D) -> HoppingMatrix:
     m = np.zeros((n, n))
     for i, j, J in lat.links:
         m[i, j] = m[j, i] = -J / 2.0
-    ranks = np.arange(2 * lat.L)
-    checkerboard = np.add.outer(ranks, ranks).ravel() % 2
-    return HoppingMatrix(dim=n, entries=m, sublattice=checkerboard)
-
-
-def hopping_matrix(geometry) -> HoppingMatrix:
-    """Dispatch to the 1D or 2D builder based on the geometry type."""
-    if isinstance(geometry, CouplingProfile):
-        return hopping_matrix_1d(geometry)
-    if isinstance(geometry, Lattice2D):
-        return hopping_matrix_2d(geometry)
-    if isinstance(geometry, HoppingMatrix):
-        return geometry
-    raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+    return HoppingMatrix(dim=n, entries=m, sublattice=lat.checkerboard())

@@ -18,16 +18,15 @@ to LAPACK's bidiagonal SVD routines (``dbdsdc``, or ``dbdsqr`` once the
 couplings span more than ten decades), so there is no reduction step at
 all; the dense block of the 2D lattice goes to ``scipy.linalg.svd``.
 
-``chain_svd`` takes those bands straight from a ``CouplingProfile``
-(``M^T`` has diagonal ``-c[0::2]/2`` and superdiagonal ``-c[1::2]/2``)
-and certifies the SVD with a residual taken on the bands, so no dense
-matrix is ever formed.  Entanglement needs nothing more (see
-``entanglement.polar_block``).  The outputs that are orbitals take them
-from the same SVD: ``occupied_from_svd`` assembles the L occupied
-columns of the half-filled chain and ``spectrum_from_svd`` all 2L
-levels.  ``diagonalize`` serves the 2D lattice and, on a chain's
-``HoppingMatrix``, runs the same band solve and the same orbital
-assembly, so it stays a bitwise oracle for the chain routes.
+``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
+certifies the SVD with a residual taken on the bands; ``lattice_svd``
+scatters the lattice's links straight into its dense block M.  Neither
+forms the hopping matrix.  Entanglement needs nothing more than their
+``SublatticeSVD`` (see ``entanglement.polar_block``), and the outputs that
+are orbitals take them from it: ``occupied_from_svd`` assembles the
+occupied columns at half filling and ``spectrum_from_svd`` all levels.
+``diagonalize`` solves a ``HoppingMatrix``'s block the same way and
+assembles it through ``spectrum_from_svd``, so it stays a bitwise oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import cython_lapack
 
-from .lattice import CouplingProfile, HoppingMatrix
+from .lattice import CouplingProfile, HoppingMatrix, Lattice2D, lattice_links
 
 RESIDUAL_TOL = 1e-10
 ZERO_MODE_TOL = 1e-12
@@ -208,9 +207,39 @@ def _certify(residual: float, s: np.ndarray) -> float:
     return residual
 
 
-def _chain_solve(d: np.ndarray, e: np.ndarray):
+def _site_index(sublattice: np.ndarray) -> np.ndarray:
+    """Each site's rank among the sites of its own sublattice."""
+    return np.where(sublattice == 0, np.cumsum(sublattice == 0),
+                    np.cumsum(sublattice == 1)) - 1
+
+
+@dataclass(frozen=True)
+class SublatticeSVD:
+    """Certified SVD ``M = U S V^T`` of a bipartite hopping matrix's
+    sublattice block.
+
+    Site i sits on sublattice ``sublattice[i]`` (0 or 1) and is row
+    ``index[i]`` of M (sublattice 0) or column ``index[i]`` (sublattice 1);
+    each sublattice keeps site order.  ``s`` is descending; ``residual``
+    and ``zero_tol`` are as in SpectrumResult.
+    """
+
+    u: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)
+    vt: np.ndarray = field(repr=False)
+    residual: float
+    zero_tol: float
+    sublattice: np.ndarray = field(repr=False)
+    index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", _site_index(self.sublattice))
+
+
+def _chain_solve(d: np.ndarray, e: np.ndarray, sublattice) -> SublatticeSVD:
     """Certified SVD ``M = U S V^T`` of a chain's lower-bidiagonal block with
-    diagonal d and subdiagonal e, returned as (U, s, V^T, residual).
+    diagonal d and subdiagonal e.  The SVD is relatively accurate, so only
+    exact zeros are zero modes (zero_tol 0).
 
     The residual ``max(|M v - s u|, |M^T u - s v|)/sqrt(2)`` is that of the
     orbitals ``(u, +-v)/sqrt(2)``; it is taken on the two bands, so it
@@ -230,56 +259,65 @@ def _chain_solve(d: np.ndarray, e: np.ndarray):
     mtu[:-1] += u[1:] * e[:, None]
     mtu -= vt.T * s
     residual = max(float(np.max(np.abs(mv))), float(np.max(np.abs(mtu))))
-    return u, s, vt, _certify(residual / np.sqrt(2.0), s)
+    residual = _certify(residual / np.sqrt(2.0), s)
+    return SublatticeSVD(u, s, vt, residual, 0.0, sublattice)
 
 
-@dataclass(frozen=True)
-class ChainSVD:
-    """Certified SVD ``M = U S V^T`` of a chain's sublattice block.
-
-    Row i of M is even site 2i and column j is odd site 2j + 1, so
-    ``u[i]`` belongs to site 2i and ``vt[:, j]`` to site 2j + 1.  ``s`` is
-    descending; ``residual`` is the eigen-residual of the orbitals
-    ``(u, +-v)/sqrt(2)``, as in SpectrumResult.
+def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
+    """Certified SVD of a dense sublattice block through
+    ``scipy.linalg.svd``: QR iteration (gesvd) keeps the relative accuracy
+    of a block graded past ten decades, divide and conquer (gesdd) is much
+    faster and loses nothing below that.  Zero modes are the levels within
+    ZERO_MODE_TOL of the spectral radius (at least 1).
     """
+    driver = "gesvd" if _graded(block) else "gesdd"
+    try:
+        u2, s, v2t = sla.svd(block.T, lapack_driver=driver)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericsError(f"SVD failed on dim {2 * block.shape[0]}: {exc}") from exc
+    u, vt = v2t.T, u2.T
+    # |H psi - E psi| of psi = (u, +-v)/sqrt(2), from the two half blocks
+    residual = max(
+        float(np.max(np.abs(block @ vt.T - u * s))),
+        float(np.max(np.abs(block.T @ u - vt.T * s))),
+    )
+    residual = _certify(residual / np.sqrt(2.0), s)
+    zero_tol = ZERO_MODE_TOL * max(float(s[0]), 1.0)
+    return SublatticeSVD(u, s, vt, residual, zero_tol, sublattice)
 
-    u: np.ndarray = field(repr=False)
-    s: np.ndarray = field(repr=False)
-    vt: np.ndarray = field(repr=False)
-    residual: float
 
-
-def chain_svd(profile: CouplingProfile) -> ChainSVD:
+def chain_svd(profile: CouplingProfile) -> SublatticeSVD:
     """Certified sublattice SVD of a chain, straight from its couplings.
 
     ``M^T`` is upper bidiagonal with diagonal ``-c[0::2]/2`` and
     superdiagonal ``-c[1::2]/2`` (c the profile's couplings), so neither
     the hopping matrix nor the orbitals are ever built; the bands, the
-    driver and hence U, s, V^T are those ``diagonalize`` uses.
+    driver and hence U, s, V^T are those ``diagonalize`` uses.  Row i of M
+    is even site 2i, column j odd site 2j + 1.
 
     Raises NumericsError when the residual exceeds RESIDUAL_TOL relative to
     the spectral radius.
     """
     c = profile.couplings
-    u, s, vt, residual = _chain_solve(-c[0::2] / 2.0, -c[1::2] / 2.0)
-    return ChainSVD(u=u, s=s, vt=vt, residual=residual)
+    return _chain_solve(-c[0::2] / 2.0, -c[1::2] / 2.0, np.arange(profile.n_sites) % 2)
 
 
-def _svd_bipartite(block: np.ndarray, bidiagonal: bool):
-    """SVD ``M = U S V^T`` of the sublattice block, returned as (U, s, V^T).
+def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
+    """Certified sublattice SVD of the 2D lattice (sublattice the
+    checkerboard), from the (2L^2)^2 block M scattered straight from the
+    link arrays; no (4L^2)^2 hopping matrix is formed.
 
-    A chain's block is lower bidiagonal and goes to the certified band
-    solve; any other block (the 2D lattice) goes to dense
-    ``scipy.linalg.svd``, whose caller checks the residual.  QR-iteration
-    SVD keeps the relative accuracy of severely graded spectra (couplings
-    spanning hundreds of decades); divide and conquer is much faster and
-    loses nothing when the grading is mild.
+    Raises NumericsError when the residual exceeds RESIDUAL_TOL relative to
+    the spectral radius.
     """
-    if bidiagonal:
-        return _chain_solve(np.diagonal(block), np.diagonal(block, -1))[:3]
-    graded = _graded(block)
-    u2, s, v2t = sla.svd(block.T, lapack_driver="gesvd" if graded else "gesdd")
-    return v2t.T, s, u2.T
+    i, j, J = lattice_links(lat.L, lat.alpha)
+    sub = lat.checkerboard()
+    index = _site_index(sub)
+    rows = np.where(sub[i] == 0, i, j)
+    cols = np.where(sub[i] == 0, j, i)
+    block = np.zeros((lat.n_sites // 2, lat.n_sites // 2))
+    block[index[rows], index[cols]] = -J / 2.0
+    return _dense_svd(block, sub)
 
 
 def _is_bidiagonal(block: np.ndarray) -> bool:
@@ -302,17 +340,18 @@ def _fix_phases(orbitals: np.ndarray) -> np.ndarray:
     return orbitals
 
 
-def _orbitals(u, vt, a_sites, b_sites, occupied_only: bool) -> np.ndarray:
-    """Sign-fixed orbitals ``(u_p, -+v_p)/sqrt(2)`` from the SVD of the
-    sublattice block M; `a_sites` and `b_sites` index the sites of M's rows
-    and columns.
+def _orbitals(svd: SublatticeSVD, occupied_only: bool) -> np.ndarray:
+    """Sign-fixed orbitals ``(u_p, -+v_p)/sqrt(2)`` from the sublattice SVD.
 
     Column p holds the level -s_p.  Unless occupied_only, column 2k-1-p
     (k = s.size) holds its partner +s_p, so the columns follow ascending
     energy.
     """
+    a_sites = np.flatnonzero(svd.sublattice == 0)
+    b_sites = np.flatnonzero(svd.sublattice == 1)
+    u = svd.u
     k = u.shape[1]
-    v = vt.T
+    v = svd.vt.T
     orbitals = np.empty((2 * k, k if occupied_only else 2 * k))
     orbitals[a_sites, :k] = u
     orbitals[b_sites, :k] = -v
@@ -323,19 +362,14 @@ def _orbitals(u, vt, a_sites, b_sites, occupied_only: bool) -> np.ndarray:
     return _fix_phases(orbitals)
 
 
-# a chain's even sites are the rows of M, its odd sites the columns
-_EVEN, _ODD = slice(0, None, 2), slice(1, None, 2)
-
-
 def diagonalize(H: HoppingMatrix) -> SpectrumResult:
     """Full spectrum of a bipartite hopping matrix from the builders.
 
     The matrix is solved through the SVD of its sublattice block, which
     enforces exact particle-hole pairing: with ``M = U S V^T`` the levels
-    are ``+-s`` with orbitals ``(u, +-v)/sqrt(2)``.  A chain's block goes
-    through the same certified band solve as ``chain_svd``, so
-    ``diagonalize(hopping_matrix_1d(profile))`` equals
-    ``spectrum_from_svd(chain_svd(profile))`` bit for bit.
+    are ``+-s`` with orbitals ``(u, +-v)/sqrt(2)``.  The block goes through
+    the solve of ``chain_svd`` (a chain) or ``lattice_svd`` (otherwise), so
+    the result equals ``spectrum_from_svd`` of theirs bit for bit.
 
     Raises
     ------
@@ -347,45 +381,26 @@ def diagonalize(H: HoppingMatrix) -> SpectrumResult:
     """
     if not isinstance(H, HoppingMatrix):
         raise TypeError(f"expected a HoppingMatrix, got {type(H).__name__}")
-    a_idx = np.nonzero(H.sublattice == 0)[0]
-    b_idx = np.nonzero(H.sublattice == 1)[0]
-    block = H.entries[np.ix_(a_idx, b_idx)]
-    bidiagonal = _is_bidiagonal(block)
-    if bidiagonal:
-        u, s, vt, residual = _chain_solve(np.diagonal(block), np.diagonal(block, -1))
+    block = H.entries[np.ix_(H.sublattice == 0, H.sublattice == 1)]
+    if _is_bidiagonal(block):
+        svd = _chain_solve(np.diagonal(block), np.diagonal(block, -1), H.sublattice)
     else:
-        try:
-            u, s, vt = _svd_bipartite(block, bidiagonal=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NumericsError(f"SVD failed on dim {H.dim}: {exc}") from exc
-        # |H psi - E psi| of psi = (u, +-v)/sqrt(2), from the two half blocks
-        residual = max(
-            float(np.max(np.abs(block @ vt.T - u * s))),
-            float(np.max(np.abs(block.T @ u - vt.T * s))),
-        )
-        residual = _certify(residual / np.sqrt(2.0), s)
-
-    zero_tol = 0.0 if bidiagonal else ZERO_MODE_TOL * max(float(s[0]), 1.0)
-    return SpectrumResult(
-        energies=np.concatenate([-s, s[::-1]]),
-        orbitals=_orbitals(u, vt, a_idx, b_idx, occupied_only=False),
-        residual=residual,
-        zero_tol=zero_tol,
-    )
+        svd = _dense_svd(block, H.sublattice)
+    return spectrum_from_svd(svd)
 
 
-def spectrum_from_svd(svd: ChainSVD) -> SpectrumResult:
-    """Full spectrum of a chain from its sublattice SVD, for the outputs
-    that are orbitals or energies; no hopping matrix is built.
+def spectrum_from_svd(svd: SublatticeSVD) -> SpectrumResult:
+    """Full spectrum from a sublattice SVD, for the outputs that are
+    orbitals or energies; no hopping matrix is built.
 
-    Bitwise ``diagonalize(hopping_matrix_1d(profile))`` for
-    ``svd = chain_svd(profile)``.
+    Bitwise ``diagonalize`` of the matching dense hopping matrix for
+    ``chain_svd`` and ``lattice_svd``.
     """
     return SpectrumResult(
         energies=np.concatenate([-svd.s, svd.s[::-1]]),
-        orbitals=_orbitals(svd.u, svd.vt, _EVEN, _ODD, occupied_only=False),
+        orbitals=_orbitals(svd, occupied_only=False),
         residual=svd.residual,
-        zero_tol=0.0,
+        zero_tol=svd.zero_tol,
     )
 
 
@@ -411,17 +426,16 @@ def occupied_orbitals(spec: SpectrumResult) -> np.ndarray:
     return spec.orbitals[:, : spec.dim // 2].copy()
 
 
-def occupied_from_svd(svd: ChainSVD) -> np.ndarray:
-    """The L occupied orbitals of a half-filled 2L-site chain, straight from
-    its sublattice SVD: column p is ``(u_p, -v_p)/sqrt(2)``, sign-fixed.
+def occupied_from_svd(svd: SublatticeSVD) -> np.ndarray:
+    """The occupied orbitals at half filling, straight from the sublattice
+    SVD: column p is ``(u_p, -v_p)/sqrt(2)``, sign-fixed.
 
-    Never forms the unoccupied half or any (2L)^2 array.  Bitwise
+    Never forms the unoccupied half or any square array.  Bitwise
     ``occupied_orbitals(diagonalize(hopping_matrix_1d(profile)))`` for
-    ``svd = chain_svd(profile)``, ZeroModeError on exact zero singular
-    values included.
+    ``svd = chain_svd(profile)``, ZeroModeError on zero modes included.
     """
-    _refuse_zero_modes(2 * int(np.count_nonzero(svd.s == 0.0)))
-    return _orbitals(svd.u, svd.vt, _EVEN, _ODD, occupied_only=True)
+    _refuse_zero_modes(2 * int(np.count_nonzero(svd.s <= svd.zero_tol)))
+    return _orbitals(svd, occupied_only=True)
 
 
 def site_occupations(occ: np.ndarray) -> np.ndarray:

@@ -285,7 +285,10 @@ class TestOrdersRefusedBeforeSolving:
         ["entropy-scan", "--L", "20", "--z", "0:1:1", "--orders", "0"],
         ["entropy-scan", "--L", "20", "--z", "1", "--blocks", "boundary",
          "--orders", "2,-1"],
-    ], ids=["renyi-fit", "entropy-scan", "entropy-scan-boundary"])
+        ["entropy-scan", "--L", "10", "--z", "1", "--orders", "nan"],
+        ["renyi-fit", "--L", "20:25:1", "--z", "0:1:1", "--orders", "1,nan"],
+    ], ids=["renyi-fit", "entropy-scan", "entropy-scan-boundary",
+            "entropy-scan-nan", "renyi-fit-nan"])
     def test_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         from rainbow_lab import cli, entanglement
 
@@ -371,7 +374,7 @@ class TestEntropy2D:
         def refuse(*args, **kwargs):
             raise AssertionError("solved before the size check")
 
-        monkeypatch.setattr(cli, "diagonalize", refuse)
+        monkeypatch.setattr(cli, "lattice_svd", refuse)
         out = tmp_path / "e2d.csv"
         rc = main(["entropy-2d", "--L", "8:20:4", "--alpha", "0.5:1:0.25",
                    "--out", str(out)])
@@ -381,6 +384,43 @@ class TestEntropy2D:
                        "message": "need at least 5 sizes, got 4"}
         assert not out.exists()
         assert not (tmp_path / "e2d_fits.json").exists()
+
+
+class TestEntropy2DPolarRoute:
+    def test_no_dense_matrix_orbitals_or_correlation(self, tmp_path, monkeypatch):
+        from rainbow_lab import (
+            block_correlation,
+            build_lattice_2d,
+            diagonalize,
+            entanglement,
+            ground_state_correlation,
+            hopping_matrix_2d,
+            lattice,
+            spectra,
+            vn_entropy,
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        for name in ("hopping_matrix_2d", "HoppingMatrix"):
+            monkeypatch.setattr(lattice, name, refuse)
+        monkeypatch.setattr(spectra, "diagonalize", refuse)
+        monkeypatch.setattr(entanglement, "ground_state_correlation", refuse)
+        out = tmp_path / "e2d.csv"
+        rc = main(["entropy-2d", "--L", "2:6:1", "--alpha", "0.5:1:0.5",
+                   "--out", str(out)])
+        assert rc == 0
+        monkeypatch.undo()
+        _, rows = read_csv(out)
+        assert len(rows) == 10
+        for alpha, L, S, _ in rows:
+            lat = build_lattice_2d(int(L), float(alpha))
+            spec = diagonalize(hopping_matrix_2d(lat))
+            c_full = ground_state_correlation(spec, zero_modes="half")
+            want = vn_entropy(block_correlation(c_full, lat.left_half()))
+            # the CSV keeps 12 significant digits
+            assert abs(float(S) - want) <= 1e-11 * max(1.0, abs(want))
 
 
 class TestQubism:

@@ -20,6 +20,7 @@ from rainbow_lab import (
     halfchain_entropy_prediction,
     hopping_matrix_1d,
     hopping_matrix_2d,
+    lattice_svd,
     occupied_from_svd,
     occupied_orbitals,
     polar_block,
@@ -94,11 +95,15 @@ class TestCorrelationMatrix:
         occ = chain_occupied(2, alpha=0.5)
         with pytest.raises(ValueError):
             correlation_matrix(occ, [])
+        with pytest.raises(ValueError):
+            block_correlation(occ @ occ.T, [])
 
     def test_duplicate_block_rejected(self):
         occ = chain_occupied(2, alpha=0.5)
         with pytest.raises(ValueError):
             correlation_matrix(occ, [0, 0])
+        with pytest.raises(ValueError):
+            block_correlation(occ @ occ.T, [0, 0])
 
     def test_eigenvalue_outside_unit_interval_is_numerical(self):
         C = CorrelationMatrix(block=(0, 1), entries=np.diag([1.5, 0.2]))
@@ -370,21 +375,93 @@ class TestPolarRoute:
             P.eigenvalues()
 
     def test_entropy_scan_on_a_chain_skips_the_orbitals(self, monkeypatch):
-        from rainbow_lab import entanglement
+        from rainbow_lab import entanglement, spectra
 
         def refuse(*args, **kwargs):
             raise AssertionError("orbital route taken")
 
         profile = profile_from_z(30, 2.0)
         want = [p.value for p in entropy_scan(profile, "boundary", [1, 3]).points]
-        monkeypatch.setattr(entanglement, "diagonalize", refuse)
-        monkeypatch.setattr(entanglement, "hopping_matrix", refuse)
+        monkeypatch.setattr(spectra, "diagonalize", refuse)
+        monkeypatch.setattr(entanglement, "ground_state_correlation", refuse)
+        monkeypatch.setattr(entanglement, "block_correlation", refuse)
         got = entropy_scan(profile, "boundary", [1, 3])
         assert [p.value for p in got.points] == want
         occ = chain_occupied(30, z=2.0)
         for p in got.points:
             C = correlation_matrix(occ, range(int(p.size)))
             assert abs(p.value - renyi_entropies(C, [p.order])[0].value) <= 1e-11
+
+
+class TestLatticePolarRoute:
+    """polar_block on lattice_svd against the dense route it replaces:
+    ground_state_correlation and block_correlation on
+    diagonalize(hopping_matrix_2d(...))."""
+
+    @staticmethod
+    def _blocks(lat):
+        left = lat.left_half()
+        right = sorted(set(range(lat.n_sites)) - set(left))
+        scattered = list(range(0, lat.n_sites, 3))  # unequal sublattice counts
+        return left, right, scattered
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8, 12])
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5, 0.4])
+    def test_matches_dense_route(self, L, alpha):
+        lat = build_lattice_2d(L, alpha)
+        c_full = ground_state_correlation(
+            diagonalize(hopping_matrix_2d(lat)), zero_modes="half"
+        )
+        svd = lattice_svd(lat)
+        for block in self._blocks(lat):
+            want = np.sort(block_correlation(c_full, block).eigenvalues())
+            got = polar_block(svd, block, zero_modes="half").eigenvalues()
+            assert np.max(np.abs(got - want)) <= 1e-11
+
+    @pytest.mark.parametrize("L", [1, 2, 4])
+    def test_uniform_lattice_refuses_without_policy(self, L):
+        svd = lattice_svd(build_lattice_2d(L, 1.0))
+        assert np.count_nonzero(svd.s <= svd.zero_tol) > 0
+        with pytest.raises(ZeroModeError):
+            polar_block(svd, build_lattice_2d(L, 1.0).left_half())
+
+    def test_entropy_scan_skips_the_dense_route(self, monkeypatch):
+        from rainbow_lab import entanglement, lattice, spectra
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        lat = build_lattice_2d(4, 1.0)
+        c_full = ground_state_correlation(
+            diagonalize(hopping_matrix_2d(lat)), zero_modes="half"
+        )
+        want = renyi_entropies(block_correlation(c_full, lat.left_half()), [1, 2])
+        monkeypatch.setattr(lattice, "hopping_matrix_2d", refuse)
+        monkeypatch.setattr(spectra, "diagonalize", refuse)
+        monkeypatch.setattr(entanglement, "ground_state_correlation", refuse)
+        curve = entropy_scan(lat, "half", [1, 2], zero_modes="half")
+        assert curve.meta == {"kind": "lattice2d", "L": 4, "alpha": 1.0}
+        for a, b in zip(curve.points, want):
+            assert (a.size, a.order) == (b.size, b.order)
+            assert abs(a.value - b.value) <= 1e-11
+
+    def test_other_geometries_rejected(self):
+        H = hopping_matrix_1d(build_rainbow_profile(2, 0.5))
+        with pytest.raises(TypeError):
+            entropy_scan(H, "half", [1])
+
+
+class TestNanOrders:
+    """NaN fails every comparison, so `n < 1` let it through."""
+
+    def test_renyi_entropies(self):
+        with pytest.raises(ValueError, match="Renyi order"):
+            renyi_entropies(halfchain_C(3, alpha=0.5), [1, math.nan])
+
+    def test_brute_force_block_entropy(self):
+        amps = slater_amplitudes(chain_occupied(2, alpha=0.5), 4)
+        with pytest.raises(ValueError, match="Renyi order"):
+            brute_force_block_entropy(amps, [0], [math.nan])
 
 
 class TestOccupiedFromSVD:

@@ -12,6 +12,7 @@ from rainbow_lab import (
     bond_state_orbitals,
     build_rainbow_profile,
     correlation_matrix,
+    hopping_matrix_1d,
     perturbative_orbitals,
     rainbow_bonds,
     render_arcs,
@@ -207,6 +208,27 @@ class TestPerturbativeOrbitals:
     def test_columns_normalized(self):
         orbs, _ = perturbative_orbitals(5, 0.08)
         assert np.linalg.norm(orbs, axis=0) == pytest.approx(np.ones(5))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("alpha", [1e-9, 0.01, 0.1, 0.5, 1.0])
+    def test_residuals_match_dense_product(self, L, alpha):
+        orbs, res = perturbative_orbitals(L, alpha)
+        H = hopping_matrix_1d(build_rainbow_profile(L, alpha)).entries
+        want = np.array([
+            np.linalg.norm(H @ v - (v @ H @ v) * v) for v in orbs.T
+        ])
+        assert np.all(np.abs(res - want) <= 1e-15 * want)
+
+    def test_no_dense_hopping_matrix(self, monkeypatch):
+        from rainbow_lab import lattice
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense hopping matrix built")
+
+        monkeypatch.setattr(lattice, "hopping_matrix_1d", refuse)
+        monkeypatch.setattr(lattice, "HoppingMatrix", refuse)
+        _, res = perturbative_orbitals(6, 0.1)
+        assert np.all(res > 0)
 
 
 class TestRendering:

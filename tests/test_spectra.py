@@ -23,7 +23,7 @@ from rainbow_lab.entanglement import ground_state_correlation
 from rainbow_lab.spectra import (
     NumericsError,
     _fix_phases,
-    _svd_bipartite,
+    lattice_svd,
     load_orbitals,
     occupied_from_svd,
     save_orbitals,
@@ -170,7 +170,9 @@ class TestBidiagonalSolver:
 
     @staticmethod
     def _compare(block):
-        u, s, vt = _svd_bipartite(block, bidiagonal=True)
+        chain = np.arange(2 * block.shape[0]) % 2
+        svd = spectra._chain_solve(np.diagonal(block), np.diagonal(block, -1), chain)
+        u, s, vt = svd.u, svd.s, svd.vt
         u_ref, s_ref, vt_ref = _dense_svd(block)
         scale = np.where(s_ref > 0, s_ref, 1.0)
         assert np.max(np.abs(s - s_ref) / scale) <= 1e-13
@@ -285,6 +287,101 @@ class TestChainSVD:
         assert svd.u.shape == svd.vt.shape == (40, 40)
 
 
+def _parent_lattice_spectrum(H):
+    """diagonalize as it was before lattice_svd, restated for the 2D lattice:
+    the dense SVD of the sublattice block, the residual on the two half
+    blocks, the pair-by-pair orbitals and the column-by-column phase rule."""
+    a_idx = np.nonzero(H.sublattice == 0)[0]
+    b_idx = np.nonzero(H.sublattice == 1)[0]
+    block = H.entries[np.ix_(a_idx, b_idx)]
+    u, s, vt = _dense_svd(block)
+    residual = max(
+        float(np.max(np.abs(block @ vt.T - u * s))),
+        float(np.max(np.abs(block.T @ u - vt.T * s))),
+    ) / np.sqrt(2.0)
+    n = H.dim
+    orbitals = np.zeros((n, n))
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for p in range(s.size):
+        orbitals[a_idx, p] = orbitals[a_idx, n - 1 - p] = u[:, p] * inv_sqrt2
+        orbitals[b_idx, p] = -vt[p, :] * inv_sqrt2
+        orbitals[b_idx, n - 1 - p] = vt[p, :] * inv_sqrt2
+    energies = np.concatenate([-s, s[::-1]])
+    zero_tol = spectra.ZERO_MODE_TOL * max(float(s[0]), 1.0)
+    return energies, _fix_phases_loop(orbitals), residual, zero_tol
+
+
+class TestLatticeSVD:
+    """lattice_svd: the 2D lattice's sublattice SVD without the dense
+    hopping matrix, against the dense route it replaces."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8, 12])
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5, 0.4])
+    def test_block_is_the_dense_block_bitwise(self, L, alpha, monkeypatch):
+        lat = build_lattice_2d(L, alpha)
+        H = hopping_matrix_2d(lat)
+        a = np.flatnonzero(H.sublattice == 0)
+        b = np.flatnonzero(H.sublattice == 1)
+        want = H.entries[np.ix_(a, b)]
+        solve = spectra._dense_svd
+        blocks = []
+
+        def recording(block, sublattice):
+            blocks.append(block.copy())
+            return solve(block, sublattice)
+
+        monkeypatch.setattr(spectra, "_dense_svd", recording)
+        lattice_svd(lat)
+        assert [blk.tobytes() for blk in blocks] == [want.tobytes()]
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5])
+    def test_spectra_bitwise_the_parent_route(self, L, alpha):
+        lat = build_lattice_2d(L, alpha)
+        H = hopping_matrix_2d(lat)
+        energies, orbitals, residual, zero_tol = _parent_lattice_spectrum(H)
+        for spec in (diagonalize(H), spectrum_from_svd(lattice_svd(lat))):
+            assert spec.energies.tobytes() == energies.tobytes()
+            assert spec.orbitals.tobytes() == orbitals.tobytes()
+            assert (spec.residual, spec.zero_tol) == (residual, zero_tol)
+
+    def test_site_maps(self):
+        chain = spectra.chain_svd(profile_from_z(5, 1.0))
+        assert np.array_equal(chain.sublattice, np.arange(10) % 2)
+        assert np.array_equal(chain.index, np.arange(10) // 2)
+        assert chain.zero_tol == 0.0
+        lat = build_lattice_2d(2, 0.5)
+        svd = lattice_svd(lat)
+        checkerboard = hopping_matrix_2d(lat).sublattice
+        assert np.array_equal(svd.sublattice, checkerboard)
+        for part in (0, 1):
+            sites = np.flatnonzero(checkerboard == part)
+            assert np.array_equal(svd.index[sites], np.arange(sites.size))
+        assert svd.zero_tol == spectra.ZERO_MODE_TOL * max(svd.s[0], 1.0)
+
+    def test_never_builds_the_hopping_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hopping matrix built")
+
+        monkeypatch.setattr(lattice, "HoppingMatrix", refuse)
+        monkeypatch.setattr(lattice, "hopping_matrix_2d", refuse)
+        svd = lattice_svd(build_lattice_2d(4, 0.7))
+        assert svd.u.shape == svd.vt.shape == (32, 32)
+
+    def test_perturbed_vectors_fail_residual(self, monkeypatch):
+        solve = spectra.sla.svd
+
+        def perturbed(*args, **kwargs):
+            u2, s, v2t = solve(*args, **kwargs)
+            u2 = u2.copy()
+            u2[0, 0] += 1e-6
+            return u2, s, v2t
+
+        monkeypatch.setattr(spectra.sla, "svd", perturbed)
+        with pytest.raises(NumericsError, match="eigen-residual"):
+            lattice_svd(build_lattice_2d(3, 0.6))
+
+
 class TestOrbitalsFromSVD:
     """occupied_from_svd and spectrum_from_svd against the dense route
     diagonalize(hopping_matrix_1d(profile)), on a grid that runs both
@@ -378,7 +475,13 @@ class TestOrbitalAssembly:
         a_idx = np.nonzero(H.sublattice == 0)[0]
         b_idx = np.nonzero(H.sublattice == 1)[0]
         block = H.entries[np.ix_(a_idx, b_idx)]
-        u, s, vt = _svd_bipartite(block, spectra._is_bidiagonal(block))
+        if spectra._is_bidiagonal(block):
+            svd = spectra._chain_solve(
+                np.diagonal(block), np.diagonal(block, -1), H.sublattice
+            )
+            u, s, vt = svd.u, svd.s, svd.vt
+        else:
+            u, s, vt = _dense_svd(block)
         n = H.dim
         want = np.zeros((n, n))
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
