@@ -1,21 +1,19 @@
 """Numerical laboratory for rainbow free-fermion chains.
 
-Builds inhomogeneous hopping chains and their 2D extension, computes
-ground-state entanglement exactly from the polar factor of the sublattice
-SVD, and checks the continuum/CFT predictions for spectra, wavefunctions,
-entropies and the entanglement spectrum.
+Builds the couplings of inhomogeneous hopping chains and the links of
+their 2D extension, solves both through the SVD of the sublattice block
+(no dense hopping matrix is formed), computes ground-state entanglement
+exactly from its polar factor, and checks the continuum/CFT predictions
+for spectra, wavefunctions, entropies and the entanglement spectrum.
 """
 
 __version__ = "0.1.0"
 
 from .lattice import (
     CouplingProfile,
-    HoppingMatrix,
     Lattice2D,
     build_lattice_2d,
     build_rainbow_profile,
-    hopping_matrix_1d,
-    hopping_matrix_2d,
     profile_from_z,
     uniform_profile,
 )
@@ -25,12 +23,10 @@ from .spectra import (
     SublatticeSVD,
     ZeroModeError,
     chain_svd,
-    diagonalize,
     fermi_velocity,
     fermi_velocity_fit,
     lattice_svd,
     occupied_from_svd,
-    occupied_orbitals,
     site_occupations,
     spectrum_from_svd,
     velocity_scaling,
@@ -54,13 +50,11 @@ from .entanglement import (
     EntropyCurve,
     EntropyPoint,
     PolarBlock,
-    block_correlation,
     boundary_blocks,
     brute_force_block_entropy,
     correlation_matrix,
     entanglement_spectrum,
     entropy_scan,
-    ground_state_correlation,
     halfchain_block,
     halfchain_entropy_prediction,
     polar_block,

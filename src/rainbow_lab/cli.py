@@ -62,7 +62,10 @@ def _fmt(x) -> str:
 
 
 def parse_range(text: str, integer: bool = False) -> list:
-    """Inclusive start:stop:step range, or a single value."""
+    """Inclusive start:stop:step range, or a single value.
+
+    ValueError for a non-finite part, a step that is not positive, or a
+    stop below the start (which would give an empty sweep)."""
     parts = text.split(":")
     conv = int if integer else float
     if len(parts) == 1:
@@ -70,8 +73,12 @@ def parse_range(text: str, integer: bool = False) -> list:
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"range parts must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
+    if stop < start:
+        raise ValueError(f"range stop {stop} is below its start {start}")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     vals = [start + i * step for i in range(n)]
     if integer:

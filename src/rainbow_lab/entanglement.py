@@ -13,9 +13,10 @@ block is the polar factor U V^T.  A block's nu are therefore
 (1 +- sigma)/2, sigma the singular values of its (row sites x column
 sites) sub-block X of U V^T, plus |n_rows - n_cols| levels at exactly
 1/2 (``polar_block``).  No orbitals or correlation matrix are formed.
-The orbital route (``correlation_matrix`` or ``ground_state_correlation``
-on orbitals) serves the chain's entanglement-spectrum collapse and stays
-the oracle for the polar one.
+The orbital route (``correlation_matrix`` on occupied orbitals) serves
+the chain's entanglement-spectrum collapse and the bond-state check; the
+tests keep the dense correlation-matrix method of Peschel, J. Phys. A 36
+L205 (2003), as the oracle for both.
 
 The brute-force route expands the full many-body state (small N only),
 bipartitions the amplitude matrix and takes singular values; it shares
@@ -37,7 +38,6 @@ from .lattice import CouplingProfile, Lattice2D
 from .qubism import AmplitudeTable
 from .spectra import (
     NumericsError,
-    SpectrumResult,
     SublatticeSVD,
     ZeroModeError,
     chain_svd,
@@ -175,54 +175,32 @@ def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
     return CorrelationMatrix(block=block, entries=rows @ rows.T)
 
 
-def _zero_mode_policy(n_zero: int, zero_modes: str) -> None:
-    """ValueError for an unknown policy; ZeroModeError for n_zero > 0 zero
-    modes under "error"."""
-    if zero_modes not in ("error", "half"):
-        raise ValueError(f"unknown zero-mode policy {zero_modes!r}")
-    if n_zero and zero_modes == "error":
-        raise ZeroModeError(
-            f"{n_zero} zero modes; pass zero_modes='half' "
-            "for the particle-hole symmetric filling"
-        )
-
-
-def ground_state_correlation(
-    spec: SpectrumResult, zero_modes: str = "error"
-) -> np.ndarray:
-    """Full correlation matrix of the half-filled ground state.
-
-    zero_modes picks the filling policy when single-particle levels sit
-    at zero (e.g. the uniform 2D lattice):
-
-    - "error": refuse (the half-filled Slater state is not unique);
-    - "half":  occupy the zero-energy shell at density 1/2, i.e.
-      C = P(E<0) + P(E=0)/2, the particle-hole symmetric zero-temperature
-      limit.  The state is then Gaussian but not a single determinant.
-    """
-    zero = spec.zero_modes()
-    _zero_mode_policy(int(np.count_nonzero(zero)), zero_modes)
-    if not np.any(zero):
-        occ = spec.orbitals[:, : spec.dim // 2]
-        return occ @ occ.T
-    neg = spec.orbitals[:, (spec.energies < 0) & ~zero]
-    zcols = spec.orbitals[:, zero]
-    return neg @ neg.T + 0.5 * (zcols @ zcols.T)
-
-
 def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> PolarBlock:
     """Spectrum of a half-filled block from the sublattice SVD.
 
     X = U[rows] V^T[:, cols] with rows (cols) the block's sites on the
     rows (columns) of M, read from the SVD's site map; sigma are the
     singular values of X, taken directly rather than from X X^T, whose
-    squaring would lose the small sigma that set nu near 1/2.  zero_modes
-    is the policy of ``ground_state_correlation``: singular values within
-    ``svd.zero_tol`` of zero raise ZeroModeError under "error", and under
-    "half" they drop out of U V^T (the zero shell at density 1/2).
+    squaring would lose the small sigma that set nu near 1/2.
+
+    zero_modes picks the filling policy when singular values sit within
+    ``svd.zero_tol`` of zero (e.g. the uniform 2D lattice):
+
+    - "error": raise ZeroModeError (the half-filled Slater state is not
+      unique);
+    - "half": they drop out of U V^T, i.e. C = P(E<0) + P(E=0)/2, the
+      zero-energy shell at density 1/2 (the particle-hole symmetric
+      zero-temperature limit; Gaussian, but not a single determinant).
     """
+    if zero_modes not in ("error", "half"):
+        raise ValueError(f"unknown zero-mode policy {zero_modes!r}")
     keep = np.nonzero(svd.s > svd.zero_tol)[0]
-    _zero_mode_policy(2 * (svd.s.size - keep.size), zero_modes)
+    n_zero = 2 * (svd.s.size - keep.size)
+    if n_zero and zero_modes == "error":
+        raise ZeroModeError(
+            f"{n_zero} zero modes; pass zero_modes='half' "
+            "for the particle-hole symmetric filling"
+        )
     block = _distinct_sites(block)
     n_sites = svd.sublattice.size
     if min(block) < 0 or max(block) >= n_sites:
@@ -233,12 +211,6 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> PolarBl
     cols = svd.index[sites[~on_rows]]
     x = svd.u[np.ix_(rows, keep)] @ svd.vt[np.ix_(keep, cols)]
     return PolarBlock(block=block, sigma=svdvals(x), n_half=abs(rows.size - cols.size))
-
-
-def block_correlation(c_full: np.ndarray, block) -> CorrelationMatrix:
-    """Restrict a full correlation matrix to a block."""
-    block = _distinct_sites(block)
-    return CorrelationMatrix(block=block, entries=c_full[np.ix_(block, block)])
 
 
 def _checked_orders(orders) -> list:

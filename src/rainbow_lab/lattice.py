@@ -10,8 +10,11 @@ The 2D geometry is a ``2L x 2L`` square lattice with the same exponential
 decay along x: a link's amplitude is ``alpha**|x_mid|`` where ``x_mid``
 is the x coordinate of the link midpoint.
 
-All hopping matrices use the convention that a link with amplitude ``J``
-contributes the matrix element ``-J/2`` (single convention for 1D and 2D).
+A link with amplitude ``J`` contributes the hopping matrix element
+``-J/2`` (single convention for 1D and 2D).  The builders return the
+links only, as a ``CouplingProfile`` or as ``lattice_links`` arrays; the
+solvers in ``spectra`` read the sublattice block straight from them, so
+no dense hopping matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -105,72 +108,24 @@ class CouplingProfile:
 
 
 @dataclass(frozen=True)
-class HoppingMatrix:
-    """Real symmetric bipartite hopping matrix, element -J/2 per link.
-
-    ``sublattice[i]`` (0 or 1) is the sublattice of site i.  Both
-    sublattices hold dim/2 sites and every link joins the two, so in the
-    sublattice basis the matrix has the block form ``[[0, M], [M^T, 0]]``.
-    """
-
-    dim: int
-    entries: np.ndarray = field(repr=False)
-    sublattice: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {m.shape}")
-        sub = np.asarray(self.sublattice)
-        if sub.shape != (self.dim,) or not np.isin(sub, (0, 1)).all():
-            raise ValueError(
-                f"sublattice needs a 0/1 label for each of {self.dim} sites"
-            )
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        if not np.allclose(m, m.T, atol=1e-12 * max(1.0, scale)):
-            raise ValueError("hopping matrix must be symmetric")
-        n_odd = int(np.count_nonzero(sub))
-        if 2 * n_odd != self.dim:
-            raise ValueError(
-                f"sublattices hold {self.dim - n_odd} and {n_odd} sites; "
-                "need equal halves"
-            )
-        for part in (sub == 0, sub == 1):
-            if np.any(m[np.ix_(part, part)]):
-                raise ValueError("hopping matrix links two sites of one sublattice")
-        m.setflags(write=False)
-        sub.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "sublattice", sub)
-
-
-@dataclass(frozen=True)
 class Lattice2D:
     """2L x 2L square lattice with x-graded hopping amplitudes.
 
     Sites are labelled by half-odd-integer coordinates (x, y) with
-    x, y in {-(L-1/2), ..., +(L-1/2)} and stored row-major in x then y:
-    index = ix * 2L + iy with ix, iy the 0-based coordinate ranks.
-
-    Links are (i, j, J) with i < j, sorted by (i, j); J = alpha**|x_mid|.
+    x, y in {-(L-1/2), ..., +(L-1/2)} (see ``site_labels``) and stored
+    row-major in x then y: index = ix * 2L + iy with ix, iy the 0-based
+    coordinate ranks.  ``lattice_links(L, alpha)`` lists the links.
     """
 
     L: int
     alpha: float
-    sites: tuple
-    links: tuple
+
+    def __post_init__(self):
+        _validate_geometry(self.L, self.alpha)
 
     @property
     def n_sites(self) -> int:
         return (2 * self.L) ** 2
-
-    def site_index(self, x: float, y: float) -> int:
-        n = 2 * self.L
-        ix = int(round(x + self.L - 0.5))
-        iy = int(round(y + self.L - 0.5))
-        if not (0 <= ix < n and 0 <= iy < n):
-            raise ValueError(f"site ({x}, {y}) outside lattice")
-        return ix * n + iy
 
     def checkerboard(self) -> np.ndarray:
         """Sublattice (ix + iy) % 2 of every site."""
@@ -181,15 +136,6 @@ class Lattice2D:
         """Site indices with x < 0 (the block used for the 2D entropy)."""
         n = 2 * self.L
         return [ix * n + iy for ix in range(self.L) for iy in range(n)]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "L": self.L,
-                "alpha": self.alpha,
-                "links": [[i, j, J] for (i, j, J) in self.links],
-            }
-        )
 
 
 def _validate_geometry(L: int, alpha: float) -> None:
@@ -253,24 +199,6 @@ def signed_profile(couplings) -> np.ndarray:
     return c
 
 
-def hopping_matrix_1d(profile) -> HoppingMatrix:
-    """Tridiagonal hopping matrix with element -J/2 on each link.
-
-    Accepts a CouplingProfile or a plain coupling sequence of odd length.
-    The sublattice is the site index parity.
-    """
-    if isinstance(profile, CouplingProfile):
-        c = profile.couplings
-    else:
-        c = signed_profile(profile)
-    n = c.size + 1
-    m = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -c / 2.0
-    m[idx + 1, idx] = -c / 2.0
-    return HoppingMatrix(dim=n, entries=m, sublattice=np.arange(n) % 2)
-
-
 def lattice_links(L: int, alpha: float) -> tuple:
     """Links (i, j, J) of the 2L x 2L lattice as three arrays, sorted by
     (i, j), i < j.
@@ -296,21 +224,4 @@ def lattice_links(L: int, alpha: float) -> tuple:
 def build_lattice_2d(L: int, alpha: float) -> Lattice2D:
     """2L x 2L lattice with link amplitude alpha**|x_mid| (see
     ``lattice_links``)."""
-    _validate_geometry(L, alpha)
-    n = 2 * L
-    xs = site_labels(L)
-    sites = tuple((float(xs[ix]), float(xs[iy])) for ix in range(n) for iy in range(n))
-    links = tuple(zip(*(a.tolist() for a in lattice_links(L, alpha))))
-    return Lattice2D(L=L, alpha=alpha, sites=sites, links=links)
-
-
-def hopping_matrix_2d(lat: Lattice2D) -> HoppingMatrix:
-    """Dense hopping matrix of the 2D lattice, element -J/2 per link.
-
-    The sublattice is the checkerboard (ix + iy) % 2.
-    """
-    n = lat.n_sites
-    m = np.zeros((n, n))
-    for i, j, J in lat.links:
-        m[i, j] = m[j, i] = -J / 2.0
-    return HoppingMatrix(dim=n, entries=m, sublattice=lat.checkerboard())
+    return Lattice2D(L, alpha)

@@ -1,10 +1,10 @@
-"""Exact single-particle diagonalization and Fermi-velocity extraction.
+"""Exact single-particle spectra and Fermi-velocity extraction.
 
-Every hopping matrix is bipartite with zero diagonal, and its builder
-records the sublattice (even/odd sites in 1D, checkerboard in 2D), so it
-has the block form ``[[0, M], [M^T, 0]]`` in the sublattice basis.  Its
-eigenpairs follow from the SVD ``M = U S V^T``: energies come in exact
-``+-s`` pairs with eigenvectors ``(u, +-v)/sqrt(2)``.
+Every hopping matrix here is bipartite with zero diagonal (sublattices:
+even/odd sites in 1D, the checkerboard in 2D), so it has the block form
+``[[0, M], [M^T, 0]]`` in the sublattice basis.  Its eigenpairs follow
+from the SVD ``M = U S V^T``: energies come in exact ``+-s`` pairs with
+eigenvectors ``(u, +-v)/sqrt(2)``.
 
 For the graded rainbow chains this route is essential, not cosmetic:
 couplings span hundreds of orders of magnitude and a plain symmetric
@@ -25,8 +25,6 @@ forms the hopping matrix.  Entanglement needs nothing more than their
 ``SublatticeSVD`` (see ``entanglement.polar_block``), and the outputs that
 are orbitals take them from it: ``occupied_from_svd`` assembles the
 occupied columns at half filling and ``spectrum_from_svd`` all levels.
-``diagonalize`` solves a ``HoppingMatrix``'s block the same way and
-assembles it through ``spectrum_from_svd``, so it stays a bitwise oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import cython_lapack
 
-from .lattice import CouplingProfile, HoppingMatrix, Lattice2D, lattice_links
+from .lattice import CouplingProfile, Lattice2D, lattice_links
 
 RESIDUAL_TOL = 1e-10
 ZERO_MODE_TOL = 1e-12
@@ -73,14 +71,6 @@ class SpectrumResult:
     @property
     def dim(self) -> int:
         return self.energies.size
-
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.energies))) if self.dim else 0.0
-
-    def zero_modes(self) -> np.ndarray:
-        """Boolean mask of levels indistinguishable from zero."""
-        return np.abs(self.energies) <= self.zero_tol
 
 
 @dataclass(frozen=True)
@@ -291,9 +281,8 @@ def chain_svd(profile: CouplingProfile) -> SublatticeSVD:
 
     ``M^T`` is upper bidiagonal with diagonal ``-c[0::2]/2`` and
     superdiagonal ``-c[1::2]/2`` (c the profile's couplings), so neither
-    the hopping matrix nor the orbitals are ever built; the bands, the
-    driver and hence U, s, V^T are those ``diagonalize`` uses.  Row i of M
-    is even site 2i, column j odd site 2j + 1.
+    the hopping matrix nor the orbitals are ever built.  Row i of M is
+    even site 2i, column j odd site 2j + 1.
 
     Raises NumericsError when the residual exceeds RESIDUAL_TOL relative to
     the spectral radius.
@@ -318,15 +307,6 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
     block = np.zeros((lat.n_sites // 2, lat.n_sites // 2))
     block[index[rows], index[cols]] = -J / 2.0
     return _dense_svd(block, sub)
-
-
-def _is_bidiagonal(block: np.ndarray) -> bool:
-    """True when every nonzero of the square block is on its diagonal or
-    first subdiagonal."""
-    on_band = np.count_nonzero(np.diagonal(block)) + np.count_nonzero(
-        np.diagonal(block, -1)
-    )
-    return np.count_nonzero(block) == on_band
 
 
 def _fix_phases(orbitals: np.ndarray) -> np.ndarray:
@@ -362,40 +342,9 @@ def _orbitals(svd: SublatticeSVD, occupied_only: bool) -> np.ndarray:
     return _fix_phases(orbitals)
 
 
-def diagonalize(H: HoppingMatrix) -> SpectrumResult:
-    """Full spectrum of a bipartite hopping matrix from the builders.
-
-    The matrix is solved through the SVD of its sublattice block, which
-    enforces exact particle-hole pairing: with ``M = U S V^T`` the levels
-    are ``+-s`` with orbitals ``(u, +-v)/sqrt(2)``.  The block goes through
-    the solve of ``chain_svd`` (a chain) or ``lattice_svd`` (otherwise), so
-    the result equals ``spectrum_from_svd`` of theirs bit for bit.
-
-    Raises
-    ------
-    TypeError
-        If H is not a HoppingMatrix.
-    NumericsError
-        If the SVD fails to converge or the final residual exceeds
-        RESIDUAL_TOL relative to the spectral radius.
-    """
-    if not isinstance(H, HoppingMatrix):
-        raise TypeError(f"expected a HoppingMatrix, got {type(H).__name__}")
-    block = H.entries[np.ix_(H.sublattice == 0, H.sublattice == 1)]
-    if _is_bidiagonal(block):
-        svd = _chain_solve(np.diagonal(block), np.diagonal(block, -1), H.sublattice)
-    else:
-        svd = _dense_svd(block, H.sublattice)
-    return spectrum_from_svd(svd)
-
-
 def spectrum_from_svd(svd: SublatticeSVD) -> SpectrumResult:
     """Full spectrum from a sublattice SVD, for the outputs that are
-    orbitals or energies; no hopping matrix is built.
-
-    Bitwise ``diagonalize`` of the matching dense hopping matrix for
-    ``chain_svd`` and ``lattice_svd``.
-    """
+    orbitals or energies; no hopping matrix is built."""
     return SpectrumResult(
         energies=np.concatenate([-svd.s, svd.s[::-1]]),
         orbitals=_orbitals(svd, occupied_only=False),
@@ -404,37 +353,21 @@ def spectrum_from_svd(svd: SublatticeSVD) -> SpectrumResult:
     )
 
 
-def _refuse_zero_modes(count: int) -> None:
+def occupied_from_svd(svd: SublatticeSVD) -> np.ndarray:
+    """The occupied orbitals at half filling, straight from the sublattice
+    SVD: column p is ``(u_p, -v_p)/sqrt(2)``, sign-fixed.
+
+    Never forms the unoccupied half or any square array.  Raises
+    ZeroModeError when singular values sit within ``svd.zero_tol`` of zero:
+    the half-filled Slater state is then not unique (see
+    ``entanglement.polar_block`` for the explicit filling policy).
+    """
+    count = 2 * int(np.count_nonzero(svd.s <= svd.zero_tol))
     if count:
         raise ZeroModeError(
             f"{count} single-particle zero modes; "
             "half filling is ambiguous, choose an explicit filling policy"
         )
-
-
-def occupied_orbitals(spec: SpectrumResult) -> np.ndarray:
-    """The dim/2 negative-energy orbitals (half-filled ground state).
-
-    Raises ZeroModeError when single-particle levels sit within
-    ZERO_MODE_TOL of zero; the half-filled Slater state is then not
-    unique and the caller must pick a filling policy explicitly (see
-    ``entanglement.ground_state_correlation``).
-    """
-    if spec.dim % 2:
-        raise ValueError(f"dimension {spec.dim} is odd; no half filling")
-    _refuse_zero_modes(int(np.count_nonzero(spec.zero_modes())))
-    return spec.orbitals[:, : spec.dim // 2].copy()
-
-
-def occupied_from_svd(svd: SublatticeSVD) -> np.ndarray:
-    """The occupied orbitals at half filling, straight from the sublattice
-    SVD: column p is ``(u_p, -v_p)/sqrt(2)``, sign-fixed.
-
-    Never forms the unoccupied half or any square array.  Bitwise
-    ``occupied_orbitals(diagonalize(hopping_matrix_1d(profile)))`` for
-    ``svd = chain_svd(profile)``, ZeroModeError on zero modes included.
-    """
-    _refuse_zero_modes(2 * int(np.count_nonzero(svd.s <= svd.zero_tol)))
     return _orbitals(svd, occupied_only=True)
 
 

@@ -1,4 +1,4 @@
-"""Shared helpers: cached diagonalizations keep the suite fast."""
+"""Shared helpers: cached chain solves keep the suite fast."""
 
 from functools import lru_cache
 
@@ -7,24 +7,24 @@ import pytest
 
 from rainbow_lab import (
     build_rainbow_profile,
+    chain_svd,
     correlation_matrix,
-    diagonalize,
-    hopping_matrix_1d,
-    occupied_orbitals,
+    occupied_from_svd,
     profile_from_z,
+    spectrum_from_svd,
 )
 
 
 @lru_cache(maxsize=None)
 def chain_spectrum(L: int, alpha: float = None, z: float = None):
     profile = build_rainbow_profile(L, alpha) if alpha is not None else profile_from_z(L, z)
-    return profile, diagonalize(hopping_matrix_1d(profile))
+    return profile, spectrum_from_svd(chain_svd(profile))
 
 
 @lru_cache(maxsize=None)
 def chain_occupied(L: int, alpha: float = None, z: float = None):
-    _, spec = chain_spectrum(L, alpha=alpha, z=z)
-    return occupied_orbitals(spec)
+    profile = build_rainbow_profile(L, alpha) if alpha is not None else profile_from_z(L, z)
+    return occupied_from_svd(chain_svd(profile))
 
 
 def halfchain_C(L: int, alpha: float = None, z: float = None):

@@ -19,24 +19,20 @@ import numpy as np
 import pytest
 
 from rainbow_lab import (
+    CorrelationMatrix,
     EntropyCurve,
-    block_correlation,
     boundary_blocks,
     brute_force_block_entropy,
     build_lattice_2d,
     build_rainbow_profile,
     chain_svd,
     correlation_matrix,
-    diagonalize,
     entanglement_spectrum,
     fermi_velocity,
     fit_2d,
     fit_renyi_halfchain,
-    ground_state_correlation,
-    hopping_matrix_1d,
-    hopping_matrix_2d,
     lattice_svd,
-    occupied_orbitals,
+    occupied_from_svd,
     polar_block,
     profile_from_z,
     rainbow_bonds,
@@ -46,10 +42,13 @@ from rainbow_lab import (
     sdrg_run,
     site_occupations,
     slater_amplitudes,
+    spectrum_from_svd,
     vn_entropy,
     write_ppm,
 )
 from rainbow_lab.entanglement import EntropyPoint
+
+import dense_oracle as oracle
 
 LN2 = math.log(2.0)
 JOBS = min(4, os.cpu_count() or 1)
@@ -86,7 +85,7 @@ def test_criterion_1_fermi_velocity():
     L = 500
     worst = 0.0
     for z in (0.5, 1.0, 2.0, 4.0):
-        spec = diagonalize(hopping_matrix_1d(profile_from_z(L, z)))
+        spec = spectrum_from_svd(chain_svd(profile_from_z(L, z)))
         est = fermi_velocity(spec, L, z)
         worst = max(worst, abs(est.a_numeric / est.a_analytic - 1))
     elapsed = time.time() - t0
@@ -124,8 +123,7 @@ def test_criterion_3_volume_law():
     sizes = (20, 40, 60, 80, 100)
     ys = []
     for L in sizes:
-        spec = diagonalize(hopping_matrix_1d(build_rainbow_profile(L, 0.5)))
-        occ = occupied_orbitals(spec)
+        occ = occupied_from_svd(chain_svd(build_rainbow_profile(L, 0.5)))
         ys.append(vn_entropy(correlation_matrix(occ, range(L))))
     design = np.column_stack([sizes, np.ones(len(sizes))])
     slope, _ = np.linalg.lstsq(design, ys, rcond=None)[0]
@@ -219,8 +217,8 @@ def test_criterion_6_level_spacing_vs_entropy():
     for L, z in GRID_6:
         nu = np.asarray(halfchain_nu(L, z))
         S = nu_entropy(nu, 1)
-        es = entanglement_spectrum(
-            block_correlation(np.diag(nu), range(L))  # nu already diagonalized
+        es = entanglement_spectrum(  # nu already diagonalized
+            CorrelationMatrix(block=tuple(range(L)), entries=np.diag(nu))
         )
         pred = math.pi**2 / (3 * es.delta_L)
         worst = max(worst, abs(pred / S - 1))
@@ -239,7 +237,9 @@ def test_criterion_6_collapse_stated():
     prefetch(GRID_6)
     for L, z in GRID_6:
         nu = np.asarray(halfchain_nu(L, z))
-        es = entanglement_spectrum(block_correlation(np.diag(nu), range(L)))
+        es = entanglement_spectrum(
+            CorrelationMatrix(block=tuple(range(L)), entries=np.diag(nu))
+        )
         eps = es.finite_eps()
         pos = np.sort(eps[eps > 0])[:5]
         for k, e in enumerate(pos):
@@ -251,8 +251,7 @@ def test_criterion_6_collapse_stated():
 
 def test_criterion_7_rainbow_limit():
     profile = build_rainbow_profile(10, 0.01)
-    spec = diagonalize(hopping_matrix_1d(profile))
-    occ = occupied_orbitals(spec)
+    occ = occupied_from_svd(chain_svd(profile))
 
     bonds = sdrg_run(profile)
     bonds_ok = bonds.bonds == rainbow_bonds(10).bonds
@@ -284,8 +283,7 @@ def test_criterion_7_rainbow_limit():
     "would need alpha <= 0.005",
 )
 def test_criterion_7_entropy_stated_bound():
-    spec = diagonalize(hopping_matrix_1d(build_rainbow_profile(10, 0.01)))
-    occ = occupied_orbitals(spec)
+    occ = occupied_from_svd(chain_svd(build_rainbow_profile(10, 0.01)))
     s = vn_entropy(correlation_matrix(occ, range(10)))
     assert abs(s - 10 * LN2) <= 1e-3
 
@@ -296,8 +294,7 @@ def test_criterion_7_entropy_stated_bound():
     "an alpha^2 effect ten times the stated 1e-3",
 )
 def test_criterion_7_renyi_equality_stated_bound():
-    spec = diagonalize(hopping_matrix_1d(build_rainbow_profile(10, 0.01)))
-    occ = occupied_orbitals(spec)
+    occ = occupied_from_svd(chain_svd(build_rainbow_profile(10, 0.01)))
     pts = renyi_entropies(correlation_matrix(occ, range(10)), [1, 2, 3, 4])
     vals = [p.value for p in pts]
     assert max(vals) - min(vals) <= 1e-3
@@ -311,7 +308,7 @@ def test_criterion_8_oracle_equivalence():
     for two_l in (4, 6, 8):
         for alpha in (0.01, 0.3, 1.0):
             profile = build_rainbow_profile(two_l // 2, alpha)
-            occ = occupied_orbitals(diagonalize(hopping_matrix_1d(profile)))
+            occ = occupied_from_svd(chain_svd(profile))
             amps = slater_amplitudes(occ, two_l)
             for block in boundary_blocks(two_l):
                 a = renyi_entropies(correlation_matrix(occ, block), [1, 2, 3, 4])
@@ -342,9 +339,8 @@ def test_criterion_9_two_dimensional():
         S = vn_entropy(polar_block(lattice_svd(lat), left, zero_modes="half"))
         if L > 16:
             return S, 0.0
-        spec = diagonalize(hopping_matrix_2d(lat))
-        c_full = ground_state_correlation(spec, zero_modes="half")
-        return S, abs(S - vn_entropy(block_correlation(c_full, left)))
+        c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
+        return S, abs(S - vn_entropy(oracle.restrict(c_full, left)))
 
     points = [(a, L) for a in alphas for L in sizes]
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
@@ -386,8 +382,8 @@ def test_criterion_9_two_dimensional():
 
 @pytest.fixture(scope="module")
 def rainbow_amps_10():
-    spec = diagonalize(hopping_matrix_1d(build_rainbow_profile(5, 0.01)))
-    return slater_amplitudes(occupied_orbitals(spec), 10)
+    occ = occupied_from_svd(chain_svd(build_rainbow_profile(5, 0.01)))
+    return slater_amplitudes(occ, 10)
 
 
 def test_criterion_10_schmidt_ranks(rainbow_amps_10, tmp_path):

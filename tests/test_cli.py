@@ -34,6 +34,27 @@ class TestParseRange:
         with pytest.raises(ValueError):
             parse_range("1:2:0.5", integer=True)
 
+    def test_inverted_range_rejected(self):
+        with pytest.raises(ValueError, match="below its start"):
+            parse_range("4:0:1")
+
+    def test_non_finite_bound_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            parse_range("1:inf:1")
+
+    @pytest.mark.parametrize("argv", [
+        ["velocity-scan", "--L", "50", "--z", "4:0:1"],
+        ["es-collapse", "--L", "60:20:20", "--z", "5"],
+        ["validity-map", "--L", "50:10:50", "--z", "0:1:0.5"],
+        ["entropy-scan", "--L", "10", "--z", "1:inf:1"],
+    ], ids=["inverted-z", "inverted-L", "inverted-map", "infinite"])
+    def test_bad_range_exits_2_without_artifact(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVelocityScan:
     def test_artifact(self, tmp_path):
@@ -250,8 +271,9 @@ class TestEsCollapse:
 
     def test_dense_route_gives_the_same_artifact(self, tmp_path, monkeypatch):
         # odd and even L on both bidiagonal drivers, against the route through
-        # the dense hopping matrix and diagonalize
-        from rainbow_lab import cli, diagonalize, hopping_matrix_1d, occupied_orbitals
+        # the oracle's dense hopping matrix
+        import dense_oracle as oracle
+        from rainbow_lab import cli
 
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         grid = ["--L", "41:101:15", "--z", "5:35:10"]
@@ -259,7 +281,9 @@ class TestEsCollapse:
         monkeypatch.setattr(cli, "chain_svd", lambda profile: profile)
         monkeypatch.setattr(
             cli, "occupied_from_svd",
-            lambda profile: occupied_orbitals(diagonalize(hopping_matrix_1d(profile))),
+            lambda profile: oracle.occupied(
+                oracle.diagonalize(*oracle.chain_hamiltonian(profile))
+            ),
         )
         assert main(["es-collapse", *grid, "--out", str(b)]) == 0
         rows = read_csv(a)[1]
@@ -306,8 +330,8 @@ class TestOrdersRefusedBeforeSolving:
 
 
 class TestChainCommandsBuildNoHoppingMatrix:
-    """Every 1D command reads its orbitals off chain_svd: none builds the
-    dense (2L)^2 hopping matrix."""
+    """Every 1D command reads its orbitals off chain_svd: none solves a
+    dense matrix, the way the 2D lattice does."""
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--L", "12", "--z", "2", "--out", "{d}/s.csv",
@@ -320,17 +344,12 @@ class TestChainCommandsBuildNoHoppingMatrix:
         ["validate"],
     ], ids=lambda argv: argv[0])
     def test_succeeds_without_the_builder(self, tmp_path, monkeypatch, argv):
-        import sys
-
-        from rainbow_lab import lattice
+        from rainbow_lab import spectra
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dense hopping matrix built")
+            raise AssertionError("dense matrix solved")
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("rainbow_lab") and hasattr(module, "hopping_matrix_1d"):
-                monkeypatch.setattr(module, "hopping_matrix_1d", refuse)
-        monkeypatch.setattr(lattice.HoppingMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(spectra, "_dense_svd", refuse)
         assert main([a.format(d=tmp_path) for a in argv]) == 0
 
 
@@ -388,25 +407,14 @@ class TestEntropy2D:
 
 class TestEntropy2DPolarRoute:
     def test_no_dense_matrix_orbitals_or_correlation(self, tmp_path, monkeypatch):
-        from rainbow_lab import (
-            block_correlation,
-            build_lattice_2d,
-            diagonalize,
-            entanglement,
-            ground_state_correlation,
-            hopping_matrix_2d,
-            lattice,
-            spectra,
-            vn_entropy,
-        )
+        import dense_oracle as oracle
+        from rainbow_lab import build_lattice_2d, entanglement, spectra, vn_entropy
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense route taken")
 
-        for name in ("hopping_matrix_2d", "HoppingMatrix"):
-            monkeypatch.setattr(lattice, name, refuse)
-        monkeypatch.setattr(spectra, "diagonalize", refuse)
-        monkeypatch.setattr(entanglement, "ground_state_correlation", refuse)
+        monkeypatch.setattr(spectra, "_orbitals", refuse)
+        monkeypatch.setattr(entanglement, "CorrelationMatrix", refuse)
         out = tmp_path / "e2d.csv"
         rc = main(["entropy-2d", "--L", "2:6:1", "--alpha", "0.5:1:0.5",
                    "--out", str(out)])
@@ -416,9 +424,10 @@ class TestEntropy2DPolarRoute:
         assert len(rows) == 10
         for alpha, L, S, _ in rows:
             lat = build_lattice_2d(int(L), float(alpha))
-            spec = diagonalize(hopping_matrix_2d(lat))
-            c_full = ground_state_correlation(spec, zero_modes="half")
-            want = vn_entropy(block_correlation(c_full, lat.left_half()))
+            c_full = oracle.correlation(
+                oracle.diagonalize(*oracle.lattice_hamiltonian(lat))
+            )
+            want = vn_entropy(oracle.restrict(c_full, lat.left_half()))
             # the CSV keeps 12 significant digits
             assert abs(float(S) - want) <= 1e-11 * max(1.0, abs(want))
 

@@ -12,9 +12,6 @@ from rainbow_lab import (
     continuum_params,
     coordinate_map,
     deformed_length,
-    diagonalize,
-    hopping_matrix_1d,
-    occupied_orbitals,
     profile_from_z,
     slater_overlap,
     validity_map,
@@ -23,6 +20,7 @@ from rainbow_lab import (
 )
 from rainbow_lab.continuum import _expm1_over_h, continuum_occupied
 
+import dense_oracle as oracle
 from conftest import chain_occupied, chain_spectrum
 
 
@@ -279,9 +277,9 @@ class TestVectorizedLevels:
         vm = validity_map(GRID_L, GRID_Z)
         for i, L in enumerate(GRID_L):
             for j, z in enumerate(GRID_Z):
-                exact = occupied_orbitals(
-                    diagonalize(hopping_matrix_1d(profile_from_z(L, z)))
-                )
+                exact = oracle.occupied(oracle.diagonalize(
+                    *oracle.chain_hamiltonian(profile_from_z(L, z))
+                ))
                 want = slater_overlap(_stacked_occupied(L, z / L), exact)
                 assert abs(vm.overlaps[i, j] - want) <= 1e-12, (L, z)
 

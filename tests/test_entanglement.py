@@ -6,34 +6,28 @@ import pytest
 from rainbow_lab import (
     CorrelationMatrix,
     PolarBlock,
-    block_correlation,
     boundary_blocks,
     brute_force_block_entropy,
     build_lattice_2d,
     build_rainbow_profile,
     chain_svd,
     correlation_matrix,
-    diagonalize,
     entanglement_spectrum,
     entropy_scan,
-    ground_state_correlation,
     halfchain_entropy_prediction,
-    hopping_matrix_1d,
-    hopping_matrix_2d,
     lattice_svd,
     occupied_from_svd,
-    occupied_orbitals,
     polar_block,
     profile_from_z,
     renyi_entropies,
     slater_amplitudes,
     thermal_cft_entropy,
-    uniform_profile,
     vn_entropy,
 )
 from rainbow_lab.spectra import NumericsError, ZeroModeError
 
-from conftest import chain_occupied, chain_spectrum, halfchain_C
+import dense_oracle as oracle
+from conftest import chain_occupied, halfchain_C
 
 LN2 = math.log(2.0)
 
@@ -95,15 +89,11 @@ class TestCorrelationMatrix:
         occ = chain_occupied(2, alpha=0.5)
         with pytest.raises(ValueError):
             correlation_matrix(occ, [])
-        with pytest.raises(ValueError):
-            block_correlation(occ @ occ.T, [])
 
     def test_duplicate_block_rejected(self):
         occ = chain_occupied(2, alpha=0.5)
         with pytest.raises(ValueError):
             correlation_matrix(occ, [0, 0])
-        with pytest.raises(ValueError):
-            block_correlation(occ @ occ.T, [0, 0])
 
     def test_eigenvalue_outside_unit_interval_is_numerical(self):
         C = CorrelationMatrix(block=(0, 1), entries=np.diag([1.5, 0.2]))
@@ -288,14 +278,13 @@ class TestEntropyScan:
 
     def test_2d_policy_preserves_mirror_symmetry(self):
         lat = build_lattice_2d(2, 1.0)
-        spec = diagonalize(hopping_matrix_2d(lat))
-        c_full = ground_state_correlation(spec, zero_modes="half")
+        c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
         left = lat.left_half()
         right = sorted(set(range(lat.n_sites)) - set(left))
-        a = vn_entropy(block_correlation(c_full, left))
-        b = vn_entropy(block_correlation(c_full, right))
+        a = vn_entropy(oracle.restrict(c_full, left))
+        b = vn_entropy(oracle.restrict(c_full, right))
         assert a == pytest.approx(b, abs=1e-8)
-        nu = block_correlation(c_full, left).eigenvalues()
+        nu = oracle.restrict(c_full, left).eigenvalues()
         assert np.all((nu > -1e-12) & (nu < 1 + 1e-12))
 
 
@@ -346,15 +335,15 @@ class TestPolarRoute:
     def test_zero_modes_follow_the_policy(self):
         with pytest.warns(RuntimeWarning):
             profile = profile_from_z(10, 2000.0)
-        spec = diagonalize(hopping_matrix_1d(profile))
+        spec = oracle.diagonalize(*oracle.chain_hamiltonian(profile))
         svd = chain_svd(profile)
         with pytest.raises(ZeroModeError):
-            occupied_orbitals(spec)
+            oracle.occupied(spec)
         with pytest.raises(ZeroModeError):
             polar_block(svd, range(10))
-        c_full = ground_state_correlation(spec, zero_modes="half")
+        c_full = oracle.correlation(spec)
         for block in boundary_blocks(20):
-            a = np.sort(block_correlation(c_full, block).eigenvalues())
+            a = np.sort(oracle.restrict(c_full, block).eigenvalues())
             b = polar_block(svd, block, zero_modes="half").eigenvalues()
             assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -382,11 +371,11 @@ class TestPolarRoute:
 
         profile = profile_from_z(30, 2.0)
         want = [p.value for p in entropy_scan(profile, "boundary", [1, 3]).points]
-        monkeypatch.setattr(spectra, "diagonalize", refuse)
-        monkeypatch.setattr(entanglement, "ground_state_correlation", refuse)
-        monkeypatch.setattr(entanglement, "block_correlation", refuse)
+        monkeypatch.setattr(spectra, "_orbitals", refuse)
+        monkeypatch.setattr(entanglement, "CorrelationMatrix", refuse)
         got = entropy_scan(profile, "boundary", [1, 3])
         assert [p.value for p in got.points] == want
+        monkeypatch.undo()
         occ = chain_occupied(30, z=2.0)
         for p in got.points:
             C = correlation_matrix(occ, range(int(p.size)))
@@ -394,9 +383,8 @@ class TestPolarRoute:
 
 
 class TestLatticePolarRoute:
-    """polar_block on lattice_svd against the dense route it replaces:
-    ground_state_correlation and block_correlation on
-    diagonalize(hopping_matrix_2d(...))."""
+    """polar_block on lattice_svd against the dense route it replaces: the
+    oracle's full correlation matrix, restricted to the block."""
 
     @staticmethod
     def _blocks(lat):
@@ -409,12 +397,10 @@ class TestLatticePolarRoute:
     @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5, 0.4])
     def test_matches_dense_route(self, L, alpha):
         lat = build_lattice_2d(L, alpha)
-        c_full = ground_state_correlation(
-            diagonalize(hopping_matrix_2d(lat)), zero_modes="half"
-        )
+        c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
         svd = lattice_svd(lat)
         for block in self._blocks(lat):
-            want = np.sort(block_correlation(c_full, block).eigenvalues())
+            want = np.sort(oracle.restrict(c_full, block).eigenvalues())
             got = polar_block(svd, block, zero_modes="half").eigenvalues()
             assert np.max(np.abs(got - want)) <= 1e-11
 
@@ -426,19 +412,16 @@ class TestLatticePolarRoute:
             polar_block(svd, build_lattice_2d(L, 1.0).left_half())
 
     def test_entropy_scan_skips_the_dense_route(self, monkeypatch):
-        from rainbow_lab import entanglement, lattice, spectra
+        from rainbow_lab import entanglement, spectra
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense route taken")
 
         lat = build_lattice_2d(4, 1.0)
-        c_full = ground_state_correlation(
-            diagonalize(hopping_matrix_2d(lat)), zero_modes="half"
-        )
-        want = renyi_entropies(block_correlation(c_full, lat.left_half()), [1, 2])
-        monkeypatch.setattr(lattice, "hopping_matrix_2d", refuse)
-        monkeypatch.setattr(spectra, "diagonalize", refuse)
-        monkeypatch.setattr(entanglement, "ground_state_correlation", refuse)
+        c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
+        want = renyi_entropies(oracle.restrict(c_full, lat.left_half()), [1, 2])
+        monkeypatch.setattr(spectra, "_orbitals", refuse)
+        monkeypatch.setattr(entanglement, "CorrelationMatrix", refuse)
         curve = entropy_scan(lat, "half", [1, 2], zero_modes="half")
         assert curve.meta == {"kind": "lattice2d", "L": 4, "alpha": 1.0}
         for a, b in zip(curve.points, want):
@@ -446,9 +429,9 @@ class TestLatticePolarRoute:
             assert abs(a.value - b.value) <= 1e-11
 
     def test_other_geometries_rejected(self):
-        H = hopping_matrix_1d(build_rainbow_profile(2, 0.5))
+        m, _ = oracle.chain_hamiltonian(build_rainbow_profile(2, 0.5))
         with pytest.raises(TypeError):
-            entropy_scan(H, "half", [1])
+            entropy_scan(m, "half", [1])
 
 
 class TestNanOrders:
@@ -472,9 +455,11 @@ class TestOccupiedFromSVD:
     @pytest.mark.parametrize("L", [1, 2, 7, 50, 51, 101, 300])
     @pytest.mark.parametrize("z", [0.0, 1.0, 4.0, 30.0, 92.0])
     def test_halfchain_spectrum_bitwise(self, L, z):
-        occ = occupied_from_svd(chain_svd(profile_from_z(L, z)))
+        profile = profile_from_z(L, z)
+        occ = occupied_from_svd(chain_svd(profile))
         got = entanglement_spectrum(correlation_matrix(occ, range(L)))
-        want = entanglement_spectrum(halfchain_C(L, z=z))
+        dense = oracle.occupied(oracle.diagonalize(*oracle.chain_hamiltonian(profile)))
+        want = entanglement_spectrum(correlation_matrix(dense, range(L)))
         assert np.array_equal(got.nu, want.nu)
         assert np.array_equal(got.eps, want.eps)
 

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rainbow_lab
 from rainbow_lab import (
     CouplingProfile,
-    HoppingMatrix,
+    Lattice2D,
     build_lattice_2d,
     build_rainbow_profile,
-    hopping_matrix_1d,
-    hopping_matrix_2d,
+    chain_svd,
+    lattice_svd,
     profile_from_z,
     uniform_profile,
 )
-from rainbow_lab.lattice import signed_profile, site_labels
+from rainbow_lab.lattice import lattice_links, signed_profile, site_labels
+
+from dense_oracle import chain_hamiltonian, lattice_hamiltonian
 
 
 class TestRainbowProfile:
@@ -92,105 +95,104 @@ class TestProfileFromZ:
 
 
 class TestHoppingMatrix1D:
+    """The dense chain matrix of the tests' oracle."""
+
     def test_single_link(self):
-        m = hopping_matrix_1d(build_rainbow_profile(1, 0.7))
-        assert np.allclose(m.entries, [[0, -0.5], [-0.5, 0]])
-        assert np.linalg.eigvalsh(m.entries) == pytest.approx([-0.5, 0.5])
+        m, _ = chain_hamiltonian(build_rainbow_profile(1, 0.7))
+        assert np.allclose(m, [[0, -0.5], [-0.5, 0]])
+        assert np.linalg.eigvalsh(m) == pytest.approx([-0.5, 0.5])
 
     def test_L2_offdiagonals(self):
-        m = hopping_matrix_1d(build_rainbow_profile(2, 0.5))
-        assert np.diag(m.entries, 1) == pytest.approx([-0.25, -0.5, -0.25])
+        m, _ = chain_hamiltonian(build_rainbow_profile(2, 0.5))
+        assert np.diag(m, 1) == pytest.approx([-0.25, -0.5, -0.25])
 
     def test_uniform_offdiagonals(self):
-        m = hopping_matrix_1d(uniform_profile(6))
-        assert np.diag(m.entries, 1) == pytest.approx([-0.5] * 11)
+        m, _ = chain_hamiltonian(uniform_profile(6))
+        assert np.diag(m, 1) == pytest.approx([-0.5] * 11)
 
     @given(L=st.integers(1, 25), alpha=st.floats(0.05, 1.0))
     @settings(max_examples=30, deadline=None)
     def test_commutes_with_reversal(self, L, alpha):
-        m = hopping_matrix_1d(build_rainbow_profile(L, alpha)).entries
+        m, _ = chain_hamiltonian(build_rainbow_profile(L, alpha))
         rev = m[::-1, ::-1]
         assert np.array_equal(m, rev)
 
     def test_symmetric_zero_diagonal(self):
-        m = hopping_matrix_1d(build_rainbow_profile(6, 0.3)).entries
+        m, _ = chain_hamiltonian(build_rainbow_profile(6, 0.3))
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0.0)
 
     def test_signed_chain_accepted(self):
-        m = hopping_matrix_1d([1.0, -0.5, 0.25])
-        assert np.diag(m.entries, 1) == pytest.approx([-0.5, 0.25, -0.125])
+        m, _ = chain_hamiltonian([1.0, -0.5, 0.25])
+        assert np.diag(m, 1) == pytest.approx([-0.5, 0.25, -0.125])
 
     def test_signed_chain_rejects_even_length(self):
         with pytest.raises(ValueError):
             signed_profile([1.0, 0.5])
 
 
+def _coordinates(L: int, site: int) -> tuple:
+    """(x, y) of a lattice site, from the row-major index ix * 2L + iy."""
+    xs = site_labels(L)
+    ix, iy = divmod(site, 2 * L)
+    return float(xs[ix]), float(xs[iy])
+
+
+def _index(L: int, x: float, y: float) -> int:
+    xs = list(site_labels(L))
+    return xs.index(x) * 2 * L + xs.index(y)
+
+
 class TestSublattice:
     @pytest.mark.parametrize("L", [1, 2, 5])
     def test_chain_parity(self, L):
-        H = hopping_matrix_1d(build_rainbow_profile(L, 0.5))
-        assert np.array_equal(H.sublattice, np.arange(2 * L) % 2)
+        svd = chain_svd(build_rainbow_profile(L, 0.5))
+        assert np.array_equal(svd.sublattice, np.arange(2 * L) % 2)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_lattice_checkerboard(self, L):
         lat = build_lattice_2d(L, 0.5)
-        H = hopping_matrix_2d(lat)
-        want = [int(x + y + 2 * L - 1) % 2 for (x, y) in lat.sites]
-        assert np.array_equal(H.sublattice, want)
-
-    def test_link_inside_sublattice_rejected(self):
-        m = hopping_matrix_1d([1.0, 0.5, 1.0]).entries.copy()
-        m[0, 2] = m[2, 0] = -0.25  # next-nearest neighbours share parity
-        with pytest.raises(ValueError, match="one sublattice"):
-            HoppingMatrix(dim=4, entries=m, sublattice=[0, 1, 0, 1])
-
-    def test_unequal_halves_rejected(self):
-        # a 3-site path is bipartite, but its sublattices hold 2 and 1 sites
-        m = hopping_matrix_1d([1.0, 1.0, 1.0]).entries[:3, :3]
-        with pytest.raises(ValueError, match="equal halves"):
-            HoppingMatrix(dim=3, entries=m, sublattice=[0, 1, 0])
+        want = [int(x + y + 2 * L - 1) % 2
+                for (x, y) in (_coordinates(L, i) for i in range(lat.n_sites))]
+        assert np.array_equal(lat.checkerboard(), want)
 
 
 class TestLattice2D:
     def test_L1_links(self):
         lat = build_lattice_2d(1, 0.5)
         assert lat.n_sites == 4
-        assert len(lat.links) == 4
-        amps = sorted(J for (_, _, J) in lat.links)
-        assert amps == pytest.approx([np.sqrt(0.5), np.sqrt(0.5), 1.0, 1.0])
+        _, _, J = lattice_links(1, 0.5)
+        assert len(J) == 4
+        assert sorted(J) == pytest.approx([np.sqrt(0.5), np.sqrt(0.5), 1.0, 1.0])
 
     def test_uniform_L2(self):
-        lat = build_lattice_2d(2, 1.0)
-        assert len(lat.links) == 24
-        assert all(J == 1.0 for (_, _, J) in lat.links)
+        _, _, J = lattice_links(2, 1.0)
+        assert len(J) == 24
+        assert all(J == 1.0)
 
     def test_link_count_formula(self):
         for L in (1, 2, 3):
-            lat = build_lattice_2d(L, 0.8)
-            assert len(lat.links) == 2 * (2 * L) * (2 * L - 1)
+            i, _, _ = lattice_links(L, 0.8)
+            assert len(i) == 2 * (2 * L) * (2 * L - 1)
 
     def test_horizontal_link_across_half(self):
         # link between (1/2, y) and (3/2, y) carries alpha^1
-        lat = build_lattice_2d(2, 0.6)
-        i = lat.site_index(0.5, 0.5)
-        j = lat.site_index(1.5, 0.5)
-        amp = dict(((a, b), J) for (a, b, J) in lat.links)[(i, j)]
+        i, j, J = lattice_links(2, 0.6)
+        a, b = _index(2, 0.5, 0.5), _index(2, 1.5, 0.5)
+        amp = dict(zip(zip(i.tolist(), j.tolist()), J))[(a, b)]
         assert amp == pytest.approx(0.6)
 
     def test_links_crossing_zero_are_unity(self):
-        lat = build_lattice_2d(3, 0.4)
-        for ((a, b, J)) in lat.links:
-            xa = lat.sites[a][0]
-            xb = lat.sites[b][0]
+        for a, b, J in zip(*lattice_links(3, 0.4)):
+            xa = _coordinates(3, a)[0]
+            xb = _coordinates(3, b)[0]
             if xa == -0.5 and xb == 0.5:
                 assert J == pytest.approx(1.0)
 
     def test_mirror_symmetry_x(self):
-        lat = build_lattice_2d(2, 0.7)
         amp = {}
-        for (a, b, J) in lat.links:
-            key = tuple(sorted([lat.sites[a], lat.sites[b]]))
+        for a, b, J in zip(*lattice_links(2, 0.7)):
+            key = tuple(sorted([_coordinates(2, a), _coordinates(2, b)]))
             amp[key] = J
         for ((xa, ya), (xb, yb)), J in amp.items():
             mirrored = tuple(sorted([(-xa, ya), (-xb, yb)]))
@@ -198,31 +200,62 @@ class TestLattice2D:
 
     def test_y_mirror_leaves_matrix_invariant(self):
         lat = build_lattice_2d(2, 0.55)
-        m = hopping_matrix_2d(lat).entries
+        m, _ = lattice_hamiltonian(lat)
         n = 2 * lat.L
         perm = np.array([ix * n + (n - 1 - iy) for ix in range(n) for iy in range(n)])
         assert np.allclose(m, m[np.ix_(perm, perm)])
 
     def test_4cycle_spectrum(self):
-        m = hopping_matrix_2d(build_lattice_2d(1, 1.0))
-        assert np.linalg.eigvalsh(m.entries) == pytest.approx([-1, 0, 0, 1], abs=1e-12)
+        m, _ = lattice_hamiltonian(build_lattice_2d(1, 1.0))
+        assert np.linalg.eigvalsh(m) == pytest.approx([-1, 0, 0, 1], abs=1e-12)
 
     def test_row_sums_bounded(self):
-        m = hopping_matrix_2d(build_lattice_2d(3, 0.9)).entries
+        m, _ = lattice_hamiltonian(build_lattice_2d(3, 0.9))
         assert np.max(np.abs(m.sum(axis=1))) <= 2.0 + 1e-12
 
     def test_left_half_indices(self):
         lat = build_lattice_2d(2, 0.5)
         half = lat.left_half()
         assert len(half) == 8
-        assert all(lat.sites[i][0] < 0 for i in half)
+        assert all(_coordinates(2, i)[0] < 0 for i in half)
 
-    def test_json_links_canonical(self):
-        lat = build_lattice_2d(2, 0.9)
-        data = json.loads(lat.to_json())
-        pairs = [(i, j) for (i, j, _) in data["links"]]
+    def test_links_canonical(self):
+        i, j, _ = lattice_links(2, 0.9)
+        pairs = list(zip(i.tolist(), j.tolist()))
+        assert all(a < b for a, b in pairs)
         assert pairs == sorted(pairs)
+
+    @pytest.mark.parametrize("L,alpha", [(2, 1.5), (0, 0.5)])
+    def test_direct_construction_validated(self, L, alpha):
+        # growing couplings, or no sites at all, never reach the solver
+        with pytest.raises(ValueError, match="must"):
+            lattice_svd(Lattice2D(L=L, alpha=alpha))
 
 
 def test_site_labels():
     assert site_labels(2) == pytest.approx([-1.5, -0.5, 0.5, 1.5])
+
+
+def test_dense_route_is_gone():
+    """No rainbow_lab module exposes the dense hopping-matrix route; it
+    lives on only as the tests' oracle (dense_oracle.py)."""
+    import importlib
+    import pkgutil
+
+    gone = {
+        "HoppingMatrix", "hopping_matrix", "hopping_matrix_1d", "hopping_matrix_2d",
+        "diagonalize", "occupied_orbitals", "ground_state_correlation",
+        "block_correlation", "_is_bidiagonal", "_refuse_zero_modes",
+        "_zero_mode_policy",
+    }
+    modules = [rainbow_lab] + [
+        importlib.import_module(f"rainbow_lab.{info.name}")
+        for info in pkgutil.iter_modules(rainbow_lab.__path__)
+    ]
+    assert len(modules) > 8
+    for module in modules:
+        assert not gone & set(vars(module)), module.__name__
+    for attr in ("sites", "links", "to_json", "site_index"):
+        assert not hasattr(build_lattice_2d(1, 0.5), attr)
+    for attr in ("zero_modes", "spectral_radius"):
+        assert not hasattr(rainbow_lab.SpectrumResult, attr)

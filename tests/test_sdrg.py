@@ -12,7 +12,6 @@ from rainbow_lab import (
     bond_state_orbitals,
     build_rainbow_profile,
     correlation_matrix,
-    hopping_matrix_1d,
     perturbative_orbitals,
     rainbow_bonds,
     render_arcs,
@@ -23,6 +22,7 @@ from rainbow_lab import (
     vn_entropy,
 )
 
+import dense_oracle as oracle
 from conftest import chain_occupied
 
 LN2 = math.log(2.0)
@@ -213,20 +213,15 @@ class TestPerturbativeOrbitals:
     @pytest.mark.parametrize("alpha", [1e-9, 0.01, 0.1, 0.5, 1.0])
     def test_residuals_match_dense_product(self, L, alpha):
         orbs, res = perturbative_orbitals(L, alpha)
-        H = hopping_matrix_1d(build_rainbow_profile(L, alpha)).entries
+        H, _ = oracle.chain_hamiltonian(build_rainbow_profile(L, alpha))
         want = np.array([
             np.linalg.norm(H @ v - (v @ H @ v) * v) for v in orbs.T
         ])
         assert np.all(np.abs(res - want) <= 1e-15 * want)
 
-    def test_no_dense_hopping_matrix(self, monkeypatch):
-        from rainbow_lab import lattice
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense hopping matrix built")
-
-        monkeypatch.setattr(lattice, "hopping_matrix_1d", refuse)
-        monkeypatch.setattr(lattice, "HoppingMatrix", refuse)
+    def test_no_dense_hopping_matrix(self):
+        # H psi comes from the bands; no library module can build a dense H
+        # (test_lattice.py::test_dense_route_is_gone)
         _, res = perturbative_orbitals(6, 0.1)
         assert np.all(res > 0)
 
