@@ -89,6 +89,38 @@ def parse_range(text: str, integer: bool = False) -> list:
     return vals
 
 
+class UsageError(ValueError):
+    """A command line the parser refuses: unknown or missing flags, or a
+    flag value its type rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2, so
+    ``main`` reports a bad command line as the JSON error record like any
+    other domain error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _flag(convert):
+    """``convert`` as an argparse type that keeps its ValueError's message
+    (argparse would say only "invalid <lambda> value")."""
+
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_range = _flag(parse_range)
+_int_range = _flag(lambda t: parse_range(t, integer=True))
+_orders = _flag(lambda t: [float(x) for x in t.split(",")])
+
+
 def _geometry_values(args) -> tuple:
     """(flag name, its value or values) for whichever geometry flag was given."""
     given = [name for name in ("alpha", "h", "z") if getattr(args, name) is not None]
@@ -484,13 +516,13 @@ def _add_geometry(p, sweep_z=False):
     p.add_argument("--alpha", type=float, help="decay parameter in (0, 1]")
     p.add_argument("--h", type=float, help="decay rate h = -2 ln(alpha)")
     if sweep_z:
-        p.add_argument("--z", type=lambda t: parse_range(t), help="z value or range start:stop:step")
+        p.add_argument("--z", type=_range, help="z value or range start:stop:step")
     else:
         p.add_argument("--z", type=float, help="deformation z = h L")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rainbow-lab",
         description="rainbow free-fermion chains: spectra, entanglement, fits",
     )
@@ -523,39 +555,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = new("velocity-scan", "Fermi velocity a(z) vs the closed form", cmd_velocity_scan)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--z", type=lambda t: parse_range(t), required=True)
+    p.add_argument("--z", type=_range, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv"], default="csv")
 
     p = new("validity-map", "many-body overlap of the continuum state", cmd_validity_map)
-    p.add_argument("--L", type=lambda t: parse_range(t, integer=True), required=True)
-    p.add_argument("--z", type=lambda t: parse_range(t), required=True)
+    p.add_argument("--L", type=_int_range, required=True)
+    p.add_argument("--z", type=_range, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--contour-out")
     p.add_argument("--format", choices=["csv"], default="csv")
 
     p = new("entropy-scan", "Renyi entropies over blocks or grids", cmd_entropy_scan)
-    p.add_argument("--L", type=lambda t: parse_range(t, integer=True), required=True)
-    p.add_argument("--alpha", type=lambda t: parse_range(t))
-    p.add_argument("--h", type=lambda t: parse_range(t))
-    p.add_argument("--z", type=lambda t: parse_range(t))
+    p.add_argument("--L", type=_int_range, required=True)
+    p.add_argument("--alpha", type=_range)
+    p.add_argument("--h", type=_range)
+    p.add_argument("--z", type=_range)
     p.add_argument("--blocks", choices=["half", "boundary"], default="half")
-    p.add_argument("--orders", type=lambda t: [float(x) for x in t.split(",")],
-                   default=[1.0])
+    p.add_argument("--orders", type=_orders, default=[1.0])
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv"], default="csv")
 
     p = new("renyi-fit", "fit the half-chain Renyi ansatz per (n, z)", cmd_renyi_fit)
-    p.add_argument("--L", type=lambda t: parse_range(t, integer=True), required=True)
-    p.add_argument("--z", type=lambda t: parse_range(t), required=True)
-    p.add_argument("--orders", type=lambda t: [float(x) for x in t.split(",")],
-                   default=[1.0, 2.0, 3.0, 4.0])
+    p.add_argument("--L", type=_int_range, required=True)
+    p.add_argument("--z", type=_range, required=True)
+    p.add_argument("--orders", type=_orders, default=[1.0, 2.0, 3.0, 4.0])
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = new("es-collapse", "entanglement spectrum rescaled by z/(2 pi^2)", cmd_es_collapse)
-    p.add_argument("--L", type=lambda t: parse_range(t, integer=True), required=True)
-    p.add_argument("--z", type=lambda t: parse_range(t), required=True)
+    p.add_argument("--L", type=_int_range, required=True)
+    p.add_argument("--z", type=_range, required=True)
     p.add_argument("--levels", type=int, default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv"], default="csv")
@@ -569,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json"], default="json")
 
     p = new("entropy-2d", "left-half entropy of the 2D lattice vs size", cmd_entropy_2d)
-    p.add_argument("--L", type=lambda t: parse_range(t, integer=True), required=True)
-    p.add_argument("--alpha", type=lambda t: parse_range(t), required=True)
+    p.add_argument("--L", type=_int_range, required=True)
+    p.add_argument("--alpha", type=_range, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fit-out")
     p.add_argument("--format", choices=["csv"], default="csv")
@@ -588,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.jobs = _worker_count(args)
         return args.func(args)
     except (ValueError, OSError) as exc:

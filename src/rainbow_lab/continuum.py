@@ -12,6 +12,11 @@ once.  The validity map compares that continuum state with the exact
 ground state, whose occupied orbitals come straight from the chain's
 sublattice SVD (``spectra.occupied_from_svd``), so neither side builds a
 hopping matrix or loops over levels.
+
+Each validity-map point keeps to one BLAS, SciPy's, which the chain solve
+already runs on (the rule of ``spectra``): the QR, the Gram and overlap
+products and the LU of the overlap go through ``scipy.linalg``, and numpy
+keeps the elementwise work.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .lattice import profile_from_z, site_labels
-from .spectra import chain_svd, occupied_from_svd, velocity_scaling
+from .spectra import _dgemm, chain_svd, occupied_from_svd, velocity_scaling
 
 # Below this h the exponentials are evaluated by series limit.
 _H_TINY = 1e-8
@@ -153,13 +159,17 @@ def _full_column_rank(a: np.ndarray) -> bool:
     """matrix_rank(a) == a.shape[1], skipping its SVD for near-orthonormal a.
 
     ||A^T A - I||_F < 1/2 puts every singular value above 1/sqrt(2), far
-    above matrix_rank's tolerance, so the rank can only be full.
+    above matrix_rank's tolerance, so the rank can only be full.  The norm
+    is an elementwise sum: a BLAS dot on numpy's library would wake its
+    thread pool.
     """
-    gram = a.T @ a
+    gram = _dgemm(a.T, a)
     gram[np.diag_indices_from(gram)] -= 1.0
-    if np.linalg.norm(gram) < 0.5:
+    if np.sum(gram * gram) < 0.25:
         return True
-    return np.linalg.matrix_rank(a) == a.shape[1]
+    s = sla.svdvals(a)
+    tol = s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps
+    return np.count_nonzero(s > tol) == a.shape[1]
 
 
 def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
@@ -175,15 +185,18 @@ def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
     if not (_full_column_rank(a) and _full_column_rank(b)):
         warnings.warn("rank-deficient orbital set; overlap is 0", stacklevel=2)
         return 0.0
-    sign, logdet = np.linalg.slogdet(a.T @ b)
-    if sign == 0:
+    lu, _, info = sla.lapack.dgetrf(_dgemm(a.T, b))
+    if info > 0:  # an exact zero pivot: the determinant is 0
         return 0.0
-    return float(np.exp(logdet))
+    return float(np.exp(np.sum(np.log(np.abs(np.diag(lu))))))
 
 
 def continuum_occupied(L: int, h: float) -> np.ndarray:
     """QR-orthonormalized analytic orbitals of the L occupied levels m = -L..-1."""
-    q, _ = np.linalg.qr(_analytic_levels(np.arange(-L, 0), h, L).T)
+    levels = _analytic_levels(np.arange(-L, 0), h, L)
+    # no finiteness scan: where z overflows the levels, validity_map's exact
+    # solve goes on to report the underflowed chain (ZeroModeError)
+    q, _ = sla.qr(levels.T, mode="economic", check_finite=False)
     return q
 
 

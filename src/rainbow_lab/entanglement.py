@@ -12,11 +12,15 @@ M = U S V^T the diagonal blocks of sign H are zero and its off-diagonal
 block is the polar factor U V^T.  A block's nu are therefore
 (1 +- sigma)/2, sigma the singular values of its (row sites x column
 sites) sub-block X of U V^T, plus |n_rows - n_cols| levels at exactly
-1/2 (``polar_block``).  No orbitals or correlation matrix are formed.
+1/2 (``polar_block``).  No orbitals or correlation matrix are formed,
+and X is formed on SciPy's BLAS, the library the solve runs on (the
+one-BLAS rule of ``spectra``).
 The orbital route (``correlation_matrix`` on occupied orbitals) serves
 the chain's entanglement-spectrum collapse and the bond-state check; the
 tests keep the dense correlation-matrix method of Peschel, J. Phys. A 36
-L205 (2003), as the oracle for both.
+L205 (2003), as the oracle for both.  It is the rule's one exception: its
+product and eigensolver stay on numpy, because the es-collapse reference
+records nu = 1/2 labels that depend on numpy's rounding.
 
 The brute-force route expands the full many-body state (small N only),
 bipartitions the amplitude matrix and takes singular values; it shares
@@ -40,6 +44,7 @@ from .spectra import (
     NumericsError,
     SublatticeSVD,
     ZeroModeError,
+    _dgemm,
     chain_svd,
     lattice_svd,
 )
@@ -179,9 +184,10 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> PolarBl
     """Spectrum of a half-filled block from the sublattice SVD.
 
     X = U[rows] V^T[:, cols] with rows (cols) the block's sites on the
-    rows (columns) of M, read from the SVD's site map; sigma are the
-    singular values of X, taken directly rather than from X X^T, whose
-    squaring would lose the small sigma that set nu near 1/2.
+    rows (columns) of M, read from the SVD's site map, and formed on SciPy's
+    BLAS like the solve itself; sigma are the singular values of X, taken
+    directly rather than from X X^T, whose squaring would lose the small
+    sigma that set nu near 1/2.
 
     zero_modes picks the filling policy when singular values sit within
     ``svd.zero_tol`` of zero (e.g. the uniform 2D lattice):
@@ -209,8 +215,21 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> PolarBl
     on_rows = svd.sublattice[sites] == 0
     rows = svd.index[sites[on_rows]]
     cols = svd.index[sites[~on_rows]]
-    x = svd.u[np.ix_(rows, keep)] @ svd.vt[np.ix_(keep, cols)]
-    return PolarBlock(block=block, sigma=svdvals(x), n_half=abs(rows.size - cols.size))
+    u = svd.u[_as_slice(rows)]
+    vt = svd.vt[:, _as_slice(cols)]
+    if keep.size < svd.s.size:
+        u, vt = u[:, keep], vt[keep]
+    return PolarBlock(
+        block=block, sigma=svdvals(_dgemm(u, vt)), n_half=abs(rows.size - cols.size)
+    )
+
+
+def _as_slice(index: np.ndarray):
+    """A run of consecutive ascending indices as a slice, which reads a view
+    instead of copying; any other index array as it is."""
+    if index.size and (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
 
 def _checked_orders(orders) -> list:

@@ -25,6 +25,15 @@ forms the hopping matrix.  Entanglement needs nothing more than their
 ``SublatticeSVD`` (see ``entanglement.polar_block``), and the outputs that
 are orbitals take them from it: ``occupied_from_svd`` assembles the
 occupied columns at half filling and ``spectrum_from_svd`` all levels.
+
+One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
+each with its own thread pool, and every solve here runs on SciPy's.  So
+the dense products and factorizations of a point go through SciPy too
+(``_dgemm``, ``scipy.linalg``); numpy keeps the elementwise work.  A numpy
+product right after a solve wakes the second pool, and the two pools then
+compete for the same cores.  The exception is es-collapse's orbital route
+(``entanglement.correlation_matrix`` and ``CorrelationMatrix.eigenvalues``),
+whose reference records nu = 1/2 labels that depend on numpy's rounding.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import cython_lapack
+from scipy.linalg import blas, cython_lapack
 
 from .lattice import CouplingProfile, Lattice2D, lattice_links
 
@@ -178,6 +187,24 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
     return vt_buf, s, u_buf
 
 
+def _blas_operand(m: np.ndarray):
+    """m^T as a dgemm operand and its transpose flag: (m^T, 0), or (m, 1)
+    for an F-ordered m.  Neither is a copy; a strided m is copied C-ordered,
+    as numpy's product would copy it."""
+    if m.flags.f_contiguous and not m.flags.c_contiguous:
+        return m, 1
+    return m.T, 0
+
+
+def _dgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on SciPy's BLAS, as (b^T a^T)^T: the call numpy's row-major
+    product makes, so a matrix-matrix product keeps numpy's bits wherever
+    the two OpenBLAS builds share their kernels."""
+    first, trans_first = _blas_operand(b)
+    second, trans_second = _blas_operand(a)
+    return blas.dgemm(1.0, first, second, trans_a=trans_first, trans_b=trans_second).T
+
+
 def _graded(*bands: np.ndarray) -> bool:
     """True when the nonzero couplings span more than ten decades, where
     divide and conquer no longer guarantees relative accuracy."""
@@ -268,8 +295,8 @@ def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
     u, vt = v2t.T, u2.T
     # |H psi - E psi| of psi = (u, +-v)/sqrt(2), from the two half blocks
     residual = max(
-        float(np.max(np.abs(block @ vt.T - u * s))),
-        float(np.max(np.abs(block.T @ u - vt.T * s))),
+        float(np.max(np.abs(_dgemm(block, vt.T) - u * s))),
+        float(np.max(np.abs(_dgemm(block.T, u) - vt.T * s))),
     )
     residual = _certify(residual / np.sqrt(2.0), s)
     zero_tol = ZERO_MODE_TOL * max(float(s[0]), 1.0)

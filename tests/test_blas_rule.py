@@ -1,0 +1,98 @@
+"""One BLAS per sweep point: the per-point pipelines run their dense
+products and factorizations on SciPy's OpenBLAS, the library every solve
+runs on, and never call numpy's, whose separate thread pool would compete
+with SciPy's for the same cores."""
+
+import ast
+import inspect
+import textwrap
+
+import numpy as np
+import pytest
+
+from rainbow_lab import continuum, entanglement, spectra
+from rainbow_lab.spectra import _dgemm
+
+PER_POINT = [
+    entanglement.polar_block,
+    spectra._chain_solve,
+    spectra._dense_svd,
+    continuum.continuum_occupied,
+    continuum.slater_overlap,
+    continuum._full_column_rank,
+]
+
+# Every function of the per-point modules that does call numpy's BLAS.
+NUMPY_BLAS_USERS = {
+    # the named exception, es-collapse's orbital route: the chain-collapse
+    # reference records nu = 1/2 labels that depend on numpy's rounding
+    "entanglement.correlation_matrix",
+    "entanglement.CorrelationMatrix.eigenvalues",
+    # row norms taken as np.linalg.norm takes them, so the wavefunction
+    # artifact prints its samples bitwise; one dot of 2L samples per level
+    "continuum._analytic_levels",
+    # once per command or per tiny fit, not on a sweep point's dense work
+    "continuum.wavefunction_overlap",
+    "entanglement.brute_force_block_entropy",
+    "spectra.fermi_velocity_fit",
+}
+
+
+def numpy_blas_calls(node) -> list:
+    """The expressions under `node` that run numpy's BLAS or LAPACK: `@`,
+    np.dot, a .dot method and np.linalg calls (not its exception classes)."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult):
+            found.append(ast.unparse(sub))
+        elif isinstance(sub, ast.Call):
+            name = ast.unparse(sub.func)
+            if (name == "np.dot" or name.endswith(".dot")
+                    or (name.startswith("np.linalg.") and not name.endswith("Error"))):
+                found.append(ast.unparse(sub))
+    return found
+
+
+def _functions(tree, prefix):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+
+
+@pytest.mark.parametrize("func", PER_POINT, ids=lambda f: f.__qualname__)
+def test_per_point_function_uses_no_numpy_blas(func):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    assert numpy_blas_calls(tree) == []
+
+
+def test_numpy_blas_users_are_named():
+    users = set()
+    for module in (spectra, entanglement, continuum):
+        short = module.__name__.rpartition(".")[2]
+        for name, node in _functions(ast.parse(inspect.getsource(module)), short + "."):
+            if numpy_blas_calls(node):
+                users.add(name)
+    assert users == NUMPY_BLAS_USERS
+
+
+@pytest.mark.parametrize("order_a", "CFS")
+@pytest.mark.parametrize("order_b", "CFS")
+def test_dgemm_keeps_numpys_bits(order_a, order_b, rng):
+    # S: a strided view, which numpy's product and dgemm both read C-ordered
+    def operand(rows, cols, order):
+        if order == "S":
+            return rng.normal(size=(rows, 2 * cols))[:, ::2]
+        return np.asarray(rng.normal(size=(rows, cols)), order=order)
+
+    a, b = operand(70, 90, order_a), operand(90, 40, order_b)
+    assert np.array_equal(_dgemm(a, b), a @ b)
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [((3, 0), (0, 4)), ((0, 5), (5, 2)),
+                                             ((2, 5), (5, 0))])
+def test_dgemm_empty(shape_a, shape_b):
+    got = _dgemm(np.ones(shape_a), np.ones(shape_b))
+    assert got.shape == (shape_a[0], shape_b[1])
+    assert not got.any()

@@ -48,11 +48,36 @@ class TestParseRange:
         ["validity-map", "--L", "50:10:50", "--z", "0:1:0.5"],
         ["entropy-scan", "--L", "10", "--z", "1:inf:1"],
     ], ids=["inverted-z", "inverted-L", "inverted-map", "infinite"])
-    def test_bad_range_exits_2_without_artifact(self, tmp_path, argv):
+    def test_bad_range_exits_2_without_artifact(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--out", str(out)])
-        assert exc.value.code == 2
+        assert main([*argv, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestBadCommandLine:
+    """A command line the parser refuses exits 2 with the JSON error record
+    on stderr, and nothing else there, like every other domain error."""
+
+    @pytest.mark.parametrize("argv,expect", [
+        (["velocity-scan", "--L", "5", "--z", "0:1:0"], "--z: range step must be positive"),
+        (["velocity-scan", "--L", "abc", "--z", "0:1:1"], "--L"),
+        (["renyi-fit", "--L", "20:25:0.5", "--z", "0"], "--L: non-integer value"),
+        (["entropy-scan", "--L", "10", "--z", "1", "--orders", "1,x"], "--orders"),
+        (["entropy-2d", "--L", "8", "--alpha", "0.5", "--jobs", "two"], "--jobs"),
+        (["es-collapse", "--L", "60"], "--z"),
+        (["spectrum", "--L", "10", "--z", "1", "--nope", "3"], "--nope"),
+        (["bogus"], "bogus"),
+    ], ids=["zero-step", "non-integer-L", "fractional-int-range", "bad-order",
+            "bad-jobs", "missing-flag", "unknown-flag", "unknown-command"])
+    def test_json_record_exit_2(self, tmp_path, capsys, argv, expect):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "UsageError"
+        assert expect in err["message"]
         assert list(tmp_path.iterdir()) == []
 
 
@@ -83,6 +108,29 @@ class TestVelocityScan:
         main(["velocity-scan", "--L", "30", "--z", "0:2:0.5", "--out", str(b),
               "--jobs", "2"])
         assert read_csv(a)[1] == read_csv(b)[1]
+
+
+class TestJobsAtThreadedSizes:
+    """--jobs 1 and 2 give the same data rows at sizes where BLAS itself
+    runs threaded: chains of 800 sites and more, lattices up to L = 16 (the
+    alpha = 1 one with its zero modes) and the validity map up to L = 200."""
+
+    @pytest.mark.parametrize("argv", [
+        ["renyi-fit", "--L", "400:405:1", "--z", "0:4:4", "--orders", "1,2"],
+        ["entropy-2d", "--L", "8:16:2", "--alpha", "0.5:1:0.5"],
+        ["validity-map", "--L", "100:200:100", "--z", "0:1:0.5"],
+    ], ids=["renyi-fit", "entropy-2d", "validity-map"])
+    def test_rows_identical(self, tmp_path, argv):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*argv, "--out", str(a), "--jobs", "1"]) == 0
+        assert main([*argv, "--out", str(b), "--jobs", "2"]) == 0
+        rows = read_csv(a)[1]
+        assert rows
+        assert rows == read_csv(b)[1]
+        if argv[0] == "entropy-2d":
+            fits = [json.loads((tmp_path / f"{x}_fits.json").read_text())["data"]
+                    for x in "ab"]
+            assert fits[0] == fits[1]
 
 
 class TestGeometryFlags:

@@ -347,6 +347,26 @@ class TestPolarRoute:
             b = polar_block(svd, block, zero_modes="half").eigenvalues()
             assert np.max(np.abs(a - b)) <= 1e-12
 
+    def test_slices_match_the_indexed_product(self):
+        # contiguous sites are read as slices and keep applies only when a
+        # zero mode drops out; sigma stays that of the np.ix_ product
+        from scipy.linalg import svdvals
+
+        with pytest.warns(RuntimeWarning):
+            underflowed = chain_svd(profile_from_z(10, 2000.0))
+        chain = chain_svd(profile_from_z(40, 3.0))
+        lat = build_lattice_2d(4, 1.0)
+        cases = [(chain, range(40)), (chain, range(11, 34)), (underflowed, range(10)),
+                 (lattice_svd(lat), lat.left_half())]
+        for svd, block in cases:
+            sites = np.asarray(list(block))
+            on_rows = svd.sublattice[sites] == 0
+            rows, cols = svd.index[sites[on_rows]], svd.index[sites[~on_rows]]
+            keep = np.nonzero(svd.s > svd.zero_tol)[0]
+            want = svdvals(svd.u[np.ix_(rows, keep)] @ svd.vt[np.ix_(keep, cols)])
+            got = polar_block(svd, block, zero_modes="half").sigma
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("block", [[], [1, 1], [-1, 0], [0, 20]])
     def test_bad_blocks_rejected(self, block):
         svd = chain_svd(profile_from_z(10, 1.0))
