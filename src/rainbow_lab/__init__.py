@@ -2,9 +2,11 @@
 
 Builds the couplings of inhomogeneous hopping chains and the links of
 their 2D extension, solves both through the SVD of the sublattice block
-(no dense hopping matrix is formed), computes ground-state entanglement
-exactly from its polar factor, and checks the continuum/CFT predictions
-for spectra, wavefunctions, entropies and the entanglement spectrum.
+(no dense hopping matrix is formed), whose singular values are the levels
++-s, computes ground-state entanglement exactly from its polar factor, and
+checks the continuum/CFT predictions for spectra, wavefunctions, entropies
+and the entanglement spectrum.  Orbital matrices are assembled from the
+same SVD only for the outputs that print them.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +21,6 @@ from .lattice import (
 )
 from .spectra import (
     FermiVelocityEstimate,
-    SpectrumResult,
     SublatticeSVD,
     ZeroModeError,
     chain_svd,
@@ -27,8 +28,8 @@ from .spectra import (
     fermi_velocity_fit,
     lattice_svd,
     occupied_from_svd,
+    orbitals_from_svd,
     site_occupations,
-    spectrum_from_svd,
     velocity_scaling,
 )
 from .continuum import (

@@ -46,9 +46,9 @@ from .spectra import (
     fermi_velocity_fit,
     lattice_svd,
     occupied_from_svd,
+    orbitals_from_svd,
     save_orbitals,
     site_occupations,
-    spectrum_from_svd,
     spectrum_rows,
 )
 
@@ -206,11 +206,11 @@ def _write_json(path, args, payload) -> None:
 # ----------------------------------------------------------------- commands
 
 def cmd_spectrum(args) -> int:
-    spec = spectrum_from_svd(chain_svd(_profile_for(args.L, args)))
-    rows = list(spectrum_rows(spec))
+    svd = chain_svd(_profile_for(args.L, args))
+    rows = list(spectrum_rows(svd))
     _write_csv(args.out, _csv_header(args, ("m", "energy")), rows)
     if args.orbitals:
-        save_orbitals(spec, args.orbitals)
+        save_orbitals(orbitals_from_svd(svd), args.orbitals)
     return 0
 
 
@@ -219,8 +219,7 @@ def cmd_wavefunction(args) -> int:
     m = args.m
     if not -args.L <= m <= args.L - 1:
         raise ValueError(f"--m must lie in [{-args.L}, {args.L - 1}], got {m}")
-    spec = spectrum_from_svd(chain_svd(profile))
-    exact = spec.orbitals[:, args.L + m]
+    exact = orbitals_from_svd(chain_svd(profile))[:, args.L + m]
     ana = analytic_wavefunction(m, profile.h, args.L).components
     if exact @ ana < 0:  # global eigenvector sign is arbitrary; align for plots
         exact = -exact
@@ -236,9 +235,9 @@ def cmd_velocity_scan(args) -> int:
     L = args.L
 
     def one(z):
-        spec = spectrum_from_svd(chain_svd(profile_from_z(L, z)))
-        est = fermi_velocity(spec, L, z)
-        fit = fermi_velocity_fit(spec, L, z)
+        svd = chain_svd(profile_from_z(L, z))
+        est = fermi_velocity(svd, L, z)
+        fit = fermi_velocity_fit(svd, L, z)
         return (z, est.a_numeric, fit.a_numeric, est.a_analytic)
 
     rows = _sweep(one, args.z, args.jobs)
@@ -305,11 +304,13 @@ def cmd_entropy_scan(args) -> int:
 
 
 def cmd_renyi_fit(args) -> int:
-    from .fitting import fit_renyi_halfchain
+    from .fitting import MIN_RENYI_SIZES, fit_renyi_halfchain
 
     sizes = args.L
-    if len(sizes) < 6:
-        raise ValueError("need at least 6 sizes for the three-parameter fit")
+    if len(sizes) < MIN_RENYI_SIZES:
+        raise ValueError(
+            f"need at least {MIN_RENYI_SIZES} sizes for the three-parameter fit"
+        )
     if len({L % 2 for L in sizes}) < 2:
         raise ValueError("sizes must mix even and odd L for the oscillation term")
     orders = _checked_orders(args.orders)  # before any solve

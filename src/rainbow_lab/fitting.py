@@ -8,9 +8,8 @@ volume/log/constant fit.  No nonlinear optimizer anywhere.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,31 +25,17 @@ class RankDeficientError(ValueError):
 class FitResult:
     """Least-squares solution of a named linear model.
 
-    chi2 is the unnormalized sum of squared residuals; covariance is the
-    unscaled (X^T X)^{-1} of the design (multiply by chi2/dof for the
-    usual parameter covariance estimate).
+    chi2 is the unnormalized sum of squared residuals.
     """
 
     model: str
     coefficients: dict
     chi2: float
     dof: int
-    covariance: np.ndarray = field(repr=False)
     condition: float = math.nan
 
     def __getitem__(self, name: str) -> float:
         return self.coefficients[name]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model,
-                "coeffs": self.coefficients,
-                "chi2": self.chi2,
-                "dof": self.dof,
-                "condition": self.condition,
-            }
-        )
 
 
 def linear_lsq(design, y, names=None, model: str = "linear") -> FitResult:
@@ -79,13 +64,11 @@ def linear_lsq(design, y, names=None, model: str = "linear") -> FitResult:
     resid = X @ beta - y
     chi2 = float(resid @ resid)
     names = list(names) if names is not None else [f"b{i}" for i in range(cols)]
-    rinv = sla.solve_triangular(r, np.eye(cols))
     return FitResult(
         model=model,
         coefficients={n: float(b) for n, b in zip(names, beta)},
         chi2=chi2,
         dof=rows - cols,
-        covariance=rinv @ rinv.T,
         condition=float(np.linalg.cond(X)),
     )
 
@@ -112,6 +95,10 @@ def fit_central_charge(curve: EntropyCurve, order: float = 1) -> FitResult:
     return linear_lsq(design, values, names=("c", "cprime"), model="central-charge")
 
 
+# Luttinger parameter of free fermions, fixed in every ansatz here.
+LUTTINGER_K = 1.0
+
+
 @dataclass(frozen=True)
 class RenyiAnsatz:
     """Half-chain Renyi scaling basis at fixed order n (Luttinger K = 1):
@@ -120,7 +107,6 @@ class RenyiAnsatz:
     """
 
     n: float
-    K: float = 1.0
 
     def design(self, sizes) -> np.ndarray:
         L = np.asarray(sizes, dtype=float)
@@ -128,20 +114,24 @@ class RenyiAnsatz:
             [
                 (1.0 + 1.0 / self.n) / 12.0 * np.log(4.0 * L / np.pi),
                 np.ones_like(L),
-                np.cos(np.pi * L) * (8.0 * L / np.pi) ** (-self.K / self.n),
+                np.cos(np.pi * L) * (8.0 * L / np.pi) ** (-LUTTINGER_K / self.n),
             ]
         )
+
+
+# The three-coefficient Renyi fit refuses fewer sizes than this.
+MIN_RENYI_SIZES = 6
 
 
 def fit_renyi_halfchain(curve: EntropyCurve, n: float, z: float) -> FitResult:
     """Fit the deformed half-chain Renyi ansatz, returning c_n, d_n, f_n.
 
-    Requires at least 6 sizes mixing even and odd L; the oscillation
-    column cannot be identified from a single parity.
+    Requires at least MIN_RENYI_SIZES sizes mixing even and odd L; the
+    oscillation column cannot be identified from a single parity.
     """
     sizes, values = _curve_xy(curve, n)
-    if sizes.size < 6:
-        raise ValueError(f"need at least 6 sizes, got {sizes.size}")
+    if sizes.size < MIN_RENYI_SIZES:
+        raise ValueError(f"need at least {MIN_RENYI_SIZES} sizes, got {sizes.size}")
     parities = {int(L) % 2 for L in sizes}
     if len(parities) < 2:
         raise RankDeficientError(

@@ -186,7 +186,8 @@ def uniform_profile(L: int) -> CouplingProfile:
 
 
 def signed_profile(couplings) -> np.ndarray:
-    """Validate an arbitrary signed coupling list for an even-length chain."""
+    """Validate an arbitrary signed coupling list for an even-length chain:
+    ValueError unless every coupling is finite and nonzero."""
     c = np.asarray(couplings, dtype=float)
     if c.ndim != 1 or c.size < 1:
         raise ValueError("couplings must be a non-empty 1D sequence")
@@ -194,6 +195,9 @@ def signed_profile(couplings) -> np.ndarray:
         raise ValueError(
             f"{c.size} links means an odd number of sites; need an even chain"
         )
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise ValueError(f"couplings must be finite; coupling {bad[0]} is {c[bad[0]]}")
     if np.any(c == 0.0):
         raise ValueError("zero couplings disconnect the chain")
     return c

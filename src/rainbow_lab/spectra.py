@@ -22,9 +22,11 @@ all; the dense block of the 2D lattice goes to ``scipy.linalg.svd``.
 certifies the SVD with a residual taken on the bands; ``lattice_svd``
 scatters the lattice's links straight into its dense block M.  Neither
 forms the hopping matrix.  Entanglement needs nothing more than their
-``SublatticeSVD`` (see ``entanglement.polar_block``), and the outputs that
-are orbitals take them from it: ``occupied_from_svd`` assembles the
-occupied columns at half filling and ``spectrum_from_svd`` all levels.
+``SublatticeSVD`` (see ``entanglement.polar_block``), and neither do the
+spectral outputs: the levels are ``SublatticeSVD.energies``, the ``+-s``
+pairs.  The outputs that are orbitals assemble them from the same SVD:
+``occupied_from_svd`` the occupied columns at half filling and
+``orbitals_from_svd`` all levels.
 
 One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
 each with its own thread pool, and every solve here runs on SciPy's.  So
@@ -58,28 +60,6 @@ class NumericsError(RuntimeError):
 
 class ZeroModeError(NumericsError):
     """Half filling is ambiguous because single-particle zero modes exist."""
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a hopping matrix.
-
-    ``orbitals[:, k]`` is the unit eigenvector with energy ``energies[k]``.
-    ``residual`` is the largest ``|H psi - E psi|`` over all columns.
-    ``zero_tol`` is the absolute threshold below which a level counts as a
-    zero mode; bidiagonal-SVD spectra (1D chains) carry relative accuracy,
-    so for them only exact zeros qualify and zero_tol is 0; otherwise it
-    is ZERO_MODE_TOL times the spectral radius (at least 1).
-    """
-
-    energies: np.ndarray = field(repr=False)
-    orbitals: np.ndarray = field(repr=False)
-    residual: float
-    zero_tol: float
-
-    @property
-    def dim(self) -> int:
-        return self.energies.size
 
 
 @dataclass(frozen=True)
@@ -237,8 +217,15 @@ class SublatticeSVD:
 
     Site i sits on sublattice ``sublattice[i]`` (0 or 1) and is row
     ``index[i]`` of M (sublattice 0) or column ``index[i]`` (sublattice 1);
-    each sublattice keeps site order.  ``s`` is descending; ``residual``
-    and ``zero_tol`` are as in SpectrumResult.
+    each sublattice keeps site order.  ``s`` is descending.
+
+    The hopping matrix's levels are ``energies`` (ascending), with orbitals
+    ``(u_p, -+v_p)/sqrt(2)`` (``orbitals_from_svd``).  ``residual`` is the
+    largest ``|H psi - E psi|`` over those orbitals.  ``zero_tol`` is the
+    absolute threshold below which a level counts as a zero mode:
+    bidiagonal SVDs (1D chains) carry relative accuracy, so only exact
+    zeros qualify and zero_tol is 0; otherwise it is ZERO_MODE_TOL times
+    the spectral radius (at least 1).
     """
 
     u: np.ndarray = field(repr=False)
@@ -251,6 +238,11 @@ class SublatticeSVD:
 
     def __post_init__(self):
         object.__setattr__(self, "index", _site_index(self.sublattice))
+
+    @property
+    def energies(self) -> np.ndarray:
+        """All levels ``-s`` then ``+s``, ascending."""
+        return np.concatenate([-self.s, self.s[::-1]])
 
 
 def _chain_solve(d: np.ndarray, e: np.ndarray, sublattice) -> SublatticeSVD:
@@ -369,15 +361,10 @@ def _orbitals(svd: SublatticeSVD, occupied_only: bool) -> np.ndarray:
     return _fix_phases(orbitals)
 
 
-def spectrum_from_svd(svd: SublatticeSVD) -> SpectrumResult:
-    """Full spectrum from a sublattice SVD, for the outputs that are
-    orbitals or energies; no hopping matrix is built."""
-    return SpectrumResult(
-        energies=np.concatenate([-svd.s, svd.s[::-1]]),
-        orbitals=_orbitals(svd, occupied_only=False),
-        residual=svd.residual,
-        zero_tol=svd.zero_tol,
-    )
+def orbitals_from_svd(svd: SublatticeSVD) -> np.ndarray:
+    """All orbitals, sign-fixed, column k with the level ``svd.energies[k]``;
+    a (dim)^2 array, for the outputs that print orbitals."""
+    return _orbitals(svd, occupied_only=False)
 
 
 def occupied_from_svd(svd: SublatticeSVD) -> np.ndarray:
@@ -404,17 +391,18 @@ def site_occupations(occ: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ik->i", occ, occ)
 
 
-def fermi_velocity(spec: SpectrumResult, L: int, z: float) -> FermiVelocityEstimate:
+def fermi_velocity(svd: SublatticeSVD, L: int, z: float) -> FermiVelocityEstimate:
     """Fermi velocity from the single gap across the Fermi point.
 
     The spectrum near the Fermi point is E_m = a(z) pi (m + 1/2) / (2L),
     so the gap between the first level above and the first below rescaled
     by 2L/pi estimates a(z) with the least band-curvature contamination.
     """
-    if spec.dim < 4:
-        raise ValueError(f"need at least 4 levels, got {spec.dim}")
-    half = spec.dim // 2
-    gap = spec.energies[half] - spec.energies[half - 1]
+    energies = svd.energies
+    if energies.size < 4:
+        raise ValueError(f"need at least 4 levels, got {energies.size}")
+    half = energies.size // 2
+    gap = energies[half] - energies[half - 1]
     return FermiVelocityEstimate(
         z=z,
         a_numeric=float(gap * 2 * L / np.pi),
@@ -423,35 +411,36 @@ def fermi_velocity(spec: SpectrumResult, L: int, z: float) -> FermiVelocityEstim
 
 
 def fermi_velocity_fit(
-    spec: SpectrumResult, L: int, z: float, m_max: int = 4
+    svd: SublatticeSVD, L: int, z: float, m_max: int = 4
 ) -> FermiVelocityEstimate:
     """Cross-check: slope of E_m vs pi(m+1/2)/(2L) fitted over |m| <= m_max."""
-    half = spec.dim // 2
+    energies = svd.energies
+    half = energies.size // 2
     if half <= m_max:
         raise ValueError(f"need more than {m_max} levels per branch")
     ms = np.arange(-m_max, m_max + 1)
     x = np.pi * (ms + 0.5) / (2 * L)
-    y = spec.energies[half + ms]
+    y = energies[half + ms]
     slope = float(np.dot(x, y) / np.dot(x, x))
     return FermiVelocityEstimate(
         z=z, a_numeric=slope, a_analytic=float(velocity_scaling(z))
     )
 
 
-def spectrum_rows(spec: SpectrumResult):
+def spectrum_rows(svd: SublatticeSVD):
     """(m, energy) pairs with m counted from the Fermi point (m=0 first above)."""
-    half = spec.dim // 2
-    for idx in range(spec.dim):
-        yield idx - half, float(spec.energies[idx])
+    half = svd.s.size
+    for idx, energy in enumerate(svd.energies):
+        yield idx - half, float(energy)
 
 
-def save_orbitals(spec: SpectrumResult, path) -> None:
+def save_orbitals(orbitals: np.ndarray, path) -> None:
     """Binary dump: two little-endian uint64 (rows, cols), then the orbital
     matrix row-major as little-endian float64."""
-    rows, cols = spec.orbitals.shape
+    rows, cols = orbitals.shape
     with open(path, "wb") as fh:
         fh.write(np.asarray([rows, cols], dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(spec.orbitals, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(orbitals, dtype="<f8").tobytes())
 
 
 def load_orbitals(path) -> np.ndarray:

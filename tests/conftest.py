@@ -11,14 +11,13 @@ from rainbow_lab import (
     correlation_matrix,
     occupied_from_svd,
     profile_from_z,
-    spectrum_from_svd,
 )
 
 
 @lru_cache(maxsize=None)
 def chain_spectrum(L: int, alpha: float = None, z: float = None):
     profile = build_rainbow_profile(L, alpha) if alpha is not None else profile_from_z(L, z)
-    return profile, spectrum_from_svd(chain_svd(profile))
+    return profile, chain_svd(profile)
 
 
 @lru_cache(maxsize=None)

@@ -48,50 +48,48 @@ def sublattice_block(m, sublattice):
 
 
 def diagonalize(m, sublattice):
-    """Full spectrum of a dense bipartite hopping matrix.
+    """The sublattice SVD of a dense bipartite hopping matrix.
 
     A bidiagonal sublattice block (a chain) goes to the solve of
-    ``chain_svd``, any other to that of ``lattice_svd``, and the levels are
-    assembled by ``spectrum_from_svd``: the result is bitwise that of the
-    shipped route on the same couplings.
+    ``chain_svd``, any other to that of ``lattice_svd``: the result is
+    bitwise that of the shipped route on the same couplings.
     """
     block = sublattice_block(m, sublattice)
     on_band = np.count_nonzero(np.diagonal(block)) + np.count_nonzero(
         np.diagonal(block, -1)
     )
     if np.count_nonzero(block) == on_band:
-        svd = spectra._chain_solve(np.diagonal(block), np.diagonal(block, -1), sublattice)
-    else:
-        svd = spectra._dense_svd(block, sublattice)
-    return spectra.spectrum_from_svd(svd)
+        return spectra._chain_solve(np.diagonal(block), np.diagonal(block, -1), sublattice)
+    return spectra._dense_svd(block, sublattice)
 
 
-def zero_modes(spec):
-    """Boolean mask of the levels within ``spec.zero_tol`` of zero."""
-    return np.abs(spec.energies) <= spec.zero_tol
+def zero_modes(svd):
+    """Boolean mask of the levels within ``svd.zero_tol`` of zero."""
+    return np.abs(svd.energies) <= svd.zero_tol
 
 
-def occupied(spec):
+def occupied(svd):
     """The dim/2 negative-energy orbitals of the half-filled ground state;
     ZeroModeError, with ``occupied_from_svd``'s message, on zero modes."""
-    count = int(np.count_nonzero(zero_modes(spec)))
+    count = int(np.count_nonzero(zero_modes(svd)))
     if count:
         raise spectra.ZeroModeError(
             f"{count} single-particle zero modes; "
             "half filling is ambiguous, choose an explicit filling policy"
         )
-    return spec.orbitals[:, : spec.dim // 2].copy()
+    return spectra.orbitals_from_svd(svd)[:, : svd.s.size].copy()
 
 
-def correlation(spec):
+def correlation(svd):
     """Full ground-state correlation matrix at half filling, the zero
     shell at density 1/2: C = P(E<0) + P(E=0)/2."""
-    zero = zero_modes(spec)
+    energies, orbitals = svd.energies, spectra.orbitals_from_svd(svd)
+    zero = zero_modes(svd)
     if not np.any(zero):
-        occ = spec.orbitals[:, : spec.dim // 2]
+        occ = orbitals[:, : svd.s.size]
         return occ @ occ.T
-    neg = spec.orbitals[:, (spec.energies < 0) & ~zero]
-    shell = spec.orbitals[:, zero]
+    neg = orbitals[:, (energies < 0) & ~zero]
+    shell = orbitals[:, zero]
     return neg @ neg.T + 0.5 * (shell @ shell.T)
 
 

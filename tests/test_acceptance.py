@@ -42,7 +42,6 @@ from rainbow_lab import (
     sdrg_run,
     site_occupations,
     slater_amplitudes,
-    spectrum_from_svd,
     vn_entropy,
     write_ppm,
 )
@@ -85,8 +84,7 @@ def test_criterion_1_fermi_velocity():
     L = 500
     worst = 0.0
     for z in (0.5, 1.0, 2.0, 4.0):
-        spec = spectrum_from_svd(chain_svd(profile_from_z(L, z)))
-        est = fermi_velocity(spec, L, z)
+        est = fermi_velocity(chain_svd(profile_from_z(L, z)), L, z)
         worst = max(worst, abs(est.a_numeric / est.a_analytic - 1))
     elapsed = time.time() - t0
     ok = worst < 0.02 and elapsed < 10.0

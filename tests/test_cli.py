@@ -284,6 +284,24 @@ class TestRenyiFit:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_too_few_sizes_rejected_before_solving(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from rainbow_lab import cli
+        from rainbow_lab.fitting import MIN_RENYI_SIZES
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the size check")
+
+        monkeypatch.setattr(cli, "chain_svd", refuse)
+        out = tmp_path / "x.csv"
+        stop = 20 + MIN_RENYI_SIZES - 2
+        rc = main(["renyi-fit", "--L", f"20:{stop}:1", "--z", "0", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message":
+                       "need at least 6 sizes for the three-parameter fit"}
+        assert not out.exists()
+
     def test_jobs_do_not_change_output(self, tmp_path):
         # z = 30 passes the 1e10 coupling ratio, so both SVD routines run
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -401,6 +419,24 @@ class TestChainCommandsBuildNoHoppingMatrix:
         assert main([a.format(d=tmp_path) for a in argv]) == 0
 
 
+class TestSpectralCommandsFormNoOrbitals:
+    """The commands that print only levels read them off the singular
+    values; only the orbital dump assembles the orbital matrix."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--L", "12", "--z", "2", "--out", "{d}/s.csv"],
+        ["velocity-scan", "--L", "20", "--z", "0:2:1", "--out", "{d}/v.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_succeeds_without_the_orbital_assembly(self, tmp_path, monkeypatch, argv):
+        from rainbow_lab import spectra
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbitals assembled")
+
+        monkeypatch.setattr(spectra, "_orbitals", refuse)
+        assert main([a.format(d=tmp_path) for a in argv]) == 0
+
+
 class TestSdrgCommand:
     def test_rainbow_json(self, tmp_path, capsys):
         out = tmp_path / "bonds.json"
@@ -417,6 +453,16 @@ class TestSdrgCommand:
         assert rc == 0
         data = json.loads(out.read_text())
         assert [b[:2] for b in data["bonds"]] == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("couplings", ["1,inf,1", "1,2,1e400", "nan", "1,nan,1"])
+    def test_non_finite_couplings_exit_2(self, tmp_path, capsys, couplings):
+        out = tmp_path / "bonds.json"
+        rc = main(["sdrg", "--couplings", couplings, "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "must be finite" in err["message"]
+        assert not out.exists()
 
 
 class TestEntropy2D:
@@ -510,3 +556,36 @@ class TestValidate:
         assert rc == 0
         assert "FAIL" not in out
         assert "oracle equivalence" in out
+
+
+class TestFiguresCommands:
+    """Every command of FIGURES.md's table parses, together with the flags
+    its Artifacts column names (``--format json``, ``--amplitudes``), so a
+    renamed or removed flag fails here; nothing is run."""
+
+    @staticmethod
+    def _rows():
+        import re
+        from pathlib import Path
+
+        text = (Path(__file__).resolve().parent.parent / "FIGURES.md").read_text()
+        for line in text.splitlines():
+            cells = line.split("|")[1:-1]
+            if len(cells) != 3 or "`rainbow-lab " not in cells[1]:
+                continue
+            command = re.search(r"`rainbow-lab ([^`]*)`", cells[1]).group(1)
+            extra = re.findall(r"`(--[^`]*)`", cells[2])
+            yield command, extra
+
+    def test_every_command_parses(self):
+        import shlex
+
+        from rainbow_lab import cli
+
+        rows = list(self._rows())
+        assert len(rows) >= 10
+        for command, extra in rows:
+            for argv in [shlex.split(command)] + [shlex.split(command + " " + e) for e in extra]:
+                args = cli.build_parser().parse_args(argv)
+                assert args.command == argv[0]
+                assert callable(args.func)

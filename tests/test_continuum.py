@@ -13,6 +13,7 @@ from rainbow_lab import (
     continuum_params,
     coordinate_map,
     deformed_length,
+    orbitals_from_svd,
     profile_from_z,
     slater_overlap,
     validity_map,
@@ -104,14 +105,14 @@ class TestContinuumParams:
 
 class TestAnalyticWavefunction:
     def test_uniform_overlap(self):
-        _, spec = chain_spectrum(100, alpha=1.0)
+        _, svd = chain_spectrum(100, alpha=1.0)
         ana = analytic_wavefunction(0, 0.0, 100)
-        assert wavefunction_overlap(ana.components, spec.orbitals[:, 100]) > 0.999
+        assert wavefunction_overlap(ana.components, orbitals_from_svd(svd)[:, 100]) > 0.999
 
     def test_deformed_overlap(self):
-        _, spec = chain_spectrum(200, z=1.0)
+        _, svd = chain_spectrum(200, z=1.0)
         ana = analytic_wavefunction(0, 1.0 / 200, 200)
-        assert wavefunction_overlap(ana.components, spec.orbitals[:, 200]) > 0.99
+        assert wavefunction_overlap(ana.components, orbitals_from_svd(svd)[:, 200]) > 0.99
 
     def test_unit_norm(self):
         v = analytic_wavefunction(2, 0.05, 60).components
@@ -134,12 +135,13 @@ class TestAnalyticWavefunction:
 
     def test_near_fermi_beats_deep_levels(self):
         L = 200
-        _, spec = chain_spectrum(L, z=1.0)
+        _, svd = chain_spectrum(L, z=1.0)
+        orbitals = orbitals_from_svd(svd)
         shallow = wavefunction_overlap(
-            analytic_wavefunction(-4, 1.0 / L, L).components, spec.orbitals[:, L - 4]
+            analytic_wavefunction(-4, 1.0 / L, L).components, orbitals[:, L - 4]
         )
         deep = wavefunction_overlap(
-            analytic_wavefunction(-180, 1.0 / L, L).components, spec.orbitals[:, L - 180]
+            analytic_wavefunction(-180, 1.0 / L, L).components, orbitals[:, L - 180]
         )
         assert shallow > deep
 

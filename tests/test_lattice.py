@@ -130,6 +130,13 @@ class TestHoppingMatrix1D:
         with pytest.raises(ValueError):
             signed_profile([1.0, 0.5])
 
+    @pytest.mark.parametrize("couplings", [
+        [1.0, np.inf, 1.0], [1.0, 2.0, float("1e400")], [np.nan], [1.0, np.nan, 1.0],
+    ])
+    def test_signed_chain_rejects_non_finite(self, couplings):
+        with pytest.raises(ValueError, match="must be finite"):
+            signed_profile(couplings)
+
 
 def _coordinates(L: int, site: int) -> tuple:
     """(x, y) of a lattice site, from the row-major index ix * 2L + iy."""
@@ -237,8 +244,9 @@ def test_site_labels():
 
 
 def test_dense_route_is_gone():
-    """No rainbow_lab module exposes the dense hopping-matrix route; it
-    lives on only as the tests' oracle (dense_oracle.py)."""
+    """No rainbow_lab module exposes the dense hopping-matrix route or its
+    spectrum type; the route lives on only as the tests' oracle
+    (dense_oracle.py), and a solve's one result is its SublatticeSVD."""
     import importlib
     import pkgutil
 
@@ -246,7 +254,7 @@ def test_dense_route_is_gone():
         "HoppingMatrix", "hopping_matrix", "hopping_matrix_1d", "hopping_matrix_2d",
         "diagonalize", "occupied_orbitals", "ground_state_correlation",
         "block_correlation", "_is_bidiagonal", "_refuse_zero_modes",
-        "_zero_mode_policy",
+        "_zero_mode_policy", "SpectrumResult", "spectrum_from_svd",
     }
     modules = [rainbow_lab] + [
         importlib.import_module(f"rainbow_lab.{info.name}")
@@ -257,5 +265,3 @@ def test_dense_route_is_gone():
         assert not gone & set(vars(module)), module.__name__
     for attr in ("sites", "links", "to_json", "site_index"):
         assert not hasattr(build_lattice_2d(1, 0.5), attr)
-    for attr in ("zero_modes", "spectral_radius"):
-        assert not hasattr(rainbow_lab.SpectrumResult, attr)

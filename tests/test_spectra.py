@@ -21,8 +21,8 @@ from rainbow_lab.spectra import (
     lattice_svd,
     load_orbitals,
     occupied_from_svd,
+    orbitals_from_svd,
     save_orbitals,
-    spectrum_from_svd,
     spectrum_rows,
 )
 
@@ -32,43 +32,45 @@ from conftest import chain_occupied, chain_spectrum
 
 class TestDiagonalize:
     def test_2x2_analytic(self):
-        spec = spectrum_from_svd(chain_svd(build_rainbow_profile(1, 1.0)))
-        assert spec.energies == pytest.approx([-0.5, 0.5])
+        svd = chain_svd(build_rainbow_profile(1, 1.0))
+        assert svd.energies == pytest.approx([-0.5, 0.5])
         s = 1 / np.sqrt(2)
-        assert spec.orbitals[:, 0] == pytest.approx([s, s])
-        assert spec.orbitals[:, 1] == pytest.approx([s, -s])
+        orbitals = orbitals_from_svd(svd)
+        assert orbitals[:, 0] == pytest.approx([s, s])
+        assert orbitals[:, 1] == pytest.approx([s, -s])
 
     def test_uniform_200_first_level(self):
         # continuum value pi/400 holds to lattice corrections at this size
-        _, spec = chain_spectrum(100, alpha=1.0)
-        e0 = spec.energies[100]
+        _, svd = chain_spectrum(100, alpha=1.0)
+        e0 = svd.energies[100]
         assert abs(e0 / (np.pi / 400) - 1) < 0.02
 
     def test_rainbow_z1_first_level(self):
-        _, spec = chain_spectrum(100, z=1.0)
+        _, svd = chain_spectrum(100, z=1.0)
         target = velocity_scaling(1.0) * np.pi / 400  # 4.5708e-3
         assert target == pytest.approx(4.570834367e-3, rel=1e-9)
-        assert abs(spec.energies[100] / target - 1) < 0.02
+        assert abs(svd.energies[100] / target - 1) < 0.02
 
     def test_orthonormal_and_residual(self):
-        _, spec = chain_spectrum(30, alpha=0.4)
-        g = spec.orbitals.T @ spec.orbitals
+        _, svd = chain_spectrum(30, alpha=0.4)
+        orbitals = orbitals_from_svd(svd)
+        g = orbitals.T @ orbitals
         assert np.max(np.abs(g - np.eye(60))) < 1e-10
-        assert spec.residual <= 1e-10 * np.max(np.abs(spec.energies))
+        assert svd.residual <= 1e-10 * np.max(np.abs(svd.energies))
 
     def test_particle_hole_pairing(self):
-        _, spec = chain_spectrum(25, alpha=0.7)
-        e = spec.energies
+        _, svd = chain_spectrum(25, alpha=0.7)
+        e = svd.energies
         assert np.max(np.abs(e + e[::-1])) < 1e-10 * np.max(np.abs(e))
 
     def test_particle_hole_partner_vector(self):
         # negating odd sites maps an eigenvector at E to one at -E
-        profile, spec = chain_spectrum(8, alpha=0.6)
+        profile, svd = chain_spectrum(8, alpha=0.6)
         m, _ = oracle.chain_hamiltonian(profile)
-        v = spec.orbitals[:, 3]
+        v = orbitals_from_svd(svd)[:, 3]
         w = v.copy()
         w[1::2] *= -1
-        e = spec.energies[3]
+        e = svd.energies[3]
         assert np.allclose(m @ w, -e * w, atol=1e-12)
 
     def test_graded_chain_occupations_exact(self):
@@ -81,20 +83,18 @@ class TestDiagonalize:
         with pytest.warns(RuntimeWarning):
             profile = profile_from_z(10, 2000.0)
         svd = chain_svd(profile)
-        spec = spectrum_from_svd(svd)
-        assert np.count_nonzero(spec.energies == 0.0) > 0
+        assert np.count_nonzero(svd.energies == 0.0) > 0
         with pytest.raises(ZeroModeError):
             occupied_from_svd(svd)
 
     def test_deterministic_repeat(self):
         p = build_rainbow_profile(12, 0.35)
-        a = spectrum_from_svd(chain_svd(p))
-        b = spectrum_from_svd(chain_svd(p))
-        assert np.array_equal(a.orbitals, b.orbitals)
+        a = orbitals_from_svd(chain_svd(p))
+        b = orbitals_from_svd(chain_svd(p))
+        assert np.array_equal(a, b)
 
     def test_2d_uniform_has_exact_pairing(self):
-        spec = spectrum_from_svd(lattice_svd(build_lattice_2d(2, 1.0)))
-        e = spec.energies
+        e = lattice_svd(build_lattice_2d(2, 1.0)).energies
         assert np.max(np.abs(e + e[::-1])) < 1e-12
 
 
@@ -107,9 +107,8 @@ class TestDenseOracle:
     def test_chain_energies_and_projector(self, L, z):
         profile = profile_from_z(L, z)
         svd = chain_svd(profile)
-        spec = spectrum_from_svd(svd)
         energies, vecs = sla.eigh(oracle.chain_hamiltonian(profile)[0])
-        assert np.max(np.abs(spec.energies - energies)) < 1e-13
+        assert np.max(np.abs(svd.energies - energies)) < 1e-13
         occ = occupied_from_svd(svd)
         want = vecs[:, :L] @ vecs[:, :L].T
         assert np.max(np.abs(occ @ occ.T - want)) < 1e-11
@@ -228,7 +227,7 @@ class TestChainSVD:
             want[1::2, p] = -vt[p] * inv_sqrt2
             want[1::2, n - 1 - p] = vt[p] * inv_sqrt2
         want = _fix_phases_loop(want)
-        assert spectrum_from_svd(svd).orbitals.tobytes() == want.tobytes()
+        assert orbitals_from_svd(svd).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("L", [1, 2, 7, 51])
     @pytest.mark.parametrize("z", [0.0, 4.0, 92.0])
@@ -327,10 +326,10 @@ class TestLatticeSVD:
         lat = build_lattice_2d(L, alpha)
         m, sub = oracle.lattice_hamiltonian(lat)
         energies, orbitals, residual, zero_tol = _parent_lattice_spectrum(m, sub)
-        for spec in (oracle.diagonalize(m, sub), spectrum_from_svd(lattice_svd(lat))):
-            assert spec.energies.tobytes() == energies.tobytes()
-            assert spec.orbitals.tobytes() == orbitals.tobytes()
-            assert (spec.residual, spec.zero_tol) == (residual, zero_tol)
+        for svd in (oracle.diagonalize(m, sub), lattice_svd(lat)):
+            assert svd.energies.tobytes() == energies.tobytes()
+            assert orbitals_from_svd(svd).tobytes() == orbitals.tobytes()
+            assert (svd.residual, svd.zero_tol) == (residual, zero_tol)
 
     def test_site_maps(self):
         chain = spectra.chain_svd(profile_from_z(5, 1.0))
@@ -370,7 +369,7 @@ class TestLatticeSVD:
 
 
 class TestOrbitalsFromSVD:
-    """occupied_from_svd and spectrum_from_svd against the dense route of
+    """occupied_from_svd and orbitals_from_svd against the dense route of
     the tests' oracle, on a grid that runs both bidiagonal drivers (z = 30
     and 92 pass the 1e10 coupling ratio)."""
 
@@ -380,10 +379,9 @@ class TestOrbitalsFromSVD:
         profile = profile_from_z(L, z)
         dense = oracle.diagonalize(*oracle.chain_hamiltonian(profile))
         svd = spectra.chain_svd(profile)
-        spec = spectrum_from_svd(svd)
-        assert np.array_equal(spec.energies, dense.energies)
-        assert np.array_equal(spec.orbitals, dense.orbitals)
-        assert (spec.residual, spec.zero_tol) == (dense.residual, dense.zero_tol)
+        assert np.array_equal(svd.energies, dense.energies)
+        assert np.array_equal(orbitals_from_svd(svd), orbitals_from_svd(dense))
+        assert (svd.residual, svd.zero_tol) == (dense.residual, dense.zero_tol)
         occ = occupied_from_svd(svd)
         assert np.array_equal(occ, oracle.occupied(dense))
         assert occ.flags.c_contiguous
@@ -393,7 +391,7 @@ class TestOrbitalsFromSVD:
             profile = profile_from_z(10, 2000.0)
         svd = spectra.chain_svd(profile)
         dense = oracle.diagonalize(*oracle.chain_hamiltonian(profile))
-        assert np.array_equal(spectrum_from_svd(svd).orbitals, dense.orbitals)
+        assert np.array_equal(orbitals_from_svd(svd), orbitals_from_svd(dense))
         with pytest.raises(ZeroModeError) as got:
             occupied_from_svd(svd)
         with pytest.raises(ZeroModeError) as want:
@@ -407,7 +405,7 @@ class TestOrbitalsFromSVD:
         svd = spectra.chain_svd(profile_from_z(L, 2.0))
         square = 8 * (2 * L) ** 2
         peaks = []
-        for build in (occupied_from_svd, spectrum_from_svd):
+        for build in (occupied_from_svd, orbitals_from_svd):
             tracemalloc.start()
             try:
                 build(svd)
@@ -457,7 +455,7 @@ class TestOrbitalAssembly:
         build_lattice_2d(3, 0.7),
     ], ids=["mild-chain", "graded-chain", "lattice"])
     def test_matches_pair_loop(self, geometry):
-        """spectrum_from_svd's orbitals, bit for bit, against the pair-by-pair
+        """orbitals_from_svd, bit for bit, against the pair-by-pair
         assembly and column-by-column phase rule."""
         if isinstance(geometry, CouplingProfile):
             svd = chain_svd(geometry)
@@ -478,7 +476,7 @@ class TestOrbitalAssembly:
             want[a_idx, n - 1 - p] = u[:, p] * inv_sqrt2
             want[b_idx, n - 1 - p] = vt[p, :] * inv_sqrt2
         want = _fix_phases_loop(want)
-        assert spectrum_from_svd(svd).orbitals.tobytes() == want.tobytes()
+        assert orbitals_from_svd(svd).tobytes() == want.tobytes()
 
 
 class TestOccupiedOrbitals:
@@ -509,9 +507,10 @@ class TestSiteOccupations:
     def test_excited_state_not_flat(self):
         # promote across non-partner levels (a particle-hole partner has
         # identical per-site probability, which would hide the excitation)
-        _, spec = chain_spectrum(10, alpha=0.6)
-        occ = spec.orbitals[:, :10].copy()
-        occ[:, 9] = spec.orbitals[:, 11]
+        _, svd = chain_spectrum(10, alpha=0.6)
+        orbitals = orbitals_from_svd(svd)
+        occ = orbitals[:, :10].copy()
+        occ[:, 9] = orbitals[:, 11]
         assert np.max(np.abs(site_occupations(occ) - 0.5)) > 1e-3
 
 
@@ -521,8 +520,8 @@ class TestFermiVelocity:
     )
     def test_matches_closed_form(self, z, tol):
         L = 500
-        _, spec = chain_spectrum(L, z=z)
-        est = fermi_velocity(spec, L, z)
+        _, svd = chain_spectrum(L, z=z)
+        est = fermi_velocity(svd, L, z)
         assert abs(est.a_numeric / est.a_analytic - 1) < tol
 
     def test_analytic_values(self):
@@ -538,30 +537,31 @@ class TestFermiVelocity:
 
     def test_multilevel_fit_agrees(self):
         L = 200
-        _, spec = chain_spectrum(L, z=2.0)
-        gap = fermi_velocity(spec, L, 2.0)
-        fit = fermi_velocity_fit(spec, L, 2.0)
+        _, svd = chain_spectrum(L, z=2.0)
+        gap = fermi_velocity(svd, L, 2.0)
+        fit = fermi_velocity_fit(svd, L, 2.0)
         assert abs(fit.a_numeric / gap.a_numeric - 1) < 0.01
 
     def test_too_small(self):
-        spec = spectrum_from_svd(chain_svd(build_rainbow_profile(1, 1.0)))
+        svd = chain_svd(build_rainbow_profile(1, 1.0))
         with pytest.raises(ValueError):
-            fermi_velocity(spec, 1, 0.0)
+            fermi_velocity(svd, 1, 0.0)
 
 
 class TestSerialization:
     def test_spectrum_rows_indexing(self):
-        _, spec = chain_spectrum(3, alpha=0.8)
-        rows = list(spectrum_rows(spec))
+        _, svd = chain_spectrum(3, alpha=0.8)
+        rows = list(spectrum_rows(svd))
         ms = [m for m, _ in rows]
         assert ms == [-3, -2, -1, 0, 1, 2]
-        assert rows[3][1] == pytest.approx(spec.energies[3])
+        assert rows[3][1] == pytest.approx(svd.energies[3])
 
     def test_orbitals_roundtrip(self, tmp_path):
-        _, spec = chain_spectrum(5, alpha=0.9)
+        _, svd = chain_spectrum(5, alpha=0.9)
+        orbitals = orbitals_from_svd(svd)
         path = tmp_path / "orb.bin"
-        save_orbitals(spec, path)
+        save_orbitals(orbitals, path)
         back = load_orbitals(path)
-        assert np.array_equal(back, spec.orbitals)
+        assert np.array_equal(back, orbitals)
         # layout: 16-byte header then row-major float64
-        assert path.stat().st_size == 16 + 8 * spec.dim * spec.dim
+        assert path.stat().st_size == 16 + 8 * 10 * 10
