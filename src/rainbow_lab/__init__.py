@@ -3,10 +3,11 @@
 Builds the couplings of inhomogeneous hopping chains and the links of
 their 2D extension, solves both through the SVD of the sublattice block
 (no dense hopping matrix is formed), whose singular values are the levels
-+-s, computes ground-state entanglement exactly from its polar factor, and
-checks the continuum/CFT predictions for spectra, wavefunctions, entropies
-and the entanglement spectrum.  Orbital matrices are assembled from the
-same SVD only for the outputs that print them.
++-s, computes each block's correlation eigenvalues nu exactly from its
+polar factor (every entropy and the entanglement spectrum are functions of
+nu alone), and checks the continuum/CFT predictions for spectra,
+wavefunctions, entropies and the entanglement spectrum.  Orbitals are
+assembled from the same SVD only for the outputs that print them.
 """
 
 __version__ = "0.1.0"
@@ -20,20 +21,19 @@ from .lattice import (
     uniform_profile,
 )
 from .spectra import (
-    FermiVelocityEstimate,
     SublatticeSVD,
     ZeroModeError,
     chain_svd,
     fermi_velocity,
     fermi_velocity_fit,
     lattice_svd,
+    level_orbital,
     occupied_from_svd,
     orbitals_from_svd,
     site_occupations,
     velocity_scaling,
 )
 from .continuum import (
-    AnalyticWavefunction,
     ContinuumParams,
     ValidityMap,
     analytic_energy,
@@ -48,9 +48,7 @@ from .continuum import (
 from .entanglement import (
     CorrelationMatrix,
     EntanglementSpectrum,
-    EntropyCurve,
     EntropyPoint,
-    PolarBlock,
     boundary_blocks,
     brute_force_block_entropy,
     correlation_matrix,
@@ -77,7 +75,6 @@ from .sdrg import (
 from .fitting import (
     FitResult,
     RankDeficientError,
-    RenyiAnsatz,
     fit_2d,
     fit_central_charge,
     fit_renyi_halfchain,

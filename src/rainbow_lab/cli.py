@@ -24,8 +24,6 @@ import numpy as np
 from . import __version__
 from .continuum import analytic_wavefunction, validity_map
 from .entanglement import (
-    EntropyCurve,
-    EntropyPoint,
     _checked_orders,
     boundary_blocks,
     brute_force_block_entropy,
@@ -45,11 +43,13 @@ from .spectra import (
     fermi_velocity,
     fermi_velocity_fit,
     lattice_svd,
+    level_orbital,
     occupied_from_svd,
     orbitals_from_svd,
     save_orbitals,
     site_occupations,
     spectrum_rows,
+    velocity_scaling,
 )
 
 _FLOAT_FMT = ".12g"
@@ -219,8 +219,8 @@ def cmd_wavefunction(args) -> int:
     m = args.m
     if not -args.L <= m <= args.L - 1:
         raise ValueError(f"--m must lie in [{-args.L}, {args.L - 1}], got {m}")
-    exact = orbitals_from_svd(chain_svd(profile))[:, args.L + m]
-    ana = analytic_wavefunction(m, profile.h, args.L).components
+    exact = level_orbital(chain_svd(profile), args.L + m)
+    ana = analytic_wavefunction(m, profile.h, args.L)
     if exact @ ana < 0:  # global eigenvector sign is arbitrary; align for plots
         exact = -exact
     labels = profile.labels()
@@ -236,9 +236,8 @@ def cmd_velocity_scan(args) -> int:
 
     def one(z):
         svd = chain_svd(profile_from_z(L, z))
-        est = fermi_velocity(svd, L, z)
-        fit = fermi_velocity_fit(svd, L, z)
-        return (z, est.a_numeric, fit.a_numeric, est.a_analytic)
+        return (z, fermi_velocity(svd, L), fermi_velocity_fit(svd, L),
+                float(velocity_scaling(z)))
 
     rows = _sweep(one, args.z, args.jobs)
     _write_csv(
@@ -285,10 +284,9 @@ def cmd_entropy_scan(args) -> int:
     def one(point):
         L, value = point
         profile = profile_from_z(L, _z_from(name, value, L))
-        curve = entropy_scan(profile, args.blocks, orders)
         return [
             (L, profile.alpha, profile.h, profile.z, p.size, p.order, p.value)
-            for p in curve.points
+            for p in entropy_scan(profile, args.blocks, orders)
         ]
 
     points = [(L, v) for L in args.L for v in values]
@@ -327,8 +325,8 @@ def cmd_renyi_fit(args) -> int:
     fits = []
     for z in args.z:
         for i, n in enumerate(orders):
-            curve = EntropyCurve(points=[entropies[(L, z)][i] for L in sizes])
-            fit = fit_renyi_halfchain(curve, n=n, z=z)
+            values = [entropies[(L, z)][i].value for L in sizes]
+            fit = fit_renyi_halfchain(sizes, values, n=n, z=z)
             fits.append({"n": n, "z": z, **fit.coefficients,
                          "chi2": fit.chi2, "condition": fit.condition})
             rows.append((n, z, fit["c_n"], fit["d_n"], fit["f_n"],
@@ -354,7 +352,7 @@ def cmd_es_collapse(args) -> int:
         # level at nu = 1/2, which the polar route gives as eps = 0 exactly;
         # both filters below would drop it and shift the p labels of a side.
         occ = occupied_from_svd(chain_svd(profile_from_z(L, z)))
-        es = entanglement_spectrum(correlation_matrix(occ, range(L)))
+        es = entanglement_spectrum(correlation_matrix(occ, range(L)).eigenvalues())
         eps = es.finite_eps()
         neg = np.sort(eps[eps < 0])[::-1][: args.levels]  # closest to 0 first
         pos = np.sort(eps[eps > 0])[: args.levels]
@@ -405,8 +403,8 @@ def cmd_entropy_2d(args) -> int:
     def one(point):
         alpha, L = point
         lat = build_lattice_2d(L, alpha)
-        block = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
-        S = vn_entropy(block)
+        nu = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
+        S = vn_entropy(nu)
         return (alpha, L, S, S / L)
 
     points = [(alpha, L) for alpha in args.alpha for L in args.L]
@@ -418,10 +416,8 @@ def cmd_entropy_2d(args) -> int:
     )
     fits = []
     for alpha in args.alpha:
-        curve = EntropyCurve(
-            points=[EntropyPoint(L, 1, S / L) for (a, L, S, _) in rows if a == alpha]
-        )
-        fit = fit_2d(curve)
+        mine = [row for row in rows if row[0] == alpha]
+        fit = fit_2d([row[1] for row in mine], [row[3] for row in mine])
         fits.append({
             "alpha": alpha, **fit.coefficients, "chi2": fit.chi2,
             # same data normalized per full side in log2 units
@@ -493,7 +489,8 @@ def cmd_validate(args) -> int:
     # bond-state entropies count crossing bonds
     bonds = rainbow_bonds(6)
     occ = bond_state_orbitals(bonds)
-    dev = abs(vn_entropy(correlation_matrix(occ, range(6))) - 6 * math.log(2))
+    nu = correlation_matrix(occ, range(6)).eigenvalues()
+    dev = abs(vn_entropy(nu) - 6 * math.log(2))
     check(f"bond-state half-chain entropy 6 ln 2 (dev {dev:.2e})", dev <= 1e-10)
     check("sdrg entropy equals bond crossings",
           abs(sdrg_entropy(bonds, range(6)) - 6 * math.log(2)) == 0.0)

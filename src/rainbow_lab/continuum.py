@@ -7,11 +7,12 @@ ascending spectrum of a 2L-site chain.
 
 The closed-form wavefunction lives in one vectorized core that samples
 any set of levels in a single broadcast: ``analytic_wavefunction`` asks
-it for one level, ``continuum_occupied`` for all L occupied levels at
-once.  The validity map compares that continuum state with the exact
-ground state, whose occupied orbitals come straight from the chain's
-sublattice SVD (``spectra.occupied_from_svd``), so neither side builds a
-hopping matrix or loops over levels.
+it for one level and returns that level's unit vector, and
+``continuum_occupied`` asks for all L occupied levels at once.  The
+validity map compares that continuum state with the exact ground state,
+whose occupied orbitals come straight from the chain's sublattice SVD
+(``spectra.occupied_from_svd``), so neither side builds a hopping matrix
+or loops over levels.
 
 Each validity-map point keeps to one BLAS, SciPy's, which the chain solve
 already runs on (the rule of ``spectra``): the QR, the Gram and overlap
@@ -49,19 +50,6 @@ class ContinuumParams:
     tilde_L: float
     beta: float
     T: float
-
-
-@dataclass(frozen=True)
-class AnalyticWavefunction:
-    """Continuum single-particle wavefunction sampled on the lattice sites."""
-
-    m: int
-    components: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.components, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "components", v)
 
 
 def _expm1_over_h(h: float, x) -> np.ndarray | float:
@@ -133,8 +121,9 @@ def _analytic_levels(ms: np.ndarray, h: float, L: int) -> np.ndarray:
     return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, :, 0]
 
 
-def analytic_wavefunction(m: int, h: float, L: int) -> AnalyticWavefunction:
-    """Continuum eigenfunction of level m on the 2L lattice sites, unit norm.
+def analytic_wavefunction(m: int, h: float, L: int) -> np.ndarray:
+    """Continuum eigenfunction of level m on the 2L lattice sites, a unit
+    vector.
 
     psi_n ~ e^{h|n|/2} cos[ pi(n-m)/2
                             + sign(n) (pi(m+1/2)/2) (e^{h|n|}-1)/(e^{hL}-1) ].
@@ -142,14 +131,13 @@ def analytic_wavefunction(m: int, h: float, L: int) -> AnalyticWavefunction:
     Accurate for |m| << L; deep levels vary on the lattice scale and are
     not captured (quantify with wavefunction_overlap).
     """
-    components = _analytic_levels(np.array([m]), h, L)[0]
-    return AnalyticWavefunction(m=m, components=components)
+    return _analytic_levels(np.array([m]), h, L)[0]
 
 
 def wavefunction_overlap(a, b) -> float:
     """|<a|b>| of two single-particle vectors, renormalized internally."""
-    a = np.asarray(getattr(a, "components", a), dtype=float)
-    b = np.asarray(getattr(b, "components", b), dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     return float(abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b)))

@@ -4,7 +4,9 @@ For a Slater ground state the reduced density matrix of a block is fixed
 by the block correlation matrix C_ij = <c+_i c_j>.  Its eigenvalues
 nu_p in [0, 1] give every Renyi entropy, the single-body entanglement
 energies eps_p = ln((1 - nu_p)/nu_p), and the entanglement Hamiltonian
-constant f_0.  Entropies are in nats throughout.
+constant f_0, so ``renyi_entropies``, ``vn_entropy`` and
+``entanglement_spectrum`` take a block's nu and nothing else.  Entropies
+are in nats throughout.
 
 Chains and the 2D lattice take the polar route: at half filling
 C = (1 - sign H)/2, and for a bipartite H with sublattice block
@@ -12,11 +14,12 @@ M = U S V^T the diagonal blocks of sign H are zero and its off-diagonal
 block is the polar factor U V^T.  A block's nu are therefore
 (1 +- sigma)/2, sigma the singular values of its (row sites x column
 sites) sub-block X of U V^T, plus |n_rows - n_cols| levels at exactly
-1/2 (``polar_block``).  No orbitals or correlation matrix are formed,
-and X is formed on SciPy's BLAS, the library the solve runs on (the
-one-BLAS rule of ``spectra``).
-The orbital route (``correlation_matrix`` on occupied orbitals) serves
-the chain's entanglement-spectrum collapse and the bond-state check; the
+1/2; ``polar_block`` returns them.  No orbitals or correlation matrix
+are formed, and X is formed on SciPy's BLAS, the library the solve runs
+on (the one-BLAS rule of ``spectra``).
+The orbital route (``correlation_matrix`` on occupied orbitals, then
+``CorrelationMatrix.eigenvalues``) serves the chain's
+entanglement-spectrum collapse and the bond-state check; the
 tests keep the dense correlation-matrix method of Peschel, J. Phys. A 36
 L205 (2003), as the oracle for both.  It is the rule's one exception: its
 product and eigensolver stay on numpy, because the es-collapse reference
@@ -89,35 +92,6 @@ def _checked_nu(nu: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PolarBlock:
-    """Half-filled block spectrum from the polar factor U V^T.
-
-    ``sigma`` holds the singular values (descending) of the block's
-    (row sites x column sites) sub-block of U V^T and ``n_half`` the
-    |n_rows - n_cols| levels pinned at 1/2.  Takes the place of a
-    CorrelationMatrix in ``renyi_entropies`` and ``entanglement_spectrum``.
-    """
-
-    block: tuple
-    sigma: np.ndarray = field(repr=False)
-    n_half: int
-
-    @property
-    def size(self) -> int:
-        return len(self.block)
-
-    def eigenvalues(self) -> np.ndarray:
-        """nu = (1 -+ sigma)/2 and the 1/2 levels, ascending, clipped to
-        [0, 1]; NumericsError if they stray further."""
-        nu = np.concatenate([
-            (1.0 - self.sigma) / 2.0,
-            np.full(self.n_half, 0.5),
-            (1.0 + self.sigma[::-1]) / 2.0,
-        ])
-        return _checked_nu(nu)
-
-
-@dataclass(frozen=True)
 class EntanglementSpectrum:
     """Single-body entanglement data of a block.
 
@@ -143,25 +117,6 @@ class EntropyPoint(NamedTuple):
     value: float
 
 
-@dataclass
-class EntropyCurve:
-    """Entropy points (block size or half-length, Renyi order, S in nats)."""
-
-    points: list
-    meta: dict = field(default_factory=dict)
-
-    def sizes(self, order: float | None = None) -> list:
-        return [p.size for p in self.points if order is None or p.order == order]
-
-    def values(self, order: float | None = None) -> list:
-        return [p.value for p in self.points if order is None or p.order == order]
-
-    def at(self, order: float) -> "EntropyCurve":
-        return EntropyCurve(
-            points=[p for p in self.points if p.order == order], meta=dict(self.meta)
-        )
-
-
 def _distinct_sites(block) -> tuple:
     """The block as a tuple of ints; ValueError if empty or repeating."""
     block = tuple(int(b) for b in block)
@@ -180,14 +135,16 @@ def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
     return CorrelationMatrix(block=block, entries=rows @ rows.T)
 
 
-def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> PolarBlock:
-    """Spectrum of a half-filled block from the sublattice SVD.
+def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndarray:
+    """The nu of a half-filled block, from the sublattice SVD.
 
     X = U[rows] V^T[:, cols] with rows (cols) the block's sites on the
     rows (columns) of M, read from the SVD's site map, and formed on SciPy's
     BLAS like the solve itself; sigma are the singular values of X, taken
     directly rather than from X X^T, whose squaring would lose the small
-    sigma that set nu near 1/2.
+    sigma that set nu near 1/2.  nu are (1 - sigma)/2, the
+    |n_rows - n_cols| levels at exactly 1/2 and (1 + sigma)/2, ascending,
+    clipped to [0, 1]; NumericsError if they stray further.
 
     zero_modes picks the filling policy when singular values sit within
     ``svd.zero_tol`` of zero (e.g. the uniform 2D lattice):
@@ -219,9 +176,12 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> PolarBl
     vt = svd.vt[:, _as_slice(cols)]
     if keep.size < svd.s.size:
         u, vt = u[:, keep], vt[keep]
-    return PolarBlock(
-        block=block, sigma=svdvals(_dgemm(u, vt)), n_half=abs(rows.size - cols.size)
-    )
+    sigma = svdvals(_dgemm(u, vt))
+    return _checked_nu(np.concatenate([
+        (1.0 - sigma) / 2.0,
+        np.full(abs(rows.size - cols.size), 0.5),
+        (1.0 + sigma[::-1]) / 2.0,
+    ]))
 
 
 def _as_slice(index: np.ndarray):
@@ -234,11 +194,11 @@ def _as_slice(index: np.ndarray):
 
 def _checked_orders(orders) -> list:
     """The Renyi order(s) as a list of floats; ValueError unless every one
-    is >= 1 (NaN fails)."""
+    is finite and >= 1 (NaN and inf fail)."""
     orders = [float(n) for n in (orders if np.iterable(orders) else [orders])]
-    bad = [n for n in orders if not n >= 1]
+    bad = [n for n in orders if not 1 <= n < math.inf]
     if bad:
-        raise ValueError(f"Renyi order must be >= 1, got {bad[0]}")
+        raise ValueError(f"Renyi order must be >= 1 and finite, got {bad[0]}")
     return orders
 
 
@@ -250,28 +210,30 @@ def _renyi_from_nu(nu: np.ndarray, order: float) -> float:
     return float(np.sum(np.log(nu**order + (1 - nu) ** order)) / (1 - order))
 
 
-def renyi_entropies(C: CorrelationMatrix | PolarBlock, orders) -> list:
-    """Renyi entropies S^(n) of a block; n = 1 is the von Neumann limit.
+def renyi_entropies(nu, orders) -> list:
+    """Renyi entropies S^(n) of a block from its nu; n = 1 is the von
+    Neumann limit.  The points' size is the block's, one nu per site.
 
     S^(n) = (1/(1-n)) sum_p ln(nu_p^n + (1-nu_p)^n).  Levels clipped at
     0 or 1 (within 1e-14) carry no entropy and are dropped.
     """
     orders = _checked_orders(orders)
-    nu = C.eigenvalues()
-    return [EntropyPoint(C.size, n, _renyi_from_nu(nu, n)) for n in orders]
+    nu = np.asarray(nu, dtype=float)
+    return [EntropyPoint(nu.size, n, _renyi_from_nu(nu, n)) for n in orders]
 
 
-def vn_entropy(C: CorrelationMatrix | PolarBlock) -> float:
-    return renyi_entropies(C, [1])[0].value
+def vn_entropy(nu) -> float:
+    return renyi_entropies(nu, [1])[0].value
 
 
-def entanglement_spectrum(C: CorrelationMatrix | PolarBlock) -> EntanglementSpectrum:
-    """Single-body entanglement energies and the level spacing near zero.
+def entanglement_spectrum(nu) -> EntanglementSpectrum:
+    """Single-body entanglement energies of a block's nu and the level
+    spacing near zero.
 
     Levels with nu clipped at 0 or 1 are reported as +-inf and excluded
     from the spacing estimate and from f0.
     """
-    nu = np.sort(C.eigenvalues())[::-1]
+    nu = np.sort(nu)[::-1]
     eps = np.empty_like(nu)
     lo = nu <= NU_CLIP
     hi = nu >= 1.0 - NU_CLIP
@@ -326,22 +288,19 @@ def boundary_blocks(n_sites: int):
     return [list(range(l)) for l in range(1, n_sites)]
 
 
-def entropy_scan(geometry, blocks, orders, zero_modes: str = "error") -> EntropyCurve:
-    """Solve a geometry once and evaluate entropies on many blocks.
+def entropy_scan(geometry, blocks, orders, zero_modes: str = "error") -> list:
+    """Solve a geometry once and evaluate entropies on many blocks: the
+    EntropyPoints of every block in turn, each block's orders in turn.
 
     `blocks` is an iterable of site-index lists, or one of the presets
     "half" (single canonical half block) and "boundary" (all left-anchored
     contiguous blocks).  Chains (``chain_svd``) and the 2D lattice
-    (``lattice_svd``) both take the polar route, ``polar_block``.  Curve
-    meta records the geometry parameters.
+    (``lattice_svd``) both take the polar route, ``polar_block``.
     """
     if isinstance(geometry, CouplingProfile):
         svd = chain_svd(geometry)
-        meta = {"kind": "chain", "L": geometry.L, "alpha": geometry.alpha,
-                "h": geometry.h, "z": geometry.z}
     elif isinstance(geometry, Lattice2D):
         svd = lattice_svd(geometry)
-        meta = {"kind": "lattice2d", "L": geometry.L, "alpha": geometry.alpha}
     else:
         raise TypeError(f"unsupported geometry {type(geometry).__name__}")
     if isinstance(blocks, str):
@@ -356,7 +315,7 @@ def entropy_scan(geometry, blocks, orders, zero_modes: str = "error") -> Entropy
         points.extend(
             renyi_entropies(polar_block(svd, block, zero_modes=zero_modes), orders)
         )
-    return EntropyCurve(points=points, meta=meta)
+    return points
 
 
 def _boundary_bipartition(amps: AmplitudeTable, block) -> np.ndarray:

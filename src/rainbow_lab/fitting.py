@@ -3,7 +3,9 @@
 Every model here is linear in its unknown coefficients once the
 Luttinger parameter is fixed to 1, so a single QR solver covers the
 central-charge fit, the deformed half-chain Renyi fit and the 2D
-volume/log/constant fit.  No nonlinear optimizer anywhere.
+volume/log/constant fit.  Each fit takes the data as two arrays, the
+sizes (block sizes or half-lengths) and the entropies at those sizes.
+No nonlinear optimizer anywhere.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-
-from .entanglement import EntropyCurve
 
 
 class RankDeficientError(ValueError):
@@ -73,21 +73,15 @@ def linear_lsq(design, y, names=None, model: str = "linear") -> FitResult:
     )
 
 
-def _curve_xy(curve: EntropyCurve, order: float):
-    pts = [p for p in curve.points if p.order == float(order)]
-    sizes = np.asarray([p.size for p in pts], dtype=float)
-    values = np.asarray([p.value for p in pts], dtype=float)
-    return sizes, values
-
-
-def fit_central_charge(curve: EntropyCurve, order: float = 1) -> FitResult:
-    """Fit S = c (1/12)(1 + 1/n) ln(size) + c' on half-chain entropies.
+def fit_central_charge(sizes, values, order: float = 1) -> FitResult:
+    """Fit S = c (1/12)(1 + 1/n) ln(size) + c' on half-chain Renyi-n
+    entropies.
 
     For n = 1 the prefactor reduces to the usual c/6.  The abscissa is
-    whatever sizes the curve carries, so feeding deformed lengths L~
-    instead of L performs the deformed fit directly.
+    whatever sizes are given, so feeding deformed lengths L~ instead of L
+    performs the deformed fit directly.
     """
-    sizes, values = _curve_xy(curve, order)
+    sizes = np.asarray(sizes, dtype=float)
     if sizes.size < 3:
         raise ValueError(f"need at least 3 sizes, got {sizes.size}")
     pref = (1.0 + 1.0 / order) / 12.0
@@ -99,37 +93,33 @@ def fit_central_charge(curve: EntropyCurve, order: float = 1) -> FitResult:
 LUTTINGER_K = 1.0
 
 
-@dataclass(frozen=True)
-class RenyiAnsatz:
+def _renyi_design(sizes, n: float) -> np.ndarray:
     """Half-chain Renyi scaling basis at fixed order n (Luttinger K = 1):
 
         S_L = c_n/12 (1 + 1/n) ln(4L/pi) + d_n + f_n (-1)^L (8L/pi)^(-1/n)
     """
-
-    n: float
-
-    def design(self, sizes) -> np.ndarray:
-        L = np.asarray(sizes, dtype=float)
-        return np.column_stack(
-            [
-                (1.0 + 1.0 / self.n) / 12.0 * np.log(4.0 * L / np.pi),
-                np.ones_like(L),
-                np.cos(np.pi * L) * (8.0 * L / np.pi) ** (-LUTTINGER_K / self.n),
-            ]
-        )
+    L = np.asarray(sizes, dtype=float)
+    return np.column_stack(
+        [
+            (1.0 + 1.0 / n) / 12.0 * np.log(4.0 * L / np.pi),
+            np.ones_like(L),
+            np.cos(np.pi * L) * (8.0 * L / np.pi) ** (-LUTTINGER_K / n),
+        ]
+    )
 
 
 # The three-coefficient Renyi fit refuses fewer sizes than this.
 MIN_RENYI_SIZES = 6
 
 
-def fit_renyi_halfchain(curve: EntropyCurve, n: float, z: float) -> FitResult:
-    """Fit the deformed half-chain Renyi ansatz, returning c_n, d_n, f_n.
+def fit_renyi_halfchain(sizes, values, n: float, z: float) -> FitResult:
+    """Fit the deformed half-chain Renyi ansatz to the order-n entropies
+    `values` at half-lengths `sizes`, returning c_n, d_n, f_n.
 
     Requires at least MIN_RENYI_SIZES sizes mixing even and odd L; the
     oscillation column cannot be identified from a single parity.
     """
-    sizes, values = _curve_xy(curve, n)
+    sizes = np.asarray(sizes, dtype=float)
     if sizes.size < MIN_RENYI_SIZES:
         raise ValueError(f"need at least {MIN_RENYI_SIZES} sizes, got {sizes.size}")
     parities = {int(L) % 2 for L in sizes}
@@ -138,21 +128,20 @@ def fit_renyi_halfchain(curve: EntropyCurve, n: float, z: float) -> FitResult:
             "all sizes share one parity; the (-1)^L oscillation column is "
             "not identifiable"
         )
-    ansatz = RenyiAnsatz(n=float(n))
-    fit = linear_lsq(
-        ansatz.design(sizes), values, names=("c_n", "d_n", "f_n"),
+    return linear_lsq(
+        _renyi_design(sizes, float(n)), values, names=("c_n", "d_n", "f_n"),
         model=f"renyi-halfchain(n={n:g}, z={z:g})",
     )
-    return fit
 
 
 # The three-coefficient 2D fit refuses fewer sizes than this.
 MIN_2D_SIZES = 5
 
 
-def fit_2d(curve: EntropyCurve, order: float = 1) -> FitResult:
-    """Fit the 2D per-length entropy s_L = A L + B ln L + C."""
-    sizes, values = _curve_xy(curve, order)
+def fit_2d(sizes, values) -> FitResult:
+    """Fit the 2D per-length entropy s_L = A L + B ln L + C to the
+    per-length entropies `values` at sizes L."""
+    sizes = np.asarray(sizes, dtype=float)
     if sizes.size < MIN_2D_SIZES:
         raise ValueError(f"need at least {MIN_2D_SIZES} sizes, got {sizes.size}")
     design = np.column_stack([sizes, np.log(sizes), np.ones_like(sizes)])
@@ -177,10 +166,5 @@ def fn_constants(n: int, sizes=_FN_SIZES) -> float:
     from .entanglement import entropy_scan
     from .lattice import uniform_profile
 
-    points = []
-    for L in sizes:
-        # the half block of a 2L-site chain has exactly L sites, so the
-        # point's size field is already the half-chain length
-        points.extend(entropy_scan(uniform_profile(L), "half", [n]).points)
-    fit = fit_renyi_halfchain(EntropyCurve(points=points), n=n, z=0.0)
-    return fit["f_n"]
+    values = [entropy_scan(uniform_profile(L), "half", [n])[0].value for L in sizes]
+    return fit_renyi_halfchain(sizes, values, n=n, z=0.0)["f_n"]

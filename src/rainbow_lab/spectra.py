@@ -25,8 +25,8 @@ forms the hopping matrix.  Entanglement needs nothing more than their
 ``SublatticeSVD`` (see ``entanglement.polar_block``), and neither do the
 spectral outputs: the levels are ``SublatticeSVD.energies``, the ``+-s``
 pairs.  The outputs that are orbitals assemble them from the same SVD:
-``occupied_from_svd`` the occupied columns at half filling and
-``orbitals_from_svd`` all levels.
+``occupied_from_svd`` the occupied columns at half filling,
+``orbitals_from_svd`` all levels and ``level_orbital`` one level.
 
 One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
 each with its own thread pool, and every solve here runs on SciPy's.  So
@@ -60,15 +60,6 @@ class NumericsError(RuntimeError):
 
 class ZeroModeError(NumericsError):
     """Half filling is ambiguous because single-particle zero modes exist."""
-
-
-@dataclass(frozen=True)
-class FermiVelocityEstimate:
-    """Numerically extracted spectral slope at the Fermi point vs z/(e^z - 1)."""
-
-    z: float
-    a_numeric: float
-    a_analytic: float
 
 
 def velocity_scaling(z: float) -> float:
@@ -367,6 +358,21 @@ def orbitals_from_svd(svd: SublatticeSVD) -> np.ndarray:
     return _orbitals(svd, occupied_only=False)
 
 
+def level_orbital(svd: SublatticeSVD, k: int) -> np.ndarray:
+    """Column k of ``orbitals_from_svd(svd)``, bit for bit, built alone:
+    ``(u_p, -+v_p)/sqrt(2)`` of the one p whose level is
+    ``svd.energies[k]``, so no square array is formed."""
+    n = svd.s.size
+    if not 0 <= k < 2 * n:
+        raise IndexError(f"level {k} outside [0, {2 * n})")
+    p, sign = (k, -1.0) if k < n else (2 * n - 1 - k, 1.0)
+    orbital = np.empty((2 * n, 1))
+    orbital[svd.sublattice == 0, 0] = svd.u[:, p]
+    orbital[svd.sublattice == 1, 0] = sign * svd.vt[p]
+    orbital *= 1.0 / np.sqrt(2.0)
+    return _fix_phases(orbital)[:, 0]
+
+
 def occupied_from_svd(svd: SublatticeSVD) -> np.ndarray:
     """The occupied orbitals at half filling, straight from the sublattice
     SVD: column p is ``(u_p, -v_p)/sqrt(2)``, sign-fixed.
@@ -391,28 +397,23 @@ def site_occupations(occ: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ik->i", occ, occ)
 
 
-def fermi_velocity(svd: SublatticeSVD, L: int, z: float) -> FermiVelocityEstimate:
+def fermi_velocity(svd: SublatticeSVD, L: int) -> float:
     """Fermi velocity from the single gap across the Fermi point.
 
     The spectrum near the Fermi point is E_m = a(z) pi (m + 1/2) / (2L),
     so the gap between the first level above and the first below rescaled
-    by 2L/pi estimates a(z) with the least band-curvature contamination.
+    by 2L/pi estimates a(z) with the least band-curvature contamination;
+    compare it with the closed form ``velocity_scaling(z)``.
     """
     energies = svd.energies
     if energies.size < 4:
         raise ValueError(f"need at least 4 levels, got {energies.size}")
     half = energies.size // 2
     gap = energies[half] - energies[half - 1]
-    return FermiVelocityEstimate(
-        z=z,
-        a_numeric=float(gap * 2 * L / np.pi),
-        a_analytic=float(velocity_scaling(z)),
-    )
+    return float(gap * 2 * L / np.pi)
 
 
-def fermi_velocity_fit(
-    svd: SublatticeSVD, L: int, z: float, m_max: int = 4
-) -> FermiVelocityEstimate:
+def fermi_velocity_fit(svd: SublatticeSVD, L: int, m_max: int = 4) -> float:
     """Cross-check: slope of E_m vs pi(m+1/2)/(2L) fitted over |m| <= m_max."""
     energies = svd.energies
     half = energies.size // 2
@@ -421,10 +422,7 @@ def fermi_velocity_fit(
     ms = np.arange(-m_max, m_max + 1)
     x = np.pi * (ms + 0.5) / (2 * L)
     y = energies[half + ms]
-    slope = float(np.dot(x, y) / np.dot(x, x))
-    return FermiVelocityEstimate(
-        z=z, a_numeric=slope, a_analytic=float(velocity_scaling(z))
-    )
+    return float(np.dot(x, y) / np.dot(x, x))
 
 
 def spectrum_rows(svd: SublatticeSVD):

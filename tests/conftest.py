@@ -26,8 +26,8 @@ def chain_occupied(L: int, alpha: float = None, z: float = None):
     return occupied_from_svd(chain_svd(profile))
 
 
-def halfchain_C(L: int, alpha: float = None, z: float = None):
-    return correlation_matrix(chain_occupied(L, alpha=alpha, z=z), range(L))
+def halfchain_nu(L: int, alpha: float = None, z: float = None):
+    return correlation_matrix(chain_occupied(L, alpha=alpha, z=z), range(L)).eigenvalues()
 
 
 @pytest.fixture

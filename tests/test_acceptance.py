@@ -19,8 +19,6 @@ import numpy as np
 import pytest
 
 from rainbow_lab import (
-    CorrelationMatrix,
-    EntropyCurve,
     boundary_blocks,
     brute_force_block_entropy,
     build_lattice_2d,
@@ -42,10 +40,10 @@ from rainbow_lab import (
     sdrg_run,
     site_occupations,
     slater_amplitudes,
+    velocity_scaling,
     vn_entropy,
     write_ppm,
 )
-from rainbow_lab.entanglement import EntropyPoint
 
 import dense_oracle as oracle
 
@@ -61,7 +59,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def halfchain_nu(L: int, z: float) -> tuple:
     """Half-chain nu, ascending, from the polar route the CLI ships."""
     svd = chain_svd(profile_from_z(L, z))
-    return tuple(polar_block(svd, range(L)).eigenvalues())
+    return tuple(polar_block(svd, range(L)))
 
 
 def nu_entropy(nu, order: float) -> float:
@@ -84,8 +82,8 @@ def test_criterion_1_fermi_velocity():
     L = 500
     worst = 0.0
     for z in (0.5, 1.0, 2.0, 4.0):
-        est = fermi_velocity(chain_svd(profile_from_z(L, z)), L, z)
-        worst = max(worst, abs(est.a_numeric / est.a_analytic - 1))
+        a = fermi_velocity(chain_svd(profile_from_z(L, z)), L)
+        worst = max(worst, abs(a / velocity_scaling(z) - 1))
     elapsed = time.time() - t0
     ok = worst < 0.02 and elapsed < 10.0
     report("1 fermi-velocity", ok, f"worst rel {worst:.2%}, {elapsed:.1f}s")
@@ -122,7 +120,7 @@ def test_criterion_3_volume_law():
     ys = []
     for L in sizes:
         occ = occupied_from_svd(chain_svd(build_rainbow_profile(L, 0.5)))
-        ys.append(vn_entropy(correlation_matrix(occ, range(L))))
+        ys.append(vn_entropy(correlation_matrix(occ, range(L)).eigenvalues()))
     design = np.column_stack([sizes, np.ones(len(sizes))])
     slope, _ = np.linalg.lstsq(design, ys, rcond=None)[0]
     target = -math.log(0.5) / 3  # 0.23105
@@ -171,11 +169,8 @@ def renyi_fits():
     fits = {}
     for z in ZS_5:
         for n in ORDERS_5:
-            pts = [
-                EntropyPoint(L, n, nu_entropy(halfchain_nu(L, z), n))
-                for L in SIZES_5
-            ]
-            fit = fit_renyi_halfchain(EntropyCurve(points=pts), n=n, z=z)
+            values = [nu_entropy(halfchain_nu(L, z), n) for L in SIZES_5]
+            fit = fit_renyi_halfchain(SIZES_5, values, n=n, z=z)
             fits[(n, z)] = (fit["c_n"], fit["d_n"], fit["f_n"])
     return fits
 
@@ -215,9 +210,7 @@ def test_criterion_6_level_spacing_vs_entropy():
     for L, z in GRID_6:
         nu = np.asarray(halfchain_nu(L, z))
         S = nu_entropy(nu, 1)
-        es = entanglement_spectrum(  # nu already diagonalized
-            CorrelationMatrix(block=tuple(range(L)), entries=np.diag(nu))
-        )
+        es = entanglement_spectrum(nu)
         pred = math.pi**2 / (3 * es.delta_L)
         worst = max(worst, abs(pred / S - 1))
     ok = worst <= 0.10
@@ -235,9 +228,7 @@ def test_criterion_6_collapse_stated():
     prefetch(GRID_6)
     for L, z in GRID_6:
         nu = np.asarray(halfchain_nu(L, z))
-        es = entanglement_spectrum(
-            CorrelationMatrix(block=tuple(range(L)), entries=np.diag(nu))
-        )
+        es = entanglement_spectrum(nu)
         eps = es.finite_eps()
         pos = np.sort(eps[eps > 0])[:5]
         for k, e in enumerate(pos):
@@ -256,7 +247,7 @@ def test_criterion_7_rainbow_limit():
 
     occ_dev = float(np.max(np.abs(site_occupations(occ) - 0.5)))
 
-    pts = renyi_entropies(correlation_matrix(occ, range(10)), [1, 2, 3, 4])
+    pts = renyi_entropies(correlation_matrix(occ, range(10)).eigenvalues(), [1, 2, 3, 4])
     vals = [p.value for p in pts]
     s_dev = abs(vals[0] - 10 * LN2)
     spread = max(vals) - min(vals)
@@ -282,7 +273,7 @@ def test_criterion_7_rainbow_limit():
 )
 def test_criterion_7_entropy_stated_bound():
     occ = occupied_from_svd(chain_svd(build_rainbow_profile(10, 0.01)))
-    s = vn_entropy(correlation_matrix(occ, range(10)))
+    s = vn_entropy(correlation_matrix(occ, range(10)).eigenvalues())
     assert abs(s - 10 * LN2) <= 1e-3
 
 
@@ -293,7 +284,7 @@ def test_criterion_7_entropy_stated_bound():
 )
 def test_criterion_7_renyi_equality_stated_bound():
     occ = occupied_from_svd(chain_svd(build_rainbow_profile(10, 0.01)))
-    pts = renyi_entropies(correlation_matrix(occ, range(10)), [1, 2, 3, 4])
+    pts = renyi_entropies(correlation_matrix(occ, range(10)).eigenvalues(), [1, 2, 3, 4])
     vals = [p.value for p in pts]
     assert max(vals) - min(vals) <= 1e-3
 
@@ -309,7 +300,7 @@ def test_criterion_8_oracle_equivalence():
             occ = occupied_from_svd(chain_svd(profile))
             amps = slater_amplitudes(occ, two_l)
             for block in boundary_blocks(two_l):
-                a = renyi_entropies(correlation_matrix(occ, block), [1, 2, 3, 4])
+                a = renyi_entropies(correlation_matrix(occ, block).eigenvalues(), [1, 2, 3, 4])
                 b = brute_force_block_entropy(amps, block, [1, 2, 3, 4])
                 worst = max(
                     worst, max(abs(x.value - y.value) for x, y in zip(a, b))
@@ -338,7 +329,7 @@ def test_criterion_9_two_dimensional():
         if L > 16:
             return S, 0.0
         c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
-        return S, abs(S - vn_entropy(oracle.restrict(c_full, left)))
+        return S, abs(S - vn_entropy(oracle.restrict(c_full, left).eigenvalues()))
 
     points = [(a, L) for a in alphas for L in sizes]
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
@@ -350,11 +341,8 @@ def test_criterion_9_two_dimensional():
     # 2L-site boundary, fitted against the full side (see ledger)
     A = {}
     for alpha in alphas:
-        pts = [
-            EntropyPoint(2 * L, 1, values[(alpha, L)] / (LN2 * 2 * L))
-            for L in sizes
-        ]
-        A[alpha] = fit_2d(EntropyCurve(points=pts))["A"]
+        per_side = [values[(alpha, L)] / (LN2 * 2 * L) for L in sizes]
+        A[alpha] = fit_2d([2 * L for L in sizes], per_side)["A"]
 
     elapsed = time.time() - t0
     ordered = A[0.5] > A[0.75] > A[0.9] > A[1.0]

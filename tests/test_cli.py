@@ -223,6 +223,22 @@ class TestWavefunction:
         assert "--m" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("m", ["-1600", "1599"])
+    def test_builds_only_the_printed_level(self, tmp_path, monkeypatch, m):
+        # the full (2L)^2 orbital matrix would be 98 MiB at L = 1600
+        from rainbow_lab import cli, spectra
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("all orbitals assembled")
+
+        monkeypatch.setattr(spectra, "_orbitals", refuse)
+        monkeypatch.setattr(cli, "orbitals_from_svd", refuse)
+        out = tmp_path / "w.csv"
+        rc = main(["wavefunction", "--L", "1600", "--z", "2", "--m", m,
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(read_csv(out)[1]) == 3200
+
 
 class TestValidityMap:
     def test_grid_and_contours(self, tmp_path):
@@ -377,8 +393,10 @@ class TestOrdersRefusedBeforeSolving:
          "--orders", "2,-1"],
         ["entropy-scan", "--L", "10", "--z", "1", "--orders", "nan"],
         ["renyi-fit", "--L", "20:25:1", "--z", "0:1:1", "--orders", "1,nan"],
+        ["entropy-scan", "--L", "10", "--z", "1", "--orders", "inf"],
+        ["renyi-fit", "--L", "40:45:1", "--z", "1", "--orders", "1,inf"],
     ], ids=["renyi-fit", "entropy-scan", "entropy-scan-boundary",
-            "entropy-scan-nan", "renyi-fit-nan"])
+            "entropy-scan-nan", "renyi-fit-nan", "entropy-scan-inf", "renyi-fit-inf"])
     def test_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         from rainbow_lab import cli, entanglement
 
@@ -521,7 +539,7 @@ class TestEntropy2DPolarRoute:
             c_full = oracle.correlation(
                 oracle.diagonalize(*oracle.lattice_hamiltonian(lat))
             )
-            want = vn_entropy(oracle.restrict(c_full, lat.left_half()))
+            want = vn_entropy(oracle.restrict(c_full, lat.left_half()).eigenvalues())
             # the CSV keeps 12 significant digits
             assert abs(float(S) - want) <= 1e-11 * max(1.0, abs(want))
 

@@ -107,15 +107,15 @@ class TestAnalyticWavefunction:
     def test_uniform_overlap(self):
         _, svd = chain_spectrum(100, alpha=1.0)
         ana = analytic_wavefunction(0, 0.0, 100)
-        assert wavefunction_overlap(ana.components, orbitals_from_svd(svd)[:, 100]) > 0.999
+        assert wavefunction_overlap(ana, orbitals_from_svd(svd)[:, 100]) > 0.999
 
     def test_deformed_overlap(self):
         _, svd = chain_spectrum(200, z=1.0)
         ana = analytic_wavefunction(0, 1.0 / 200, 200)
-        assert wavefunction_overlap(ana.components, orbitals_from_svd(svd)[:, 200]) > 0.99
+        assert wavefunction_overlap(ana, orbitals_from_svd(svd)[:, 200]) > 0.99
 
     def test_unit_norm(self):
-        v = analytic_wavefunction(2, 0.05, 60).components
+        v = analytic_wavefunction(2, 0.05, 60)
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_scaled_collapse_smoothed_density(self):
@@ -123,7 +123,7 @@ class TestAnalyticWavefunction:
         # rescaled by L, falls on one curve in n/L (the raw components
         # carry a lattice-period comb that cannot collapse pointwise)
         def smoothed(L, z):
-            v = analytic_wavefunction(0, z / L, L).components ** 2 * L
+            v = analytic_wavefunction(0, z / L, L) ** 2 * L
             w = np.convolve(v, np.ones(4) / 4, mode="valid")
             x = ((np.arange(2 * L) - L + 0.5) / L)[2:-1]
             return x, w
@@ -138,10 +138,10 @@ class TestAnalyticWavefunction:
         _, svd = chain_spectrum(L, z=1.0)
         orbitals = orbitals_from_svd(svd)
         shallow = wavefunction_overlap(
-            analytic_wavefunction(-4, 1.0 / L, L).components, orbitals[:, L - 4]
+            analytic_wavefunction(-4, 1.0 / L, L), orbitals[:, L - 4]
         )
         deep = wavefunction_overlap(
-            analytic_wavefunction(-180, 1.0 / L, L).components, orbitals[:, L - 180]
+            analytic_wavefunction(-180, 1.0 / L, L), orbitals[:, L - 180]
         )
         assert shallow > deep
 
@@ -247,7 +247,7 @@ def _stacked_occupied(L, h):
     columns are near-dependent, so Q depends on which LAPACK computes it
     (numpy's QR differs from SciPy's by far more than 1e-14 at L = 300)."""
     cols = np.column_stack(
-        [analytic_wavefunction(m, h, L).components for m in range(-L, 0)]
+        [analytic_wavefunction(m, h, L) for m in range(-L, 0)]
     )
     return sla.qr(cols, mode="economic", check_finite=False)[0]
 
@@ -273,7 +273,7 @@ class TestVectorizedLevels:
             phase = (np.pi * (ns - m) / 2.0
                      + np.sign(ns) * (np.pi * (m + 0.5) / 2.0) * ratio)
             v = np.exp(h * absn / 2.0) * np.cos(phase)
-            got = analytic_wavefunction(m, h, L).components
+            got = analytic_wavefunction(m, h, L)
             assert np.array_equal(got, v / np.linalg.norm(v))
 
     def test_negative_h_rejected(self):

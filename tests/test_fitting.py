@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbow_lab import (
-    EntropyCurve,
-    EntropyPoint,
     RankDeficientError,
-    RenyiAnsatz,
     deformed_length,
     entropy_scan,
     fit_2d,
@@ -22,11 +19,14 @@ from rainbow_lab import (
     vn_entropy,
 )
 
-from conftest import halfchain_C
+from rainbow_lab.fitting import _renyi_design
+
+from conftest import halfchain_nu
 
 
-def curve_of(pairs, n=1.0):
-    return EntropyCurve(points=[EntropyPoint(s, n, v) for s, v in pairs])
+def curve_of(pairs):
+    """(sizes, values) of (size, value) pairs."""
+    return [s for s, _ in pairs], [v for _, v in pairs]
 
 
 class TestLinearLsq:
@@ -78,34 +78,34 @@ class TestCentralCharge:
     def test_synthetic_exact(self):
         sizes = [50, 100, 200, 400]
         fit = fit_central_charge(
-            curve_of([(L, math.log(L) / 6 + 0.7) for L in sizes])
+            *curve_of([(L, math.log(L) / 6 + 0.7) for L in sizes])
         )
         assert fit["c"] == pytest.approx(1.0, abs=1e-10)
         assert fit["cprime"] == pytest.approx(0.7, abs=1e-10)
 
     def test_uniform_chain_data(self):
-        pairs = [(L, vn_entropy(halfchain_C(L, alpha=1.0))) for L in (50, 100, 200, 400)]
-        fit = fit_central_charge(curve_of(pairs))
+        pairs = [(L, vn_entropy(halfchain_nu(L, alpha=1.0))) for L in (50, 100, 200, 400)]
+        fit = fit_central_charge(*curve_of(pairs))
         assert abs(fit["c"] - 1.0) < 0.05
 
     def test_deformed_abscissa(self):
         # z = 1 data against ln(L~) recovers c = 1
         pairs = []
         for L in (50, 100, 200, 400):
-            pairs.append((deformed_length(1.0 / L, L), vn_entropy(halfchain_C(L, z=1.0))))
-        fit = fit_central_charge(curve_of(pairs))
+            pairs.append((deformed_length(1.0 / L, L), vn_entropy(halfchain_nu(L, z=1.0))))
+        fit = fit_central_charge(*curve_of(pairs))
         assert abs(fit["c"] - 1.0) < 0.05
 
     def test_too_few_sizes(self):
         with pytest.raises(ValueError):
-            fit_central_charge(curve_of([(10, 1.0), (20, 1.2)]))
+            fit_central_charge(*curve_of([(10, 1.0), (20, 1.2)]))
 
     def test_roundtrip_own_model(self):
         sizes = [60, 80, 100, 140, 200]
         for n in (1, 2):
             pref = (1 + 1 / n) / 12
             fit = fit_central_charge(
-                curve_of([(L, 1.3 * pref * math.log(L) - 0.4) for L in sizes], n=n),
+                *curve_of([(L, 1.3 * pref * math.log(L) - 0.4) for L in sizes]),
                 order=n,
             )
             assert fit["c"] == pytest.approx(1.3, abs=1e-10)
@@ -114,9 +114,9 @@ class TestCentralCharge:
     def test_ell_scan_with_oscillation_column(self):
         # chord-variable fit over a boundary-block scan, oscillation included
         L = 100
-        curve = entropy_scan(uniform_profile(L), "boundary", [1])
-        ells = np.array(curve.sizes(1.0))
-        S = np.array(curve.values(1.0))
+        points = entropy_scan(uniform_profile(L), "boundary", [1])
+        ells = np.array([p.size for p in points])
+        S = np.array([p.value for p in points])
         keep = ells >= 4
         chord = 4 * L / np.pi * np.sin(np.pi * ells[keep] / (2 * L))
         X = np.column_stack(
@@ -130,54 +130,52 @@ class TestCentralCharge:
 class TestRenyiHalfchain:
     SIZES = (40, 41, 60, 61, 80, 81, 100, 101)
 
-    def curve(self, z, n):
-        pts = [
-            renyi_entropies(halfchain_C(L, z=z), [n])[0] for L in self.SIZES
+    def values(self, z, n):
+        return [
+            renyi_entropies(halfchain_nu(L, z=z), [n])[0].value for L in self.SIZES
         ]
-        return EntropyCurve(points=pts)
 
     def test_c_near_one_z0(self):
-        fit = fit_renyi_halfchain(self.curve(0.0, 1), n=1, z=0.0)
+        fit = fit_renyi_halfchain(self.SIZES, self.values(0.0, 1), n=1, z=0.0)
         assert abs(fit["c_n"] - 1.0) < 0.04
 
     def test_constant_shift_moves_only_d(self):
-        base = self.curve(1.0, 2)
-        shifted = EntropyCurve(
-            points=[EntropyPoint(p.size, p.order, p.value + 0.37) for p in base.points]
-        )
-        a = fit_renyi_halfchain(base, n=2, z=1.0)
-        b = fit_renyi_halfchain(shifted, n=2, z=1.0)
+        base = self.values(1.0, 2)
+        shifted = [v + 0.37 for v in base]
+        a = fit_renyi_halfchain(self.SIZES, base, n=2, z=1.0)
+        b = fit_renyi_halfchain(self.SIZES, shifted, n=2, z=1.0)
         assert b["c_n"] == pytest.approx(a["c_n"], abs=1e-10)
         assert b["f_n"] == pytest.approx(a["f_n"], abs=1e-10)
         assert b["d_n"] - a["d_n"] == pytest.approx(0.37, abs=1e-10)
 
     def test_single_parity_rejected(self):
-        pts = [renyi_entropies(halfchain_C(L, z=0.0), [1])[0]
-               for L in (40, 60, 80, 100, 120, 140)]
+        sizes = (40, 60, 80, 100, 120, 140)
+        values = [vn_entropy(halfchain_nu(L, z=0.0)) for L in sizes]
         with pytest.raises(RankDeficientError):
-            fit_renyi_halfchain(EntropyCurve(points=pts), n=1, z=0.0)
+            fit_renyi_halfchain(sizes, values, n=1, z=0.0)
 
     def test_too_few_sizes(self):
-        pts = [renyi_entropies(halfchain_C(L, z=0.0), [1])[0] for L in (40, 41, 60)]
+        sizes = (40, 41, 60)
+        values = [vn_entropy(halfchain_nu(L, z=0.0)) for L in sizes]
         with pytest.raises(ValueError):
-            fit_renyi_halfchain(EntropyCurve(points=pts), n=1, z=0.0)
+            fit_renyi_halfchain(sizes, values, n=1, z=0.0)
 
     def test_ansatz_design_full_rank(self):
-        X = RenyiAnsatz(n=3).design([10, 11, 12, 13, 14, 15])
+        X = _renyi_design([10, 11, 12, 13, 14, 15], 3.0)
         assert np.linalg.matrix_rank(X) == 3
 
 
 class TestFit2D:
     def test_synthetic_exact(self):
         sizes = [8, 12, 16, 20, 24]
-        fit = fit_2d(curve_of([(L, 0.05 * L + 0.2 * math.log(L) + 0.9) for L in sizes]))
+        fit = fit_2d(*curve_of([(L, 0.05 * L + 0.2 * math.log(L) + 0.9) for L in sizes]))
         assert fit["A"] == pytest.approx(0.05, abs=1e-10)
         assert fit["B"] == pytest.approx(0.2, abs=1e-10)
         assert fit["C"] == pytest.approx(0.9, abs=1e-10)
 
     def test_too_few_sizes(self):
         with pytest.raises(ValueError):
-            fit_2d(curve_of([(8, 1.0), (12, 1.1), (16, 1.2), (20, 1.3)]))
+            fit_2d(*curve_of([(8, 1.0), (12, 1.1), (16, 1.2), (20, 1.3)]))
 
 
 class TestFnConstants:
@@ -194,8 +192,8 @@ class TestFnConstants:
         sizes = (40, 41, 60, 61, 80, 81, 100, 101)
         ref = None
         for z in (0.0, 1.0, 2.0):
-            pts = [renyi_entropies(halfchain_C(L, z=z), [n])[0] for L in sizes]
-            fit = fit_renyi_halfchain(EntropyCurve(points=pts), n=n, z=z)
+            values = [renyi_entropies(halfchain_nu(L, z=z), [n])[0].value for L in sizes]
+            fit = fit_renyi_halfchain(sizes, values, n=n, z=z)
             scale = (math.expm1(z) / z if z > 0 else 1.0) ** (1.0 / n)
             combo = fit["f_n"] * scale
             if ref is None:

@@ -246,7 +246,9 @@ def test_site_labels():
 def test_dense_route_is_gone():
     """No rainbow_lab module exposes the dense hopping-matrix route or its
     spectrum type; the route lives on only as the tests' oracle
-    (dense_oracle.py), and a solve's one result is its SublatticeSVD."""
+    (dense_oracle.py), and a solve's one result is its SublatticeSVD.  Nor
+    does any wrap a result that is one value: a block's nu, a list of
+    entropy points, a fit's two arrays, a wavefunction vector or a float."""
     import importlib
     import pkgutil
 
@@ -255,6 +257,8 @@ def test_dense_route_is_gone():
         "diagonalize", "occupied_orbitals", "ground_state_correlation",
         "block_correlation", "_is_bidiagonal", "_refuse_zero_modes",
         "_zero_mode_policy", "SpectrumResult", "spectrum_from_svd",
+        "PolarBlock", "EntropyCurve", "RenyiAnsatz", "AnalyticWavefunction",
+        "FermiVelocityEstimate", "_curve_xy",
     }
     modules = [rainbow_lab] + [
         importlib.import_module(f"rainbow_lab.{info.name}")

@@ -386,6 +386,17 @@ class TestOrbitalsFromSVD:
         assert np.array_equal(occ, oracle.occupied(dense))
         assert occ.flags.c_contiguous
 
+    @pytest.mark.parametrize("L", [1, 2, 7, 51])
+    @pytest.mark.parametrize("z", [0.0, 4.0, 92.0])
+    def test_level_orbital_is_the_column_bitwise(self, L, z):
+        svd = spectra.chain_svd(profile_from_z(L, z))
+        orbitals = orbitals_from_svd(svd)
+        for k in range(2 * L):
+            assert np.array_equal(spectra.level_orbital(svd, k), orbitals[:, k])
+        for k in (-1, 2 * L):
+            with pytest.raises(IndexError):
+                spectra.level_orbital(svd, k)
+
     def test_zero_modes_rejected_as_by_occupied_orbitals(self):
         with pytest.warns(RuntimeWarning):
             profile = profile_from_z(10, 2000.0)
@@ -521,8 +532,8 @@ class TestFermiVelocity:
     def test_matches_closed_form(self, z, tol):
         L = 500
         _, svd = chain_spectrum(L, z=z)
-        est = fermi_velocity(svd, L, z)
-        assert abs(est.a_numeric / est.a_analytic - 1) < tol
+        a = fermi_velocity(svd, L)
+        assert abs(a / velocity_scaling(z) - 1) < tol
 
     def test_analytic_values(self):
         assert velocity_scaling(0.0) == pytest.approx(1.0)
@@ -538,14 +549,14 @@ class TestFermiVelocity:
     def test_multilevel_fit_agrees(self):
         L = 200
         _, svd = chain_spectrum(L, z=2.0)
-        gap = fermi_velocity(svd, L, 2.0)
-        fit = fermi_velocity_fit(svd, L, 2.0)
-        assert abs(fit.a_numeric / gap.a_numeric - 1) < 0.01
+        gap = fermi_velocity(svd, L)
+        fit = fermi_velocity_fit(svd, L)
+        assert abs(fit / gap - 1) < 0.01
 
     def test_too_small(self):
         svd = chain_svd(build_rainbow_profile(1, 1.0))
         with pytest.raises(ValueError):
-            fermi_velocity(svd, 1, 0.0)
+            fermi_velocity(svd, 1)
 
 
 class TestSerialization:
