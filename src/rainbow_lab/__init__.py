@@ -35,12 +35,12 @@ from .spectra import (
 )
 from .continuum import (
     ContinuumParams,
-    ValidityMap,
     analytic_energy,
     analytic_wavefunction,
     continuum_params,
     coordinate_map,
     deformed_length,
+    overlap_crossing,
     slater_overlap,
     validity_map,
     wavefunction_overlap,
@@ -53,8 +53,6 @@ from .entanglement import (
     brute_force_block_entropy,
     correlation_matrix,
     entanglement_spectrum,
-    entropy_scan,
-    halfchain_block,
     halfchain_entropy_prediction,
     polar_block,
     renyi_entropies,
@@ -83,7 +81,6 @@ from .fitting import (
 )
 from .qubism import (
     AmplitudeTable,
-    QubismImage,
     render,
     schmidt_rank,
     slater_amplitudes,

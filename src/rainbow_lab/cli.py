@@ -5,7 +5,8 @@ CSV artifacts use ',' as separator, '.' as decimal mark and '#'-prefixed
 header lines carrying the tool version and the full configuration, so
 re-running a command reproduces its artifact byte for byte.  Grid sweeps
 honor ``--jobs`` (default from RAINBOW_LAB_JOBS) with order-independent
-assembly.
+assembly; the commands that compute one point have no ``--jobs``, and
+only renyi-fit, which writes CSV or JSON, has a ``--format``.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.
 """
@@ -22,14 +23,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .continuum import analytic_wavefunction, validity_map
+from .continuum import analytic_wavefunction, overlap_crossing, validity_map
 from .entanglement import (
     _checked_orders,
     boundary_blocks,
     brute_force_block_entropy,
     correlation_matrix,
     entanglement_spectrum,
-    entropy_scan,
     polar_block,
     renyi_entropies,
     vn_entropy,
@@ -236,7 +236,7 @@ def cmd_velocity_scan(args) -> int:
 
     def one(z):
         svd = chain_svd(profile_from_z(L, z))
-        return (z, fermi_velocity(svd, L), fermi_velocity_fit(svd, L),
+        return (z, fermi_velocity(svd), fermi_velocity_fit(svd),
                 float(velocity_scaling(z)))
 
     rows = _sweep(one, args.z, args.jobs)
@@ -249,21 +249,25 @@ def cmd_velocity_scan(args) -> int:
 
 
 def cmd_validity_map(args) -> int:
-    vm = validity_map(
+    overlaps = validity_map(
         args.L, args.z,
         executor_map=lambda kernel, points: _sweep(kernel, points, args.jobs),
     )
     rows = [
-        (L, z, float(vm.overlaps[i, j]))
-        for i, L in enumerate(vm.L_values)
-        for j, z in enumerate(vm.z_values)
+        (L, z, float(overlaps[i, j]))
+        for i, L in enumerate(args.L)
+        for j, z in enumerate(args.z)
     ]
     _write_csv(args.out, _csv_header(args, ("L", "z", "overlap")), rows)
+    contours = [
+        (L, overlap_crossing(args.z, row, 0.90), overlap_crossing(args.z, row, 0.95))
+        for L, row in zip(args.L, overlaps)
+    ]
     contour_path = args.contour_out or _derived_path(args.out, "_contours")
     _write_csv(
         contour_path,
         _csv_header(args, ("L", "z_at_0.90", "z_at_0.95")),
-        vm.contours,
+        contours,
     )
     return 0
 
@@ -284,9 +288,12 @@ def cmd_entropy_scan(args) -> int:
     def one(point):
         L, value = point
         profile = profile_from_z(L, _z_from(name, value, L))
+        svd = chain_svd(profile)
+        blocks = [range(L)] if args.blocks == "half" else boundary_blocks(2 * L)
         return [
             (L, profile.alpha, profile.h, profile.z, p.size, p.order, p.value)
-            for p in entropy_scan(profile, args.blocks, orders)
+            for block in blocks
+            for p in renyi_entropies(polar_block(svd, block), orders)
         ]
 
     points = [(L, v) for L in args.L for v in values]
@@ -326,7 +333,7 @@ def cmd_renyi_fit(args) -> int:
     for z in args.z:
         for i, n in enumerate(orders):
             values = [entropies[(L, z)][i].value for L in sizes]
-            fit = fit_renyi_halfchain(sizes, values, n=n, z=z)
+            fit = fit_renyi_halfchain(sizes, values, n=n)
             fits.append({"n": n, "z": z, **fit.coefficients,
                          "chi2": fit.chi2, "condition": fit.condition})
             rows.append((n, z, fit["c_n"], fit["d_n"], fit["f_n"],
@@ -434,8 +441,7 @@ def cmd_qubism(args) -> int:
         raise ValueError(f"qubism needs an even site count, got {n}")
     occ = occupied_from_svd(chain_svd(build_rainbow_profile(n // 2, args.alpha)))
     amps = slater_amplitudes(occ, n)
-    img = render(amps)
-    write_ppm(img, args.out)
+    write_ppm(render(amps), args.out)
     # PPM headers are pinned byte for byte, so provenance rides sidecar
     with open(args.out + ".provenance.json", "w", encoding="ascii") as fh:
         json.dump(_provenance(args), fh, indent=1)
@@ -488,9 +494,9 @@ def cmd_validate(args) -> int:
 
     # bond-state entropies count crossing bonds
     bonds = rainbow_bonds(6)
-    occ = bond_state_orbitals(bonds)
-    nu = correlation_matrix(occ, range(6)).eigenvalues()
-    dev = abs(vn_entropy(nu) - 6 * math.log(2))
+    amps = slater_amplitudes(bond_state_orbitals(bonds), 12)
+    S = brute_force_block_entropy(amps, range(6), [1])[0].value
+    dev = abs(S - 6 * math.log(2))
     check(f"bond-state half-chain entropy 6 ln 2 (dev {dev:.2e})", dev <= 1e-10)
     check("sdrg entropy equals bond crossings",
           abs(sdrg_entropy(bonds, range(6)) - 6 * math.log(2)) == 0.0)
@@ -527,42 +533,41 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"rainbow-lab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def new(name, helptext, func):
+    def new(name, helptext, func, sweep=True):
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(func=func)
-        p.add_argument(
-            "--jobs",
-            type=int,
-            help="worker threads for sweeps (default RAINBOW_LAB_JOBS or 1)",
-        )
+        if sweep:
+            p.add_argument(
+                "--jobs",
+                type=int,
+                help="worker threads for sweeps (default RAINBOW_LAB_JOBS or 1)",
+            )
         return p
 
-    p = new("spectrum", "single-particle levels of one chain", cmd_spectrum)
+    p = new("spectrum", "single-particle levels of one chain", cmd_spectrum,
+            sweep=False)
     p.add_argument("--L", type=int, required=True)
     _add_geometry(p)
     p.add_argument("--out", required=True)
     p.add_argument("--orbitals", help="optional binary orbital dump path")
-    p.add_argument("--format", choices=["csv"], default="csv")
 
-    p = new("wavefunction", "exact vs analytic wavefunction of one level", cmd_wavefunction)
+    p = new("wavefunction", "exact vs analytic wavefunction of one level",
+            cmd_wavefunction, sweep=False)
     p.add_argument("--L", type=int, required=True)
     _add_geometry(p)
     p.add_argument("--m", type=int, default=0, help="level index from the Fermi point")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv"], default="csv")
 
     p = new("velocity-scan", "Fermi velocity a(z) vs the closed form", cmd_velocity_scan)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--z", type=_range, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv"], default="csv")
 
     p = new("validity-map", "many-body overlap of the continuum state", cmd_validity_map)
     p.add_argument("--L", type=_int_range, required=True)
     p.add_argument("--z", type=_range, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--contour-out")
-    p.add_argument("--format", choices=["csv"], default="csv")
 
     p = new("entropy-scan", "Renyi entropies over blocks or grids", cmd_entropy_scan)
     p.add_argument("--L", type=_int_range, required=True)
@@ -572,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", choices=["half", "boundary"], default="half")
     p.add_argument("--orders", type=_orders, default=[1.0])
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv"], default="csv")
 
     p = new("renyi-fit", "fit the half-chain Renyi ansatz per (n, z)", cmd_renyi_fit)
     p.add_argument("--L", type=_int_range, required=True)
@@ -586,31 +590,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_range, required=True)
     p.add_argument("--levels", type=int, default=5)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv"], default="csv")
 
-    p = new("sdrg", "decimate a chain into its bond matching", cmd_sdrg)
+    p = new("sdrg", "decimate a chain into its bond matching", cmd_sdrg, sweep=False)
     p.add_argument("--L", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--couplings", help="comma-separated signed couplings")
     p.add_argument("--arcs", action="store_true", help="print an ASCII arc diagram")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["json"], default="json")
 
     p = new("entropy-2d", "left-half entropy of the 2D lattice vs size", cmd_entropy_2d)
     p.add_argument("--L", type=_int_range, required=True)
     p.add_argument("--alpha", type=_range, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fit-out")
-    p.add_argument("--format", choices=["csv"], default="csv")
 
-    p = new("qubism", "qubism PPM image of the many-body state", cmd_qubism)
+    p = new("qubism", "qubism PPM image of the many-body state", cmd_qubism,
+            sweep=False)
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--amplitudes", help="optional CSV dump (bitstring, amplitude)")
-    p.add_argument("--format", choices=["ppm"], default="ppm")
 
-    new("validate", "run the oracle-equivalence and invariant suites", cmd_validate)
+    new("validate", "run the oracle-equivalence and invariant suites", cmd_validate,
+        sweep=False)
 
     return ap
 
@@ -618,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.jobs = _worker_count(args)
+        if "jobs" in vars(args):
+            args.jobs = _worker_count(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

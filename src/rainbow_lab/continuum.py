@@ -12,7 +12,9 @@ it for one level and returns that level's unit vector, and
 validity map compares that continuum state with the exact ground state,
 whose occupied orbitals come straight from the chain's sublattice SVD
 (``spectra.occupied_from_svd``), so neither side builds a hopping matrix
-or loops over levels.
+or loops over levels.  ``validity_map`` returns the (L, z) grid of
+overlaps as an array, and ``overlap_crossing`` reads off one row the z
+where the overlap drops through a level.
 
 Each validity-map point keeps to one BLAS, SciPy's, which the chain solve
 already runs on (the rule of ``spectra``): the QR, the Gram and overlap
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -188,36 +190,14 @@ def continuum_occupied(L: int, h: float) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class ValidityMap:
-    """Slater overlaps between continuum and exact ground states on an (L, z) grid.
-
-    contours[i] = (L, z at overlap 0.90, z at overlap 0.95); NaN when the
-    threshold is not crossed inside the scanned z range.
-    """
-
-    L_values: tuple
-    z_values: tuple
-    overlaps: np.ndarray = field(repr=False)
-    contours: tuple = ()
-
-    def contour(self, level: float, i: int) -> float:
-        """First z where overlap drops through `level` for L_values[i]."""
-        ov = self.overlaps[i]
-        zs = self.z_values
-        for k in range(1, len(zs)):
-            if ov[k - 1] >= level > ov[k]:
-                t = (level - ov[k - 1]) / (ov[k] - ov[k - 1])
-                return float(zs[k - 1] + t * (zs[k] - zs[k - 1]))
-        return math.nan
-
-
 def _exact_occupied(L: int, z: float) -> np.ndarray:
     return occupied_from_svd(chain_svd(profile_from_z(L, z)))
 
 
-def validity_map(L_values, z_values, executor_map=map) -> ValidityMap:
-    """Grid of many-body overlaps quantifying where the continuum holds.
+def validity_map(L_values, z_values, executor_map=map) -> np.ndarray:
+    """Many-body overlaps quantifying where the continuum holds:
+    overlaps[i, j] between the continuum and exact ground states at
+    (L_values[i], z_values[j]).
 
     executor_map lets callers run grid points concurrently (pure function
     of (L, z)); results are assembled by index either way.
@@ -231,11 +211,14 @@ def validity_map(L_values, z_values, executor_map=map) -> ValidityMap:
 
     points = [(L, z) for L in L_values for z in z_values]
     flat = list(executor_map(one, points))
-    grid = np.asarray(flat).reshape(len(L_values), len(z_values))
-    vm = ValidityMap(L_values=L_values, z_values=z_values, overlaps=grid)
-    contours = tuple(
-        (L, vm.contour(0.90, i), vm.contour(0.95, i)) for i, L in enumerate(L_values)
-    )
-    return ValidityMap(
-        L_values=L_values, z_values=z_values, overlaps=grid, contours=contours
-    )
+    return np.asarray(flat).reshape(len(L_values), len(z_values))
+
+
+def overlap_crossing(z_values, overlaps, level: float) -> float:
+    """First z where one L's overlap row drops through `level`, linearly
+    interpolated; NaN when it is not crossed inside the scanned z range."""
+    for k in range(1, len(z_values)):
+        if overlaps[k - 1] >= level > overlaps[k]:
+            t = (level - overlaps[k - 1]) / (overlaps[k] - overlaps[k - 1])
+            return float(z_values[k - 1] + t * (z_values[k] - z_values[k - 1]))
+    return math.nan

@@ -14,16 +14,18 @@ M = U S V^T the diagonal blocks of sign H are zero and its off-diagonal
 block is the polar factor U V^T.  A block's nu are therefore
 (1 +- sigma)/2, sigma the singular values of its (row sites x column
 sites) sub-block X of U V^T, plus |n_rows - n_cols| levels at exactly
-1/2; ``polar_block`` returns them.  No orbitals or correlation matrix
-are formed, and X is formed on SciPy's BLAS, the library the solve runs
-on (the one-BLAS rule of ``spectra``).
+1/2; ``polar_block`` returns them for any block of one solve
+(``spectra.chain_svd`` or ``spectra.lattice_svd``), so a scan over blocks
+solves once.  No orbitals or correlation matrix are formed, and X is
+formed on SciPy's BLAS, the library the solve runs on (the one-BLAS rule
+of ``spectra``).
 The orbital route (``correlation_matrix`` on occupied orbitals, then
-``CorrelationMatrix.eigenvalues``) serves the chain's
-entanglement-spectrum collapse and the bond-state check; the
-tests keep the dense correlation-matrix method of Peschel, J. Phys. A 36
-L205 (2003), as the oracle for both.  It is the rule's one exception: its
-product and eigensolver stay on numpy, because the es-collapse reference
-records nu = 1/2 labels that depend on numpy's rounding.
+``CorrelationMatrix.eigenvalues``) serves only the chain's
+entanglement-spectrum collapse; the tests keep the dense
+correlation-matrix method of Peschel, J. Phys. A 36 L205 (2003), as the
+oracle for both routes.  It is the rule's one exception: its product and
+eigensolver stay on numpy, because the es-collapse reference records
+nu = 1/2 labels that depend on numpy's rounding.
 
 The brute-force route expands the full many-body state (small N only),
 bipartitions the amplitude matrix and takes singular values; it shares
@@ -41,16 +43,8 @@ import numpy as np
 from scipy.linalg import svdvals
 
 from .continuum import deformed_length
-from .lattice import CouplingProfile, Lattice2D
 from .qubism import AmplitudeTable
-from .spectra import (
-    NumericsError,
-    SublatticeSVD,
-    ZeroModeError,
-    _dgemm,
-    chain_svd,
-    lattice_svd,
-)
+from .spectra import NumericsError, SublatticeSVD, ZeroModeError, _dgemm
 
 NU_CLIP = 1e-14
 # Number of levels around eps = 0 averaged for the spacing Delta_L.  Two
@@ -274,48 +268,9 @@ def thermal_cft_entropy(beta: float, L: float, c: float) -> float:
     return c / 3.0 * (math.log(beta / math.pi) + log_sinh)
 
 
-def halfchain_block(geometry) -> list:
-    """The canonical left half: first L sites in 1D, x < 0 in 2D."""
-    if isinstance(geometry, CouplingProfile):
-        return list(range(geometry.L))
-    if isinstance(geometry, Lattice2D):
-        return geometry.left_half()
-    raise TypeError(f"unsupported geometry {type(geometry).__name__}")
-
-
 def boundary_blocks(n_sites: int):
     """All contiguous blocks anchored at the left edge, l = 1 .. n-1."""
     return [list(range(l)) for l in range(1, n_sites)]
-
-
-def entropy_scan(geometry, blocks, orders, zero_modes: str = "error") -> list:
-    """Solve a geometry once and evaluate entropies on many blocks: the
-    EntropyPoints of every block in turn, each block's orders in turn.
-
-    `blocks` is an iterable of site-index lists, or one of the presets
-    "half" (single canonical half block) and "boundary" (all left-anchored
-    contiguous blocks).  Chains (``chain_svd``) and the 2D lattice
-    (``lattice_svd``) both take the polar route, ``polar_block``.
-    """
-    if isinstance(geometry, CouplingProfile):
-        svd = chain_svd(geometry)
-    elif isinstance(geometry, Lattice2D):
-        svd = lattice_svd(geometry)
-    else:
-        raise TypeError(f"unsupported geometry {type(geometry).__name__}")
-    if isinstance(blocks, str):
-        if blocks == "half":
-            blocks = [halfchain_block(geometry)]
-        elif blocks == "boundary":
-            blocks = boundary_blocks(geometry.n_sites)
-        else:
-            raise ValueError(f"unknown block preset {blocks!r}")
-    points = []
-    for block in blocks:
-        points.extend(
-            renyi_entropies(polar_block(svd, block, zero_modes=zero_modes), orders)
-        )
-    return points
 
 
 def _boundary_bipartition(amps: AmplitudeTable, block) -> np.ndarray:

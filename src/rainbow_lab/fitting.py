@@ -4,8 +4,10 @@ Every model here is linear in its unknown coefficients once the
 Luttinger parameter is fixed to 1, so a single QR solver covers the
 central-charge fit, the deformed half-chain Renyi fit and the 2D
 volume/log/constant fit.  Each fit takes the data as two arrays, the
-sizes (block sizes or half-lengths) and the entropies at those sizes.
-No nonlinear optimizer anywhere.
+sizes (block sizes or half-lengths) and the entropies at those sizes,
+plus only what its model needs (the Renyi order n), and returns
+the named coefficients with chi2, the degrees of freedom and the design's
+condition number.  No nonlinear optimizer anywhere.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ class RankDeficientError(ValueError):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares solution of a named linear model.
+    """Least-squares solution of a linear model.
 
     chi2 is the unnormalized sum of squared residuals.
     """
 
-    model: str
     coefficients: dict
     chi2: float
     dof: int
@@ -38,7 +39,7 @@ class FitResult:
         return self.coefficients[name]
 
 
-def linear_lsq(design, y, names=None, model: str = "linear") -> FitResult:
+def linear_lsq(design, y, names=None) -> FitResult:
     """Minimize ||design @ beta - y||^2 by QR factorization.
 
     Raises RankDeficientError naming the first dependent column when the
@@ -65,7 +66,6 @@ def linear_lsq(design, y, names=None, model: str = "linear") -> FitResult:
     chi2 = float(resid @ resid)
     names = list(names) if names is not None else [f"b{i}" for i in range(cols)]
     return FitResult(
-        model=model,
         coefficients={n: float(b) for n, b in zip(names, beta)},
         chi2=chi2,
         dof=rows - cols,
@@ -86,7 +86,7 @@ def fit_central_charge(sizes, values, order: float = 1) -> FitResult:
         raise ValueError(f"need at least 3 sizes, got {sizes.size}")
     pref = (1.0 + 1.0 / order) / 12.0
     design = np.column_stack([pref * np.log(sizes), np.ones_like(sizes)])
-    return linear_lsq(design, values, names=("c", "cprime"), model="central-charge")
+    return linear_lsq(design, values, names=("c", "cprime"))
 
 
 # Luttinger parameter of free fermions, fixed in every ansatz here.
@@ -112,7 +112,7 @@ def _renyi_design(sizes, n: float) -> np.ndarray:
 MIN_RENYI_SIZES = 6
 
 
-def fit_renyi_halfchain(sizes, values, n: float, z: float) -> FitResult:
+def fit_renyi_halfchain(sizes, values, n: float) -> FitResult:
     """Fit the deformed half-chain Renyi ansatz to the order-n entropies
     `values` at half-lengths `sizes`, returning c_n, d_n, f_n.
 
@@ -128,10 +128,8 @@ def fit_renyi_halfchain(sizes, values, n: float, z: float) -> FitResult:
             "all sizes share one parity; the (-1)^L oscillation column is "
             "not identifiable"
         )
-    return linear_lsq(
-        _renyi_design(sizes, float(n)), values, names=("c_n", "d_n", "f_n"),
-        model=f"renyi-halfchain(n={n:g}, z={z:g})",
-    )
+    design = _renyi_design(sizes, float(n))
+    return linear_lsq(design, values, names=("c_n", "d_n", "f_n"))
 
 
 # The three-coefficient 2D fit refuses fewer sizes than this.
@@ -145,7 +143,7 @@ def fit_2d(sizes, values) -> FitResult:
     if sizes.size < MIN_2D_SIZES:
         raise ValueError(f"need at least {MIN_2D_SIZES} sizes, got {sizes.size}")
     design = np.column_stack([sizes, np.log(sizes), np.ones_like(sizes)])
-    return linear_lsq(design, values, names=("A", "B", "C"), model="entropy-2d")
+    return linear_lsq(design, values, names=("A", "B", "C"))
 
 
 # Sizes used to pin the oscillation amplitudes empirically at z = 0.
@@ -163,8 +161,12 @@ def fn_constants(n: int, sizes=_FN_SIZES) -> float:
         raise ValueError(f"order must be >= 1, got {n}")
     if n == 1:
         return -1.0
-    from .entanglement import entropy_scan
+    from .entanglement import polar_block, renyi_entropies
     from .lattice import uniform_profile
+    from .spectra import chain_svd
 
-    values = [entropy_scan(uniform_profile(L), "half", [n])[0].value for L in sizes]
-    return fit_renyi_halfchain(sizes, values, n=n, z=0.0)["f_n"]
+    values = []
+    for L in sizes:
+        nu = polar_block(chain_svd(uniform_profile(L)), range(L))
+        values.append(renyi_entropies(nu, [n])[0].value)
+    return fit_renyi_halfchain(sizes, values, n=n)["f_n"]

@@ -5,7 +5,8 @@ configurations with determinant amplitudes.  Configurations are encoded
 as N-bit strings with site 0 (leftmost site) as the most significant
 bit, so bitstring s maps to the integer index int(s, 2).
 
-The qubism image places the 2^N amplitudes on a 2^(N/2) x 2^(N/2) grid:
+``render`` places the 2^N amplitudes on a square 2^(N/2) x 2^(N/2) array,
+the qubism image, which ``write_ppm`` draws:
 the bit pair (s_{2i}, s_{2i+1}) picks the quadrant at recursion depth i
 (00 top-left, 01 top-right, 10 bottom-left, 11 bottom-right), depth 0
 being the coarsest.  Sub-image structure then bounds Schmidt ranks of
@@ -60,24 +61,6 @@ class AmplitudeTable:
             yield format(idx, f"0{self.n_sites}b"), float(self.amplitudes[idx])
 
 
-@dataclass(frozen=True)
-class QubismImage:
-    """Signed amplitude per cell of the recursive 2^(N/2) square grid."""
-
-    side: int
-    pixels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=float)
-        if p.shape != (self.side, self.side):
-            raise ValueError(f"expected {self.side}x{self.side} pixels, got {p.shape}")
-        p.setflags(write=False)
-        object.__setattr__(self, "pixels", p)
-
-    def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.pixels))
-
-
 def slater_amplitudes(occ: np.ndarray, n_sites: int) -> AmplitudeTable:
     """Expand a Slater determinant over occupation configurations.
 
@@ -106,8 +89,9 @@ def slater_amplitudes(occ: np.ndarray, n_sites: int) -> AmplitudeTable:
     return AmplitudeTable(n_sites=n_sites, filling=k, amplitudes=amps / norm)
 
 
-def render(amps: AmplitudeTable) -> QubismImage:
-    """Qubism image of an even-N amplitude table (two bits per scale)."""
+def render(amps: AmplitudeTable) -> np.ndarray:
+    """Qubism image of an even-N amplitude table (two bits per scale): the
+    2^(N/2) x 2^(N/2) array of signed amplitudes, one per cell."""
     n = amps.n_sites
     if n % 2:
         raise ValueError(f"qubism rendering needs even N, got {n}")
@@ -124,7 +108,7 @@ def render(amps: AmplitudeTable) -> QubismImage:
             row = (row << 1) | b1
             col = (col << 1) | b2
         pixels[row, col] = a
-    return QubismImage(side=side, pixels=pixels)
+    return pixels
 
 
 def schmidt_rank(amps: AmplitudeTable, block_size: int, rel_tol: float = 1e-10) -> int:
@@ -139,21 +123,23 @@ def schmidt_rank(amps: AmplitudeTable, block_size: int, rel_tol: float = 1e-10) 
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def write_ppm(img: QubismImage, path) -> None:
-    """Binary 8-bit PPM: red = positive amplitudes, green = negative.
+def write_ppm(pixels: np.ndarray, path) -> None:
+    """Binary 8-bit PPM of a square qubism image: red = positive
+    amplitudes, green = negative.
 
     Channel value is round(255 |a| / max|a|); header is exactly
     "P6\\n<side> <side>\\n255\\n" so identical images are byte-identical.
     """
-    mx = float(np.max(np.abs(img.pixels)))
-    rgb = np.zeros((img.side, img.side, 3), dtype=np.uint8)
+    side = pixels.shape[0]
+    mx = float(np.max(np.abs(pixels)))
+    rgb = np.zeros((side, side, 3), dtype=np.uint8)
     if mx > 0:
-        scaled = np.rint(255.0 * np.abs(img.pixels) / mx).astype(np.uint8)
-        rgb[..., 0] = np.where(img.pixels > 0, scaled, 0)
-        rgb[..., 1] = np.where(img.pixels < 0, scaled, 0)
+        scaled = np.rint(255.0 * np.abs(pixels) / mx).astype(np.uint8)
+        rgb[..., 0] = np.where(pixels > 0, scaled, 0)
+        rgb[..., 1] = np.where(pixels < 0, scaled, 0)
     try:
         with open(path, "wb") as fh:
-            fh.write(f"P6\n{img.side} {img.side}\n255\n".encode("ascii"))
+            fh.write(f"P6\n{side} {side}\n255\n".encode("ascii"))
             fh.write(rgb.tobytes())
     except OSError as exc:
         raise OSError(f"cannot write PPM to {path}: {exc}") from exc

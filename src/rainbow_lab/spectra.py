@@ -26,7 +26,9 @@ forms the hopping matrix.  Entanglement needs nothing more than their
 spectral outputs: the levels are ``SublatticeSVD.energies``, the ``+-s``
 pairs.  The outputs that are orbitals assemble them from the same SVD:
 ``occupied_from_svd`` the occupied columns at half filling,
-``orbitals_from_svd`` all levels and ``level_orbital`` one level.
+``orbitals_from_svd`` all levels and ``level_orbital`` one level.  The
+Fermi velocity (``fermi_velocity``, ``fermi_velocity_fit``) takes the SVD
+alone: a chain's half-length L is ``s.size``.
 
 One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
 each with its own thread pool, and every solve here runs on SciPy's.  So
@@ -397,14 +399,16 @@ def site_occupations(occ: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ik->i", occ, occ)
 
 
-def fermi_velocity(svd: SublatticeSVD, L: int) -> float:
+def fermi_velocity(svd: SublatticeSVD) -> float:
     """Fermi velocity from the single gap across the Fermi point.
 
     The spectrum near the Fermi point is E_m = a(z) pi (m + 1/2) / (2L),
     so the gap between the first level above and the first below rescaled
     by 2L/pi estimates a(z) with the least band-curvature contamination;
-    compare it with the closed form ``velocity_scaling(z)``.
+    compare it with the closed form ``velocity_scaling(z)``.  L is the
+    chain's, ``svd.s.size``.
     """
+    L = svd.s.size
     energies = svd.energies
     if energies.size < 4:
         raise ValueError(f"need at least 4 levels, got {energies.size}")
@@ -413,8 +417,10 @@ def fermi_velocity(svd: SublatticeSVD, L: int) -> float:
     return float(gap * 2 * L / np.pi)
 
 
-def fermi_velocity_fit(svd: SublatticeSVD, L: int, m_max: int = 4) -> float:
-    """Cross-check: slope of E_m vs pi(m+1/2)/(2L) fitted over |m| <= m_max."""
+def fermi_velocity_fit(svd: SublatticeSVD, m_max: int = 4) -> float:
+    """Cross-check: slope of E_m vs pi(m+1/2)/(2L) fitted over |m| <= m_max,
+    with the chain's L = ``svd.s.size``."""
+    L = svd.s.size
     energies = svd.energies
     half = energies.size // 2
     if half <= m_max:

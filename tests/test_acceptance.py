@@ -82,7 +82,7 @@ def test_criterion_1_fermi_velocity():
     L = 500
     worst = 0.0
     for z in (0.5, 1.0, 2.0, 4.0):
-        a = fermi_velocity(chain_svd(profile_from_z(L, z)), L)
+        a = fermi_velocity(chain_svd(profile_from_z(L, z)))
         worst = max(worst, abs(a / velocity_scaling(z) - 1))
     elapsed = time.time() - t0
     ok = worst < 0.02 and elapsed < 10.0
@@ -170,7 +170,7 @@ def renyi_fits():
     for z in ZS_5:
         for n in ORDERS_5:
             values = [nu_entropy(halfchain_nu(L, z), n) for L in SIZES_5]
-            fit = fit_renyi_halfchain(SIZES_5, values, n=n, z=z)
+            fit = fit_renyi_halfchain(SIZES_5, values, n=n)
             fits[(n, z)] = (fit["c_n"], fit["d_n"], fit["f_n"])
     return fits
 

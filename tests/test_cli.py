@@ -68,8 +68,11 @@ class TestBadCommandLine:
         (["es-collapse", "--L", "60"], "--z"),
         (["spectrum", "--L", "10", "--z", "1", "--nope", "3"], "--nope"),
         (["bogus"], "bogus"),
+        (["spectrum", "--L", "10", "--z", "1", "--format", "csv"], "--format"),
+        (["qubism", "--sites", "4", "--alpha", "0.5", "--jobs", "2"], "--jobs"),
     ], ids=["zero-step", "non-integer-L", "fractional-int-range", "bad-order",
-            "bad-jobs", "missing-flag", "unknown-flag", "unknown-command"])
+            "bad-jobs", "missing-flag", "unknown-flag", "unknown-command",
+            "single-choice-format", "jobs-without-sweep"])
     def test_json_record_exit_2(self, tmp_path, capsys, argv, expect):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
@@ -398,13 +401,12 @@ class TestOrdersRefusedBeforeSolving:
     ], ids=["renyi-fit", "entropy-scan", "entropy-scan-boundary",
             "entropy-scan-nan", "renyi-fit-nan", "entropy-scan-inf", "renyi-fit-inf"])
     def test_exit_2(self, tmp_path, capsys, monkeypatch, argv):
-        from rainbow_lab import cli, entanglement
+        from rainbow_lab import cli
 
         def refuse(*args, **kwargs):
             raise AssertionError("chain solved before the order check")
 
         monkeypatch.setattr(cli, "chain_svd", refuse)
-        monkeypatch.setattr(entanglement, "chain_svd", refuse)
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -578,16 +580,21 @@ class TestValidate:
 
 class TestFiguresCommands:
     """Every command of FIGURES.md's table parses, together with the flags
-    its Artifacts column names (``--format json``, ``--amplitudes``), so a
-    renamed or removed flag fails here; nothing is run."""
+    its Artifacts column names (``--format json``, ``--amplitudes``), and so
+    does every ``rainbow-lab`` line of README.md, so a renamed or removed
+    flag fails here; nothing is run."""
 
     @staticmethod
-    def _rows():
-        import re
+    def _text(name):
         from pathlib import Path
 
-        text = (Path(__file__).resolve().parent.parent / "FIGURES.md").read_text()
-        for line in text.splitlines():
+        return (Path(__file__).resolve().parent.parent / name).read_text()
+
+    @classmethod
+    def _rows(cls):
+        import re
+
+        for line in cls._text("FIGURES.md").splitlines():
             cells = line.split("|")[1:-1]
             if len(cells) != 3 or "`rainbow-lab " not in cells[1]:
                 continue
@@ -607,3 +614,17 @@ class TestFiguresCommands:
                 args = cli.build_parser().parse_args(argv)
                 assert args.command == argv[0]
                 assert callable(args.func)
+
+    def test_every_readme_command_parses(self):
+        import shlex
+
+        from rainbow_lab import cli
+
+        lines = [line.strip() for line in self._text("README.md").splitlines()
+                 if line.strip().startswith("rainbow-lab ")]
+        assert len(lines) >= 4
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            args = cli.build_parser().parse_args(argv)
+            assert args.command == argv[0]
+            assert callable(args.func)

@@ -14,6 +14,7 @@ from rainbow_lab import (
     coordinate_map,
     deformed_length,
     orbitals_from_svd,
+    overlap_crossing,
     profile_from_z,
     slater_overlap,
     validity_map,
@@ -204,32 +205,38 @@ class TestOverlaps:
             slater_overlap(a, a[:, :2])
 
 
+VM_L = (30, 50)
+VM_Z = (0.0, 0.1, 0.2, 0.35, 0.5, 1.0)
+
+
 @pytest.fixture(scope="module")
-def vm():
-    return validity_map([30, 50], [0.0, 0.1, 0.2, 0.35, 0.5, 1.0])
+def overlaps():
+    return validity_map(VM_L, VM_Z)
 
 
 class TestValidityMap:
 
-    def test_z0_column_high(self, vm):
+    def test_z0_column_high(self, overlaps):
         # deep-band lattice corrections cap the z=0 overlap near 0.989
-        assert np.all(vm.overlaps[:, 0] > 0.98)
+        assert overlaps.shape == (len(VM_L), len(VM_Z))
+        assert np.all(overlaps[:, 0] > 0.98)
 
-    def test_decreases_with_z(self, vm):
-        for row in vm.overlaps:
+    def test_decreases_with_z(self, overlaps):
+        for row in overlaps:
             assert row[-1] < row[0]
             tail = row[row < 0.95]
             assert np.all(np.diff(tail) <= 1e-12)
 
-    def test_contours_ordered(self, vm):
-        for (_, z90, z95) in vm.contours:
+    def test_contours_ordered(self, overlaps):
+        for row in overlaps:
+            z90 = overlap_crossing(VM_Z, row, 0.90)
+            z95 = overlap_crossing(VM_Z, row, 0.95)
             if not (math.isnan(z90) or math.isnan(z95)):
                 assert z95 <= z90
 
-    def test_overlap_below_critical_z(self, vm):
+    def test_overlap_below_critical_z(self, overlaps):
         # at any z below the measured 0.90 contour the overlap exceeds 0.9
-        i = vm.L_values.index(50)
-        z90 = vm.contour(0.90, i)
+        z90 = overlap_crossing(VM_Z, overlaps[VM_L.index(50)], 0.90)
         assert not math.isnan(z90)
         probe = slater_overlap(
             continuum_occupied(50, (z90 / 2) / 50), chain_occupied(50, z=z90 / 2)
@@ -281,14 +288,14 @@ class TestVectorizedLevels:
             continuum_occupied(5, -0.1)
 
     def test_overlaps_match_dense_route(self):
-        vm = validity_map(GRID_L, GRID_Z)
+        overlaps = validity_map(GRID_L, GRID_Z)
         for i, L in enumerate(GRID_L):
             for j, z in enumerate(GRID_Z):
                 exact = oracle.occupied(oracle.diagonalize(
                     *oracle.chain_hamiltonian(profile_from_z(L, z))
                 ))
                 want = slater_overlap(_stacked_occupied(L, z / L), exact)
-                assert abs(vm.overlaps[i, j] - want) <= 1e-12, (L, z)
+                assert abs(overlaps[i, j] - want) <= 1e-12, (L, z)
 
     def test_underflowed_chain_raises(self):
         with pytest.warns(RuntimeWarning), pytest.raises(ZeroModeError):

@@ -12,7 +12,6 @@ from rainbow_lab import (
     chain_svd,
     correlation_matrix,
     entanglement_spectrum,
-    entropy_scan,
     halfchain_entropy_prediction,
     lattice_svd,
     occupied_from_svd,
@@ -244,8 +243,11 @@ class TestEntropyScan:
         assert s2 - s1 == pytest.approx(LN2 / 6, abs=5e-3)
 
     def test_boundary_scan_shapes(self):
-        points = entropy_scan(build_rainbow_profile(4, 0.8), "boundary", [1, 2])
+        svd = chain_svd(build_rainbow_profile(4, 0.8))
+        points = [p for block in boundary_blocks(8)
+                  for p in renyi_entropies(polar_block(svd, block), [1, 2])]
         assert len(points) == 7 * 2
+        assert [p.size for p in points[::2]] == list(range(1, 8))
 
     def test_monotone_in_z_at_fixed_L(self):
         vals = [vn_entropy(halfchain_nu(40, z=z)) for z in (0.0, 0.5, 1.0, 2.0, 4.0)]
@@ -262,17 +264,17 @@ class TestEntropyScan:
 
     def test_2d_left_half_scan(self):
         lat = build_lattice_2d(2, 0.5)
-        points = entropy_scan(lat, "half", [1])
+        points = renyi_entropies(polar_block(lattice_svd(lat), lat.left_half()), [1])
         assert len(points) == 1
         assert points[0].size == 8
         assert points[0].value > 0
 
     def test_2d_uniform_needs_policy(self):
         lat = build_lattice_2d(2, 1.0)
+        svd = lattice_svd(lat)
         with pytest.raises(ZeroModeError):
-            entropy_scan(lat, "half", [1])
-        points = entropy_scan(lat, "half", [1], zero_modes="half")
-        assert points[0].value > 0
+            polar_block(svd, lat.left_half())
+        assert vn_entropy(polar_block(svd, lat.left_half(), zero_modes="half")) > 0
 
     def test_2d_policy_preserves_mirror_symmetry(self):
         lat = build_lattice_2d(2, 1.0)
@@ -387,23 +389,35 @@ class TestPolarRoute:
         with pytest.raises(NumericsError):
             polar_block(svd, (0, 1))
 
-    def test_entropy_scan_on_a_chain_skips_the_orbitals(self, monkeypatch):
+    def test_entropy_scan_on_a_chain_skips_the_orbitals(self, monkeypatch, tmp_path):
+        # the entropy-scan command, on the polar route with the orbital
+        # assembly and the correlation matrix refused
         from rainbow_lab import entanglement, spectra
+        from rainbow_lab.cli import main
 
         def refuse(*args, **kwargs):
             raise AssertionError("orbital route taken")
 
-        profile = profile_from_z(30, 2.0)
-        want = [p.value for p in entropy_scan(profile, "boundary", [1, 3])]
+        argv = ["entropy-scan", "--L", "30", "--z", "2", "--blocks", "boundary",
+                "--orders", "1,3", "--out"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*argv, str(a)]) == 0
         monkeypatch.setattr(spectra, "_orbitals", refuse)
         monkeypatch.setattr(entanglement, "CorrelationMatrix", refuse)
-        got = entropy_scan(profile, "boundary", [1, 3])
-        assert [p.value for p in got] == want
+        assert main([*argv, str(b)]) == 0
         monkeypatch.undo()
+        rows = [line.split(",") for line in b.read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows == [line.split(",") for line in a.read_text().splitlines()
+                        if not line.startswith("#")]
+        assert len(rows) == 59 * 2
         occ = chain_occupied(30, z=2.0)
-        for p in got:
-            nu = correlation_matrix(occ, range(int(p.size))).eigenvalues()
-            assert abs(p.value - renyi_entropies(nu, [p.order])[0].value) <= 1e-11
+        for row in rows:
+            size, order, value = int(row[4]), float(row[5]), float(row[6])
+            nu = correlation_matrix(occ, range(size)).eigenvalues()
+            want = renyi_entropies(nu, [order])[0].value
+            # the CSV keeps 12 significant digits
+            assert abs(value - want) <= 1e-11
 
 
 class TestLatticePolarRoute:
@@ -446,15 +460,12 @@ class TestLatticePolarRoute:
         want = renyi_entropies(oracle.restrict(c_full, lat.left_half()).eigenvalues(), [1, 2])
         monkeypatch.setattr(spectra, "_orbitals", refuse)
         monkeypatch.setattr(entanglement, "CorrelationMatrix", refuse)
-        points = entropy_scan(lat, "half", [1, 2], zero_modes="half")
+        nu = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
+        points = renyi_entropies(nu, [1, 2])
+        assert len(points) == len(want)
         for a, b in zip(points, want):
             assert (a.size, a.order) == (b.size, b.order)
             assert abs(a.value - b.value) <= 1e-11
-
-    def test_other_geometries_rejected(self):
-        m, _ = oracle.chain_hamiltonian(build_rainbow_profile(2, 0.5))
-        with pytest.raises(TypeError):
-            entropy_scan(m, "half", [1])
 
 
 class TestNanOrders:

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from rainbow_lab import (
     RankDeficientError,
+    chain_svd,
     deformed_length,
-    entropy_scan,
     fit_2d,
     fit_central_charge,
     fit_renyi_halfchain,
     fn_constants,
     linear_lsq,
+    polar_block,
     renyi_entropies,
     uniform_profile,
     vn_entropy,
@@ -114,9 +115,9 @@ class TestCentralCharge:
     def test_ell_scan_with_oscillation_column(self):
         # chord-variable fit over a boundary-block scan, oscillation included
         L = 100
-        points = entropy_scan(uniform_profile(L), "boundary", [1])
-        ells = np.array([p.size for p in points])
-        S = np.array([p.value for p in points])
+        svd = chain_svd(uniform_profile(L))
+        ells = np.arange(1, 2 * L)
+        S = np.array([vn_entropy(polar_block(svd, range(l))) for l in ells])
         keep = ells >= 4
         chord = 4 * L / np.pi * np.sin(np.pi * ells[keep] / (2 * L))
         X = np.column_stack(
@@ -136,14 +137,14 @@ class TestRenyiHalfchain:
         ]
 
     def test_c_near_one_z0(self):
-        fit = fit_renyi_halfchain(self.SIZES, self.values(0.0, 1), n=1, z=0.0)
+        fit = fit_renyi_halfchain(self.SIZES, self.values(0.0, 1), n=1)
         assert abs(fit["c_n"] - 1.0) < 0.04
 
     def test_constant_shift_moves_only_d(self):
         base = self.values(1.0, 2)
         shifted = [v + 0.37 for v in base]
-        a = fit_renyi_halfchain(self.SIZES, base, n=2, z=1.0)
-        b = fit_renyi_halfchain(self.SIZES, shifted, n=2, z=1.0)
+        a = fit_renyi_halfchain(self.SIZES, base, n=2)
+        b = fit_renyi_halfchain(self.SIZES, shifted, n=2)
         assert b["c_n"] == pytest.approx(a["c_n"], abs=1e-10)
         assert b["f_n"] == pytest.approx(a["f_n"], abs=1e-10)
         assert b["d_n"] - a["d_n"] == pytest.approx(0.37, abs=1e-10)
@@ -152,13 +153,13 @@ class TestRenyiHalfchain:
         sizes = (40, 60, 80, 100, 120, 140)
         values = [vn_entropy(halfchain_nu(L, z=0.0)) for L in sizes]
         with pytest.raises(RankDeficientError):
-            fit_renyi_halfchain(sizes, values, n=1, z=0.0)
+            fit_renyi_halfchain(sizes, values, n=1)
 
     def test_too_few_sizes(self):
         sizes = (40, 41, 60)
         values = [vn_entropy(halfchain_nu(L, z=0.0)) for L in sizes]
         with pytest.raises(ValueError):
-            fit_renyi_halfchain(sizes, values, n=1, z=0.0)
+            fit_renyi_halfchain(sizes, values, n=1)
 
     def test_ansatz_design_full_rank(self):
         X = _renyi_design([10, 11, 12, 13, 14, 15], 3.0)
@@ -193,7 +194,7 @@ class TestFnConstants:
         ref = None
         for z in (0.0, 1.0, 2.0):
             values = [renyi_entropies(halfchain_nu(L, z=z), [n])[0].value for L in sizes]
-            fit = fit_renyi_halfchain(sizes, values, n=n, z=z)
+            fit = fit_renyi_halfchain(sizes, values, n=n)
             scale = (math.expm1(z) / z if z > 0 else 1.0) ** (1.0 / n)
             combo = fit["f_n"] * scale
             if ref is None:

@@ -532,7 +532,7 @@ class TestFermiVelocity:
     def test_matches_closed_form(self, z, tol):
         L = 500
         _, svd = chain_spectrum(L, z=z)
-        a = fermi_velocity(svd, L)
+        a = fermi_velocity(svd)
         assert abs(a / velocity_scaling(z) - 1) < tol
 
     def test_analytic_values(self):
@@ -549,14 +549,20 @@ class TestFermiVelocity:
     def test_multilevel_fit_agrees(self):
         L = 200
         _, svd = chain_spectrum(L, z=2.0)
-        gap = fermi_velocity(svd, L)
-        fit = fermi_velocity_fit(svd, L)
+        gap = fermi_velocity(svd)
+        fit = fermi_velocity_fit(svd)
         assert abs(fit / gap - 1) < 0.01
 
     def test_too_small(self):
         svd = chain_svd(build_rainbow_profile(1, 1.0))
         with pytest.raises(ValueError):
-            fermi_velocity(svd, 1)
+            fermi_velocity(svd)
+
+    def test_length_read_off_the_svd(self):
+        # the values that passing L = 500 alongside the SVD gave, bit for bit
+        svd = chain_svd(profile_from_z(500, 1.0))
+        assert fermi_velocity(svd) == 0.5816386330458119
+        assert fermi_velocity_fit(svd) == 0.5816235658798679
 
 
 class TestSerialization:
