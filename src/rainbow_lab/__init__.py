@@ -15,10 +15,8 @@ __version__ = "0.1.0"
 from .lattice import (
     CouplingProfile,
     Lattice2D,
-    build_lattice_2d,
     build_rainbow_profile,
     profile_from_z,
-    uniform_profile,
 )
 from .spectra import (
     SublatticeSVD,
@@ -42,13 +40,12 @@ from .continuum import (
     deformed_length,
     overlap_crossing,
     slater_overlap,
-    validity_map,
+    validity_overlap,
     wavefunction_overlap,
 )
 from .entanglement import (
     CorrelationMatrix,
     EntanglementSpectrum,
-    EntropyPoint,
     boundary_blocks,
     brute_force_block_entropy,
     correlation_matrix,

@@ -6,7 +6,11 @@ header lines carrying the tool version and the full configuration, so
 re-running a command reproduces its artifact byte for byte.  Grid sweeps
 honor ``--jobs`` (default from RAINBOW_LAB_JOBS) with order-independent
 assembly; the commands that compute one point have no ``--jobs``, and
-only renyi-fit, which writes CSV or JSON, has a ``--format``.
+only renyi-fit, which writes CSV or JSON, has a ``--format``.  Sweeps
+live here: the library computes one point (one chain, one overlap), and
+each sweep command loops it with ``_sweep``.  The geometry flags --alpha,
+--h and --z name a chain through one resolver, ``_profile``, so a flag
+value gives the same couplings in every command that takes it.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.
 """
@@ -23,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .continuum import analytic_wavefunction, overlap_crossing, validity_map
+from .continuum import analytic_wavefunction, overlap_crossing, validity_overlap
 from .entanglement import (
     _checked_orders,
     boundary_blocks,
@@ -34,7 +38,7 @@ from .entanglement import (
     renyi_entropies,
     vn_entropy,
 )
-from .lattice import build_lattice_2d, build_rainbow_profile, profile_from_z
+from .lattice import Lattice2D, build_rainbow_profile, profile_from_z, site_labels
 from .qubism import render, slater_amplitudes, write_ppm
 from .sdrg import bond_state_orbitals, rainbow_bonds, render_arcs, sdrg_entropy, sdrg_run
 from .spectra import (
@@ -48,7 +52,6 @@ from .spectra import (
     orbitals_from_svd,
     save_orbitals,
     site_occupations,
-    spectrum_rows,
     velocity_scaling,
 )
 
@@ -129,22 +132,12 @@ def _geometry_values(args) -> tuple:
     return given[0], getattr(args, given[0])
 
 
-def _z_from(name: str, value: float, L: int) -> float:
-    """Deformation z = h L for a value of the geometry flag `name`."""
-    if name == "alpha":
-        return -2 * math.log(value) * L
-    if name == "h":
-        return value * L
-    return value
-
-
-def _profile_for(L: int, args) -> object:
-    name, value = _geometry_values(args)
-    if isinstance(value, list):
-        raise ValueError(f"--{name} must be a single value for this command")
-    if name == "alpha":
+def _profile(flag: str, value: float, L: int):
+    """The chain of half-length L that `value` of the geometry flag `flag`
+    names: --alpha directly, --h and --z through z = h L."""
+    if flag == "alpha":
         return build_rainbow_profile(L, value)
-    return profile_from_z(L, _z_from(name, value, L))
+    return profile_from_z(L, value * L if flag == "h" else value)
 
 
 def _worker_count(args) -> int:
@@ -206,8 +199,9 @@ def _write_json(path, args, payload) -> None:
 # ----------------------------------------------------------------- commands
 
 def cmd_spectrum(args) -> int:
-    svd = chain_svd(_profile_for(args.L, args))
-    rows = list(spectrum_rows(svd))
+    svd = chain_svd(_profile(*_geometry_values(args), args.L))
+    # m counted from the Fermi point: m = 0 is the first level above it
+    rows = list(enumerate(svd.energies.tolist(), start=-args.L))
     _write_csv(args.out, _csv_header(args, ("m", "energy")), rows)
     if args.orbitals:
         save_orbitals(orbitals_from_svd(svd), args.orbitals)
@@ -215,7 +209,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
-    profile = _profile_for(args.L, args)
+    profile = _profile(*_geometry_values(args), args.L)
     m = args.m
     if not -args.L <= m <= args.L - 1:
         raise ValueError(f"--m must lie in [{-args.L}, {args.L - 1}], got {m}")
@@ -223,7 +217,7 @@ def cmd_wavefunction(args) -> int:
     ana = analytic_wavefunction(m, profile.h, args.L)
     if exact @ ana < 0:  # global eigenvector sign is arbitrary; align for plots
         exact = -exact
-    labels = profile.labels()
+    labels = site_labels(args.L)
     rows = [(labels[i], float(exact[i]), float(ana[i])) for i in range(2 * args.L)]
     header = _csv_header(args, ("site", "exact", "analytic"))
     header.insert(-1, f"# overlap: {abs(np.dot(exact, ana)):.12g}")
@@ -249,19 +243,13 @@ def cmd_velocity_scan(args) -> int:
 
 
 def cmd_validity_map(args) -> int:
-    overlaps = validity_map(
-        args.L, args.z,
-        executor_map=lambda kernel, points: _sweep(kernel, points, args.jobs),
-    )
-    rows = [
-        (L, z, float(overlaps[i, j]))
-        for i, L in enumerate(args.L)
-        for j, z in enumerate(args.z)
-    ]
+    points = [(L, z) for L in args.L for z in args.z]
+    values = _sweep(lambda point: validity_overlap(*point), points, args.jobs)
+    rows = [(L, z, overlap) for (L, z), overlap in zip(points, values)]
     _write_csv(args.out, _csv_header(args, ("L", "z", "overlap")), rows)
     contours = [
         (L, overlap_crossing(args.z, row, 0.90), overlap_crossing(args.z, row, 0.95))
-        for L, row in zip(args.L, overlaps)
+        for L, row in zip(args.L, np.reshape(values, (len(args.L), len(args.z))))
     ]
     contour_path = args.contour_out or _derived_path(args.out, "_contours")
     _write_csv(
@@ -285,25 +273,22 @@ def cmd_entropy_scan(args) -> int:
         if len(args.L) != 1 or len(values) != 1:
             raise ValueError("boundary scans need a single geometry")
 
-    def one(point):
-        L, value = point
-        profile = profile_from_z(L, _z_from(name, value, L))
+    def one(profile):
+        L = profile.L
         svd = chain_svd(profile)
         blocks = [range(L)] if args.blocks == "half" else boundary_blocks(2 * L)
         return [
-            (L, profile.alpha, profile.h, profile.z, p.size, p.order, p.value)
+            (L, profile.alpha, profile.h, profile.z, len(block), n, S)
             for block in blocks
-            for p in renyi_entropies(polar_block(svd, block), orders)
+            for n, S in zip(orders, renyi_entropies(polar_block(svd, block), orders))
         ]
 
-    points = [(L, v) for L in args.L for v in values]
-    chunks = _sweep(one, points, args.jobs)
+    profiles = [_profile(name, v, L) for L in args.L for v in values]
+    chunks = _sweep(one, profiles, args.jobs)
     rows = [row for chunk in chunks for row in chunk]
     header = _csv_header(args, ("L", "alpha", "h", "z", "block", "n", "S"))
-    if len(points) == 1:
-        L, value = points[0]
-        profile = profile_from_z(L, _z_from(name, value, L))
-        header.insert(-1, f"# profile: {profile.to_json()}")
+    if len(profiles) == 1:
+        header.insert(-1, f"# profile: {profiles[0].to_json()}")
     _write_csv(args.out, header, rows)
     return 0
 
@@ -332,7 +317,7 @@ def cmd_renyi_fit(args) -> int:
     fits = []
     for z in args.z:
         for i, n in enumerate(orders):
-            values = [entropies[(L, z)][i].value for L in sizes]
+            values = [entropies[(L, z)][i] for L in sizes]
             fit = fit_renyi_halfchain(sizes, values, n=n)
             fits.append({"n": n, "z": z, **fit.coefficients,
                          "chi2": fit.chi2, "condition": fit.condition})
@@ -409,7 +394,7 @@ def cmd_entropy_2d(args) -> int:
 
     def one(point):
         alpha, L = point
-        lat = build_lattice_2d(L, alpha)
+        lat = Lattice2D(L, alpha)
         nu = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
         S = vn_entropy(nu)
         return (alpha, L, S, S / L)
@@ -475,7 +460,7 @@ def cmd_validate(args) -> int:
             for block in boundary_blocks(twoL):
                 a = renyi_entropies(polar_block(svd, block), orders)
                 b = brute_force_block_entropy(amps, block, orders)
-                worst = max(worst, max(abs(x.value - y.value) for x, y in zip(a, b)))
+                worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
             check(f"oracle equivalence 2L={twoL} alpha={alpha} (dev {worst:.2e})",
                   worst <= 1e-10)
 
@@ -495,7 +480,7 @@ def cmd_validate(args) -> int:
     # bond-state entropies count crossing bonds
     bonds = rainbow_bonds(6)
     amps = slater_amplitudes(bond_state_orbitals(bonds), 12)
-    S = brute_force_block_entropy(amps, range(6), [1])[0].value
+    S = brute_force_block_entropy(amps, range(6), [1])[0]
     dev = abs(S - 6 * math.log(2))
     check(f"bond-state half-chain entropy 6 ln 2 (dev {dev:.2e})", dev <= 1e-10)
     check("sdrg entropy equals bond crossings",
@@ -516,13 +501,12 @@ def cmd_validate(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
-def _add_geometry(p, sweep_z=False):
-    p.add_argument("--alpha", type=float, help="decay parameter in (0, 1]")
-    p.add_argument("--h", type=float, help="decay rate h = -2 ln(alpha)")
-    if sweep_z:
-        p.add_argument("--z", type=_range, help="z value or range start:stop:step")
-    else:
-        p.add_argument("--z", type=float, help="deformation z = h L")
+def _add_geometry(p, kind):
+    """--alpha, --h and --z, each parsed by `kind` (float, or _range for a
+    sweep); a command takes exactly one of them."""
+    p.add_argument("--alpha", type=kind, help="decay parameter in (0, 1]")
+    p.add_argument("--h", type=kind, help="decay rate h = -2 ln(alpha)")
+    p.add_argument("--z", type=kind, help="deformation z = h L")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,14 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("spectrum", "single-particle levels of one chain", cmd_spectrum,
             sweep=False)
     p.add_argument("--L", type=int, required=True)
-    _add_geometry(p)
+    _add_geometry(p, float)
     p.add_argument("--out", required=True)
     p.add_argument("--orbitals", help="optional binary orbital dump path")
 
     p = new("wavefunction", "exact vs analytic wavefunction of one level",
             cmd_wavefunction, sweep=False)
     p.add_argument("--L", type=int, required=True)
-    _add_geometry(p)
+    _add_geometry(p, float)
     p.add_argument("--m", type=int, default=0, help="level index from the Fermi point")
     p.add_argument("--out", required=True)
 
@@ -571,9 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = new("entropy-scan", "Renyi entropies over blocks or grids", cmd_entropy_scan)
     p.add_argument("--L", type=_int_range, required=True)
-    p.add_argument("--alpha", type=_range)
-    p.add_argument("--h", type=_range)
-    p.add_argument("--z", type=_range)
+    _add_geometry(p, _range)
     p.add_argument("--blocks", choices=["half", "boundary"], default="half")
     p.add_argument("--orders", type=_orders, default=[1.0])
     p.add_argument("--out", required=True)

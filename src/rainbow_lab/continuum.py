@@ -8,13 +8,14 @@ ascending spectrum of a 2L-site chain.
 The closed-form wavefunction lives in one vectorized core that samples
 any set of levels in a single broadcast: ``analytic_wavefunction`` asks
 it for one level and returns that level's unit vector, and
-``continuum_occupied`` asks for all L occupied levels at once.  The
-validity map compares that continuum state with the exact ground state,
-whose occupied orbitals come straight from the chain's sublattice SVD
-(``spectra.occupied_from_svd``), so neither side builds a hopping matrix
-or loops over levels.  ``validity_map`` returns the (L, z) grid of
-overlaps as an array, and ``overlap_crossing`` reads off one row the z
-where the overlap drops through a level.
+``continuum_occupied`` asks for all L occupied levels at once.
+``validity_overlap`` compares that continuum state with the exact ground
+state of one chain, whose occupied orbitals come straight from the
+chain's sublattice SVD (``spectra.occupied_from_svd``), so neither side
+builds a hopping matrix or loops over levels.  Sweeping it over an
+(L, z) grid is the caller's loop (the CLI's validity-map), and
+``overlap_crossing`` reads off one L's row of overlaps the z where the
+overlap drops through a level.
 
 Each validity-map point keeps to one BLAS, SciPy's, which the chain solve
 already runs on (the rule of ``spectra``): the QR, the Gram and overlap
@@ -184,34 +185,19 @@ def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
 def continuum_occupied(L: int, h: float) -> np.ndarray:
     """QR-orthonormalized analytic orbitals of the L occupied levels m = -L..-1."""
     levels = _analytic_levels(np.arange(-L, 0), h, L)
-    # no finiteness scan: where z overflows the levels, validity_map's exact
-    # solve goes on to report the underflowed chain (ZeroModeError)
+    # no finiteness scan: where z overflows the levels, validity_overlap's
+    # exact solve reports the underflowed chain (ZeroModeError)
     q, _ = sla.qr(levels.T, mode="economic", check_finite=False)
     return q
 
 
-def _exact_occupied(L: int, z: float) -> np.ndarray:
-    return occupied_from_svd(chain_svd(profile_from_z(L, z)))
-
-
-def validity_map(L_values, z_values, executor_map=map) -> np.ndarray:
-    """Many-body overlaps quantifying where the continuum holds:
-    overlaps[i, j] between the continuum and exact ground states at
-    (L_values[i], z_values[j]).
-
-    executor_map lets callers run grid points concurrently (pure function
-    of (L, z)); results are assembled by index either way.
-    """
-    L_values = tuple(int(L) for L in L_values)
-    z_values = tuple(float(z) for z in z_values)
-
-    def one(point):
-        L, z = point
-        return slater_overlap(continuum_occupied(L, z / L), _exact_occupied(L, z))
-
-    points = [(L, z) for L in L_values for z in z_values]
-    flat = list(executor_map(one, points))
-    return np.asarray(flat).reshape(len(L_values), len(z_values))
+def validity_overlap(L: int, z: float) -> float:
+    """Many-body overlap of the continuum and exact ground states of the
+    2L-site chain at deformation z, which quantifies where the continuum
+    holds."""
+    continuum = continuum_occupied(L, z / L)
+    exact = occupied_from_svd(chain_svd(profile_from_z(L, z)))
+    return slater_overlap(continuum, exact)
 
 
 def overlap_crossing(z_values, overlaps, level: float) -> float:

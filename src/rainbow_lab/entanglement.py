@@ -6,7 +6,8 @@ nu_p in [0, 1] give every Renyi entropy, the single-body entanglement
 energies eps_p = ln((1 - nu_p)/nu_p), and the entanglement Hamiltonian
 constant f_0, so ``renyi_entropies``, ``vn_entropy`` and
 ``entanglement_spectrum`` take a block's nu and nothing else.  Entropies
-are in nats throughout.
+are plain floats in nats, one per Renyi order asked for; the block and
+the orders are the caller's own inputs and are not echoed back.
 
 Chains and the 2D lattice take the polar route: at half filling
 C = (1 - sign H)/2, and for a bipartite H with sublattice block
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import svdvals
@@ -101,14 +101,6 @@ class EntanglementSpectrum:
 
     def finite_eps(self) -> np.ndarray:
         return self.eps[np.isfinite(self.eps)]
-
-
-class EntropyPoint(NamedTuple):
-    """One entropy sample: block size (or half-length), Renyi order, S in nats."""
-
-    size: float
-    order: float
-    value: float
 
 
 def _distinct_sites(block) -> tuple:
@@ -205,19 +197,19 @@ def _renyi_from_nu(nu: np.ndarray, order: float) -> float:
 
 
 def renyi_entropies(nu, orders) -> list:
-    """Renyi entropies S^(n) of a block from its nu; n = 1 is the von
-    Neumann limit.  The points' size is the block's, one nu per site.
+    """Renyi entropies S^(n) of a block from its nu, one float per order
+    in nats; n = 1 is the von Neumann limit.
 
     S^(n) = (1/(1-n)) sum_p ln(nu_p^n + (1-nu_p)^n).  Levels clipped at
     0 or 1 (within 1e-14) carry no entropy and are dropped.
     """
     orders = _checked_orders(orders)
     nu = np.asarray(nu, dtype=float)
-    return [EntropyPoint(nu.size, n, _renyi_from_nu(nu, n)) for n in orders]
+    return [_renyi_from_nu(nu, n) for n in orders]
 
 
 def vn_entropy(nu) -> float:
-    return renyi_entropies(nu, [1])[0].value
+    return renyi_entropies(nu, [1])[0]
 
 
 def entanglement_spectrum(nu) -> EntanglementSpectrum:
@@ -296,7 +288,8 @@ def _boundary_bipartition(amps: AmplitudeTable, block) -> np.ndarray:
 
 
 def brute_force_block_entropy(amps: AmplitudeTable, block, orders) -> list:
-    """Renyi entropies from the Schmidt values of the full many-body state.
+    """Renyi entropies from the Schmidt values of the full many-body state,
+    one float per order.
 
     Independent of the correlation-matrix route: the amplitude matrix of
     a boundary block is decomposed by SVD and the entropies are those of
@@ -313,5 +306,5 @@ def brute_force_block_entropy(amps: AmplitudeTable, block, orders) -> list:
             s = float(-np.sum(p * np.log(p)))
         else:
             s = float(np.log(np.sum(p**n)) / (1 - n))
-        out.append(EntropyPoint(len(tuple(block)), n, s))
+        out.append(s)
     return out

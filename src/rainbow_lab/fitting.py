@@ -150,7 +150,7 @@ def fit_2d(sizes, values) -> FitResult:
 _FN_SIZES = (40, 41, 60, 61, 80, 81, 100, 101, 140, 141)
 
 
-def fn_constants(n: int, sizes=_FN_SIZES) -> float:
+def fn_constants(n: int) -> float:
     """Oscillation amplitude f_n of the uniform half-chain entropies.
 
     f_1 = -1 is exact.  For n >= 2 the closed form is not available
@@ -162,11 +162,11 @@ def fn_constants(n: int, sizes=_FN_SIZES) -> float:
     if n == 1:
         return -1.0
     from .entanglement import polar_block, renyi_entropies
-    from .lattice import uniform_profile
+    from .lattice import build_rainbow_profile
     from .spectra import chain_svd
 
     values = []
-    for L in sizes:
-        nu = polar_block(chain_svd(uniform_profile(L)), range(L))
-        values.append(renyi_entropies(nu, [n])[0].value)
-    return fit_renyi_halfchain(sizes, values, n=n)["f_n"]
+    for L in _FN_SIZES:
+        nu = polar_block(chain_svd(build_rainbow_profile(L, 1.0)), range(L))
+        values.append(renyi_entropies(nu, [n])[0])
+    return fit_renyi_halfchain(_FN_SIZES, values, n=n)["f_n"]

@@ -81,9 +81,6 @@ class CouplingProfile:
         """Smallest |J| in the profile (underflow watch for large z)."""
         return float(np.min(np.abs(self.couplings)))
 
-    def labels(self) -> np.ndarray:
-        return site_labels(self.L)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -93,17 +90,6 @@ class CouplingProfile:
                 "z": self.z,
                 "couplings": list(self.couplings),
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CouplingProfile":
-        d = json.loads(text)
-        return cls(
-            L=int(d["L"]),
-            alpha=float(d["alpha"]),
-            h=float(d["h"]),
-            z=float(d["z"]),
-            couplings=np.asarray(d["couplings"], dtype=float),
         )
 
 
@@ -180,11 +166,6 @@ def profile_from_z(L: int, z: float) -> CouplingProfile:
     return build_rainbow_profile(L, math.exp(-h / 2.0))
 
 
-def uniform_profile(L: int) -> CouplingProfile:
-    """Open uniform chain (alpha = 1)."""
-    return build_rainbow_profile(L, 1.0)
-
-
 def signed_profile(couplings) -> np.ndarray:
     """Validate an arbitrary signed coupling list for an even-length chain:
     ValueError unless every coupling is finite and nonzero."""
@@ -223,9 +204,3 @@ def lattice_links(L: int, alpha: float) -> tuple:
     J = np.concatenate([vertical[ix[up]], horizontal[ix[right]]])
     order = np.lexsort((j, i))
     return i[order], j[order], J[order]
-
-
-def build_lattice_2d(L: int, alpha: float) -> Lattice2D:
-    """2L x 2L lattice with link amplitude alpha**|x_mid| (see
-    ``lattice_links``)."""
-    return Lattice2D(L, alpha)

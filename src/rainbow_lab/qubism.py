@@ -91,24 +91,21 @@ def slater_amplitudes(occ: np.ndarray, n_sites: int) -> AmplitudeTable:
 
 def render(amps: AmplitudeTable) -> np.ndarray:
     """Qubism image of an even-N amplitude table (two bits per scale): the
-    2^(N/2) x 2^(N/2) array of signed amplitudes, one per cell."""
+    2^(N/2) x 2^(N/2) array of signed amplitudes, one per cell.
+
+    Cell (row, col) spells the configuration's even sites in row's bits and
+    its odd sites in col's, most significant first, so the image is one
+    transpose of the amplitudes' site axes.
+    """
     n = amps.n_sites
     if n % 2:
         raise ValueError(f"qubism rendering needs even N, got {n}")
     side = 2 ** (n // 2)
-    pixels = np.zeros((side, side))
-    for idx in range(amps.amplitudes.size):
-        a = amps.amplitudes[idx]
-        if a == 0.0:
-            continue
-        row = col = 0
-        for level in range(n // 2):
-            b1 = (idx >> (n - 1 - 2 * level)) & 1
-            b2 = (idx >> (n - 2 - 2 * level)) & 1
-            row = (row << 1) | b1
-            col = (col << 1) | b2
-        pixels[row, col] = a
-    return pixels
+    sites = amps.amplitudes.reshape((2,) * n)
+    order = tuple(range(0, n, 2)) + tuple(range(1, n, 2))
+    # + 0.0: a new writable array even where the reshape is a view of the
+    # read-only amplitudes (N = 2), and -0.0 amplitudes as empty cells
+    return sites.transpose(order).reshape(side, side) + 0.0
 
 
 def schmidt_rank(amps: AmplitudeTable, block_size: int, rel_tol: float = 1e-10) -> int:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import CouplingProfile, signed_profile
+from .lattice import CouplingProfile, signed_profile, site_labels
 
 TIE_TOL = 1e-12
 
@@ -67,15 +67,11 @@ class BondList:
         if sorted(seen) != list(range(self.n_sites)):
             raise ValueError("bonds do not form a perfect matching of the sites")
 
-    def labels(self) -> np.ndarray:
-        return np.arange(self.n_sites) - self.n_sites / 2 + 0.5
-
     def to_json(self) -> str:
-        lab = self.labels()
         return json.dumps(
             {
                 "n_sites": self.n_sites,
-                "site_labels": list(lab),
+                "site_labels": list(site_labels(self.n_sites // 2)),
                 "bonds": [[b.left, b.right, b.sign] for b in self.bonds],
                 "trace": [
                     {
@@ -178,12 +174,9 @@ def rainbow_bonds(L: int) -> BondList:
     return BondList(n_sites=2 * L, bonds=bonds)
 
 
-def bond_state_orbitals(bonds: BondList, dim: int | None = None) -> np.ndarray:
+def bond_state_orbitals(bonds: BondList) -> np.ndarray:
     """One orbital per bond: (e_i + sign * e_j)/sqrt(2), orthonormal columns."""
-    dim = bonds.n_sites if dim is None else dim
-    if dim < bonds.n_sites:
-        raise ValueError(f"dim {dim} smaller than the matched {bonds.n_sites} sites")
-    occ = np.zeros((dim, len(bonds.bonds)))
+    occ = np.zeros((bonds.n_sites, len(bonds.bonds)))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for col, b in enumerate(bonds.bonds):
         occ[b.left, col] = inv_sqrt2
@@ -246,7 +239,7 @@ def render_arcs(bonds: BondList) -> str:
     Arcs are filled with the bond sign, '+' for bonding and '-' for
     anti-bonding, and end on '.' above the paired site labels.
     """
-    labels = [f"{x:g}" for x in bonds.labels()]
+    labels = [f"{x:g}" for x in site_labels(bonds.n_sites // 2)]
     cell = max(len(s) for s in labels) + 1
     pos = [i * cell + cell // 2 for i in range(bonds.n_sites)]
     lines = []

@@ -417,25 +417,18 @@ def fermi_velocity(svd: SublatticeSVD) -> float:
     return float(gap * 2 * L / np.pi)
 
 
-def fermi_velocity_fit(svd: SublatticeSVD, m_max: int = 4) -> float:
-    """Cross-check: slope of E_m vs pi(m+1/2)/(2L) fitted over |m| <= m_max,
+def fermi_velocity_fit(svd: SublatticeSVD) -> float:
+    """Cross-check: slope of E_m vs pi(m+1/2)/(2L) fitted over |m| <= 4,
     with the chain's L = ``svd.s.size``."""
     L = svd.s.size
     energies = svd.energies
     half = energies.size // 2
-    if half <= m_max:
-        raise ValueError(f"need more than {m_max} levels per branch")
-    ms = np.arange(-m_max, m_max + 1)
+    if half <= 4:
+        raise ValueError("need more than 4 levels per branch")
+    ms = np.arange(-4, 5)
     x = np.pi * (ms + 0.5) / (2 * L)
     y = energies[half + ms]
     return float(np.dot(x, y) / np.dot(x, x))
-
-
-def spectrum_rows(svd: SublatticeSVD):
-    """(m, energy) pairs with m counted from the Fermi point (m=0 first above)."""
-    half = svd.s.size
-    for idx, energy in enumerate(svd.energies):
-        yield idx - half, float(energy)
 
 
 def save_orbitals(orbitals: np.ndarray, path) -> None:

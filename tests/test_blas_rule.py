@@ -17,6 +17,7 @@ PER_POINT = [
     entanglement.polar_block,
     spectra._chain_solve,
     spectra._dense_svd,
+    continuum.validity_overlap,
     continuum.continuum_occupied,
     continuum.slater_overlap,
     continuum._full_column_rank,

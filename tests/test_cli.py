@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rainbow_lab import build_rainbow_profile
 from rainbow_lab.cli import main, parse_range
 
 
@@ -273,6 +274,15 @@ class TestEntropyScan:
         _, rows = read_csv(out)
         assert len(rows) == 11
 
+    def test_alpha_is_the_chain_other_commands_build(self, tmp_path):
+        # --alpha gives build_rainbow_profile(L, alpha) itself, as in spectrum
+        # and wavefunction, not the chain of alpha's round trip through z
+        out = tmp_path / "e.csv"
+        rc = main(["entropy-scan", "--L", "10", "--alpha", "0.4", "--out", str(out)])
+        assert rc == 0
+        header, _ = read_csv(out)
+        assert f"# profile: {build_rainbow_profile(10, 0.4).to_json()}" in header
+
     def test_boundary_needs_single_geometry(self, tmp_path):
         rc = main(["entropy-scan", "--L", "6:8:2", "--alpha", "0.8",
                    "--blocks", "boundary", "--out", str(tmp_path / "x.csv")])
@@ -522,7 +532,7 @@ class TestEntropy2D:
 class TestEntropy2DPolarRoute:
     def test_no_dense_matrix_orbitals_or_correlation(self, tmp_path, monkeypatch):
         import dense_oracle as oracle
-        from rainbow_lab import build_lattice_2d, entanglement, spectra, vn_entropy
+        from rainbow_lab import Lattice2D, entanglement, spectra, vn_entropy
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense route taken")
@@ -537,7 +547,7 @@ class TestEntropy2DPolarRoute:
         _, rows = read_csv(out)
         assert len(rows) == 10
         for alpha, L, S, _ in rows:
-            lat = build_lattice_2d(int(L), float(alpha))
+            lat = Lattice2D(int(L), float(alpha))
             c_full = oracle.correlation(
                 oracle.diagonalize(*oracle.lattice_hamiltonian(lat))
             )

@@ -17,7 +17,7 @@ from rainbow_lab import (
     overlap_crossing,
     profile_from_z,
     slater_overlap,
-    validity_map,
+    validity_overlap,
     velocity_scaling,
     wavefunction_overlap,
 )
@@ -211,7 +211,7 @@ VM_Z = (0.0, 0.1, 0.2, 0.35, 0.5, 1.0)
 
 @pytest.fixture(scope="module")
 def overlaps():
-    return validity_map(VM_L, VM_Z)
+    return np.array([[validity_overlap(L, z) for z in VM_Z] for L in VM_L])
 
 
 class TestValidityMap:
@@ -288,15 +288,14 @@ class TestVectorizedLevels:
             continuum_occupied(5, -0.1)
 
     def test_overlaps_match_dense_route(self):
-        overlaps = validity_map(GRID_L, GRID_Z)
-        for i, L in enumerate(GRID_L):
-            for j, z in enumerate(GRID_Z):
+        for L in GRID_L:
+            for z in GRID_Z:
                 exact = oracle.occupied(oracle.diagonalize(
                     *oracle.chain_hamiltonian(profile_from_z(L, z))
                 ))
                 want = slater_overlap(_stacked_occupied(L, z / L), exact)
-                assert abs(overlaps[i, j] - want) <= 1e-12, (L, z)
+                assert abs(validity_overlap(L, z) - want) <= 1e-12, (L, z)
 
     def test_underflowed_chain_raises(self):
         with pytest.warns(RuntimeWarning), pytest.raises(ZeroModeError):
-            validity_map([10], [2000.0])
+            validity_overlap(10, 2000.0)

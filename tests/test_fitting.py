@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rainbow_lab import (
     RankDeficientError,
+    build_rainbow_profile,
     chain_svd,
     deformed_length,
     fit_2d,
@@ -16,7 +17,6 @@ from rainbow_lab import (
     linear_lsq,
     polar_block,
     renyi_entropies,
-    uniform_profile,
     vn_entropy,
 )
 
@@ -115,7 +115,7 @@ class TestCentralCharge:
     def test_ell_scan_with_oscillation_column(self):
         # chord-variable fit over a boundary-block scan, oscillation included
         L = 100
-        svd = chain_svd(uniform_profile(L))
+        svd = chain_svd(build_rainbow_profile(L, 1.0))
         ells = np.arange(1, 2 * L)
         S = np.array([vn_entropy(polar_block(svd, range(l))) for l in ells])
         keep = ells >= 4
@@ -133,7 +133,7 @@ class TestRenyiHalfchain:
 
     def values(self, z, n):
         return [
-            renyi_entropies(halfchain_nu(L, z=z), [n])[0].value for L in self.SIZES
+            renyi_entropies(halfchain_nu(L, z=z), [n])[0] for L in self.SIZES
         ]
 
     def test_c_near_one_z0(self):
@@ -193,7 +193,7 @@ class TestFnConstants:
         sizes = (40, 41, 60, 61, 80, 81, 100, 101)
         ref = None
         for z in (0.0, 1.0, 2.0):
-            values = [renyi_entropies(halfchain_nu(L, z=z), [n])[0].value for L in sizes]
+            values = [renyi_entropies(halfchain_nu(L, z=z), [n])[0] for L in sizes]
             fit = fit_renyi_halfchain(sizes, values, n=n)
             scale = (math.expm1(z) / z if z > 0 else 1.0) ** (1.0 / n)
             combo = fit["f_n"] * scale

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 import rainbow_lab
 from rainbow_lab import (
-    CouplingProfile,
     Lattice2D,
-    build_lattice_2d,
     build_rainbow_profile,
     chain_svd,
     lattice_svd,
     profile_from_z,
-    uniform_profile,
 )
 from rainbow_lab.lattice import lattice_links, signed_profile, site_labels
 
@@ -63,9 +60,9 @@ class TestRainbowProfile:
 
     def test_json_roundtrip(self):
         p = build_rainbow_profile(5, 0.42)
-        q = CouplingProfile.from_json(p.to_json())
-        assert q.L == p.L and q.alpha == p.alpha
-        assert np.array_equal(q.couplings, p.couplings)
+        q = json.loads(p.to_json())
+        assert q["L"] == p.L and q["alpha"] == p.alpha
+        assert np.array_equal(q["couplings"], p.couplings)
         assert set(json.loads(p.to_json())) == {"L", "alpha", "h", "z", "couplings"}
 
 
@@ -107,7 +104,7 @@ class TestHoppingMatrix1D:
         assert np.diag(m, 1) == pytest.approx([-0.25, -0.5, -0.25])
 
     def test_uniform_offdiagonals(self):
-        m, _ = chain_hamiltonian(uniform_profile(6))
+        m, _ = chain_hamiltonian(build_rainbow_profile(6, 1.0))
         assert np.diag(m, 1) == pytest.approx([-0.5] * 11)
 
     @given(L=st.integers(1, 25), alpha=st.floats(0.05, 1.0))
@@ -158,7 +155,7 @@ class TestSublattice:
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_lattice_checkerboard(self, L):
-        lat = build_lattice_2d(L, 0.5)
+        lat = Lattice2D(L, 0.5)
         want = [int(x + y + 2 * L - 1) % 2
                 for (x, y) in (_coordinates(L, i) for i in range(lat.n_sites))]
         assert np.array_equal(lat.checkerboard(), want)
@@ -166,7 +163,7 @@ class TestSublattice:
 
 class TestLattice2D:
     def test_L1_links(self):
-        lat = build_lattice_2d(1, 0.5)
+        lat = Lattice2D(1, 0.5)
         assert lat.n_sites == 4
         _, _, J = lattice_links(1, 0.5)
         assert len(J) == 4
@@ -206,22 +203,22 @@ class TestLattice2D:
             assert amp[mirrored] == pytest.approx(J)
 
     def test_y_mirror_leaves_matrix_invariant(self):
-        lat = build_lattice_2d(2, 0.55)
+        lat = Lattice2D(2, 0.55)
         m, _ = lattice_hamiltonian(lat)
         n = 2 * lat.L
         perm = np.array([ix * n + (n - 1 - iy) for ix in range(n) for iy in range(n)])
         assert np.allclose(m, m[np.ix_(perm, perm)])
 
     def test_4cycle_spectrum(self):
-        m, _ = lattice_hamiltonian(build_lattice_2d(1, 1.0))
+        m, _ = lattice_hamiltonian(Lattice2D(1, 1.0))
         assert np.linalg.eigvalsh(m) == pytest.approx([-1, 0, 0, 1], abs=1e-12)
 
     def test_row_sums_bounded(self):
-        m, _ = lattice_hamiltonian(build_lattice_2d(3, 0.9))
+        m, _ = lattice_hamiltonian(Lattice2D(3, 0.9))
         assert np.max(np.abs(m.sum(axis=1))) <= 2.0 + 1e-12
 
     def test_left_half_indices(self):
-        lat = build_lattice_2d(2, 0.5)
+        lat = Lattice2D(2, 0.5)
         half = lat.left_half()
         assert len(half) == 8
         assert all(_coordinates(2, i)[0] < 0 for i in half)
@@ -248,7 +245,9 @@ def test_dense_route_is_gone():
     spectrum type; the route lives on only as the tests' oracle
     (dense_oracle.py), and a solve's one result is its SublatticeSVD.  Nor
     does any wrap a result that is one value: a block's nu, a list of
-    entropy points, a fit's two arrays, a wavefunction vector or a float."""
+    entropy points, a fit's two arrays, a wavefunction vector or a float;
+    nor keeps a second geometry resolver, a library-side validity sweep or
+    a builder or method that only renames another."""
     import importlib
     import pkgutil
 
@@ -259,6 +258,8 @@ def test_dense_route_is_gone():
         "_zero_mode_policy", "SpectrumResult", "spectrum_from_svd",
         "PolarBlock", "EntropyCurve", "RenyiAnsatz", "AnalyticWavefunction",
         "FermiVelocityEstimate", "_curve_xy",
+        "_z_from", "_profile_for", "validity_map", "_exact_occupied",
+        "uniform_profile", "build_lattice_2d", "spectrum_rows", "EntropyPoint",
     }
     modules = [rainbow_lab] + [
         importlib.import_module(f"rainbow_lab.{info.name}")
@@ -268,4 +269,7 @@ def test_dense_route_is_gone():
     for module in modules:
         assert not gone & set(vars(module)), module.__name__
     for attr in ("sites", "links", "to_json", "site_index"):
-        assert not hasattr(build_lattice_2d(1, 0.5), attr)
+        assert not hasattr(Lattice2D(1, 0.5), attr)
+    for attr in ("labels", "from_json"):
+        assert not hasattr(rainbow_lab.CouplingProfile, attr)
+    assert not hasattr(rainbow_lab.BondList, "labels")

@@ -79,6 +79,23 @@ class TestRender:
             np.arange(2**n, dtype=float) + 1.0
         )
 
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_matches_bit_pair_loop(self, n):
+        # the quadrant rule one bit pair at a time: pair i of the
+        # configuration gives bit i of the row and of the column
+        table = AmplitudeTable(
+            n_sites=n, filling=0,
+            amplitudes=np.arange(2**n, dtype=float) - 2 ** (n - 1),
+        )
+        want = np.zeros((2 ** (n // 2), 2 ** (n // 2)))
+        for idx, a in enumerate(table.amplitudes):
+            row = col = 0
+            for level in range(n // 2):
+                row = (row << 1) | ((idx >> (n - 1 - 2 * level)) & 1)
+                col = (col << 1) | ((idx >> (n - 2 - 2 * level)) & 1)
+            want[row, col] = a
+        assert np.array_equal(render(table), want)
+
     def test_odd_sites_rejected(self):
         table = AmplitudeTable(n_sites=3, filling=1, amplitudes=np.zeros(8))
         with pytest.raises(ValueError):

@@ -18,9 +18,9 @@ from rainbow_lab import (
     sdrg_entropy,
     sdrg_run,
     slater_overlap,
-    uniform_profile,
     vn_entropy,
 )
+from rainbow_lab.lattice import site_labels
 
 import dense_oracle as oracle
 from conftest import chain_occupied
@@ -70,7 +70,7 @@ class TestSdrgRun:
 
     def test_uniform_chain_ties(self):
         with pytest.raises(TieError) as err:
-            sdrg_run(uniform_profile(3))
+            sdrg_run(build_rainbow_profile(3, 1.0))
         assert "tie" in str(err.value)
 
     def test_even_site_count_required(self):
@@ -119,7 +119,7 @@ class TestRainbowBonds:
 
     def test_concentric_pairs(self):
         out = rainbow_bonds(4)
-        labels = out.labels()
+        labels = site_labels(4)
         for k, b in enumerate(out.bonds, start=1):
             assert labels[b.left] == pytest.approx(-(k - 0.5))
             assert labels[b.right] == pytest.approx(+(k - 0.5))

@@ -4,8 +4,8 @@ import scipy.linalg as sla
 
 from rainbow_lab import (
     CouplingProfile,
+    Lattice2D,
     ZeroModeError,
-    build_lattice_2d,
     build_rainbow_profile,
     chain_svd,
     fermi_velocity,
@@ -23,7 +23,6 @@ from rainbow_lab.spectra import (
     occupied_from_svd,
     orbitals_from_svd,
     save_orbitals,
-    spectrum_rows,
 )
 
 import dense_oracle as oracle
@@ -94,7 +93,7 @@ class TestDiagonalize:
         assert np.array_equal(a, b)
 
     def test_2d_uniform_has_exact_pairing(self):
-        e = lattice_svd(build_lattice_2d(2, 1.0)).energies
+        e = lattice_svd(Lattice2D(2, 1.0)).energies
         assert np.max(np.abs(e + e[::-1])) < 1e-12
 
 
@@ -116,7 +115,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5])
     def test_lattice_half_filled_correlation(self, L, alpha):
-        m, sub = oracle.lattice_hamiltonian(build_lattice_2d(L, alpha))
+        m, sub = oracle.lattice_hamiltonian(Lattice2D(L, alpha))
         c = oracle.correlation(oracle.diagonalize(m, sub))
         energies, vecs = sla.eigh(m)
         zero = np.abs(energies) < 1e-10
@@ -179,7 +178,7 @@ class TestBidiagonalSolver:
         for z in (1.0, 30.0):  # divide and conquer, then zero-shift QR
             chain_svd(profile_from_z(40, z))
         with pytest.raises(AssertionError, match="dense SVD"):
-            lattice_svd(build_lattice_2d(2, 0.5))
+            lattice_svd(Lattice2D(2, 0.5))
 
     @pytest.mark.parametrize("z", [1.0, 30.0])
     def test_perturbed_vectors_fail_residual(self, monkeypatch, z):
@@ -307,7 +306,7 @@ class TestLatticeSVD:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 8, 12])
     @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5, 0.4])
     def test_block_is_the_dense_block_bitwise(self, L, alpha, monkeypatch):
-        lat = build_lattice_2d(L, alpha)
+        lat = Lattice2D(L, alpha)
         want = oracle.sublattice_block(*oracle.lattice_hamiltonian(lat))
         solve = spectra._dense_svd
         blocks = []
@@ -323,7 +322,7 @@ class TestLatticeSVD:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5])
     def test_spectra_bitwise_the_parent_route(self, L, alpha):
-        lat = build_lattice_2d(L, alpha)
+        lat = Lattice2D(L, alpha)
         m, sub = oracle.lattice_hamiltonian(lat)
         energies, orbitals, residual, zero_tol = _parent_lattice_spectrum(m, sub)
         for svd in (oracle.diagonalize(m, sub), lattice_svd(lat)):
@@ -336,7 +335,7 @@ class TestLatticeSVD:
         assert np.array_equal(chain.sublattice, np.arange(10) % 2)
         assert np.array_equal(chain.index, np.arange(10) // 2)
         assert chain.zero_tol == 0.0
-        lat = build_lattice_2d(2, 0.5)
+        lat = Lattice2D(2, 0.5)
         svd = lattice_svd(lat)
         checkerboard = oracle.lattice_hamiltonian(lat)[1]
         assert np.array_equal(svd.sublattice, checkerboard)
@@ -351,7 +350,7 @@ class TestLatticeSVD:
             raise AssertionError("orbitals assembled")
 
         monkeypatch.setattr(spectra, "_orbitals", refuse)
-        svd = lattice_svd(build_lattice_2d(4, 0.7))
+        svd = lattice_svd(Lattice2D(4, 0.7))
         assert svd.u.shape == svd.vt.shape == (32, 32)
 
     def test_perturbed_vectors_fail_residual(self, monkeypatch):
@@ -365,7 +364,7 @@ class TestLatticeSVD:
 
         monkeypatch.setattr(spectra.sla, "svd", perturbed)
         with pytest.raises(NumericsError, match="eigen-residual"):
-            lattice_svd(build_lattice_2d(3, 0.6))
+            lattice_svd(Lattice2D(3, 0.6))
 
 
 class TestOrbitalsFromSVD:
@@ -463,7 +462,7 @@ class TestOrbitalAssembly:
     @pytest.mark.parametrize("geometry", [
         profile_from_z(30, 1.0),
         profile_from_z(30, 40.0),
-        build_lattice_2d(3, 0.7),
+        Lattice2D(3, 0.7),
     ], ids=["mild-chain", "graded-chain", "lattice"])
     def test_matches_pair_loop(self, geometry):
         """orbitals_from_svd, bit for bit, against the pair-by-pair
@@ -501,7 +500,7 @@ class TestOccupiedOrbitals:
         assert occ.shape == (18, 9)
 
     def test_zero_modes_rejected(self):
-        svd = lattice_svd(build_lattice_2d(1, 1.0))
+        svd = lattice_svd(Lattice2D(1, 1.0))
         with pytest.raises(ZeroModeError):
             occupied_from_svd(svd)
 
@@ -566,12 +565,17 @@ class TestFermiVelocity:
 
 
 class TestSerialization:
-    def test_spectrum_rows_indexing(self):
+    def test_spectrum_rows_indexing(self, tmp_path):
+        from rainbow_lab.cli import main
+
         _, svd = chain_spectrum(3, alpha=0.8)
-        rows = list(spectrum_rows(svd))
-        ms = [m for m, _ in rows]
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--L", "3", "--alpha", "0.8", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")]
+        ms = [int(m) for m, _ in rows]
         assert ms == [-3, -2, -1, 0, 1, 2]
-        assert rows[3][1] == pytest.approx(svd.energies[3])
+        assert float(rows[3][1]) == pytest.approx(svd.energies[3])
 
     def test_orbitals_roundtrip(self, tmp_path):
         _, svd = chain_spectrum(5, alpha=0.9)
