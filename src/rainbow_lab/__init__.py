@@ -51,6 +51,7 @@ from .entanglement import (
     correlation_matrix,
     entanglement_spectrum,
     halfchain_entropy_prediction,
+    halfchain_nu,
     polar_block,
     renyi_entropies,
     thermal_cft_entropy,

@@ -34,11 +34,18 @@ from .entanglement import (
     brute_force_block_entropy,
     correlation_matrix,
     entanglement_spectrum,
+    halfchain_nu,
     polar_block,
     renyi_entropies,
     vn_entropy,
 )
-from .lattice import Lattice2D, build_rainbow_profile, profile_from_z, site_labels
+from .lattice import (
+    Lattice2D,
+    _rainbow_profile,
+    build_rainbow_profile,
+    profile_from_z,
+    site_labels,
+)
 from .qubism import render, slater_amplitudes, write_ppm
 from .sdrg import bond_state_orbitals, rainbow_bonds, render_arcs, sdrg_entropy, sdrg_run
 from .spectra import (
@@ -134,10 +141,16 @@ def _geometry_values(args) -> tuple:
 
 def _profile(flag: str, value: float, L: int):
     """The chain of half-length L that `value` of the geometry flag `flag`
-    names: --alpha directly, --h and --z through z = h L."""
+    names: --alpha and --h build the couplings from their own value (sent
+    through z and back, it would come back ulps off), --z through
+    ``profile_from_z``."""
     if flag == "alpha":
         return build_rainbow_profile(L, value)
-    return profile_from_z(L, value * L if flag == "h" else value)
+    if flag == "z":
+        return profile_from_z(L, value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"h must be finite and non-negative, got {value!r}")
+    return _rainbow_profile(L, math.exp(-value / 2.0), value)
 
 
 def _worker_count(args) -> int:
@@ -275,12 +288,15 @@ def cmd_entropy_scan(args) -> int:
 
     def one(profile):
         L = profile.L
-        svd = chain_svd(profile)
-        blocks = [range(L)] if args.blocks == "half" else boundary_blocks(2 * L)
+        if args.blocks == "half":
+            nus = [halfchain_nu(profile)]
+        else:
+            svd = chain_svd(profile)
+            nus = [polar_block(svd, block) for block in boundary_blocks(2 * L)]
         return [
-            (L, profile.alpha, profile.h, profile.z, len(block), n, S)
-            for block in blocks
-            for n, S in zip(orders, renyi_entropies(polar_block(svd, block), orders))
+            (L, profile.alpha, profile.h, profile.z, nu.size, n, S)
+            for nu in nus
+            for n, S in zip(orders, renyi_entropies(nu, orders))
         ]
 
     profiles = [_profile(name, v, L) for L in args.L for v in values]
@@ -306,9 +322,7 @@ def cmd_renyi_fit(args) -> int:
     orders = _checked_orders(args.orders)  # before any solve
 
     def entropies_for(point):
-        L, z = point
-        svd = chain_svd(profile_from_z(L, z))
-        return renyi_entropies(polar_block(svd, range(L)), orders)
+        return renyi_entropies(halfchain_nu(profile_from_z(*point)), orders)
 
     points = [(L, z) for L in sizes for z in args.z]
     entropies = dict(zip(points, _sweep(entropies_for, points, args.jobs)))

@@ -20,6 +20,12 @@ sites) sub-block X of U V^T, plus |n_rows - n_cols| levels at exactly
 solves once.  No orbitals or correlation matrix are formed, and X is
 formed on SciPy's BLAS, the library the solve runs on (the one-BLAS rule
 of ``spectra``).
+The half chain of a mirror-symmetric chain is a two-sector problem
+(``halfchain_nu``): its nu are (1 +- sigma)/2 again, with sigma taken from
+the eigenvectors of the even-parity sector alone, one L x L eigensolve
+(``spectra.even_sector``) in place of the 2L-site SVD.  Chains that are
+not mirror symmetric, or too strongly graded for that solve, take the
+polar route.
 The orbital route (``correlation_matrix`` on occupied orbitals, then
 ``CorrelationMatrix.eigenvalues``) serves only the chain's
 entanglement-spectrum collapse; the tests keep the dense
@@ -44,7 +50,16 @@ from scipy.linalg import svdvals
 
 from .continuum import deformed_length
 from .qubism import AmplitudeTable
-from .spectra import NumericsError, SublatticeSVD, ZeroModeError, _dgemm
+from .lattice import CouplingProfile
+from .spectra import (
+    NumericsError,
+    SublatticeSVD,
+    ZeroModeError,
+    _dgemm,
+    _folds,
+    chain_svd,
+    even_sector,
+)
 
 NU_CLIP = 1e-14
 # Number of levels around eps = 0 averaged for the spacing Delta_L.  Two
@@ -162,12 +177,47 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
     vt = svd.vt[:, _as_slice(cols)]
     if keep.size < svd.s.size:
         u, vt = u[:, keep], vt[keep]
-    sigma = svdvals(_dgemm(u, vt))
+    return _nu_from_sigma(svdvals(_dgemm(u, vt)), abs(rows.size - cols.size))
+
+
+def _nu_from_sigma(sigma: np.ndarray, n_half: int) -> np.ndarray:
+    """nu = (1 - sigma)/2, n_half levels at exactly 1/2 and (1 + sigma)/2,
+    ascending for sigma descending, through ``_checked_nu``."""
     return _checked_nu(np.concatenate([
         (1.0 - sigma) / 2.0,
-        np.full(abs(rows.size - cols.size), 0.5),
+        np.full(n_half, 0.5),
         (1.0 + sigma[::-1]) / 2.0,
     ]))
+
+
+def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
+    """The nu of a chain's left half, sites 0 .. L-1, ascending: those of
+    ``polar_block(chain_svd(profile), range(L))`` up to rounding.
+
+    A chain whose couplings are bitwise mirror symmetric, nonzero and span
+    at most ``spectra.FOLD_MAX_RATIO`` takes one L x L eigensolve of its
+    even-parity sector H+ (``spectra.even_sector``).  The left-half
+    correlation matrix is C_A = (P+ + P-)/2, P+- the projectors onto the
+    occupied states of H+-; since H- = -Gamma H+ Gamma, P- is Gamma times
+    the projector onto H+'s unoccupied states times Gamma.  The eigenvalues
+    of half a sum of two projectors are (1 +- sigma)/2, sigma the singular
+    values of Q_occ^T Gamma Q_unocc (the cosines of their principal angles),
+    plus |r+ - r-| levels at exactly 1/2 for ranks r+ and r- = L - r+; on
+    a chain that is the odd-L level.  Every other chain takes the polar
+    route.  An exact zero level of H+ raises ZeroModeError, as
+    ``polar_block`` does by default.
+    """
+    if not _folds(profile.couplings):
+        return polar_block(chain_svd(profile), range(profile.L))
+    w, qt = even_sector(profile)
+    if (w == 0.0).any():
+        raise ZeroModeError(
+            "zero modes in the even sector; half filling is ambiguous"
+        )
+    r = int(np.count_nonzero(w < 0.0))
+    gamma = np.where(np.arange(profile.L) % 2, -1.0, 1.0)
+    sigma = svdvals(_dgemm(qt[:r] * gamma, qt[r:].T))
+    return _nu_from_sigma(sigma, abs(2 * r - profile.L))
 
 
 def _as_slice(index: np.ndarray):

@@ -161,12 +161,11 @@ def fn_constants(n: int) -> float:
         raise ValueError(f"order must be >= 1, got {n}")
     if n == 1:
         return -1.0
-    from .entanglement import polar_block, renyi_entropies
+    from .entanglement import halfchain_nu, renyi_entropies
     from .lattice import build_rainbow_profile
-    from .spectra import chain_svd
 
     values = []
     for L in _FN_SIZES:
-        nu = polar_block(chain_svd(build_rainbow_profile(L, 1.0)), range(L))
+        nu = halfchain_nu(build_rainbow_profile(L, 1.0))
         values.append(renyi_entropies(nu, [n])[0])
     return fit_renyi_halfchain(_FN_SIZES, values, n=n)["f_n"]

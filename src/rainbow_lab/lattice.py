@@ -139,7 +139,13 @@ def build_rainbow_profile(L: int, alpha: float) -> CouplingProfile:
     when the smallest coupling drops below the subnormal watermark.
     """
     _validate_geometry(L, alpha)
-    h = -2.0 * math.log(alpha)
+    return _rainbow_profile(L, alpha, -2.0 * math.log(alpha))
+
+
+def _rainbow_profile(L: int, alpha: float, h: float) -> CouplingProfile:
+    """The rainbow chain of decay rate h, couplings exp(-h(2k-1)/2),
+    recording alpha and h as given; alpha = exp(-h/2) up to rounding."""
+    _validate_geometry(L, alpha)
     c = np.ones(2 * L - 1)
     for k in range(1, L):
         val = math.exp(-h * (2 * k - 1) / 2.0)
@@ -151,7 +157,7 @@ def build_rainbow_profile(L: int, alpha: float) -> CouplingProfile:
             f"smallest coupling {profile.min_coupling:.3e} is below "
             f"{UNDERFLOW_FLOOR:.0e}; outer links are numerically decoupled",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return profile
 

@@ -30,6 +30,13 @@ pairs.  The outputs that are orbitals assemble them from the same SVD:
 Fermi velocity (``fermi_velocity``, ``fermi_velocity_fit``) takes the SVD
 alone: a chain's half-length L is ``s.size``.
 
+A mirror-symmetric chain has a smaller problem for its half chain:
+``even_sector`` solves the L x L even-parity sector (one diagonal entry,
+so symmetric tridiagonal rather than bidiagonal) with LAPACK's ``dstedc``
+and certifies it with a band residual.  Without relative accuracy it
+serves only chains of mild grading (``FOLD_MAX_RATIO``); see
+``entanglement.halfchain_nu``.
+
 One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
 each with its own thread pool, and every solve here runs on SciPy's.  So
 the dense products and factorizations of a point go through SciPy too
@@ -113,6 +120,11 @@ _dbdsqr = _lapack(
     "dbdsqr", _CHAR, _INT, _INT, _INT, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT,
     _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _INT,
 )
+# dstedc(compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info)
+_dstedc = _lapack(
+    "dstedc", _CHAR, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT, _INT,
+    _INT, _INT,
+)
 
 
 def _ptr(a: np.ndarray):
@@ -160,6 +172,29 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
     return vt_buf, s, u_buf
 
 
+def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray):
+    """Eigenpairs of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e by dstedc (divide and conquer), returned as (w ascending,
+    Q^T): row k of Q^T is the eigenvector of w[k]."""
+    n = d.size
+    w = np.array(d, dtype=float)  # overwritten with the eigenvalues
+    e_work = np.append(e, 0.0)  # length n, so never an empty buffer
+    # column-major Q read back row-major is Q^T
+    qt = np.empty((n, n))
+    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+    work = np.empty(lwork)
+    iwork = np.empty(liwork, dtype=np.intc)
+    size = ctypes.c_int(n)
+    info = ctypes.c_int(0)
+    _dstedc(
+        b"I", size, _ptr(w), _ptr(e_work), _ptr(qt), size, _ptr(work),
+        ctypes.c_int(lwork), iwork.ctypes.data_as(_INT), ctypes.c_int(liwork), info,
+    )
+    if info.value:
+        raise np.linalg.LinAlgError(f"dstedc failed with info={info.value}")
+    return w, qt
+
+
 def _blas_operand(m: np.ndarray):
     """m^T as a dgemm operand and its transpose flag: (m^T, 0), or (m, 1)
     for an F-ordered m.  Neither is a copy; a strided m is copied C-ordered,
@@ -185,10 +220,9 @@ def _graded(*bands: np.ndarray) -> bool:
     return bool(nz.size) and float(nz.max() / nz.min()) > 1e10
 
 
-def _certify(residual: float, s: np.ndarray) -> float:
+def _certify(residual: float, radius: float) -> float:
     """NumericsError unless the eigen-residual is within RESIDUAL_TOL of the
-    spectral radius s[0]."""
-    radius = float(s[0])
+    spectral radius."""
     if residual > RESIDUAL_TOL * max(radius, 1e-300):
         raise NumericsError(
             f"eigen-residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} x "
@@ -261,7 +295,7 @@ def _chain_solve(d: np.ndarray, e: np.ndarray, sublattice) -> SublatticeSVD:
     mtu[:-1] += u[1:] * e[:, None]
     mtu -= vt.T * s
     residual = max(float(np.max(np.abs(mv))), float(np.max(np.abs(mtu))))
-    residual = _certify(residual / np.sqrt(2.0), s)
+    residual = _certify(residual / np.sqrt(2.0), float(s[0]))
     return SublatticeSVD(u, s, vt, residual, 0.0, sublattice)
 
 
@@ -283,7 +317,7 @@ def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
         float(np.max(np.abs(_dgemm(block, vt.T) - u * s))),
         float(np.max(np.abs(_dgemm(block.T, u) - vt.T * s))),
     )
-    residual = _certify(residual / np.sqrt(2.0), s)
+    residual = _certify(residual / np.sqrt(2.0), float(s[0]))
     zero_tol = ZERO_MODE_TOL * max(float(s[0]), 1.0)
     return SublatticeSVD(u, s, vt, residual, zero_tol, sublattice)
 
@@ -301,6 +335,59 @@ def chain_svd(profile: CouplingProfile) -> SublatticeSVD:
     """
     c = profile.couplings
     return _chain_solve(-c[0::2] / 2.0, -c[1::2] / 2.0, np.arange(profile.n_sites) % 2)
+
+
+# Largest max/min coupling ratio at which a mirror-symmetric chain's left
+# half is solved through its even-parity sector (``even_sector``).  The
+# sector matrix has one diagonal entry, so it is not bidiagonal and has no
+# relative-accuracy guarantee.  Against dbdsqr, up to this ratio and for
+# L <= 1601, its half-chain S_1 stayed within 7.2e-13 and S_2..S_4 within
+# 8.2e-14 (dbdsdc's: 6.2e-13 and 3.7e-14).  An S_n first passed 1e-12 at
+# 7.9e4 (L = 1601); at 1e6 they reached 1.7e-12 (L = 800).
+FOLD_MAX_RATIO = 1e4
+
+
+def _folds(c: np.ndarray) -> bool:
+    """True when the couplings c are bitwise mirror symmetric about the
+    central link, nonzero, and span at most FOLD_MAX_RATIO."""
+    a = np.abs(c)
+    return (bool(np.array_equal(c, c[::-1])) and float(a.min()) > 0.0
+            and float(a.max()) <= FOLD_MAX_RATIO * float(a.min()))
+
+
+def even_sector(profile: CouplingProfile) -> tuple:
+    """Certified eigenpairs (w ascending, Q^T) of a mirror-symmetric chain's
+    even-parity sector; row k of Q^T is the eigenvector of w[k].
+
+    Reflection about the central link maps site i to 2L-1-i.  A state even
+    under it is fixed by its L left sites, where H acts as
+    H+ = T_A + delta e e^T: T_A the left half's hopping and
+    delta = -c[L-1]/2 the central link folded onto site L-1.  The odd
+    sector is H- = T_A - delta e e^T = -Gamma H+ Gamma, Gamma = diag((-1)^i),
+    so H+ alone carries the whole spectrum.  dstedc solves the L x L
+    tridiagonal H+; the residual max |H+ q - w q| is taken on its bands.
+
+    ValueError unless the couplings are bitwise mirror symmetric;
+    NumericsError when the residual exceeds RESIDUAL_TOL relative to the
+    spectral radius.
+    """
+    c = profile.couplings
+    if not np.array_equal(c, c[::-1]):
+        raise ValueError("even_sector needs couplings mirror symmetric about the center")
+    L = profile.L
+    d = np.zeros(L)
+    d[-1] = -c[L - 1] / 2.0
+    e = -c[: L - 1] / 2.0
+    try:
+        w, qt = _tridiagonal_eigh(d, e)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericsError(f"sector solve failed on dim {L}: {exc}") from exc
+    # row k of (H+ - w_k) Q^T: the diagonal part, then e times each neighbour
+    hq = qt * (d - w[:, None])
+    hq[:, 1:] += qt[:, :-1] * e
+    hq[:, :-1] += qt[:, 1:] * e
+    _certify(float(np.max(np.abs(hq))), max(-float(w[0]), float(w[-1])))
+    return w, qt
 
 
 def lattice_svd(lat: Lattice2D) -> SublatticeSVD:

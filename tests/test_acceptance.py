@@ -25,6 +25,7 @@ from rainbow_lab import (
     build_rainbow_profile,
     chain_svd,
     correlation_matrix,
+    entanglement,
     entanglement_spectrum,
     fermi_velocity,
     fit_2d,
@@ -57,9 +58,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @lru_cache(maxsize=None)
 def halfchain_nu(L: int, z: float) -> tuple:
-    """Half-chain nu, ascending, from the polar route the CLI ships."""
-    svd = chain_svd(profile_from_z(L, z))
-    return tuple(polar_block(svd, range(L)))
+    """Half-chain nu, ascending, from the library route the CLI ships."""
+    return tuple(entanglement.halfchain_nu(profile_from_z(L, z)))
 
 
 def nu_entropy(nu, order: float) -> float:

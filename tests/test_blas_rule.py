@@ -15,6 +15,8 @@ from rainbow_lab.spectra import _dgemm
 
 PER_POINT = [
     entanglement.polar_block,
+    entanglement.halfchain_nu,
+    spectra.even_sector,
     spectra._chain_solve,
     spectra._dense_svd,
     continuum.validity_overlap,

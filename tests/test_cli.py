@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from rainbow_lab import build_rainbow_profile
+from rainbow_lab import build_rainbow_profile, cli
 from rainbow_lab.cli import main, parse_range
 
 
@@ -283,6 +284,30 @@ class TestEntropyScan:
         header, _ = read_csv(out)
         assert f"# profile: {build_rainbow_profile(10, 0.4).to_json()}" in header
 
+    def test_h_is_the_chain_h_names(self):
+        # --h builds its chain from h itself; sent through z = h L and back,
+        # h came back some ulps off for most of these 413 pairs
+        for h in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.7):
+            for L in range(1, 60):
+                profile = cli._profile("h", h, L)
+                assert profile.h == h and profile.z == h * L
+                want = [math.exp(-h * (2 * k - 1) / 2.0) for k in range(1, L)]
+                assert profile.couplings[L:].tolist() == want
+
+    def test_h_header_records_the_flag_value(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["entropy-scan", "--L", "3", "--h", "0.05", "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        line = next(x for x in header if x.startswith("# profile: "))
+        profile = json.loads(line[len("# profile: "):])
+        assert profile["h"] == 0.05 and profile["z"] == 0.05 * 3
+
+    @pytest.mark.parametrize("h", ["-0.1", "inf", "nan"])
+    def test_bad_h_exit_2(self, tmp_path, capsys, h):
+        assert main(["entropy-scan", "--L", "3", "--h", h,
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert "h must be" in json.loads(capsys.readouterr().err)["message"]
+
     def test_boundary_needs_single_geometry(self, tmp_path):
         rc = main(["entropy-scan", "--L", "6:8:2", "--alpha", "0.8",
                    "--blocks", "boundary", "--out", str(tmp_path / "x.csv")])
@@ -322,6 +347,7 @@ class TestRenyiFit:
             raise AssertionError("solved before the size check")
 
         monkeypatch.setattr(cli, "chain_svd", refuse)
+        monkeypatch.setattr(cli, "halfchain_nu", refuse)
         out = tmp_path / "x.csv"
         stop = 20 + MIN_RENYI_SIZES - 2
         rc = main(["renyi-fit", "--L", f"20:{stop}:1", "--z", "0", "--out", str(out)])
@@ -417,6 +443,7 @@ class TestOrdersRefusedBeforeSolving:
             raise AssertionError("chain solved before the order check")
 
         monkeypatch.setattr(cli, "chain_svd", refuse)
+        monkeypatch.setattr(cli, "halfchain_nu", refuse)
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)

@@ -22,7 +22,9 @@ from rainbow_lab import (
     thermal_cft_entropy,
     vn_entropy,
 )
-from rainbow_lab.spectra import NumericsError, ZeroModeError
+from rainbow_lab.lattice import CouplingProfile
+from rainbow_lab.entanglement import halfchain_nu as fold_nu
+from rainbow_lab.spectra import FOLD_MAX_RATIO, NumericsError, ZeroModeError
 
 import dense_oracle as oracle
 from conftest import chain_occupied, halfchain_nu
@@ -418,6 +420,119 @@ class TestPolarRoute:
             want = renyi_entropies(nu, [order])[0]
             # the CSV keeps 12 significant digits
             assert abs(value - want) <= 1e-11
+
+
+def _max_renyi_gap(a, b) -> float:
+    return max(abs(x - y) for x, y in zip(renyi_entropies(a, [1, 2, 3, 4]),
+                                          renyi_entropies(b, [1, 2, 3, 4])))
+
+
+def _chain(couplings) -> CouplingProfile:
+    c = np.asarray(couplings, dtype=float)
+    return CouplingProfile(L=(c.size + 1) // 2, alpha=math.nan, h=math.nan,
+                           z=math.nan, couplings=c)
+
+
+def _z_at_ratio(L: int, ratio: float) -> float:
+    """z whose rainbow chain of half-length L has max/min coupling `ratio`."""
+    return math.log(ratio) * 2 * L / (2 * L - 3)
+
+
+class TestHalfchainFold:
+    """halfchain_nu, the even-sector fold of a mirror-symmetric chain,
+    against the polar route it replaces and the routes it falls back to."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 50, 51, 800, 801])
+    @pytest.mark.parametrize("z", [0.0, 0.5, 4.0, 14.0])
+    def test_matches_polar_route(self, L, z):
+        profile = profile_from_z(L, z)
+        got = fold_nu(profile)
+        want = polar_block(chain_svd(profile), range(L))
+        assert got.size == L
+        assert np.array_equal(got, np.sort(got))
+        assert _max_renyi_gap(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("L", [101, 400, 800])
+    @pytest.mark.parametrize("ratio", [1e2, 1e3, FOLD_MAX_RATIO])
+    def test_matches_dbdsqr_up_to_the_threshold(self, monkeypatch, L, ratio):
+        from rainbow_lab import spectra
+
+        profile = profile_from_z(L, _z_at_ratio(L, ratio) * (1 - 1e-12))
+        assert spectra._folds(profile.couplings)
+        got = fold_nu(profile)
+        monkeypatch.setattr(spectra, "_graded", lambda *bands: True)
+        want = polar_block(chain_svd(profile), range(L))
+        assert _max_renyi_gap(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["perturbed", "ratio", "zero"])
+    def test_other_chains_take_the_polar_route_bitwise(self, case):
+        from rainbow_lab import spectra
+
+        if case == "perturbed":
+            c = profile_from_z(40, 2.0).couplings.copy()
+            c[3] = np.nextafter(c[3], 2.0)
+        elif case == "ratio":
+            c = profile_from_z(40, _z_at_ratio(40, FOLD_MAX_RATIO) * 1.001).couplings
+        else:  # three even pieces, so no zero mode
+            c = profile_from_z(4, 1.0).couplings.copy()
+            c[[1, 5]] = 0.0
+        profile = _chain(c)
+        assert not spectra._folds(profile.couplings)
+        want = polar_block(chain_svd(profile), range(profile.L))
+        assert np.array_equal(fold_nu(profile), want)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 50, 51, 801])
+    @pytest.mark.parametrize("z", [0.0, 4.0, 9.0])
+    def test_one_level_at_one_half_for_odd_L(self, L, z):
+        from rainbow_lab import spectra
+
+        profile = profile_from_z(L, z)
+        assert spectra._folds(profile.couplings)
+        assert np.count_nonzero(fold_nu(profile) == 0.5) == L % 2
+
+    def test_corrupted_eigenpair_raises(self, monkeypatch):
+        from rainbow_lab import spectra
+
+        solve = spectra._tridiagonal_eigh
+
+        def corrupt(d, e):
+            w, qt = solve(d, e)
+            w[[3, 4]] = w[[4, 3]]
+            return w, qt
+
+        monkeypatch.setattr(spectra, "_tridiagonal_eigh", corrupt)
+        with pytest.raises(NumericsError, match="eigen-residual"):
+            fold_nu(profile_from_z(20, 1.0))
+
+    def test_zero_level_follows_the_error_policy(self, monkeypatch):
+        from rainbow_lab import entanglement
+
+        monkeypatch.setattr(entanglement, "even_sector",
+                            lambda profile: (np.array([-0.5, 0.0]), np.eye(2)))
+        with pytest.raises(ZeroModeError):
+            fold_nu(profile_from_z(2, 1.0))
+
+    def test_sector_needs_a_mirror_chain(self):
+        from rainbow_lab.spectra import even_sector
+
+        c = profile_from_z(10, 1.0).couplings.copy()
+        c[0] *= 2.0
+        with pytest.raises(ValueError, match="mirror"):
+            even_sector(_chain(c))
+
+    def test_renyi_fit_takes_the_fold(self, monkeypatch, tmp_path):
+        from rainbow_lab import cli, entanglement
+        from rainbow_lab.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("polar route taken")
+
+        monkeypatch.setattr(entanglement, "chain_svd", refuse)
+        monkeypatch.setattr(cli, "chain_svd", refuse)
+        assert main(["renyi-fit", "--L", "20:25:1", "--z", "0:4:2",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        assert main(["entropy-scan", "--L", "20:25:1", "--z", "0:4:2",
+                     "--out", str(tmp_path / "e.csv")]) == 0
 
 
 class TestLatticePolarRoute:
