@@ -16,7 +16,11 @@ bidiagonal, and bidiagonal SVD determines every singular value to high
 when the smallest couplings are ~1e-300.  A chain's two bands go straight
 to LAPACK's bidiagonal SVD routines (``dbdsdc``, or ``dbdsqr`` once the
 couplings span more than ten decades), so there is no reduction step at
-all; the dense block of the 2D lattice goes to ``scipy.linalg.svd``.
+all.  The dense block of the 2D lattice goes to ``scipy.linalg.svd``
+(gesdd), which is accurate only relative to its largest coupling: a
+lattice whose couplings span more than ten decades raises NumericsError
+instead of printing entropies it cannot resolve, and only levels within
+rounding (ZERO_MODE_TOL) of zero count as its zero modes.
 
 ``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
 certifies the SVD with a residual taken on the bands; ``lattice_svd``
@@ -32,10 +36,11 @@ alone: a chain's half-length L is ``s.size``.
 
 A mirror-symmetric chain has a smaller problem for its half chain:
 ``even_sector`` solves the L x L even-parity sector (one diagonal entry,
-so symmetric tridiagonal rather than bidiagonal) with LAPACK's ``dstedc``
-and certifies it with a band residual.  Without relative accuracy it
-serves only chains of mild grading (``FOLD_MAX_RATIO``); see
-``entanglement.halfchain_nu``.
+so symmetric tridiagonal rather than bidiagonal) with
+``scipy.linalg.eigh_tridiagonal`` (its stevd driver, LAPACK's divide and
+conquer ``dstedc``) and certifies it with a band residual.  Without
+relative accuracy it serves only chains of mild grading
+(``FOLD_MAX_RATIO``); see ``entanglement.halfchain_nu``.
 
 One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
 each with its own thread pool, and every solve here runs on SciPy's.  So
@@ -60,7 +65,10 @@ from scipy.linalg import blas, cython_lapack
 from .lattice import CouplingProfile, Lattice2D, lattice_links
 
 RESIDUAL_TOL = 1e-10
-ZERO_MODE_TOL = 1e-12
+# A dense block's level within this of its spectral radius (at least 1) is
+# a zero mode: rounding level, so that no real level of a lattice short of
+# the grading refusal is filled at 1/2 (``entanglement.polar_block``).
+ZERO_MODE_TOL = 1e-14
 
 
 class NumericsError(RuntimeError):
@@ -120,11 +128,6 @@ _dbdsqr = _lapack(
     "dbdsqr", _CHAR, _INT, _INT, _INT, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT,
     _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _INT,
 )
-# dstedc(compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info)
-_dstedc = _lapack(
-    "dstedc", _CHAR, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT, _INT,
-    _INT, _INT,
-)
 
 
 def _ptr(a: np.ndarray):
@@ -137,8 +140,8 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
 
     Graded B goes to dbdsqr (Demmel-Kahan zero-shift QR, high relative
     accuracy); otherwise dbdsdc (Gu-Eisenstat divide and conquer).  These
-    are the solvers gesvd/gesdd call after reducing a dense matrix to
-    bidiagonal form, a reduction that is the identity on B itself.
+    are the solvers LAPACK's dense SVD drivers call after reducing a dense
+    matrix to bidiagonal form, a reduction that is the identity on B itself.
     """
     n = d.size
     s = np.array(d, dtype=float)  # overwritten with the singular values
@@ -172,29 +175,6 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
     return vt_buf, s, u_buf
 
 
-def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray):
-    """Eigenpairs of the symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e by dstedc (divide and conquer), returned as (w ascending,
-    Q^T): row k of Q^T is the eigenvector of w[k]."""
-    n = d.size
-    w = np.array(d, dtype=float)  # overwritten with the eigenvalues
-    e_work = np.append(e, 0.0)  # length n, so never an empty buffer
-    # column-major Q read back row-major is Q^T
-    qt = np.empty((n, n))
-    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
-    work = np.empty(lwork)
-    iwork = np.empty(liwork, dtype=np.intc)
-    size = ctypes.c_int(n)
-    info = ctypes.c_int(0)
-    _dstedc(
-        b"I", size, _ptr(w), _ptr(e_work), _ptr(qt), size, _ptr(work),
-        ctypes.c_int(lwork), iwork.ctypes.data_as(_INT), ctypes.c_int(liwork), info,
-    )
-    if info.value:
-        raise np.linalg.LinAlgError(f"dstedc failed with info={info.value}")
-    return w, qt
-
-
 def _blas_operand(m: np.ndarray):
     """m^T as a dgemm operand and its transpose flag: (m^T, 0), or (m, 1)
     for an F-ordered m.  Neither is a copy; a strided m is copied C-ordered,
@@ -215,7 +195,8 @@ def _dgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _graded(*bands: np.ndarray) -> bool:
     """True when the nonzero couplings span more than ten decades, where
-    divide and conquer no longer guarantees relative accuracy."""
+    divide and conquer no longer guarantees relative accuracy: a chain then
+    takes dbdsqr, and a dense block is refused (``_dense_svd``)."""
     nz = np.abs(np.concatenate([b[b != 0.0] for b in bands]))
     return bool(nz.size) and float(nz.max() / nz.min()) > 1e10
 
@@ -301,14 +282,22 @@ def _chain_solve(d: np.ndarray, e: np.ndarray, sublattice) -> SublatticeSVD:
 
 def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
     """Certified SVD of a dense sublattice block through
-    ``scipy.linalg.svd``: QR iteration (gesvd) keeps the relative accuracy
-    of a block graded past ten decades, divide and conquer (gesdd) is much
-    faster and loses nothing below that.  Zero modes are the levels within
-    ZERO_MODE_TOL of the spectral radius (at least 1).
+    ``scipy.linalg.svd`` (gesdd, divide and conquer).  Zero modes are the
+    levels within ZERO_MODE_TOL of the spectral radius (at least 1).
+
+    A dense SVD is accurate only to rounding times the largest coupling,
+    whatever its driver; relative accuracy belongs to the bidiagonal solve
+    of a chain.  So a block whose couplings span more than ten decades
+    (``_graded``), where the small levels that set its entropies are lost,
+    raises NumericsError before any solve.
     """
-    driver = "gesvd" if _graded(block) else "gesdd"
+    if _graded(block):
+        raise NumericsError(
+            f"dense block of dim {2 * block.shape[0]} has couplings spanning "
+            "more than ten decades; its SVD cannot resolve the small levels"
+        )
     try:
-        u2, s, v2t = sla.svd(block.T, lapack_driver=driver)
+        u2, s, v2t = sla.svd(block.T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericsError(f"SVD failed on dim {2 * block.shape[0]}: {exc}") from exc
     u, vt = v2t.T, u2.T
@@ -364,8 +353,9 @@ def even_sector(profile: CouplingProfile) -> tuple:
     H+ = T_A + delta e e^T: T_A the left half's hopping and
     delta = -c[L-1]/2 the central link folded onto site L-1.  The odd
     sector is H- = T_A - delta e e^T = -Gamma H+ Gamma, Gamma = diag((-1)^i),
-    so H+ alone carries the whole spectrum.  dstedc solves the L x L
-    tridiagonal H+; the residual max |H+ q - w q| is taken on its bands.
+    so H+ alone carries the whole spectrum.  ``eigh_tridiagonal`` (dstedc)
+    solves the L x L tridiagonal H+; the residual max |H+ q - w q| is
+    taken on its bands.
 
     ValueError unless the couplings are bitwise mirror symmetric;
     NumericsError when the residual exceeds RESIDUAL_TOL relative to the
@@ -379,9 +369,10 @@ def even_sector(profile: CouplingProfile) -> tuple:
     d[-1] = -c[L - 1] / 2.0
     e = -c[: L - 1] / 2.0
     try:
-        w, qt = _tridiagonal_eigh(d, e)
+        w, q = sla.eigh_tridiagonal(d, e, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericsError(f"sector solve failed on dim {L}: {exc}") from exc
+    qt = q.T
     # row k of (H+ - w_k) Q^T: the diagonal part, then e times each neighbour
     hq = qt * (d - w[:, None])
     hq[:, 1:] += qt[:, :-1] * e

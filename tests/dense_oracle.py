@@ -8,8 +8,13 @@ couplings and links); the tests build them here from the same couplings
 and links, so every shipped route has a dense counterpart to agree with.
 Plain functions: matrices and sublattices are arrays, and nothing here
 validates its input, which comes from the tests alone.
+
+``lattice_sector_entropy`` is the one oracle that is not dense: the 2D
+lattice's left-half entropy from its y-momentum sectors in mpmath, so it
+shares no float64 arithmetic with any shipped route.
 """
 
+import mpmath
 import numpy as np
 
 from rainbow_lab import spectra
@@ -97,3 +102,45 @@ def restrict(c, block):
     """A full correlation matrix restricted to a block of sites."""
     block = tuple(block)
     return CorrelationMatrix(block=block, entries=c[np.ix_(block, block)])
+
+
+def lattice_sector_entropy(lat, dps=60):
+    """Left-half (x < 0) von Neumann entropy of the 2D lattice at half
+    filling, from its y-momentum sectors in ``dps``-digit arithmetic.
+
+    H = T_x (x) I + D_x (x) T_y, with T_x the chain of horizontal links,
+    D_x = diag(alpha^|x|) and T_y the uniform 2L-site chain (hopping -1/2),
+    whose eigenvalues are lambda_k = -cos(pi k/(2L + 1)), k = 1 .. 2L.  The
+    sine transform in y splits H into the 2L chains
+    H_k = T_x + lambda_k D_x, and the left half holds every y, so
+    S = sum_k S_k, S_k the entropy of H_k's first L sites.  Levels within
+    10^(-dps/2) of zero are filled at density 1/2, as ``zero_modes="half"``
+    fills them.
+    """
+    L, n = lat.L, 2 * lat.L
+    with mpmath.workdps(dps):
+        alpha = mpmath.mpf(lat.alpha)
+        # column x = ix - L + 1/2, so |x| = |ix - L + 1/2| and |x + 1/2| = |ix - L + 1|
+        diag = [alpha ** abs(mpmath.mpf(2 * ix - n + 1) / 2) for ix in range(n)]
+        hop = [-alpha ** abs(ix - L + 1) / 2 for ix in range(n - 1)]
+        tiny = mpmath.mpf(10) ** (-dps // 2)
+        S = mpmath.mpf(0)
+        for k in range(1, n + 1):
+            lam = -mpmath.cos(mpmath.pi * k / (n + 1))
+            h = mpmath.matrix(n, n)
+            for ix in range(n):
+                h[ix, ix] = lam * diag[ix]
+            for ix in range(n - 1):
+                h[ix, ix + 1] = h[ix + 1, ix] = hop[ix]
+            energies, q = mpmath.eigsy(h)
+            fill = [1 if e < -tiny else mpmath.mpf(1) / 2 if e <= tiny else 0
+                    for e in energies]
+            c = mpmath.matrix(L, L)
+            for i in range(L):
+                for j in range(i, L):
+                    c[i, j] = c[j, i] = mpmath.fsum(
+                        f * q[i, p] * q[j, p] for p, f in enumerate(fill) if f)
+            for nu in mpmath.eigsy(c, eigvals_only=True):
+                if 0 < nu < 1:
+                    S -= nu * mpmath.log(nu) + (1 - nu) * mpmath.log(1 - nu)
+        return float(S)

@@ -555,6 +555,17 @@ class TestEntropy2D:
         assert not out.exists()
         assert not (tmp_path / "e2d_fits.json").exists()
 
+    def test_graded_lattice_exits_3_without_artifact(self, tmp_path, capsys):
+        # alpha = 0.3 grades the L >= 20 lattices past ten decades
+        out = tmp_path / "e2d.csv"
+        rc = main(["entropy-2d", "--L", "8:24:4", "--alpha", "0.3", "--out", str(out)])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericsError"
+        assert "ten decades" in err["message"]
+        assert not out.exists()
+        assert not (tmp_path / "e2d_fits.json").exists()
+
 
 class TestEntropy2DPolarRoute:
     def test_no_dense_matrix_orbitals_or_correlation(self, tmp_path, monkeypatch):

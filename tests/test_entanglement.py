@@ -493,16 +493,35 @@ class TestHalfchainFold:
     def test_corrupted_eigenpair_raises(self, monkeypatch):
         from rainbow_lab import spectra
 
-        solve = spectra._tridiagonal_eigh
+        solve = spectra.sla.eigh_tridiagonal
 
-        def corrupt(d, e):
-            w, qt = solve(d, e)
+        def corrupt(*args, **kwargs):
+            w, q = solve(*args, **kwargs)
             w[[3, 4]] = w[[4, 3]]
-            return w, qt
+            return w, q
 
-        monkeypatch.setattr(spectra, "_tridiagonal_eigh", corrupt)
+        monkeypatch.setattr(spectra.sla, "eigh_tridiagonal", corrupt)
         with pytest.raises(NumericsError, match="eigen-residual"):
             fold_nu(profile_from_z(20, 1.0))
+
+    @pytest.mark.parametrize("L", [1, 3, 50, 800, 801, 805])
+    def test_sector_solve_is_dstevd_bitwise(self, L):
+        # dstevd runs dstedc, the routine the sector solve has always used
+        from scipy.linalg.lapack import dstevd
+
+        from rainbow_lab.spectra import even_sector
+
+        profile = profile_from_z(L, 2.0)
+        c = profile.couplings
+        d = np.zeros(L)
+        d[-1] = -c[L - 1] / 2.0
+        e = -c[: L - 1] / 2.0
+        # its wrapper wants e of length at least 1
+        w, q, info = dstevd(d, e if L > 1 else np.zeros(1))
+        assert info == 0
+        got_w, got_qt = even_sector(profile)
+        assert got_w.tobytes() == w.tobytes()
+        assert got_qt.tobytes() == np.ascontiguousarray(q.T).tobytes()
 
     def test_zero_level_follows_the_error_policy(self, monkeypatch):
         from rainbow_lab import entanglement

@@ -10,9 +10,11 @@ from rainbow_lab import (
     chain_svd,
     fermi_velocity,
     fermi_velocity_fit,
+    polar_block,
     profile_from_z,
     site_occupations,
     velocity_scaling,
+    vn_entropy,
 )
 from rainbow_lab import spectra
 from rainbow_lab.spectra import (
@@ -365,6 +367,50 @@ class TestLatticeSVD:
         monkeypatch.setattr(spectra.sla, "svd", perturbed)
         with pytest.raises(NumericsError, match="eigen-residual"):
             lattice_svd(Lattice2D(3, 0.6))
+
+
+class TestGradedLatticeRefusal:
+    """A dense block has no relative accuracy, so lattice_svd refuses a
+    lattice whose couplings span more than ten decades, and counts only
+    rounding-level levels as zero modes on the lattices it solves."""
+
+    def test_graded_lattice_raises(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the grading check")
+
+        monkeypatch.setattr(spectra.sla, "svd", refuse)
+        with pytest.raises(NumericsError, match="ten decades"):
+            lattice_svd(Lattice2D(12, 0.1))
+
+    def test_just_short_of_the_refusal(self):
+        # coupling ratio 9.6e9: solved, and its smallest level (1.13e-12) is
+        # a real one, not a zero mode; 60-digit y-sector value
+        lat = Lattice2D(24, 0.376)
+        svd = lattice_svd(lat)
+        assert np.count_nonzero(svd.s <= svd.zero_tol) == 0
+        S = vn_entropy(polar_block(svd, lat.left_half()))
+        assert abs(S - 134.212886664172) <= 1e-6
+
+    @pytest.mark.parametrize("L", [8, 12, 16, 20, 24])
+    def test_uniform_lattice_keeps_its_zero_modes(self, L):
+        svd = lattice_svd(Lattice2D(L, 1.0))
+        assert 2 * np.count_nonzero(svd.s <= svd.zero_tol) == 2 * L
+
+
+class TestSectorOracle:
+    """The y-sector mpmath oracle against the dense route and the shipped
+    polar route."""
+
+    @pytest.mark.parametrize("L, alpha, bound", [(4, 0.5, 1e-13), (8, 0.1, 1e-10)])
+    def test_dense_and_polar_routes_match(self, L, alpha, bound):
+        lat = Lattice2D(L, alpha)
+        want = oracle.lattice_sector_entropy(lat)
+        left = lat.left_half()
+        c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
+        dense = vn_entropy(oracle.restrict(c_full, left).eigenvalues())
+        polar = vn_entropy(polar_block(lattice_svd(lat), left))
+        assert abs(dense - want) <= bound
+        assert abs(polar - want) <= bound
 
 
 class TestOrbitalsFromSVD:
