@@ -43,6 +43,7 @@ from .lattice import (
     Lattice2D,
     _rainbow_profile,
     build_rainbow_profile,
+    lattice_links,
     profile_from_z,
     site_labels,
 )
@@ -50,6 +51,7 @@ from .qubism import render, slater_amplitudes, write_ppm
 from .sdrg import bond_state_orbitals, rainbow_bonds, render_arcs, sdrg_entropy, sdrg_run
 from .spectra import (
     NumericsError,
+    _refuse_graded,
     chain_svd,
     fermi_velocity,
     fermi_velocity_fit,
@@ -390,7 +392,7 @@ def cmd_sdrg(args) -> int:
     else:
         if args.L is None or args.alpha is None:
             raise ValueError("need --couplings, or --L with --alpha")
-        bonds = sdrg_run(build_rainbow_profile(args.L, args.alpha))
+        bonds = sdrg_run(build_rainbow_profile(args.L, args.alpha).couplings)
     if args.arcs:
         print(render_arcs(bonds))
     with open(args.out, "w", encoding="ascii") as fh:
@@ -406,15 +408,15 @@ def cmd_entropy_2d(args) -> int:
     if len(args.L) < MIN_2D_SIZES:
         raise ValueError(f"need at least {MIN_2D_SIZES} sizes, got {len(args.L)}")
 
-    def one(point):
-        alpha, L = point
-        lat = Lattice2D(L, alpha)
+    def one(lat):
         nu = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
         S = vn_entropy(nu)
-        return (alpha, L, S, S / L)
+        return (lat.alpha, lat.L, S, S / lat.L)
 
-    points = [(alpha, L) for alpha in args.alpha for L in args.L]
-    rows = _sweep(one, points, args.jobs)
+    lattices = [Lattice2D(L, alpha) for alpha in args.alpha for L in args.L]
+    for lat in lattices:  # before any solve
+        _refuse_graded(lattice_links(lat.L, lat.alpha)[2], lat.n_sites)
+    rows = _sweep(one, lattices, args.jobs)
     _write_csv(
         args.out,
         _csv_header(args, ("alpha", "L", "S", "s_per_L")),
@@ -487,7 +489,7 @@ def cmd_validate(args) -> int:
 
     # SDRG against the analytic rainbow matching
     for L in (3, 5, 8):
-        got = sdrg_run(build_rainbow_profile(L, 0.05))
+        got = sdrg_run(build_rainbow_profile(L, 0.05).couplings)
         want = rainbow_bonds(L)
         check(f"sdrg matches rainbow matching L={L}", got.bonds == want.bonds)
 

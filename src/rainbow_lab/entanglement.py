@@ -140,12 +140,13 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
     """The nu of a half-filled block, from the sublattice SVD.
 
     X = U[rows] V^T[:, cols] with rows (cols) the block's sites on the
-    rows (columns) of M, read from the SVD's site map, and formed on SciPy's
-    BLAS like the solve itself; sigma are the singular values of X, taken
-    directly rather than from X X^T, whose squaring would lose the small
-    sigma that set nu near 1/2.  nu are (1 - sigma)/2, the
-    |n_rows - n_cols| levels at exactly 1/2 and (1 + sigma)/2, ascending,
-    clipped to [0, 1]; NumericsError if they stray further.
+    rows (columns) of M: site i is row or column i // 2 (``SublatticeSVD``).
+    X is formed on SciPy's BLAS like the solve itself.  sigma are the
+    singular values of X, taken directly rather than from X X^T, whose
+    squaring would lose the small sigma that set nu near 1/2.  nu are
+    (1 - sigma)/2, the |n_rows - n_cols| levels at exactly 1/2 and
+    (1 + sigma)/2, ascending, clipped to [0, 1]; NumericsError if they
+    stray further.
 
     zero_modes picks the filling policy when singular values sit within
     ``svd.zero_tol`` of zero (e.g. the uniform 2D lattice):
@@ -171,8 +172,8 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
         raise ValueError(f"block sites must lie in [0, {n_sites})")
     sites = np.asarray(block)
     on_rows = svd.sublattice[sites] == 0
-    rows = svd.index[sites[on_rows]]
-    cols = svd.index[sites[~on_rows]]
+    rows = sites[on_rows] // 2
+    cols = sites[~on_rows] // 2
     u = svd.u[_as_slice(rows)]
     vt = svd.vt[:, _as_slice(cols)]
     if keep.size < svd.s.size:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import CouplingProfile, signed_profile, site_labels
+from .lattice import signed_profile, site_labels
 
 TIE_TOL = 1e-12
 
@@ -91,14 +91,13 @@ class BondList:
 def sdrg_run(couplings) -> BondList:
     """Decimate a signed chain down to a bond matching.
 
-    Accepts a CouplingProfile or any odd-length signed coupling sequence.
-    Raises TieError when two links tie for the maximal |J| within a
-    relative 1e-12 (the RG step is ill-defined, e.g. uniform chains).
+    Takes any odd-length signed coupling sequence (a profile's
+    ``couplings``), checked by ``signed_profile``: ValueError for a
+    non-finite or zero coupling.  Raises TieError when two links tie for
+    the maximal |J| within a relative 1e-12 (the RG step is ill-defined,
+    e.g. uniform chains).
     """
-    if isinstance(couplings, CouplingProfile):
-        c = couplings.couplings
-    else:
-        c = signed_profile(couplings)
+    c = signed_profile(couplings)
     n = c.size + 1
 
     # Active chain as parallel lists; couplings as (log|J|, sign).

@@ -25,14 +25,18 @@ rounding (ZERO_MODE_TOL) of zero count as its zero modes.
 ``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
 certifies the SVD with a residual taken on the bands; ``lattice_svd``
 scatters the lattice's links straight into its dense block M.  Neither
-forms the hopping matrix.  Entanglement needs nothing more than their
-``SublatticeSVD`` (see ``entanglement.polar_block``), and neither do the
-spectral outputs: the levels are ``SublatticeSVD.energies``, the ``+-s``
-pairs.  The outputs that are orbitals assemble them from the same SVD:
-``occupied_from_svd`` the occupied columns at half filling,
-``orbitals_from_svd`` all levels and ``level_orbital`` one level.  The
-Fermi velocity (``fermi_velocity``, ``fermi_velocity_fit``) takes the SVD
-alone: a chain's half-length L is ``s.size``.
+forms the hopping matrix.  On both geometries site i is row ``i // 2``
+of M when on sublattice 0 and column ``i // 2`` when on sublattice 1, so
+an SVD keeps no site map, only each site's sublattice.  Entanglement
+needs nothing more than their ``SublatticeSVD`` (see
+``entanglement.polar_block``), and neither do the spectral outputs: the
+levels are ``SublatticeSVD.energies``, the ``+-s`` pairs.  The outputs
+that are orbitals assemble them from the same SVD, through one assembly
+of the levels they ask for: ``occupied_from_svd`` the occupied columns
+at half filling, ``orbitals_from_svd`` all levels and ``level_orbital``
+one level.  The Fermi velocity (``fermi_velocity``,
+``fermi_velocity_fit``) takes the SVD alone: a chain's half-length L is
+``s.size``.
 
 A mirror-symmetric chain has a smaller problem for its half chain:
 ``even_sector`` solves the L x L even-parity sector (one diagonal entry,
@@ -212,20 +216,16 @@ def _certify(residual: float, radius: float) -> float:
     return residual
 
 
-def _site_index(sublattice: np.ndarray) -> np.ndarray:
-    """Each site's rank among the sites of its own sublattice."""
-    return np.where(sublattice == 0, np.cumsum(sublattice == 0),
-                    np.cumsum(sublattice == 1)) - 1
-
-
 @dataclass(frozen=True)
 class SublatticeSVD:
     """Certified SVD ``M = U S V^T`` of a bipartite hopping matrix's
     sublattice block.
 
     Site i sits on sublattice ``sublattice[i]`` (0 or 1) and is row
-    ``index[i]`` of M (sublattice 0) or column ``index[i]`` (sublattice 1);
-    each sublattice keeps site order.  ``s`` is descending.
+    ``i // 2`` of M (sublattice 0) or column ``i // 2`` (sublattice 1).
+    That holds on both geometries solved here: the chain (sublattice
+    ``i % 2``) and the 2L x 2L checkerboard, whose rows of even length each
+    hold every other site of both sublattices.  ``s`` is descending.
 
     The hopping matrix's levels are ``energies`` (ascending), with orbitals
     ``(u_p, -+v_p)/sqrt(2)`` (``orbitals_from_svd``).  ``residual`` is the
@@ -242,10 +242,6 @@ class SublatticeSVD:
     residual: float
     zero_tol: float
     sublattice: np.ndarray = field(repr=False)
-    index: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", _site_index(self.sublattice))
 
     @property
     def energies(self) -> np.ndarray:
@@ -280,6 +276,17 @@ def _chain_solve(d: np.ndarray, e: np.ndarray, sublattice) -> SublatticeSVD:
     return SublatticeSVD(u, s, vt, residual, 0.0, sublattice)
 
 
+def _refuse_graded(couplings: np.ndarray, n_sites: int) -> None:
+    """NumericsError when the couplings of a dense problem of n_sites sites
+    span more than ten decades (``_graded``), where its SVD cannot resolve
+    the small levels; a lattice's links J and its block's -J/2 span alike."""
+    if _graded(couplings):
+        raise NumericsError(
+            f"dense block of dim {n_sites} has couplings spanning "
+            "more than ten decades; its SVD cannot resolve the small levels"
+        )
+
+
 def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
     """Certified SVD of a dense sublattice block through
     ``scipy.linalg.svd`` (gesdd, divide and conquer).  Zero modes are the
@@ -291,11 +298,7 @@ def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
     (``_graded``), where the small levels that set its entropies are lost,
     raises NumericsError before any solve.
     """
-    if _graded(block):
-        raise NumericsError(
-            f"dense block of dim {2 * block.shape[0]} has couplings spanning "
-            "more than ten decades; its SVD cannot resolve the small levels"
-        )
+    _refuse_graded(block, 2 * block.shape[0])
     try:
         u2, s, v2t = sla.svd(block.T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -391,11 +394,10 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
     """
     i, j, J = lattice_links(lat.L, lat.alpha)
     sub = lat.checkerboard()
-    index = _site_index(sub)
     rows = np.where(sub[i] == 0, i, j)
     cols = np.where(sub[i] == 0, j, i)
     block = np.zeros((lat.n_sites // 2, lat.n_sites // 2))
-    block[index[rows], index[cols]] = -J / 2.0
+    block[rows // 2, cols // 2] = -J / 2.0
     return _dense_svd(block, sub)
 
 
@@ -410,24 +412,22 @@ def _fix_phases(orbitals: np.ndarray) -> np.ndarray:
     return orbitals
 
 
-def _orbitals(svd: SublatticeSVD, occupied_only: bool) -> np.ndarray:
-    """Sign-fixed orbitals ``(u_p, -+v_p)/sqrt(2)`` from the sublattice SVD.
+def _orbitals(svd: SublatticeSVD, levels: np.ndarray) -> np.ndarray:
+    """Sign-fixed orbitals from the sublattice SVD, column j with the level
+    ``svd.energies[levels[j]]``.
 
-    Column p holds the level -s_p.  Unless occupied_only, column 2k-1-p
-    (k = s.size) holds its partner +s_p, so the columns follow ascending
-    energy.
+    Level k < n (n = s.size) is -s_p with p = k, level k >= n its partner
+    +s_p with p = 2n-1-k; the orbital of -+s_p is ``(u_p, -+v_p)/sqrt(2)``,
+    u_p on the sites of sublattice 0 and v_p on those of sublattice 1.
     """
-    a_sites = np.flatnonzero(svd.sublattice == 0)
-    b_sites = np.flatnonzero(svd.sublattice == 1)
-    u = svd.u
-    k = u.shape[1]
-    v = svd.vt.T
-    orbitals = np.empty((2 * k, k if occupied_only else 2 * k))
-    orbitals[a_sites, :k] = u
-    orbitals[b_sites, :k] = -v
-    if not occupied_only:
-        orbitals[a_sites, k:] = u[:, ::-1]
-        orbitals[b_sites, k:] = v[:, ::-1]
+    n = svd.s.size
+    below = levels < n
+    p = np.where(below, levels, 2 * n - 1 - levels)
+    orbitals = np.empty((2 * n, levels.size))
+    orbitals[svd.sublattice == 0] = svd.u[:, p]
+    v = svd.vt[p]
+    v *= np.where(below, -1.0, 1.0)[:, None]
+    orbitals[svd.sublattice == 1] = v.T
     orbitals *= 1.0 / np.sqrt(2.0)
     return _fix_phases(orbitals)
 
@@ -435,22 +435,15 @@ def _orbitals(svd: SublatticeSVD, occupied_only: bool) -> np.ndarray:
 def orbitals_from_svd(svd: SublatticeSVD) -> np.ndarray:
     """All orbitals, sign-fixed, column k with the level ``svd.energies[k]``;
     a (dim)^2 array, for the outputs that print orbitals."""
-    return _orbitals(svd, occupied_only=False)
+    return _orbitals(svd, np.arange(2 * svd.s.size))
 
 
 def level_orbital(svd: SublatticeSVD, k: int) -> np.ndarray:
-    """Column k of ``orbitals_from_svd(svd)``, bit for bit, built alone:
-    ``(u_p, -+v_p)/sqrt(2)`` of the one p whose level is
-    ``svd.energies[k]``, so no square array is formed."""
-    n = svd.s.size
-    if not 0 <= k < 2 * n:
-        raise IndexError(f"level {k} outside [0, {2 * n})")
-    p, sign = (k, -1.0) if k < n else (2 * n - 1 - k, 1.0)
-    orbital = np.empty((2 * n, 1))
-    orbital[svd.sublattice == 0, 0] = svd.u[:, p]
-    orbital[svd.sublattice == 1, 0] = sign * svd.vt[p]
-    orbital *= 1.0 / np.sqrt(2.0)
-    return _fix_phases(orbital)[:, 0]
+    """Column k of ``orbitals_from_svd(svd)``, bit for bit, built alone, so
+    no square array is formed."""
+    if not 0 <= k < 2 * svd.s.size:
+        raise IndexError(f"level {k} outside [0, {2 * svd.s.size})")
+    return _orbitals(svd, np.array([k]))[:, 0]
 
 
 def occupied_from_svd(svd: SublatticeSVD) -> np.ndarray:
@@ -468,7 +461,7 @@ def occupied_from_svd(svd: SublatticeSVD) -> np.ndarray:
             f"{count} single-particle zero modes; "
             "half filling is ambiguous, choose an explicit filling policy"
         )
-    return _orbitals(svd, occupied_only=True)
+    return _orbitals(svd, np.arange(svd.s.size))
 
 
 def site_occupations(occ: np.ndarray) -> np.ndarray:

@@ -242,7 +242,7 @@ def test_criterion_7_rainbow_limit():
     profile = build_rainbow_profile(10, 0.01)
     occ = occupied_from_svd(chain_svd(profile))
 
-    bonds = sdrg_run(profile)
+    bonds = sdrg_run(profile.couplings)
     bonds_ok = bonds.bonds == rainbow_bonds(10).bonds
 
     occ_dev = float(np.max(np.abs(site_occupations(occ) - 0.5)))

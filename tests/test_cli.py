@@ -236,12 +236,22 @@ class TestWavefunction:
         def refuse(*args, **kwargs):
             raise AssertionError("all orbitals assembled")
 
-        monkeypatch.setattr(spectra, "_orbitals", refuse)
+        assemble = spectra._orbitals
+        assembled = []
+
+        def one_level(svd, levels):
+            assembled.append(levels.tolist())
+            if levels.size != 1:
+                refuse()
+            return assemble(svd, levels)
+
+        monkeypatch.setattr(spectra, "_orbitals", one_level)
         monkeypatch.setattr(cli, "orbitals_from_svd", refuse)
         out = tmp_path / "w.csv"
         rc = main(["wavefunction", "--L", "1600", "--z", "2", "--m", m,
                    "--out", str(out)])
         assert rc == 0
+        assert assembled == [[1600 + int(m)]]
         assert len(read_csv(out)[1]) == 3200
 
 
@@ -511,6 +521,17 @@ class TestSdrgCommand:
         data = json.loads(out.read_text())
         assert [b[:2] for b in data["bonds"]] == [[0, 1], [2, 3]]
 
+    def test_underflowed_rainbow_exits_2_on_its_zero_couplings(self, tmp_path, capsys):
+        # alpha = 0.01 at L = 200 underflows the outer couplings to 0
+        out = tmp_path / "bonds.json"
+        with pytest.warns(RuntimeWarning):
+            rc = main(["sdrg", "--L", "200", "--alpha", "0.01", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "zero couplings disconnect the chain"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("couplings", ["1,inf,1", "1,2,1e400", "nan", "1,nan,1"])
     def test_non_finite_couplings_exit_2(self, tmp_path, capsys, couplings):
         out = tmp_path / "bonds.json"
@@ -555,8 +576,29 @@ class TestEntropy2D:
         assert not out.exists()
         assert not (tmp_path / "e2d_fits.json").exists()
 
-    def test_graded_lattice_exits_3_without_artifact(self, tmp_path, capsys):
-        # alpha = 0.3 grades the L >= 20 lattices past ten decades
+    def test_alpha_above_1_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before every lattice was checked")
+
+        monkeypatch.setattr(cli, "lattice_svd", refuse)
+        out = tmp_path / "e2d.csv"
+        rc = main(["entropy-2d", "--L", "8:24:4", "--alpha", "0.9:1.1:0.1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "alpha must lie in (0, 1]" in err["message"]
+        assert not out.exists()
+        assert not (tmp_path / "e2d_fits.json").exists()
+
+    def test_graded_lattice_exits_3_without_artifact(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # alpha = 0.3 grades the L >= 20 lattices past ten decades; the
+        # L = 8, 12 and 16 lattices before them are not solved either
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before every lattice was checked")
+
+        monkeypatch.setattr(cli, "lattice_svd", refuse)
         out = tmp_path / "e2d.csv"
         rc = main(["entropy-2d", "--L", "8:24:4", "--alpha", "0.3", "--out", str(out)])
         assert rc == 3

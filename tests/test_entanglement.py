@@ -363,7 +363,7 @@ class TestPolarRoute:
         for svd, block in cases:
             sites = np.asarray(list(block))
             on_rows = svd.sublattice[sites] == 0
-            rows, cols = svd.index[sites[on_rows]], svd.index[sites[~on_rows]]
+            rows, cols = sites[on_rows] // 2, sites[~on_rows] // 2
             keep = np.nonzero(svd.s > svd.zero_tol)[0]
             sigma = svdvals(svd.u[np.ix_(rows, keep)] @ svd.vt[np.ix_(keep, cols)])
             want = np.concatenate([(1.0 - sigma) / 2.0,

@@ -53,7 +53,7 @@ class TestSdrgRun:
         assert out.bonds == (Bond(0, 1, 1),)
 
     def test_rainbow_L3_bonds_and_trace(self):
-        out = sdrg_run(build_rainbow_profile(3, 0.1))
+        out = sdrg_run(build_rainbow_profile(3, 0.1).couplings)
         assert out.bonds == (Bond(2, 3, 1), Bond(1, 4, -1), Bond(0, 5, 1))
         # first effective coupling: -alpha^2 on the central link
         t0 = out.trace[0]
@@ -70,7 +70,7 @@ class TestSdrgRun:
 
     def test_uniform_chain_ties(self):
         with pytest.raises(TieError) as err:
-            sdrg_run(build_rainbow_profile(3, 1.0))
+            sdrg_run(build_rainbow_profile(3, 1.0).couplings)
         assert "tie" in str(err.value)
 
     def test_even_site_count_required(self):
@@ -125,12 +125,12 @@ class TestRainbowBonds:
             assert labels[b.right] == pytest.approx(+(k - 0.5))
 
     def test_agrees_with_sdrg_L5(self):
-        got = sdrg_run(build_rainbow_profile(5, 0.05))
+        got = sdrg_run(build_rainbow_profile(5, 0.05).couplings)
         assert got.bonds == rainbow_bonds(5).bonds
 
     @pytest.mark.parametrize("L", [2, 3, 4, 6, 8])
     def test_agrees_with_sdrg_up_to_alpha_02(self, L):
-        got = sdrg_run(build_rainbow_profile(L, 0.2))
+        got = sdrg_run(build_rainbow_profile(L, 0.2).couplings)
         assert got.bonds == rainbow_bonds(L).bonds
 
     def test_json(self):

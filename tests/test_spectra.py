@@ -333,17 +333,23 @@ class TestLatticeSVD:
             assert (svd.residual, svd.zero_tol) == (residual, zero_tol)
 
     def test_site_maps(self):
+        # site i is row (sublattice 0) or column (sublattice 1) i // 2 of M,
+        # on the chain and on the checkerboard: U S V^T is the oracle's
+        # block, whose rows and columns are the sublattices in site order
         chain = spectra.chain_svd(profile_from_z(5, 1.0))
         assert np.array_equal(chain.sublattice, np.arange(10) % 2)
-        assert np.array_equal(chain.index, np.arange(10) // 2)
         assert chain.zero_tol == 0.0
-        lat = Lattice2D(2, 0.5)
-        svd = lattice_svd(lat)
-        checkerboard = oracle.lattice_hamiltonian(lat)[1]
-        assert np.array_equal(svd.sublattice, checkerboard)
-        for part in (0, 1):
-            sites = np.flatnonzero(checkerboard == part)
-            assert np.array_equal(svd.index[sites], np.arange(sites.size))
+        lattices = [Lattice2D(L, 0.5) for L in (1, 2, 3, 8)]
+        cases = [(chain, oracle.chain_hamiltonian(profile_from_z(5, 1.0)))]
+        cases += [(lattice_svd(lat), oracle.lattice_hamiltonian(lat)) for lat in lattices]
+        for svd, (h, sublattice) in cases:
+            assert np.array_equal(svd.sublattice, sublattice)
+            for part in (0, 1):
+                sites = np.flatnonzero(sublattice == part)
+                assert np.array_equal(sites // 2, np.arange(sites.size))
+            block = oracle.sublattice_block(h, sublattice)
+            assert np.max(np.abs((svd.u * svd.s) @ svd.vt - block)) <= 1e-12
+        svd = cases[-1][0]
         assert svd.zero_tol == spectra.ZERO_MODE_TOL * max(svd.s[0], 1.0)
 
     def test_never_builds_the_hopping_matrix(self, monkeypatch):
@@ -431,14 +437,23 @@ class TestOrbitalsFromSVD:
         assert np.array_equal(occ, oracle.occupied(dense))
         assert occ.flags.c_contiguous
 
-    @pytest.mark.parametrize("L", [1, 2, 7, 51])
-    @pytest.mark.parametrize("z", [0.0, 4.0, 92.0])
-    def test_level_orbital_is_the_column_bitwise(self, L, z):
-        svd = spectra.chain_svd(profile_from_z(L, z))
+    @pytest.mark.parametrize("geometry, L, param", [
+        *(pytest.param("chain", L, z, id=f"{z}-{L}")
+          for z in (0.0, 4.0, 92.0) for L in (1, 2, 7, 51)),
+        # alpha = 1 keeps 2L zero modes, whose columns are still columns
+        *(pytest.param("lattice", L, alpha, id=f"lattice-{L}-{alpha}")
+          for L, alpha in ((2, 0.5), (4, 0.8), (4, 1.0), (8, 1.0))),
+    ])
+    def test_level_orbital_is_the_column_bitwise(self, geometry, L, param):
+        if geometry == "chain":
+            svd = spectra.chain_svd(profile_from_z(L, param))
+        else:
+            svd = lattice_svd(Lattice2D(L, param))
         orbitals = orbitals_from_svd(svd)
-        for k in range(2 * L):
+        dim = 2 * svd.s.size
+        for k in range(dim):
             assert np.array_equal(spectra.level_orbital(svd, k), orbitals[:, k])
-        for k in (-1, 2 * L):
+        for k in (-1, dim):
             with pytest.raises(IndexError):
                 spectra.level_orbital(svd, k)
 
