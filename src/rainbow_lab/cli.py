@@ -12,7 +12,9 @@ each sweep command loops it with ``_sweep``.  The geometry flags --alpha,
 --h and --z name a chain through one resolver, ``_profile``, so a flag
 value gives the same couplings in every command that takes it.
 
-Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.  A
+failing command writes one JSON error record to stderr, with the warnings
+raised before the failure in its "warnings" list.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -616,19 +619,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Warnings raised on the way are held back: a command
+    that succeeds shows them as Python would have, and a command that fails
+    puts them in its error record, so stderr then holds one JSON line."""
+    error = None
     try:
-        args = build_parser().parse_args(argv)
-        if "jobs" in vars(args):
-            args.jobs = _worker_count(args)
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (NumericsError, np.linalg.LinAlgError, RuntimeError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                args = build_parser().parse_args(argv)
+                if "jobs" in vars(args):
+                    args.jobs = _worker_count(args)
+                return args.func(args)
+            except (ValueError, OSError) as exc:
+                error, code = exc, 2
+            except (NumericsError, np.linalg.LinAlgError, RuntimeError) as exc:
+                error, code = exc, 3
+    finally:
+        if error is None:
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                                     w.file, w.line)
+    record = {"error": type(error).__name__, "message": str(error)}
+    if caught:
+        record["warnings"] = [{"warning": w.category.__name__, "message": str(w.message)}
+                              for w in caught]
+    json.dump(record, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 if __name__ == "__main__":

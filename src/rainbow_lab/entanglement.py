@@ -23,9 +23,10 @@ of ``spectra``).
 The half chain of a mirror-symmetric chain is a two-sector problem
 (``halfchain_nu``): its nu are (1 +- sigma)/2 again, with sigma taken from
 the eigenvectors of the even-parity sector alone, one L x L eigensolve
-(``spectra.even_sector``) in place of the 2L-site SVD.  Chains that are
-not mirror symmetric, or too strongly graded for that solve, take the
-polar route.
+(``spectra.even_sector``) in place of the 2L-site SVD, and sigma read off
+the eigenvalues of one small symmetric Gram matrix of those eigenvectors
+rather than off an SVD.  Chains that are not mirror symmetric, or too
+strongly graded for that solve, take the polar route.
 The orbital route (``correlation_matrix`` on occupied orbitals, then
 ``CorrelationMatrix.eigenvalues``) serves only the chain's
 entanglement-spectrum collapse; the tests keep the dense
@@ -46,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svdvals
+from scipy.linalg import blas, eigvalsh, svdvals
 
 from .continuum import deformed_length
 from .qubism import AmplitudeTable
@@ -202,11 +203,20 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     occupied states of H+-; since H- = -Gamma H+ Gamma, P- is Gamma times
     the projector onto H+'s unoccupied states times Gamma.  The eigenvalues
     of half a sum of two projectors are (1 +- sigma)/2, sigma the singular
-    values of Q_occ^T Gamma Q_unocc (the cosines of their principal angles),
-    plus |r+ - r-| levels at exactly 1/2 for ranks r+ and r- = L - r+; on
-    a chain that is the odd-L level.  Every other chain takes the polar
-    route.  An exact zero level of H+ raises ZeroModeError, as
-    ``polar_block`` does by default.
+    values of B = Q_occ^T Gamma Q_unocc (the cosines of their principal
+    angles), plus |r+ - r-| levels at exactly 1/2 for ranks r+ and
+    r- = L - r+; on a chain that is the odd-L level.
+
+    sigma takes no SVD.  Q^T Gamma Q is orthogonal and symmetric, so for
+    the smaller side Q_s (k = min(r+, r-) eigenvectors) its diagonal block
+    A = Q_s^T Gamma Q_s obeys A^2 + B B^T = I, and B's k singular values
+    are sqrt(1 - a^2) (Paige & Wei, Linear Algebra Appl. 208/209 (1994)
+    303).  Gamma is 2 P_even - I, so A = 2E - I with E = G G^T the k x k
+    Gram of G, the side's even-site components: one ``dsyrk``, one
+    values-only ``eigvalsh``, and sigma = 2 sqrt(e (1 - e)).
+
+    Every other chain takes the polar route.  An exact zero level of H+
+    raises ZeroModeError, as ``polar_block`` does by default.
     """
     if not _folds(profile.couplings):
         return polar_block(chain_svd(profile), range(profile.L))
@@ -216,8 +226,15 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
             "zero modes in the even sector; half filling is ambiguous"
         )
     r = int(np.count_nonzero(w < 0.0))
-    gamma = np.where(np.arange(profile.L) % 2, -1.0, 1.0)
-    sigma = svdvals(_dgemm(qt[:r] * gamma, qt[r:].T))
+    side = qt[:r] if 2 * r <= profile.L else qt[r:]
+    if side.shape[0]:
+        # E = G G^T, G the side's even-site columns; dsyrk fills E's lower
+        # triangle, which eigvalsh reads
+        gram = blas.dsyrk(1.0, side[:, 0::2].T, trans=1, lower=1)
+        e = eigvalsh(gram, overwrite_a=True, check_finite=False)
+        sigma = np.sort(2.0 * np.sqrt(np.maximum(e * (1.0 - e), 0.0)))[::-1]
+    else:  # L = 1: no pair, and dsyrk rejects an empty operand
+        sigma = np.empty(0)
     return _nu_from_sigma(sigma, abs(2 * r - profile.L))
 
 

@@ -1,11 +1,22 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rainbow_lab import build_rainbow_profile, cli
 from rainbow_lab.cli import main, parse_range
+
+
+UNDERFLOW_WARNING = {
+    "warning": "RuntimeWarning",
+    "message": "smallest coupling 0.000e+00 is below 1e-280; "
+               "outer links are numerically decoupled",
+}
 
 
 def read_csv(path):
@@ -84,6 +95,34 @@ class TestBadCommandLine:
         assert err["error"] == "UsageError"
         assert expect in err["message"]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestWarningsOnStderr:
+    """Warnings raised while a command runs: a failing command carries them
+    in its one-line error record, a succeeding one shows them as raised."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["sdrg", "--L", "200", "--alpha", "0.01"], 2),
+        (["es-collapse", "--L", "10", "--z", "2000"], 3),
+    ], ids=["sdrg", "es-collapse"])
+    def test_failing_command_writes_one_json_line(self, tmp_path, capfd, argv, code):
+        # a child interpreter, where Python itself prints warnings to stderr
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        rc = subprocess.run([sys.executable, "-m", "rainbow_lab.cli", *argv,
+                             "--out", str(tmp_path / "out")], env=env,
+                            timeout=120).returncode
+        assert rc == code
+        err = capfd.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["warnings"] == [UNDERFLOW_WARNING]
+
+    def test_succeeding_command_still_warns(self, tmp_path):
+        with pytest.warns(RuntimeWarning, match="smallest coupling"):
+            rc = main(["spectrum", "--L", "10", "--z", "2000",
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == 0
 
 
 class TestVelocityScan:
@@ -170,12 +209,14 @@ class TestGeometryFlags:
         assert "RAINBOW_LAB_JOBS" in err["message"]
 
     def test_underflowed_chain_exit_3(self, tmp_path, capsys):
-        # outer couplings underflow to exactly 0: exact zero modes
-        with pytest.warns(RuntimeWarning):
-            rc = main(["es-collapse", "--L", "10", "--z", "2000",
-                       "--out", str(tmp_path / "es.csv")])
+        # outer couplings underflow to exactly 0: exact zero modes, and the
+        # underflow warning goes into the error record
+        rc = main(["es-collapse", "--L", "10", "--z", "2000",
+                   "--out", str(tmp_path / "es.csv")])
         assert rc == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "ZeroModeError"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ZeroModeError"
+        assert err["warnings"] == [UNDERFLOW_WARNING]
 
     def test_numeric_error_exit_3(self, tmp_path, capsys):
         # uniform couplings tie at the first decimation
@@ -524,12 +565,12 @@ class TestSdrgCommand:
     def test_underflowed_rainbow_exits_2_on_its_zero_couplings(self, tmp_path, capsys):
         # alpha = 0.01 at L = 200 underflows the outer couplings to 0
         out = tmp_path / "bonds.json"
-        with pytest.warns(RuntimeWarning):
-            rc = main(["sdrg", "--L", "200", "--alpha", "0.01", "--out", str(out)])
+        rc = main(["sdrg", "--L", "200", "--alpha", "0.01", "--out", str(out)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
-                       "message": "zero couplings disconnect the chain"}
+                       "message": "zero couplings disconnect the chain",
+                       "warnings": [UNDERFLOW_WARNING]}
         assert not out.exists()
 
     @pytest.mark.parametrize("couplings", ["1,inf,1", "1,2,1e400", "nan", "1,nan,1"])

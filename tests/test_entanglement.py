@@ -553,6 +553,26 @@ class TestHalfchainFold:
         assert main(["entropy-scan", "--L", "20:25:1", "--z", "0:4:2",
                      "--out", str(tmp_path / "e.csv")]) == 0
 
+    def test_folded_chains_take_no_svd(self, monkeypatch, tmp_path):
+        # sigma comes from the sector Gram's eigenvalues, not from an SVD
+        from rainbow_lab import entanglement
+        from rainbow_lab.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("svdvals called")
+
+        monkeypatch.setattr(entanglement, "svdvals", refuse)
+        for L in (1, 2, 3, 50, 51):
+            assert fold_nu(profile_from_z(L, 2.0)).size == L
+        assert main(["renyi-fit", "--L", "20:25:1", "--z", "0:4:2",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_smallest_chains_print_nothing(self, capfd, L):
+        # an empty dsyrk operand makes LAPACK's xerbla print and carry on
+        fold_nu(profile_from_z(L, 2.0))
+        assert capfd.readouterr() == ("", "")
+
 
 class TestLatticePolarRoute:
     """polar_block on lattice_svd against the dense route it replaces: the
