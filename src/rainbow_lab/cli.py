@@ -68,6 +68,8 @@ from .spectra import (
 )
 
 _FLOAT_FMT = ".12g"
+# Most values a range flag expands to; FIGURES.md's largest axis has 21.
+MAX_RANGE_VALUES = 10**6
 
 
 def _fmt(x) -> str:
@@ -79,8 +81,9 @@ def _fmt(x) -> str:
 def parse_range(text: str, integer: bool = False) -> list:
     """Inclusive start:stop:step range, or a single value.
 
-    ValueError for a non-finite part, a step that is not positive, or a
-    stop below the start (which would give an empty sweep)."""
+    ValueError for a non-finite part, a step that is not positive, a
+    stop below the start (which would give an empty sweep), or more than
+    MAX_RANGE_VALUES values (refused before any is built)."""
     parts = text.split(":")
     conv = int if integer else float
     if len(parts) == 1:
@@ -94,7 +97,10 @@ def parse_range(text: str, integer: bool = False) -> list:
         raise ValueError(f"range step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"range stop {stop} is below its start {start}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9  # inf when the quotient overflows
+    if not span < MAX_RANGE_VALUES:
+        raise ValueError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
+    n = int(math.floor(span)) + 1
     vals = [start + i * step for i in range(n)]
     if integer:
         out = [int(round(v)) for v in vals]

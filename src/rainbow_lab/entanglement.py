@@ -31,9 +31,10 @@ The orbital route (``correlation_matrix`` on occupied orbitals, then
 ``CorrelationMatrix.eigenvalues``) serves only the chain's
 entanglement-spectrum collapse; the tests keep the dense
 correlation-matrix method of Peschel, J. Phys. A 36 L205 (2003), as the
-oracle for both routes.  It is the rule's one exception: its product and
-eigensolver stay on numpy, because the es-collapse reference records
-nu = 1/2 labels that depend on numpy's rounding.
+oracle for both routes.  Its product (``dsyrk``) and eigensolver
+(``dsyevd``) run on SciPy's BLAS too, and are the calls numpy's
+``R @ R.T`` and ``eigvalsh`` make, so they keep numpy's bits, on which
+the es-collapse reference's nu = 1/2 labels depend.
 
 The brute-force route expands the full many-body state (small N only),
 bipartitions the amplitude matrix and takes singular values; it shares
@@ -88,8 +89,11 @@ class CorrelationMatrix:
         return len(self.block)
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues clipped to [0, 1]; NumericsError if they stray further."""
-        return _checked_nu(np.linalg.eigvalsh(self.entries))
+        """Eigenvalues, ascending, clipped to [0, 1]; NumericsError if they
+        stray further.  LAPACK's dsyevd on the lower triangle, through
+        SciPy: the call numpy's eigvalsh makes, so the values keep its bits
+        wherever the two OpenBLAS builds share their kernels."""
+        return _checked_nu(eigvalsh(self.entries, driver="evd", check_finite=False))
 
 
 def _checked_nu(nu: np.ndarray) -> np.ndarray:
@@ -119,22 +123,33 @@ class EntanglementSpectrum:
         return self.eps[np.isfinite(self.eps)]
 
 
-def _distinct_sites(block) -> tuple:
-    """The block as a tuple of ints; ValueError if empty or repeating."""
+def _distinct_sites(block, n_sites: int) -> tuple:
+    """The block as a tuple of ints; ValueError if empty, repeating or
+    outside [0, n_sites)."""
     block = tuple(int(b) for b in block)
     if len(block) == 0:
         raise ValueError("empty block")
     if len(set(block)) != len(block):
         raise ValueError("block indices must be distinct")
+    if min(block) < 0 or max(block) >= n_sites:
+        raise ValueError(f"block sites must lie in [0, {n_sites})")
     return block
 
 
 def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
-    """C_ij = sum_k psi^k_i psi^k_j over occupied orbitals, i, j in block."""
-    block = _distinct_sites(block)
+    """C_ij = sum_k psi^k_i psi^k_j over occupied orbitals, i, j in block.
+
+    C = R R^T for R the block's rows of ``occ``, by one ``dsyrk`` on SciPy's
+    BLAS (the call numpy makes for ``R @ R.T``, so C keeps its bits) with
+    the lower triangle mirrored into the upper.
+    """
     occ = np.asarray(occ, dtype=float)
-    rows = occ[list(block), :]
-    return CorrelationMatrix(block=block, entries=rows @ rows.T)
+    block = _distinct_sites(block, occ.shape[0])
+    rows = occ[_as_slice(np.asarray(block))]
+    if not rows.shape[1]:  # no orbital: dsyrk rejects an empty operand
+        return CorrelationMatrix(block=block, entries=np.zeros((len(block),) * 2))
+    c = blas.dsyrk(1.0, rows.T, trans=1, lower=1)
+    return CorrelationMatrix(block=block, entries=c + np.tril(c, -1).T)
 
 
 def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndarray:
@@ -167,10 +182,7 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
             f"{n_zero} zero modes; pass zero_modes='half' "
             "for the particle-hole symmetric filling"
         )
-    block = _distinct_sites(block)
-    n_sites = svd.sublattice.size
-    if min(block) < 0 or max(block) >= n_sites:
-        raise ValueError(f"block sites must lie in [0, {n_sites})")
+    block = _distinct_sites(block, svd.sublattice.size)
     sites = np.asarray(block)
     on_rows = svd.sublattice[sites] == 0
     rows = sites[on_rows] // 2

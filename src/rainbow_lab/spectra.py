@@ -51,9 +51,7 @@ each with its own thread pool, and every solve here runs on SciPy's.  So
 the dense products and factorizations of a point go through SciPy too
 (``_dgemm``, ``scipy.linalg``); numpy keeps the elementwise work.  A numpy
 product right after a solve wakes the second pool, and the two pools then
-compete for the same cores.  The exception is es-collapse's orbital route
-(``entanglement.correlation_matrix`` and ``CorrelationMatrix.eigenvalues``),
-whose reference records nu = 1/2 labels that depend on numpy's rounding.
+compete for the same cores.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ and links, so every shipped route has a dense counterpart to agree with.
 Plain functions: matrices and sublattices are arrays, and nothing here
 validates its input, which comes from the tests alone.
 
+``numpy_correlation`` and ``numpy_eigenvalues`` are the orbital route
+as numpy computes it, which the library's route on SciPy's BLAS must
+match bit for bit.
+
 ``lattice_sector_entropy`` is the one oracle that is not dense: the 2D
 lattice's left-half entropy from its y-momentum sectors in mpmath, so it
 shares no float64 arithmetic with any shipped route.
@@ -102,6 +106,20 @@ def restrict(c, block):
     """A full correlation matrix restricted to a block of sites."""
     block = tuple(block)
     return CorrelationMatrix(block=block, entries=c[np.ix_(block, block)])
+
+
+def numpy_correlation(occ, block):
+    """``entanglement.correlation_matrix`` on numpy's BLAS, R @ R.T for R
+    the block's rows of ``occ``: the bits the library's ``dsyrk`` keeps."""
+    block = tuple(block)
+    rows = occ[list(block), :]
+    return CorrelationMatrix(block=block, entries=rows @ rows.T)
+
+
+def numpy_eigenvalues(c):
+    """``CorrelationMatrix.eigenvalues`` on numpy's LAPACK: eigvalsh,
+    clipped to [0, 1]."""
+    return np.clip(np.linalg.eigvalsh(c.entries), 0.0, 1.0)
 
 
 def lattice_sector_entropy(lat, dps=60):

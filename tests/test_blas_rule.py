@@ -16,6 +16,8 @@ from rainbow_lab.spectra import _dgemm
 PER_POINT = [
     entanglement.polar_block,
     entanglement.halfchain_nu,
+    entanglement.correlation_matrix,
+    entanglement.CorrelationMatrix.eigenvalues,
     spectra.even_sector,
     spectra._chain_solve,
     spectra._dense_svd,
@@ -27,10 +29,6 @@ PER_POINT = [
 
 # Every function of the per-point modules that does call numpy's BLAS.
 NUMPY_BLAS_USERS = {
-    # the named exception, es-collapse's orbital route: the chain-collapse
-    # reference records nu = 1/2 labels that depend on numpy's rounding
-    "entanglement.correlation_matrix",
-    "entanglement.CorrelationMatrix.eigenvalues",
     # row norms taken as np.linalg.norm takes them, so the wavefunction
     # artifact prints its samples bitwise; one dot of 2L samples per level
     "continuum._analytic_levels",

@@ -55,12 +55,22 @@ class TestParseRange:
         with pytest.raises(ValueError, match="finite"):
             parse_range("1:inf:1")
 
+    @pytest.mark.parametrize("text", ["0:4:1e-300", "0:4:1e-320", "0:1e6:1"])
+    def test_over_large_range_refused_before_building(self, text):
+        # 4 / 1e-320 overflows to inf; 0:1e6:1 is one value too many
+        with pytest.raises(ValueError, match="more than 1000000 values"):
+            parse_range(text)
+
+    def test_largest_range_accepted(self):
+        assert len(parse_range("0:99999.9:0.1")) == cli.MAX_RANGE_VALUES
+
     @pytest.mark.parametrize("argv", [
         ["velocity-scan", "--L", "50", "--z", "4:0:1"],
         ["es-collapse", "--L", "60:20:20", "--z", "5"],
         ["validity-map", "--L", "50:10:50", "--z", "0:1:0.5"],
         ["entropy-scan", "--L", "10", "--z", "1:inf:1"],
-    ], ids=["inverted-z", "inverted-L", "inverted-map", "infinite"])
+        ["velocity-scan", "--L", "10", "--z", "0:4:1e-320"],
+    ], ids=["inverted-z", "inverted-L", "inverted-map", "infinite", "over-large"])
     def test_bad_range_exits_2_without_artifact(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
@@ -460,6 +470,22 @@ class TestEsCollapse:
         assert main(["es-collapse", *grid, "--out", str(b)]) == 0
         rows = read_csv(a)[1]
         assert len(rows) >= 5 * 4 * 9  # an odd-L nu = 1/2 row may drop out
+        assert rows == read_csv(b)[1]
+
+    def test_numpy_route_gives_the_same_artifact(self, tmp_path, monkeypatch):
+        # the orbital route's product and eigensolver run on SciPy's BLAS;
+        # on numpy's the rows, odd-L nu = 1/2 labels included, must not move
+        import dense_oracle as oracle
+        from rainbow_lab import CorrelationMatrix
+
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        grid = ["--L", "101:141:20", "--z", "5:40:5"]
+        assert main(["es-collapse", *grid, "--out", str(a)]) == 0
+        monkeypatch.setattr(cli, "correlation_matrix", oracle.numpy_correlation)
+        monkeypatch.setattr(CorrelationMatrix, "eigenvalues", oracle.numpy_eigenvalues)
+        assert main(["es-collapse", *grid, "--out", str(b)]) == 0
+        rows = read_csv(a)[1]
+        assert len(rows) >= 3 * 8 * 9  # an odd-L nu = 1/2 row may drop out
         assert rows == read_csv(b)[1]
 
     def test_jobs_do_not_change_output(self, tmp_path):

@@ -654,6 +654,34 @@ class TestOccupiedFromSVD:
         assert np.array_equal(got.eps, want.eps)
 
 
+class TestNumpyRouteParity:
+    """The orbital route on SciPy's BLAS against the same calls on numpy's,
+    bit for bit.  The es-collapse reference records nu = 1/2 labels that
+    depend on rounding, so a numpy or SciPy upgrade that breaks the parity
+    must fail here."""
+
+    @pytest.mark.parametrize("L", [101, 102, 301])
+    @pytest.mark.parametrize("z", [5.0, 25.0, 40.0])  # dbdsdc, then graded dbdsqr
+    def test_bitwise(self, L, z):
+        occ = chain_occupied(L, z=z)
+        mirror = [*range(L // 4), *range(2 * L - L // 4, 2 * L)]
+        for block in (range(L), mirror):
+            got = correlation_matrix(occ, block)
+            want = oracle.numpy_correlation(occ, block)
+            assert np.array_equal(got.entries, want.entries)
+            assert np.array_equal(got.eigenvalues(), oracle.numpy_eigenvalues(want))
+
+    def test_no_orbitals(self):
+        # dsyrk rejects an empty operand; C is then zero, as R @ R.T is
+        got = correlation_matrix(np.empty((4, 0)), [1, 2])
+        assert np.array_equal(got.entries, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("block", [[-1, 0], [3, 4]])
+    def test_sites_outside_the_orbitals_refused(self, block):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 4\)"):
+            correlation_matrix(np.eye(4)[:, :2], block)
+
+
 class TestBruteForceOracle:
     def test_bell_pair(self):
         occ = np.array([[1.0], [1.0]]) / np.sqrt(2)
