@@ -32,10 +32,8 @@ from .spectra import (
     velocity_scaling,
 )
 from .continuum import (
-    ContinuumParams,
     analytic_energy,
     analytic_wavefunction,
-    continuum_params,
     coordinate_map,
     deformed_length,
     overlap_crossing,

@@ -2,19 +2,20 @@
 
 Sweep flags take inclusive ranges ``start:stop:step`` (``0:4:0.5``).
 CSV artifacts use ',' as separator, '.' as decimal mark and '#'-prefixed
-header lines carrying the tool version and the full configuration, so
+header lines carrying the tool version and the configuration, so
 re-running a command reproduces its artifact byte for byte.  Grid sweeps
-honor ``--jobs`` (default from RAINBOW_LAB_JOBS) with order-independent
-assembly; the commands that compute one point have no ``--jobs``, and
-only renyi-fit, which writes CSV or JSON, has a ``--format``.  Sweeps
-live here: the library computes one point (one chain, one overlap), and
-each sweep command loops it with ``_sweep``.  The geometry flags --alpha,
---h and --z name a chain through one resolver, ``_profile``, so a flag
-value gives the same couplings in every command that takes it.
+honor ``--jobs`` (default 1) with order-independent assembly; the worker
+count is left out of the config echo, so it changes no byte.  The
+commands that compute one point have no ``--jobs``.  Sweeps live here:
+the library computes one point (one chain, one overlap), and each sweep
+command loops it with ``_sweep``.  The geometry flags --alpha, --h and
+--z name a chain through one resolver, ``_profile``, so a flag value
+gives the same couplings in every command that takes it.
 
-Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.  A
-failing command writes one JSON error record to stderr, with the warnings
-raised before the failure in its "warnings" list.
+Exit codes: 0 success, 2 usage or domain error, 3 numerical failure or
+an allocation that fails (MemoryError).  A failing command writes one
+JSON error record to stderr, with the warnings raised before the failure
+in its "warnings" list.
 """
 
 from __future__ import annotations
@@ -142,6 +143,13 @@ _int_range = _flag(lambda t: parse_range(t, integer=True))
 _orders = _flag(lambda t: [float(x) for x in t.split(",")])
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"must be a positive integer, got {n}")
+    return n
+
+
 def _geometry_values(args) -> tuple:
     """(flag name, its value or values) for whichever geometry flag was given."""
     given = [name for name in ("alpha", "h", "z") if getattr(args, name) is not None]
@@ -164,22 +172,6 @@ def _profile(flag: str, value: float, L: int):
     return _rainbow_profile(L, math.exp(-value / 2.0), value)
 
 
-def _worker_count(args) -> int:
-    """--jobs, else RAINBOW_LAB_JOBS, else 1; anything below 1 is refused."""
-    jobs = args.jobs
-    if jobs is None:
-        text = os.environ.get("RAINBOW_LAB_JOBS", "1")
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise ValueError(
-                f"RAINBOW_LAB_JOBS must be a positive integer, got {text!r}"
-            ) from None
-    if jobs < 1:
-        raise ValueError(f"--jobs must be a positive integer, got {jobs}")
-    return jobs
-
-
 def _sweep(kernel, points, jobs: int) -> list:
     """kernel(point) for every point, in order; jobs > 1 uses a thread pool."""
     if jobs == 1:
@@ -189,9 +181,11 @@ def _sweep(kernel, points, jobs: int) -> list:
 
 
 def _provenance(args) -> dict:
+    """The command's configuration: every flag it was given a value for,
+    except --jobs, which sets how the sweep runs and no value in it."""
     config = {
         k: v for k, v in sorted(vars(args).items())
-        if k not in ("func",) and v is not None
+        if k not in ("func", "jobs") and v is not None
     }
     return {"tool": "rainbow-lab", "version": __version__, "config": config}
 
@@ -339,23 +333,17 @@ def cmd_renyi_fit(args) -> int:
     entropies = dict(zip(points, _sweep(entropies_for, points, args.jobs)))
 
     rows = []
-    fits = []
     for z in args.z:
         for i, n in enumerate(orders):
             values = [entropies[(L, z)][i] for L in sizes]
             fit = fit_renyi_halfchain(sizes, values, n=n)
-            fits.append({"n": n, "z": z, **fit.coefficients,
-                         "chi2": fit.chi2, "condition": fit.condition})
             rows.append((n, z, fit["c_n"], fit["d_n"], fit["f_n"],
                          fit.chi2, fit.condition))
-    if args.format == "json":
-        _write_json(args.out, args, fits)
-    else:
-        _write_csv(
-            args.out,
-            _csv_header(args, ("n", "z", "c_n", "d_n", "f_n", "chi2", "condition")),
-            rows,
-        )
+    _write_csv(
+        args.out,
+        _csv_header(args, ("n", "z", "c_n", "d_n", "f_n", "chi2", "condition")),
+        rows,
+    )
     return 0
 
 
@@ -395,13 +383,16 @@ def cmd_es_collapse(args) -> int:
 
 
 def cmd_sdrg(args) -> int:
-    if args.couplings:
+    if args.couplings is not None:
+        if args.L is not None or args.alpha is not None:
+            # its provenance would name a chain that was not decimated
+            raise ValueError("give --couplings or --L with --alpha, not both")
         couplings = [float(t) for t in args.couplings.split(",")]
-        bonds = sdrg_run(couplings)
+    elif args.L is None or args.alpha is None:
+        raise ValueError("need --couplings, or --L with --alpha")
     else:
-        if args.L is None or args.alpha is None:
-            raise ValueError("need --couplings, or --L with --alpha")
-        bonds = sdrg_run(build_rainbow_profile(args.L, args.alpha).couplings)
+        couplings = build_rainbow_profile(args.L, args.alpha).couplings
+    bonds = sdrg_run(couplings)
     if args.arcs:
         print(render_arcs(bonds))
     with open(args.out, "w", encoding="ascii") as fh:
@@ -450,7 +441,7 @@ def cmd_qubism(args) -> int:
     if n % 2:
         raise ValueError(f"qubism needs an even site count, got {n}")
     occ = occupied_from_svd(chain_svd(build_rainbow_profile(n // 2, args.alpha)))
-    amps = slater_amplitudes(occ, n)
+    amps = slater_amplitudes(occ)
     write_ppm(render(amps), args.out)
     # PPM headers are pinned byte for byte, so provenance rides sidecar
     with open(args.out + ".provenance.json", "w", encoding="ascii") as fh:
@@ -480,7 +471,7 @@ def cmd_validate(args) -> int:
         for alpha in (0.01, 0.3, 1.0):
             profile = build_rainbow_profile(twoL // 2, alpha)
             svd = chain_svd(profile)
-            amps = slater_amplitudes(occupied_from_svd(svd), twoL)
+            amps = slater_amplitudes(occupied_from_svd(svd))
             worst = 0.0
             for block in boundary_blocks(twoL):
                 a = renyi_entropies(polar_block(svd, block), orders)
@@ -504,7 +495,7 @@ def cmd_validate(args) -> int:
 
     # bond-state entropies count crossing bonds
     bonds = rainbow_bonds(6)
-    amps = slater_amplitudes(bond_state_orbitals(bonds), 12)
+    amps = slater_amplitudes(bond_state_orbitals(bonds))
     S = brute_force_block_entropy(amps, range(6), [1])[0]
     dev = abs(S - 6 * math.log(2))
     check(f"bond-state half-chain entropy 6 ln 2 (dev {dev:.2e})", dev <= 1e-10)
@@ -546,11 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(func=func)
         if sweep:
-            p.add_argument(
-                "--jobs",
-                type=int,
-                help="worker threads for sweeps (default RAINBOW_LAB_JOBS or 1)",
-            )
+            p.add_argument("--jobs", type=_flag(_positive_int), default=1,
+                           help="worker threads for the sweep")
         return p
 
     p = new("spectrum", "single-particle levels of one chain", cmd_spectrum,
@@ -590,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_range, required=True)
     p.add_argument("--orders", type=_orders, default=[1.0, 2.0, 3.0, 4.0])
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = new("es-collapse", "entanglement spectrum rescaled by z/(2 pi^2)", cmd_es_collapse)
     p.add_argument("--L", type=_int_range, required=True)
@@ -633,12 +620,11 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             try:
                 args = build_parser().parse_args(argv)
-                if "jobs" in vars(args):
-                    args.jobs = _worker_count(args)
                 return args.func(args)
             except (ValueError, OSError) as exc:
                 error, code = exc, 2
-            except (NumericsError, np.linalg.LinAlgError, RuntimeError) as exc:
+            except (NumericsError, np.linalg.LinAlgError, RuntimeError,
+                    MemoryError) as exc:
                 error, code = exc, 3
     finally:
         if error is None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,22 +36,6 @@ from .spectra import _dgemm, chain_svd, occupied_from_svd, velocity_scaling
 
 # Below this h the exponentials are evaluated by series limit.
 _H_TINY = 1e-8
-
-
-@dataclass(frozen=True)
-class ContinuumParams:
-    """Derived continuum quantities of a rainbow chain.
-
-    tilde_L is the half-length of the equivalent uniform chain after the
-    coordinate transformation; beta and T are the effective inverse
-    temperature and temperature of the thermofield interpretation.
-    """
-
-    h: float
-    L: int
-    tilde_L: float
-    beta: float
-    T: float
 
 
 def _expm1_over_h(h: float, x) -> np.ndarray | float:
@@ -70,15 +53,6 @@ def deformed_length(h: float, L: float) -> float:
     if h < 0:
         raise ValueError(f"h must be non-negative, got {h!r}")
     return float(_expm1_over_h(h, L))
-
-
-def continuum_params(h: float, L: int) -> ContinuumParams:
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h!r}")
-    beta = math.inf if h == 0 else 2 * math.pi / h
-    return ContinuumParams(
-        h=h, L=L, tilde_L=deformed_length(h, L), beta=beta, T=h / (2 * math.pi)
-    )
 
 
 def analytic_energy(m: int, h: float, L: int) -> float:

@@ -2,12 +2,12 @@
 
 For a Slater ground state the reduced density matrix of a block is fixed
 by the block correlation matrix C_ij = <c+_i c_j>.  Its eigenvalues
-nu_p in [0, 1] give every Renyi entropy, the single-body entanglement
-energies eps_p = ln((1 - nu_p)/nu_p), and the entanglement Hamiltonian
-constant f_0, so ``renyi_entropies``, ``vn_entropy`` and
-``entanglement_spectrum`` take a block's nu and nothing else.  Entropies
-are plain floats in nats, one per Renyi order asked for; the block and
-the orders are the caller's own inputs and are not echoed back.
+nu_p in [0, 1] give every Renyi entropy and the single-body entanglement
+energies eps_p = ln((1 - nu_p)/nu_p), so ``renyi_entropies``,
+``vn_entropy`` and ``entanglement_spectrum`` take a block's nu and
+nothing else.  Entropies are plain floats in nats, one per Renyi order
+asked for; the block and the orders are the caller's own inputs and are
+not echoed back.
 
 Chains and the 2D lattice take the polar route: at half filling
 C = (1 - sign H)/2, and for a bipartite H with sublattice block
@@ -73,20 +73,18 @@ DELTA_WINDOW = 4
 class CorrelationMatrix:
     """Ground-state two-point function restricted to a block of sites."""
 
-    block: tuple
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
-        n = len(self.block)
-        if m.shape != (n, n):
-            raise ValueError(f"block of {n} sites needs {n}x{n} entries, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"entries must be a square matrix, got {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
     def size(self) -> int:
-        return len(self.block)
+        return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues, ascending, clipped to [0, 1]; NumericsError if they
@@ -109,15 +107,12 @@ def _checked_nu(nu: np.ndarray) -> np.ndarray:
 class EntanglementSpectrum:
     """Single-body entanglement data of a block.
 
-    nu descending, eps = ln((1-nu)/nu) ascending with +-inf sentinels for
-    levels clipped at 0 or 1, delta_L the mean level spacing around
-    eps = 0, f0 = sum ln(1 + e^-eps) over finite levels.
+    eps = ln((1-nu)/nu) ascending with +-inf sentinels for levels clipped
+    at 0 or 1, delta_L the mean level spacing around eps = 0.
     """
 
-    nu: np.ndarray = field(repr=False)
     eps: np.ndarray = field(repr=False)
     delta_L: float
-    f0: float
 
     def finite_eps(self) -> np.ndarray:
         return self.eps[np.isfinite(self.eps)]
@@ -147,9 +142,9 @@ def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
     block = _distinct_sites(block, occ.shape[0])
     rows = occ[_as_slice(np.asarray(block))]
     if not rows.shape[1]:  # no orbital: dsyrk rejects an empty operand
-        return CorrelationMatrix(block=block, entries=np.zeros((len(block),) * 2))
+        return CorrelationMatrix(entries=np.zeros((len(block),) * 2))
     c = blas.dsyrk(1.0, rows.T, trans=1, lower=1)
-    return CorrelationMatrix(block=block, entries=c + np.tril(c, -1).T)
+    return CorrelationMatrix(entries=c + np.tril(c, -1).T)
 
 
 def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndarray:
@@ -297,9 +292,9 @@ def entanglement_spectrum(nu) -> EntanglementSpectrum:
     spacing near zero.
 
     Levels with nu clipped at 0 or 1 are reported as +-inf and excluded
-    from the spacing estimate and from f0.
+    from the spacing estimate.
     """
-    nu = np.sort(nu)[::-1]
+    nu = np.asarray(nu, dtype=float)
     eps = np.empty_like(nu)
     lo = nu <= NU_CLIP
     hi = nu >= 1.0 - NU_CLIP
@@ -316,8 +311,7 @@ def entanglement_spectrum(nu) -> EntanglementSpectrum:
         delta = float(np.mean(np.diff(window)))
     else:
         delta = math.nan
-    f0 = float(np.sum(np.logaddexp(0.0, -finite)))
-    return EntanglementSpectrum(nu=nu, eps=eps, delta_L=delta, f0=f0)
+    return EntanglementSpectrum(eps=eps, delta_L=delta)
 
 
 def halfchain_entropy_prediction(h: float, L: int, c: float, cprime: float) -> float:

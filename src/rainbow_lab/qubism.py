@@ -25,14 +25,13 @@ MAX_SITES = 14
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Dense amplitude vector of an N-site state at fixed filling.
+    """Dense amplitude vector of an N-site state.
 
     amplitudes[int(bits, 2)] is the coefficient of configuration `bits`
     (site 0 = most significant bit).  Unit norm.
     """
 
     n_sites: int
-    filling: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -61,22 +60,20 @@ class AmplitudeTable:
             yield format(idx, f"0{self.n_sites}b"), float(self.amplitudes[idx])
 
 
-def slater_amplitudes(occ: np.ndarray, n_sites: int) -> AmplitudeTable:
+def slater_amplitudes(occ: np.ndarray) -> AmplitudeTable:
     """Expand a Slater determinant over occupation configurations.
 
-    The amplitude of the configuration occupying sites i_1 < ... < i_K is
-    the determinant of the corresponding rows of the orbital matrix;
-    fermionic exchange signs are carried by the determinant with this
-    fixed site ordering.
+    One row of the orbital matrix per site, one column per orbital.  The
+    amplitude of the configuration occupying sites i_1 < ... < i_K is the
+    determinant of the corresponding rows; fermionic exchange signs are
+    carried by the determinant with this fixed site ordering.
     """
     occ = np.asarray(occ, dtype=float)
+    n_sites, k = occ.shape
     if n_sites > MAX_SITES:
         raise ValueError(
             f"{n_sites} sites needs {2**n_sites} amplitudes; cap is {MAX_SITES}"
         )
-    if occ.shape[0] != n_sites:
-        raise ValueError(f"orbital matrix has {occ.shape[0]} rows, expected {n_sites}")
-    k = occ.shape[1]
     amps = np.zeros(2**n_sites)
     for sites in combinations(range(n_sites), k):
         idx = 0
@@ -86,7 +83,7 @@ def slater_amplitudes(occ: np.ndarray, n_sites: int) -> AmplitudeTable:
     norm = np.linalg.norm(amps)
     if not np.isclose(norm, 1.0, atol=1e-8):
         raise ValueError(f"orbitals are not orthonormal (state norm {norm:.6f})")
-    return AmplitudeTable(n_sites=n_sites, filling=k, amplitudes=amps / norm)
+    return AmplitudeTable(n_sites=n_sites, amplitudes=amps / norm)
 
 
 def render(amps: AmplitudeTable) -> np.ndarray:

@@ -105,15 +105,14 @@ def correlation(svd):
 def restrict(c, block):
     """A full correlation matrix restricted to a block of sites."""
     block = tuple(block)
-    return CorrelationMatrix(block=block, entries=c[np.ix_(block, block)])
+    return CorrelationMatrix(entries=c[np.ix_(block, block)])
 
 
 def numpy_correlation(occ, block):
     """``entanglement.correlation_matrix`` on numpy's BLAS, R @ R.T for R
     the block's rows of ``occ``: the bits the library's ``dsyrk`` keeps."""
-    block = tuple(block)
     rows = occ[list(block), :]
-    return CorrelationMatrix(block=block, entries=rows @ rows.T)
+    return CorrelationMatrix(entries=rows @ rows.T)
 
 
 def numpy_eigenvalues(c):

@@ -296,7 +296,7 @@ def test_criterion_8_oracle_equivalence():
         for alpha in (0.01, 0.3, 1.0):
             profile = build_rainbow_profile(two_l // 2, alpha)
             occ = occupied_from_svd(chain_svd(profile))
-            amps = slater_amplitudes(occ, two_l)
+            amps = slater_amplitudes(occ)
             for block in boundary_blocks(two_l):
                 a = renyi_entropies(correlation_matrix(occ, block).eigenvalues(), [1, 2, 3, 4])
                 b = brute_force_block_entropy(amps, block, [1, 2, 3, 4])
@@ -367,7 +367,7 @@ def test_criterion_9_two_dimensional():
 @pytest.fixture(scope="module")
 def rainbow_amps_10():
     occ = occupied_from_svd(chain_svd(build_rainbow_profile(5, 0.01)))
-    return slater_amplitudes(occ, 10)
+    return slater_amplitudes(occ)
 
 
 def test_criterion_10_schmidt_ranks(rainbow_amps_10, tmp_path):

@@ -10,7 +10,6 @@ from rainbow_lab import (
     ZeroModeError,
     analytic_energy,
     analytic_wavefunction,
-    continuum_params,
     coordinate_map,
     deformed_length,
     orbitals_from_svd,
@@ -72,6 +71,10 @@ class TestCoordinateMap:
         assert coordinate_map(L, h) == pytest.approx(deformed_length(h, L))
         assert coordinate_map(-L, h) == pytest.approx(-deformed_length(h, L))
 
+    def test_deformed_length_bounds(self):
+        assert deformed_length(0.0, 50) == pytest.approx(50.0)
+        assert deformed_length(0.1, 50) > 50.0
+
     def test_odd_and_increasing(self):
         xs = np.linspace(-20, 20, 101)
         y = coordinate_map(xs, 0.13)
@@ -87,21 +90,6 @@ class TestCoordinateMap:
         # below the series switch the map must still be smooth and odd
         y = coordinate_map(100.0, 1e-10)
         assert y == pytest.approx(100.0, rel=1e-7)
-
-
-class TestContinuumParams:
-    def test_beta_T_inverse(self):
-        p = continuum_params(0.25, 60)
-        assert p.beta * p.T == pytest.approx(1.0)
-
-    def test_tilde_L_bounds(self):
-        assert continuum_params(0.0, 50).tilde_L == pytest.approx(50.0)
-        assert continuum_params(0.1, 50).tilde_L > 50.0
-
-    def test_h0_temperature(self):
-        p = continuum_params(0.0, 50)
-        assert p.T == 0.0
-        assert math.isinf(p.beta)
 
 
 class TestAnalyticWavefunction:

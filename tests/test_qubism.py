@@ -19,18 +19,18 @@ BELL = np.array([[1.0], [1.0]]) / np.sqrt(2)
 
 class TestSlaterAmplitudes:
     def test_bell_pair(self):
-        amps = slater_amplitudes(BELL, 2)
+        amps = slater_amplitudes(BELL)
         assert amps.amplitude("10") == pytest.approx(1 / np.sqrt(2))
         assert amps.amplitude("01") == pytest.approx(1 / np.sqrt(2))
         assert amps.amplitude("11") == 0.0
         assert amps.amplitude("00") == 0.0
 
     def test_normalized(self):
-        amps = slater_amplitudes(chain_occupied(4, alpha=0.3), 8)
+        amps = slater_amplitudes(chain_occupied(4, alpha=0.3))
         assert np.sum(amps.amplitudes**2) == pytest.approx(1.0)
 
     def test_fixed_filling(self):
-        amps = slater_amplitudes(chain_occupied(3, alpha=0.5), 6)
+        amps = slater_amplitudes(chain_occupied(3, alpha=0.5))
         for bits, a in amps.rows():
             if bits.count("1") != 3:
                 assert a == 0.0
@@ -38,7 +38,7 @@ class TestSlaterAmplitudes:
     def test_rainbow_four_dominant_amplitudes(self):
         # near the strong limit the four bond-product configurations carry
         # weight ~1/2 each with a common sign
-        amps = slater_amplitudes(chain_occupied(2, alpha=0.01), 4)
+        amps = slater_amplitudes(chain_occupied(2, alpha=0.01))
         dominant = {"1100", "1010", "0101", "0011"}
         vals = [amps.amplitude(b) for b in dominant]
         assert all(abs(abs(v) - 0.5) < 0.01 for v in vals)
@@ -48,17 +48,17 @@ class TestSlaterAmplitudes:
 
     def test_site_cap(self):
         with pytest.raises(ValueError):
-            slater_amplitudes(np.zeros((16, 8)), 16)
+            slater_amplitudes(np.zeros((16, 8)))
 
     def test_non_orthonormal_rejected(self):
         bad = np.array([[1.0], [1.0]])  # unnormalized column
         with pytest.raises(ValueError):
-            slater_amplitudes(bad, 2)
+            slater_amplitudes(bad)
 
 
 class TestRender:
     def test_two_sites(self):
-        amps = slater_amplitudes(BELL, 2)
+        amps = slater_amplitudes(BELL)
         img = render(amps)
         assert img.shape == (2, 2)
         # (s0, s1): 00 TL, 01 TR, 10 BL, 11 BR
@@ -70,7 +70,7 @@ class TestRender:
     def test_bijection(self):
         n = 6
         table = AmplitudeTable(
-            n_sites=n, filling=0,
+            n_sites=n,
             amplitudes=np.arange(2**n, dtype=float) + 1.0,
         )
         img = render(table)
@@ -84,7 +84,7 @@ class TestRender:
         # the quadrant rule one bit pair at a time: pair i of the
         # configuration gives bit i of the row and of the column
         table = AmplitudeTable(
-            n_sites=n, filling=0,
+            n_sites=n,
             amplitudes=np.arange(2**n, dtype=float) - 2 ** (n - 1),
         )
         want = np.zeros((2 ** (n // 2), 2 ** (n // 2)))
@@ -97,13 +97,13 @@ class TestRender:
         assert np.array_equal(render(table), want)
 
     def test_odd_sites_rejected(self):
-        table = AmplitudeTable(n_sites=3, filling=1, amplitudes=np.zeros(8))
+        table = AmplitudeTable(n_sites=3, amplitudes=np.zeros(8))
         with pytest.raises(ValueError):
             render(table)
 
     def test_rainbow_support_separation(self):
         # 32 bond-product pixels dominate; everything else is O(alpha)
-        amps = slater_amplitudes(chain_occupied(5, alpha=0.01), 10)
+        amps = slater_amplitudes(chain_occupied(5, alpha=0.01))
         img = render(amps)
         assert np.count_nonzero(img) > 32  # perturbative tails never vanish
         mags = np.sort(np.abs(img.ravel()))[::-1]
@@ -117,22 +117,22 @@ class TestRender:
         "bond-product cells at alpha = 0.01 (largest ratio 0.02)",
     )
     def test_rainbow_exact_32_pixels_stated(self):
-        amps = slater_amplitudes(chain_occupied(5, alpha=0.01), 10)
+        amps = slater_amplitudes(chain_occupied(5, alpha=0.01))
         assert np.count_nonzero(render(amps)) == 32
 
     def test_uniform_has_more_support_than_rainbow(self):
-        rainbow = slater_amplitudes(chain_occupied(5, alpha=0.01), 10)
-        uniform = slater_amplitudes(chain_occupied(5, alpha=1.0), 10)
+        rainbow = slater_amplitudes(chain_occupied(5, alpha=0.01))
+        uniform = slater_amplitudes(chain_occupied(5, alpha=1.0))
         assert uniform.nonzero_count(rel_tol=0.1) > rainbow.nonzero_count(rel_tol=0.1)
 
 
 class TestSchmidtRank:
     def test_bell_pair(self):
-        amps = slater_amplitudes(BELL, 2)
+        amps = slater_amplitudes(BELL)
         assert schmidt_rank(amps, 1) == 2
 
     def test_rainbow_ranks(self):
-        amps = slater_amplitudes(chain_occupied(5, alpha=0.01), 10)
+        amps = slater_amplitudes(chain_occupied(5, alpha=0.01))
         assert schmidt_rank(amps, 2) == 4
         assert schmidt_rank(amps, 4) == 16
 
@@ -140,17 +140,17 @@ class TestSchmidtRank:
         n = 6
         amps = np.zeros(2**n)
         amps[int("010101", 2)] = 1.0
-        table = AmplitudeTable(n_sites=n, filling=3, amplitudes=amps)
+        table = AmplitudeTable(n_sites=n, amplitudes=amps)
         for l in range(1, n):
             assert schmidt_rank(table, l) == 1
 
     def test_rank_bound(self):
-        amps = slater_amplitudes(chain_occupied(4, alpha=0.7), 8)
+        amps = slater_amplitudes(chain_occupied(4, alpha=0.7))
         for l in range(1, 8):
             assert schmidt_rank(amps, l) <= min(2**l, 2 ** (8 - l))
 
     def test_block_bounds(self):
-        amps = slater_amplitudes(BELL, 2)
+        amps = slater_amplitudes(BELL)
         with pytest.raises(ValueError):
             schmidt_rank(amps, 0)
         with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ class TestWritePpm:
     def test_exact_bytes(self, tmp_path):
         s = 1 / np.sqrt(2)
         table = AmplitudeTable(
-            n_sites=2, filling=1, amplitudes=np.array([0.0, s, s, 0.0])
+            n_sites=2, amplitudes=np.array([0.0, s, s, 0.0])
         )
         path = tmp_path / "img.ppm"
         write_ppm(render(table), path)
@@ -173,11 +173,11 @@ class TestWritePpm:
 
     def test_sign_flip_swaps_channels(self, tmp_path):
         table = AmplitudeTable(
-            n_sites=2, filling=1,
+            n_sites=2,
             amplitudes=np.array([0.0, 0.5, -0.5, 0.0]),
         )
         flipped = AmplitudeTable(
-            n_sites=2, filling=1,
+            n_sites=2,
             amplitudes=-table.amplitudes,
         )
         p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
@@ -189,7 +189,7 @@ class TestWritePpm:
         assert np.array_equal(a[:, 1], b[:, 0])
 
     def test_deterministic(self, tmp_path):
-        amps = slater_amplitudes(chain_occupied(3, alpha=0.4), 6)
+        amps = slater_amplitudes(chain_occupied(3, alpha=0.4))
         p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
         write_ppm(render(amps), p1)
         write_ppm(render(amps), p2)
