@@ -15,12 +15,15 @@ gives the same couplings in every command that takes it.
 Exit codes: 0 success, 2 usage or domain error, 3 numerical failure or
 an allocation that fails (MemoryError).  A failing command writes one
 JSON error record to stderr, with the warnings raised before the failure
-in its "warnings" list.
+in its "warnings" list, and no artifact: each command computes all of its
+outputs before ``_write_all`` writes any, and a file already at an output
+path keeps its bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -43,6 +46,7 @@ from .entanglement import (
     renyi_entropies,
     vn_entropy,
 )
+from .fitting import MIN_2D_SIZES, MIN_RENYI_SIZES, fit_2d, fit_renyi_halfchain
 from .lattice import (
     Lattice2D,
     _rainbow_profile,
@@ -200,7 +204,7 @@ def _csv_header(args, columns) -> list:
     ]
 
 
-def _write_csv(path, header_lines, rows) -> None:
+def _write_csv(header_lines, rows, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for line in header_lines:
             fh.write(line + "\n")
@@ -208,10 +212,31 @@ def _write_csv(path, header_lines, rows) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _write_json(path, args, payload) -> None:
+def _write_json(doc, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        json.dump({"provenance": _provenance(args), "data": payload}, fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def _write_all(*outputs) -> None:
+    """Write a command's artifacts, all or none.  Each output is
+    (path, writer, *data), and ``writer(*data, temporary)`` writes it to a
+    temporary sibling of its path.  The temporaries are renamed onto their
+    paths once every one is written, and removed if any write fails, so a
+    failing command leaves no file behind and keeps what its paths held."""
+    temporaries = []
+    try:
+        for i, (path, write, *data) in enumerate(outputs):
+            if os.path.isdir(path):  # its rename would fail after others
+                raise IsADirectoryError(f"output path {path!r} is a directory")
+            temporaries.append(f"{path}.{i}.tmp")
+            write(*data, temporaries[-1])
+        for temporary, (path, *_) in zip(temporaries, outputs):
+            os.replace(temporary, path)
+    finally:
+        for temporary in temporaries:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
 
 
 # ----------------------------------------------------------------- commands
@@ -220,9 +245,10 @@ def cmd_spectrum(args) -> int:
     svd = chain_svd(_profile(*_geometry_values(args), args.L))
     # m counted from the Fermi point: m = 0 is the first level above it
     rows = list(enumerate(svd.energies.tolist(), start=-args.L))
-    _write_csv(args.out, _csv_header(args, ("m", "energy")), rows)
+    outputs = [(args.out, _write_csv, _csv_header(args, ("m", "energy")), rows)]
     if args.orbitals:
-        save_orbitals(orbitals_from_svd(svd), args.orbitals)
+        outputs.append((args.orbitals, save_orbitals, orbitals_from_svd(svd)))
+    _write_all(*outputs)
     return 0
 
 
@@ -239,7 +265,7 @@ def cmd_wavefunction(args) -> int:
     rows = [(labels[i], float(exact[i]), float(ana[i])) for i in range(2 * args.L)]
     header = _csv_header(args, ("site", "exact", "analytic"))
     header.insert(-1, f"# overlap: {abs(np.dot(exact, ana)):.12g}")
-    _write_csv(args.out, header, rows)
+    _write_all((args.out, _write_csv, header, rows))
     return 0
 
 
@@ -252,11 +278,8 @@ def cmd_velocity_scan(args) -> int:
                 float(velocity_scaling(z)))
 
     rows = _sweep(one, args.z, args.jobs)
-    _write_csv(
-        args.out,
-        _csv_header(args, ("z", "a_numeric", "a_fit4", "a_analytic")),
-        rows,
-    )
+    header = _csv_header(args, ("z", "a_numeric", "a_fit4", "a_analytic"))
+    _write_all((args.out, _write_csv, header, rows))
     return 0
 
 
@@ -264,16 +287,14 @@ def cmd_validity_map(args) -> int:
     points = [(L, z) for L in args.L for z in args.z]
     values = _sweep(lambda point: validity_overlap(*point), points, args.jobs)
     rows = [(L, z, overlap) for (L, z), overlap in zip(points, values)]
-    _write_csv(args.out, _csv_header(args, ("L", "z", "overlap")), rows)
     contours = [
         (L, overlap_crossing(args.z, row, 0.90), overlap_crossing(args.z, row, 0.95))
         for L, row in zip(args.L, np.reshape(values, (len(args.L), len(args.z))))
     ]
-    contour_path = args.contour_out or _derived_path(args.out, "_contours")
-    _write_csv(
-        contour_path,
-        _csv_header(args, ("L", "z_at_0.90", "z_at_0.95")),
-        contours,
+    _write_all(
+        (args.out, _write_csv, _csv_header(args, ("L", "z", "overlap")), rows),
+        (args.contour_out or _derived_path(args.out, "_contours"), _write_csv,
+         _csv_header(args, ("L", "z_at_0.90", "z_at_0.95")), contours),
     )
     return 0
 
@@ -310,13 +331,11 @@ def cmd_entropy_scan(args) -> int:
     header = _csv_header(args, ("L", "alpha", "h", "z", "block", "n", "S"))
     if len(profiles) == 1:
         header.insert(-1, f"# profile: {profiles[0].to_json()}")
-    _write_csv(args.out, header, rows)
+    _write_all((args.out, _write_csv, header, rows))
     return 0
 
 
 def cmd_renyi_fit(args) -> int:
-    from .fitting import MIN_RENYI_SIZES, fit_renyi_halfchain
-
     sizes = args.L
     if len(sizes) < MIN_RENYI_SIZES:
         raise ValueError(
@@ -339,18 +358,12 @@ def cmd_renyi_fit(args) -> int:
             fit = fit_renyi_halfchain(sizes, values, n=n)
             rows.append((n, z, fit["c_n"], fit["d_n"], fit["f_n"],
                          fit.chi2, fit.condition))
-    _write_csv(
-        args.out,
-        _csv_header(args, ("n", "z", "c_n", "d_n", "f_n", "chi2", "condition")),
-        rows,
-    )
+    header = _csv_header(args, ("n", "z", "c_n", "d_n", "f_n", "chi2", "condition"))
+    _write_all((args.out, _write_csv, header, rows))
     return 0
 
 
 def cmd_es_collapse(args) -> int:
-    if args.levels < 1:
-        raise ValueError(f"--levels must be a positive integer, got {args.levels}")
-
     def one(point):
         L, z = point
         # The orbital route, not polar_block: an odd-L half block has one
@@ -358,27 +371,20 @@ def cmd_es_collapse(args) -> int:
         # both filters below would drop it and shift the p labels of a side.
         occ = occupied_from_svd(chain_svd(profile_from_z(L, z)))
         es = entanglement_spectrum(correlation_matrix(occ, range(L)).eigenvalues())
-        eps = es.finite_eps()
-        neg = np.sort(eps[eps < 0])[::-1][: args.levels]  # closest to 0 first
-        pos = np.sort(eps[eps > 0])[: args.levels]
-        out = []
-        for k, e in enumerate(neg):
-            out.append((L, z, -(k + 0.5), float(e)))
-        for k, e in enumerate(pos):
-            out.append((L, z, k + 0.5, float(e)))
+        eps = es.finite_eps()  # ascending
+        neg, pos = eps[eps < 0][-args.levels:], eps[eps > 0][: args.levels]
+        # p = -1/2, -3/2, ... counts down from the level closest to 0
+        ps = np.concatenate([np.arange(-neg.size, 0), np.arange(pos.size)]) + 0.5
         return [
             (L, z, p, 1.0 / (1.0 + math.exp(e)), e, e * z / (2 * math.pi**2))
-            for (L, z, p, e) in sorted(out, key=lambda r: r[2])
+            for p, e in zip(ps.tolist(), np.concatenate([neg, pos]).tolist())
         ]
 
     points = [(L, z) for L in args.L for z in args.z]
     chunks = _sweep(one, points, args.jobs)
     rows = [row for chunk in chunks for row in chunk]
-    _write_csv(
-        args.out,
-        _csv_header(args, ("L", "z", "p", "nu", "eps", "eps_scaled")),
-        rows,
-    )
+    header = _csv_header(args, ("L", "z", "p", "nu", "eps", "eps_scaled"))
+    _write_all((args.out, _write_csv, header, rows))
     return 0
 
 
@@ -393,18 +399,14 @@ def cmd_sdrg(args) -> int:
     else:
         couplings = build_rainbow_profile(args.L, args.alpha).couplings
     bonds = sdrg_run(couplings)
+    doc = {"provenance": _provenance(args), **json.loads(bonds.to_json())}
+    _write_all((args.out, _write_json, doc))
     if args.arcs:
         print(render_arcs(bonds))
-    with open(args.out, "w", encoding="ascii") as fh:
-        payload = json.loads(bonds.to_json())
-        json.dump({"provenance": _provenance(args), **payload}, fh, indent=1)
-        fh.write("\n")
     return 0
 
 
 def cmd_entropy_2d(args) -> int:
-    from .fitting import MIN_2D_SIZES, fit_2d
-
     if len(args.L) < MIN_2D_SIZES:
         raise ValueError(f"need at least {MIN_2D_SIZES} sizes, got {len(args.L)}")
 
@@ -417,11 +419,6 @@ def cmd_entropy_2d(args) -> int:
     for lat in lattices:  # before any solve
         _refuse_graded(lattice_links(lat.L, lat.alpha)[2], lat.n_sites)
     rows = _sweep(one, lattices, args.jobs)
-    _write_csv(
-        args.out,
-        _csv_header(args, ("alpha", "L", "S", "s_per_L")),
-        rows,
-    )
     fits = []
     for alpha in args.alpha:
         mine = [row for row in rows if row[0] == alpha]
@@ -431,8 +428,11 @@ def cmd_entropy_2d(args) -> int:
             # same data normalized per full side in log2 units
             "A_bits_per_side": fit["A"] / (4 * math.log(2.0)),
         })
-    fit_path = args.fit_out or _derived_path(args.out, "_fits", ext=".json")
-    _write_json(fit_path, args, fits)
+    _write_all(
+        (args.out, _write_csv, _csv_header(args, ("alpha", "L", "S", "s_per_L")), rows),
+        (args.fit_out or _derived_path(args.out, "_fits", ext=".json"), _write_json,
+         {"provenance": _provenance(args), "data": fits}),
+    )
     return 0
 
 
@@ -442,17 +442,15 @@ def cmd_qubism(args) -> int:
         raise ValueError(f"qubism needs an even site count, got {n}")
     occ = occupied_from_svd(chain_svd(build_rainbow_profile(n // 2, args.alpha)))
     amps = slater_amplitudes(occ)
-    write_ppm(render(amps), args.out)
-    # PPM headers are pinned byte for byte, so provenance rides sidecar
-    with open(args.out + ".provenance.json", "w", encoding="ascii") as fh:
-        json.dump(_provenance(args), fh, indent=1)
-        fh.write("\n")
+    outputs = [
+        (args.out, write_ppm, render(amps)),
+        # PPM headers are pinned byte for byte, so provenance rides sidecar
+        (args.out + ".provenance.json", _write_json, _provenance(args)),
+    ]
     if args.amplitudes:
-        _write_csv(
-            args.amplitudes,
-            _csv_header(args, ("bitstring", "amplitude")),
-            amps.rows(),
-        )
+        outputs.append((args.amplitudes, _write_csv,
+                        _csv_header(args, ("bitstring", "amplitude")), amps.rows()))
+    _write_all(*outputs)
     return 0
 
 
@@ -582,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("es-collapse", "entanglement spectrum rescaled by z/(2 pi^2)", cmd_es_collapse)
     p.add_argument("--L", type=_int_range, required=True)
     p.add_argument("--z", type=_range, required=True)
-    p.add_argument("--levels", type=int, default=5)
+    p.add_argument("--levels", type=_flag(_positive_int), default=5)
     p.add_argument("--out", required=True)
 
     p = new("sdrg", "decimate a chain into its bond matching", cmd_sdrg, sweep=False)

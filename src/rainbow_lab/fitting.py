@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .entanglement import halfchain_nu, renyi_entropies
+from .lattice import build_rainbow_profile
+
 
 class RankDeficientError(ValueError):
     """The design matrix has (numerically) dependent columns."""
@@ -161,9 +164,6 @@ def fn_constants(n: int) -> float:
         raise ValueError(f"order must be >= 1, got {n}")
     if n == 1:
         return -1.0
-    from .entanglement import halfchain_nu, renyi_entropies
-    from .lattice import build_rainbow_profile
-
     values = []
     for L in _FN_SIZES:
         nu = halfchain_nu(build_rainbow_profile(L, 1.0))

@@ -119,9 +119,9 @@ class Lattice2D:
         return np.add.outer(ranks, ranks).ravel() % 2
 
     def left_half(self) -> list:
-        """Site indices with x < 0 (the block used for the 2D entropy)."""
-        n = 2 * self.L
-        return [ix * n + iy for ix in range(self.L) for iy in range(n)]
+        """Site indices with x < 0 (the block used for the 2D entropy); the
+        index is ix * 2L + iy, so they are the first half."""
+        return list(range(self.n_sites // 2))
 
 
 def _validate_geometry(L: int, alpha: float) -> None:

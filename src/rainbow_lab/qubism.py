@@ -50,8 +50,6 @@ class AmplitudeTable:
 
     def nonzero_count(self, rel_tol: float = 0.0) -> int:
         mx = np.max(np.abs(self.amplitudes))
-        if mx == 0:
-            return 0
         return int(np.count_nonzero(np.abs(self.amplitudes) > rel_tol * mx))
 
     def rows(self):
@@ -112,8 +110,6 @@ def schmidt_rank(amps: AmplitudeTable, block_size: int, rel_tol: float = 1e-10) 
         raise ValueError(f"block size must be in (0, {n}), got {block_size}")
     mat = amps.amplitudes.reshape(2**block_size, 2 ** (n - block_size))
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
@@ -131,9 +127,6 @@ def write_ppm(pixels: np.ndarray, path) -> None:
         scaled = np.rint(255.0 * np.abs(pixels) / mx).astype(np.uint8)
         rgb[..., 0] = np.where(pixels > 0, scaled, 0)
         rgb[..., 1] = np.where(pixels < 0, scaled, 0)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(f"P6\n{side} {side}\n255\n".encode("ascii"))
-            fh.write(rgb.tobytes())
-    except OSError as exc:
-        raise OSError(f"cannot write PPM to {path}: {exc}") from exc
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{side} {side}\n255\n".encode("ascii"))
+        fh.write(rgb.tobytes())

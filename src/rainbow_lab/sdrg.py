@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import signed_profile, site_labels
+from .lattice import build_rainbow_profile, signed_profile, site_labels
 
 TIE_TOL = 1e-12
 
@@ -72,18 +72,8 @@ class BondList:
             {
                 "n_sites": self.n_sites,
                 "site_labels": list(site_labels(self.n_sites // 2)),
-                "bonds": [[b.left, b.right, b.sign] for b in self.bonds],
-                "trace": [
-                    {
-                        "step": t.step,
-                        "link": list(t.link),
-                        "sign": t.sign,
-                        "created": None if t.created is None else list(t.created),
-                        "coupling": t.coupling,
-                        "log_magnitude": t.log_magnitude,
-                    }
-                    for t in self.trace
-                ],
+                "bonds": [list(b) for b in self.bonds],
+                "trace": [t._asdict() for t in self.trace],
             }
         )
 
@@ -100,65 +90,43 @@ def sdrg_run(couplings) -> BondList:
     c = signed_profile(couplings)
     n = c.size + 1
 
-    # Active chain as parallel lists; couplings as (log|J|, sign).
+    # Active chain: its sites, and the links between them as (log|J|, sign).
     sites = list(range(n))
-    logs = [math.log(abs(j)) for j in c]
-    signs = [1 if j > 0 else -1 for j in c]
+    links = [(math.log(abs(j)), 1 if j > 0 else -1) for j in c]
 
     bonds = []
     trace = []
-    step = 0
-    while logs:
-        step += 1
-        k = max(range(len(logs)), key=logs.__getitem__)
+    while links:
+        step = len(bonds) + 1
+        k = max(range(len(links)), key=lambda i: links[i][0])
+        top, sgn = links[k]
+        pair = (sites[k], sites[k + 1])
         ties = [
             (sites[i], sites[i + 1])
-            for i in range(len(logs))
-            if i != k and logs[k] - logs[i] <= TIE_TOL
+            for i in range(len(links))
+            if i != k and top - links[i][0] <= TIE_TOL
         ]
         if ties:
             raise TieError(
-                f"step {step}: links {(sites[k], sites[k + 1])} and {ties} tie "
+                f"step {step}: links {pair} and {ties} tie "
                 "for the maximal |J|; decimation order undefined"
             )
-        i, j = sites[k], sites[k + 1]
-        sgn = signs[k]
-        bonds.append(Bond(i, j, sgn))
+        bonds.append(Bond(*pair, sgn))
 
-        interior = 0 < k < len(logs) - 1
-        if interior:
-            new_log = logs[k - 1] + logs[k + 1] - logs[k]
-            new_sign = -signs[k - 1] * signs[k + 1] * signs[k]
+        # An interior pair joins its neighbours by a new link; an end pair
+        # takes its one outer link with it.
+        merged, created, coupling, new_log = [], None, None, None
+        if 0 < k < len(links) - 1:
+            (left, s_left), (right, s_right) = links[k - 1], links[k + 1]
+            new_log = left + right - top
+            new_sign = -s_left * s_right * sgn
+            merged = [(new_log, new_sign)]
             created = (sites[k - 1], sites[k + 2])
-            trace.append(
-                DecimationStep(
-                    step=step,
-                    link=(i, j),
-                    sign=sgn,
-                    created=created,
-                    coupling=new_sign * math.exp(new_log) if new_log > -745 else
-                    new_sign * 0.0,
-                    log_magnitude=new_log,
-                )
-            )
-            logs[k - 1: k + 2] = [new_log]
-            signs[k - 1: k + 2] = [new_sign]
-        else:
-            trace.append(
-                DecimationStep(
-                    step=step, link=(i, j), sign=sgn,
-                    created=None, coupling=None, log_magnitude=None,
-                )
-            )
-            if k == 0:
-                del logs[: 2 if len(logs) > 1 else 1]
-                del signs[: 2 if len(signs) > 1 else 1]
-            else:
-                del logs[k - 1:]
-                del signs[k - 1:]
+            coupling = (new_sign * math.exp(new_log) if new_log > -745
+                        else new_sign * 0.0)
+        trace.append(DecimationStep(step, pair, sgn, created, coupling, new_log))
+        links[max(k - 1, 0): k + 2] = merged
         del sites[k: k + 2]
-    if sites:
-        raise ValueError("decimation left unpaired sites; odd chain?")
     return BondList(n_sites=n, bonds=tuple(bonds), trace=tuple(trace))
 
 
@@ -204,8 +172,6 @@ def perturbative_orbitals(L: int, alpha: float):
     |H psi - (psi^T H psi) psi| against the exact hopping matrix, which
     scale as O(alpha^2).
     """
-    from .lattice import build_rainbow_profile
-
     profile = build_rainbow_profile(L, alpha)
     n = 2 * L
     cols = []

@@ -141,6 +141,55 @@ class TestWarningsOnStderr:
         assert rc == 0
 
 
+class TestFailingCommandWritesNoArtifact:
+    """A command writes all of its artifacts or none: one whose last output
+    cannot be opened exits 2 and leaves no file behind, temporary or not,
+    and a file already at its --out keeps its bytes."""
+
+    CASES = {
+        "entropy-2d": ["entropy-2d", "--L", "2:6:1", "--alpha", "0.5",
+                       "--out", "{d}/e2.csv", "--fit-out", "{d}/missing/f.json"],
+        "spectrum": ["spectrum", "--L", "2", "--z", "0", "--out", "{d}/sp.csv",
+                     "--orbitals", "{d}/missing/dir/o.bin"],
+        "validity-map": ["validity-map", "--L", "10", "--z", "0:1:0.5",
+                         "--out", "{d}/v.csv", "--contour-out", "{d}/missing/c.csv"],
+        "qubism": ["qubism", "--sites", "4", "--alpha", "0.5", "--out", "{d}/q.ppm",
+                   "--amplitudes", "{d}/missing/a.csv"],
+    }
+
+    def _run(self, name, tmp_path, capsys):
+        argv = [a.format(d=tmp_path) for a in self.CASES[name]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "FileNotFoundError"
+        return Path(argv[argv.index("--out") + 1])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_no_file_left(self, tmp_path, capsys, name):
+        self._run(name, tmp_path, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_existing_out_kept(self, tmp_path, capsys, name):
+        out = Path(self.CASES[name][self.CASES[name].index("--out") + 1]
+                   .format(d=tmp_path))
+        out.write_bytes(b"kept\n")
+        assert self._run(name, tmp_path, capsys) == out
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == b"kept\n"
+
+    def test_directory_as_last_output(self, tmp_path, capsys):
+        # open() of a directory's temporary sibling succeeds; its rename
+        # would fail after the CSV's had already happened
+        (tmp_path / "f.json").mkdir()
+        argv = [a.format(d=tmp_path) for a in self.CASES["entropy-2d"]]
+        argv[argv.index("--fit-out") + 1] = str(tmp_path / "f.json")
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+        assert list(tmp_path.iterdir()) == [tmp_path / "f.json"]
+
+
 class TestVelocityScan:
     def test_artifact(self, tmp_path):
         out = tmp_path / "v.csv"
@@ -447,7 +496,7 @@ class TestEsCollapse:
                    "--out", str(out)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError"
+        assert err["error"] == "UsageError"
         assert "--levels" in err["message"]
         assert not out.exists()
 

@@ -109,6 +109,58 @@ class TestSdrgRun:
                 )
 
 
+class TestBondListJson:
+    """to_json() byte for byte on chains that decimate at both ends and in
+    the interior, with negative signs and couplings that underflow to +-0.0
+    (strings recorded before sdrg_run held its links as one list)."""
+
+    @pytest.mark.parametrize("couplings,expected", [
+        ([0.5, -0.125, 1.0, 0.25, -0.0625],
+         '{"n_sites": 6, "site_labels": [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], '
+         '"bonds": [[2, 3, 1], [0, 1, 1], [4, 5, -1]], "trace": ['
+         '{"step": 1, "link": [2, 3], "sign": 1, "created": [1, 4], '
+         '"coupling": 0.031250000000000014, "log_magnitude": -3.465735902799726}, '
+         '{"step": 2, "link": [0, 1], "sign": 1, "created": null, '
+         '"coupling": null, "log_magnitude": null}, '
+         '{"step": 3, "link": [4, 5], "sign": -1, "created": null, '
+         '"coupling": null, "log_magnitude": null}]}'),
+        ([-1e-200, 1.0, -1e-300, 0.5, 1e-250],
+         '{"n_sites": 6, "site_labels": [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], '
+         '"bonds": [[1, 2, 1], [3, 4, 1], [0, 5, 1]], "trace": ['
+         '{"step": 1, "link": [1, 2], "sign": 1, "created": [0, 3], '
+         '"coupling": -0.0, "log_magnitude": -1151.2925464970228}, '
+         '{"step": 2, "link": [3, 4], "sign": 1, "created": [0, 5], '
+         '"coupling": 0.0, "log_magnitude": -1726.2456725649743}, '
+         '{"step": 3, "link": [0, 5], "sign": 1, "created": null, '
+         '"coupling": null, "log_magnitude": null}]}'),
+        # ln|J~| = -745.1: exp would give the subnormal 5e-324, the cut 0.0
+        ([-1.5980514847000624e-162, 1.0, 1.5980514847000624e-162],
+         '{"n_sites": 4, "site_labels": [-1.5, -0.5, 0.5, 1.5], '
+         '"bonds": [[1, 2, 1], [0, 3, 1]], "trace": ['
+         '{"step": 1, "link": [1, 2], "sign": 1, "created": [0, 3], '
+         '"coupling": 0.0, "log_magnitude": -745.1}, '
+         '{"step": 2, "link": [0, 3], "sign": 1, "created": null, '
+         '"coupling": null, "log_magnitude": null}]}'),
+        ([0.5, 1e-3, -2.0],
+         '{"n_sites": 4, "site_labels": [-1.5, -0.5, 0.5, 1.5], '
+         '"bonds": [[2, 3, -1], [0, 1, 1]], "trace": ['
+         '{"step": 1, "link": [2, 3], "sign": -1, "created": null, '
+         '"coupling": null, "log_magnitude": null}, '
+         '{"step": 2, "link": [0, 1], "sign": 1, "created": null, '
+         '"coupling": null, "log_magnitude": null}]}'),
+        ([-2.0, 1e-3, 0.5],
+         '{"n_sites": 4, "site_labels": [-1.5, -0.5, 0.5, 1.5], '
+         '"bonds": [[0, 1, -1], [2, 3, 1]], "trace": ['
+         '{"step": 1, "link": [0, 1], "sign": -1, "created": null, '
+         '"coupling": null, "log_magnitude": null}, '
+         '{"step": 2, "link": [2, 3], "sign": 1, "created": null, '
+         '"coupling": null, "log_magnitude": null}]}'),
+    ], ids=["both-ends-and-interior", "underflow-to-signed-zero",
+            "cut-below-exp-underflow", "right-end-first", "left-end-first"])
+    def test_pinned(self, couplings, expected):
+        assert sdrg_run(couplings).to_json() == expected
+
+
 class TestRainbowBonds:
     def test_L1(self):
         assert rainbow_bonds(1).bonds == (Bond(0, 1, 1),)
