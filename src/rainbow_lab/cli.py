@@ -144,7 +144,7 @@ def _flag(convert):
 
 _range = _flag(parse_range)
 _int_range = _flag(lambda t: parse_range(t, integer=True))
-_orders = _flag(lambda t: [float(x) for x in t.split(",")])
+_orders = _flag(lambda t: _checked_orders(t.split(",")))
 
 
 def _positive_int(text: str) -> int:
@@ -223,7 +223,11 @@ def _write_all(*outputs) -> None:
     (path, writer, *data), and ``writer(*data, temporary)`` writes it to a
     temporary sibling of its path.  The temporaries are renamed onto their
     paths once every one is written, and removed if any write fails, so a
-    failing command leaves no file behind and keeps what its paths held."""
+    failing command leaves no file behind and keeps what its paths held.
+    Two outputs at one file are refused before either is written."""
+    real = [os.path.realpath(path) for path, *_ in outputs]
+    if len(set(real)) < len(real):
+        raise ValueError(f"outputs share a path: {[path for path, *_ in outputs]}")
     temporaries = []
     try:
         for i, (path, write, *data) in enumerate(outputs):
@@ -293,7 +297,7 @@ def cmd_validity_map(args) -> int:
     ]
     _write_all(
         (args.out, _write_csv, _csv_header(args, ("L", "z", "overlap")), rows),
-        (args.contour_out or _derived_path(args.out, "_contours"), _write_csv,
+        (_derived_path(args.out, "_contours"), _write_csv,
          _csv_header(args, ("L", "z_at_0.90", "z_at_0.95")), contours),
     )
     return 0
@@ -306,8 +310,6 @@ def _derived_path(path: str, suffix: str, ext: str | None = None) -> str:
 
 def cmd_entropy_scan(args) -> int:
     name, values = _geometry_values(args)
-    orders = _checked_orders(args.orders)  # before any solve
-
     if args.blocks == "boundary":
         if len(args.L) != 1 or len(values) != 1:
             raise ValueError("boundary scans need a single geometry")
@@ -322,7 +324,7 @@ def cmd_entropy_scan(args) -> int:
         return [
             (L, profile.alpha, profile.h, profile.z, nu.size, n, S)
             for nu in nus
-            for n, S in zip(orders, renyi_entropies(nu, orders))
+            for n, S in zip(args.orders, renyi_entropies(nu, args.orders))
         ]
 
     profiles = [_profile(name, v, L) for L in args.L for v in values]
@@ -343,17 +345,16 @@ def cmd_renyi_fit(args) -> int:
         )
     if len({L % 2 for L in sizes}) < 2:
         raise ValueError("sizes must mix even and odd L for the oscillation term")
-    orders = _checked_orders(args.orders)  # before any solve
 
     def entropies_for(point):
-        return renyi_entropies(halfchain_nu(profile_from_z(*point)), orders)
+        return renyi_entropies(halfchain_nu(profile_from_z(*point)), args.orders)
 
     points = [(L, z) for L in sizes for z in args.z]
     entropies = dict(zip(points, _sweep(entropies_for, points, args.jobs)))
 
     rows = []
     for z in args.z:
-        for i, n in enumerate(orders):
+        for i, n in enumerate(args.orders):
             values = [entropies[(L, z)][i] for L in sizes]
             fit = fit_renyi_halfchain(sizes, values, n=n)
             rows.append((n, z, fit["c_n"], fit["d_n"], fit["f_n"],
@@ -430,7 +431,7 @@ def cmd_entropy_2d(args) -> int:
         })
     _write_all(
         (args.out, _write_csv, _csv_header(args, ("alpha", "L", "S", "s_per_L")), rows),
-        (args.fit_out or _derived_path(args.out, "_fits", ext=".json"), _write_json,
+        (_derived_path(args.out, "_fits", ext=".json"), _write_json,
          {"provenance": _provenance(args), "data": fits}),
     )
     return 0
@@ -562,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=_int_range, required=True)
     p.add_argument("--z", type=_range, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--contour-out")
 
     p = new("entropy-scan", "Renyi entropies over blocks or grids", cmd_entropy_scan)
     p.add_argument("--L", type=_int_range, required=True)
@@ -594,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=_int_range, required=True)
     p.add_argument("--alpha", type=_range, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fit-out")
 
     p = new("qubism", "qubism PPM image of the many-body state", cmd_qubism,
             sweep=False)

@@ -26,13 +26,12 @@ keeps the elementwise work.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import scipy.linalg as sla
 
 from .lattice import profile_from_z, site_labels
-from .spectra import _dgemm, chain_svd, occupied_from_svd, velocity_scaling
+from .spectra import NumericsError, _dgemm, chain_svd, occupied_from_svd, velocity_scaling
 
 # Below this h the exponentials are evaluated by series limit.
 _H_TINY = 1e-8
@@ -49,10 +48,17 @@ def _expm1_over_h(h: float, x) -> np.ndarray | float:
 
 
 def deformed_length(h: float, L: float) -> float:
-    """tilde_L = (e^{hL} - 1)/h, the deformed half-length; equals L at h=0."""
+    """tilde_L = (e^{hL} - 1)/h, the deformed half-length; equals L at h=0.
+
+    ValueError for h < 0; NumericsError where it overflows (hL near 709.78
+    or above), since every phase that divides by tilde_L would then read 0.
+    """
     if h < 0:
         raise ValueError(f"h must be non-negative, got {h!r}")
-    return float(_expm1_over_h(h, L))
+    length = float(_expm1_over_h(h, L))
+    if length == math.inf:
+        raise NumericsError(f"(e^(hL) - 1)/h overflows at h = {h!r}, L = {L!r}")
+    return length
 
 
 def analytic_energy(m: int, h: float, L: int) -> float:
@@ -82,8 +88,6 @@ def coordinate_map(x, h: float):
 def _analytic_levels(ms: np.ndarray, h: float, L: int) -> np.ndarray:
     """Unit-norm continuum eigenfunctions of the levels `ms` on the 2L
     lattice sites, one row per level, all in one broadcast."""
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h!r}")
     ns = site_labels(L)
     absn = np.abs(ns)
     ms = np.asarray(ms)[:, None]
@@ -120,36 +124,24 @@ def wavefunction_overlap(a, b) -> float:
     return float(abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def _full_column_rank(a: np.ndarray) -> bool:
-    """matrix_rank(a) == a.shape[1], skipping its SVD for near-orthonormal a.
-
-    ||A^T A - I||_F < 1/2 puts every singular value above 1/sqrt(2), far
-    above matrix_rank's tolerance, so the rank can only be full.  The norm
-    is an elementwise sum: a BLAS dot on numpy's library would wake its
-    thread pool.
-    """
-    gram = _dgemm(a.T, a)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    if np.sum(gram * gram) < 0.25:
-        return True
-    s = sla.svdvals(a)
-    tol = s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps
-    return np.count_nonzero(s > tol) == a.shape[1]
-
-
 def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
     """|det(A^T B)| between two Slater states given by orthonormal orbitals.
 
     Invariant under orthogonal rotations inside either occupied set.
-    Rank-deficient input yields 0 with a warning.
+    ValueError unless both sets have one shape and each is orthonormal,
+    ||M^T M - I||_F <= 1e-8 (the tolerance slater_amplitudes puts on a
+    state's norm; NaN fails).  The norm is an elementwise sum: a BLAS dot
+    on numpy's library would wake its thread pool.
     """
     a = np.asarray(occ_a, dtype=float)
     b = np.asarray(occ_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"orbital matrices differ in shape: {a.shape} vs {b.shape}")
-    if not (_full_column_rank(a) and _full_column_rank(b)):
-        warnings.warn("rank-deficient orbital set; overlap is 0", stacklevel=2)
-        return 0.0
+    for m in (a, b):
+        gram = _dgemm(m.T, m)
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if not np.sum(gram * gram) <= 1e-16:
+            raise ValueError("orbital set is not orthonormal (||M^T M - I||_F > 1e-8)")
     lu, _, info = sla.lapack.dgetrf(_dgemm(a.T, b))
     if info > 0:  # an exact zero pivot: the determinant is 0
         return 0.0
@@ -159,8 +151,8 @@ def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
 def continuum_occupied(L: int, h: float) -> np.ndarray:
     """QR-orthonormalized analytic orbitals of the L occupied levels m = -L..-1."""
     levels = _analytic_levels(np.arange(-L, 0), h, L)
-    # no finiteness scan: where z overflows the levels, validity_overlap's
-    # exact solve reports the underflowed chain (ZeroModeError)
+    # no finiteness scan: deformed_length refuses a tilde_L that overflows,
+    # and validity_overlap's exact solve, first, an underflowed chain
     q, _ = sla.qr(levels.T, mode="economic", check_finite=False)
     return q
 
@@ -169,9 +161,8 @@ def validity_overlap(L: int, z: float) -> float:
     """Many-body overlap of the continuum and exact ground states of the
     2L-site chain at deformation z, which quantifies where the continuum
     holds."""
-    continuum = continuum_occupied(L, z / L)
     exact = occupied_from_svd(chain_svd(profile_from_z(L, z)))
-    return slater_overlap(continuum, exact)
+    return slater_overlap(continuum_occupied(L, z / L), exact)
 
 
 def overlap_crossing(z_values, overlaps, level: float) -> float:

@@ -339,28 +339,6 @@ def boundary_blocks(n_sites: int):
     return [list(range(l)) for l in range(1, n_sites)]
 
 
-def _boundary_bipartition(amps: AmplitudeTable, block) -> np.ndarray:
-    """Reshape the amplitude vector into the (block, rest) matrix.
-
-    Only blocks contiguous at a chain boundary are allowed: for interior
-    or scattered blocks the fermionic sign structure depends on an
-    operator-ordering choice this module does not make.
-    """
-    n = amps.n_sites
-    block = sorted(int(b) for b in block)
-    l = len(block)
-    if not 0 < l < n:
-        raise ValueError(f"block size must be in (0, {n})")
-    if block == list(range(l)):  # left boundary: leading bits are the block
-        return amps.amplitudes.reshape(2**l, 2 ** (n - l))
-    if block == list(range(n - l, n)):  # right boundary: trailing bits
-        return amps.amplitudes.reshape(2 ** (n - l), 2**l).T
-    raise ValueError(
-        "brute-force entropies support only blocks contiguous at a boundary "
-        f"(got sites {block})"
-    )
-
-
 def brute_force_block_entropy(amps: AmplitudeTable, block, orders) -> list:
     """Renyi entropies from the Schmidt values of the full many-body state,
     one float per order.
@@ -370,8 +348,7 @@ def brute_force_block_entropy(amps: AmplitudeTable, block, orders) -> list:
     the squared singular values.
     """
     orders = _checked_orders(orders)
-    mat = _boundary_bipartition(amps, block)
-    p = np.linalg.svd(mat, compute_uv=False) ** 2
+    p = np.linalg.svd(amps.bipartition(block), compute_uv=False) ** 2
     p = p[p > 1e-30]
     p = p / p.sum()
     out = []

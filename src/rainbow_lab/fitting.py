@@ -12,7 +12,6 @@ condition number.  No nonlinear optimizer anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ class FitResult:
     coefficients: dict
     chi2: float
     dof: int
-    condition: float = math.nan
+    condition: float
 
     def __getitem__(self, name: str) -> float:
         return self.coefficients[name]

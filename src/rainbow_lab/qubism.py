@@ -48,6 +48,26 @@ class AmplitudeTable:
             raise ValueError(f"need {self.n_sites} bits, got {len(bits)}")
         return float(self.amplitudes[int(bits, 2)])
 
+    def bipartition(self, block) -> np.ndarray:
+        """The amplitudes as the (block, rest) matrix of a block of sites.
+
+        Only blocks contiguous at a chain boundary are allowed: for interior
+        or scattered blocks the fermionic sign structure depends on an
+        operator-ordering choice this module does not make.
+        """
+        n = self.n_sites
+        block = sorted(int(b) for b in block)
+        l = len(block)
+        if not 0 < l < n:
+            raise ValueError(f"block size must be in (0, {n}), got {l}")
+        if block == list(range(l)):  # left boundary: leading bits are the block
+            return self.amplitudes.reshape(2**l, 2 ** (n - l))
+        if block == list(range(n - l, n)):  # right boundary: trailing bits
+            return self.amplitudes.reshape(2 ** (n - l), 2**l).T
+        raise ValueError(
+            f"bipartitions need a block contiguous at a boundary (got sites {block})"
+        )
+
     def nonzero_count(self, rel_tol: float = 0.0) -> int:
         mx = np.max(np.abs(self.amplitudes))
         return int(np.count_nonzero(np.abs(self.amplitudes) > rel_tol * mx))
@@ -105,11 +125,7 @@ def render(amps: AmplitudeTable) -> np.ndarray:
 
 def schmidt_rank(amps: AmplitudeTable, block_size: int, rel_tol: float = 1e-10) -> int:
     """Schmidt rank of the first `block_size` sites vs the rest."""
-    n = amps.n_sites
-    if not 0 < block_size < n:
-        raise ValueError(f"block size must be in (0, {n}), got {block_size}")
-    mat = amps.amplitudes.reshape(2**block_size, 2 ** (n - block_size))
-    sv = np.linalg.svd(mat, compute_uv=False)
+    sv = np.linalg.svd(amps.bipartition(range(block_size)), compute_uv=False)
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 

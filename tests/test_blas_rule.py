@@ -24,7 +24,6 @@ PER_POINT = [
     continuum.validity_overlap,
     continuum.continuum_occupied,
     continuum.slater_overlap,
-    continuum._full_column_rank,
 ]
 
 # Every function of the per-point modules that does call numpy's BLAS.

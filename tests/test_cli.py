@@ -148,16 +148,21 @@ class TestFailingCommandWritesNoArtifact:
 
     CASES = {
         "entropy-2d": ["entropy-2d", "--L", "2:6:1", "--alpha", "0.5",
-                       "--out", "{d}/e2.csv", "--fit-out", "{d}/missing/f.json"],
+                       "--out", "{d}/e2.csv"],
         "spectrum": ["spectrum", "--L", "2", "--z", "0", "--out", "{d}/sp.csv",
                      "--orbitals", "{d}/missing/dir/o.bin"],
         "validity-map": ["validity-map", "--L", "10", "--z", "0:1:0.5",
-                         "--out", "{d}/v.csv", "--contour-out", "{d}/missing/c.csv"],
+                         "--out", "{d}/v.csv"],
         "qubism": ["qubism", "--sites", "4", "--alpha", "0.5", "--out", "{d}/q.ppm",
                    "--amplitudes", "{d}/missing/a.csv"],
     }
+    # a second output beside --out: a dangling link at its temporary makes
+    # that open fail once the first temporary is written
+    DANGLING = {"entropy-2d": "e2_fits.json.1.tmp", "validity-map": "v_contours.csv.1.tmp"}
 
     def _run(self, name, tmp_path, capsys):
+        if name in self.DANGLING:
+            os.symlink(tmp_path / "missing" / "x", tmp_path / self.DANGLING[name])
         argv = [a.format(d=tmp_path) for a in self.CASES[name]]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -182,12 +187,32 @@ class TestFailingCommandWritesNoArtifact:
     def test_directory_as_last_output(self, tmp_path, capsys):
         # open() of a directory's temporary sibling succeeds; its rename
         # would fail after the CSV's had already happened
-        (tmp_path / "f.json").mkdir()
+        (tmp_path / "e2_fits.json").mkdir()
         argv = [a.format(d=tmp_path) for a in self.CASES["entropy-2d"]]
-        argv[argv.index("--fit-out") + 1] = str(tmp_path / "f.json")
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
-        assert list(tmp_path.iterdir()) == [tmp_path / "f.json"]
+        assert list(tmp_path.iterdir()) == [tmp_path / "e2_fits.json"]
+
+
+class TestSharedOutputPathRefused:
+    """Two outputs of one command at one file: the second would replace the
+    first, so the command exits 2 and writes neither."""
+
+    @pytest.mark.parametrize("argv", [
+        ["qubism", "--sites", "4", "--alpha", "0.5", "--out", "q.ppm",
+         "--amplitudes", "q.ppm"],
+        ["qubism", "--sites", "4", "--alpha", "0.5", "--out", "q.ppm",
+         "--amplitudes", "q.ppm.provenance.json"],
+        ["spectrum", "--L", "3", "--z", "0", "--out", "s.csv", "--orbitals", "s.csv"],
+        ["spectrum", "--L", "3", "--z", "0", "--out", "./s.csv", "--orbitals", "s.csv"],
+    ], ids=["qubism-out", "qubism-sidecar", "spectrum", "spectrum-dot-slash"])
+    def test_exit_2_no_file(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "share a path" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVelocityScan:
@@ -272,6 +297,20 @@ class TestGeometryFlags:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ZeroModeError"
         assert err["warnings"] == [UNDERFLOW_WARNING]
+
+    @pytest.mark.parametrize("argv", [
+        ["wavefunction", "--L", "50", "--z", "710", "--m", "0"],
+        ["validity-map", "--L", "50", "--z", "710:715:5"],
+    ], ids=["wavefunction", "validity-map"])
+    def test_overflowed_deformed_length_exit_3(self, tmp_path, capsys, argv):
+        # e^(hL) overflows: every continuum phase would read 0, overlap 1
+        assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericsError"
+        assert "overflows" in err["message"]
+        assert {"warning": "RuntimeWarning",
+                "message": "overflow encountered in expm1"} in err["warnings"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_numeric_error_exit_3(self, tmp_path, capsys):
         # uniform couplings tie at the first decimation
@@ -572,7 +611,7 @@ class TestOrdersRefusedBeforeSolving:
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError"
+        assert err["error"] == "UsageError"
         assert "Renyi order must be >= 1" in err["message"]
         assert not out.exists()
 

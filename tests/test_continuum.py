@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from rainbow_lab import (
 )
 from rainbow_lab import continuum
 from rainbow_lab.continuum import _expm1_over_h, continuum_occupied
+from rainbow_lab.spectra import NumericsError
 
 import dense_oracle as oracle
 from conftest import chain_occupied, chain_spectrum
@@ -160,8 +164,21 @@ class TestOverlaps:
     def test_slater_rank_deficient(self):
         occ = chain_occupied(4, alpha=0.9).copy()
         occ[:, 1] = occ[:, 0]
-        with pytest.warns(UserWarning):
-            assert slater_overlap(occ, occ) == 0.0
+        with pytest.raises(ValueError, match="not orthonormal"):
+            slater_overlap(occ, occ)
+
+    def test_slater_nan_refused(self):
+        occ = chain_occupied(4, alpha=0.9).copy()
+        occ[0, 0] = math.nan
+        with pytest.raises(ValueError, match="not orthonormal"):
+            slater_overlap(chain_occupied(4, alpha=0.9), occ)
+
+    def test_slater_scaled_column_refused(self):
+        # full rank, ||A^T A - I||_F = 0.44 < 1/2, but not orthonormal
+        occ = chain_occupied(4, alpha=0.9).copy()
+        occ[:, 2] *= 1.2
+        with pytest.raises(ValueError, match="not orthonormal"):
+            slater_overlap(occ, chain_occupied(4, alpha=0.9))
 
     def test_slater_orthonormal_sets_skip_the_rank_svd(self, monkeypatch, rng):
         def refuse(*args, **kwargs):
@@ -173,19 +190,11 @@ class TestOverlaps:
         monkeypatch.setattr(continuum.sla, "svdvals", refuse)
         assert slater_overlap(a, b) == pytest.approx(want, rel=1e-12)
 
-    def test_slater_far_from_orthonormal_asks_matrix_rank(self, monkeypatch):
-        calls = []
-        svdvals = continuum.sla.svdvals
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return svdvals(a, *args, **kwargs)
-
-        monkeypatch.setattr(continuum.sla, "svdvals", counting)
+    def test_slater_far_from_orthonormal_asks_matrix_rank(self):
         occ = chain_occupied(4, alpha=0.9)
-        # full rank, but ||A^T A - I||_F = 6: the Gram test cannot decide
-        assert slater_overlap(2.0 * occ, occ) == pytest.approx(2.0**4)
-        assert calls == [occ.shape]
+        # full rank, but ||A^T A - I||_F = 6: refused, not answered 2^4
+        with pytest.raises(ValueError, match="not orthonormal"):
+            slater_overlap(2.0 * occ, occ)
 
     def test_shape_mismatch(self):
         a = chain_occupied(4, alpha=0.9)
@@ -283,6 +292,28 @@ class TestVectorizedLevels:
                 ))
                 want = slater_overlap(_stacked_occupied(L, z / L), exact)
                 assert abs(validity_overlap(L, z) - want) <= 1e-12, (L, z)
+
+    def test_pinned_overlaps(self):
+        # recorded before the orthonormality check replaced the rank test;
+        # at one BLAS thread, since at L = 200 the last bits of the overlap
+        # follow the thread count's blocking.  (51, 0.5) is rounding: the
+        # odd-L continuum set misses one mirror-even level (ROADMAP item 1)
+        code = ("from rainbow_lab import validity_overlap; "
+                "print([validity_overlap(L, z).hex() "
+                "for L, z in ((10, 0.0), (51, 0.5), (200, 1.0))])")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == str(["0x1.fa419262cab10p-1", "0x1.c34362bbd021ep-53",
+                                   "0x1.8bdaaea6d3f98p-317"])
+
+    def test_overflowed_deformed_length_raises(self):
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericsError, match="overflows"):
+            validity_overlap(50, 710.0)
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericsError):
+            deformed_length(1.0, 720.0)
+        assert deformed_length(1.0, 709.0) < math.inf
 
     def test_underflowed_chain_raises(self):
         with pytest.warns(RuntimeWarning), pytest.raises(ZeroModeError):
