@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -221,20 +222,30 @@ def _write_json(doc, path) -> None:
 def _write_all(*outputs) -> None:
     """Write a command's artifacts, all or none.  Each output is
     (path, writer, *data), and ``writer(*data, temporary)`` writes it to a
-    temporary sibling of its path.  The temporaries are renamed onto their
-    paths once every one is written, and removed if any write fails, so a
-    failing command leaves no file behind and keeps what its paths held.
-    Two outputs at one file are refused before either is written."""
+    temporary sibling of its path: a new file from ``tempfile.mkstemp``,
+    named <basename>.<random>.tmp, so no file already there is written over
+    or removed.  It gets the mode a plain open() would give it.  The
+    temporaries are renamed onto their paths once every one is written,
+    and removed if any write fails, so a failing command leaves no file
+    behind and keeps what its paths held.  Two outputs at one file are
+    refused before either is written."""
     real = [os.path.realpath(path) for path, *_ in outputs]
     if len(set(real)) < len(real):
         raise ValueError(f"outputs share a path: {[path for path, *_ in outputs]}")
+    umask = os.umask(0)
+    os.umask(umask)
     temporaries = []
     try:
-        for i, (path, write, *data) in enumerate(outputs):
+        for path, write, *data in outputs:
             if os.path.isdir(path):  # its rename would fail after others
                 raise IsADirectoryError(f"output path {path!r} is a directory")
-            temporaries.append(f"{path}.{i}.tmp")
-            write(*data, temporaries[-1])
+            head, tail = os.path.split(path)
+            fd, temporary = tempfile.mkstemp(suffix=".tmp", prefix=tail + ".",
+                                             dir=head or os.curdir)
+            os.close(fd)
+            temporaries.append(temporary)
+            os.chmod(temporary, 0o666 & ~umask)
+            write(*data, temporary)
         for temporary, (path, *_) in zip(temporaries, outputs):
             os.replace(temporary, path)
     finally:

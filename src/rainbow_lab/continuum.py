@@ -87,7 +87,11 @@ def coordinate_map(x, h: float):
 
 def _analytic_levels(ms: np.ndarray, h: float, L: int) -> np.ndarray:
     """Unit-norm continuum eigenfunctions of the levels `ms` on the 2L
-    lattice sites, one row per level, all in one broadcast."""
+    lattice sites, one row per level, all in one broadcast.
+
+    NumericsError when a row norm overflows: sum_n e^(h|n|) can pass the
+    float range while tilde_L is still finite (small h, L of a few hundred
+    and up, hL just short of 709.78), and every row would then read 0."""
     ns = site_labels(L)
     absn = np.abs(ns)
     ms = np.asarray(ms)[:, None]
@@ -99,7 +103,10 @@ def _analytic_levels(ms: np.ndarray, h: float, L: int) -> np.ndarray:
     # other levels share the call.  continuum_occupied needs that: its
     # columns are near-dependent past z ~ 1, and QR turns one-ulp changes
     # of them into O(1) changes of Q.
-    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, :, 0]
+    norms = np.sqrt(v[:, None, :] @ v[:, :, None])[:, :, 0]
+    if not np.isfinite(norms).all():
+        raise NumericsError(f"continuum row norms overflow at h = {h!r}, L = {L!r}")
+    return v / norms
 
 
 def analytic_wavefunction(m: int, h: float, L: int) -> np.ndarray:

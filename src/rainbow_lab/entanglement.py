@@ -22,11 +22,15 @@ formed on SciPy's BLAS, the library the solve runs on (the one-BLAS rule
 of ``spectra``).
 The half chain of a mirror-symmetric chain is a two-sector problem
 (``halfchain_nu``): its nu are (1 +- sigma)/2 again, with sigma taken from
-the eigenvectors of the even-parity sector alone, one L x L eigensolve
-(``spectra.even_sector``) in place of the 2L-site SVD, and sigma read off
-the eigenvalues of one small symmetric Gram matrix of those eigenvectors
-rather than off an SVD.  Chains that are not mirror symmetric, or too
-strongly graded for that solve, take the polar route.
+the even-parity sector alone, one L x L eigensolve
+(``spectra.even_sector``) in place of the 2L-site SVD.  Of that solve
+sigma needs only the levels of one sign side and the last components of
+their eigenvectors: a reflection identity gives the side's block of
+Q^T Gamma Q from them in closed form, a Cauchy-like matrix of low
+numerical rank, and sigma comes from the eigenvalues of the rank x rank
+Gram of its pivoted Cholesky factor rather than from an SVD.  Chains that
+are not mirror symmetric, or too strongly graded for that solve, take the
+polar route.
 The orbital route (``correlation_matrix`` on occupied orbitals, then
 ``CorrelationMatrix.eigenvalues``) serves only the chain's
 entanglement-spectrum collapse; the tests keep the dense
@@ -48,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, eigvalsh, svdvals
+from scipy.linalg import blas, eigvalsh, lapack, svdvals
 
 from .continuum import deformed_length
 from .qubism import AmplitudeTable
@@ -218,30 +222,43 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     the smaller side Q_s (k = min(r+, r-) eigenvectors) its diagonal block
     A = Q_s^T Gamma Q_s obeys A^2 + B B^T = I, and B's k singular values
     are sqrt(1 - a^2) (Paige & Wei, Linear Algebra Appl. 208/209 (1994)
-    303).  Gamma is 2 P_even - I, so A = 2E - I with E = G G^T the k x k
-    Gram of G, the side's even-site components: one ``dsyrk``, one
-    values-only ``eigvalsh``, and sigma = 2 sqrt(e (1 - e)).
+    303).  A is known in closed form: Gamma H+ Gamma = -H+ + 2 delta e e^T
+    gives Gamma H+ + H+ Gamma = 2 delta gamma e e^T (gamma = (-1)^(L-1)),
+    so A_ij (w_i + w_j) = 2 delta gamma f_i f_j, f the side's components
+    on site L-1.  All w of one side share a sign, so A = +-|c[L-1]| K with
+    K_ij = f_i f_j / (|w_i| + |w_j|), a positive semidefinite Cauchy-like
+    matrix whose spectrum decays exponentially (Beckermann & Townsend,
+    SIAM J. Matrix Anal. Appl. 38 (2017) 1227): its numerical rank is a
+    few dozen against k in the hundreds.  A pivoted Cholesky
+    K = F F^T stops at that rank, and the a are |c[L-1]| times the
+    eigenvalues of the rank x rank Gram F^T F: one ``dsyrk`` and one
+    values-only ``eigvalsh`` of that size.
 
-    Every other chain takes the polar route.  An exact zero level of H+
-    raises ZeroModeError, as ``polar_block`` does by default.
+    Every other chain takes the polar route.  A sector sign count that
+    disagrees with its structure raises NumericsError (``even_sector``).
     """
     if not _folds(profile.couplings):
         return polar_block(chain_svd(profile), range(profile.L))
-    w, qt = even_sector(profile)
-    if (w == 0.0).any():
-        raise ZeroModeError(
-            "zero modes in the even sector; half filling is ambiguous"
-        )
-    r = int(np.count_nonzero(w < 0.0))
-    side = qt[:r] if 2 * r <= profile.L else qt[r:]
-    if side.shape[0]:
-        # E = G G^T, G the side's even-site columns; dsyrk fills E's lower
+    r, w, f = even_sector(profile)
+    aw = np.abs(w)
+    cauchy = aw[:, None] + aw
+    np.divide(f[:, None] * f, cauchy, out=cauchy)
+    # K is symmetric, so its transpose is the column-major buffer that
+    # dpstrf factors in place.  It stops once every remaining pivot is
+    # below k eps max diag K (its default tolerance, eps = 2^-53), so each
+    # dropped direction has a <= |c[L-1]| k^2 eps max diag K <= k^2 eps
+    # (|A_ii| <= 1), 7e-11 at k = 800, and nu = (1 - sigma)/2 <= a^2/2,
+    # 3e-21, far below NU_CLIP: a = 0 there.  info > 0 only says that it
+    # stopped early.
+    factor, _, rank, _ = lapack.dpstrf(cauchy.T, lower=1, tol=-1.0, overwrite_a=True)
+    a = np.zeros(w.size)
+    if rank:  # L = 1: no pair, and dsyrk rejects an empty operand
+        # F^T F from F's lower-trapezoidal columns; dsyrk fills the lower
         # triangle, which eigvalsh reads
-        gram = blas.dsyrk(1.0, side[:, 0::2].T, trans=1, lower=1)
-        e = eigvalsh(gram, overwrite_a=True, check_finite=False)
-        sigma = np.sort(2.0 * np.sqrt(np.maximum(e * (1.0 - e), 0.0)))[::-1]
-    else:  # L = 1: no pair, and dsyrk rejects an empty operand
-        sigma = np.empty(0)
+        gram = blas.dsyrk(1.0, np.tril(factor[:, :rank]), trans=1, lower=1)
+        a[:rank] = abs(profile.couplings[profile.L - 1]) * eigvalsh(
+            gram, overwrite_a=True, check_finite=False)
+    sigma = np.sort(np.sqrt(np.maximum((1.0 - a) * (1.0 + a), 0.0)))[::-1]
     return _nu_from_sigma(sigma, abs(2 * r - profile.L))
 
 

@@ -42,9 +42,10 @@ A mirror-symmetric chain has a smaller problem for its half chain:
 ``even_sector`` solves the L x L even-parity sector (one diagonal entry,
 so symmetric tridiagonal rather than bidiagonal) with
 ``scipy.linalg.eigh_tridiagonal`` (its stevd driver, LAPACK's divide and
-conquer ``dstedc``) and certifies it with a band residual.  Without
-relative accuracy it serves only chains of mild grading
-(``FOLD_MAX_RATIO``); see ``entanglement.halfchain_nu``.
+conquer ``dstedc``), checks its sign count against the one structure
+fixes, and certifies the eigenpairs the readout reads with a band
+residual.  Without relative accuracy it serves only chains of mild
+grading (``FOLD_MAX_RATIO``); see ``entanglement.halfchain_nu``.
 
 One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
 each with its own thread pool, and every solve here runs on SciPy's.  So
@@ -346,8 +347,10 @@ def _folds(c: np.ndarray) -> bool:
 
 
 def even_sector(profile: CouplingProfile) -> tuple:
-    """Certified eigenpairs (w ascending, Q^T) of a mirror-symmetric chain's
-    even-parity sector; row k of Q^T is the eigenvector of w[k].
+    """What the half-chain readout reads of a mirror-symmetric chain's
+    even-parity sector, certified: (r, w, f), r the number of negative
+    levels, w the levels of the smaller sign side (ascending) and f the
+    last components, on site L-1, of their eigenvectors.
 
     Reflection about the central link maps site i to 2L-1-i.  A state even
     under it is fixed by its L left sites, where H acts as
@@ -355,12 +358,23 @@ def even_sector(profile: CouplingProfile) -> tuple:
     delta = -c[L-1]/2 the central link folded onto site L-1.  The odd
     sector is H- = T_A - delta e e^T = -Gamma H+ Gamma, Gamma = diag((-1)^i),
     so H+ alone carries the whole spectrum.  ``eigh_tridiagonal`` (dstedc)
-    solves the L x L tridiagonal H+; the residual max |H+ q - w q| is
-    taken on its bands.
+    solves the L x L tridiagonal H+.
+
+    r is fixed by structure: floor(L/2), plus one for odd L when
+    delta < 0.  For even L, T_A has L/2 levels below zero, the rank-one
+    term changes that count by at most one (interlacing), and
+    det H+ = det T_A, since (T_A^-1)_{L-1,L-1} = 0 for a bipartite T_A,
+    fixes its parity.  For odd L the term moves T_A's zero level, which
+    lives on site L-1, to the sign of delta.  The computed levels must
+    count r below zero and L - r above, so a level that rounding puts on
+    the wrong side, or at exactly zero, raises NumericsError instead of
+    misfiling a pair.  The side's eigenpairs, the only ones read, are
+    certified by the residual max |H+ q - w q| on their rows, taken on the
+    bands.
 
     ValueError unless the couplings are bitwise mirror symmetric;
-    NumericsError when the residual exceeds RESIDUAL_TOL relative to the
-    spectral radius.
+    NumericsError on a sign count other than r, or when the residual
+    exceeds RESIDUAL_TOL relative to the spectral radius.
     """
     c = profile.couplings
     if not np.array_equal(c, c[::-1]):
@@ -373,13 +387,23 @@ def even_sector(profile: CouplingProfile) -> tuple:
         w, q = sla.eigh_tridiagonal(d, e, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericsError(f"sector solve failed on dim {L}: {exc}") from exc
-    qt = q.T
-    # row k of (H+ - w_k) Q^T: the diagonal part, then e times each neighbour
-    hq = qt * (d - w[:, None])
+    r = L // 2 + int(L % 2 == 1 and d[-1] < 0.0)
+    # w ascends, so r negative and L - r positive levels is w[r-1] < 0 < w[r]
+    if (r > 0 and not w[r - 1] < 0.0) or (r < L and not w[r] > 0.0):
+        raise NumericsError(
+            f"sector sign count: {np.count_nonzero(w < 0.0)} levels below zero "
+            f"and {np.count_nonzero(w == 0.0)} at zero, where H+ has {r} below "
+            "and none at zero"
+        )
+    side = slice(0, r) if 2 * r <= L else slice(r, L)
+    qt = q[:, side].T
+    # row k of (H+ - w_k) Q_s^T: the diagonal part, then e times each neighbour
+    hq = qt * (d - w[side, None])
     hq[:, 1:] += qt[:, :-1] * e
     hq[:, :-1] += qt[:, 1:] * e
-    _certify(float(np.max(np.abs(hq))), max(-float(w[0]), float(w[-1])))
-    return w, qt
+    residual = max(float(hq.max(initial=0.0)), -float(hq.min(initial=0.0)))
+    _certify(residual, max(-float(w[0]), float(w[-1])))
+    return r, w[side], q[-1, side].copy()
 
 
 def lattice_svd(lat: Lattice2D) -> SublatticeSVD:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -156,13 +157,21 @@ class TestFailingCommandWritesNoArtifact:
         "qubism": ["qubism", "--sites", "4", "--alpha", "0.5", "--out", "{d}/q.ppm",
                    "--amplitudes", "{d}/missing/a.csv"],
     }
-    # a second output beside --out: a dangling link at its temporary makes
-    # that open fail once the first temporary is written
-    DANGLING = {"entropy-2d": "e2_fits.json.1.tmp", "validity-map": "v_contours.csv.1.tmp"}
+    # a second output beside --out, in the same directory: the creation of
+    # its temporary fails once the first temporary is written
+    BESIDE = ("entropy-2d", "validity-map")
 
-    def _run(self, name, tmp_path, capsys):
-        if name in self.DANGLING:
-            os.symlink(tmp_path / "missing" / "x", tmp_path / self.DANGLING[name])
+    def _run(self, name, tmp_path, capsys, monkeypatch):
+        if name in self.BESIDE:
+            mkstemp, made = tempfile.mkstemp, []
+
+            def second_fails(**kwargs):
+                if made:
+                    raise FileNotFoundError(f"no temporary in {kwargs['dir']}")
+                made.append(mkstemp(**kwargs))
+                return made[-1]
+
+            monkeypatch.setattr(cli.tempfile, "mkstemp", second_fails)
         argv = [a.format(d=tmp_path) for a in self.CASES[name]]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -171,18 +180,41 @@ class TestFailingCommandWritesNoArtifact:
         return Path(argv[argv.index("--out") + 1])
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_no_file_left(self, tmp_path, capsys, name):
-        self._run(name, tmp_path, capsys)
+    def test_no_file_left(self, tmp_path, capsys, monkeypatch, name):
+        self._run(name, tmp_path, capsys, monkeypatch)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_existing_out_kept(self, tmp_path, capsys, name):
+    def test_existing_out_kept(self, tmp_path, capsys, monkeypatch, name):
         out = Path(self.CASES[name][self.CASES[name].index("--out") + 1]
                    .format(d=tmp_path))
         out.write_bytes(b"kept\n")
-        assert self._run(name, tmp_path, capsys) == out
+        assert self._run(name, tmp_path, capsys, monkeypatch) == out
         assert list(tmp_path.iterdir()) == [out]
         assert out.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--orbitals", "{d}/missing/dir/o.bin"], 2),
+        ([], 0),
+    ])
+    def test_a_file_at_a_temporary_name_is_kept(self, tmp_path, capsys, argv, code):
+        # the temporaries are new files, never one of the user's
+        mine = tmp_path / "x.csv.0.tmp"
+        mine.write_bytes(b"mine\n")
+        assert main(["spectrum", "--L", "2", "--z", "0", "--out", str(tmp_path / "x.csv"),
+                     *(a.format(d=tmp_path) for a in argv)]) == code
+        assert mine.read_bytes() == b"mine\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["x.csv", "x.csv.0.tmp"] if code == 0 else ["x.csv.0.tmp"])
+
+    def test_artifact_mode_follows_the_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            assert main(["spectrum", "--L", "2", "--z", "0",
+                         "--out", str(tmp_path / "x.csv")]) == 0
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "x.csv").stat().st_mode & 0o777 == 0o640
 
     def test_directory_as_last_output(self, tmp_path, capsys):
         # open() of a directory's temporary sibling succeeds; its rename
@@ -288,6 +320,7 @@ class TestGeometryFlags:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # recorded in the JSON
     def test_underflowed_chain_exit_3(self, tmp_path, capsys):
         # outer couplings underflow to exactly 0: exact zero modes, and the
         # underflow warning goes into the error record
@@ -298,6 +331,7 @@ class TestGeometryFlags:
         assert err["error"] == "ZeroModeError"
         assert err["warnings"] == [UNDERFLOW_WARNING]
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # recorded in the JSON
     @pytest.mark.parametrize("argv", [
         ["wavefunction", "--L", "50", "--z", "710", "--m", "0"],
         ["validity-map", "--L", "50", "--z", "710:715:5"],
@@ -675,6 +709,7 @@ class TestSdrgCommand:
         data = json.loads(out.read_text())
         assert [b[:2] for b in data["bonds"]] == [[0, 1], [2, 3]]
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # recorded in the JSON
     def test_underflowed_rainbow_exits_2_on_its_zero_couplings(self, tmp_path, capsys):
         # alpha = 0.01 at L = 200 underflows the outer couplings to 0
         out = tmp_path / "bonds.json"

@@ -315,6 +315,18 @@ class TestVectorizedLevels:
             deformed_length(1.0, 720.0)
         assert deformed_length(1.0, 709.0) < math.inf
 
+    def test_overflowed_row_norms_raise(self):
+        # tilde_L is finite at (L, z) = (500, 709.7), the sum of e^(h|n|)
+        # over the sites is not; finite norms are pinned bitwise through
+        # test_pinned_overlaps
+        h = 709.7 / 500
+        assert deformed_length(h, 500) < math.inf
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(NumericsError, match="row norms overflow"):
+            continuum_occupied(500, h)
+        rows = continuum._analytic_levels(np.arange(-500, 0), 700.0 / 500, 500)
+        assert np.isfinite(rows).all() and rows.any(axis=1).all()
+
     def test_underflowed_chain_raises(self):
         with pytest.warns(RuntimeWarning), pytest.raises(ZeroModeError):
             validity_overlap(10, 2000.0)

@@ -499,7 +499,9 @@ class TestHalfchainFold:
 
     @pytest.mark.parametrize("L", [1, 3, 50, 800, 801, 805])
     def test_sector_solve_is_dstevd_bitwise(self, L):
-        # dstevd runs dstedc, the routine the sector solve has always used
+        # dstevd runs dstedc, the routine the sector solve has always used;
+        # even_sector returns the smaller sign side's levels and last
+        # components
         from scipy.linalg.lapack import dstevd
 
         from rainbow_lab.spectra import even_sector
@@ -512,17 +514,157 @@ class TestHalfchainFold:
         # its wrapper wants e of length at least 1
         w, q, info = dstevd(d, e if L > 1 else np.zeros(1))
         assert info == 0
-        got_w, got_qt = even_sector(profile)
-        assert got_w.tobytes() == w.tobytes()
-        assert got_qt.tobytes() == np.ascontiguousarray(q.T).tobytes()
+        r = int(np.count_nonzero(w < 0.0))
+        side = slice(0, r) if 2 * r <= L else slice(r, L)
+        got_r, got_w, got_f = even_sector(profile)
+        assert got_r == r
+        assert got_w.tobytes() == w[side].tobytes()
+        assert got_f.tobytes() == np.ascontiguousarray(q[-1, side]).tobytes()
 
     def test_zero_level_follows_the_error_policy(self, monkeypatch):
+        # the sector of a chain with nonzero couplings has no zero level, so
+        # one that rounding puts at zero is a failed solve, not a zero mode
+        from rainbow_lab import spectra
+
+        solve = spectra.sla.eigh_tridiagonal
+
+        def zeroed(*args, **kwargs):
+            w, q = solve(*args, **kwargs)
+            w[w.size // 2] = 0.0
+            return w, q
+
+        monkeypatch.setattr(spectra.sla, "eigh_tridiagonal", zeroed)
+        for L in (2, 3, 50, 51):
+            with pytest.raises(NumericsError, match="sign count") as raised:
+                fold_nu(profile_from_z(L, 1.0))
+            assert not isinstance(raised.value, ZeroModeError)
+
+    @pytest.mark.parametrize("L", [2, 3, 50, 51])
+    @pytest.mark.parametrize("z", [0.0, 2.0, 9.0])
+    def test_side_block_is_the_cauchy_formula(self, L, z):
+        # A = Q_s^T Gamma Q_s from dstevd's vectors against
+        # A_ij = 2 delta gamma f_i f_j / (w_i + w_j), delta = -c[L-1]/2
+        from scipy.linalg.lapack import dstevd
+
+        from rainbow_lab.spectra import even_sector
+
+        profile = profile_from_z(L, z)
+        c = profile.couplings
+        d = np.zeros(L)
+        d[-1] = -c[L - 1] / 2.0
+        w, q, info = dstevd(d, -c[: L - 1] / 2.0)
+        assert info == 0
+        r, w_side, f = even_sector(profile)
+        side = slice(0, r) if 2 * r <= L else slice(r, L)
+        q_s = q[:, side]
+        gamma_q_s = q_s * np.where(np.arange(L) % 2, -1.0, 1.0)[:, None]
+        want = 2.0 * d[-1] * (-1.0) ** (L - 1) * np.outer(f, f) / np.add.outer(w_side, w_side)
+        assert np.max(np.abs(q_s.T @ gamma_q_s - want)) <= 1e-13
+
+    @staticmethod
+    def _cauchy_factor(profile):
+        """(k, rank, bound): the side size, the rank at which dpstrf stops on
+        K and the bound |c[L-1]| k^2 eps max diag K on the dropped a."""
+        from scipy.linalg.lapack import dpstrf
+
+        from rainbow_lab.spectra import even_sector
+
+        _, w, f = even_sector(profile)
+        k_mat = np.outer(f, f) / np.add.outer(np.abs(w), np.abs(w))
+        _, _, rank, _ = dpstrf(k_mat, lower=1, tol=-1.0)
+        eps = np.finfo(float).eps / 2.0  # LAPACK's dlamch("Epsilon")
+        scale = abs(profile.couplings[profile.L - 1])
+        return w.size, rank, scale * w.size**2 * eps * float(np.diag(k_mat).max())
+
+    @pytest.mark.parametrize("L", [800, 801])
+    @pytest.mark.parametrize("z", [0.0, 4.0, 9.0])
+    def test_dropped_directions_carry_no_entropy(self, L, z):
+        k, rank, a_max = self._cauchy_factor(profile_from_z(L, z))
+        assert rank < k
+        # nu = (1 - sqrt(1 - a^2))/2 = a^2 / (2 (1 + sigma)) <= a^2/2
+        assert a_max**2 / 2.0 < 1e-20
+
+    @pytest.mark.parametrize("L", [2, 3, 50, 51, 800, 801])
+    def test_readout_solves_nothing_larger_than_the_rank(self, monkeypatch, L):
         from rainbow_lab import entanglement
 
-        monkeypatch.setattr(entanglement, "even_sector",
-                            lambda profile: (np.array([-0.5, 0.0]), np.eye(2)))
-        with pytest.raises(ZeroModeError):
-            fold_nu(profile_from_z(2, 1.0))
+        shapes = []
+
+        def recorded(a, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, **kwargs)
+
+        eigvalsh = entanglement.eigvalsh
+        monkeypatch.setattr(entanglement, "eigvalsh", recorded)
+        profile = profile_from_z(L, 4.0)
+        fold_nu(profile)
+        k, rank, _ = self._cauchy_factor(profile)
+        assert shapes == [(rank, rank)]
+        if L >= 800:
+            assert rank < k
+
+    @staticmethod
+    def _signed_mirror_chains(count, seed=1):
+        """Seeded mirror chains of L = 2..23 with couplings of random sign
+        and magnitudes log-uniform over four decades, so every one folds;
+        their sector solves stay in dstedc's dsteqr branch (L < 25)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            L = int(rng.integers(2, 24))
+            half = rng.choice([-1.0, 1.0], L) * 10.0 ** rng.uniform(0.0, 4.0, L)
+            yield _chain(np.concatenate([half, half[-2::-1]]))
+
+    def test_misfiled_sign_count_raises(self):
+        # A level within rounding of zero can come out with the wrong sign:
+        # counting the computed levels would then misfile a pair quietly.
+        # The structural count is the truth (the 60-digit oracle below), so
+        # a solve whose count differs is refused.
+        from scipy.linalg.lapack import dstevd
+
+        from rainbow_lab import spectra
+        from rainbow_lab.spectra import even_sector
+
+        refused = 0
+        for profile in self._signed_mirror_chains(200):
+            L, c = profile.L, profile.couplings
+            assert spectra._folds(c)
+            d = np.zeros(L)
+            d[-1] = -c[L - 1] / 2.0
+            w, _, info = dstevd(d, -c[: L - 1] / 2.0)
+            assert info == 0
+            structural = L // 2 + int(L % 2 == 1 and d[-1] < 0.0)
+            if np.count_nonzero(w < 0.0) == structural and not (w == 0.0).any():
+                assert even_sector(profile)[0] == structural
+                continue
+            refused += 1
+            for solve in (even_sector, fold_nu):
+                with pytest.raises(NumericsError, match="sign count"):
+                    solve(profile)
+        assert refused > 0
+
+    def test_sign_rule_matches_a_60_digit_oracle(self):
+        # on the refused chains of the test above and ten others
+        mpmath = pytest.importorskip("mpmath")
+        from rainbow_lab.spectra import even_sector
+
+        checked = 0
+        for i, profile in enumerate(self._signed_mirror_chains(200)):
+            L, c = profile.L, profile.couplings
+            try:
+                r = even_sector(profile)[0]
+                if i >= 10:
+                    continue
+            except NumericsError:  # the float count, refused: check the rule
+                r = L // 2 + int(L % 2 == 1 and c[L - 1] > 0.0)
+            with mpmath.workdps(60):
+                h = mpmath.zeros(L)
+                for j in range(L - 1):
+                    h[j, j + 1] = h[j + 1, j] = -mpmath.mpf(c[j]) / 2
+                h[L - 1, L - 1] = -mpmath.mpf(c[L - 1]) / 2
+                levels = mpmath.eigsy(h, eigvals_only=True)
+            assert sum(1 for x in levels if x < 0) == r
+            checked += 1
+        assert checked > 10
 
     def test_sector_needs_a_mirror_chain(self):
         from rainbow_lab.spectra import even_sector
@@ -547,7 +689,7 @@ class TestHalfchainFold:
                      "--out", str(tmp_path / "e.csv")]) == 0
 
     def test_folded_chains_take_no_svd(self, monkeypatch, tmp_path):
-        # sigma comes from the sector Gram's eigenvalues, not from an SVD
+        # sigma comes from the Cauchy factor's Gram eigenvalues, not an SVD
         from rainbow_lab import entanglement
         from rainbow_lab.cli import main
 
