@@ -43,13 +43,13 @@ from .continuum import (
 )
 from .entanglement import (
     CorrelationMatrix,
-    EntanglementSpectrum,
     boundary_blocks,
     brute_force_block_entropy,
     correlation_matrix,
     entanglement_spectrum,
     halfchain_entropy_prediction,
     halfchain_nu,
+    level_spacing,
     polar_block,
     renyi_entropies,
     thermal_cft_entropy,

@@ -382,8 +382,7 @@ def cmd_es_collapse(args) -> int:
         # level at nu = 1/2, which the polar route gives as eps = 0 exactly;
         # both filters below would drop it and shift the p labels of a side.
         occ = occupied_from_svd(chain_svd(profile_from_z(L, z)))
-        es = entanglement_spectrum(correlation_matrix(occ, range(L)).eigenvalues())
-        eps = es.finite_eps()  # ascending
+        eps = entanglement_spectrum(correlation_matrix(occ, range(L)).eigenvalues())  # ascending
         neg, pos = eps[eps < 0][-args.levels:], eps[eps > 0][: args.levels]
         # p = -1/2, -3/2, ... counts down from the level closest to 0
         ps = np.concatenate([np.arange(-neg.size, 0), np.arange(pos.size)]) + 0.5

@@ -33,17 +33,10 @@ import scipy.linalg as sla
 from .lattice import profile_from_z, site_labels
 from .spectra import NumericsError, _dgemm, chain_svd, occupied_from_svd, velocity_scaling
 
-# Below this h the exponentials are evaluated by series limit.
-_H_TINY = 1e-8
-
-
 def _expm1_over_h(h: float, x) -> np.ndarray | float:
-    """(e^{h x} - 1)/h with the h -> 0 limit handled by series."""
+    """(e^{h x} - 1)/h, and its limit x at h = 0."""
     x = np.asarray(x, dtype=float)
-    if h < _H_TINY:
-        out = x * (1.0 + h * x / 2.0 + (h * x) ** 2 / 6.0)
-    else:
-        out = np.expm1(h * x) / h
+    out = np.expm1(h * x) / h if h else x
     return out if out.shape else float(out)
 
 

@@ -7,7 +7,10 @@ energies eps_p = ln((1 - nu_p)/nu_p), so ``renyi_entropies``,
 ``vn_entropy`` and ``entanglement_spectrum`` take a block's nu and
 nothing else.  Entropies are plain floats in nats, one per Renyi order
 asked for; the block and the orders are the caller's own inputs and are
-not echoed back.
+not echoed back.  Levels within NU_CLIP of 0 or 1 carry no entropy and no
+finite eps: both functions drop them, so the eps of a block are a plain
+ascending array of its real levels, and ``level_spacing`` reads the
+spacing Delta_L off such an array.
 
 Chains and the 2D lattice take the polar route: at half filling
 C = (1 - sign H)/2, and for a bipartite H with sublattice block
@@ -107,21 +110,6 @@ def _checked_nu(nu: np.ndarray) -> np.ndarray:
     return np.clip(nu, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class EntanglementSpectrum:
-    """Single-body entanglement data of a block.
-
-    eps = ln((1-nu)/nu) ascending with +-inf sentinels for levels clipped
-    at 0 or 1, delta_L the mean level spacing around eps = 0.
-    """
-
-    eps: np.ndarray = field(repr=False)
-    delta_L: float
-
-    def finite_eps(self) -> np.ndarray:
-        return self.eps[np.isfinite(self.eps)]
-
-
 def _distinct_sites(block, n_sites: int) -> tuple:
     """The block as a tuple of ints; ValueError if empty, repeating or
     outside [0, n_sites)."""
@@ -163,8 +151,8 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
     (1 + sigma)/2, ascending, clipped to [0, 1]; NumericsError if they
     stray further.
 
-    zero_modes picks the filling policy when singular values sit within
-    ``svd.zero_tol`` of zero (e.g. the uniform 2D lattice):
+    zero_modes picks the filling policy when singular values are zero
+    (e.g. the uniform 2D lattice):
 
     - "error": raise ZeroModeError (the half-filled Slater state is not
       unique);
@@ -174,7 +162,7 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
     """
     if zero_modes not in ("error", "half"):
         raise ValueError(f"unknown zero-mode policy {zero_modes!r}")
-    keep = np.nonzero(svd.s > svd.zero_tol)[0]
+    keep = np.nonzero(svd.s > 0)[0]
     n_zero = 2 * (svd.s.size - keep.size)
     if n_zero and zero_modes == "error":
         raise ZeroModeError(
@@ -280,20 +268,34 @@ def _checked_orders(orders) -> list:
     return orders
 
 
+def _unclipped(nu: np.ndarray) -> np.ndarray:
+    """The levels of nu not within NU_CLIP of 0 or 1."""
+    return nu[(nu > NU_CLIP) & (nu < 1.0 - NU_CLIP)]
+
+
 def _renyi_from_nu(nu: np.ndarray, order: float) -> float:
-    keep = (nu > NU_CLIP) & (nu < 1.0 - NU_CLIP)
-    nu = nu[keep]
+    nu = _unclipped(nu)
     if order == 1:
         return float(-np.sum(nu * np.log(nu) + (1 - nu) * np.log1p(-nu)))
-    return float(np.sum(np.log(nu**order + (1 - nu) ** order)) / (1 - order))
+    # b = min(nu, 1 - nu) is exact (Sterbenz above 1/2) and a = 1 - b, so
+    # a^n + b^n = a^(n-1) (1 + b expm1((n-1) ln(b/a))): no cancellation
+    # near n = 1, no underflow at large n.  Past n ~ 5e306 the product
+    # (n-1) ln(b/a) <= 0 overflows to -inf, where expm1 gives its limit -1.
+    b = np.minimum(nu, 1.0 - nu)
+    log_a = np.log1p(-b)
+    m = order - 1.0
+    with np.errstate(over="ignore"):
+        x = np.expm1(m * (np.log(b) - log_a))
+    return float(-np.sum(log_a + np.log1p(b * x) / m))
 
 
 def renyi_entropies(nu, orders) -> list:
     """Renyi entropies S^(n) of a block from its nu, one float per order
     in nats; n = 1 is the von Neumann limit.
 
-    S^(n) = (1/(1-n)) sum_p ln(nu_p^n + (1-nu_p)^n).  Levels clipped at
-    0 or 1 (within 1e-14) carry no entropy and are dropped.
+    S^(n) = (1/(1-n)) sum_p ln(nu_p^n + (1-nu_p)^n), evaluated so that it
+    keeps its digits for n near 1 and stays finite at large n.  Levels
+    clipped at 0 or 1 (within NU_CLIP) carry no entropy and are dropped.
     """
     orders = _checked_orders(orders)
     nu = np.asarray(nu, dtype=float)
@@ -304,31 +306,22 @@ def vn_entropy(nu) -> float:
     return renyi_entropies(nu, [1])[0]
 
 
-def entanglement_spectrum(nu) -> EntanglementSpectrum:
-    """Single-body entanglement energies of a block's nu and the level
-    spacing near zero.
+def entanglement_spectrum(nu) -> np.ndarray:
+    """Single-body entanglement energies eps = ln((1 - nu)/nu) of a block's
+    nu, ascending; the levels clipped at 0 or 1 (within NU_CLIP) have none
+    and are dropped."""
+    nu = _unclipped(np.asarray(nu, dtype=float))
+    return np.sort(np.log1p(-nu) - np.log(nu))
 
-    Levels with nu clipped at 0 or 1 are reported as +-inf and excluded
-    from the spacing estimate.
-    """
-    nu = np.asarray(nu, dtype=float)
-    eps = np.empty_like(nu)
-    lo = nu <= NU_CLIP
-    hi = nu >= 1.0 - NU_CLIP
-    mid = ~(lo | hi)
-    eps[lo] = np.inf
-    eps[hi] = -np.inf
-    eps[mid] = np.log1p(-nu[mid]) - np.log(nu[mid])
-    eps = np.sort(eps)
 
-    finite = eps[np.isfinite(eps)]
-    if finite.size >= 2:
-        w = min(DELTA_WINDOW, finite.size)
-        window = np.sort(finite[np.argsort(np.abs(finite))[:w]])
-        delta = float(np.mean(np.diff(window)))
-    else:
-        delta = math.nan
-    return EntanglementSpectrum(eps=eps, delta_L=delta)
+def level_spacing(eps) -> float:
+    """Mean spacing Delta_L of the DELTA_WINDOW entanglement energies
+    closest to zero (all of them if fewer); NaN for fewer than two."""
+    eps = np.asarray(eps, dtype=float)
+    if eps.size < 2:
+        return math.nan
+    window = np.sort(eps[np.argsort(np.abs(eps))[:DELTA_WINDOW]])
+    return float(np.mean(np.diff(window)))
 
 
 def halfchain_entropy_prediction(h: float, L: int, c: float, cprime: float) -> float:

@@ -6,8 +6,8 @@ central-charge fit, the deformed half-chain Renyi fit and the 2D
 volume/log/constant fit.  Each fit takes the data as two arrays, the
 sizes (block sizes or half-lengths) and the entropies at those sizes,
 plus only what its model needs (the Renyi order n), and returns
-the named coefficients with chi2, the degrees of freedom and the design's
-condition number.  No nonlinear optimizer anywhere.
+the named coefficients with chi2 and the design's condition number.  No
+nonlinear optimizer anywhere.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class FitResult:
 
     coefficients: dict
     chi2: float
-    dof: int
     condition: float
 
     def __getitem__(self, name: str) -> float:
@@ -70,7 +69,6 @@ def linear_lsq(design, y, names=None) -> FitResult:
     return FitResult(
         coefficients={n: float(b) for n, b in zip(names, beta)},
         chi2=chi2,
-        dof=rows - cols,
         condition=float(np.linalg.cond(X)),
     )
 

@@ -19,8 +19,9 @@ couplings span more than ten decades), so there is no reduction step at
 all.  The dense block of the 2D lattice goes to ``scipy.linalg.svd``
 (gesdd), which is accurate only relative to its largest coupling: a
 lattice whose couplings span more than ten decades raises NumericsError
-instead of printing entropies it cannot resolve, and only levels within
-rounding (ZERO_MODE_TOL) of zero count as its zero modes.
+instead of printing entropies it cannot resolve, and the levels it cannot
+tell from zero (within ZERO_MODE_TOL of its spectral radius) come back as
+exact zeros.  So on both geometries a zero mode is a level with s == 0.
 
 ``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
 certifies the SVD with a residual taken on the bands; ``lattice_svd``
@@ -69,8 +70,9 @@ from .lattice import CouplingProfile, Lattice2D, lattice_links
 
 RESIDUAL_TOL = 1e-10
 # A dense block's level within this of its spectral radius (at least 1) is
-# a zero mode: rounding level, so that no real level of a lattice short of
-# the grading refusal is filled at 1/2 (``entanglement.polar_block``).
+# rounding, and ``_dense_svd`` sets it to 0.0: small enough that no real
+# level of a lattice short of the grading refusal is filled at 1/2
+# (``entanglement.polar_block``).
 ZERO_MODE_TOL = 1e-14
 
 
@@ -86,8 +88,8 @@ def velocity_scaling(z: float) -> float:
     """The deformed Fermi velocity a(z) = z / (e^z - 1); a(0) = 1."""
     if z < 0:
         raise ValueError(f"z must be non-negative, got {z!r}")
-    if z < 1e-8:
-        return 1.0 - z / 2.0 + z * z / 12.0
+    if z == 0:
+        return 1.0
     return z / np.expm1(z)
 
 
@@ -228,18 +230,16 @@ class SublatticeSVD:
 
     The hopping matrix's levels are ``energies`` (ascending), with orbitals
     ``(u_p, -+v_p)/sqrt(2)`` (``orbitals_from_svd``).  ``residual`` is the
-    largest ``|H psi - E psi|`` over those orbitals.  ``zero_tol`` is the
-    absolute threshold below which a level counts as a zero mode:
-    bidiagonal SVDs (1D chains) carry relative accuracy, so only exact
-    zeros qualify and zero_tol is 0; otherwise it is ZERO_MODE_TOL times
-    the spectral radius (at least 1).
+    largest ``|H psi - E psi|`` over those orbitals.  The zero modes are
+    the levels with ``s == 0``: a chain's bidiagonal SVD is relatively
+    accurate, so only its exact zeros are, and a dense block's levels
+    within rounding of zero are set to 0.0 (``_dense_svd``).
     """
 
     u: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
     vt: np.ndarray = field(repr=False)
     residual: float
-    zero_tol: float
     sublattice: np.ndarray = field(repr=False)
 
     @property
@@ -248,10 +248,10 @@ class SublatticeSVD:
         return np.concatenate([-self.s, self.s[::-1]])
 
 
-def _chain_solve(d: np.ndarray, e: np.ndarray, sublattice) -> SublatticeSVD:
+def _chain_solve(d: np.ndarray, e: np.ndarray) -> SublatticeSVD:
     """Certified SVD ``M = U S V^T`` of a chain's lower-bidiagonal block with
-    diagonal d and subdiagonal e.  The SVD is relatively accurate, so only
-    exact zeros are zero modes (zero_tol 0).
+    diagonal d and subdiagonal e, site i on sublattice ``i % 2``.  The SVD
+    is relatively accurate, so only exact zeros are zero modes.
 
     The residual ``max(|M v - s u|, |M^T u - s v|)/sqrt(2)`` is that of the
     orbitals ``(u, +-v)/sqrt(2)``; it is taken on the two bands, so it
@@ -272,7 +272,7 @@ def _chain_solve(d: np.ndarray, e: np.ndarray, sublattice) -> SublatticeSVD:
     mtu -= vt.T * s
     residual = max(float(np.max(np.abs(mv))), float(np.max(np.abs(mtu))))
     residual = _certify(residual / np.sqrt(2.0), float(s[0]))
-    return SublatticeSVD(u, s, vt, residual, 0.0, sublattice)
+    return SublatticeSVD(u, s, vt, residual, np.arange(2 * d.size) % 2)
 
 
 def _refuse_graded(couplings: np.ndarray, n_sites: int) -> None:
@@ -288,8 +288,9 @@ def _refuse_graded(couplings: np.ndarray, n_sites: int) -> None:
 
 def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
     """Certified SVD of a dense sublattice block through
-    ``scipy.linalg.svd`` (gesdd, divide and conquer).  Zero modes are the
-    levels within ZERO_MODE_TOL of the spectral radius (at least 1).
+    ``scipy.linalg.svd`` (gesdd, divide and conquer).  The levels within
+    ZERO_MODE_TOL of the spectral radius (at least 1) are rounding: they
+    are certified as computed, then set to exactly 0.0, the zero modes.
 
     A dense SVD is accurate only to rounding times the largest coupling,
     whatever its driver; relative accuracy belongs to the bidiagonal solve
@@ -309,8 +310,8 @@ def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
         float(np.max(np.abs(_dgemm(block.T, u) - vt.T * s))),
     )
     residual = _certify(residual / np.sqrt(2.0), float(s[0]))
-    zero_tol = ZERO_MODE_TOL * max(float(s[0]), 1.0)
-    return SublatticeSVD(u, s, vt, residual, zero_tol, sublattice)
+    s[s <= ZERO_MODE_TOL * max(float(s[0]), 1.0)] = 0.0
+    return SublatticeSVD(u, s, vt, residual, sublattice)
 
 
 def chain_svd(profile: CouplingProfile) -> SublatticeSVD:
@@ -325,7 +326,7 @@ def chain_svd(profile: CouplingProfile) -> SublatticeSVD:
     the spectral radius.
     """
     c = profile.couplings
-    return _chain_solve(-c[0::2] / 2.0, -c[1::2] / 2.0, np.arange(profile.n_sites) % 2)
+    return _chain_solve(-c[0::2] / 2.0, -c[1::2] / 2.0)
 
 
 # Largest max/min coupling ratio at which a mirror-symmetric chain's left
@@ -473,11 +474,11 @@ def occupied_from_svd(svd: SublatticeSVD) -> np.ndarray:
     SVD: column p is ``(u_p, -v_p)/sqrt(2)``, sign-fixed.
 
     Never forms the unoccupied half or any square array.  Raises
-    ZeroModeError when singular values sit within ``svd.zero_tol`` of zero:
-    the half-filled Slater state is then not unique (see
-    ``entanglement.polar_block`` for the explicit filling policy).
+    ZeroModeError when a singular value is zero: the half-filled Slater
+    state is then not unique (see ``entanglement.polar_block`` for the
+    explicit filling policy).
     """
-    count = 2 * int(np.count_nonzero(svd.s <= svd.zero_tol))
+    count = 2 * int(np.count_nonzero(svd.s == 0))
     if count:
         raise ZeroModeError(
             f"{count} single-particle zero modes; "
@@ -499,15 +500,12 @@ def fermi_velocity(svd: SublatticeSVD) -> float:
     so the gap between the first level above and the first below rescaled
     by 2L/pi estimates a(z) with the least band-curvature contamination;
     compare it with the closed form ``velocity_scaling(z)``.  L is the
-    chain's, ``svd.s.size``.
+    chain's, ``svd.s.size``, and the gap is the smallest pair's ``2 s``.
     """
     L = svd.s.size
-    energies = svd.energies
-    if energies.size < 4:
-        raise ValueError(f"need at least 4 levels, got {energies.size}")
-    half = energies.size // 2
-    gap = energies[half] - energies[half - 1]
-    return float(gap * 2 * L / np.pi)
+    if L < 2:
+        raise ValueError(f"need at least 4 levels, got {2 * L}")
+    return float(2 * svd.s[-1] * 2 * L / np.pi)
 
 
 def fermi_velocity_fit(svd: SublatticeSVD) -> float:

@@ -15,14 +15,15 @@ match bit for bit.
 
 ``lattice_sector_entropy`` is the one oracle that is not dense: the 2D
 lattice's left-half entropy from its y-momentum sectors in mpmath, so it
-shares no float64 arithmetic with any shipped route.
+shares no float64 arithmetic with any shipped route.  ``renyi_mp`` takes
+a Renyi entropy of given nu in mpmath.
 """
 
 import mpmath
 import numpy as np
 
 from rainbow_lab import spectra
-from rainbow_lab.entanglement import CorrelationMatrix
+from rainbow_lab.entanglement import NU_CLIP, CorrelationMatrix
 from rainbow_lab.lattice import CouplingProfile, lattice_links, signed_profile
 
 
@@ -68,13 +69,13 @@ def diagonalize(m, sublattice):
         np.diagonal(block, -1)
     )
     if np.count_nonzero(block) == on_band:
-        return spectra._chain_solve(np.diagonal(block), np.diagonal(block, -1), sublattice)
+        return spectra._chain_solve(np.diagonal(block), np.diagonal(block, -1))
     return spectra._dense_svd(block, sublattice)
 
 
 def zero_modes(svd):
-    """Boolean mask of the levels within ``svd.zero_tol`` of zero."""
-    return np.abs(svd.energies) <= svd.zero_tol
+    """Boolean mask of the zero levels."""
+    return svd.energies == 0
 
 
 def occupied(svd):
@@ -119,6 +120,23 @@ def numpy_eigenvalues(c):
     """``CorrelationMatrix.eigenvalues`` on numpy's LAPACK: eigvalsh,
     clipped to [0, 1]."""
     return np.clip(np.linalg.eigvalsh(c.entries), 0.0, 1.0)
+
+
+def renyi_mp(nu, order, dps=60):
+    """S^(n) of the levels of nu not within NU_CLIP of 0 or 1, each taken
+    as the exact value of its float, summed in dps-digit arithmetic from
+    the defining formula."""
+    nu = np.asarray(nu, dtype=float)
+    nu = nu[(nu > NU_CLIP) & (nu < 1.0 - NU_CLIP)]
+    with mpmath.workdps(dps):
+        n = mpmath.mpf(order)
+        total = mpmath.mpf(0)
+        for v in map(mpmath.mpf, nu.tolist()):
+            if n == 1:
+                total -= v * mpmath.log(v) + (1 - v) * mpmath.log(1 - v)
+            else:
+                total += mpmath.log(v**n + (1 - v) ** n) / (1 - n)
+        return float(total)
 
 
 def lattice_sector_entropy(lat, dps=60):

@@ -31,6 +31,7 @@ from rainbow_lab import (
     fit_2d,
     fit_renyi_halfchain,
     lattice_svd,
+    level_spacing,
     occupied_from_svd,
     polar_block,
     profile_from_z,
@@ -210,8 +211,7 @@ def test_criterion_6_level_spacing_vs_entropy():
     for L, z in GRID_6:
         nu = np.asarray(halfchain_nu(L, z))
         S = nu_entropy(nu, 1)
-        es = entanglement_spectrum(nu)
-        pred = math.pi**2 / (3 * es.delta_L)
+        pred = math.pi**2 / (3 * level_spacing(entanglement_spectrum(nu)))
         worst = max(worst, abs(pred / S - 1))
     ok = worst <= 0.10
     report("6 spacing-vs-entropy", ok, f"worst pi^2/(3 Delta) dev {worst:.2%}")
@@ -228,8 +228,7 @@ def test_criterion_6_collapse_stated():
     prefetch(GRID_6)
     for L, z in GRID_6:
         nu = np.asarray(halfchain_nu(L, z))
-        es = entanglement_spectrum(nu)
-        eps = es.finite_eps()
+        eps = entanglement_spectrum(nu)
         pos = np.sort(eps[eps > 0])[:5]
         for k, e in enumerate(pos):
             p = k + 0.5

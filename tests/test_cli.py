@@ -500,6 +500,32 @@ class TestEntropyScan:
                      "--out", str(tmp_path / "e.csv")]) == 2
         assert "h must be" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_large_order_is_finite(self, tmp_path, monkeypatch):
+        # log(nu^n + (1 - nu)^n) underflowed here: S printed inf after a
+        # RuntimeWarning, with exit 0.  The printed S is the computed one to
+        # 12 digits; the computed one is checked against mpmath
+        import dense_oracle as oracle
+
+        computed = []
+        original = cli.renyi_entropies
+
+        def recording(nu, orders):
+            values = original(nu, orders)
+            computed.append((nu, values))
+            return values
+
+        monkeypatch.setattr(cli, "renyi_entropies", recording)
+        out = tmp_path / "e.csv"
+        assert main(["entropy-scan", "--L", "50", "--z", "1", "--orders", "1,5000",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        [(nu, values)] = computed
+        assert [row[5:] for row in rows] == [["1", format(values[0], ".12g")],
+                                            ["5000", format(values[1], ".12g")]]
+        for n, S in zip((1, 5000), values):
+            assert math.isfinite(S)
+            assert abs(S - oracle.renyi_mp(nu, n)) <= 1e-12
+
     def test_boundary_needs_single_geometry(self, tmp_path):
         rc = main(["entropy-scan", "--L", "6:8:2", "--alpha", "0.8",
                    "--blocks", "boundary", "--out", str(tmp_path / "x.csv")])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -90,10 +91,23 @@ class TestCoordinateMap:
         num = (coordinate_map(x + eps, h) - coordinate_map(x - eps, h)) / (2 * eps)
         assert num == pytest.approx(np.exp(h * abs(x)), rel=1e-8)
 
-    def test_tiny_h_series_branch(self):
-        # below the series switch the map must still be smooth and odd
+    def test_tiny_h(self):
         y = coordinate_map(100.0, 1e-10)
         assert y == pytest.approx(100.0, rel=1e-7)
+
+    @pytest.mark.parametrize("h, x", [(9e-9, 1e6), (9.9e-9, 2e6), (1e-12, 3.0), (5e-9, 7e7)])
+    def test_small_h_matches_mpmath(self, h, x):
+        # a three-term series below h = 1e-8 was 3.0e-8 and 3.2e-7 off at the
+        # first two points; expm1 has no such regime
+        with mpmath.workdps(60):
+            want = float(mpmath.expm1(mpmath.mpf(h) * x) / h)
+        for got in (coordinate_map(x, h), -coordinate_map(-x, h), deformed_length(h, x)):
+            assert abs(got / want - 1) <= 1e-15
+
+    def test_zero_h_is_the_identity(self):
+        xs = np.array([0.0, 0.5, 3.0, 1e6])
+        assert coordinate_map(xs, 0.0).tobytes() == xs.tobytes()
+        assert deformed_length(0.0, 50) == 50.0
 
 
 class TestAnalyticWavefunction:

@@ -14,6 +14,7 @@ from rainbow_lab import (
     entanglement_spectrum,
     halfchain_entropy_prediction,
     lattice_svd,
+    level_spacing,
     occupied_from_svd,
     polar_block,
     profile_from_z,
@@ -23,6 +24,7 @@ from rainbow_lab import (
     vn_entropy,
 )
 from rainbow_lab.lattice import CouplingProfile
+from rainbow_lab.entanglement import DELTA_WINDOW, NU_CLIP
 from rainbow_lab.entanglement import halfchain_nu as fold_nu
 from rainbow_lab.spectra import FOLD_MAX_RATIO, NumericsError, ZeroModeError
 
@@ -138,32 +140,104 @@ class TestRenyiEntropies:
             assert abs(p - 10 * LN2) <= 1e-3
 
 
+def _sentinel_spectrum(nu):
+    """The entanglement spectrum as it was kept with +-inf sentinels for
+    the clipped levels: (eps with sentinels, Delta_L over the finite eps)."""
+    nu = np.asarray(nu, dtype=float)
+    eps = np.empty_like(nu)
+    lo, hi = nu <= NU_CLIP, nu >= 1.0 - NU_CLIP
+    mid = ~(lo | hi)
+    eps[lo], eps[hi] = np.inf, -np.inf
+    eps[mid] = np.log1p(-nu[mid]) - np.log(nu[mid])
+    eps = np.sort(eps)
+    finite = eps[np.isfinite(eps)]
+    if finite.size < 2:
+        return eps, math.nan
+    w = min(DELTA_WINDOW, finite.size)
+    window = np.sort(finite[np.argsort(np.abs(finite))[:w]])
+    return eps, float(np.mean(np.diff(window)))
+
+
+class TestRenyiAccuracy:
+    """S^(n) near n = 1 and at large n against mpmath.  log(nu^n + (1-nu)^n)
+    cancels near n = 1 (0.11-0.26 nats off at n = 1 + 1e-15 on these
+    chains) and underflows at large n (inf at n = 3000)."""
+
+    @pytest.mark.parametrize("L, z", [(50, 1.0), (400, 1.0), (800, 3.0)])
+    def test_half_chains(self, L, z):
+        nu = fold_nu(profile_from_z(L, z))
+        orders = [1, 1 + 1e-15, 1 + 1e-9, 1.5, 2, 3, 4, 100, 1e4, 1e8]
+        for n, got in zip(orders, renyi_entropies(nu, orders)):
+            want = oracle.renyi_mp(nu, n)
+            assert abs(got / want - 1) <= 1e-14, n
+
+    def test_large_order_stays_finite(self):
+        got = renyi_entropies([0.3, 0.7], [3000])[0]
+        assert abs(got - oracle.renyi_mp([0.3, 0.7], 3000)) <= 1e-15
+        assert abs(got - 0.7136) < 1e-3
+        # past n ~ 5e306 (n - 1) ln(b/a) overflows: no warning, S_inf
+        got = renyi_entropies([0.3, 0.5], [1e300, 1.7e308])
+        assert got == pytest.approx([-math.log(0.7) + LN2] * 2, rel=1e-15)
+
+    def test_order_one_unchanged(self):
+        # the von Neumann branch keeps its expression, bit for bit
+        nu = fold_nu(profile_from_z(101, 2.0))
+        kept = nu[(nu > NU_CLIP) & (nu < 1.0 - NU_CLIP)]
+        want = float(-np.sum(kept * np.log(kept) + (1 - kept) * np.log1p(-kept)))
+        assert vn_entropy(nu) == want
+
+    def test_half_levels(self):
+        for n in (1, 1 + 1e-12, 2, 1e6):
+            assert renyi_entropies([0.5, 0.5, 0.0, 1.0], [n])[0] == pytest.approx(2 * LN2, rel=1e-15)
+
+
 class TestEntanglementSpectrum:
     def test_single_mixed_level(self):
         C = CorrelationMatrix(entries=np.array([[0.5]]))
-        es = entanglement_spectrum(C.eigenvalues())
-        assert es.eps == pytest.approx([0.0], abs=1e-12)
+        assert entanglement_spectrum(C.eigenvalues()) == pytest.approx([0.0], abs=1e-12)
 
     def test_eps_antisymmetric_for_half_chain(self):
         # relative tolerance: nu near 0 or 1 amplifies absolute eigenvalue
         # noise through the logit transform
-        es = entanglement_spectrum(halfchain_nu(20, z=8.0))
-        eps = es.finite_eps()
+        eps = entanglement_spectrum(halfchain_nu(20, z=8.0))
         dev = np.abs(eps + eps[::-1]) / np.maximum(1.0, np.abs(eps))
         assert np.max(dev) < 1e-6
 
-    def test_clipped_levels_are_sentinels(self):
+    def test_clipped_levels_are_dropped(self):
         occ = chain_occupied(6, alpha=0.5)
         C = correlation_matrix(occ, range(12))  # pure state: nu in {0, 1}
-        es = entanglement_spectrum(C.eigenvalues())
-        assert np.sum(np.isposinf(es.eps)) == 6
-        assert np.sum(np.isneginf(es.eps)) == 6
+        assert entanglement_spectrum(C.eigenvalues()).size == 0
+        # exactly the levels with nu <= NU_CLIP or nu >= 1 - NU_CLIP go
+        edge_lo, edge_hi = NU_CLIP, 1.0 - NU_CLIP
+        kept = [np.nextafter(edge_lo, 1.0), 0.3, 0.5, 0.7, np.nextafter(edge_hi, 0.0)]
+        nu = np.sort(np.concatenate([[0.0, edge_lo / 2, edge_lo, edge_hi, 1.0], kept]))
+        eps = entanglement_spectrum(nu)
+        assert eps.tobytes() == np.sort(np.log1p(-np.array(kept)) - np.log(kept)).tobytes()
+        assert np.all(np.isfinite(eps)) and np.all(np.diff(eps) >= 0)
 
     def test_delta_consistent_with_entropy(self):
         nu = halfchain_nu(100, z=10.0)
-        es = entanglement_spectrum(nu)
         S = vn_entropy(nu)
-        assert abs(math.pi**2 / (3 * es.delta_L) / S - 1) < 0.10
+        assert abs(math.pi**2 / (3 * level_spacing(entanglement_spectrum(nu))) / S - 1) < 0.10
+
+    @pytest.mark.parametrize("L, z", [(100, 10.0), (20, 8.0), (61, 5.0)]
+                             + [(L, float(z)) for L in range(60, 161, 20)
+                                for z in range(5, 41, 5)])
+    def test_spacing_is_the_sentinel_spacing(self, L, z):
+        # every nu whose spacing a test reads, on the orbital route and on
+        # the shipped half-chain route (criterion 6's grid): the eps are the
+        # finite sentinel eps and the spacing is bitwise kept
+        for nu in (halfchain_nu(L, z=z), fold_nu(profile_from_z(L, z))):
+            eps = entanglement_spectrum(nu)
+            old_eps, old_delta = _sentinel_spectrum(nu)
+            assert eps.tobytes() == old_eps[np.isfinite(old_eps)].tobytes()
+            assert level_spacing(eps) == old_delta
+
+    @pytest.mark.parametrize("nu", [[0.0, 1.0], [0.5], [0.2, 0.5, 0.8], [0.1, 0.3, 0.4, 0.6, 0.9, 1.0]])
+    def test_spacing_of_short_spectra(self, nu):
+        got = level_spacing(entanglement_spectrum(nu))
+        want = _sentinel_spectrum(nu)[1]
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     @pytest.mark.xfail(
         strict=True,
@@ -171,8 +245,7 @@ class TestEntanglementSpectrum:
         "lowest level sits at 0.329 instead of 0.5 (34% off)",
     )
     def test_collapse_at_z10_stated(self):
-        es = entanglement_spectrum(halfchain_nu(100, z=10.0))
-        eps = es.finite_eps()
+        eps = entanglement_spectrum(halfchain_nu(100, z=10.0))
         pos = np.sort(eps[eps > 0])[:5]
         for k, e in enumerate(pos):
             p = k + 0.5
@@ -181,8 +254,7 @@ class TestEntanglementSpectrum:
     def test_vn_from_single_body_energies(self):
         # S = sum ln(1 + e^-eps) + sum eps nu, the free-fermion identity
         block_nu = halfchain_nu(12, alpha=0.55)
-        es = entanglement_spectrum(block_nu)
-        eps = es.finite_eps()
+        eps = entanglement_spectrum(block_nu)
         nu = 1.0 / (1.0 + np.exp(eps))
         s_eps = float(np.sum(np.logaddexp(0, -eps)) + np.sum(eps * nu))
         assert s_eps == pytest.approx(vn_entropy(block_nu), abs=1e-10)
@@ -357,7 +429,7 @@ class TestPolarRoute:
             sites = np.asarray(list(block))
             on_rows = svd.sublattice[sites] == 0
             rows, cols = sites[on_rows] // 2, sites[~on_rows] // 2
-            keep = np.nonzero(svd.s > svd.zero_tol)[0]
+            keep = np.nonzero(svd.s > 0)[0]
             sigma = svdvals(svd.u[np.ix_(rows, keep)] @ svd.vt[np.ix_(keep, cols)])
             want = np.concatenate([(1.0 - sigma) / 2.0,
                                    np.full(abs(rows.size - cols.size), 0.5),
@@ -734,7 +806,7 @@ class TestLatticePolarRoute:
     @pytest.mark.parametrize("L", [1, 2, 4])
     def test_uniform_lattice_refuses_without_policy(self, L):
         svd = lattice_svd(Lattice2D(L, 1.0))
-        assert np.count_nonzero(svd.s <= svd.zero_tol) > 0
+        assert np.count_nonzero(svd.s == 0) > 0
         with pytest.raises(ZeroModeError):
             polar_block(svd, Lattice2D(L, 1.0).left_half())
 
@@ -786,8 +858,7 @@ class TestOccupiedFromSVD:
         dense = oracle.occupied(oracle.diagonalize(*oracle.chain_hamiltonian(profile)))
         want = correlation_matrix(dense, range(L)).eigenvalues()
         assert np.array_equal(got, want)
-        assert np.array_equal(entanglement_spectrum(got).eps,
-                              entanglement_spectrum(want).eps)
+        assert np.array_equal(entanglement_spectrum(got), entanglement_spectrum(want))
 
 
 class TestNumpyRouteParity:

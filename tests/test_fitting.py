@@ -50,7 +50,6 @@ class TestLinearLsq:
                          names=("slope", "icept"))
         assert fit["slope"] == pytest.approx(2.0)
         assert fit["icept"] == pytest.approx(1.0)
-        assert fit.dof == 8
 
     def test_rank_deficiency_names_column(self):
         x = np.arange(8, dtype=float)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -158,8 +159,7 @@ class TestBidiagonalSolver:
 
     @staticmethod
     def _compare(block):
-        chain = np.arange(2 * block.shape[0]) % 2
-        svd = spectra._chain_solve(np.diagonal(block), np.diagonal(block, -1), chain)
+        svd = spectra._chain_solve(np.diagonal(block), np.diagonal(block, -1))
         u, s, vt = svd.u, svd.s, svd.vt
         u_ref, s_ref, vt_ref = _dense_svd(block)
         scale = np.where(s_ref > 0, s_ref, 1.0)
@@ -280,7 +280,7 @@ def _parent_lattice_spectrum(m, sublattice):
     """The dense route as it was before lattice_svd, restated for the 2D
     lattice: the dense SVD of the sublattice block, the residual on the two
     half blocks, the pair-by-pair orbitals and the column-by-column phase
-    rule."""
+    rule, with the zero-mode threshold it kept."""
     a_idx = np.nonzero(sublattice == 0)[0]
     b_idx = np.nonzero(sublattice == 1)[0]
     block = m[np.ix_(a_idx, b_idx)]
@@ -297,8 +297,8 @@ def _parent_lattice_spectrum(m, sublattice):
         orbitals[b_idx, p] = -vt[p, :] * inv_sqrt2
         orbitals[b_idx, n - 1 - p] = vt[p, :] * inv_sqrt2
     energies = np.concatenate([-s, s[::-1]])
-    zero_tol = spectra.ZERO_MODE_TOL * max(float(s[0]), 1.0)
-    return energies, _fix_phases_loop(orbitals), residual, zero_tol
+    threshold = spectra.ZERO_MODE_TOL * max(float(s[0]), 1.0)
+    return energies, _fix_phases_loop(orbitals), residual, threshold
 
 
 class TestLatticeSVD:
@@ -326,11 +326,14 @@ class TestLatticeSVD:
     def test_spectra_bitwise_the_parent_route(self, L, alpha):
         lat = Lattice2D(L, alpha)
         m, sub = oracle.lattice_hamiltonian(lat)
-        energies, orbitals, residual, zero_tol = _parent_lattice_spectrum(m, sub)
+        energies, orbitals, residual, threshold = _parent_lattice_spectrum(m, sub)
+        # the levels within the threshold come back as exact zeros, the rest
+        # bit for bit
+        energies[np.abs(energies) <= threshold] *= 0.0  # -0.0 on the -s side
         for svd in (oracle.diagonalize(m, sub), lattice_svd(lat)):
             assert svd.energies.tobytes() == energies.tobytes()
             assert orbitals_from_svd(svd).tobytes() == orbitals.tobytes()
-            assert (svd.residual, svd.zero_tol) == (residual, zero_tol)
+            assert svd.residual == residual
 
     def test_site_maps(self):
         # site i is row (sublattice 0) or column (sublattice 1) i // 2 of M,
@@ -338,7 +341,6 @@ class TestLatticeSVD:
         # block, whose rows and columns are the sublattices in site order
         chain = spectra.chain_svd(profile_from_z(5, 1.0))
         assert np.array_equal(chain.sublattice, np.arange(10) % 2)
-        assert chain.zero_tol == 0.0
         lattices = [Lattice2D(L, 0.5) for L in (1, 2, 3, 8)]
         cases = [(chain, oracle.chain_hamiltonian(profile_from_z(5, 1.0)))]
         cases += [(lattice_svd(lat), oracle.lattice_hamiltonian(lat)) for lat in lattices]
@@ -349,8 +351,6 @@ class TestLatticeSVD:
                 assert np.array_equal(sites // 2, np.arange(sites.size))
             block = oracle.sublattice_block(h, sublattice)
             assert np.max(np.abs((svd.u * svd.s) @ svd.vt - block)) <= 1e-12
-        svd = cases[-1][0]
-        assert svd.zero_tol == spectra.ZERO_MODE_TOL * max(svd.s[0], 1.0)
 
     def test_never_builds_the_hopping_matrix(self, monkeypatch):
         # nor its orbitals: only the (2L^2)^2 block M is solved
@@ -393,14 +393,39 @@ class TestGradedLatticeRefusal:
         # a real one, not a zero mode; 60-digit y-sector value
         lat = Lattice2D(24, 0.376)
         svd = lattice_svd(lat)
-        assert np.count_nonzero(svd.s <= svd.zero_tol) == 0
+        assert np.count_nonzero(svd.s == 0) == 0
         S = vn_entropy(polar_block(svd, lat.left_half()))
         assert abs(S - 134.212886664172) <= 1e-6
 
     @pytest.mark.parametrize("L", [8, 12, 16, 20, 24])
     def test_uniform_lattice_keeps_its_zero_modes(self, L):
-        svd = lattice_svd(Lattice2D(L, 1.0))
-        assert 2 * np.count_nonzero(svd.s <= svd.zero_tol) == 2 * L
+        s = lattice_svd(Lattice2D(L, 1.0)).s
+        assert np.count_nonzero(s == 0.0) == L
+        assert np.all(s[s != 0.0] > 1e-3)
+
+
+class TestExactZeroModes:
+    """A dense block's levels within rounding of zero come back as exact
+    zeros (``test_uniform_lattice_keeps_its_zero_modes``), and only those:
+    a zero mode is a level with s == 0 on both geometries."""
+
+    @pytest.mark.parametrize("L", [8, 12])
+    @pytest.mark.parametrize("alpha", [0.5, 0.999])
+    def test_graded_lattice_has_none(self, L, alpha):
+        assert np.count_nonzero(lattice_svd(Lattice2D(L, alpha)).s == 0.0) == 0
+
+    # entropy-2d's S at these points as the route that kept a threshold
+    # printed it (2-core OpenBLAS box); (16, 0.5) reads ...c30p+5 on one
+    # BLAS thread
+    @pytest.mark.parametrize("L, alpha, want", [
+        (8, 1.0, {"0x1.b59fb6a83a974p+3"}),
+        (12, 1.0, {"0x1.5fb5999f47a62p+4"}),
+        (16, 0.5, {"0x1.c488158f36c37p+5", "0x1.c488158f36c30p+5"}),
+    ])
+    def test_lattice_entropy_unchanged(self, L, alpha, want):
+        lat = Lattice2D(L, alpha)
+        nu = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
+        assert vn_entropy(nu).hex() in want
 
 
 class TestSectorOracle:
@@ -432,7 +457,7 @@ class TestOrbitalsFromSVD:
         svd = spectra.chain_svd(profile)
         assert np.array_equal(svd.energies, dense.energies)
         assert np.array_equal(orbitals_from_svd(svd), orbitals_from_svd(dense))
-        assert (svd.residual, svd.zero_tol) == (dense.residual, dense.zero_tol)
+        assert svd.residual == dense.residual
         occ = occupied_from_svd(svd)
         assert np.array_equal(occ, oracle.occupied(dense))
         assert occ.flags.c_contiguous
@@ -596,9 +621,15 @@ class TestFermiVelocity:
         assert abs(a / velocity_scaling(z) - 1) < tol
 
     def test_analytic_values(self):
-        assert velocity_scaling(0.0) == pytest.approx(1.0)
+        assert velocity_scaling(0.0) == 1.0
         assert velocity_scaling(1.0) == pytest.approx(0.581977, abs=1e-6)
         assert velocity_scaling(4.0) == pytest.approx(0.074629, abs=1e-6)
+
+    @pytest.mark.parametrize("z", [1e-300, 1e-12, 5e-9, 9.9e-9, 1e-8, 1e-3, 30.0])
+    def test_small_z_matches_mpmath(self, z):
+        with mpmath.workdps(60):
+            want = float(mpmath.mpf(z) / mpmath.expm1(z))
+        assert abs(velocity_scaling(z) / want - 1) <= 1e-15
 
     def test_analytic_monotone_to_one(self):
         zs = np.linspace(0, 3, 20)
