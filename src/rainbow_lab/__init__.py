@@ -32,14 +32,11 @@ from .spectra import (
     velocity_scaling,
 )
 from .continuum import (
-    analytic_energy,
     analytic_wavefunction,
-    coordinate_map,
     deformed_length,
     overlap_crossing,
     slater_overlap,
     validity_overlap,
-    wavefunction_overlap,
 )
 from .entanglement import (
     CorrelationMatrix,
@@ -47,12 +44,9 @@ from .entanglement import (
     brute_force_block_entropy,
     correlation_matrix,
     entanglement_spectrum,
-    halfchain_entropy_prediction,
     halfchain_nu,
-    level_spacing,
     polar_block,
     renyi_entropies,
-    thermal_cft_entropy,
     vn_entropy,
 )
 from .sdrg import (
@@ -60,7 +54,6 @@ from .sdrg import (
     BondList,
     TieError,
     bond_state_orbitals,
-    perturbative_orbitals,
     rainbow_bonds,
     render_arcs,
     sdrg_entropy,
@@ -70,15 +63,12 @@ from .fitting import (
     FitResult,
     RankDeficientError,
     fit_2d,
-    fit_central_charge,
     fit_renyi_halfchain,
-    fn_constants,
     linear_lsq,
 )
 from .qubism import (
     AmplitudeTable,
     render,
-    schmidt_rank,
     slater_amplitudes,
     write_ppm,
 )

@@ -31,12 +31,17 @@ import numpy as np
 import scipy.linalg as sla
 
 from .lattice import profile_from_z, site_labels
-from .spectra import NumericsError, _dgemm, chain_svd, occupied_from_svd, velocity_scaling
+from .spectra import NumericsError, _dgemm, chain_svd, occupied_from_svd
 
 def _expm1_over_h(h: float, x) -> np.ndarray | float:
-    """(e^{h x} - 1)/h, and its limit x at h = 0."""
+    """(e^{h x} - 1)/h, and its limit x at h = 0.
+
+    x is also the value for |h| below the smallest normal float: there
+    e^{hx} - 1 is hx to the last bit, and a subnormal product h x would
+    have lost its relative precision (all of it at h = 5e-324).
+    """
     x = np.asarray(x, dtype=float)
-    out = np.expm1(h * x) / h if h else x
+    out = np.expm1(h * x) / h if abs(h) >= np.finfo(float).tiny else x
     return out if out.shape else float(out)
 
 
@@ -52,30 +57,6 @@ def deformed_length(h: float, L: float) -> float:
     if length == math.inf:
         raise NumericsError(f"(e^(hL) - 1)/h overflows at h = {h!r}, L = {L!r}")
     return length
-
-
-def analytic_energy(m: int, h: float, L: int) -> float:
-    """Deformed single-particle level E_m = a(hL) pi (m + 1/2) / (2L).
-
-    Equivalently h pi (m + 1/2) / (2 (e^{hL} - 1)); the h = 0 limit is the
-    uniform spectrum pi (m + 1/2) / (2L).
-    """
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h!r}")
-    return velocity_scaling(h * L) * math.pi * (m + 0.5) / (2 * L)
-
-
-def coordinate_map(x, h: float):
-    """The deforming change of variables sign(x) (e^{h|x|} - 1)/h.
-
-    Odd, strictly increasing, derivative e^{h|x|}; identity at h = 0.
-    Accepts scalars or arrays.
-    """
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h!r}")
-    x = np.asarray(x, dtype=float)
-    out = np.sign(x) * _expm1_over_h(h, np.abs(x))
-    return out if out.shape else float(out)
 
 
 def _analytic_levels(ms: np.ndarray, h: float, L: int) -> np.ndarray:
@@ -110,18 +91,9 @@ def analytic_wavefunction(m: int, h: float, L: int) -> np.ndarray:
                             + sign(n) (pi(m+1/2)/2) (e^{h|n|}-1)/(e^{hL}-1) ].
 
     Accurate for |m| << L; deep levels vary on the lattice scale and are
-    not captured (quantify with wavefunction_overlap).
+    not captured (their overlap with the exact orbital falls).
     """
     return _analytic_levels(np.array([m]), h, L)[0]
-
-
-def wavefunction_overlap(a, b) -> float:
-    """|<a|b>| of two single-particle vectors, renormalized internally."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:

@@ -9,8 +9,7 @@ nothing else.  Entropies are plain floats in nats, one per Renyi order
 asked for; the block and the orders are the caller's own inputs and are
 not echoed back.  Levels within NU_CLIP of 0 or 1 carry no entropy and no
 finite eps: both functions drop them, so the eps of a block are a plain
-ascending array of its real levels, and ``level_spacing`` reads the
-spacing Delta_L off such an array.
+ascending array of its real levels.
 
 Chains and the 2D lattice take the polar route: at half filling
 C = (1 - sign H)/2, and for a bipartite H with sublattice block
@@ -57,7 +56,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas, eigvalsh, lapack, svdvals
 
-from .continuum import deformed_length
 from .qubism import AmplitudeTable
 from .lattice import CouplingProfile
 from .spectra import (
@@ -71,9 +69,6 @@ from .spectra import (
 )
 
 NU_CLIP = 1e-14
-# Number of levels around eps = 0 averaged for the spacing Delta_L.  Two
-# +- pairs: wide windows leak spectral curvature into the estimate.
-DELTA_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -259,9 +254,9 @@ def _as_slice(index: np.ndarray):
 
 
 def _checked_orders(orders) -> list:
-    """The Renyi order(s) as a list of floats; ValueError unless every one
+    """The Renyi orders as a list of floats; ValueError unless every one
     is finite and >= 1 (NaN and inf fail)."""
-    orders = [float(n) for n in (orders if np.iterable(orders) else [orders])]
+    orders = [float(n) for n in orders]
     bad = [n for n in orders if not 1 <= n < math.inf]
     if bad:
         raise ValueError(f"Renyi order must be >= 1 and finite, got {bad[0]}")
@@ -312,36 +307,6 @@ def entanglement_spectrum(nu) -> np.ndarray:
     and are dropped."""
     nu = _unclipped(np.asarray(nu, dtype=float))
     return np.sort(np.log1p(-nu) - np.log(nu))
-
-
-def level_spacing(eps) -> float:
-    """Mean spacing Delta_L of the DELTA_WINDOW entanglement energies
-    closest to zero (all of them if fewer); NaN for fewer than two."""
-    eps = np.asarray(eps, dtype=float)
-    if eps.size < 2:
-        return math.nan
-    window = np.sort(eps[np.argsort(np.abs(eps))[:DELTA_WINDOW]])
-    return float(np.mean(np.diff(window)))
-
-
-def halfchain_entropy_prediction(h: float, L: int, c: float, cprime: float) -> float:
-    """CFT half-chain entropy with the deformed length:
-    (c/6) ln((e^{hL} - 1)/h) + c'; reduces to (c/6) ln L + c' at h = 0."""
-    return c / 6.0 * math.log(deformed_length(h, L)) + cprime
-
-
-def thermal_cft_entropy(beta: float, L: float, c: float) -> float:
-    """Thermal CFT entropy (c/3) ln((beta/pi) sinh(pi L / beta)).
-
-    Evaluated in log space so large L/beta does not overflow; the large
-    L/beta limit is the extensive form pi c L / (3 beta).
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    x = math.pi * L / beta
-    # ln sinh x = x - ln 2 + ln(1 - e^{-2x})
-    log_sinh = x - math.log(2.0) + math.log1p(-math.exp(-2 * x))
-    return c / 3.0 * (math.log(beta / math.pi) + log_sinh)
 
 
 def boundary_blocks(n_sites: int):

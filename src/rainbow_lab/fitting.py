@@ -2,12 +2,12 @@
 
 Every model here is linear in its unknown coefficients once the
 Luttinger parameter is fixed to 1, so a single QR solver covers the
-central-charge fit, the deformed half-chain Renyi fit and the 2D
-volume/log/constant fit.  Each fit takes the data as two arrays, the
-sizes (block sizes or half-lengths) and the entropies at those sizes,
-plus only what its model needs (the Renyi order n), and returns
-the named coefficients with chi2 and the design's condition number.  No
-nonlinear optimizer anywhere.
+deformed half-chain Renyi fit and the 2D volume/log/constant fit.  Each
+fit takes the data as two arrays, the sizes (half-lengths) and the
+entropies at those sizes, plus only what its model needs (the Renyi
+order n), and returns the named coefficients with chi2 and the design's
+condition number.  No nonlinear optimizer anywhere.  Only numpy and
+SciPy are imported: a fit knows nothing of chains.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-
-from .entanglement import halfchain_nu, renyi_entropies
-from .lattice import build_rainbow_profile
 
 
 class RankDeficientError(ValueError):
@@ -71,22 +68,6 @@ def linear_lsq(design, y, names=None) -> FitResult:
         chi2=chi2,
         condition=float(np.linalg.cond(X)),
     )
-
-
-def fit_central_charge(sizes, values, order: float = 1) -> FitResult:
-    """Fit S = c (1/12)(1 + 1/n) ln(size) + c' on half-chain Renyi-n
-    entropies.
-
-    For n = 1 the prefactor reduces to the usual c/6.  The abscissa is
-    whatever sizes are given, so feeding deformed lengths L~ instead of L
-    performs the deformed fit directly.
-    """
-    sizes = np.asarray(sizes, dtype=float)
-    if sizes.size < 3:
-        raise ValueError(f"need at least 3 sizes, got {sizes.size}")
-    pref = (1.0 + 1.0 / order) / 12.0
-    design = np.column_stack([pref * np.log(sizes), np.ones_like(sizes)])
-    return linear_lsq(design, values, names=("c", "cprime"))
 
 
 # Luttinger parameter of free fermions, fixed in every ansatz here.
@@ -144,25 +125,3 @@ def fit_2d(sizes, values) -> FitResult:
         raise ValueError(f"need at least {MIN_2D_SIZES} sizes, got {sizes.size}")
     design = np.column_stack([sizes, np.log(sizes), np.ones_like(sizes)])
     return linear_lsq(design, values, names=("A", "B", "C"))
-
-
-# Sizes used to pin the oscillation amplitudes empirically at z = 0.
-_FN_SIZES = (40, 41, 60, 61, 80, 81, 100, 101, 140, 141)
-
-
-def fn_constants(n: int) -> float:
-    """Oscillation amplitude f_n of the uniform half-chain entropies.
-
-    f_1 = -1 is exact.  For n >= 2 the closed form is not available
-    here, so the amplitude is pinned by fitting exact uniform-chain data
-    at z = 0; it serves as the reference point for the f_n(z) decay law.
-    """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n == 1:
-        return -1.0
-    values = []
-    for L in _FN_SIZES:
-        nu = halfchain_nu(build_rainbow_profile(L, 1.0))
-        values.append(renyi_entropies(nu, [n])[0])
-    return fit_renyi_halfchain(_FN_SIZES, values, n=n)["f_n"]

@@ -73,10 +73,6 @@ class CouplingProfile:
         object.__setattr__(self, "couplings", c)
 
     @property
-    def n_sites(self) -> int:
-        return 2 * self.L
-
-    @property
     def min_coupling(self) -> float:
         """Smallest |J| in the profile (underflow watch for large z)."""
         return float(np.min(np.abs(self.couplings)))

@@ -43,11 +43,6 @@ class AmplitudeTable:
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
-    def amplitude(self, bits: str) -> float:
-        if len(bits) != self.n_sites:
-            raise ValueError(f"need {self.n_sites} bits, got {len(bits)}")
-        return float(self.amplitudes[int(bits, 2)])
-
     def bipartition(self, block) -> np.ndarray:
         """The amplitudes as the (block, rest) matrix of a block of sites.
 
@@ -67,10 +62,6 @@ class AmplitudeTable:
         raise ValueError(
             f"bipartitions need a block contiguous at a boundary (got sites {block})"
         )
-
-    def nonzero_count(self, rel_tol: float = 0.0) -> int:
-        mx = np.max(np.abs(self.amplitudes))
-        return int(np.count_nonzero(np.abs(self.amplitudes) > rel_tol * mx))
 
     def rows(self):
         """(bitstring, amplitude) pairs for CSV dumps, configuration order."""
@@ -121,12 +112,6 @@ def render(amps: AmplitudeTable) -> np.ndarray:
     # + 0.0: a new writable array even where the reshape is a view of the
     # read-only amplitudes (N = 2), and -0.0 amplitudes as empty cells
     return sites.transpose(order).reshape(side, side) + 0.0
-
-
-def schmidt_rank(amps: AmplitudeTable, block_size: int, rel_tol: float = 1e-10) -> int:
-    """Schmidt rank of the first `block_size` sites vs the rest."""
-    sv = np.linalg.svd(amps.bipartition(range(block_size)), compute_uv=False)
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
 def write_ppm(pixels: np.ndarray, path) -> None:

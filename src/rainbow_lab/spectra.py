@@ -529,11 +529,3 @@ def save_orbitals(orbitals: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(np.asarray([rows, cols], dtype="<u8").tobytes())
         fh.write(np.ascontiguousarray(orbitals, dtype="<f8").tobytes())
-
-
-def load_orbitals(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = np.frombuffer(fh.read(16), dtype="<u8")
-        rows, cols = int(head[0]), int(head[1])
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-    return data.reshape(rows, cols).copy()

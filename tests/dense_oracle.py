@@ -17,7 +17,14 @@ match bit for bit.
 lattice's left-half entropy from its y-momentum sectors in mpmath, so it
 shares no float64 arithmetic with any shipped route.  ``renyi_mp`` takes
 a Renyi entropy of given nu in mpmath.
+
+``level_spacing`` reads the entanglement-spectrum spacing Delta_L off a
+block's eps, and ``schmidt_rank`` the Schmidt rank of a leading block off
+a many-body amplitude table: the quantities acceptance criteria 6 and 10
+state.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -137,6 +144,27 @@ def renyi_mp(nu, order, dps=60):
             else:
                 total += mpmath.log(v**n + (1 - v) ** n) / (1 - n)
         return float(total)
+
+
+# Number of levels around eps = 0 averaged for the spacing Delta_L.  Two
+# +- pairs: wide windows leak spectral curvature into the estimate.
+DELTA_WINDOW = 4
+
+
+def level_spacing(eps):
+    """Mean spacing Delta_L of the DELTA_WINDOW entanglement energies
+    closest to zero (all of them if fewer); NaN for fewer than two."""
+    eps = np.asarray(eps, dtype=float)
+    if eps.size < 2:
+        return math.nan
+    window = np.sort(eps[np.argsort(np.abs(eps))[:DELTA_WINDOW]])
+    return float(np.mean(np.diff(window)))
+
+
+def schmidt_rank(amps, block_size, rel_tol=1e-10):
+    """Schmidt rank of the first `block_size` sites vs the rest."""
+    sv = np.linalg.svd(amps.bipartition(range(block_size)), compute_uv=False)
+    return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
 def lattice_sector_entropy(lat, dps=60):

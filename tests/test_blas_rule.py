@@ -32,7 +32,6 @@ NUMPY_BLAS_USERS = {
     # artifact prints its samples bitwise; one dot of 2L samples per level
     "continuum._analytic_levels",
     # once per command or per tiny fit, not on a sweep point's dense work
-    "continuum.wavefunction_overlap",
     "entanglement.brute_force_block_entropy",
     "spectra.fermi_velocity_fit",
 }

@@ -11,20 +11,18 @@ from rainbow_lab import (
     build_rainbow_profile,
     chain_svd,
     correlation_matrix,
+    deformed_length,
     entanglement_spectrum,
-    halfchain_entropy_prediction,
     lattice_svd,
-    level_spacing,
     occupied_from_svd,
     polar_block,
     profile_from_z,
     renyi_entropies,
     slater_amplitudes,
-    thermal_cft_entropy,
     vn_entropy,
 )
 from rainbow_lab.lattice import CouplingProfile
-from rainbow_lab.entanglement import DELTA_WINDOW, NU_CLIP
+from rainbow_lab.entanglement import NU_CLIP
 from rainbow_lab.entanglement import halfchain_nu as fold_nu
 from rainbow_lab.spectra import FOLD_MAX_RATIO, NumericsError, ZeroModeError
 
@@ -32,6 +30,26 @@ import dense_oracle as oracle
 from conftest import chain_occupied, halfchain_nu
 
 LN2 = math.log(2.0)
+
+
+def halfchain_entropy_prediction(h: float, L: int, c: float, cprime: float) -> float:
+    """CFT half-chain entropy with the deformed length:
+    (c/6) ln((e^{hL} - 1)/h) + c'; reduces to (c/6) ln L + c' at h = 0."""
+    return c / 6.0 * math.log(deformed_length(h, L)) + cprime
+
+
+def thermal_cft_entropy(beta: float, L: float, c: float) -> float:
+    """Thermal CFT entropy (c/3) ln((beta/pi) sinh(pi L / beta)).
+
+    Evaluated in log space so large L/beta does not overflow; the large
+    L/beta limit is the extensive form pi c L / (3 beta).
+    """
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta!r}")
+    x = math.pi * L / beta
+    # ln sinh x = x - ln 2 + ln(1 - e^{-2x})
+    log_sinh = x - math.log(2.0) + math.log1p(-math.exp(-2 * x))
+    return c / 3.0 * (math.log(beta / math.pi) + log_sinh)
 
 
 def bitstring_correlation(amps, i, j):
@@ -153,7 +171,7 @@ def _sentinel_spectrum(nu):
     finite = eps[np.isfinite(eps)]
     if finite.size < 2:
         return eps, math.nan
-    w = min(DELTA_WINDOW, finite.size)
+    w = min(oracle.DELTA_WINDOW, finite.size)
     window = np.sort(finite[np.argsort(np.abs(finite))[:w]])
     return eps, float(np.mean(np.diff(window)))
 
@@ -218,7 +236,7 @@ class TestEntanglementSpectrum:
     def test_delta_consistent_with_entropy(self):
         nu = halfchain_nu(100, z=10.0)
         S = vn_entropy(nu)
-        assert abs(math.pi**2 / (3 * level_spacing(entanglement_spectrum(nu))) / S - 1) < 0.10
+        assert abs(math.pi**2 / (3 * oracle.level_spacing(entanglement_spectrum(nu))) / S - 1) < 0.10
 
     @pytest.mark.parametrize("L, z", [(100, 10.0), (20, 8.0), (61, 5.0)]
                              + [(L, float(z)) for L in range(60, 161, 20)
@@ -231,11 +249,11 @@ class TestEntanglementSpectrum:
             eps = entanglement_spectrum(nu)
             old_eps, old_delta = _sentinel_spectrum(nu)
             assert eps.tobytes() == old_eps[np.isfinite(old_eps)].tobytes()
-            assert level_spacing(eps) == old_delta
+            assert oracle.level_spacing(eps) == old_delta
 
     @pytest.mark.parametrize("nu", [[0.0, 1.0], [0.5], [0.2, 0.5, 0.8], [0.1, 0.3, 0.4, 0.6, 0.9, 1.0]])
     def test_spacing_of_short_spectra(self, nu):
-        got = level_spacing(entanglement_spectrum(nu))
+        got = oracle.level_spacing(entanglement_spectrum(nu))
         want = _sentinel_spectrum(nu)[1]
         assert got == want or (math.isnan(got) and math.isnan(want))
 

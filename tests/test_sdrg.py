@@ -12,7 +12,6 @@ from rainbow_lab import (
     bond_state_orbitals,
     build_rainbow_profile,
     correlation_matrix,
-    perturbative_orbitals,
     rainbow_bonds,
     render_arcs,
     sdrg_entropy,
@@ -26,6 +25,46 @@ import dense_oracle as oracle
 from conftest import chain_occupied
 
 LN2 = math.log(2.0)
+
+
+def perturbative_orbitals(L: int, alpha: float):
+    """First-order orbitals of the rainbow chain in the strong limit.
+
+    Orbital k is the Bell pair on sites +-(k-1/2) with alpha tails on the
+    adjacent sites and the sign alternation of the bond pattern:
+
+        psi^1 ~ (..., alpha, 1, 1, alpha, ...)
+        psi^2 ~ (alpha, 1, alpha, -alpha, -1, -alpha)
+        psi^3 ~ (alpha, 1, alpha, 0, 0, alpha, 1, alpha)
+
+    Returns (orbitals, residuals): unit columns k = 1..L and the norms
+    |H psi - (psi^T H psi) psi| against the exact hopping matrix, which
+    scale as O(alpha^2).
+    """
+    profile = build_rainbow_profile(L, alpha)
+    n = 2 * L
+    cols = []
+    for k in range(1, L + 1):
+        v = np.zeros(n)
+        s = 1.0 if k % 2 == 1 else -1.0
+        v[L - k] = 1.0
+        v[L - 1 + k] = s
+        if k < L:  # outer tails at -(k+1/2), +(k+1/2)
+            v[L - k - 1] = alpha
+            v[L + k] = s * alpha
+        if k >= 2:  # inner tails at -(k-3/2), +(k-3/2)
+            v[L - k + 1] = alpha
+            v[L + k - 2] = s * alpha
+        cols.append(v / np.linalg.norm(v))
+    orbs = np.column_stack(cols)
+    # H psi on the bands: H has element -c/2 on each link
+    t = -profile.couplings[:, None] / 2.0
+    h_orbs = np.zeros_like(orbs)
+    h_orbs[:-1] += t * orbs[1:]
+    h_orbs[1:] += t * orbs[:-1]
+    energies = np.einsum("ik,ik->k", orbs, h_orbs)
+    residuals = np.linalg.norm(h_orbs - energies * orbs, axis=0)
+    return orbs, residuals
 
 
 def reference_sdrg(couplings):

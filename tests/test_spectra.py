@@ -22,7 +22,6 @@ from rainbow_lab.spectra import (
     NumericsError,
     _fix_phases,
     lattice_svd,
-    load_orbitals,
     occupied_from_svd,
     orbitals_from_svd,
     save_orbitals,
@@ -30,6 +29,15 @@ from rainbow_lab.spectra import (
 
 import dense_oracle as oracle
 from conftest import chain_occupied, chain_spectrum
+
+
+def load_orbitals(path) -> np.ndarray:
+    """The orbital matrix of a ``save_orbitals`` dump."""
+    with open(path, "rb") as fh:
+        head = np.frombuffer(fh.read(16), dtype="<u8")
+        rows, cols = int(head[0]), int(head[1])
+        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
+    return data.reshape(rows, cols).copy()
 
 
 class TestDiagonalize:
