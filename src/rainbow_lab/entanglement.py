@@ -24,10 +24,12 @@ formed on SciPy's BLAS, the library the solve runs on (the one-BLAS rule
 of ``spectra``).
 The half chain of a mirror-symmetric chain is a two-sector problem
 (``halfchain_nu``): its nu are (1 +- sigma)/2 again, with sigma taken from
-the even-parity sector alone, one L x L eigensolve
-(``spectra.even_sector``) in place of the 2L-site SVD.  Of that solve
-sigma needs only the levels of one sign side and the last components of
-their eigenvectors: a reflection identity gives the side's block of
+the even-parity sector alone (``spectra.even_sector``) in place of the
+2L-site SVD.  Of that sector sigma needs only the levels of one sign side
+and the last components of their eigenvectors, which ``even_sector``
+takes from a rank-one update of the left half's bipartite chain: one
+bidiagonal SVD with a single vector row and one secular-equation root per
+level, no eigenvector.  A reflection identity gives the side's block of
 Q^T Gamma Q from them in closed form, a Cauchy-like matrix of low
 numerical rank, and sigma comes from the eigenvalues of the rank x rank
 Gram of its pivoted Cholesky factor rather than from an SVD.  Chains that
@@ -191,8 +193,10 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     ``polar_block(chain_svd(profile), range(L))`` up to rounding.
 
     A chain whose couplings are bitwise mirror symmetric, nonzero and span
-    at most ``spectra.FOLD_MAX_RATIO`` takes one L x L eigensolve of its
-    even-parity sector H+ (``spectra.even_sector``).  The left-half
+    at most ``spectra.FOLD_MAX_RATIO`` takes the levels of one sign side
+    of its even-parity sector H+ and their eigenvectors' last components
+    (``spectra.even_sector``, a rank-one secular solve that forms no
+    eigenvector).  The left-half
     correlation matrix is C_A = (P+ + P-)/2, P+- the projectors onto the
     occupied states of H+-; since H- = -Gamma H+ Gamma, P- is Gamma times
     the projector onto H+'s unoccupied states times Gamma.  The eigenvalues
@@ -215,7 +219,9 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     few dozen against k in the hundreds.  A pivoted Cholesky
     K = F F^T stops at that rank, and the a are |c[L-1]| times the
     eigenvalues of the rank x rank Gram F^T F: one ``dsyrk`` and one
-    values-only ``eigvalsh`` of that size.
+    values-only ``eigvalsh`` of that size.  f is needed only up to sign:
+    flipping f_i is the similarity D K D with D = diag(+-1), which keeps
+    the a.
 
     Every other chain takes the polar route.  A sector sign count that
     disagrees with its structure raises NumericsError (``even_sector``).

@@ -135,7 +135,8 @@ def build_rainbow_profile(L: int, alpha: float) -> CouplingProfile:
     when the smallest coupling drops below the subnormal watermark.
     """
     _validate_geometry(L, alpha)
-    return _rainbow_profile(L, alpha, -2.0 * math.log(alpha))
+    # 0.0 - x, not -x: at alpha = 1 it gives h = +0.0 where -x gives -0.0
+    return _rainbow_profile(L, alpha, 0.0 - 2.0 * math.log(alpha))
 
 
 def _rainbow_profile(L: int, alpha: float, h: float) -> CouplingProfile:

@@ -28,7 +28,9 @@ class AmplitudeTable:
     """Dense amplitude vector of an N-site state.
 
     amplitudes[int(bits, 2)] is the coefficient of configuration `bits`
-    (site 0 = most significant bit).  Unit norm.
+    (site 0 = most significant bit).  The amplitudes are kept as given,
+    neither normalized nor checked; ``slater_amplitudes`` returns a
+    normalized table.
     """
 
     n_sites: int

@@ -39,14 +39,18 @@ one level.  The Fermi velocity (``fermi_velocity``,
 ``fermi_velocity_fit``) takes the SVD alone: a chain's half-length L is
 ``s.size``.
 
-A mirror-symmetric chain has a smaller problem for its half chain:
-``even_sector`` solves the L x L even-parity sector (one diagonal entry,
-so symmetric tridiagonal rather than bidiagonal) with
-``scipy.linalg.eigh_tridiagonal`` (its stevd driver, LAPACK's divide and
-conquer ``dstedc``), checks its sign count against the one structure
-fixes, and certifies the eigenpairs the readout reads with a band
-residual.  Without relative accuracy it serves only chains of mild
-grading (``FOLD_MAX_RATIO``); see ``entanglement.halfchain_nu``.
+A mirror-symmetric chain has a smaller problem for its half chain, and
+``even_sector`` solves it without forming an eigenvector.  The L x L
+even-parity sector is the left half's bipartite chain T_A plus one
+diagonal entry on site L-1: a rank-one update of T_A.  One bidiagonal SVD
+with a single vector row (``dbdsqr``) gives T_A's levels and their
+components on site L-1 (``_edge_levels``); LAPACK's secular-equation
+solver ``dlaed4`` gives the update's levels of one sign side as distances
+to T_A's levels (``_secular_roots``), and the side's components on site
+L-1 follow from those distances in closed form.  The solve checks its sign
+count against the one structure fixes, the two moments of T_A's
+components, and each root's secular residual.  It serves only chains of
+mild grading (``FOLD_MAX_RATIO``); see ``entanglement.halfchain_nu``.
 
 One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
 each with its own thread pool, and every solve here runs on SciPy's.  So
@@ -59,6 +63,7 @@ compete for the same cores.
 from __future__ import annotations
 
 import ctypes
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -69,6 +74,7 @@ from scipy.linalg import blas, cython_lapack
 from .lattice import CouplingProfile, Lattice2D, lattice_links
 
 RESIDUAL_TOL = 1e-10
+_EPS = 2.0**-53  # LAPACK's unit roundoff, dlamch("Epsilon")
 # A dense block's level within this of its spectral radius (at least 1) is
 # rounding, and ``_dense_svd`` sets it to 0.0: small enough that no real
 # level of a lattice short of the grading refusal is filled at 1/2
@@ -133,6 +139,8 @@ _dbdsqr = _lapack(
     "dbdsqr", _CHAR, _INT, _INT, _INT, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT,
     _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _INT,
 )
+# dlaed4(n, i, d, z, delta, rho, dlam, info)
+_dlaed4 = _lapack("dlaed4", _INT, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE, _INT)
 
 
 def _ptr(a: np.ndarray):
@@ -330,12 +338,13 @@ def chain_svd(profile: CouplingProfile) -> SublatticeSVD:
 
 
 # Largest max/min coupling ratio at which a mirror-symmetric chain's left
-# half is solved through its even-parity sector (``even_sector``).  The
-# sector matrix has one diagonal entry, so it is not bidiagonal and has no
-# relative-accuracy guarantee.  Against dbdsqr, up to this ratio and for
-# L <= 1601, its half-chain S_1 stayed within 7.2e-13 and S_2..S_4 within
-# 8.2e-14 (dbdsdc's: 6.2e-13 and 3.7e-14).  An S_n first passed 1e-12 at
-# 7.9e4 (L = 1601); at 1e6 they reached 1.7e-12 (L = 800).
+# half is solved through its even-parity sector (``even_sector``).  Its
+# secular solve deflates rounding-level components only, not close poles,
+# so it is kept to mild grading.  Against dbdsqr, up to this ratio and
+# for L <= 1601, its half-chain S_1 stayed within 7.6e-13 and S_2..S_4
+# within 5.8e-14 (dbdsdc's: 6.2e-13 and 3.7e-14).  No S_n passed 1e-12 up
+# to 1e5; at 1e6 they reached 1.7e-11 (L = 1601), as with the dstedc solve
+# it replaced.
 FOLD_MAX_RATIO = 1e4
 
 
@@ -347,64 +356,197 @@ def _folds(c: np.ndarray) -> bool:
             and float(a.max()) <= FOLD_MAX_RATIO * float(a.min()))
 
 
+def _edge_levels(t: np.ndarray) -> tuple:
+    """(lam, z): the levels of the bipartite chain T with bonds t, ascending,
+    and their eigenvectors' components on its last site, certified.
+
+    T's sublattice block is upper bidiagonal with diagonal t[0::2] and
+    superdiagonal t[1::2] (rows the odd sites, columns the even sites), so
+    T's levels are +-s with eigenvectors (q, +-p)/sqrt(2), one pair per
+    singular triple (s, q, p).  One ``dbdsqr`` call (zero-shift QR,
+    relatively accurate) returns s and one row of the singular vectors,
+    seeded at the last site: the last row of Q through NRU = 1 when that
+    site is odd (even length), the last row of P through NCVT = 1 when it is
+    even (odd length; the block is then padded with a zero row, whose zero
+    singular value is T's zero level, living on the even sites).  z is that
+    row's entry over sqrt(2) for each +-s pair and the entry itself for the
+    zero level.  O(n^2) work; no other vector is formed.  lam is
+    antisymmetric and z palindromic.
+
+    NumericsError unless dbdsqr succeeds and z has the two moments that
+    structure fixes: sum z^2 = 1 (orthonormal vectors) and
+    sum z^2 lam^2 = (T^2)_{last,last} = t[-1]^2, each within RESIDUAL_TOL
+    (the second relative to the spectral radius squared).
+    """
+    odd = (t.size + 1) % 2
+    s = np.append(t[0::2], np.zeros(odd))  # overwritten with s, descending
+    n = s.size
+    e_work = np.append(t[1::2], 0.0)  # length n
+    row = np.zeros(n)
+    row[-1] = 1.0
+    size = ctypes.c_int(n)
+    info = ctypes.c_int(0)
+    vt, u = (_ptr(row), None) if odd else (None, _ptr(row))
+    _dbdsqr(
+        b"U", size, ctypes.c_int(odd), ctypes.c_int(1 - odd), ctypes.c_int(0),
+        _ptr(s), _ptr(e_work), vt, size, u, ctypes.c_int(1), None,
+        ctypes.c_int(1), _ptr(np.empty(4 * n)), info,
+    )
+    if info.value:
+        raise NumericsError(f"dbdsqr failed on dim {n} with info={info.value}")
+    pair = row[: n - odd] / np.sqrt(2.0)
+    lam = np.concatenate([-s[: n - odd], s[::-1]])
+    z = np.concatenate([pair, row[n - odd:], pair[::-1]])
+    z2 = z * z
+    norm = float(z2.sum())
+    moment = float((z2 * lam * lam).sum())
+    radius2 = float(s[0]) ** 2
+    if not (abs(norm - 1.0) <= RESIDUAL_TOL
+            and abs(moment - t[-1] ** 2) <= RESIDUAL_TOL * radius2):
+        raise NumericsError(
+            f"edge components: sum z^2 = {norm!r} (want 1) and sum z^2 lam^2 = "
+            f"{moment!r} (want {t[-1] ** 2!r})"
+        )
+    return lam, z
+
+
+def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float, first: int,
+                   stop: int) -> np.ndarray:
+    """Roots first .. stop-1 (0-based, ascending) of diag(poles) + rho z z^T
+    as their distances to the poles: row i is poles - mu_(first+i).
+
+    ``dlaed4`` (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172)
+    solves the secular equation 1 + rho sum z_j^2/(poles_j - mu) = 0 for
+    poles strictly ascending, rho > 0 and |z| = 1, and returns each distance
+    to high relative accuracy; root i lies between poles i and i+1.  It
+    needs more than two poles (for two it returns no distances).
+    NumericsError when it fails or has fewer poles.
+    """
+    if poles.size < 3:
+        raise NumericsError(f"secular equation with {poles.size} poles; dlaed4 needs 3")
+    dist = np.empty((stop - first, poles.size))
+    row = np.empty(poles.size)
+    # one ctypes argument each, reused across the calls; mu receives each
+    # root, which the distances carry too
+    n, i, info = ctypes.c_int(poles.size), ctypes.c_int(), ctypes.c_int(0)
+    rho, mu = ctypes.c_double(rho), ctypes.c_double()
+    args = _ptr(poles), _ptr(z), _ptr(row), rho, mu, info
+    for k in range(stop - first):
+        i.value = first + k + 1
+        _dlaed4(n, i, *args)
+        if info.value:
+            raise NumericsError(
+                f"dlaed4 failed on root {i.value} of {poles.size} with info={info.value}"
+            )
+        dist[k] = row
+    return dist
+
+
 def even_sector(profile: CouplingProfile) -> tuple:
     """What the half-chain readout reads of a mirror-symmetric chain's
     even-parity sector, certified: (r, w, f), r the number of negative
     levels, w the levels of the smaller sign side (ascending) and f the
-    last components, on site L-1, of their eigenvectors.
+    last components, on site L-1, of their eigenvectors, up to sign.
 
     Reflection about the central link maps site i to 2L-1-i.  A state even
     under it is fixed by its L left sites, where H acts as
     H+ = T_A + delta e e^T: T_A the left half's hopping and
     delta = -c[L-1]/2 the central link folded onto site L-1.  The odd
     sector is H- = T_A - delta e e^T = -Gamma H+ Gamma, Gamma = diag((-1)^i),
-    so H+ alone carries the whole spectrum.  ``eigh_tridiagonal`` (dstedc)
-    solves the L x L tridiagonal H+.
+    so H+ alone carries the whole spectrum.  No eigenvector is formed.
+    T_A's levels lam and their components z on site L-1 come from one
+    bidiagonal SVD with one vector row (``_edge_levels``), and H+ is
+    lam + delta z z^T in T_A's eigenbasis: a rank-one update, whose levels
+    are the roots of its secular equation (``_secular_roots``).  lam is
+    antisymmetric and z palindromic, so -H+ is lam + |delta| z z^T in the
+    same basis: delta < 0 solves that one and negates.  A root mu at
+    distances D_j = lam_j - mu has the eigenvector z_j/D_j, so
+    f^2 = 1/(delta^2 sum z_j^2/D_j^2).  A level j whose
+    |delta z_j| is below 8 eps times the larger of the spectral radius and
+    |delta| is deflated, as in LAPACK's dlaed2: lam_j is then a level of
+    H+, with f = |z_j|.  O(L^2) work, and no L x L array.
 
     r is fixed by structure: floor(L/2), plus one for odd L when
     delta < 0.  For even L, T_A has L/2 levels below zero, the rank-one
     term changes that count by at most one (interlacing), and
     det H+ = det T_A, since (T_A^-1)_{L-1,L-1} = 0 for a bipartite T_A,
     fixes its parity.  For odd L the term moves T_A's zero level, which
-    lives on site L-1, to the sign of delta.  The computed levels must
-    count r below zero and L - r above, so a level that rounding puts on
-    the wrong side, or at exactly zero, raises NumericsError instead of
-    misfiling a pair.  The side's eigenpairs, the only ones read, are
-    certified by the residual max |H+ q - w q| on their rows, taken on the
-    bands.
+    lives on site L-1, to the sign of delta.  Each root lies between two
+    poles, so only the roots whose interval reaches the side's sign are
+    solved, the one across zero included; they and the deflated levels
+    must put exactly min(r, L - r) levels on that side and none at zero,
+    so a level that rounding puts on the wrong side, or at exactly zero,
+    raises NumericsError instead of misfiling a pair.
 
-    ValueError unless the couplings are bitwise mirror symmetric;
-    NumericsError on a sign count other than r, or when the residual
-    exceeds RESIDUAL_TOL relative to the spectral radius.
+    ValueError unless the couplings fold (``_folds``: bitwise mirror
+    symmetric, nonzero, ratio at most FOLD_MAX_RATIO); NumericsError on a
+    sign count other than r, on a failed LAPACK call, on z off its moments
+    (``_edge_levels``), or when a root's secular residual
+    |1/|delta| + sum z_j^2/D_j| exceeds RESIDUAL_TOL relative to
+    1/|delta| + sum |z_j^2/D_j|.
     """
     c = profile.couplings
-    if not np.array_equal(c, c[::-1]):
-        raise ValueError("even_sector needs couplings mirror symmetric about the center")
+    if not _folds(c):
+        raise ValueError(
+            "even_sector needs nonzero couplings mirror symmetric about the "
+            f"center that span at most {FOLD_MAX_RATIO:.0e}"
+        )
     L = profile.L
-    d = np.zeros(L)
-    d[-1] = -c[L - 1] / 2.0
-    e = -c[: L - 1] / 2.0
-    try:
-        w, q = sla.eigh_tridiagonal(d, e, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericsError(f"sector solve failed on dim {L}: {exc}") from exc
-    r = L // 2 + int(L % 2 == 1 and d[-1] < 0.0)
-    # w ascends, so r negative and L - r positive levels is w[r-1] < 0 < w[r]
-    if (r > 0 and not w[r - 1] < 0.0) or (r < L and not w[r] > 0.0):
+    delta = -c[L - 1] / 2.0
+    r = L // 2 + int(L % 2 == 1 and delta < 0.0)
+    k = min(r, L - r)
+    if k == 0:  # L = 1: H+ is delta alone
+        return r, np.zeros(0), np.zeros(0)
+    t = -c[: L - 1] / 2.0
+    if L == 2:
+        # two poles: dlaed4 returns no distances, so solve the 2 x 2
+        # [[0, t], [t, delta]] directly; its negative level, without
+        # cancellation, and f from its eigenvector (t, w)
+        root = math.hypot(delta, 2.0 * t[0])
+        w = -2.0 * t[0] ** 2 / (delta + root) if delta > 0.0 else (delta - root) / 2.0
+        return r, np.array([w]), np.array([abs(w) / math.hypot(t[0], w)])
+    rho = abs(delta)
+    # the side is the negative levels of lam + rho z z^T unless delta < 0
+    # and L is even (H+'s negative levels are then that matrix's positive)
+    sign = 1.0 if delta < 0.0 and L % 2 == 0 else -1.0
+    lam, z = _edge_levels(t)
+    keep = rho * np.abs(z) > 8.0 * _EPS * max(float(lam[-1]), rho)
+    poles, zk = lam[keep], z[keep]
+    # root i lies between poles i and i + 1: solve those that can fall on
+    # the side, the one across zero included
+    if sign < 0.0:
+        first, stop = 0, int(np.count_nonzero(poles < 0.0))
+    else:
+        first, stop = max(int(np.count_nonzero(poles <= 0.0)) - 1, 0), poles.size
+    norm2 = float((zk * zk).sum())
+    dist = _secular_roots(poles, zk / math.sqrt(norm2), rho * norm2, first, stop)
+    # each root from the nearer of the two poles around it: bitwise dlaed4's
+    # own, whose origin that pole is
+    rows = np.arange(stop - first)
+    below = np.arange(first, stop)
+    above = np.minimum(below + 1, poles.size - 1)
+    nearest = np.where(np.abs(dist[rows, above]) < np.abs(dist[rows, below]), above, below)
+    mu = poles[nearest] - dist[rows, nearest]
+    mu = np.concatenate([mu, lam[~keep]])
+    on_side = sign * mu > 0.0
+    if np.count_nonzero(on_side) != k or (mu == 0.0).any():
         raise NumericsError(
-            f"sector sign count: {np.count_nonzero(w < 0.0)} levels below zero "
-            f"and {np.count_nonzero(w == 0.0)} at zero, where H+ has {r} below "
+            f"sector sign count: {np.count_nonzero(on_side)} levels on the side "
+            f"and {np.count_nonzero(mu == 0.0)} at zero, where H+ has {k} there "
             "and none at zero"
         )
-    side = slice(0, r) if 2 * r <= L else slice(r, L)
-    qt = q[:, side].T
-    # row k of (H+ - w_k) Q_s^T: the diagonal part, then e times each neighbour
-    hq = qt * (d - w[side, None])
-    hq[:, 1:] += qt[:, :-1] * e
-    hq[:, :-1] += qt[:, 1:] * e
-    residual = max(float(hq.max(initial=0.0)), -float(hq.min(initial=0.0)))
-    _certify(residual, max(-float(w[0]), float(w[-1])))
-    return r, w[side], q[-1, side].copy()
+    terms = zk * zk / dist
+    residual = np.abs(1.0 / rho + terms.sum(axis=1)) / (1.0 / rho + np.abs(terms).sum(axis=1))
+    if not residual.max(initial=0.0) <= RESIDUAL_TOL:
+        raise NumericsError(
+            f"secular residual {residual.max():.3e} exceeds {RESIDUAL_TOL:.0e}"
+        )
+    f = np.concatenate([1.0 / (rho * np.sqrt((terms / dist).sum(axis=1))), np.abs(z[~keep])])
+    order = np.argsort(mu[on_side])
+    w, f = mu[on_side][order], f[on_side][order]
+    if delta < 0.0:  # the roots were those of -H+
+        w, f = -w[::-1], f[::-1]
+    return r, w, f
 
 
 def lattice_svd(lat: Lattice2D) -> SublatticeSVD:

@@ -4,13 +4,17 @@ runs on, and never call numpy's, whose separate thread pool would compete
 with SciPy's for the same cores."""
 
 import ast
+import ctypes
+import glob
 import inspect
+import os
 import textwrap
 
 import numpy as np
 import pytest
+import scipy
 
-from rainbow_lab import continuum, entanglement, spectra
+from rainbow_lab import continuum, entanglement, profile_from_z, spectra
 from rainbow_lab.spectra import _dgemm
 
 PER_POINT = [
@@ -19,6 +23,8 @@ PER_POINT = [
     entanglement.correlation_matrix,
     entanglement.CorrelationMatrix.eigenvalues,
     spectra.even_sector,
+    spectra._edge_levels,
+    spectra._secular_roots,
     spectra._chain_solve,
     spectra._dense_svd,
     continuum.validity_overlap,
@@ -95,3 +101,33 @@ def test_dgemm_empty(shape_a, shape_b):
     got = _dgemm(np.ones(shape_a), np.ones(shape_b))
     assert got.shape == (shape_a[0], shape_b[1])
     assert not got.any()
+
+
+def _scipy_openblas():
+    """SciPy's bundled OpenBLAS, or None where SciPy links another BLAS."""
+    found = glob.glob(os.path.join(os.path.dirname(scipy.__file__) + ".libs",
+                                   "libscipy_openblas*.so"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(found[0])
+    if not hasattr(lib, "scipy_openblas_set_num_threads"):
+        return None
+    return lib
+
+
+def test_halfchain_fold_is_blas_thread_independent():
+    # the fold's solve is LAPACK without BLAS-3 (dbdsqr, dlaed4), so its nu
+    # are bitwise the same on one SciPy BLAS thread and on two
+    lib = _scipy_openblas()
+    if lib is None:
+        pytest.skip("SciPy does not bundle its own OpenBLAS here")
+    profiles = [profile_from_z(L, z) for L in (800, 801, 803) for z in (0.0, 2.0, 4.0)]
+    before = lib.scipy_openblas_get_num_threads()
+    try:
+        nus = {}
+        for threads in (1, 2):
+            lib.scipy_openblas_set_num_threads(threads)
+            nus[threads] = [entanglement.halfchain_nu(p).tobytes() for p in profiles]
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
+    assert nus[1] == nus[2]

@@ -481,6 +481,16 @@ class TestEntropyScan:
         _, rows = read_csv(out)
         assert len(rows) == 11
 
+    def test_uniform_chain_prints_no_negative_zero(self, tmp_path):
+        # alpha = 1 gives h = z = +0.0, in the rows and in the profile header
+        out = tmp_path / "e.csv"
+        assert main(["entropy-scan", "--L", "2", "--z", "0", "--blocks", "half",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert rows[0][:4] == ["2", "1", "0", "0"]
+        assert '"h": 0.0, "z": 0.0' in "".join(header)
+        assert "-0" not in out.read_text()
+
     def test_alpha_is_the_chain_other_commands_build(self, tmp_path):
         # --alpha gives build_rainbow_profile(L, alpha) itself, as in spectrum
         # and wavefunction, not the chain of alpha's round trip through z

@@ -573,30 +573,85 @@ class TestHalfchainFold:
         assert spectra._folds(profile.couplings)
         assert np.count_nonzero(fold_nu(profile) == 0.5) == L % 2
 
-    def test_corrupted_eigenpair_raises(self, monkeypatch):
+    @staticmethod
+    def _patched_root(monkeypatch, change):
+        """Patch spectra._dlaed4 so that after each call change(i, poles, dist,
+        root) may alter root i (1-based) of a problem with these poles: its
+        distances dist (in place) and the root it returns."""
         from rainbow_lab import spectra
 
-        solve = spectra.sla.eigh_tridiagonal
+        solve = spectra._dlaed4
 
-        def corrupt(*args, **kwargs):
-            w, q = solve(*args, **kwargs)
-            w[[3, 4]] = w[[4, 3]]
-            return w, q
+        def patched(n, i, poles, z, dist, rho, root, info):
+            solve(n, i, poles, z, dist, rho, root, info)
+            root.value = change(i.value, np.ctypeslib.as_array(poles, (n.value,)),
+                                np.ctypeslib.as_array(dist, (n.value,)), root.value)
 
-        monkeypatch.setattr(spectra.sla, "eigh_tridiagonal", corrupt)
-        with pytest.raises(NumericsError, match="eigen-residual"):
-            fold_nu(profile_from_z(20, 1.0))
+        monkeypatch.setattr(spectra, "_dlaed4", patched)
 
-    @pytest.mark.parametrize("L", [1, 3, 50, 800, 801, 805])
-    def test_sector_solve_is_dstevd_bitwise(self, L):
-        # dstevd runs dstedc, the routine the sector solve has always used;
+    def test_corrupted_eigenpair_raises(self, monkeypatch):
+        # a root moved by 1e-6 of its distance to the nearest pole, all its
+        # distances with it, fails its secular equation
+        def moved(i, poles, dist, root):
+            shift = 1e-6 * np.min(np.abs(dist))
+            dist -= shift
+            return root + shift
+
+        self._patched_root(monkeypatch, moved)
+        for L in (3, 50, 51):
+            with pytest.raises(NumericsError, match="secular residual"):
+                fold_nu(profile_from_z(L, 1.0))
+
+    @pytest.mark.parametrize("case", ["scaled", "swapped"])
+    @pytest.mark.parametrize("L", [3, 50, 51])
+    def test_corrupted_edge_component_raises(self, monkeypatch, case, L):
+        # one entry of dbdsqr's vector row off its moments: scaled by
+        # 1 + 1e-6, or swapped with another level's
+        from rainbow_lab import spectra
+
+        solve = spectra._dbdsqr
+
+        def corrupt(*args):
+            solve(*args)
+            n = args[1].value
+            row = np.ctypeslib.as_array(args[7] if args[2].value else args[9], (n,))
+            if case == "scaled":
+                row[-1] *= 1.0 + 1e-6
+            else:
+                row[[0, -1]] = row[[-1, 0]]
+
+        monkeypatch.setattr(spectra, "_dbdsqr", corrupt)
+        with pytest.raises(NumericsError, match="edge components"):
+            fold_nu(profile_from_z(L, 1.0))
+
+    @pytest.mark.parametrize("routine", ["_dbdsqr", "_dlaed4"])
+    def test_lapack_failure_raises(self, monkeypatch, routine):
+        from rainbow_lab import spectra
+
+        solve = getattr(spectra, routine)
+
+        def failing(*args):
+            solve(*args)
+            args[-1].value = 1
+
+        monkeypatch.setattr(spectra, routine, failing)
+        with pytest.raises(NumericsError, match=f"{routine[1:]} failed.*info=1"):
+            fold_nu(profile_from_z(50, 1.0))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 50, 51, 800, 801, 805])
+    @pytest.mark.parametrize("z", [0.0, 2.0, 9.0])
+    def test_sector_solve_matches_dstevd(self, L, z):
+        # dstevd runs dstedc, the sector's solver before the secular route;
         # even_sector returns the smaller sign side's levels and last
-        # components
+        # components, the latter up to sign.  Measured: levels within
+        # 5.2e-15 and components within 4.4e-12 (L = 800, z = 0, where the
+        # vector row of dbdsqr carries the band edge's small components to
+        # ~2e-14 absolute); 2.2e-13 or less elsewhere.
         from scipy.linalg.lapack import dstevd
 
         from rainbow_lab.spectra import even_sector
 
-        profile = profile_from_z(L, 2.0)
+        profile = profile_from_z(L, z)
         c = profile.couplings
         d = np.zeros(L)
         d[-1] = -c[L - 1] / 2.0
@@ -608,23 +663,58 @@ class TestHalfchainFold:
         side = slice(0, r) if 2 * r <= L else slice(r, L)
         got_r, got_w, got_f = even_sector(profile)
         assert got_r == r
-        assert got_w.tobytes() == w[side].tobytes()
-        assert got_f.tobytes() == np.ascontiguousarray(q[-1, side]).tobytes()
+        assert got_w.size == got_f.size == w[side].size
+        assert np.array_equal(got_w, np.sort(got_w))
+        assert np.max(np.abs(got_w - w[side]), initial=0.0) <= 1e-14
+        assert np.max(np.abs(np.abs(got_f) - np.abs(q[-1, side])), initial=0.0) <= 1e-11
+
+    @staticmethod
+    def _oracle_sector(c, digits=60):
+        """H+'s levels, ascending, and |last components| from mpmath at the
+        given digits, as floats."""
+        import mpmath
+
+        L = (c.size + 1) // 2
+        with mpmath.workdps(digits):
+            h = mpmath.zeros(L)
+            for j in range(L - 1):
+                h[j, j + 1] = h[j + 1, j] = -mpmath.mpf(c[j]) / 2
+            h[L - 1, L - 1] = -mpmath.mpf(c[L - 1]) / 2
+            levels, vectors = mpmath.eigsy(h)
+            order = sorted(range(L), key=lambda i: levels[i])
+            return (np.array([float(levels[i]) for i in order]),
+                    np.array([float(abs(vectors[L - 1, i])) for i in order]))
+
+    @pytest.mark.parametrize("L", [7, 8, 30, 31])
+    def test_sector_solve_matches_a_60_digit_oracle(self, L):
+        # measured: levels within 1.6e-14 and components within 1.8e-14,
+        # both relative (the largest at L = 8, z = 9, and L = 30, z = 0)
+        pytest.importorskip("mpmath")
+        from rainbow_lab.spectra import even_sector
+
+        # both signs of delta = -c[L-1]/2: the side is then H+'s negative
+        # levels, or for odd L its positive ones
+        for z, sign in ((0.0, 1.0), (2.0, 1.0), (2.0, -1.0), (9.0, -1.0)):
+            profile = _chain(sign * profile_from_z(L, z).couplings)
+            r, w, f = even_sector(profile)
+            levels, last = self._oracle_sector(profile.couplings)
+            side = slice(0, r) if 2 * r <= L else slice(r, L)
+            assert np.max(np.abs(w - levels[side]) / np.abs(levels[side])) <= 1e-13
+            assert np.max(np.abs(f - last[side]) / last[side]) <= 1e-13
 
     def test_zero_level_follows_the_error_policy(self, monkeypatch):
         # the sector of a chain with nonzero couplings has no zero level, so
-        # one that rounding puts at zero is a failed solve, not a zero mode
-        from rainbow_lab import spectra
+        # one that rounding puts at zero is a failed solve, not a zero mode;
+        # the root next to zero is root floor(n/2) of n (L = 2 is solved in
+        # closed form and takes no secular root)
+        def zeroed(i, poles, dist, root):
+            if i != poles.size // 2:
+                return root
+            dist[:] = poles
+            return 0.0
 
-        solve = spectra.sla.eigh_tridiagonal
-
-        def zeroed(*args, **kwargs):
-            w, q = solve(*args, **kwargs)
-            w[w.size // 2] = 0.0
-            return w, q
-
-        monkeypatch.setattr(spectra.sla, "eigh_tridiagonal", zeroed)
-        for L in (2, 3, 50, 51):
+        self._patched_root(monkeypatch, zeroed)
+        for L in (3, 50, 51):
             with pytest.raises(NumericsError, match="sign count") as raised:
                 fold_nu(profile_from_z(L, 1.0))
             assert not isinstance(raised.value, ZeroModeError)
@@ -633,7 +723,8 @@ class TestHalfchainFold:
     @pytest.mark.parametrize("z", [0.0, 2.0, 9.0])
     def test_side_block_is_the_cauchy_formula(self, L, z):
         # A = Q_s^T Gamma Q_s from dstevd's vectors against
-        # A_ij = 2 delta gamma f_i f_j / (w_i + w_j), delta = -c[L-1]/2
+        # A_ij = 2 delta gamma f_i f_j / (w_i + w_j), delta = -c[L-1]/2, with
+        # dstevd's own w and f on the side even_sector picks
         from scipy.linalg.lapack import dstevd
 
         from rainbow_lab.spectra import even_sector
@@ -644,11 +735,12 @@ class TestHalfchainFold:
         d[-1] = -c[L - 1] / 2.0
         w, q, info = dstevd(d, -c[: L - 1] / 2.0)
         assert info == 0
-        r, w_side, f = even_sector(profile)
+        r = even_sector(profile)[0]
         side = slice(0, r) if 2 * r <= L else slice(r, L)
         q_s = q[:, side]
+        f = q_s[-1]
         gamma_q_s = q_s * np.where(np.arange(L) % 2, -1.0, 1.0)[:, None]
-        want = 2.0 * d[-1] * (-1.0) ** (L - 1) * np.outer(f, f) / np.add.outer(w_side, w_side)
+        want = 2.0 * d[-1] * (-1.0) ** (L - 1) * np.outer(f, f) / np.add.outer(w[side], w[side])
         assert np.max(np.abs(q_s.T @ gamma_q_s - want)) <= 1e-13
 
     @staticmethod
@@ -697,62 +789,78 @@ class TestHalfchainFold:
     def _signed_mirror_chains(count, seed=1):
         """Seeded mirror chains of L = 2..23 with couplings of random sign
         and magnitudes log-uniform over four decades, so every one folds;
-        their sector solves stay in dstedc's dsteqr branch (L < 25)."""
+        dstevd's solves of their sectors stay in dstedc's dsteqr branch
+        (L < 25)."""
         rng = np.random.default_rng(seed)
         for _ in range(count):
             L = int(rng.integers(2, 24))
             half = rng.choice([-1.0, 1.0], L) * 10.0 ** rng.uniform(0.0, 4.0, L)
             yield _chain(np.concatenate([half, half[-2::-1]]))
 
-    def test_misfiled_sign_count_raises(self):
+    @staticmethod
+    def _dstevd_misfiles(profile) -> bool:
+        """True when dstevd's levels of the chain's H+ count other than the
+        structural r below zero, or put one at zero."""
+        from scipy.linalg.lapack import dstevd
+
+        L, c = profile.L, profile.couplings
+        d = np.zeros(L)
+        d[-1] = -c[L - 1] / 2.0
+        w, _, info = dstevd(d, -c[: L - 1] / 2.0)
+        assert info == 0
+        structural = L // 2 + int(L % 2 == 1 and d[-1] < 0.0)
+        return np.count_nonzero(w < 0.0) != structural or (w == 0.0).any()
+
+    def test_misfiled_sign_count_raises(self, monkeypatch):
         # A level within rounding of zero can come out with the wrong sign:
         # counting the computed levels would then misfile a pair quietly.
         # The structural count is the truth (the 60-digit oracle below), so
-        # a solve whose count differs is refused.
-        from scipy.linalg.lapack import dstevd
-
+        # a solve whose count differs is refused.  The secular roots keep
+        # their sign to high relative accuracy: every chain here keeps the
+        # structural count, those that dstedc misfiles included, and a root
+        # moved across zero is refused.
         from rainbow_lab import spectra
         from rainbow_lab.spectra import even_sector
 
-        refused = 0
+        misfiled = 0
         for profile in self._signed_mirror_chains(200):
             L, c = profile.L, profile.couplings
             assert spectra._folds(c)
-            d = np.zeros(L)
-            d[-1] = -c[L - 1] / 2.0
-            w, _, info = dstevd(d, -c[: L - 1] / 2.0)
-            assert info == 0
-            structural = L // 2 + int(L % 2 == 1 and d[-1] < 0.0)
-            if np.count_nonzero(w < 0.0) == structural and not (w == 0.0).any():
-                assert even_sector(profile)[0] == structural
-                continue
-            refused += 1
-            for solve in (even_sector, fold_nu):
-                with pytest.raises(NumericsError, match="sign count"):
-                    solve(profile)
-        assert refused > 0
+            misfiled += self._dstevd_misfiles(profile)
+            assert even_sector(profile)[0] == L // 2 + int(L % 2 == 1 and c[L - 1] > 0.0)
+        assert misfiled > 0
+
+        def mirrored(i, poles, dist, root):
+            # root floor(n/2) of n is the one next to zero
+            if i != poles.size // 2:
+                return root
+            dist += 2.0 * root
+            return -root
+
+        self._patched_root(monkeypatch, mirrored)
+        for L in (3, 50, 51):
+            for sign in (1.0, -1.0):
+                profile = _chain(sign * profile_from_z(L, 1.0).couplings)
+                for solve in (even_sector, fold_nu):
+                    with pytest.raises(NumericsError, match="sign count"):
+                        solve(profile)
 
     def test_sign_rule_matches_a_60_digit_oracle(self):
-        # on the refused chains of the test above and ten others
-        mpmath = pytest.importorskip("mpmath")
+        # on the chains of the test above that dstevd misfiles and ten
+        # others: the sign count and the side's levels
+        pytest.importorskip("mpmath")
         from rainbow_lab.spectra import even_sector
 
         checked = 0
         for i, profile in enumerate(self._signed_mirror_chains(200)):
-            L, c = profile.L, profile.couplings
-            try:
-                r = even_sector(profile)[0]
-                if i >= 10:
-                    continue
-            except NumericsError:  # the float count, refused: check the rule
-                r = L // 2 + int(L % 2 == 1 and c[L - 1] > 0.0)
-            with mpmath.workdps(60):
-                h = mpmath.zeros(L)
-                for j in range(L - 1):
-                    h[j, j + 1] = h[j + 1, j] = -mpmath.mpf(c[j]) / 2
-                h[L - 1, L - 1] = -mpmath.mpf(c[L - 1]) / 2
-                levels = mpmath.eigsy(h, eigvals_only=True)
-            assert sum(1 for x in levels if x < 0) == r
+            if i >= 10 and not self._dstevd_misfiles(profile):
+                continue
+            L = profile.L
+            r, w, _ = even_sector(profile)
+            levels, _ = self._oracle_sector(profile.couplings)
+            assert np.count_nonzero(levels < 0) == r
+            side = slice(0, r) if 2 * r <= L else slice(r, L)
+            assert np.max(np.abs(w - levels[side]), initial=0.0) <= 1e-13 * np.max(np.abs(levels))
             checked += 1
         assert checked > 10
 

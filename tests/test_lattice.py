@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,12 @@ class TestRainbowProfile:
         assert p.couplings == pytest.approx([1, 1, 1, 1, 1])
         assert p.h == 0.0
         assert p.z == 0.0
+
+    def test_uniform_limit_is_positive_zero(self):
+        # -2 ln 1 is -0.0, which a CSV prints as -0
+        for p in (build_rainbow_profile(3, 1.0), profile_from_z(3, 0.0)):
+            assert math.copysign(1.0, p.h) == 1.0
+            assert math.copysign(1.0, p.z) == 1.0
 
     def test_alpha_09(self):
         p = build_rainbow_profile(3, 0.9)
