@@ -19,8 +19,9 @@ overlap drops through a level.
 
 Each validity-map point keeps to one BLAS, SciPy's, which the chain solve
 already runs on (the rule of ``spectra``): the QR, the Gram and overlap
-products and the LU of the overlap go through ``scipy.linalg``, and numpy
-keeps the elementwise work.
+products and the LU of the overlap go through SciPy's compiled LAPACK and
+BLAS (``dgeqrf`` and ``dorgqr``, ``dgemm``, ``dgetrf``), and numpy keeps
+the elementwise work.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._lapack import _flapack, _qr_q
 from .lattice import profile_from_z, site_labels
 from .spectra import NumericsError, _dgemm, chain_svd, occupied_from_svd
 
@@ -114,7 +115,7 @@ def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
         gram[np.diag_indices_from(gram)] -= 1.0
         if not np.sum(gram * gram) <= 1e-16:
             raise ValueError("orbital set is not orthonormal (||M^T M - I||_F > 1e-8)")
-    lu, _, info = sla.lapack.dgetrf(_dgemm(a.T, b))
+    lu, _, info = _flapack.dgetrf(_dgemm(a.T, b))
     if info > 0:  # an exact zero pivot: the determinant is 0
         return 0.0
     return float(np.exp(np.sum(np.log(np.abs(np.diag(lu))))))
@@ -125,8 +126,7 @@ def continuum_occupied(L: int, h: float) -> np.ndarray:
     levels = _analytic_levels(np.arange(-L, 0), h, L)
     # no finiteness scan: deformed_length refuses a tilde_L that overflows,
     # and validity_overlap's exact solve, first, an underflowed chain
-    q, _ = sla.qr(levels.T, mode="economic", check_finite=False)
-    return q
+    return _qr_q(levels.T)
 
 
 def validity_overlap(L: int, z: float) -> float:

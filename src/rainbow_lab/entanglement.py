@@ -56,8 +56,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, eigvalsh, lapack, svdvals
 
+from ._lapack import _eigvalsh, _eigvalsh_evd, _fblas, _flapack, _svdvals
 from .qubism import AmplitudeTable
 from .lattice import CouplingProfile
 from .spectra import (
@@ -95,7 +95,7 @@ class CorrelationMatrix:
         stray further.  LAPACK's dsyevd on the lower triangle, through
         SciPy: the call numpy's eigvalsh makes, so the values keep its bits
         wherever the two OpenBLAS builds share their kernels."""
-        return _checked_nu(eigvalsh(self.entries, driver="evd", check_finite=False))
+        return _checked_nu(_eigvalsh_evd(self.entries))
 
 
 def _checked_nu(nu: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
     rows = occ[_as_slice(np.asarray(block))]
     if not rows.shape[1]:  # no orbital: dsyrk rejects an empty operand
         return CorrelationMatrix(entries=np.zeros((len(block),) * 2))
-    c = blas.dsyrk(1.0, rows.T, trans=1, lower=1)
+    c = _fblas.dsyrk(1.0, rows.T, trans=1, lower=1)
     return CorrelationMatrix(entries=c + np.tril(c, -1).T)
 
 
@@ -175,7 +175,7 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
     vt = svd.vt[:, _as_slice(cols)]
     if keep.size < svd.s.size:
         u, vt = u[:, keep], vt[keep]
-    return _nu_from_sigma(svdvals(_dgemm(u, vt)), abs(rows.size - cols.size))
+    return _nu_from_sigma(_svdvals(_dgemm(u, vt)), abs(rows.size - cols.size))
 
 
 def _nu_from_sigma(sigma: np.ndarray, n_half: int) -> np.ndarray:
@@ -219,7 +219,7 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     few dozen against k in the hundreds.  A pivoted Cholesky
     K = F F^T stops at that rank, and the a are |c[L-1]| times the
     eigenvalues of the rank x rank Gram F^T F: one ``dsyrk`` and one
-    values-only ``eigvalsh`` of that size.  f is needed only up to sign:
+    values-only ``dsyevr`` of that size.  f is needed only up to sign:
     flipping f_i is the similarity D K D with D = diag(+-1), which keeps
     the a.
 
@@ -239,14 +239,14 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     # (|A_ii| <= 1), 7e-11 at k = 800, and nu = (1 - sigma)/2 <= a^2/2,
     # 3e-21, far below NU_CLIP: a = 0 there.  info > 0 only says that it
     # stopped early.
-    factor, _, rank, _ = lapack.dpstrf(cauchy.T, lower=1, tol=-1.0, overwrite_a=True)
+    factor, _, rank, _ = _flapack.dpstrf(cauchy.T, lower=1, tol=-1.0, overwrite_a=True)
     a = np.zeros(w.size)
     if rank:  # L = 1: no pair, and dsyrk rejects an empty operand
         # F^T F from F's lower-trapezoidal columns; dsyrk fills the lower
-        # triangle, which eigvalsh reads
-        gram = blas.dsyrk(1.0, np.tril(factor[:, :rank]), trans=1, lower=1)
-        a[:rank] = abs(profile.couplings[profile.L - 1]) * eigvalsh(
-            gram, overwrite_a=True, check_finite=False)
+        # triangle, which dsyevr reads
+        gram = _fblas.dsyrk(1.0, np.tril(factor[:, :rank]), trans=1, lower=1)
+        a[:rank] = abs(profile.couplings[profile.L - 1]) * _eigvalsh(
+            gram, overwrite_a=True)
     sigma = np.sort(np.sqrt(np.maximum((1.0 - a) * (1.0 + a), 0.0)))[::-1]
     return _nu_from_sigma(sigma, abs(2 * r - profile.L))
 

@@ -7,7 +7,8 @@ fit takes the data as two arrays, the sizes (half-lengths) and the
 entropies at those sizes, plus only what its model needs (the Renyi
 order n), and returns the named coefficients with chi2 and the design's
 condition number.  No nonlinear optimizer anywhere.  Only numpy and
-SciPy are imported: a fit knows nothing of chains.
+SciPy's LAPACK (through ``_lapack``) are imported: a fit knows nothing
+of chains.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+
+from ._lapack import _solve_triangular
 
 
 class RankDeficientError(ValueError):
@@ -59,7 +61,7 @@ def linear_lsq(design, y, names=None) -> FitResult:
         raise RankDeficientError(
             f"design column {int(bad[0])} is linearly dependent on the others"
         )
-    beta = sla.solve_triangular(r, q.T @ y)
+    beta = _solve_triangular(r, q.T @ y)
     resid = X @ beta - y
     chi2 = float(resid @ resid)
     names = list(names) if names is not None else [f"b{i}" for i in range(cols)]

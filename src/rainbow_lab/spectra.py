@@ -16,11 +16,12 @@ bidiagonal, and bidiagonal SVD determines every singular value to high
 when the smallest couplings are ~1e-300.  A chain's two bands go straight
 to LAPACK's bidiagonal SVD routines (``dbdsdc``, or ``dbdsqr`` once the
 couplings span more than ten decades), so there is no reduction step at
-all.  The dense block of the 2D lattice goes to ``scipy.linalg.svd``
-(gesdd), which is accurate only relative to its largest coupling: a
-lattice whose couplings span more than ten decades raises NumericsError
-instead of printing entropies it cannot resolve, and the levels it cannot
-tell from zero (within ZERO_MODE_TOL of its spectral radius) come back as
+all.  The dense block of the 2D lattice goes to LAPACK's ``dgesdd``
+(divide and conquer, called as ``scipy.linalg.svd`` calls it), which is
+accurate only relative to its largest coupling: a lattice whose
+couplings span more than ten decades raises NumericsError instead of
+printing entropies it cannot resolve, and the levels it cannot tell from
+zero (within ZERO_MODE_TOL of its spectral radius) come back as
 exact zeros.  So on both geometries a zero mode is a level with s == 0.
 
 ``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
@@ -54,23 +55,22 @@ mild grading (``FOLD_MAX_RATIO``); see ``entanglement.halfchain_nu``.
 
 One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
 each with its own thread pool, and every solve here runs on SciPy's.  So
-the dense products and factorizations of a point go through SciPy too
-(``_dgemm``, ``scipy.linalg``); numpy keeps the elementwise work.  A numpy
-product right after a solve wakes the second pool, and the two pools then
-compete for the same cores.
+the dense products and factorizations of a point go through SciPy's
+compiled BLAS and LAPACK too (``_dgemm``, and the routines ``_lapack``
+binds without importing ``scipy.linalg``); numpy keeps the elementwise
+work.  A numpy product right after a solve wakes the second pool, and the
+two pools then compete for the same cores.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import blas, cython_lapack
 
+from ._lapack import _CHAR, _DOUBLE, _INT, _fblas, _lapack, _svd
 from .lattice import CouplingProfile, Lattice2D, lattice_links
 
 RESIDUAL_TOL = 1e-10
@@ -97,36 +97,6 @@ def velocity_scaling(z: float) -> float:
     if z == 0:
         return 1.0
     return z / np.expm1(z)
-
-
-_CHAR = ctypes.c_char_p
-_INT = ctypes.POINTER(ctypes.c_int)
-_DOUBLE = ctypes.POINTER(ctypes.c_double)
-_capsule_name = ctypes.pythonapi.PyCapsule_GetName
-_capsule_name.argtypes = [ctypes.py_object]
-_capsule_name.restype = ctypes.c_char_p
-_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-_capsule_pointer.restype = ctypes.c_void_p
-
-
-def _lapack(name: str, *argtypes):
-    """LAPACK routine ``name`` from SciPy's Cython LAPACK table, as a ctypes
-    function (ctypes releases the GIL for the duration of the call).
-
-    The capsule name spells the C signature; it must match ``argtypes``
-    exactly, so an ILP64 (64-bit integer) LAPACK fails here instead of
-    corrupting memory later.
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    signature = _capsule_name(capsule)
-    spelled = {_CHAR: "char *", _INT: "int *", _DOUBLE: "double *"}
-    want = "void (" + ", ".join(spelled[t] for t in argtypes) + ")"
-    got = re.sub(r"__pyx_t_\w+_d \*", "double *", signature.decode())
-    if got != want:
-        raise ImportError(f"LAPACK {name} has signature {got!r}, expected {want!r}")
-    address = _capsule_pointer(capsule, signature)
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
 
 # dbdsdc(uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
@@ -203,7 +173,7 @@ def _dgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the two OpenBLAS builds share their kernels."""
     first, trans_first = _blas_operand(b)
     second, trans_second = _blas_operand(a)
-    return blas.dgemm(1.0, first, second, trans_a=trans_first, trans_b=trans_second).T
+    return _fblas.dgemm(1.0, first, second, trans_a=trans_first, trans_b=trans_second).T
 
 
 def _graded(*bands: np.ndarray) -> bool:
@@ -295,8 +265,8 @@ def _refuse_graded(couplings: np.ndarray, n_sites: int) -> None:
 
 
 def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
-    """Certified SVD of a dense sublattice block through
-    ``scipy.linalg.svd`` (gesdd, divide and conquer).  The levels within
+    """Certified SVD of a dense sublattice block by LAPACK's dgesdd
+    (divide and conquer; ``_lapack._svd``).  The levels within
     ZERO_MODE_TOL of the spectral radius (at least 1) are rounding: they
     are certified as computed, then set to exactly 0.0, the zero modes.
 
@@ -308,7 +278,7 @@ def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
     """
     _refuse_graded(block, 2 * block.shape[0])
     try:
-        u2, s, v2t = sla.svd(block.T)
+        u2, s, v2t = _svd(block.T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericsError(f"SVD failed on dim {2 * block.shape[0]}: {exc}") from exc
     u, vt = v2t.T, u2.T

@@ -85,4 +85,4 @@ def test_fitting_depends_on_numpy_and_scipy_alone():
             imports.add("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
             imports |= {alias.name for alias in node.names}
-    assert imports <= {"__future__", "dataclasses", "numpy", "scipy.linalg"}
+    assert imports <= {"__future__", "dataclasses", "numpy", "._lapack"}

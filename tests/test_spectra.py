@@ -184,7 +184,7 @@ class TestBidiagonalSolver:
         def refuse(*args, **kwargs):
             raise AssertionError("dense SVD called")
 
-        monkeypatch.setattr(spectra.sla, "svd", refuse)
+        monkeypatch.setattr(spectra, "_svd", refuse)
         for z in (1.0, 30.0):  # divide and conquer, then zero-shift QR
             chain_svd(profile_from_z(40, z))
         with pytest.raises(AssertionError, match="dense SVD"):
@@ -370,7 +370,7 @@ class TestLatticeSVD:
         assert svd.u.shape == svd.vt.shape == (32, 32)
 
     def test_perturbed_vectors_fail_residual(self, monkeypatch):
-        solve = spectra.sla.svd
+        solve = spectra._svd
 
         def perturbed(*args, **kwargs):
             u2, s, v2t = solve(*args, **kwargs)
@@ -378,7 +378,7 @@ class TestLatticeSVD:
             u2[0, 0] += 1e-6
             return u2, s, v2t
 
-        monkeypatch.setattr(spectra.sla, "svd", perturbed)
+        monkeypatch.setattr(spectra, "_svd", perturbed)
         with pytest.raises(NumericsError, match="eigen-residual"):
             lattice_svd(Lattice2D(3, 0.6))
 
@@ -392,7 +392,7 @@ class TestGradedLatticeRefusal:
         def refuse(*args, **kwargs):
             raise AssertionError("solved before the grading check")
 
-        monkeypatch.setattr(spectra.sla, "svd", refuse)
+        monkeypatch.setattr(spectra, "_svd", refuse)
         with pytest.raises(NumericsError, match="ten decades"):
             lattice_svd(Lattice2D(12, 0.1))
 
