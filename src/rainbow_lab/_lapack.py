@@ -152,15 +152,12 @@ def _eigvalsh_evd(a) -> np.ndarray:
     return w
 
 
-def _eigvalsh(a, overwrite_a: bool = False) -> np.ndarray:
-    """``scipy.linalg.eigvalsh(a, overwrite_a=..., check_finite=False)``:
+def _eigvalsh(a) -> np.ndarray:
+    """``scipy.linalg.eigvalsh(a, overwrite_a=True, check_finite=False)``:
     the eigenvalues, ascending, of the symmetric a's lower triangle by
-    dsyevr (SciPy's default driver)."""
-    a = np.asarray(a)
-    if not a.size:
-        return np.empty(0)
+    dsyevr (SciPy's default driver); an F-ordered a is overwritten."""
     lwork, liwork = _lwork(*_flapack.dsyevr_lwork(n=a.shape[0], lower=1))
-    w, _, _, _, info = _flapack.dsyevr(a=a, overwrite_a=overwrite_a, lower=1, compute_v=0,
+    w, _, _, _, info = _flapack.dsyevr(a=a, overwrite_a=1, lower=1, compute_v=0,
                                        lwork=lwork, liwork=liwork)
     if info:
         raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
@@ -188,17 +185,12 @@ def _qr_q(a) -> np.ndarray:
 
 
 def _solve_triangular(r, b) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(r, b)``: x with r x = b for an upper
-    triangular r, by dtrtrs; a C-ordered r is passed as the lower triangular
-    r^T with trans = 1, as SciPy passes it."""
+    """``scipy.linalg.solve_triangular(r, b)`` for a C-ordered upper
+    triangular r: dtrtrs on the lower triangular r^T with trans = 1, as
+    SciPy passes it; r and b must be finite."""
     r = np.asarray_chkfinite(r)
     b = np.asarray_chkfinite(b)
-    if not b.size:
-        return np.empty(b.shape)
-    if r.flags.f_contiguous:
-        x, info = _flapack.dtrtrs(r, b, overwrite_b=0, lower=0, trans=0, unitdiag=0)
-    else:
-        x, info = _flapack.dtrtrs(r.T, b, overwrite_b=0, lower=1, trans=1, unitdiag=0)
+    x, info = _flapack.dtrtrs(r.T, b, overwrite_b=0, lower=1, trans=1, unitdiag=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: zero pivot at diagonal {info - 1}")
     if info < 0:

@@ -245,8 +245,7 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
         # F^T F from F's lower-trapezoidal columns; dsyrk fills the lower
         # triangle, which dsyevr reads
         gram = _fblas.dsyrk(1.0, np.tril(factor[:, :rank]), trans=1, lower=1)
-        a[:rank] = abs(profile.couplings[profile.L - 1]) * _eigvalsh(
-            gram, overwrite_a=True)
+        a[:rank] = abs(profile.couplings[profile.L - 1]) * _eigvalsh(gram)
     sigma = np.sort(np.sqrt(np.maximum((1.0 - a) * (1.0 + a), 0.0)))[::-1]
     return _nu_from_sigma(sigma, abs(2 * r - profile.L))
 

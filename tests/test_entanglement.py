@@ -772,9 +772,9 @@ class TestHalfchainFold:
 
         shapes = []
 
-        def recorded(a, **kwargs):
+        def recorded(a):
             shapes.append(a.shape)
-            return eigvalsh(a, **kwargs)
+            return eigvalsh(a)
 
         eigvalsh = entanglement._eigvalsh
         monkeypatch.setattr(entanglement, "_eigvalsh", recorded)
