@@ -122,11 +122,9 @@ def _gesdd(a, compute_uv: int):
 
 
 def _svd(a) -> tuple:
-    """``scipy.linalg.svd(a)``: (U, s, V^T), full matrices, by dgesdd."""
-    a = np.asarray_chkfinite(a)
-    if not a.size:
-        return np.identity(a.shape[0]), np.empty(0), np.identity(a.shape[1])
-    return _gesdd(a, 1)
+    """``scipy.linalg.svd(a)`` of a non-empty a: (U, s, V^T), full
+    matrices, by dgesdd."""
+    return _gesdd(np.asarray_chkfinite(a), 1)
 
 
 def _svdvals(a) -> np.ndarray:
@@ -165,13 +163,11 @@ def _eigvalsh(a) -> np.ndarray:
 
 
 def _qr_q(a) -> np.ndarray:
-    """Q of ``scipy.linalg.qr(a, mode="economic", check_finite=False)``:
-    dgeqrf, then dorgqr on its first min(M, N) columns, each sized by an
-    lwork = -1 query."""
+    """Q of ``scipy.linalg.qr(a, mode="economic", check_finite=False)`` for
+    a non-empty a: dgeqrf, then dorgqr on its first min(M, N) columns, each
+    sized by an lwork = -1 query."""
     a = np.asarray(a)
     m, n = a.shape
-    if not a.size:
-        return np.empty((m, min(m, n)))
     work = _flapack.dgeqrf(a, lwork=-1, overwrite_a=0)[-2]
     qr, tau, _, info = _flapack.dgeqrf(a, lwork=int(work[0]), overwrite_a=0)
     if info < 0:

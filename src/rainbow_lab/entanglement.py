@@ -32,9 +32,12 @@ bidiagonal SVD with a single vector row and one secular-equation root per
 level, no eigenvector.  A reflection identity gives the side's block of
 Q^T Gamma Q from them in closed form, a Cauchy-like matrix of low
 numerical rank, and sigma comes from the eigenvalues of the rank x rank
-Gram of its pivoted Cholesky factor rather than from an SVD.  Chains that
-are not mirror symmetric, or too strongly graded for that solve, take the
-polar route.
+Gram of its pivoted Cholesky factor rather than from an SVD.  A
+coupling's sign is a gauge that leaves every nu of the half chain as it
+is, so the fold reads the couplings' magnitudes only.  Chains whose
+magnitudes are not mirror symmetric, that have fewer than three sites a
+side, or that are too strongly graded for that solve take the polar
+route.
 The orbital route (``correlation_matrix`` on occupied orbitals, then
 ``CorrelationMatrix.eigenvalues``) serves only the chain's
 entanglement-spectrum collapse; the tests keep the dense
@@ -189,14 +192,17 @@ def _nu_from_sigma(sigma: np.ndarray, n_half: int) -> np.ndarray:
 
 
 def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
-    """The nu of a chain's left half, sites 0 .. L-1, ascending: those of
-    ``polar_block(chain_svd(profile), range(L))`` up to rounding.
+    """The nu of a chain's left half, sites 0 .. L-1, ascending.
 
-    A chain whose couplings are bitwise mirror symmetric, nonzero and span
-    at most ``spectra.FOLD_MAX_RATIO`` takes the levels of one sign side
-    of its even-parity sector H+ and their eigenvectors' last components
-    (``spectra.even_sector``, a rank-one secular solve that forms no
-    eigenvector).  The left-half
+    A coupling's sign is a gauge: D = diag(s_i), s_0 = 1 and
+    s_(i+1) = s_i sign(c_i), maps the chain with couplings c to the chain
+    with |c|, and the left-half correlation matrix to D_A C_A D_A, which has
+    the same nu.  So the fold reads |c|.  When |c| folds (``spectra._folds``:
+    L >= 3, bitwise mirror symmetric, nonzero and spanning at most
+    ``spectra.FOLD_MAX_RATIO``), it takes the levels of one sign side of
+    the even-parity sector H+ of |c| and their eigenvectors' last
+    components (``spectra.even_sector``, a rank-one secular solve that
+    forms no eigenvector).  The left-half
     correlation matrix is C_A = (P+ + P-)/2, P+- the projectors onto the
     occupied states of H+-; since H- = -Gamma H+ Gamma, P- is Gamma times
     the projector onto H+'s unoccupied states times Gamma.  The eigenvalues
@@ -210,9 +216,10 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     A = Q_s^T Gamma Q_s obeys A^2 + B B^T = I, and B's k singular values
     are sqrt(1 - a^2) (Paige & Wei, Linear Algebra Appl. 208/209 (1994)
     303).  A is known in closed form: Gamma H+ Gamma = -H+ + 2 delta e e^T
-    gives Gamma H+ + H+ Gamma = 2 delta gamma e e^T (gamma = (-1)^(L-1)),
-    so A_ij (w_i + w_j) = 2 delta gamma f_i f_j, f the side's components
-    on site L-1.  All w of one side share a sign, so A = +-|c[L-1]| K with
+    (delta = -|c[L-1]|/2) gives Gamma H+ + H+ Gamma = 2 delta gamma e e^T
+    (gamma = (-1)^(L-1)), so A_ij (w_i + w_j) = 2 delta gamma f_i f_j, f
+    the side's components on site L-1.  All w of one side share a sign, so
+    A = +-|c[L-1]| K with
     K_ij = f_i f_j / (|w_i| + |w_j|), a positive semidefinite Cauchy-like
     matrix whose spectrum decays exponentially (Beckermann & Townsend,
     SIAM J. Matrix Anal. Appl. 38 (2017) 1227): its numerical rank is a
@@ -223,12 +230,18 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     flipping f_i is the similarity D K D with D = diag(+-1), which keeps
     the a.
 
-    Every other chain takes the polar route.  A sector sign count that
-    disagrees with its structure raises NumericsError (``even_sector``).
+    Every other chain takes ``polar_block(chain_svd(profile), range(L))``.
+    Where both routes run they agree to rounding, except on chains so
+    localized that their smallest level is near rounding of the largest:
+    there ``chain_svd``'s divide and conquer resolves the small singular
+    triplets only relative to the largest, and the polar route is off
+    (ROADMAP item 3).  A sector sign count that disagrees with its
+    structure raises NumericsError (``even_sector``).
     """
-    if not _folds(profile.couplings):
-        return polar_block(chain_svd(profile), range(profile.L))
-    r, w, f = even_sector(profile)
+    L, c = profile.L, np.abs(profile.couplings)
+    if not _folds(c):
+        return polar_block(chain_svd(profile), range(L))
+    r, w, f = even_sector(c)
     aw = np.abs(w)
     cauchy = aw[:, None] + aw
     np.divide(f[:, None] * f, cauchy, out=cauchy)
@@ -241,13 +254,13 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     # stopped early.
     factor, _, rank, _ = _flapack.dpstrf(cauchy.T, lower=1, tol=-1.0, overwrite_a=True)
     a = np.zeros(w.size)
-    if rank:  # L = 1: no pair, and dsyrk rejects an empty operand
+    if rank:  # 0 only when every f is 0; dsyrk rejects an empty operand
         # F^T F from F's lower-trapezoidal columns; dsyrk fills the lower
         # triangle, which dsyevr reads
         gram = _fblas.dsyrk(1.0, np.tril(factor[:, :rank]), trans=1, lower=1)
-        a[:rank] = abs(profile.couplings[profile.L - 1]) * _eigvalsh(gram)
+        a[:rank] = c[L - 1] * _eigvalsh(gram)
     sigma = np.sort(np.sqrt(np.maximum((1.0 - a) * (1.0 + a), 0.0)))[::-1]
-    return _nu_from_sigma(sigma, abs(2 * r - profile.L))
+    return _nu_from_sigma(sigma, abs(2 * r - L))
 
 
 def _as_slice(index: np.ndarray):

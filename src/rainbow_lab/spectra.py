@@ -41,7 +41,9 @@ one level.  The Fermi velocity (``fermi_velocity``,
 ``s.size``.
 
 A mirror-symmetric chain has a smaller problem for its half chain, and
-``even_sector`` solves it without forming an eigenvector.  The L x L
+``even_sector`` solves it without forming an eigenvector.  It takes
+positive couplings only: a coupling's sign is a gauge, which
+``entanglement.halfchain_nu`` removes before it folds.  The L x L
 even-parity sector is the left half's bipartite chain T_A plus one
 diagonal entry on site L-1: a rank-one update of T_A.  One bidiagonal SVD
 with a single vector row (``dbdsqr``) gives T_A's levels and their
@@ -51,7 +53,7 @@ to T_A's levels (``_secular_roots``), and the side's components on site
 L-1 follow from those distances in closed form.  The solve checks its sign
 count against the one structure fixes, the two moments of T_A's
 components, and each root's secular residual.  It serves only chains of
-mild grading (``FOLD_MAX_RATIO``); see ``entanglement.halfchain_nu``.
+at least three sites a side and of mild grading (``FOLD_MAX_RATIO``).
 
 One BLAS per sweep point: numpy and SciPy each bundle their own OpenBLAS,
 each with its own thread pool, and every solve here runs on SciPy's.  So
@@ -319,11 +321,11 @@ FOLD_MAX_RATIO = 1e4
 
 
 def _folds(c: np.ndarray) -> bool:
-    """True when the couplings c are bitwise mirror symmetric about the
-    central link, nonzero, and span at most FOLD_MAX_RATIO."""
-    a = np.abs(c)
-    return (bool(np.array_equal(c, c[::-1])) and float(a.min()) > 0.0
-            and float(a.max()) <= FOLD_MAX_RATIO * float(a.min()))
+    """True when the couplings c fold (``even_sector``): at least five of
+    them (L >= 3), positive, bitwise mirror symmetric about the central
+    link, and spanning at most FOLD_MAX_RATIO."""
+    return (c.size >= 5 and bool(np.array_equal(c, c[::-1])) and float(c.min()) > 0.0
+            and float(c.max()) <= FOLD_MAX_RATIO * float(c.min()))
 
 
 def _edge_levels(t: np.ndarray) -> tuple:
@@ -412,74 +414,61 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float, first: int,
     return dist
 
 
-def even_sector(profile: CouplingProfile) -> tuple:
-    """What the half-chain readout reads of a mirror-symmetric chain's
-    even-parity sector, certified: (r, w, f), r the number of negative
-    levels, w the levels of the smaller sign side (ascending) and f the
-    last components, on site L-1, of their eigenvectors, up to sign.
+def even_sector(c: np.ndarray) -> tuple:
+    """What the half-chain readout reads of the even-parity sector of the
+    chain with the positive couplings c, certified: (r, w, f), r the
+    number of negative levels, w the levels of the smaller sign side
+    (ascending) and f the last components, on site L-1, of their
+    eigenvectors, up to sign.
 
     Reflection about the central link maps site i to 2L-1-i.  A state even
     under it is fixed by its L left sites, where H acts as
-    H+ = T_A + delta e e^T: T_A the left half's hopping and
-    delta = -c[L-1]/2 the central link folded onto site L-1.  The odd
-    sector is H- = T_A - delta e e^T = -Gamma H+ Gamma, Gamma = diag((-1)^i),
-    so H+ alone carries the whole spectrum.  No eigenvector is formed.
-    T_A's levels lam and their components z on site L-1 come from one
-    bidiagonal SVD with one vector row (``_edge_levels``), and H+ is
-    lam + delta z z^T in T_A's eigenbasis: a rank-one update, whose levels
-    are the roots of its secular equation (``_secular_roots``).  lam is
-    antisymmetric and z palindromic, so -H+ is lam + |delta| z z^T in the
-    same basis: delta < 0 solves that one and negates.  A root mu at
-    distances D_j = lam_j - mu has the eigenvector z_j/D_j, so
-    f^2 = 1/(delta^2 sum z_j^2/D_j^2).  A level j whose
-    |delta z_j| is below 8 eps times the larger of the spectral radius and
-    |delta| is deflated, as in LAPACK's dlaed2: lam_j is then a level of
-    H+, with f = |z_j|.  O(L^2) work, and no L x L array.
+    H+ = T_A - rho e e^T: T_A the left half's hopping and rho = c[L-1]/2
+    the central link folded onto site L-1.  The odd sector is
+    H- = T_A + rho e e^T = -Gamma H+ Gamma, Gamma = diag((-1)^i), so H+
+    alone carries the whole spectrum.  No eigenvector is formed.  T_A's
+    levels lam and their components z on site L-1 come from one bidiagonal
+    SVD with one vector row (``_edge_levels``).  lam is antisymmetric and z
+    palindromic, so -H+ is lam + rho z z^T in T_A's eigenbasis: a rank-one
+    update, whose levels are the roots of its secular equation
+    (``_secular_roots``), negated at the end.  A root mu at distances
+    D_j = lam_j - mu has the eigenvector z_j/D_j, so
+    f^2 = 1/(rho^2 sum z_j^2/D_j^2).  A level j whose rho |z_j| is below
+    8 eps times the larger of the spectral radius and rho is deflated, as
+    in LAPACK's dlaed2: lam_j is then a level of -H+, with f = |z_j|.
+    O(L^2) work, and no L x L array.
 
-    r is fixed by structure: floor(L/2), plus one for odd L when
-    delta < 0.  For even L, T_A has L/2 levels below zero, the rank-one
-    term changes that count by at most one (interlacing), and
-    det H+ = det T_A, since (T_A^-1)_{L-1,L-1} = 0 for a bipartite T_A,
-    fixes its parity.  For odd L the term moves T_A's zero level, which
-    lives on site L-1, to the sign of delta.  Each root lies between two
-    poles, so only the roots whose interval reaches the side's sign are
-    solved, the one across zero included; they and the deflated levels
-    must put exactly min(r, L - r) levels on that side and none at zero,
-    so a level that rounding puts on the wrong side, or at exactly zero,
-    raises NumericsError instead of misfiling a pair.
+    r is fixed by structure: (L + 1) // 2.  For even L, T_A has L/2 levels
+    below zero, the rank-one term changes that count by at most one
+    (interlacing), and det H+ = det T_A, since (T_A^-1)_{L-1,L-1} = 0 for a
+    bipartite T_A, fixes its parity.  For odd L the term moves T_A's zero
+    level, which lives on site L-1, below zero.  So the side is -H+'s
+    positive levels for even L and its negative ones for odd L.  Each root
+    lies between two poles, so only the roots whose interval reaches the
+    side's sign are solved, the one across zero included; they and the
+    deflated levels must put exactly L // 2 levels on that side and none at
+    zero, so a level that rounding puts on the wrong side, or at exactly
+    zero, raises NumericsError instead of misfiling a pair.
 
-    ValueError unless the couplings fold (``_folds``: bitwise mirror
-    symmetric, nonzero, ratio at most FOLD_MAX_RATIO); NumericsError on a
-    sign count other than r, on a failed LAPACK call, on z off its moments
-    (``_edge_levels``), or when a root's secular residual
-    |1/|delta| + sum z_j^2/D_j| exceeds RESIDUAL_TOL relative to
-    1/|delta| + sum |z_j^2/D_j|.
+    ValueError unless the couplings fold (``_folds``: L >= 3, positive,
+    bitwise mirror symmetric, ratio at most FOLD_MAX_RATIO); NumericsError
+    on a sign count other than r, on a failed LAPACK call, on z off its
+    moments (``_edge_levels``), or when a root's secular residual
+    |1/rho + sum z_j^2/D_j| exceeds RESIDUAL_TOL relative to
+    1/rho + sum |z_j^2/D_j|.
     """
-    c = profile.couplings
     if not _folds(c):
         raise ValueError(
-            "even_sector needs nonzero couplings mirror symmetric about the "
-            f"center that span at most {FOLD_MAX_RATIO:.0e}"
+            "even_sector needs at least five positive couplings, mirror "
+            f"symmetric about the center, that span at most {FOLD_MAX_RATIO:.0e}"
         )
-    L = profile.L
-    delta = -c[L - 1] / 2.0
-    r = L // 2 + int(L % 2 == 1 and delta < 0.0)
-    k = min(r, L - r)
-    if k == 0:  # L = 1: H+ is delta alone
-        return r, np.zeros(0), np.zeros(0)
-    t = -c[: L - 1] / 2.0
-    if L == 2:
-        # two poles: dlaed4 returns no distances, so solve the 2 x 2
-        # [[0, t], [t, delta]] directly; its negative level, without
-        # cancellation, and f from its eigenvector (t, w)
-        root = math.hypot(delta, 2.0 * t[0])
-        w = -2.0 * t[0] ** 2 / (delta + root) if delta > 0.0 else (delta - root) / 2.0
-        return r, np.array([w]), np.array([abs(w) / math.hypot(t[0], w)])
-    rho = abs(delta)
-    # the side is the negative levels of lam + rho z z^T unless delta < 0
-    # and L is even (H+'s negative levels are then that matrix's positive)
-    sign = 1.0 if delta < 0.0 and L % 2 == 0 else -1.0
-    lam, z = _edge_levels(t)
+    L = (c.size + 1) // 2
+    rho = c[L - 1] / 2.0
+    r = (L + 1) // 2
+    k = L // 2
+    # the side: -H+'s positive levels for even L, its negative ones for odd L
+    sign = 1.0 if L % 2 == 0 else -1.0
+    lam, z = _edge_levels(-c[: L - 1] / 2.0)
     keep = rho * np.abs(z) > 8.0 * _EPS * max(float(lam[-1]), rho)
     poles, zk = lam[keep], z[keep]
     # root i lies between poles i and i + 1: solve those that can fall on
@@ -512,11 +501,9 @@ def even_sector(profile: CouplingProfile) -> tuple:
             f"secular residual {residual.max():.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
     f = np.concatenate([1.0 / (rho * np.sqrt((terms / dist).sum(axis=1))), np.abs(z[~keep])])
-    order = np.argsort(mu[on_side])
-    w, f = mu[on_side][order], f[on_side][order]
-    if delta < 0.0:  # the roots were those of -H+
-        w, f = -w[::-1], f[::-1]
-    return r, w, f
+    # H+'s levels are the negated roots, so descending roots give ascending w
+    order = np.argsort(mu[on_side])[::-1]
+    return r, -mu[on_side][order], f[on_side][order]
 
 
 def lattice_svd(lat: Lattice2D) -> SublatticeSVD:

@@ -547,11 +547,13 @@ class TestHalfchainFold:
         want = polar_block(chain_svd(profile), range(L))
         assert _max_renyi_gap(got, want) <= 1e-12
 
-    @pytest.mark.parametrize("case", ["perturbed", "ratio", "zero"])
+    @pytest.mark.parametrize("case", ["perturbed", "ratio", "zero", "short"])
     def test_other_chains_take_the_polar_route_bitwise(self, case):
         from rainbow_lab import spectra
 
-        if case == "perturbed":
+        if case == "short":  # L = 2: dlaed4 would have two poles
+            c = profile_from_z(2, 1.0).couplings
+        elif case == "perturbed":
             c = profile_from_z(40, 2.0).couplings.copy()
             c[3] = np.nextafter(c[3], 2.0)
         elif case == "ratio":
@@ -567,10 +569,11 @@ class TestHalfchainFold:
     @pytest.mark.parametrize("L", [1, 2, 3, 50, 51, 801])
     @pytest.mark.parametrize("z", [0.0, 4.0, 9.0])
     def test_one_level_at_one_half_for_odd_L(self, L, z):
+        # on the fold from L = 3, and on the polar route below
         from rainbow_lab import spectra
 
         profile = profile_from_z(L, z)
-        assert spectra._folds(profile.couplings)
+        assert spectra._folds(profile.couplings) == (L >= 3)
         assert np.count_nonzero(fold_nu(profile) == 0.5) == L % 2
 
     @staticmethod
@@ -638,7 +641,7 @@ class TestHalfchainFold:
         with pytest.raises(NumericsError, match=f"{routine[1:]} failed.*info=1"):
             fold_nu(profile_from_z(50, 1.0))
 
-    @pytest.mark.parametrize("L", [1, 2, 3, 50, 51, 800, 801, 805])
+    @pytest.mark.parametrize("L", [3, 50, 51, 800, 801, 805])
     @pytest.mark.parametrize("z", [0.0, 2.0, 9.0])
     def test_sector_solve_matches_dstevd(self, L, z):
         # dstevd runs dstedc, the sector's solver before the secular route;
@@ -651,17 +654,14 @@ class TestHalfchainFold:
 
         from rainbow_lab.spectra import even_sector
 
-        profile = profile_from_z(L, z)
-        c = profile.couplings
+        c = profile_from_z(L, z).couplings
         d = np.zeros(L)
         d[-1] = -c[L - 1] / 2.0
-        e = -c[: L - 1] / 2.0
-        # its wrapper wants e of length at least 1
-        w, q, info = dstevd(d, e if L > 1 else np.zeros(1))
+        w, q, info = dstevd(d, -c[: L - 1] / 2.0)
         assert info == 0
         r = int(np.count_nonzero(w < 0.0))
         side = slice(0, r) if 2 * r <= L else slice(r, L)
-        got_r, got_w, got_f = even_sector(profile)
+        got_r, got_w, got_f = even_sector(c)
         assert got_r == r
         assert got_w.size == got_f.size == w[side].size
         assert np.array_equal(got_w, np.sort(got_w))
@@ -692,12 +692,10 @@ class TestHalfchainFold:
         pytest.importorskip("mpmath")
         from rainbow_lab.spectra import even_sector
 
-        # both signs of delta = -c[L-1]/2: the side is then H+'s negative
-        # levels, or for odd L its positive ones
-        for z, sign in ((0.0, 1.0), (2.0, 1.0), (2.0, -1.0), (9.0, -1.0)):
-            profile = _chain(sign * profile_from_z(L, z).couplings)
-            r, w, f = even_sector(profile)
-            levels, last = self._oracle_sector(profile.couplings)
+        for z in (0.0, 2.0, 9.0):
+            c = profile_from_z(L, z).couplings
+            r, w, f = even_sector(c)
+            levels, last = self._oracle_sector(c)
             side = slice(0, r) if 2 * r <= L else slice(r, L)
             assert np.max(np.abs(w - levels[side]) / np.abs(levels[side])) <= 1e-13
             assert np.max(np.abs(f - last[side]) / last[side]) <= 1e-13
@@ -705,8 +703,7 @@ class TestHalfchainFold:
     def test_zero_level_follows_the_error_policy(self, monkeypatch):
         # the sector of a chain with nonzero couplings has no zero level, so
         # one that rounding puts at zero is a failed solve, not a zero mode;
-        # the root next to zero is root floor(n/2) of n (L = 2 is solved in
-        # closed form and takes no secular root)
+        # the root next to zero is root floor(n/2) of n
         def zeroed(i, poles, dist, root):
             if i != poles.size // 2:
                 return root
@@ -719,7 +716,7 @@ class TestHalfchainFold:
                 fold_nu(profile_from_z(L, 1.0))
             assert not isinstance(raised.value, ZeroModeError)
 
-    @pytest.mark.parametrize("L", [2, 3, 50, 51])
+    @pytest.mark.parametrize("L", [3, 50, 51])
     @pytest.mark.parametrize("z", [0.0, 2.0, 9.0])
     def test_side_block_is_the_cauchy_formula(self, L, z):
         # A = Q_s^T Gamma Q_s from dstevd's vectors against
@@ -729,13 +726,12 @@ class TestHalfchainFold:
 
         from rainbow_lab.spectra import even_sector
 
-        profile = profile_from_z(L, z)
-        c = profile.couplings
+        c = profile_from_z(L, z).couplings
         d = np.zeros(L)
         d[-1] = -c[L - 1] / 2.0
         w, q, info = dstevd(d, -c[: L - 1] / 2.0)
         assert info == 0
-        r = even_sector(profile)[0]
+        r = even_sector(c)[0]
         side = slice(0, r) if 2 * r <= L else slice(r, L)
         q_s = q[:, side]
         f = q_s[-1]
@@ -751,11 +747,12 @@ class TestHalfchainFold:
 
         from rainbow_lab.spectra import even_sector
 
-        _, w, f = even_sector(profile)
+        c = profile.couplings
+        _, w, f = even_sector(c)
         k_mat = np.outer(f, f) / np.add.outer(np.abs(w), np.abs(w))
         _, _, rank, _ = dpstrf(k_mat, lower=1, tol=-1.0)
         eps = np.finfo(float).eps / 2.0  # LAPACK's dlamch("Epsilon")
-        scale = abs(profile.couplings[profile.L - 1])
+        scale = c[profile.L - 1]
         return w.size, rank, scale * w.size**2 * eps * float(np.diag(k_mat).max())
 
     @pytest.mark.parametrize("L", [800, 801])
@@ -766,7 +763,7 @@ class TestHalfchainFold:
         # nu = (1 - sqrt(1 - a^2))/2 = a^2 / (2 (1 + sigma)) <= a^2/2
         assert a_max**2 / 2.0 < 1e-20
 
-    @pytest.mark.parametrize("L", [2, 3, 50, 51, 800, 801])
+    @pytest.mark.parametrize("L", [3, 50, 51, 800, 801])
     def test_readout_solves_nothing_larger_than_the_rank(self, monkeypatch, L):
         from rainbow_lab import entanglement
 
@@ -786,30 +783,36 @@ class TestHalfchainFold:
             assert rank < k
 
     @staticmethod
-    def _signed_mirror_chains(count, seed=1):
-        """Seeded mirror chains of L = 2..23 with couplings of random sign
-        and magnitudes log-uniform over four decades, so every one folds;
-        dstevd's solves of their sectors stay in dstedc's dsteqr branch
-        (L < 25)."""
+    def _signed_mirror_chains(count, seed=1, high=24):
+        """Seeded mirror chains of L = 2 .. high - 1 with couplings of random
+        sign and magnitudes log-uniform over four decades, so every one with
+        L >= 3 folds; below L = 25 dstevd's solves of their sectors stay in
+        dstedc's dsteqr branch, and chain_svd's dbdsdc runs dlasdq (QR)."""
         rng = np.random.default_rng(seed)
         for _ in range(count):
-            L = int(rng.integers(2, 24))
+            L = int(rng.integers(2, high))
             half = rng.choice([-1.0, 1.0], L) * 10.0 ** rng.uniform(0.0, 4.0, L)
             yield _chain(np.concatenate([half, half[-2::-1]]))
 
+    def _gauged_chains(self):
+        """(index, |c|) of each of the 200 seeded signed chains that folds."""
+        for i, profile in enumerate(self._signed_mirror_chains(200)):
+            if profile.L >= 3:
+                yield i, np.abs(profile.couplings)
+
     @staticmethod
-    def _dstevd_misfiles(profile) -> bool:
-        """True when dstevd's levels of the chain's H+ count other than the
-        structural r below zero, or put one at zero."""
+    def _dstevd_misfiles(c) -> bool:
+        """True when dstevd's levels of H+ for the positive couplings c count
+        other than the structural (L + 1) // 2 below zero, or put one at
+        zero."""
         from scipy.linalg.lapack import dstevd
 
-        L, c = profile.L, profile.couplings
+        L = (c.size + 1) // 2
         d = np.zeros(L)
         d[-1] = -c[L - 1] / 2.0
         w, _, info = dstevd(d, -c[: L - 1] / 2.0)
         assert info == 0
-        structural = L // 2 + int(L % 2 == 1 and d[-1] < 0.0)
-        return np.count_nonzero(w < 0.0) != structural or (w == 0.0).any()
+        return np.count_nonzero(w < 0.0) != (L + 1) // 2 or (w == 0.0).any()
 
     def test_misfiled_sign_count_raises(self, monkeypatch):
         # A level within rounding of zero can come out with the wrong sign:
@@ -823,11 +826,10 @@ class TestHalfchainFold:
         from rainbow_lab.spectra import even_sector
 
         misfiled = 0
-        for profile in self._signed_mirror_chains(200):
-            L, c = profile.L, profile.couplings
+        for _, c in self._gauged_chains():
             assert spectra._folds(c)
-            misfiled += self._dstevd_misfiles(profile)
-            assert even_sector(profile)[0] == L // 2 + int(L % 2 == 1 and c[L - 1] > 0.0)
+            misfiled += self._dstevd_misfiles(c)
+            assert even_sector(c)[0] == ((c.size + 1) // 2 + 1) // 2
         assert misfiled > 0
 
         def mirrored(i, poles, dist, root):
@@ -839,30 +841,52 @@ class TestHalfchainFold:
 
         self._patched_root(monkeypatch, mirrored)
         for L in (3, 50, 51):
+            c = profile_from_z(L, 1.0).couplings
+            with pytest.raises(NumericsError, match="sign count"):
+                even_sector(c)
             for sign in (1.0, -1.0):
-                profile = _chain(sign * profile_from_z(L, 1.0).couplings)
-                for solve in (even_sector, fold_nu):
-                    with pytest.raises(NumericsError, match="sign count"):
-                        solve(profile)
+                with pytest.raises(NumericsError, match="sign count"):
+                    fold_nu(_chain(sign * c))
 
     def test_sign_rule_matches_a_60_digit_oracle(self):
-        # on the chains of the test above that dstevd misfiles and ten
-        # others: the sign count and the side's levels
+        # on the chains of the test above that dstevd misfiles and those
+        # among the first ten: the sign count and the side's levels
         pytest.importorskip("mpmath")
         from rainbow_lab.spectra import even_sector
 
         checked = 0
-        for i, profile in enumerate(self._signed_mirror_chains(200)):
-            if i >= 10 and not self._dstevd_misfiles(profile):
+        for i, c in self._gauged_chains():
+            if i >= 10 and not self._dstevd_misfiles(c):
                 continue
-            L = profile.L
-            r, w, _ = even_sector(profile)
-            levels, _ = self._oracle_sector(profile.couplings)
+            L = (c.size + 1) // 2
+            r, w, _ = even_sector(c)
+            levels, _ = self._oracle_sector(c)
             assert np.count_nonzero(levels < 0) == r
             side = slice(0, r) if 2 * r <= L else slice(r, L)
             assert np.max(np.abs(w - levels[side]), initial=0.0) <= 1e-13 * np.max(np.abs(levels))
             checked += 1
         assert checked > 10
+
+    def test_signed_chains_match_the_polar_route(self):
+        # the polar route is the reference here (dbdsdc runs QR below 25
+        # pairs); measured: within 6.1e-13
+        for profile in self._signed_mirror_chains(200):
+            want = polar_block(chain_svd(profile), range(profile.L))
+            assert _max_renyi_gap(fold_nu(profile), want) <= 1e-12
+
+    @pytest.mark.parametrize("L", [3, 50, 51])
+    def test_coupling_signs_are_a_gauge_bitwise(self, L):
+        # flipping any couplings' signs, the sign mirror kept or broken,
+        # leaves |c| and so every bit of the fold
+        profile = profile_from_z(L, 2.0)
+        c = profile.couplings
+        want = fold_nu(profile)
+        rng = np.random.default_rng(L)
+        first_only = np.where(np.arange(c.size) == 0, -1.0, 1.0)
+        center_only = np.where(np.arange(c.size) == L - 1, -1.0, 1.0)
+        for sign in [-np.ones(c.size), first_only, center_only,
+                     *(rng.choice([-1.0, 1.0], c.size) for _ in range(8))]:
+            assert np.array_equal(fold_nu(_chain(sign * c)), want)
 
     @staticmethod
     def _oracle_halfchain_s1(profile, digits=60) -> float:
@@ -894,16 +918,46 @@ class TestHalfchainFold:
         want = self._oracle_halfchain_s1(profile)
         assert abs(vn_entropy(polar_block(chain_svd(profile), range(profile.L))) - want) <= 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="the fold's S1 is 2.1e-9 off on this "
-                       "chain and no check fires (ROADMAP item 9)")
     def test_chain_76_fold_matches_a_60_digit_oracle(self):
+        # its central coupling is negative, so the fold reads its |c|;
+        # measured 4.4e-16 off
         pytest.importorskip("mpmath")
-        profile = list(self._signed_mirror_chains(200))[76]
         from rainbow_lab.spectra import _folds
 
-        assert _folds(profile.couplings)
+        profile = list(self._signed_mirror_chains(200))[76]
+        assert profile.couplings[profile.L - 1] < 0.0
+        assert _folds(np.abs(profile.couplings))
         want = self._oracle_halfchain_s1(profile)
         assert abs(vn_entropy(fold_nu(profile)) - want) <= 1e-12
+
+    # Chain 324 of _signed_mirror_chains(325, seed=28, high=40): L = 30,
+    # coupling ratio 5.1e3 and smallest singular value 1.6e-14, so
+    # chain_svd takes dbdsdc.  Its S1 by _oracle_halfchain_s1 at 50 digits.
+    LOCALIZED_S1 = 1.4209234741325438
+
+    def _localized_chain(self):
+        return list(self._signed_mirror_chains(325, seed=28, high=40))[324]
+
+    def test_localized_chain_fold_matches_a_50_digit_oracle(self, monkeypatch):
+        # measured: the fold 4.4e-16 off, the polar route on dbdsqr 2.0e-15
+        pytest.importorskip("mpmath")
+        from rainbow_lab import spectra
+
+        profile = self._localized_chain()
+        assert abs(self._oracle_halfchain_s1(profile, digits=50) - self.LOCALIZED_S1) <= 1e-15
+        assert spectra._folds(np.abs(profile.couplings))
+        assert abs(vn_entropy(fold_nu(profile)) - self.LOCALIZED_S1) <= 1e-12
+        monkeypatch.setattr(spectra, "_graded", lambda *bands: True)
+        polar = polar_block(chain_svd(profile), range(profile.L))
+        assert abs(vn_entropy(polar) - self.LOCALIZED_S1) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="dbdsdc resolves this chain's small "
+                       "singular triplets only relative to the largest: S1 is "
+                       "0.71 nats off and no check fires (ROADMAP item 3)")
+    def test_localized_chain_polar_route_matches_a_50_digit_oracle(self):
+        profile = self._localized_chain()
+        polar = polar_block(chain_svd(profile), range(profile.L))
+        assert abs(vn_entropy(polar) - self.LOCALIZED_S1) <= 1e-12
 
     def test_sector_needs_a_mirror_chain(self):
         from rainbow_lab.spectra import even_sector
@@ -911,7 +965,19 @@ class TestHalfchainFold:
         c = profile_from_z(10, 1.0).couplings.copy()
         c[0] *= 2.0
         with pytest.raises(ValueError, match="mirror"):
-            even_sector(_chain(c))
+            even_sector(c)
+
+    @pytest.mark.parametrize("case", ["signed", "short"])
+    def test_sector_needs_positive_couplings_and_three_sites(self, case):
+        from rainbow_lab.spectra import even_sector
+
+        if case == "signed":  # mirror symmetric, signs included
+            c = profile_from_z(10, 1.0).couplings.copy()
+            c[[4, -5]] *= -1.0
+        else:
+            c = profile_from_z(2, 1.0).couplings
+        with pytest.raises(ValueError, match="positive couplings"):
+            even_sector(c)
 
     def test_renyi_fit_takes_the_fold(self, monkeypatch, tmp_path):
         from rainbow_lab import cli, entanglement
@@ -936,7 +1002,7 @@ class TestHalfchainFold:
             raise AssertionError("svdvals called")
 
         monkeypatch.setattr(entanglement, "_svdvals", refuse)
-        for L in (1, 2, 3, 50, 51):
+        for L in (3, 50, 51):
             assert fold_nu(profile_from_z(L, 2.0)).size == L
         assert main(["renyi-fit", "--L", "20:25:1", "--z", "0:4:2",
                      "--out", str(tmp_path / "r.csv")]) == 0
