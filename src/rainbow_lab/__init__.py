@@ -35,7 +35,6 @@ from .continuum import (
     analytic_wavefunction,
     deformed_length,
     overlap_crossing,
-    slater_overlap,
     validity_overlap,
 )
 from .entanglement import (

@@ -107,13 +107,13 @@ def _lwork(*query):
     return [int(size) for size in sizes]
 
 
-def _gesdd(a, compute_uv: int):
+def _gesdd(a, compute_uv: int, overwrite_a: int):
     """dgesdd with full matrices, as ``scipy.linalg.svd`` calls it; a must
     be finite and non-empty."""
     m, n = a.shape
     (lwork,) = _lwork(*_flapack.dgesdd_lwork(m, n, compute_uv=compute_uv, full_matrices=1))
     u, s, vt, info = _flapack.dgesdd(a, compute_uv=compute_uv, lwork=lwork,
-                                     full_matrices=1, overwrite_a=0)
+                                     full_matrices=1, overwrite_a=overwrite_a)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     if info < 0:
@@ -122,9 +122,9 @@ def _gesdd(a, compute_uv: int):
 
 
 def _svd(a) -> tuple:
-    """``scipy.linalg.svd(a)`` of a non-empty a: (U, s, V^T), full
-    matrices, by dgesdd."""
-    return _gesdd(np.asarray_chkfinite(a), 1)
+    """``scipy.linalg.svd(a, overwrite_a=True)`` of a non-empty a: (U, s,
+    V^T), full matrices, by dgesdd; an F-ordered a is overwritten."""
+    return _gesdd(np.asarray_chkfinite(a), 1, 1)
 
 
 def _svdvals(a) -> np.ndarray:
@@ -133,7 +133,7 @@ def _svdvals(a) -> np.ndarray:
     a = np.asarray_chkfinite(a)
     if not a.size:
         return np.empty(0)
-    return _gesdd(a, 0)[1]
+    return _gesdd(a, 0, 0)[1]
 
 
 def _eigvalsh_evd(a) -> np.ndarray:
@@ -160,24 +160,6 @@ def _eigvalsh(a) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
     return w
-
-
-def _qr_q(a) -> np.ndarray:
-    """Q of ``scipy.linalg.qr(a, mode="economic", check_finite=False)`` for
-    a non-empty a: dgeqrf, then dorgqr on its first min(M, N) columns, each
-    sized by an lwork = -1 query."""
-    a = np.asarray(a)
-    m, n = a.shape
-    work = _flapack.dgeqrf(a, lwork=-1, overwrite_a=0)[-2]
-    qr, tau, _, info = _flapack.dgeqrf(a, lwork=int(work[0]), overwrite_a=0)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal geqrf")
-    qr = qr[:, :min(m, n)]
-    work = _flapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[-2]
-    q, _, info = _flapack.dorgqr(qr, tau, lwork=int(work[0]), overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal orgqr")
-    return q
 
 
 def _solve_triangular(r, b) -> np.ndarray:

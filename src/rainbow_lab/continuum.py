@@ -8,20 +8,22 @@ ascending spectrum of a 2L-site chain.
 The closed-form wavefunction lives in one vectorized core that samples
 any set of levels in a single broadcast: ``analytic_wavefunction`` asks
 it for one level and returns that level's unit vector, and
-``continuum_occupied`` asks for all L occupied levels at once.
-``validity_overlap`` compares that continuum state with the exact ground
-state of one chain, whose occupied orbitals come straight from the
-chain's sublattice SVD (``spectra.occupied_from_svd``), so neither side
-builds a hopping matrix or loops over levels.  Sweeping it over an
-(L, z) grid is the caller's loop (the CLI's validity-map), and
-``overlap_crossing`` reads off one L's row of overlaps the z where the
-overlap drops through a level.
+``validity_overlap`` asks for all L occupied levels at once.  It compares
+that continuum state with the exact ground state of one chain, whose
+occupied orbitals come straight from the chain's sublattice SVD
+(``spectra.occupied_from_svd``), so neither side builds a hopping matrix
+or loops over levels.  The continuum state's orbitals are the Q factor of
+the analytic levels' QR, and Q is never formed: the overlap needs only
+Q^T applied to the exact orbitals.  Sweeping it over an (L, z) grid is
+the caller's loop (the CLI's validity-map), and ``overlap_crossing``
+reads off one L's row of overlaps the z where the overlap drops through a
+level.
 
 Each validity-map point keeps to one BLAS, SciPy's, which the chain solve
-already runs on (the rule of ``spectra``): the QR, the Gram and overlap
-products and the LU of the overlap go through SciPy's compiled LAPACK and
-BLAS (``dgeqrf`` and ``dorgqr``, ``dgemm``, ``dgetrf``), and numpy keeps
-the elementwise work.
+already runs on (the rule of ``spectra``): the QR and its application, the
+Gram product and the LU of the overlap go through SciPy's compiled LAPACK
+and BLAS (the recursive, blocked ``dgeqrt`` and ``dgemqrt``, ``dgemm``,
+``dgetrf``), and numpy keeps the elementwise work.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 
 import numpy as np
 
-from ._lapack import _flapack, _qr_q
+from ._lapack import _flapack
 from .lattice import profile_from_z, site_labels
 from .spectra import NumericsError, _dgemm, chain_svd, occupied_from_svd
 
@@ -75,7 +77,7 @@ def _analytic_levels(ms: np.ndarray, h: float, L: int) -> np.ndarray:
     v = np.exp(h * absn / 2.0) * np.cos(phase)
     # row norms from a stack of (1 x n)(n x 1) products: each is the dot
     # np.linalg.norm takes of one level, so a row does not depend on which
-    # other levels share the call.  continuum_occupied needs that: its
+    # other levels share the call.  validity_overlap needs that: its
     # columns are near-dependent past z ~ 1, and QR turns one-ulp changes
     # of them into O(1) changes of Q.
     norms = np.sqrt(v[:, None, :] @ v[:, :, None])[:, :, 0]
@@ -97,44 +99,47 @@ def analytic_wavefunction(m: int, h: float, L: int) -> np.ndarray:
     return _analytic_levels(np.array([m]), h, L)[0]
 
 
-def slater_overlap(occ_a: np.ndarray, occ_b: np.ndarray) -> float:
-    """|det(A^T B)| between two Slater states given by orthonormal orbitals.
+def validity_overlap(L: int, z: float) -> float:
+    """Many-body overlap |det(Q_a^T B)| of the continuum and exact ground
+    states of the 2L-site chain at deformation z, which quantifies where
+    the continuum holds.
 
-    Invariant under orthogonal rotations inside either occupied set.
-    ValueError unless both sets have one shape and each is orthonormal,
-    ||M^T M - I||_F <= 1e-8 (the tolerance slater_amplitudes puts on a
-    state's norm; NaN fails).  The norm is an elementwise sum: a BLAS dot
-    on numpy's library would wake its thread pool.
+    B (2L x L) holds the exact occupied orbitals, and Q_a the continuum's:
+    the orthonormalized analytic levels m = -L..-1, the first L columns of
+    the orthogonal Q of their QR.  Q is never formed.  dgeqrt factors the
+    analytic columns in place, and dgemqrt applies Q to B, as B^T Q on B's
+    transpose, overwriting it; the top L rows of C = Q^T B are Q_a^T B.
+
+    Since Q is orthogonal, C^T C = B^T B: C has orthonormal columns exactly
+    when B has, and Q_a is orthonormal by construction.  So one Gram,
+    ||C^T C - I||_F <= 1e-8 (the tolerance slater_amplitudes puts on a
+    state's norm; NaN fails), certifies both states, and ValueError is
+    raised when it fails.  The norm is an elementwise sum: a BLAS dot on
+    numpy's library would wake its thread pool.  The determinant is
+    dgetrf's on C's top L x L block, read as its transpose; an exact zero
+    pivot returns 0.
     """
-    a = np.asarray(occ_a, dtype=float)
-    b = np.asarray(occ_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"orbital matrices differ in shape: {a.shape} vs {b.shape}")
-    for m in (a, b):
-        gram = _dgemm(m.T, m)
-        gram[np.diag_indices_from(gram)] -= 1.0
-        if not np.sum(gram * gram) <= 1e-16:
-            raise ValueError("orbital set is not orthonormal (||M^T M - I||_F > 1e-8)")
-    lu, _, info = _flapack.dgetrf(_dgemm(a.T, b))
+    exact = occupied_from_svd(chain_svd(profile_from_z(L, z)))
+    # no finiteness scan of the levels: deformed_length refuses a tilde_L
+    # that overflows, and the exact solve, first, an underflowed chain
+    levels = _analytic_levels(np.arange(-L, 0), z / L, L)
+    # both are C-ordered, so their transposes are F-ordered and f2py works
+    # on them in place: levels.T is the 2L x L analytic block A, and
+    # exact.T becomes C^T = B^T Q, L x 2L
+    v, t, info = _flapack.dgeqrt(min(32, L), levels.T, overwrite_a=1)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal geqrt")
+    ct, info = _flapack.dgemqrt(v, t, exact.T, side="R", overwrite_c=1)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal gemqrt")
+    gram = _dgemm(ct, ct.T)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if not np.sum(gram * gram) <= 1e-16:
+        raise ValueError("exact orbital set is not orthonormal (||C^T C - I||_F > 1e-8)")
+    lu, _, info = _flapack.dgetrf(ct[:, :L], overwrite_a=1)
     if info > 0:  # an exact zero pivot: the determinant is 0
         return 0.0
     return float(np.exp(np.sum(np.log(np.abs(np.diag(lu))))))
-
-
-def continuum_occupied(L: int, h: float) -> np.ndarray:
-    """QR-orthonormalized analytic orbitals of the L occupied levels m = -L..-1."""
-    levels = _analytic_levels(np.arange(-L, 0), h, L)
-    # no finiteness scan: deformed_length refuses a tilde_L that overflows,
-    # and validity_overlap's exact solve, first, an underflowed chain
-    return _qr_q(levels.T)
-
-
-def validity_overlap(L: int, z: float) -> float:
-    """Many-body overlap of the continuum and exact ground states of the
-    2L-site chain at deformation z, which quantifies where the continuum
-    holds."""
-    exact = occupied_from_svd(chain_svd(profile_from_z(L, z)))
-    return slater_overlap(continuum_occupied(L, z / L), exact)
 
 
 def overlap_crossing(z_values, overlaps, level: float) -> float:

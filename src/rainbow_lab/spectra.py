@@ -266,6 +266,12 @@ def _refuse_graded(couplings: np.ndarray, n_sites: int) -> None:
         )
 
 
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, taken in place in a: no third array of a's size."""
+    a -= b
+    return float(np.max(np.abs(a, out=a)))
+
+
 def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
     """Certified SVD of a dense sublattice block by LAPACK's dgesdd
     (divide and conquer; ``_lapack._svd``).  The levels within
@@ -279,16 +285,20 @@ def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
     raises NumericsError before any solve.
     """
     _refuse_graded(block, 2 * block.shape[0])
+    # dgesdd works in place on the F-ordered block.T; the block is rebuilt
+    # from its nonzeros afterwards, bitwise, for the residual and the caller
+    nonzero = np.nonzero(block)
+    couplings = block[nonzero]
     try:
         u2, s, v2t = _svd(block.T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericsError(f"SVD failed on dim {2 * block.shape[0]}: {exc}") from exc
+    block[...] = 0.0
+    block[nonzero] = couplings
     u, vt = v2t.T, u2.T
     # |H psi - E psi| of psi = (u, +-v)/sqrt(2), from the two half blocks
-    residual = max(
-        float(np.max(np.abs(_dgemm(block, vt.T) - u * s))),
-        float(np.max(np.abs(_dgemm(block.T, u) - vt.T * s))),
-    )
+    residual = max(_max_abs_diff(_dgemm(block, vt.T), u * s),
+                   _max_abs_diff(_dgemm(block.T, u), vt.T * s))
     residual = _certify(residual / np.sqrt(2.0), float(s[0]))
     s[s <= ZERO_MODE_TOL * max(float(s[0]), 1.0)] = 0.0
     return SublatticeSVD(u, s, vt, residual, sublattice)

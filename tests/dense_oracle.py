@@ -13,6 +13,12 @@ validates its input, which comes from the tests alone.
 as numpy computes it, which the library's route on SciPy's BLAS must
 match bit for bit.
 
+``continuum_occupied`` and ``slater_overlap`` are the validity map's
+explicit-Q route: the continuum state's orthonormal orbitals formed by
+``qr_q`` (SciPy's economic QR, dgeqrf and dorgqr) and the overlap taken
+between two explicit orbital sets.  ``continuum.validity_overlap``
+applies the QR's Q implicitly instead, and must agree with this route.
+
 ``lattice_sector_entropy`` is the one oracle that is not dense: the 2D
 lattice's left-half entropy from its y-momentum sectors in mpmath, so it
 shares no float64 arithmetic with any shipped route.  ``renyi_mp`` takes
@@ -30,6 +36,8 @@ import mpmath
 import numpy as np
 
 from rainbow_lab import spectra
+from rainbow_lab._lapack import _flapack
+from rainbow_lab.continuum import _analytic_levels
 from rainbow_lab.entanglement import NU_CLIP, CorrelationMatrix
 from rainbow_lab.lattice import CouplingProfile, lattice_links, signed_profile
 
@@ -127,6 +135,52 @@ def numpy_eigenvalues(c):
     """``CorrelationMatrix.eigenvalues`` on numpy's LAPACK: eigvalsh,
     clipped to [0, 1]."""
     return np.clip(np.linalg.eigvalsh(c.entries), 0.0, 1.0)
+
+
+def qr_q(a):
+    """Q of ``scipy.linalg.qr(a, mode="economic", check_finite=False)`` for
+    a non-empty a: dgeqrf, then dorgqr on its first min(M, N) columns, each
+    sized by an lwork = -1 query."""
+    a = np.asarray(a)
+    m, n = a.shape
+    work = _flapack.dgeqrf(a, lwork=-1, overwrite_a=0)[-2]
+    qr, tau, _, info = _flapack.dgeqrf(a, lwork=int(work[0]), overwrite_a=0)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal geqrf")
+    qr = qr[:, :min(m, n)]
+    work = _flapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[-2]
+    q, _, info = _flapack.dorgqr(qr, tau, lwork=int(work[0]), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal orgqr")
+    return q
+
+
+def continuum_occupied(L, h):
+    """QR-orthonormalized analytic orbitals of the L occupied levels
+    m = -L..-1, as an explicit 2L x L Q."""
+    return qr_q(_analytic_levels(np.arange(-L, 0), h, L).T)
+
+
+def slater_overlap(occ_a, occ_b):
+    """|det(A^T B)| between two Slater states given by orthonormal orbitals.
+
+    Invariant under orthogonal rotations inside either occupied set.
+    ValueError unless both sets have one shape and each is orthonormal,
+    ||M^T M - I||_F <= 1e-8 (NaN fails).
+    """
+    a = np.asarray(occ_a, dtype=float)
+    b = np.asarray(occ_b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"orbital matrices differ in shape: {a.shape} vs {b.shape}")
+    for m in (a, b):
+        gram = spectra._dgemm(m.T, m)
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if not np.sum(gram * gram) <= 1e-16:
+            raise ValueError("orbital set is not orthonormal (||M^T M - I||_F > 1e-8)")
+    lu, _, info = _flapack.dgetrf(spectra._dgemm(a.T, b))
+    if info > 0:  # an exact zero pivot: the determinant is 0
+        return 0.0
+    return float(np.exp(np.sum(np.log(np.abs(np.diag(lu))))))
 
 
 def renyi_mp(nu, order, dps=60):

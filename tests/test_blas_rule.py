@@ -28,8 +28,6 @@ PER_POINT = [
     spectra._chain_solve,
     spectra._dense_svd,
     continuum.validity_overlap,
-    continuum.continuum_occupied,
-    continuum.slater_overlap,
 ]
 
 # Every function of the per-point modules that does call numpy's BLAS.

@@ -15,11 +15,10 @@ from rainbow_lab import (
     orbitals_from_svd,
     overlap_crossing,
     profile_from_z,
-    slater_overlap,
     validity_overlap,
 )
 from rainbow_lab import _lapack, continuum
-from rainbow_lab.continuum import _expm1_over_h, continuum_occupied
+from rainbow_lab.continuum import _expm1_over_h
 from rainbow_lab.spectra import NumericsError
 
 import dense_oracle as oracle
@@ -92,34 +91,37 @@ class TestAnalyticWavefunction:
 
 
 class TestOverlaps:
+    """The contract of the oracle's slater_overlap, which the differential
+    tests of validity_overlap take as their reference."""
+
     def test_slater_self(self):
         occ = chain_occupied(6, alpha=0.8)
-        assert slater_overlap(occ, occ) == pytest.approx(1.0)
+        assert oracle.slater_overlap(occ, occ) == pytest.approx(1.0)
 
     def test_slater_rotation_invariance(self, rng):
         occ = chain_occupied(6, alpha=0.8)
         a = rng.normal(size=(6, 6))
         q, _ = np.linalg.qr(a)
-        assert slater_overlap(occ, occ @ q) == pytest.approx(1.0)
+        assert oracle.slater_overlap(occ, occ @ q) == pytest.approx(1.0)
 
     def test_slater_rank_deficient(self):
         occ = chain_occupied(4, alpha=0.9).copy()
         occ[:, 1] = occ[:, 0]
         with pytest.raises(ValueError, match="not orthonormal"):
-            slater_overlap(occ, occ)
+            oracle.slater_overlap(occ, occ)
 
     def test_slater_nan_refused(self):
         occ = chain_occupied(4, alpha=0.9).copy()
         occ[0, 0] = math.nan
         with pytest.raises(ValueError, match="not orthonormal"):
-            slater_overlap(chain_occupied(4, alpha=0.9), occ)
+            oracle.slater_overlap(chain_occupied(4, alpha=0.9), occ)
 
     def test_slater_scaled_column_refused(self):
         # full rank, ||A^T A - I||_F = 0.44 < 1/2, but not orthonormal
         occ = chain_occupied(4, alpha=0.9).copy()
         occ[:, 2] *= 1.2
         with pytest.raises(ValueError, match="not orthonormal"):
-            slater_overlap(occ, chain_occupied(4, alpha=0.9))
+            oracle.slater_overlap(occ, chain_occupied(4, alpha=0.9))
 
     def test_slater_orthonormal_sets_skip_the_rank_svd(self, monkeypatch, rng):
         def refuse(*args, **kwargs):
@@ -129,18 +131,18 @@ class TestOverlaps:
         b, _ = np.linalg.qr(rng.normal(size=(12, 6)))
         want = abs(np.linalg.det(a.T @ b))
         monkeypatch.setattr(_lapack, "_gesdd", refuse)
-        assert slater_overlap(a, b) == pytest.approx(want, rel=1e-12)
+        assert oracle.slater_overlap(a, b) == pytest.approx(want, rel=1e-12)
 
     def test_slater_far_from_orthonormal_asks_matrix_rank(self):
         occ = chain_occupied(4, alpha=0.9)
         # full rank, but ||A^T A - I||_F = 6: refused, not answered 2^4
         with pytest.raises(ValueError, match="not orthonormal"):
-            slater_overlap(2.0 * occ, occ)
+            oracle.slater_overlap(2.0 * occ, occ)
 
     def test_shape_mismatch(self):
         a = chain_occupied(4, alpha=0.9)
         with pytest.raises(ValueError):
-            slater_overlap(a, a[:, :2])
+            oracle.slater_overlap(a, a[:, :2])
 
 
 VM_L = (30, 50)
@@ -176,10 +178,7 @@ class TestValidityMap:
         # at any z below the measured 0.90 contour the overlap exceeds 0.9
         z90 = overlap_crossing(VM_Z, overlaps[VM_L.index(50)], 0.90)
         assert not math.isnan(z90)
-        probe = slater_overlap(
-            continuum_occupied(50, (z90 / 2) / 50), chain_occupied(50, z=z90 / 2)
-        )
-        assert probe > 0.9
+        assert validity_overlap(50, z90 / 2) > 0.9
 
 
 GRID_L = (1, 2, 7, 50, 51, 101, 300)
@@ -188,9 +187,10 @@ GRID_Z = (0.0, 1.0, 4.0, 30.0, 92.0)
 
 def _stacked_occupied(L, h):
     """The per-level route: one analytic_wavefunction call per level,
-    orthonormalized by the QR call continuum_occupied makes.  Past z ~ 1 the
-    columns are near-dependent, so Q depends on which LAPACK computes it
-    (numpy's QR differs from SciPy's by far more than 1e-14 at L = 300)."""
+    orthonormalized by the QR call the oracle's continuum_occupied makes.
+    Past z ~ 1 the columns are near-dependent, so Q depends on which LAPACK
+    computes it (numpy's QR differs from SciPy's by far more than 1e-14 at
+    L = 300)."""
     cols = np.column_stack(
         [analytic_wavefunction(m, h, L) for m in range(-L, 0)]
     )
@@ -198,13 +198,14 @@ def _stacked_occupied(L, h):
 
 
 class TestVectorizedLevels:
-    """continuum_occupied builds all levels in one broadcast; the per-level
-    analytic_wavefunction and the dense exact route are its oracles."""
+    """validity_overlap builds all levels in one broadcast and applies
+    their QR's Q implicitly; the per-level analytic_wavefunction, the
+    explicit Q and the dense exact route are its oracles."""
 
     @pytest.mark.parametrize("L", GRID_L)
     @pytest.mark.parametrize("z", GRID_Z)
     def test_matches_stacked_levels(self, L, z):
-        got = continuum_occupied(L, z / L)
+        got = oracle.continuum_occupied(L, z / L)
         assert np.max(np.abs(got - _stacked_occupied(L, z / L))) <= 1e-14
 
     @pytest.mark.parametrize("L,h", [(1, 0.0), (7, 1e-9), (50, 0.02), (51, 1.8)])
@@ -223,7 +224,7 @@ class TestVectorizedLevels:
 
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            continuum_occupied(5, -0.1)
+            continuum._analytic_levels(np.arange(-5, 0), -0.1, 5)
 
     def test_overlaps_match_dense_route(self):
         for L in GRID_L:
@@ -231,14 +232,32 @@ class TestVectorizedLevels:
                 exact = oracle.occupied(oracle.diagonalize(
                     *oracle.chain_hamiltonian(profile_from_z(L, z))
                 ))
-                want = slater_overlap(_stacked_occupied(L, z / L), exact)
+                want = oracle.slater_overlap(_stacked_occupied(L, z / L), exact)
                 assert abs(validity_overlap(L, z) - want) <= 1e-12, (L, z)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 10, 50, 51, 100, 200])
+    @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 2.0, 5.0])
+    def test_matches_explicit_q_route(self, L, z):
+        # the same exact orbitals on both sides, so only the continuum
+        # state's route differs: Q applied implicitly against Q formed
+        exact = chain_occupied(L, z=z)
+        want = oracle.slater_overlap(oracle.continuum_occupied(L, z / L), exact)
+        assert abs(validity_overlap(L, z) - want) <= 1e-13
+
+    def test_non_orthonormal_exact_set_raises(self, monkeypatch):
+        # C = Q^T B has B's Gram, so the one certificate on C refuses 2 B
+        occupied = continuum.occupied_from_svd
+        monkeypatch.setattr(continuum, "occupied_from_svd",
+                            lambda svd: 2.0 * occupied(svd))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            validity_overlap(10, 1.0)
+
     def test_pinned_overlaps(self):
-        # recorded before the orthonormality check replaced the rank test;
-        # at one BLAS thread, since at L = 200 the last bits of the overlap
-        # follow the thread count's blocking.  (51, 0.5) is rounding: the
-        # odd-L continuum set misses one mirror-even level (ROADMAP item 1)
+        # recorded with Q applied implicitly (dgeqrt, dgemqrt); at one BLAS
+        # thread, since at L = 200 the last bits of the overlap follow the
+        # thread count's blocking.  (51, 0.5) and (200, 1.0) are rounding:
+        # the odd-L continuum set misses one mirror-even level (ROADMAP
+        # item 13), and 1e-95 is far below the overlap's noise floor
         code = ("from rainbow_lab import validity_overlap; "
                 "print([validity_overlap(L, z).hex() "
                 "for L, z in ((10, 0.0), (51, 0.5), (200, 1.0))])")
@@ -246,8 +265,8 @@ class TestVectorizedLevels:
                "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == str(["0x1.fa419262cab10p-1", "0x1.c34362bbd021ep-53",
-                                   "0x1.8bdaaea6d3f98p-317"])
+        assert out.strip() == str(["0x1.fa419262cab0ep-1", "0x1.896ce2e067a16p-54",
+                                   "0x1.91a1f43a926f3p-317"])
 
     def test_overflowed_deformed_length_raises(self):
         with pytest.warns(RuntimeWarning), pytest.raises(NumericsError, match="overflows"):
@@ -264,7 +283,7 @@ class TestVectorizedLevels:
         assert deformed_length(h, 500) < math.inf
         with pytest.warns(RuntimeWarning, match="overflow"), \
                 pytest.raises(NumericsError, match="row norms overflow"):
-            continuum_occupied(500, h)
+            continuum._analytic_levels(np.arange(-500, 0), h, 500)
         rows = continuum._analytic_levels(np.arange(-500, 0), 700.0 / 500, 500)
         assert np.isfinite(rows).all() and rows.any(axis=1).all()
 

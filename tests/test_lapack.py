@@ -17,10 +17,12 @@ import scipy.linalg as sla
 
 from rainbow_lab import _lapack
 
+import dense_oracle as oracle
+
 # Results of every layer that calls a wrapper, as hex strings: the fold and
 # the polar route (dpstrf, dsyrk, dsyevr, dgesdd), the correlation matrix
 # (dsyrk, dsyevd), the dense lattice (dgesdd, dgemm), the continuum overlap
-# (dgeqrf, dorgqr, dgetrf) and a fit (dtrtrs).
+# (dgeqrt, dgemqrt, dgemm, dgetrf) and a fit (dtrtrs).
 RESULTS = """
 import numpy as np
 from rainbow_lab import (Lattice2D, chain_svd, correlation_matrix, halfchain_nu,
@@ -120,7 +122,7 @@ SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (5, 3), (3, 5), (40, 40), (90, 60)]
 
 def _operand(shape, order):
     rng = np.random.default_rng(sum(shape) + (order == "T"))
-    if order == "T":  # an F-ordered view, as _dense_svd and _qr_q receive
+    if order == "T":  # an F-ordered view, as _svd and the oracle's qr_q receive
         return rng.normal(size=shape[::-1]).T
     return rng.normal(size=shape)
 
@@ -131,10 +133,11 @@ class TestWrappersAreScipyBitwise:
     def test_svd(self, shape, order):
         a = _operand(shape, order)
         # validate's one-site blocks pass polar_block an empty X; _dense_svd,
-        # _svd's one caller, passes at least 2 x 2
+        # _svd's one caller, passes at least 2 x 2, and lets it overwrite
+        # its F-ordered operand
         _same(_lapack._svdvals(a), sla.svdvals(a))
         if a.size:
-            _same(_lapack._svd(a), sla.svd(a))
+            _same(_lapack._svd(np.copy(a)), sla.svd(np.copy(a), overwrite_a=True))
 
     @pytest.mark.parametrize("n", [0, 1, 5, 30, 80])
     def test_eigvalsh_evd(self, n):
@@ -155,9 +158,10 @@ class TestWrappersAreScipyBitwise:
     @pytest.mark.parametrize("order", ["C", "T"])
     @pytest.mark.parametrize("shape", [s for s in SHAPES if all(s)])
     def test_qr(self, shape, order):
-        # continuum_occupied, _qr_q's one caller, passes 2L x L
+        # the explicit-Q oracle of validity_overlap; its continuum_occupied
+        # passes 2L x L
         a = _operand(shape, order)
-        _same(_lapack._qr_q(a), sla.qr(a, mode="economic", check_finite=False)[0])
+        _same(oracle.qr_q(a), sla.qr(a, mode="economic", check_finite=False)[0])
 
     @pytest.mark.parametrize("n", [1, 3, 20])
     def test_solve_triangular(self, n):

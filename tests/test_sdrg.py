@@ -16,7 +16,6 @@ from rainbow_lab import (
     render_arcs,
     sdrg_entropy,
     sdrg_run,
-    slater_overlap,
     vn_entropy,
 )
 from rainbow_lab.lattice import site_labels
@@ -243,13 +242,13 @@ class TestBondStateOrbitals:
     def test_overlap_with_exact_deep_rainbow(self):
         occ = chain_occupied(10, alpha=0.01)
         bond = bond_state_orbitals(rainbow_bonds(10))
-        assert slater_overlap(bond, occ) > 0.99
+        assert oracle.slater_overlap(bond, occ) > 0.99
 
     def test_overlap_degrades_at_weak_inhomogeneity(self):
-        strong = slater_overlap(
+        strong = oracle.slater_overlap(
             bond_state_orbitals(rainbow_bonds(10)), chain_occupied(10, alpha=0.01)
         )
-        weak = slater_overlap(
+        weak = oracle.slater_overlap(
             bond_state_orbitals(rainbow_bonds(10)), chain_occupied(10, alpha=0.5)
         )
         assert weak < strong
