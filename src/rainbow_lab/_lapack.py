@@ -23,6 +23,15 @@ AttributeError, while ``from scipy.linalg import _flapack`` and
 The wrappers repeat the LAPACK calls that SciPy's Python functions make,
 routine, arguments and workspace query alike, so their results keep the
 bits of the SciPy function each one names.
+
+One failure rule holds for every LAPACK call of the library, here and in
+the modules that call LAPACK themselves: its ``info`` goes through
+``_check``, which raises NumericsError for any nonzero value, an illegal
+argument (info < 0) or a failed solve (info > 0) alike.  A caller tests
+info itself only where a positive value is a documented result rather
+than a failure (dgetrf's exact zero pivot, dpstrf's stop at its rank),
+and passes the rest on.  So a LAPACK failure is never a ValueError, and
+the command line files it as numerical (exit 3).
 """
 
 from __future__ import annotations
@@ -98,12 +107,21 @@ def _lapack(name: str, *argtypes):
     return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
 
-def _lwork(*query):
-    """The workspace sizes of a ``*_lwork`` query (its outputs but the
-    last, info), truncated to int as SciPy truncates them."""
-    *sizes, info = query
+class NumericsError(RuntimeError):
+    """Raised when a numerical routine cannot certify its result."""
+
+
+def _check(routine: str, info) -> None:
+    """NumericsError unless LAPACK's ``info`` from ``routine`` is 0."""
     if info:
-        raise ValueError(f"Internal work array size computation failed: {info}")
+        raise NumericsError(f"{routine} failed with info={int(info)}")
+
+
+def _lwork(routine: str, **query):
+    """The workspace sizes from ``routine``'s ``*_lwork`` query (its outputs
+    but the last, info), truncated to int as SciPy truncates them."""
+    *sizes, info = getattr(_flapack, routine + "_lwork")(**query)
+    _check(routine + "_lwork", info)
     return [int(size) for size in sizes]
 
 
@@ -111,13 +129,10 @@ def _gesdd(a, compute_uv: int, overwrite_a: int):
     """dgesdd with full matrices, as ``scipy.linalg.svd`` calls it; a must
     be finite and non-empty."""
     m, n = a.shape
-    (lwork,) = _lwork(*_flapack.dgesdd_lwork(m, n, compute_uv=compute_uv, full_matrices=1))
+    (lwork,) = _lwork("dgesdd", m=m, n=n, compute_uv=compute_uv, full_matrices=1)
     u, s, vt, info = _flapack.dgesdd(a, compute_uv=compute_uv, lwork=lwork,
                                      full_matrices=1, overwrite_a=overwrite_a)
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
+    _check("dgesdd", info)
     return u, s, vt
 
 
@@ -142,23 +157,10 @@ def _eigvalsh_evd(a) -> np.ndarray:
     a = np.asarray(a)
     if not a.size:
         return np.empty(0)
-    lwork, liwork = _lwork(*_flapack.dsyevd_lwork(n=a.shape[0], lower=1, compute_v=0))
+    lwork, liwork = _lwork("dsyevd", n=a.shape[0], lower=1, compute_v=0)
     w, _, info = _flapack.dsyevd(a=a, overwrite_a=0, lower=1, compute_v=0,
                                  lwork=lwork, liwork=liwork)
-    if info:
-        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
-    return w
-
-
-def _eigvalsh(a) -> np.ndarray:
-    """``scipy.linalg.eigvalsh(a, overwrite_a=True, check_finite=False)``:
-    the eigenvalues, ascending, of the symmetric a's lower triangle by
-    dsyevr (SciPy's default driver); an F-ordered a is overwritten."""
-    lwork, liwork = _lwork(*_flapack.dsyevr_lwork(n=a.shape[0], lower=1))
-    w, _, _, _, info = _flapack.dsyevr(a=a, overwrite_a=1, lower=1, compute_v=0,
-                                       lwork=lwork, liwork=liwork)
-    if info:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    _check("dsyevd", info)
     return w
 
 
@@ -169,8 +171,5 @@ def _solve_triangular(r, b) -> np.ndarray:
     r = np.asarray_chkfinite(r)
     b = np.asarray_chkfinite(b)
     x, info = _flapack.dtrtrs(r.T, b, overwrite_b=0, lower=1, trans=1, unitdiag=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: zero pivot at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    _check("dtrtrs", info)
     return x

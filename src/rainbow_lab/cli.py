@@ -12,8 +12,9 @@ command loops it with ``_sweep``.  The geometry flags --alpha, --h and
 --z name a chain through one resolver, ``_profile``, so a flag value
 gives the same couplings in every command that takes it.
 
-Exit codes: 0 success, 2 usage or domain error, 3 numerical failure or
-an allocation that fails (MemoryError).  A failing command writes one
+Exit codes: 0 success, 2 usage or domain error, 3 numerical failure (a
+failing LAPACK call included, numpy's LinAlgError too) or an allocation
+that fails (MemoryError).  A failing command writes one
 JSON error record to stderr, with the warnings raised before the failure
 in its "warnings" list, and no artifact: each command computes all of its
 outputs before ``_write_all`` writes any, and a file already at an output
@@ -628,11 +629,12 @@ def main(argv=None) -> int:
             try:
                 args = build_parser().parse_args(argv)
                 return args.func(args)
-            except (ValueError, OSError) as exc:
-                error, code = exc, 2
+            # first: numpy's LinAlgError is a ValueError
             except (NumericsError, np.linalg.LinAlgError, RuntimeError,
                     MemoryError) as exc:
                 error, code = exc, 3
+            except (ValueError, OSError) as exc:
+                error, code = exc, 2
     finally:
         if error is None:
             for w in caught:

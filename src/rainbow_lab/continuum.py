@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from ._lapack import _flapack
+from ._lapack import _check, _flapack
 from .lattice import profile_from_z, site_labels
 from .spectra import NumericsError, _dgemm, chain_svd, occupied_from_svd
 
@@ -127,11 +127,9 @@ def validity_overlap(L: int, z: float) -> float:
     # on them in place: levels.T is the 2L x L analytic block A, and
     # exact.T becomes C^T = B^T Q, L x 2L
     v, t, info = _flapack.dgeqrt(min(32, L), levels.T, overwrite_a=1)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal geqrt")
+    _check("dgeqrt", info)
     ct, info = _flapack.dgemqrt(v, t, exact.T, side="R", overwrite_c=1)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal gemqrt")
+    _check("dgemqrt", info)
     gram = _dgemm(ct, ct.T)
     gram[np.diag_indices_from(gram)] -= 1.0
     if not np.sum(gram * gram) <= 1e-16:
@@ -139,6 +137,7 @@ def validity_overlap(L: int, z: float) -> float:
     lu, _, info = _flapack.dgetrf(ct[:, :L], overwrite_a=1)
     if info > 0:  # an exact zero pivot: the determinant is 0
         return 0.0
+    _check("dgetrf", info)
     return float(np.exp(np.sum(np.log(np.abs(np.diag(lu))))))
 
 

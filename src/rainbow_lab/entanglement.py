@@ -31,8 +31,8 @@ takes from a rank-one update of the left half's bipartite chain: one
 bidiagonal SVD with a single vector row and one secular-equation root per
 level, no eigenvector.  A reflection identity gives the side's block of
 Q^T Gamma Q from them in closed form, a Cauchy-like matrix of low
-numerical rank, and sigma comes from the eigenvalues of the rank x rank
-Gram of its pivoted Cholesky factor rather than from an SVD.  A
+numerical rank, and sigma comes from the eigenvalues (``dsyevd``) of the
+rank x rank Gram of its pivoted Cholesky factor rather than from an SVD.  A
 coupling's sign is a gauge that leaves every nu of the half chain as it
 is, so the fold reads the couplings' magnitudes only.  Chains whose
 magnitudes are not mirror symmetric, that have fewer than three sites a
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import _eigvalsh, _eigvalsh_evd, _fblas, _flapack, _svdvals
+from ._lapack import _check, _eigvalsh_evd, _fblas, _flapack, _svdvals
 from .qubism import AmplitudeTable
 from .lattice import CouplingProfile
 from .spectra import (
@@ -226,7 +226,7 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     few dozen against k in the hundreds.  A pivoted Cholesky
     K = F F^T stops at that rank, and the a are |c[L-1]| times the
     eigenvalues of the rank x rank Gram F^T F: one ``dsyrk`` and one
-    values-only ``dsyevr`` of that size.  f is needed only up to sign:
+    values-only ``dsyevd`` of that size.  f is needed only up to sign:
     flipping f_i is the similarity D K D with D = diag(+-1), which keeps
     the a.
 
@@ -251,14 +251,15 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     # dropped direction has a <= |c[L-1]| k^2 eps max diag K <= k^2 eps
     # (|A_ii| <= 1), 7e-11 at k = 800, and nu = (1 - sigma)/2 <= a^2/2,
     # 3e-21, far below NU_CLIP: a = 0 there.  info > 0 only says that it
-    # stopped early.
-    factor, _, rank, _ = _flapack.dpstrf(cauchy.T, lower=1, tol=-1.0, overwrite_a=True)
+    # stopped early, at its rank.
+    factor, _, rank, info = _flapack.dpstrf(cauchy.T, lower=1, tol=-1.0, overwrite_a=True)
+    _check("dpstrf", min(info, 0))
     a = np.zeros(w.size)
     if rank:  # 0 only when every f is 0; dsyrk rejects an empty operand
         # F^T F from F's lower-trapezoidal columns; dsyrk fills the lower
-        # triangle, which dsyevr reads
+        # triangle, which dsyevd reads
         gram = _fblas.dsyrk(1.0, np.tril(factor[:, :rank]), trans=1, lower=1)
-        a[:rank] = c[L - 1] * _eigvalsh(gram)
+        a[:rank] = c[L - 1] * _eigvalsh_evd(gram)
     sigma = np.sort(np.sqrt(np.maximum((1.0 - a) * (1.0 + a), 0.0)))[::-1]
     return _nu_from_sigma(sigma, abs(2 * r - L))
 

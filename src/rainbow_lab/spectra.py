@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import _CHAR, _DOUBLE, _INT, _fblas, _lapack, _svd
+from ._lapack import _CHAR, _DOUBLE, _INT, NumericsError, _check, _fblas, _lapack, _svd
 from .lattice import CouplingProfile, Lattice2D, lattice_links
 
 RESIDUAL_TOL = 1e-10
@@ -82,10 +82,6 @@ _EPS = 2.0**-53  # LAPACK's unit roundoff, dlamch("Epsilon")
 # level of a lattice short of the grading refusal is filled at 1/2
 # (``entanglement.polar_block``).
 ZERO_MODE_TOL = 1e-14
-
-
-class NumericsError(RuntimeError):
-    """Raised when a numerical routine cannot certify its result."""
 
 
 class ZeroModeError(NumericsError):
@@ -119,6 +115,24 @@ def _ptr(a: np.ndarray):
     return a.ctypes.data_as(_DOUBLE)
 
 
+def _bidiagonal_qr(s: np.ndarray, e: np.ndarray, vt, u) -> None:
+    """dbdsqr on the upper-bidiagonal B = Q S P^T with diagonal s and
+    superdiagonal e (length s.size, the last entry unused), in place: s
+    becomes S, descending, the column-major vt (n x ncvt) becomes P^T vt and
+    u (nru x n) becomes u Q; None stands for no columns or rows."""
+    n = s.size
+    ncvt = 0 if vt is None else vt.size // n
+    nru = 0 if u is None else u.size // n
+    info = ctypes.c_int(0)
+    _dbdsqr(
+        b"U", ctypes.c_int(n), ctypes.c_int(ncvt), ctypes.c_int(nru), ctypes.c_int(0),
+        _ptr(s), _ptr(e), None if vt is None else _ptr(vt), ctypes.c_int(n),
+        None if u is None else _ptr(u), ctypes.c_int(max(nru, 1)), None,
+        ctypes.c_int(1), _ptr(np.empty(4 * n)), info,
+    )
+    _check("dbdsqr", info.value)
+
+
 def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
     """SVD ``B = U S V^T`` of the upper-bidiagonal B with diagonal d and
     superdiagonal e, returned as (V, s descending, U^T).
@@ -135,18 +149,13 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
     # buffer holding U is U^T and the one holding V^T is V.
     u_buf = np.zeros((n, n))
     vt_buf = np.zeros((n, n))
-    size = ctypes.c_int(n)
-    info = ctypes.c_int(0)
     if graded:
         np.fill_diagonal(u_buf, 1.0)
         np.fill_diagonal(vt_buf, 1.0)
-        work = np.empty(4 * n)
-        _dbdsqr(
-            b"U", size, size, size, ctypes.c_int(0), _ptr(s), _ptr(e_work),
-            _ptr(vt_buf), size, _ptr(u_buf), size, None, ctypes.c_int(1),
-            _ptr(work), info,
-        )
+        _bidiagonal_qr(s, e_work, vt_buf, u_buf)
     else:
+        size = ctypes.c_int(n)
+        info = ctypes.c_int(0)
         work = np.empty(3 * n * n + 4 * n)
         iwork = np.empty(8 * n, dtype=np.intc)
         _dbdsdc(
@@ -154,9 +163,7 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
             _ptr(vt_buf), size, None, None, _ptr(work),
             iwork.ctypes.data_as(_INT), info,
         )
-    if info.value:
-        routine = "dbdsqr" if graded else "dbdsdc"
-        raise np.linalg.LinAlgError(f"{routine} failed with info={info.value}")
+        _check("dbdsdc", info.value)
     return vt_buf, s, u_buf
 
 
@@ -237,11 +244,7 @@ def _chain_solve(d: np.ndarray, e: np.ndarray) -> SublatticeSVD:
     orbitals ``(u, +-v)/sqrt(2)``; it is taken on the two bands, so it
     costs O(n^2) and never forms M.
     """
-    graded = _graded(d, e)
-    try:
-        u, s, vt = _bidiagonal_svd(d, e, graded)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericsError(f"SVD failed on dim {2 * d.size}: {exc}") from exc
+    u, s, vt = _bidiagonal_svd(d, e, _graded(d, e))
     # row k of V^T M^T is (M v_k)^T: d * v_k plus e * v_k shifted by one site
     mv = vt * d
     mv[:, 1:] += vt[:, :-1] * e
@@ -289,10 +292,7 @@ def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
     # from its nonzeros afterwards, bitwise, for the residual and the caller
     nonzero = np.nonzero(block)
     couplings = block[nonzero]
-    try:
-        u2, s, v2t = _svd(block.T)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericsError(f"SVD failed on dim {2 * block.shape[0]}: {exc}") from exc
+    u2, s, v2t = _svd(block.T)
     block[...] = 0.0
     block[nonzero] = couplings
     u, vt = v2t.T, u2.T
@@ -363,19 +363,9 @@ def _edge_levels(t: np.ndarray) -> tuple:
     odd = (t.size + 1) % 2
     s = np.append(t[0::2], np.zeros(odd))  # overwritten with s, descending
     n = s.size
-    e_work = np.append(t[1::2], 0.0)  # length n
     row = np.zeros(n)
     row[-1] = 1.0
-    size = ctypes.c_int(n)
-    info = ctypes.c_int(0)
-    vt, u = (_ptr(row), None) if odd else (None, _ptr(row))
-    _dbdsqr(
-        b"U", size, ctypes.c_int(odd), ctypes.c_int(1 - odd), ctypes.c_int(0),
-        _ptr(s), _ptr(e_work), vt, size, u, ctypes.c_int(1), None,
-        ctypes.c_int(1), _ptr(np.empty(4 * n)), info,
-    )
-    if info.value:
-        raise NumericsError(f"dbdsqr failed on dim {n} with info={info.value}")
+    _bidiagonal_qr(s, np.append(t[1::2], 0.0), *((row, None) if odd else (None, row)))
     pair = row[: n - odd] / np.sqrt(2.0)
     lam = np.concatenate([-s[: n - odd], s[::-1]])
     z = np.concatenate([pair, row[n - odd:], pair[::-1]])
@@ -417,9 +407,7 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float, first: int,
         i.value = first + k + 1
         _dlaed4(n, i, *args)
         if info.value:
-            raise NumericsError(
-                f"dlaed4 failed on root {i.value} of {poles.size} with info={info.value}"
-            )
+            _check("dlaed4", info.value)
         dist[k] = row
     return dist
 

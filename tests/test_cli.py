@@ -366,6 +366,94 @@ class TestGeometryFlags:
         assert not out.exists()
 
 
+RENYI_FIT = ["renyi-fit", "--L", "10:15:1", "--z", "1"]
+BOUNDARY_SCAN = ["entropy-scan", "--L", "6", "--alpha", "1", "--blocks", "boundary"]
+GRADED_SCAN = ["entropy-scan", "--L", "10", "--z", "30"]  # coupling ratio e^30
+VALIDITY_MAP = ["validity-map", "--L", "10", "--z", "0:1:1"]
+LATTICE = ["entropy-2d", "--L", "2:6:1", "--alpha", "0.5"]
+ES_COLLAPSE = ["es-collapse", "--L", "10", "--z", "1"]
+
+
+class TestLapackFailureExits3:
+    """Every LAPACK call of the library takes its info through one rule
+    (``_lapack._check``): a failing call, forced here by patching the
+    routine to report a nonzero info, ends its command with exit 3, one
+    JSON record naming the routine, and no artifact.  f2py routines are
+    patched on ``_lapack._flapack``, the ctypes ones on ``spectra``.  dgetrf
+    and dpstrf have documented positive infos, so they fail on info < 0."""
+
+    @pytest.mark.parametrize("routine,info,argv", [
+        ("dgesdd", 1, BOUNDARY_SCAN),
+        ("dgesdd", 1, LATTICE),
+        ("dgesdd_lwork", -1, BOUNDARY_SCAN),
+        ("dsyevd", 1, ES_COLLAPSE),
+        ("dsyevd", 1, RENYI_FIT),
+        ("dsyevd_lwork", -1, ES_COLLAPSE),
+        ("dtrtrs", -2, RENYI_FIT),
+        ("dgeqrt", -2, VALIDITY_MAP),
+        ("dgemqrt", -4, VALIDITY_MAP),
+        ("dgetrf", -1, VALIDITY_MAP),
+        ("dpstrf", -1, RENYI_FIT),
+        ("_dbdsqr", 1, GRADED_SCAN),
+        ("_dbdsqr", 1, RENYI_FIT),
+        ("_dbdsdc", 1, BOUNDARY_SCAN),
+        ("_dlaed4", 1, RENYI_FIT),
+    ], ids=["dgesdd-polar", "dgesdd-lattice", "dgesdd_lwork", "dsyevd-orbital",
+            "dsyevd-fold", "dsyevd_lwork", "dtrtrs", "dgeqrt", "dgemqrt",
+            "dgetrf", "dpstrf", "dbdsqr-chain", "dbdsqr-edge", "dbdsdc", "dlaed4"])
+    def test_lapack_failure_exits_3(self, tmp_path, capsys, monkeypatch, routine,
+                                    info, argv):
+        from rainbow_lab import _lapack, spectra
+
+        if routine.startswith("_"):
+            solve = getattr(spectra, routine)
+
+            def failing(*args):
+                solve(*args)
+                args[-1].value = info
+
+            monkeypatch.setattr(spectra, routine, failing)
+        else:
+            call = getattr(_lapack._flapack, routine)
+
+            def failing(*args, **kwargs):
+                return (*call(*args, **kwargs)[:-1], info)
+
+            monkeypatch.setattr(_lapack._flapack, routine, failing)
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "NumericsError"
+        assert f"{routine.lstrip('_')} failed with info={info}" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError, but a numerical failure all the same
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(np.linalg, "qr", failing)
+        assert main([*RENYI_FIT, "--out", str(tmp_path / "out.csv")]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "LinAlgError", "message": "forced failure"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rank_deficient_fit_stays_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a design with dependent columns is the input's fault, not LAPACK's
+        qr = np.linalg.qr
+
+        def deficient(design):
+            q, r = qr(design)
+            r[-1, -1] = 0.0
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", deficient)
+        assert main([*RENYI_FIT, "--out", str(tmp_path / "out.csv")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "RankDeficientError"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSpectrum:
     def test_rows(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -773,8 +773,8 @@ class TestHalfchainFold:
             shapes.append(a.shape)
             return eigvalsh(a)
 
-        eigvalsh = entanglement._eigvalsh
-        monkeypatch.setattr(entanglement, "_eigvalsh", recorded)
+        eigvalsh = entanglement._eigvalsh_evd
+        monkeypatch.setattr(entanglement, "_eigvalsh_evd", recorded)
         profile = profile_from_z(L, 4.0)
         fold_nu(profile)
         k, rank, _ = self._cauchy_factor(profile)
