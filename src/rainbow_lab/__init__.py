@@ -44,6 +44,7 @@ from .entanglement import (
     correlation_matrix,
     entanglement_spectrum,
     halfchain_nu,
+    lattice_half_nu,
     polar_block,
     renyi_entropies,
     vn_entropy,

@@ -44,6 +44,7 @@ from .entanglement import (
     correlation_matrix,
     entanglement_spectrum,
     halfchain_nu,
+    lattice_half_nu,
     polar_block,
     renyi_entropies,
     vn_entropy,
@@ -53,7 +54,6 @@ from .lattice import (
     Lattice2D,
     _rainbow_profile,
     build_rainbow_profile,
-    lattice_links,
     profile_from_z,
     site_labels,
 )
@@ -65,7 +65,6 @@ from .spectra import (
     chain_svd,
     fermi_velocity,
     fermi_velocity_fit,
-    lattice_svd,
     level_orbital,
     occupied_from_svd,
     orbitals_from_svd,
@@ -423,13 +422,12 @@ def cmd_entropy_2d(args) -> int:
         raise ValueError(f"need at least {MIN_2D_SIZES} sizes, got {len(args.L)}")
 
     def one(lat):
-        nu = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
-        S = vn_entropy(nu)
+        S = vn_entropy(lattice_half_nu(lat))
         return (lat.alpha, lat.L, S, S / lat.L)
 
     lattices = [Lattice2D(L, alpha) for alpha in args.alpha for L in args.L]
     for lat in lattices:  # before any solve
-        _refuse_graded(lattice_links(lat.L, lat.alpha)[2], lat.n_sites)
+        _refuse_graded(lat)
     rows = _sweep(one, lattices, args.jobs)
     fits = []
     for alpha in args.alpha:

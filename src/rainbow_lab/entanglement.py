@@ -18,10 +18,15 @@ block is the polar factor U V^T.  A block's nu are therefore
 (1 +- sigma)/2, sigma the singular values of its (row sites x column
 sites) sub-block X of U V^T, plus |n_rows - n_cols| levels at exactly
 1/2; ``polar_block`` returns them for any block of one solve
-(``spectra.chain_svd`` or ``spectra.lattice_svd``), so a scan over blocks
-solves once.  No orbitals or correlation matrix are formed, and X is
-formed on SciPy's BLAS, the library the solve runs on (the one-BLAS rule
-of ``spectra``).
+(``spectra.chain_svd``, ``spectra.sector_svd`` or ``spectra.lattice_svd``),
+so a scan over blocks solves once.  No orbitals or correlation matrix are
+formed, and X is formed on SciPy's BLAS, the library the solve runs on
+(the one-BLAS rule of ``spectra``).
+The 2D lattice's left half holds every y, so its nu are those of its
+y-momentum sectors' left halves (``lattice_half_nu``): polar_block on each
+sector pair's ladder, whose 2L x 2L block is one sector's chain, for the
+lattices graded at most ``spectra.SECTOR_MAX_RATIO``, and on the dense
+(2L^2)^2 block for the others.
 The half chain of a mirror-symmetric chain is a two-sector problem
 (``halfchain_nu``): its nu are (1 +- sigma)/2 again, with sigma taken from
 the even-parity sector alone (``spectra.even_sector``) in place of the
@@ -65,7 +70,7 @@ import numpy as np
 
 from ._lapack import _eigvalsh_evd, _fblas, _svdvals
 from .qubism import AmplitudeTable
-from .lattice import CouplingProfile
+from .lattice import CouplingProfile, Lattice2D
 from .spectra import (
     NumericsError,
     SublatticeSVD,
@@ -73,8 +78,11 @@ from .spectra import (
     _EPS,
     _dgemm,
     _folds,
+    _splits,
     chain_svd,
     even_sector,
+    lattice_svd,
+    sector_svd,
 )
 
 NU_CLIP = 1e-14
@@ -258,6 +266,29 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
         a[:rank] = c[L - 1] * _eigvalsh_evd(gram)
     sigma = np.sort(np.sqrt(np.maximum((1.0 - a) * (1.0 + a), 0.0)))[::-1]
     return _nu_from_sigma(sigma, abs(2 * r - L))
+
+
+def lattice_half_nu(lat: Lattice2D) -> np.ndarray:
+    """The nu of the 2D lattice's left half (x < 0), ascending, its zero
+    modes filled at density 1/2 (``polar_block``'s "half").
+
+    The left half holds every y, so its correlation matrix is block
+    diagonal in the y-momentum sectors, and its nu are those of the sector
+    chains' left halves.  When the lattice's links span at most
+    ``spectra.SECTOR_MAX_RATIO`` (``spectra._splits``), each sector pair
+    k, 2L + 1 - k (k = 1 .. L) is one ladder with a 2L x 2L sublattice block
+    (``spectra.sector_svd``), whose left half is its sites 0 .. 2L-1: L
+    dgesdd calls of size 2L, one at a time, in place of one of size 2L^2.
+    Every other lattice takes ``polar_block`` on the dense
+    ``spectra.lattice_svd``, which refuses one graded past ten decades.
+    """
+    if not _splits(lat):
+        return polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
+    left = range(2 * lat.L)
+    return np.sort(np.concatenate([
+        polar_block(sector_svd(lat, k), left, zero_modes="half")
+        for k in range(1, lat.L + 1)
+    ]))
 
 
 def _cauchy_factor(f: np.ndarray, aw: np.ndarray) -> np.ndarray:

@@ -12,9 +12,9 @@ is the x coordinate of the link midpoint.
 
 A link with amplitude ``J`` contributes the hopping matrix element
 ``-J/2`` (single convention for 1D and 2D).  The builders return the
-links only, as a ``CouplingProfile`` or as ``lattice_links`` arrays; the
-solvers in ``spectra`` read the sublattice block straight from them, so
-no dense hopping matrix is ever formed.
+links only, as a ``CouplingProfile``, as ``lattice_links`` arrays or as
+the lattice's per-column ``link_amplitudes``; the solvers in ``spectra``
+read their blocks straight from them, so no hopping matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -187,19 +187,25 @@ def signed_profile(couplings) -> np.ndarray:
     return c
 
 
-def lattice_links(L: int, alpha: float) -> tuple:
-    """Links (i, j, J) of the 2L x 2L lattice as three arrays, sorted by
-    (i, j), i < j.
-
-    Vertical links inside column x carry alpha**|x|; horizontal links
-    between columns x and x+1 carry alpha**|x + 1/2|, so links crossing
-    x = 0 carry exactly 1.  Each distinct amplitude is one exp.
-    """
-    n = 2 * L
+def link_amplitudes(L: int, alpha: float) -> tuple:
+    """(vertical, horizontal): the amplitudes of the 2L x 2L lattice's links
+    per column, leftmost first.  The vertical links inside column x carry
+    vertical[ix] = alpha**|x|; the horizontal links between columns x and
+    x+1 carry horizontal[ix] = alpha**|x + 1/2|, so links crossing x = 0
+    carry exactly 1.  Every link of the lattice carries one of these 4L - 1
+    values, each one exp."""
     xs = site_labels(L)
     h = -2.0 * math.log(alpha)
     vertical = np.array([math.exp(-h * abs(x) / 2.0) for x in xs])
     horizontal = np.array([math.exp(-h * abs(x + 0.5) / 2.0) for x in xs[:-1]])
+    return vertical, horizontal
+
+
+def lattice_links(L: int, alpha: float) -> tuple:
+    """Links (i, j, J) of the 2L x 2L lattice as three arrays, sorted by
+    (i, j), i < j, with the amplitudes of ``link_amplitudes``."""
+    n = 2 * L
+    vertical, horizontal = link_amplitudes(L, alpha)
     ix, iy = np.divmod(np.arange(n * n), n)
     up, right = np.flatnonzero(iy + 1 < n), np.flatnonzero(ix + 1 < n)
     i = np.concatenate([up, right])

@@ -16,21 +16,26 @@ bidiagonal, and bidiagonal SVD determines every singular value to high
 when the smallest couplings are ~1e-300.  A chain's two bands go straight
 to LAPACK's bidiagonal SVD routines (``dbdsdc``, or ``dbdsqr`` once the
 couplings span more than ten decades), so there is no reduction step at
-all.  The dense block of the 2D lattice goes to LAPACK's ``dgesdd``
-(divide and conquer, called as ``scipy.linalg.svd`` calls it), which is
-accurate only relative to its largest coupling: a lattice whose
-couplings span more than ten decades raises NumericsError instead of
-printing entropies it cannot resolve, and the levels it cannot tell from
-zero (within ZERO_MODE_TOL of its spectral radius) come back as
-exact zeros.  So on both geometries a zero mode is a level with s == 0.
+all.  A dense block goes to LAPACK's ``dgesdd`` (divide and conquer,
+called as ``scipy.linalg.svd`` calls it), which is accurate only relative
+to its largest coupling: a lattice whose couplings span more than ten
+decades raises NumericsError instead of printing entropies it cannot
+resolve, and the levels it cannot tell from zero (within ZERO_MODE_TOL
+of its spectral radius) come back as exact zeros.  So on both geometries
+a zero mode is a level with s == 0.
 
 ``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
-certifies the SVD with a residual taken on the bands; ``lattice_svd``
-scatters the lattice's links straight into its dense block M.  Neither
-forms the hopping matrix.  On both geometries site i is row ``i // 2``
-of M when on sublattice 0 and column ``i // 2`` when on sublattice 1, so
-an SVD keeps no site map, only each site's sublattice.  Entanglement
-needs nothing more than their ``SublatticeSVD`` (see
+certifies the SVD with a residual taken on the bands.  The 2D lattice's
+couplings depend on x alone, so a sine transform in y splits it exactly
+into 2L chains, its y-momentum sectors, which pair up into two-leg ladders
+with a 2L x 2L sublattice block each; ``sector_svd`` solves one pair, and
+the lattices whose links span at most SECTOR_MAX_RATIO are solved that
+way, L blocks of 2L x 2L one at a time.  ``lattice_svd`` scatters the
+links of the more graded lattices into their dense (2L^2)^2 block M.
+None of them forms the hopping matrix.  On every geometry site i is row
+``i // 2`` of M when on sublattice 0 and column ``i // 2`` when on
+sublattice 1, so an SVD keeps no site map, only each site's sublattice.
+Entanglement needs nothing more than their ``SublatticeSVD`` (see
 ``entanglement.polar_block``), and neither do the spectral outputs: the
 levels are ``SublatticeSVD.energies``, the ``+-s`` pairs.  The outputs
 that are orbitals assemble them from the same SVD, through one assembly
@@ -75,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import _CHAR, _DOUBLE, _INT, NumericsError, _check, _fblas, _lapack, _svd
-from .lattice import CouplingProfile, Lattice2D, lattice_links
+from .lattice import CouplingProfile, Lattice2D, lattice_links, link_amplitudes
 
 RESIDUAL_TOL = 1e-10
 _EPS = 2.0**-53  # LAPACK's unit roundoff, dlamch("Epsilon")
@@ -213,9 +218,10 @@ class SublatticeSVD:
 
     Site i sits on sublattice ``sublattice[i]`` (0 or 1) and is row
     ``i // 2`` of M (sublattice 0) or column ``i // 2`` (sublattice 1).
-    That holds on both geometries solved here: the chain (sublattice
-    ``i % 2``) and the 2L x 2L checkerboard, whose rows of even length each
-    hold every other site of both sublattices.  ``s`` is descending.
+    That holds on every geometry solved here: the chain and the sector
+    ladder (sublattice ``i % 2``; ``sector_svd``) and the 2L x 2L
+    checkerboard, whose rows of even length each hold every other site of
+    both sublattices.  ``s`` is descending.
 
     The hopping matrix's levels are ``energies`` (ascending), with orbitals
     ``(u_p, -+v_p)/sqrt(2)`` (``orbitals_from_svd``).  ``residual`` is the
@@ -260,13 +266,12 @@ def _chain_solve(d: np.ndarray, e: np.ndarray) -> SublatticeSVD:
     return SublatticeSVD(u, s, vt, residual, np.arange(2 * d.size) % 2)
 
 
-def _refuse_graded(couplings: np.ndarray, n_sites: int) -> None:
-    """NumericsError when the couplings of a dense problem of n_sites sites
-    span more than ten decades (``_graded``), where its SVD cannot resolve
-    the small levels; a lattice's links J and its block's -J/2 span alike."""
-    if _graded(couplings):
+def _refuse_graded(lat: Lattice2D) -> None:
+    """NumericsError when the lattice's links span more than ten decades
+    (``_graded``), where a dense SVD cannot resolve the small levels."""
+    if _graded(*link_amplitudes(lat.L, lat.alpha)):
         raise NumericsError(
-            f"dense block of dim {n_sites} has couplings spanning "
+            f"dense block of dim {lat.n_sites} has couplings spanning "
             "more than ten decades; its SVD cannot resolve the small levels"
         )
 
@@ -285,11 +290,12 @@ def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
 
     A dense SVD is accurate only to rounding times the largest coupling,
     whatever its driver; relative accuracy belongs to the bidiagonal solve
-    of a chain.  So a block whose couplings span more than ten decades
-    (``_graded``), where the small levels that set its entropies are lost,
-    raises NumericsError before any solve.
+    of a chain.  So its callers refuse, before any solve, a lattice whose
+    links span more than ten decades (``_refuse_graded``), where the small
+    levels that set its entropies are lost.  They read the links, not the
+    block: a sector block's diagonal (``sector_svd``) can be small on a
+    mild lattice.
     """
-    _refuse_graded(block, 2 * block.shape[0])
     # dgesdd works in place on the F-ordered block.T; the block is rebuilt
     # from its nonzeros afterwards, bitwise, for the residual and the caller
     nonzero = np.nonzero(block)
@@ -539,9 +545,11 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
     checkerboard), from the (2L^2)^2 block M scattered straight from the
     link arrays; no (4L^2)^2 hopping matrix is formed.
 
-    Raises NumericsError when the residual exceeds RESIDUAL_TOL relative to
-    the spectral radius.
+    Raises NumericsError before any solve when the links span more than ten
+    decades (``_refuse_graded``), and after it when the residual exceeds
+    RESIDUAL_TOL relative to the spectral radius.
     """
+    _refuse_graded(lat)
     i, j, J = lattice_links(lat.L, lat.alpha)
     sub = lat.checkerboard()
     rows = np.where(sub[i] == 0, i, j)
@@ -549,6 +557,56 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
     block = np.zeros((lat.n_sites // 2, lat.n_sites // 2))
     block[rows // 2, cols // 2] = -J / 2.0
     return _dense_svd(block, sub)
+
+
+# Largest coupling ratio alpha^-(L - 1/2) at which a lattice's left half is
+# solved by y-momentum sectors (``sector_svd``) instead of its dense block.
+# Both routes are accurate only relative to the largest coupling, so they
+# drift apart as the lattice grades.  Over 240 lattices (L = 1 .. 24,
+# alpha = 0.38 .. 1, ratio up to 1e10) their left-half S_1 differed by at
+# most 1.1e-12 up to a ratio of 1e3, 7.1e-11 up to 1e6, 1.8e-9 up to 1e8 and
+# 1.5e-7 up to 1e10.  At the largest gap below 1e6, (L, alpha) = (23, 0.55),
+# a 40-digit sector oracle put the sectors 2.2e-12 off and the dense block
+# 7.3e-11 off.
+SECTOR_MAX_RATIO = 1e6
+
+
+def _splits(lat: Lattice2D) -> bool:
+    """True when the lattice's links span at most SECTOR_MAX_RATIO, where
+    its left half is solved by sectors (``sector_svd``)."""
+    amplitudes = np.concatenate(link_amplitudes(lat.L, lat.alpha))
+    return float(amplitudes.max()) <= SECTOR_MAX_RATIO * float(amplitudes.min())
+
+
+def sector_svd(lat: Lattice2D, k: int) -> SublatticeSVD:
+    """Certified sublattice SVD of the lattice's y-momentum sectors k and
+    2L + 1 - k (1 <= k <= L), as one two-leg ladder of 4L sites.
+
+    H = T_x (x) I + D_x (x) T_y: T_x the 2L-site chain of horizontal links,
+    D_x = diag(alpha^|x|) and T_y the uniform 2L-site chain, whose levels
+    are mu_k = -cos(pi k/(2L + 1)) (Peschel, J. Phys. A 36 L205 (2003)).
+    The sine transform in y maps H to the 2L chains H_k = T_x + mu_k D_x,
+    and sector 2L + 1 - k has -mu_k, so its chain is -Gamma H_k Gamma with
+    Gamma = diag((-1)^x).  The pair is the bipartite ladder
+    [[0, H_k], [H_k, 0]] up to site-local rotations, which keep every
+    block of whole columns x: site 2x is row x of its sublattice block H_k
+    and site 2x + 1 column x (sublattice ``arange(4L) % 2``), so the pair's
+    left half is sites 0 .. 2L-1.  H_k goes to ``_dense_svd``, with its
+    residual certificate and its zero-mode rule; at alpha = 1,
+    H_k = T_x + mu_k I has one exact zero level.
+
+    The caller checks the grading on the lattice's links (``_splits``),
+    not on H_k, whose diagonal mu_k alpha^|x| can be small on a mild
+    lattice.  ValueError unless 1 <= k <= L.
+    """
+    L = lat.L
+    if not 1 <= k <= L:
+        raise ValueError(f"sector {k!r} outside [1, {L}]")
+    vertical, horizontal = link_amplitudes(L, lat.alpha)
+    block = np.diag(-math.cos(math.pi * k / (2 * L + 1)) * vertical)
+    bond = np.arange(2 * L - 1)
+    block[bond, bond + 1] = block[bond + 1, bond] = -horizontal / 2.0
+    return _dense_svd(block, np.arange(4 * L) % 2)
 
 
 def _fix_phases(orbitals: np.ndarray) -> np.ndarray:

@@ -30,9 +30,8 @@ from rainbow_lab import (
     fermi_velocity,
     fit_2d,
     fit_renyi_halfchain,
-    lattice_svd,
+    lattice_half_nu,
     occupied_from_svd,
-    polar_block,
     profile_from_z,
     rainbow_bonds,
     render,
@@ -315,12 +314,13 @@ def test_criterion_9_two_dimensional():
     sizes = (8, 12, 16, 20, 24)
 
     def entropy_2d(point):
-        """S on the shipped polar route, and its distance from the dense
-        route where that is cheap (L <= 16)."""
+        """S through entropy-2d's own solve (sector pairs, or the dense
+        block past SECTOR_MAX_RATIO), and its distance from the dense route
+        where that is cheap (L <= 16)."""
         alpha, L = point
         lat = Lattice2D(L, alpha)
         left = lat.left_half()
-        S = vn_entropy(polar_block(lattice_svd(lat), left, zero_modes="half"))
+        S = vn_entropy(lattice_half_nu(lat))
         if L > 16:
             return S, 0.0
         c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))

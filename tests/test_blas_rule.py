@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from rainbow_lab import continuum, entanglement, profile_from_z, spectra
+from rainbow_lab import Lattice2D, continuum, entanglement, profile_from_z, spectra
 from rainbow_lab.spectra import _dgemm
 
 PER_POINT = [
@@ -27,6 +27,8 @@ PER_POINT = [
     spectra._secular_roots,
     spectra._chain_solve,
     spectra._dense_svd,
+    spectra.sector_svd,
+    entanglement.lattice_half_nu,
     continuum.validity_overlap,
 ]
 
@@ -128,6 +130,26 @@ def test_halfchain_fold_is_blas_thread_independent():
         for threads in (1, 2):
             lib.scipy_openblas_set_num_threads(threads)
             nus[threads] = [entanglement.halfchain_nu(p).tobytes() for p in profiles]
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
+    assert nus[1] == nus[2]
+
+
+def test_lattice_sectors_are_blas_thread_independent():
+    # a sector pair's 2L x 2L block is small enough that dgesdd and the
+    # polar readout give the same bits on one SciPy BLAS thread and on two,
+    # up to L = 64 (the dense block of the lattices past SECTOR_MAX_RATIO is
+    # not: its dgesdd moves with the thread count)
+    lib = _scipy_openblas()
+    if lib is None:
+        pytest.skip("SciPy does not bundle its own OpenBLAS here")
+    lattices = [Lattice2D(L, alpha) for L, alpha in ((8, 1.0), (16, 0.8), (24, 0.6), (64, 0.9))]
+    before = lib.scipy_openblas_get_num_threads()
+    try:
+        nus = {}
+        for threads in (1, 2):
+            lib.scipy_openblas_set_num_threads(threads)
+            nus[threads] = [entanglement.lattice_half_nu(lat).tobytes() for lat in lattices]
     finally:
         lib.scipy_openblas_set_num_threads(before)
     assert nus[1] == nus[2]

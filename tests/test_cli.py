@@ -918,14 +918,22 @@ class TestEntropy2D:
         )
 
 
-    def test_too_few_sizes_rejected_before_solving(self, tmp_path, capsys,
-                                                   monkeypatch):
-        from rainbow_lab import cli
+    @staticmethod
+    def _refuse_solves(monkeypatch, message):
+        """Fail the test if entropy-2d's solve entry, or either route behind
+        it (sectors or the dense block), is called."""
+        from rainbow_lab import entanglement
 
         def refuse(*args, **kwargs):
-            raise AssertionError("solved before the size check")
+            raise AssertionError(message)
 
-        monkeypatch.setattr(cli, "lattice_svd", refuse)
+        monkeypatch.setattr(cli, "lattice_half_nu", refuse)
+        monkeypatch.setattr(entanglement, "sector_svd", refuse)
+        monkeypatch.setattr(entanglement, "lattice_svd", refuse)
+
+    def test_too_few_sizes_rejected_before_solving(self, tmp_path, capsys,
+                                                   monkeypatch):
+        self._refuse_solves(monkeypatch, "solved before the size check")
         out = tmp_path / "e2d.csv"
         rc = main(["entropy-2d", "--L", "8:20:4", "--alpha", "0.5:1:0.25",
                    "--out", str(out)])
@@ -937,10 +945,7 @@ class TestEntropy2D:
         assert not (tmp_path / "e2d_fits.json").exists()
 
     def test_alpha_above_1_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("solved before every lattice was checked")
-
-        monkeypatch.setattr(cli, "lattice_svd", refuse)
+        self._refuse_solves(monkeypatch, "solved before every lattice was checked")
         out = tmp_path / "e2d.csv"
         rc = main(["entropy-2d", "--L", "8:24:4", "--alpha", "0.9:1.1:0.1",
                    "--out", str(out)])
@@ -954,11 +959,9 @@ class TestEntropy2D:
     def test_graded_lattice_exits_3_without_artifact(self, tmp_path, capsys,
                                                      monkeypatch):
         # alpha = 0.3 grades the L >= 20 lattices past ten decades; the
-        # L = 8, 12 and 16 lattices before them are not solved either
-        def refuse(*args, **kwargs):
-            raise AssertionError("solved before every lattice was checked")
-
-        monkeypatch.setattr(cli, "lattice_svd", refuse)
+        # L = 8, 12 and 16 lattices before them are not solved either, on
+        # sectors (L = 8) or on the dense block (L = 12, 16)
+        self._refuse_solves(monkeypatch, "solved before every lattice was checked")
         out = tmp_path / "e2d.csv"
         rc = main(["entropy-2d", "--L", "8:24:4", "--alpha", "0.3", "--out", str(out)])
         assert rc == 3

@@ -13,6 +13,7 @@ from rainbow_lab import (
     correlation_matrix,
     deformed_length,
     entanglement_spectrum,
+    lattice_half_nu,
     lattice_svd,
     occupied_from_svd,
     polar_block,
@@ -24,7 +25,7 @@ from rainbow_lab import (
 from rainbow_lab.lattice import CouplingProfile
 from rainbow_lab.entanglement import NU_CLIP
 from rainbow_lab.entanglement import halfchain_nu as fold_nu
-from rainbow_lab.spectra import FOLD_MAX_RATIO, NumericsError, ZeroModeError
+from rainbow_lab.spectra import FOLD_MAX_RATIO, SECTOR_MAX_RATIO, NumericsError, ZeroModeError
 
 import dense_oracle as oracle
 from conftest import chain_occupied, halfchain_nu
@@ -1110,6 +1111,66 @@ class TestLatticePolarRoute:
         assert len(points) == len(want)
         for a, b in zip(points, want):
             assert abs(a - b) <= 1e-11
+
+
+class TestLatticeSectorRoute:
+    """lattice_half_nu on y-momentum sector pairs against the dense route it
+    replaces on mild lattices: polar_block on lattice_svd's left half."""
+
+    # the grid of TestLatticePolarRoute plus L = 16, where the coupling
+    # ratio alpha^-(L - 1/2) is at most SECTOR_MAX_RATIO
+    MILD = [(L, alpha) for L in (1, 2, 3, 4, 8, 12, 16) for alpha in (1.0, 0.8, 0.5, 0.4)
+            if alpha ** -(L - 0.5) <= SECTOR_MAX_RATIO]
+
+    @pytest.mark.parametrize("L, alpha", MILD)
+    def test_matches_dense_route(self, L, alpha):
+        lat = Lattice2D(L, alpha)
+        got = lattice_half_nu(lat)
+        want = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
+        assert np.array_equal(got, np.sort(got))
+        assert got.size == want.size == lat.n_sites // 2
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The names of the solves lattice_half_nu calls, in call order."""
+        from rainbow_lab import entanglement
+
+        calls = []
+        for name in ("sector_svd", "lattice_svd"):
+            solve = getattr(entanglement, name)
+
+            def spy(*args, _solve=solve, _name=name):
+                calls.append(_name)
+                return _solve(*args)
+
+            monkeypatch.setattr(entanglement, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("side", [1.0 + 1e-9, 1.0 - 1e-9], ids=["below", "above"])
+    def test_routes_on_each_side_of_the_ratio(self, monkeypatch, side):
+        # alpha^-(L - 1/2) = SECTOR_MAX_RATIO at alpha = edge; a larger alpha
+        # grades the lattice less
+        L = 12
+        edge = SECTOR_MAX_RATIO ** (-1.0 / (L - 0.5))
+        calls = self._spy(monkeypatch)
+        lattice_half_nu(Lattice2D(L, edge * side))
+        assert calls == (["sector_svd"] * L if side > 1.0 else ["lattice_svd"])
+
+    def test_large_lattice_stays_small(self):
+        # L = 64: the dense block alone would take (2L^2)^2 doubles, 512 MiB;
+        # the sector pairs are solved one at a time, each a 2L x 2L block
+        import tracemalloc
+
+        lat = Lattice2D(64, 0.9)
+        tracemalloc.start()
+        try:
+            nu = lattice_half_nu(lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nu.size == lat.n_sites // 2
+        assert peak < 8 * 2**20
 
 
 class TestNanOrders:

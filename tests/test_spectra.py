@@ -11,6 +11,7 @@ from rainbow_lab import (
     chain_svd,
     fermi_velocity,
     fermi_velocity_fit,
+    lattice_half_nu,
     polar_block,
     profile_from_z,
     site_occupations,
@@ -25,6 +26,7 @@ from rainbow_lab.spectra import (
     occupied_from_svd,
     orbitals_from_svd,
     save_orbitals,
+    sector_svd,
 )
 
 import dense_oracle as oracle
@@ -396,6 +398,15 @@ class TestGradedLatticeRefusal:
         with pytest.raises(NumericsError, match="ten decades"):
             lattice_svd(Lattice2D(12, 0.1))
 
+    def test_entropy_2d_solve_refuses_it_too(self, monkeypatch):
+        # lattice_half_nu takes lattice_svd past SECTOR_MAX_RATIO
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the grading check")
+
+        monkeypatch.setattr(spectra, "_svd", refuse)
+        with pytest.raises(NumericsError, match="ten decades"):
+            lattice_half_nu(Lattice2D(12, 0.1))
+
     def test_just_short_of_the_refusal(self):
         # coupling ratio 9.6e9: solved, and its smallest level (1.13e-12) is
         # a real one, not a zero mode; 60-digit y-sector value
@@ -436,9 +447,45 @@ class TestExactZeroModes:
         assert vn_entropy(nu).hex() in want
 
 
+class TestSectorSVD:
+    """The sector pairs of a lattice hold the levels of its dense block, and
+    the uniform lattice's zero modes, one per sector."""
+
+    @pytest.mark.parametrize("L, alpha", [(1, 0.5), (3, 1.0), (4, 0.7), (8, 0.5), (8, 1.0)])
+    def test_levels_are_the_dense_blocks(self, L, alpha):
+        lat = Lattice2D(L, alpha)
+        svds = [sector_svd(lat, k) for k in range(1, L + 1)]
+        got = np.sort(np.concatenate([svd.s for svd in svds]))
+        want = np.sort(lattice_svd(lat).s)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        for svd in svds:
+            assert np.array_equal(svd.sublattice, np.arange(4 * L) % 2)
+            assert svd.residual <= 1e-13
+
+    @pytest.mark.parametrize("L", [1, 2, 8, 16, 24])
+    def test_uniform_lattice_keeps_its_zero_modes(self, L):
+        # H_k = T_x + mu_k I has one zero level in each sector: 2L zero
+        # modes over the L pairs, as the dense block counts them
+        svds = [sector_svd(Lattice2D(L, 1.0), k) for k in range(1, L + 1)]
+        assert [int(np.count_nonzero(svd.s == 0.0)) for svd in svds] == [1] * L
+        assert all(np.all(svd.s[svd.s != 0.0] > 1e-3) for svd in svds)
+
+    @pytest.mark.parametrize("L", [8, 12])
+    @pytest.mark.parametrize("alpha", [0.5, 0.999])
+    def test_graded_lattice_has_none(self, L, alpha):
+        lat = Lattice2D(L, alpha)
+        assert all(not np.any(sector_svd(lat, k).s == 0.0) for k in range(1, L + 1))
+
+    @pytest.mark.parametrize("k", [0, 5, -1])
+    def test_sector_outside_the_pairs_raises(self, k):
+        with pytest.raises(ValueError, match="outside"):
+            sector_svd(Lattice2D(4, 0.5), k)
+
+
 class TestSectorOracle:
-    """The y-sector mpmath oracle against the dense route and the shipped
-    polar route."""
+    """The y-sector mpmath oracle against the dense route, the shipped
+    polar route and entropy-2d's own solve (sectors at (4, 0.5), the dense
+    block at (8, 0.1), a coupling ratio of 3.2e7)."""
 
     @pytest.mark.parametrize("L, alpha, bound", [(4, 0.5, 1e-13), (8, 0.1, 1e-10)])
     def test_dense_and_polar_routes_match(self, L, alpha, bound):
@@ -448,8 +495,10 @@ class TestSectorOracle:
         c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
         dense = vn_entropy(oracle.restrict(c_full, left).eigenvalues())
         polar = vn_entropy(polar_block(lattice_svd(lat), left))
+        shipped = vn_entropy(lattice_half_nu(lat))
         assert abs(dense - want) <= bound
         assert abs(polar - want) <= bound
+        assert abs(shipped - want) <= bound
 
 
 class TestOrbitalsFromSVD:
