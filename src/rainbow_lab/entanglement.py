@@ -154,8 +154,8 @@ def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
 def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndarray:
     """The nu of a half-filled block, from the sublattice SVD.
 
-    X = U[rows] V^T[:, cols] with rows (cols) the block's sites on the
-    rows (columns) of M: site i is row or column i // 2 (``SublatticeSVD``).
+    X = U[rows] V^T[:, cols] with rows (cols) the block's even (odd)
+    sites, site i being row or column i // 2 of M (``SublatticeSVD``).
     X is formed on SciPy's BLAS like the solve itself.  sigma are the
     singular values of X, taken directly rather than from X X^T, whose
     squaring would lose the small sigma that set nu near 1/2.  nu are
@@ -181,9 +181,9 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
             f"{n_zero} zero modes; pass zero_modes='half' "
             "for the particle-hole symmetric filling"
         )
-    block = _distinct_sites(block, svd.sublattice.size)
+    block = _distinct_sites(block, 2 * svd.s.size)
     sites = np.asarray(block)
-    on_rows = svd.sublattice[sites] == 0
+    on_rows = sites % 2 == 0
     rows = sites[on_rows] // 2
     cols = sites[~on_rows] // 2
     u = svd.u[_as_slice(rows)]

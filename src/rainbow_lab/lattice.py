@@ -12,9 +12,9 @@ is the x coordinate of the link midpoint.
 
 A link with amplitude ``J`` contributes the hopping matrix element
 ``-J/2`` (single convention for 1D and 2D).  The builders return the
-links only, as a ``CouplingProfile``, as ``lattice_links`` arrays or as
-the lattice's per-column ``link_amplitudes``; the solvers in ``spectra``
-read their blocks straight from them, so no hopping matrix is ever formed.
+links only, as a ``CouplingProfile`` or as the lattice's per-column
+``link_amplitudes``; the solvers in ``spectra`` read their blocks straight
+from them, so no hopping matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class Lattice2D:
     Sites are labelled by half-odd-integer coordinates (x, y) with
     x, y in {-(L-1/2), ..., +(L-1/2)} (see ``site_labels``) and stored
     row-major in x then y: index = ix * 2L + iy with ix, iy the 0-based
-    coordinate ranks.  ``lattice_links(L, alpha)`` lists the links.
+    coordinate ranks.  ``link_amplitudes(L, alpha)`` gives the links'
+    amplitudes, column by column.
     """
 
     L: int
@@ -109,14 +110,10 @@ class Lattice2D:
     def n_sites(self) -> int:
         return (2 * self.L) ** 2
 
-    def checkerboard(self) -> np.ndarray:
-        """Sublattice (ix + iy) % 2 of every site."""
-        ranks = np.arange(2 * self.L)
-        return np.add.outer(ranks, ranks).ravel() % 2
-
     def left_half(self) -> list:
-        """Site indices with x < 0 (the block used for the 2D entropy); the
-        index is ix * 2L + iy, so they are the first half."""
+        """Site indices with x < 0 (the block used for the 2D entropy): the
+        first half, both as lattice sites ix * 2L + iy and as the sites of
+        ``spectra.lattice_svd``, which swaps pair partners in odd columns."""
         return list(range(self.n_sites // 2))
 
 
@@ -199,17 +196,3 @@ def link_amplitudes(L: int, alpha: float) -> tuple:
     vertical = np.array([math.exp(-h * abs(x) / 2.0) for x in xs])
     horizontal = np.array([math.exp(-h * abs(x + 0.5) / 2.0) for x in xs[:-1]])
     return vertical, horizontal
-
-
-def lattice_links(L: int, alpha: float) -> tuple:
-    """Links (i, j, J) of the 2L x 2L lattice as three arrays, sorted by
-    (i, j), i < j, with the amplitudes of ``link_amplitudes``."""
-    n = 2 * L
-    vertical, horizontal = link_amplitudes(L, alpha)
-    ix, iy = np.divmod(np.arange(n * n), n)
-    up, right = np.flatnonzero(iy + 1 < n), np.flatnonzero(ix + 1 < n)
-    i = np.concatenate([up, right])
-    j = np.concatenate([up + 1, right + n])
-    J = np.concatenate([vertical[ix[up]], horizontal[ix[right]]])
-    order = np.lexsort((j, i))
-    return i[order], j[order], J[order]

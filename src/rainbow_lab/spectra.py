@@ -1,10 +1,9 @@
 """Exact single-particle spectra and Fermi-velocity extraction.
 
-Every hopping matrix here is bipartite with zero diagonal (sublattices:
-even/odd sites in 1D, the checkerboard in 2D), so it has the block form
-``[[0, M], [M^T, 0]]`` in the sublattice basis.  Its eigenpairs follow
-from the SVD ``M = U S V^T``: energies come in exact ``+-s`` pairs with
-eigenvectors ``(u, +-v)/sqrt(2)``.
+Every hopping matrix here is bipartite with zero diagonal, so it has the
+block form ``[[0, M], [M^T, 0]]`` in the sublattice basis.  Its eigenpairs
+follow from the SVD ``M = U S V^T``: energies come in exact ``+-s`` pairs
+with eigenvectors ``(u, +-v)/sqrt(2)``.
 
 For the graded rainbow chains this route is essential, not cosmetic:
 couplings span hundreds of orders of magnitude and a plain symmetric
@@ -30,12 +29,12 @@ couplings depend on x alone, so a sine transform in y splits it exactly
 into 2L chains, its y-momentum sectors, which pair up into two-leg ladders
 with a 2L x 2L sublattice block each; ``sector_svd`` solves one pair, and
 the lattices whose links span at most SECTOR_MAX_RATIO are solved that
-way, L blocks of 2L x 2L one at a time.  ``lattice_svd`` scatters the
+way, L blocks of 2L x 2L one at a time.  ``lattice_svd`` writes the
 links of the more graded lattices into their dense (2L^2)^2 block M.
-None of them forms the hopping matrix.  On every geometry site i is row
-``i // 2`` of M when on sublattice 0 and column ``i // 2`` when on
-sublattice 1, so an SVD keeps no site map, only each site's sublattice.
-Entanglement needs nothing more than their ``SublatticeSVD`` (see
+None of them forms the hopping matrix.  Every SVD numbers its sites by
+one rule: site i is row ``i // 2`` of M when i is even and column
+``i // 2`` when i is odd, so an SVD keeps no site map.  Entanglement
+needs nothing more than their ``SublatticeSVD`` (see
 ``entanglement.polar_block``), and neither do the spectral outputs: the
 levels are ``SublatticeSVD.energies``, the ``+-s`` pairs.  The outputs
 that are orbitals assemble them from the same SVD, through one assembly
@@ -80,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import _CHAR, _DOUBLE, _INT, NumericsError, _check, _fblas, _lapack, _svd
-from .lattice import CouplingProfile, Lattice2D, lattice_links, link_amplitudes
+from .lattice import CouplingProfile, Lattice2D, link_amplitudes
 
 RESIDUAL_TOL = 1e-10
 _EPS = 2.0**-53  # LAPACK's unit roundoff, dlamch("Epsilon")
@@ -216,12 +215,10 @@ class SublatticeSVD:
     """Certified SVD ``M = U S V^T`` of a bipartite hopping matrix's
     sublattice block.
 
-    Site i sits on sublattice ``sublattice[i]`` (0 or 1) and is row
-    ``i // 2`` of M (sublattice 0) or column ``i // 2`` (sublattice 1).
-    That holds on every geometry solved here: the chain and the sector
-    ladder (sublattice ``i % 2``; ``sector_svd``) and the 2L x 2L
-    checkerboard, whose rows of even length each hold every other site of
-    both sublattices.  ``s`` is descending.
+    Site i is row ``i // 2`` of M when i is even and column ``i // 2``
+    when i is odd, on every geometry solved here: the chain, the sector
+    ladder (``sector_svd``) and the dense lattice (``lattice_svd``).
+    ``s`` is descending.
 
     The hopping matrix's levels are ``energies`` (ascending), with orbitals
     ``(u_p, -+v_p)/sqrt(2)`` (``orbitals_from_svd``).  ``residual`` is the
@@ -235,7 +232,6 @@ class SublatticeSVD:
     s: np.ndarray = field(repr=False)
     vt: np.ndarray = field(repr=False)
     residual: float
-    sublattice: np.ndarray = field(repr=False)
 
     @property
     def energies(self) -> np.ndarray:
@@ -245,8 +241,8 @@ class SublatticeSVD:
 
 def _chain_solve(d: np.ndarray, e: np.ndarray) -> SublatticeSVD:
     """Certified SVD ``M = U S V^T`` of a chain's lower-bidiagonal block with
-    diagonal d and subdiagonal e, site i on sublattice ``i % 2``.  The SVD
-    is relatively accurate, so only exact zeros are zero modes.
+    diagonal d and subdiagonal e.  The SVD is relatively accurate, so only
+    exact zeros are zero modes.
 
     The residual ``max(|M v - s u|, |M^T u - s v|)/sqrt(2)`` is that of the
     orbitals ``(u, +-v)/sqrt(2)``; it is taken on the two bands, so it
@@ -263,7 +259,7 @@ def _chain_solve(d: np.ndarray, e: np.ndarray) -> SublatticeSVD:
     mtu -= vt.T * s
     residual = max(float(np.max(np.abs(mv))), float(np.max(np.abs(mtu))))
     residual = _certify(residual / np.sqrt(2.0), float(s[0]))
-    return SublatticeSVD(u, s, vt, residual, np.arange(2 * d.size) % 2)
+    return SublatticeSVD(u, s, vt, residual)
 
 
 def _refuse_graded(lat: Lattice2D) -> None:
@@ -282,7 +278,7 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a, out=a)))
 
 
-def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
+def _dense_svd(block: np.ndarray) -> SublatticeSVD:
     """Certified SVD of a dense sublattice block by LAPACK's dgesdd
     (divide and conquer; ``_lapack._svd``).  The levels within
     ZERO_MODE_TOL of the spectral radius (at least 1) are rounding: they
@@ -309,7 +305,7 @@ def _dense_svd(block: np.ndarray, sublattice) -> SublatticeSVD:
                    _max_abs_diff(_dgemm(block.T, u), vt.T * s))
     residual = _certify(residual / np.sqrt(2.0), float(s[0]))
     s[s <= ZERO_MODE_TOL * max(float(s[0]), 1.0)] = 0.0
-    return SublatticeSVD(u, s, vt, residual, sublattice)
+    return SublatticeSVD(u, s, vt, residual)
 
 
 def chain_svd(profile: CouplingProfile) -> SublatticeSVD:
@@ -541,22 +537,36 @@ def even_sector(c: np.ndarray) -> tuple:
 
 
 def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
-    """Certified sublattice SVD of the 2D lattice (sublattice the
-    checkerboard), from the (2L^2)^2 block M scattered straight from the
-    link arrays; no (4L^2)^2 hopping matrix is formed.
+    """Certified sublattice SVD of the 2D lattice, from its (2L^2)^2 block
+    M written straight from ``link_amplitudes``; no (4L^2)^2 hopping matrix
+    is formed.
+
+    Lattice site ix * 2L + iy lies on sublattice (ix + iy) % 2 and is row
+    or column ix * L + iy // 2 of M, so M is a 2L x 2L grid of L x L
+    blocks.  Column ix's vertical links fill the diagonal of block (ix, ix)
+    and the diagonal below it (even ix) or above it (odd ix); the
+    horizontal links between columns ix and ix + 1 fill the diagonals of
+    blocks (ix, ix + 1) and (ix + 1, ix).  The SVD's site i is lattice
+    site i in even columns and its pair partner i ^ 1 in odd ones, so the
+    left half (x < 0) is sites 0 .. 2L^2 - 1 in both numberings.
 
     Raises NumericsError before any solve when the links span more than ten
     decades (``_refuse_graded``), and after it when the residual exceeds
     RESIDUAL_TOL relative to the spectral radius.
     """
     _refuse_graded(lat)
-    i, j, J = lattice_links(lat.L, lat.alpha)
-    sub = lat.checkerboard()
-    rows = np.where(sub[i] == 0, i, j)
-    cols = np.where(sub[i] == 0, j, i)
-    block = np.zeros((lat.n_sites // 2, lat.n_sites // 2))
-    block[rows // 2, cols // 2] = -J / 2.0
-    return _dense_svd(block, sub)
+    L, n = lat.L, 2 * lat.L
+    vertical, horizontal = link_amplitudes(L, lat.alpha)
+    v, h = -vertical[:, None] / 2.0, -horizontal[:, None] / 2.0
+    block = np.zeros((n * L, n * L))
+    grid = block.reshape(n, L, n, L)
+    ix, q = np.arange(n)[:, None], np.arange(L)  # row or column ix * L + q
+    grid[ix, q, ix, q] = v
+    grid[ix[0::2], q[1:], ix[0::2], q[:-1]] = v[0::2]
+    grid[ix[1::2], q[:-1], ix[1::2], q[1:]] = v[1::2]
+    grid[ix[:-1], q, ix[1:], q] = h
+    grid[ix[1:], q, ix[:-1], q] = h
+    return _dense_svd(block)
 
 
 # Largest coupling ratio alpha^-(L - 1/2) at which a lattice's left half is
@@ -590,10 +600,10 @@ def sector_svd(lat: Lattice2D, k: int) -> SublatticeSVD:
     Gamma = diag((-1)^x).  The pair is the bipartite ladder
     [[0, H_k], [H_k, 0]] up to site-local rotations, which keep every
     block of whole columns x: site 2x is row x of its sublattice block H_k
-    and site 2x + 1 column x (sublattice ``arange(4L) % 2``), so the pair's
-    left half is sites 0 .. 2L-1.  H_k goes to ``_dense_svd``, with its
-    residual certificate and its zero-mode rule; at alpha = 1,
-    H_k = T_x + mu_k I has one exact zero level.
+    and site 2x + 1 column x, so the pair's left half is sites 0 .. 2L-1.
+    H_k goes to ``_dense_svd``, with its residual certificate and its
+    zero-mode rule; at alpha = 1, H_k = T_x + mu_k I has one exact zero
+    level.
 
     The caller checks the grading on the lattice's links (``_splits``),
     not on H_k, whose diagonal mu_k alpha^|x| can be small on a mild
@@ -606,7 +616,7 @@ def sector_svd(lat: Lattice2D, k: int) -> SublatticeSVD:
     block = np.diag(-math.cos(math.pi * k / (2 * L + 1)) * vertical)
     bond = np.arange(2 * L - 1)
     block[bond, bond + 1] = block[bond + 1, bond] = -horizontal / 2.0
-    return _dense_svd(block, np.arange(4 * L) % 2)
+    return _dense_svd(block)
 
 
 def _fix_phases(orbitals: np.ndarray) -> np.ndarray:
@@ -626,16 +636,16 @@ def _orbitals(svd: SublatticeSVD, levels: np.ndarray) -> np.ndarray:
 
     Level k < n (n = s.size) is -s_p with p = k, level k >= n its partner
     +s_p with p = 2n-1-k; the orbital of -+s_p is ``(u_p, -+v_p)/sqrt(2)``,
-    u_p on the sites of sublattice 0 and v_p on those of sublattice 1.
+    u_p on the even sites and v_p on the odd ones.
     """
     n = svd.s.size
     below = levels < n
     p = np.where(below, levels, 2 * n - 1 - levels)
     orbitals = np.empty((2 * n, levels.size))
-    orbitals[svd.sublattice == 0] = svd.u[:, p]
+    orbitals[0::2] = svd.u[:, p]
     v = svd.vt[p]
     v *= np.where(below, -1.0, 1.0)[:, None]
-    orbitals[svd.sublattice == 1] = v.T
+    orbitals[1::2] = v.T
     orbitals *= 1.0 / np.sqrt(2.0)
     return _fix_phases(orbitals)
 

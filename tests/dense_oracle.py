@@ -4,10 +4,18 @@ L205 (2003)).
 
 The library never forms these (``spectra.chain_svd`` and
 ``spectra.lattice_svd`` read the sublattice block straight from the
-couplings and links); the tests build them here from the same couplings
-and links, so every shipped route has a dense counterpart to agree with.
-Plain functions: matrices and sublattices are arrays, and nothing here
-validates its input, which comes from the tests alone.
+couplings and the links' amplitudes); the tests build them here from the
+same couplings, so every shipped route has a dense counterpart to agree
+with.  Plain functions: matrices and sublattices are arrays, and nothing
+here validates its input, which comes from the tests alone.
+
+The 2D lattice's links are listed here (``lattice_links``), site by site,
+and so is its checkerboard, neither of which the library keeps: a wrong
+block in ``lattice_svd`` cannot pass by sharing its link list with the
+oracle.  The dense lattice is in lattice-site numbering, ix * 2L + iy; an
+SVD numbers its sites by parity (even sites are rows, odd sites columns),
+and ``svd_sites`` maps one numbering onto the other, so the oracle's 2D
+correlation matrix (``lattice_correlation``) stays in lattice sites.
 
 ``numpy_correlation`` and ``numpy_eigenvalues`` are the orbital route
 as numpy computes it, which the library's route on SciPy's BLAS must
@@ -43,7 +51,7 @@ from rainbow_lab import spectra
 from rainbow_lab._lapack import _flapack
 from rainbow_lab.continuum import _analytic_levels
 from rainbow_lab.entanglement import NU_CLIP, CorrelationMatrix
-from rainbow_lab.lattice import CouplingProfile, lattice_links, signed_profile
+from rainbow_lab.lattice import CouplingProfile, link_amplitudes, signed_profile
 
 
 def chain_hamiltonian(profile):
@@ -62,13 +70,44 @@ def chain_hamiltonian(profile):
     return m, np.arange(n) % 2
 
 
+def lattice_links(L, alpha):
+    """Links (i, j, J) of the 2L x 2L lattice as three arrays, sorted by
+    (i, j), i < j, sites ix * 2L + iy, with the amplitudes of
+    ``link_amplitudes``."""
+    n = 2 * L
+    vertical, horizontal = link_amplitudes(L, alpha)
+    ix, iy = np.divmod(np.arange(n * n), n)
+    up, right = np.flatnonzero(iy + 1 < n), np.flatnonzero(ix + 1 < n)
+    i = np.concatenate([up, right])
+    j = np.concatenate([up + 1, right + n])
+    J = np.concatenate([vertical[ix[up]], horizontal[ix[right]]])
+    order = np.lexsort((j, i))
+    return i[order], j[order], J[order]
+
+
+def checkerboard(lat):
+    """Sublattice (ix + iy) % 2 of every lattice site ix * 2L + iy."""
+    ranks = np.arange(2 * lat.L)
+    return np.add.outer(ranks, ranks).ravel() % 2
+
+
 def lattice_hamiltonian(lat):
     """Dense hopping matrix of the 2D lattice from ``lattice_links``,
     element -J/2 on each link, and its sublattice (the checkerboard)."""
     m = np.zeros((lat.n_sites, lat.n_sites))
     i, j, J = lattice_links(lat.L, lat.alpha)
     m[i, j] = m[j, i] = -J / 2.0
-    return m, lat.checkerboard()
+    return m, checkerboard(lat)
+
+
+def svd_sites(sublattice):
+    """The SVD's site 2 (j // 2) + sublattice[j] of each site j of a dense
+    bipartite matrix whose sublattices each hold one site of every pair
+    2r, 2r + 1, as the chain's parity and the lattice's checkerboard do:
+    j is then row or column j // 2 of the sublattice block.  The parity
+    maps every site to itself; the checkerboard swaps each pair in the odd
+    columns."""
+    return 2 * (np.arange(sublattice.size) // 2) + sublattice
 
 
 def sublattice_block(m, sublattice):
@@ -89,7 +128,7 @@ def diagonalize(m, sublattice):
     )
     if np.count_nonzero(block) == on_band:
         return spectra._chain_solve(np.diagonal(block), np.diagonal(block, -1))
-    return spectra._dense_svd(block, sublattice)
+    return spectra._dense_svd(block)
 
 
 def zero_modes(svd):
@@ -120,6 +159,14 @@ def correlation(svd):
     neg = orbitals[:, (energies < 0) & ~zero]
     shell = orbitals[:, zero]
     return neg @ neg.T + 0.5 * (shell @ shell.T)
+
+
+def lattice_correlation(lat):
+    """``correlation`` of the 2D lattice's dense route, in lattice-site
+    numbering: row and column j are the SVD's site ``svd_sites`` of j."""
+    m, sublattice = lattice_hamiltonian(lat)
+    site = svd_sites(sublattice)
+    return correlation(diagonalize(m, sublattice))[np.ix_(site, site)]
 
 
 def restrict(c, block):

@@ -323,7 +323,7 @@ def test_criterion_9_two_dimensional():
         S = vn_entropy(lattice_half_nu(lat))
         if L > 16:
             return S, 0.0
-        c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
+        c_full = oracle.lattice_correlation(lat)
         return S, abs(S - vn_entropy(oracle.restrict(c_full, left).eigenvalues()))
 
     points = [(a, L) for a in alphas for L in sizes]

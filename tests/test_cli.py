@@ -991,9 +991,7 @@ class TestEntropy2DPolarRoute:
         assert len(rows) == 10
         for alpha, L, S, _ in rows:
             lat = Lattice2D(int(L), float(alpha))
-            c_full = oracle.correlation(
-                oracle.diagonalize(*oracle.lattice_hamiltonian(lat))
-            )
+            c_full = oracle.lattice_correlation(lat)
             want = vn_entropy(oracle.restrict(c_full, lat.left_half()).eigenvalues())
             # the CSV keeps 12 significant digits
             assert abs(float(S) - want) <= 1e-11 * max(1.0, abs(want))

@@ -365,7 +365,7 @@ class TestEntropyScan:
 
     def test_2d_policy_preserves_mirror_symmetry(self):
         lat = Lattice2D(2, 1.0)
-        c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
+        c_full = oracle.lattice_correlation(lat)
         left = lat.left_half()
         right = sorted(set(range(lat.n_sites)) - set(left))
         a = vn_entropy(oracle.restrict(c_full, left).eigenvalues())
@@ -446,7 +446,7 @@ class TestPolarRoute:
                  (lattice_svd(lat), lat.left_half())]
         for svd, block in cases:
             sites = np.asarray(list(block))
-            on_rows = svd.sublattice[sites] == 0
+            on_rows = sites % 2 == 0
             rows, cols = sites[on_rows] // 2, sites[~on_rows] // 2
             keep = np.nonzero(svd.s > 0)[0]
             sigma = svdvals(svd.u[np.ix_(rows, keep)] @ svd.vt[np.ix_(keep, cols)])
@@ -1068,7 +1068,9 @@ class TestHalfchainFold:
 
 class TestLatticePolarRoute:
     """polar_block on lattice_svd against the dense route it replaces: the
-    oracle's full correlation matrix, restricted to the block."""
+    oracle's full correlation matrix, restricted to the block.  The blocks
+    are lattice sites; polar_block reads them as the SVD's sites, through
+    the oracle's site map (``svd_sites``)."""
 
     @staticmethod
     def _blocks(lat):
@@ -1081,11 +1083,12 @@ class TestLatticePolarRoute:
     @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5, 0.4])
     def test_matches_dense_route(self, L, alpha):
         lat = Lattice2D(L, alpha)
-        c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
+        c_full = oracle.lattice_correlation(lat)
+        site = oracle.svd_sites(oracle.checkerboard(lat))
         svd = lattice_svd(lat)
         for block in self._blocks(lat):
             want = np.sort(oracle.restrict(c_full, block).eigenvalues())
-            got = polar_block(svd, block, zero_modes="half")
+            got = polar_block(svd, site[block], zero_modes="half")
             assert np.max(np.abs(got - want)) <= 1e-11
 
     @pytest.mark.parametrize("L", [1, 2, 4])
@@ -1102,7 +1105,7 @@ class TestLatticePolarRoute:
             raise AssertionError("dense route taken")
 
         lat = Lattice2D(4, 1.0)
-        c_full = oracle.correlation(oracle.diagonalize(*oracle.lattice_hamiltonian(lat)))
+        c_full = oracle.lattice_correlation(lat)
         want = renyi_entropies(oracle.restrict(c_full, lat.left_half()).eigenvalues(), [1, 2])
         monkeypatch.setattr(spectra, "_orbitals", refuse)
         monkeypatch.setattr(entanglement, "CorrelationMatrix", refuse)

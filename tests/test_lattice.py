@@ -14,9 +14,9 @@ from rainbow_lab import (
     lattice_svd,
     profile_from_z,
 )
-from rainbow_lab.lattice import lattice_links, signed_profile, site_labels
+from rainbow_lab.lattice import signed_profile, site_labels
 
-from dense_oracle import chain_hamiltonian, lattice_hamiltonian
+from dense_oracle import chain_hamiltonian, checkerboard, lattice_hamiltonian, lattice_links
 
 
 class TestRainbowProfile:
@@ -157,15 +157,19 @@ def _index(L: int, x: float, y: float) -> int:
 class TestSublattice:
     @pytest.mark.parametrize("L", [1, 2, 5])
     def test_chain_parity(self, L):
-        svd = chain_svd(build_rainbow_profile(L, 0.5))
-        assert np.array_equal(svd.sublattice, np.arange(2 * L) % 2)
+        # site i is row (even i) or column (odd i) i // 2 of the chain's M
+        profile = build_rainbow_profile(L, 0.5)
+        svd = chain_svd(profile)
+        m, sublattice = chain_hamiltonian(profile)
+        assert np.array_equal(sublattice, np.arange(2 * L) % 2)
+        assert np.max(np.abs((svd.u * svd.s) @ svd.vt - m[0::2, 1::2])) <= 1e-12
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_lattice_checkerboard(self, L):
         lat = Lattice2D(L, 0.5)
         want = [int(x + y + 2 * L - 1) % 2
                 for (x, y) in (_coordinates(L, i) for i in range(lat.n_sites))]
-        assert np.array_equal(lat.checkerboard(), want)
+        assert np.array_equal(checkerboard(lat), want)
 
 
 class TestLattice2D:

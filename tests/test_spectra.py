@@ -128,8 +128,9 @@ class TestDenseOracle:
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5])
     def test_lattice_half_filled_correlation(self, L, alpha):
-        m, sub = oracle.lattice_hamiltonian(Lattice2D(L, alpha))
-        c = oracle.correlation(oracle.diagonalize(m, sub))
+        lat = Lattice2D(L, alpha)
+        m, _ = oracle.lattice_hamiltonian(lat)
+        c = oracle.lattice_correlation(lat)
         energies, vecs = sla.eigh(m)
         zero = np.abs(energies) < 1e-10
         assert zero.any() == (alpha == 1.0)  # the uniform zero-mode shell
@@ -315,28 +316,34 @@ class TestLatticeSVD:
     """lattice_svd: the 2D lattice's sublattice SVD without the dense
     hopping matrix, against the dense route it replaces."""
 
-    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8, 12])
-    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5, 0.4])
+    # the small grid, and L = 16, 20, 24 at the benchmark's lattice-2d
+    # alphas: among them every lattice it still sends to the dense block
+    # (coupling ratio past SECTOR_MAX_RATIO)
+    @pytest.mark.parametrize("alpha, L", [
+        (alpha, L) for L in (1, 2, 3, 4, 8, 12) for alpha in (1.0, 0.8, 0.5, 0.4)
+    ] + [(alpha, L) for L in (16, 20, 24) for alpha in (0.4, 0.45, 0.5, 0.55)])
     def test_block_is_the_dense_block_bitwise(self, L, alpha, monkeypatch):
+        # the block is recorded, not solved
         lat = Lattice2D(L, alpha)
         want = oracle.sublattice_block(*oracle.lattice_hamiltonian(lat))
-        solve = spectra._dense_svd
         blocks = []
-
-        def recording(block, sublattice):
-            blocks.append(block.copy())
-            return solve(block, sublattice)
-
-        monkeypatch.setattr(spectra, "_dense_svd", recording)
+        monkeypatch.setattr(spectra, "_dense_svd", lambda block: blocks.append(block.copy()))
         lattice_svd(lat)
         assert [blk.tobytes() for blk in blocks] == [want.tobytes()]
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.5])
     def test_spectra_bitwise_the_parent_route(self, L, alpha):
+        # the parent route restated in the SVD's site numbering, where even
+        # sites are the rows of M and odd sites its columns
         lat = Lattice2D(L, alpha)
         m, sub = oracle.lattice_hamiltonian(lat)
-        energies, orbitals, residual, threshold = _parent_lattice_spectrum(m, sub)
+        site = oracle.svd_sites(sub)
+        m_svd = np.empty_like(m)
+        m_svd[np.ix_(site, site)] = m
+        energies, orbitals, residual, threshold = _parent_lattice_spectrum(
+            m_svd, np.arange(lat.n_sites) % 2
+        )
         # the levels within the threshold come back as exact zeros, the rest
         # bit for bit
         energies[np.abs(energies) <= threshold] *= 0.0  # -0.0 on the -s side
@@ -346,21 +353,34 @@ class TestLatticeSVD:
             assert svd.residual == residual
 
     def test_site_maps(self):
-        # site i is row (sublattice 0) or column (sublattice 1) i // 2 of M,
-        # on the chain and on the checkerboard: U S V^T is the oracle's
-        # block, whose rows and columns are the sublattices in site order
-        chain = spectra.chain_svd(profile_from_z(5, 1.0))
-        assert np.array_equal(chain.sublattice, np.arange(10) % 2)
+        # site i is row (even i) or column (odd i) i // 2 of M; the oracle's
+        # sublattices, parity on the chain and checkerboard on the lattice,
+        # each hold sites 2r or 2r + 1 for r = 0, 1, ..., so their block is
+        # M and U S V^T reproduces it
+        chain = oracle.chain_hamiltonian(profile_from_z(5, 1.0))
+        assert np.array_equal(chain[1], np.arange(10) % 2)
         lattices = [Lattice2D(L, 0.5) for L in (1, 2, 3, 8)]
-        cases = [(chain, oracle.chain_hamiltonian(profile_from_z(5, 1.0)))]
+        cases = [(spectra.chain_svd(profile_from_z(5, 1.0)), chain)]
         cases += [(lattice_svd(lat), oracle.lattice_hamiltonian(lat)) for lat in lattices]
         for svd, (h, sublattice) in cases:
-            assert np.array_equal(svd.sublattice, sublattice)
+            assert sublattice.size == 2 * svd.s.size
             for part in (0, 1):
                 sites = np.flatnonzero(sublattice == part)
                 assert np.array_equal(sites // 2, np.arange(sites.size))
             block = oracle.sublattice_block(h, sublattice)
             assert np.max(np.abs((svd.u * svd.s) @ svd.vt - block)) <= 1e-12
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 24])
+    def test_left_half_reads_the_checkerboard_rows_and_columns(self, L):
+        # the rows and columns the parity rule gives sites 0 .. n/2 - 1 are,
+        # in order, those the checkerboard gives the lattice's left half, so
+        # polar_block forms the same product X as on the checkerboard
+        lat = Lattice2D(L, 0.5)
+        half = np.asarray(lat.left_half())
+        on_rows = oracle.checkerboard(lat)[half] == 0
+        assert np.array_equal(half[half % 2 == 0] // 2, half[on_rows] // 2)
+        assert np.array_equal(half[half % 2 == 1] // 2, half[~on_rows] // 2)
+        assert np.array_equal(half[on_rows] // 2, np.arange(L * L))
 
     def test_never_builds_the_hopping_matrix(self, monkeypatch):
         # nor its orbitals: only the (2L^2)^2 block M is solved
@@ -459,7 +479,7 @@ class TestSectorSVD:
         want = np.sort(lattice_svd(lat).s)
         assert np.max(np.abs(got - want)) <= 1e-14
         for svd in svds:
-            assert np.array_equal(svd.sublattice, np.arange(4 * L) % 2)
+            assert svd.u.shape == svd.vt.shape == (2 * L, 2 * L)  # 4L sites
             assert svd.residual <= 1e-13
 
     @pytest.mark.parametrize("L", [1, 2, 8, 16, 24])
@@ -618,9 +638,8 @@ class TestOrbitalAssembly:
             u, s, vt = _dense_svd(
                 oracle.sublattice_block(*oracle.lattice_hamiltonian(geometry))
             )
-        a_idx = np.nonzero(svd.sublattice == 0)[0]
-        b_idx = np.nonzero(svd.sublattice == 1)[0]
-        n = svd.sublattice.size
+        n = 2 * s.size
+        a_idx, b_idx = np.arange(0, n, 2), np.arange(1, n, 2)
         want = np.zeros((n, n))
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         for p in range(s.size):
