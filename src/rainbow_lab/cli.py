@@ -13,12 +13,14 @@ command loops it with ``_sweep``.  The geometry flags --alpha, --h and
 gives the same couplings in every command that takes it.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numerical failure (a
-failing LAPACK call included, numpy's LinAlgError too) or an allocation
-that fails (MemoryError).  A failing command writes one
-JSON error record to stderr, with the warnings raised before the failure
-in its "warnings" list, and no artifact: each command computes all of its
-outputs before ``_write_all`` writes any, and a file already at an output
-path keeps its bytes.
+failing LAPACK call included, numpy's LinAlgError too, and a failing
+``validate`` check) or an allocation that fails (MemoryError).  ``main``
+alone sets them: a command returns nothing and fails by raising.  A
+failing command writes one JSON error record to stderr, with the warnings
+raised before the failure in its "warnings" list, and no artifact: each
+command computes all of its outputs before ``_write_all`` writes any, and
+a file already at an output path keeps its bytes.  Every command but
+``validate`` writes its ``--out``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .qubism import render, slater_amplitudes, write_ppm
 from .sdrg import bond_state_orbitals, rainbow_bonds, render_arcs, sdrg_entropy, sdrg_run
 from .spectra import (
     NumericsError,
-    _refuse_graded,
+    _lattice_route,
     chain_svd,
     fermi_velocity,
     fermi_velocity_fit,
@@ -256,7 +258,7 @@ def _write_all(*outputs) -> None:
 
 # ----------------------------------------------------------------- commands
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> None:
     svd = chain_svd(_profile(*_geometry_values(args), args.L))
     # m counted from the Fermi point: m = 0 is the first level above it
     rows = list(enumerate(svd.energies.tolist(), start=-args.L))
@@ -264,10 +266,9 @@ def cmd_spectrum(args) -> int:
     if args.orbitals:
         outputs.append((args.orbitals, save_orbitals, orbitals_from_svd(svd)))
     _write_all(*outputs)
-    return 0
 
 
-def cmd_wavefunction(args) -> int:
+def cmd_wavefunction(args) -> None:
     profile = _profile(*_geometry_values(args), args.L)
     m = args.m
     if not -args.L <= m <= args.L - 1:
@@ -281,10 +282,9 @@ def cmd_wavefunction(args) -> int:
     header = _csv_header(args, ("site", "exact", "analytic"))
     header.insert(-1, f"# overlap: {abs(np.dot(exact, ana)):.12g}")
     _write_all((args.out, _write_csv, header, rows))
-    return 0
 
 
-def cmd_velocity_scan(args) -> int:
+def cmd_velocity_scan(args) -> None:
     L = args.L
 
     def one(z):
@@ -295,10 +295,9 @@ def cmd_velocity_scan(args) -> int:
     rows = _sweep(one, args.z, args.jobs)
     header = _csv_header(args, ("z", "a_numeric", "a_fit4", "a_analytic"))
     _write_all((args.out, _write_csv, header, rows))
-    return 0
 
 
-def cmd_validity_map(args) -> int:
+def cmd_validity_map(args) -> None:
     points = [(L, z) for L in args.L for z in args.z]
     values = _sweep(lambda point: validity_overlap(*point), points, args.jobs)
     rows = [(L, z, overlap) for (L, z), overlap in zip(points, values)]
@@ -311,7 +310,6 @@ def cmd_validity_map(args) -> int:
         (_derived_path(args.out, "_contours"), _write_csv,
          _csv_header(args, ("L", "z_at_0.90", "z_at_0.95")), contours),
     )
-    return 0
 
 
 def _derived_path(path: str, suffix: str, ext: str | None = None) -> str:
@@ -319,7 +317,7 @@ def _derived_path(path: str, suffix: str, ext: str | None = None) -> str:
     return stem + suffix + (ext or own or ".csv")
 
 
-def cmd_entropy_scan(args) -> int:
+def cmd_entropy_scan(args) -> None:
     name, values = _geometry_values(args)
     if args.blocks == "boundary":
         if len(args.L) != 1 or len(values) != 1:
@@ -345,10 +343,9 @@ def cmd_entropy_scan(args) -> int:
     if len(profiles) == 1:
         header.insert(-1, f"# profile: {profiles[0].to_json()}")
     _write_all((args.out, _write_csv, header, rows))
-    return 0
 
 
-def cmd_renyi_fit(args) -> int:
+def cmd_renyi_fit(args) -> None:
     sizes = args.L
     if len(sizes) < MIN_RENYI_SIZES:
         raise ValueError(
@@ -372,10 +369,9 @@ def cmd_renyi_fit(args) -> int:
                          fit.chi2, fit.condition))
     header = _csv_header(args, ("n", "z", "c_n", "d_n", "f_n", "chi2", "condition"))
     _write_all((args.out, _write_csv, header, rows))
-    return 0
 
 
-def cmd_es_collapse(args) -> int:
+def cmd_es_collapse(args) -> None:
     def one(point):
         L, z = point
         # The orbital route, not polar_block: an odd-L half block has one
@@ -396,10 +392,9 @@ def cmd_es_collapse(args) -> int:
     rows = [row for chunk in chunks for row in chunk]
     header = _csv_header(args, ("L", "z", "p", "nu", "eps", "eps_scaled"))
     _write_all((args.out, _write_csv, header, rows))
-    return 0
 
 
-def cmd_sdrg(args) -> int:
+def cmd_sdrg(args) -> None:
     if args.couplings is not None:
         if args.L is not None or args.alpha is not None:
             # its provenance would name a chain that was not decimated
@@ -414,10 +409,9 @@ def cmd_sdrg(args) -> int:
     _write_all((args.out, _write_json, doc))
     if args.arcs:
         print(render_arcs(bonds))
-    return 0
 
 
-def cmd_entropy_2d(args) -> int:
+def cmd_entropy_2d(args) -> None:
     if len(args.L) < MIN_2D_SIZES:
         raise ValueError(f"need at least {MIN_2D_SIZES} sizes, got {len(args.L)}")
 
@@ -426,8 +420,8 @@ def cmd_entropy_2d(args) -> int:
         return (lat.alpha, lat.L, S, S / lat.L)
 
     lattices = [Lattice2D(L, alpha) for alpha in args.alpha for L in args.L]
-    for lat in lattices:  # before any solve
-        _refuse_graded(lat)
+    for lat in lattices:  # refuses a graded lattice before any solve
+        _lattice_route(lat)
     rows = _sweep(one, lattices, args.jobs)
     fits = []
     for alpha in args.alpha:
@@ -443,10 +437,9 @@ def cmd_entropy_2d(args) -> int:
         (_derived_path(args.out, "_fits", ext=".json"), _write_json,
          {"provenance": _provenance(args), "data": fits}),
     )
-    return 0
 
 
-def cmd_qubism(args) -> int:
+def cmd_qubism(args) -> None:
     n = args.sites
     if n % 2:
         raise ValueError(f"qubism needs an even site count, got {n}")
@@ -461,10 +454,9 @@ def cmd_qubism(args) -> int:
         outputs.append((args.amplitudes, _write_csv,
                         _csv_header(args, ("bitstring", "amplitude")), amps.rows()))
     _write_all(*outputs)
-    return 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     failures = 0
 
     def check(label: str, ok: bool) -> None:
@@ -520,7 +512,8 @@ def cmd_validate(args) -> int:
     check(f"complement symmetry 2L=12 (dev {worst:.2e})", worst <= 1e-8)
 
     print(f"{failures} failure(s)")
-    return 3 if failures else 0
+    if failures:
+        raise NumericsError(f"validate: {failures} check(s) failed")
 
 
 # -------------------------------------------------------------------- parser
@@ -544,6 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     def new(name, helptext, func, sweep=True):
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(func=func)
+        p.add_argument("--out", required=True)
         if sweep:
             p.add_argument("--jobs", type=_flag(_positive_int), default=1,
                            help="worker threads for the sweep")
@@ -553,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
             sweep=False)
     p.add_argument("--L", type=int, required=True)
     _add_geometry(p, float)
-    p.add_argument("--out", required=True)
     p.add_argument("--orbitals", help="optional binary orbital dump path")
 
     p = new("wavefunction", "exact vs analytic wavefunction of one level",
@@ -561,58 +554,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     _add_geometry(p, float)
     p.add_argument("--m", type=int, default=0, help="level index from the Fermi point")
-    p.add_argument("--out", required=True)
 
     p = new("velocity-scan", "Fermi velocity a(z) vs the closed form", cmd_velocity_scan)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--z", type=_range, required=True)
-    p.add_argument("--out", required=True)
 
     p = new("validity-map", "many-body overlap of the continuum state", cmd_validity_map)
     p.add_argument("--L", type=_int_range, required=True)
     p.add_argument("--z", type=_range, required=True)
-    p.add_argument("--out", required=True)
 
     p = new("entropy-scan", "Renyi entropies over blocks or grids", cmd_entropy_scan)
     p.add_argument("--L", type=_int_range, required=True)
     _add_geometry(p, _range)
     p.add_argument("--blocks", choices=["half", "boundary"], default="half")
     p.add_argument("--orders", type=_orders, default=[1.0])
-    p.add_argument("--out", required=True)
 
     p = new("renyi-fit", "fit the half-chain Renyi ansatz per (n, z)", cmd_renyi_fit)
     p.add_argument("--L", type=_int_range, required=True)
     p.add_argument("--z", type=_range, required=True)
     p.add_argument("--orders", type=_orders, default=[1.0, 2.0, 3.0, 4.0])
-    p.add_argument("--out", required=True)
 
     p = new("es-collapse", "entanglement spectrum rescaled by z/(2 pi^2)", cmd_es_collapse)
     p.add_argument("--L", type=_int_range, required=True)
     p.add_argument("--z", type=_range, required=True)
     p.add_argument("--levels", type=_flag(_positive_int), default=5)
-    p.add_argument("--out", required=True)
 
     p = new("sdrg", "decimate a chain into its bond matching", cmd_sdrg, sweep=False)
     p.add_argument("--L", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--couplings", help="comma-separated signed couplings")
     p.add_argument("--arcs", action="store_true", help="print an ASCII arc diagram")
-    p.add_argument("--out", required=True)
 
     p = new("entropy-2d", "left-half entropy of the 2D lattice vs size", cmd_entropy_2d)
     p.add_argument("--L", type=_int_range, required=True)
     p.add_argument("--alpha", type=_range, required=True)
-    p.add_argument("--out", required=True)
 
     p = new("qubism", "qubism PPM image of the many-body state", cmd_qubism,
             sweep=False)
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--amplitudes", help="optional CSV dump (bitstring, amplitude)")
 
-    new("validate", "run the oracle-equivalence and invariant suites", cmd_validate,
-        sweep=False)
+    sub.add_parser(
+        "validate", help="run the oracle-equivalence and invariant suites"
+    ).set_defaults(func=cmd_validate)
 
     return ap
 
@@ -626,7 +611,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             try:
                 args = build_parser().parse_args(argv)
-                return args.func(args)
+                args.func(args)
+                return 0
             # first: numpy's LinAlgError is a ValueError
             except (NumericsError, np.linalg.LinAlgError, RuntimeError,
                     MemoryError) as exc:

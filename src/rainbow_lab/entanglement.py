@@ -78,7 +78,7 @@ from .spectra import (
     _EPS,
     _dgemm,
     _folds,
-    _splits,
+    _lattice_route,
     chain_svd,
     even_sector,
     lattice_svd,
@@ -275,14 +275,15 @@ def lattice_half_nu(lat: Lattice2D) -> np.ndarray:
     The left half holds every y, so its correlation matrix is block
     diagonal in the y-momentum sectors, and its nu are those of the sector
     chains' left halves.  When the lattice's links span at most
-    ``spectra.SECTOR_MAX_RATIO`` (``spectra._splits``), each sector pair
-    k, 2L + 1 - k (k = 1 .. L) is one ladder with a 2L x 2L sublattice block
-    (``spectra.sector_svd``), whose left half is its sites 0 .. 2L-1: L
-    dgesdd calls of size 2L, one at a time, in place of one of size 2L^2.
+    ``spectra.SECTOR_MAX_RATIO`` (``spectra._lattice_route``), each sector
+    pair k, 2L + 1 - k (k = 1 .. L) is one ladder with a 2L x 2L sublattice
+    block (``spectra.sector_svd``), whose left half is its sites 0 .. 2L-1:
+    L dgesdd calls of size 2L, one at a time, in place of one of size 2L^2.
     Every other lattice takes ``polar_block`` on the dense
-    ``spectra.lattice_svd``, which refuses one graded past ten decades.
+    ``spectra.lattice_svd``; ``_lattice_route`` refuses, before either, one
+    graded past ten decades.
     """
-    if not _splits(lat):
+    if not _lattice_route(lat):
         return polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
     left = range(2 * lat.L)
     return np.sort(np.concatenate([

@@ -262,16 +262,6 @@ def _chain_solve(d: np.ndarray, e: np.ndarray) -> SublatticeSVD:
     return SublatticeSVD(u, s, vt, residual)
 
 
-def _refuse_graded(lat: Lattice2D) -> None:
-    """NumericsError when the lattice's links span more than ten decades
-    (``_graded``), where a dense SVD cannot resolve the small levels."""
-    if _graded(*link_amplitudes(lat.L, lat.alpha)):
-        raise NumericsError(
-            f"dense block of dim {lat.n_sites} has couplings spanning "
-            "more than ten decades; its SVD cannot resolve the small levels"
-        )
-
-
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b|, taken in place in a: no third array of a's size."""
     a -= b
@@ -287,7 +277,7 @@ def _dense_svd(block: np.ndarray) -> SublatticeSVD:
     A dense SVD is accurate only to rounding times the largest coupling,
     whatever its driver; relative accuracy belongs to the bidiagonal solve
     of a chain.  So its callers refuse, before any solve, a lattice whose
-    links span more than ten decades (``_refuse_graded``), where the small
+    links span more than ten decades (``_lattice_route``), where the small
     levels that set its entropies are lost.  They read the links, not the
     block: a sector block's diagonal (``sector_svd``) can be small on a
     mild lattice.
@@ -551,10 +541,10 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
     left half (x < 0) is sites 0 .. 2L^2 - 1 in both numberings.
 
     Raises NumericsError before any solve when the links span more than ten
-    decades (``_refuse_graded``), and after it when the residual exceeds
+    decades (``_lattice_route``), and after it when the residual exceeds
     RESIDUAL_TOL relative to the spectral radius.
     """
-    _refuse_graded(lat)
+    _lattice_route(lat)
     L, n = lat.L, 2 * lat.L
     vertical, horizontal = link_amplitudes(L, lat.alpha)
     v, h = -vertical[:, None] / 2.0, -horizontal[:, None] / 2.0
@@ -581,10 +571,19 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
 SECTOR_MAX_RATIO = 1e6
 
 
-def _splits(lat: Lattice2D) -> bool:
+def _lattice_route(lat: Lattice2D) -> bool:
     """True when the lattice's links span at most SECTOR_MAX_RATIO, where
-    its left half is solved by sectors (``sector_svd``)."""
-    amplitudes = np.concatenate(link_amplitudes(lat.L, lat.alpha))
+    its left half is solved by sectors (``sector_svd``), False where it
+    takes the dense block (``lattice_svd``).  NumericsError when they span
+    more than ten decades (``_graded``), where a dense SVD cannot resolve
+    the small levels."""
+    vertical, horizontal = link_amplitudes(lat.L, lat.alpha)
+    if _graded(vertical, horizontal):
+        raise NumericsError(
+            f"dense block of dim {lat.n_sites} has couplings spanning "
+            "more than ten decades; its SVD cannot resolve the small levels"
+        )
+    amplitudes = np.concatenate((vertical, horizontal))
     return float(amplitudes.max()) <= SECTOR_MAX_RATIO * float(amplitudes.min())
 
 
@@ -605,9 +604,9 @@ def sector_svd(lat: Lattice2D, k: int) -> SublatticeSVD:
     zero-mode rule; at alpha = 1, H_k = T_x + mu_k I has one exact zero
     level.
 
-    The caller checks the grading on the lattice's links (``_splits``),
-    not on H_k, whose diagonal mu_k alpha^|x| can be small on a mild
-    lattice.  ValueError unless 1 <= k <= L.
+    The caller checks the grading on the lattice's links
+    (``_lattice_route``), not on H_k, whose diagonal mu_k alpha^|x| can be
+    small on a mild lattice.  ValueError unless 1 <= k <= L.
     """
     L = lat.L
     if not 1 <= k <= L:

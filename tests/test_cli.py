@@ -114,6 +114,43 @@ class TestBadCommandLine:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutRequired:
+    """Every command but validate writes an artifact, and refuses a command
+    line without its --out before any work."""
+
+    ARTIFACT_COMMANDS = [
+        ["spectrum", "--L", "4", "--z", "1"],
+        ["wavefunction", "--L", "4", "--z", "1"],
+        ["velocity-scan", "--L", "10", "--z", "0:1:0.5"],
+        ["validity-map", "--L", "10", "--z", "0:1:0.5"],
+        ["entropy-scan", "--L", "10", "--z", "1"],
+        ["renyi-fit", "--L", "10:15:1", "--z", "1"],
+        ["es-collapse", "--L", "10", "--z", "2"],
+        ["sdrg", "--L", "3", "--alpha", "0.1", "--arcs"],
+        ["entropy-2d", "--L", "2:6:1", "--alpha", "0.5"],
+        ["qubism", "--sites", "4", "--alpha", "0.5"],
+    ]
+
+    def test_every_command_but_validate_is_listed(self):
+        import argparse
+
+        commands = next(a.choices for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        assert sorted(argv[0] for argv in self.ARTIFACT_COMMANDS) == sorted(
+            set(commands) - {"validate"})
+
+    @pytest.mark.parametrize("argv", ARTIFACT_COMMANDS, ids=lambda argv: argv[0])
+    def test_missing_out_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "UsageError"
+        assert "--out" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestWarningsOnStderr:
     """Warnings raised while a command runs: a failing command carries them
     in its one-line error record, a succeeding one shows them as raised."""
@@ -144,8 +181,8 @@ class TestWarningsOnStderr:
 
 class TestFailingCommandWritesNoArtifact:
     """A command writes all of its artifacts or none: one whose last output
-    cannot be opened exits 2 and leaves no file behind, temporary or not,
-    and a file already at its --out keeps its bytes."""
+    cannot be opened exits 2, prints nothing and leaves no file behind,
+    temporary or not, and a file already at its --out keeps its bytes."""
 
     CASES = {
         "entropy-2d": ["entropy-2d", "--L", "2:6:1", "--alpha", "0.5",
@@ -156,10 +193,26 @@ class TestFailingCommandWritesNoArtifact:
                          "--out", "{d}/v.csv"],
         "qubism": ["qubism", "--sites", "4", "--alpha", "0.5", "--out", "{d}/q.ppm",
                    "--amplitudes", "{d}/missing/a.csv"],
+        # the commands with --out alone, each into a missing directory
+        "wavefunction": ["wavefunction", "--L", "4", "--z", "1",
+                         "--out", "{d}/missing/w.csv"],
+        "velocity-scan": ["velocity-scan", "--L", "10", "--z", "0:1:0.5",
+                          "--out", "{d}/missing/v.csv"],
+        "entropy-scan": ["entropy-scan", "--L", "10", "--z", "0:1:0.5",
+                         "--out", "{d}/missing/e.csv"],
+        "renyi-fit": ["renyi-fit", "--L", "10:15:1", "--z", "0:1:0.5",
+                      "--out", "{d}/missing/r.csv"],
+        "es-collapse": ["es-collapse", "--L", "10", "--z", "2",
+                        "--out", "{d}/missing/c.csv"],
+        # its arcs are printed only once the JSON is written
+        "sdrg": ["sdrg", "--L", "3", "--alpha", "0.1", "--arcs",
+                 "--out", "{d}/missing/b.json"],
     }
     # a second output beside --out, in the same directory: the creation of
     # its temporary fails once the first temporary is written
     BESIDE = ("entropy-2d", "validity-map")
+    # the cases whose --out lies in an existing directory
+    KEPT = ("entropy-2d", "qubism", "spectrum", "validity-map")
 
     def _run(self, name, tmp_path, capsys, monkeypatch):
         if name in self.BESIDE:
@@ -184,7 +237,7 @@ class TestFailingCommandWritesNoArtifact:
         self._run(name, tmp_path, capsys, monkeypatch)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", KEPT)
     def test_existing_out_kept(self, tmp_path, capsys, monkeypatch, name):
         out = Path(self.CASES[name][self.CASES[name].index("--out") + 1]
                    .format(d=tmp_path))
@@ -972,6 +1025,41 @@ class TestEntropy2D:
         assert not (tmp_path / "e2d_fits.json").exists()
 
 
+    @pytest.mark.parametrize("side", [1.0 + 1e-9, 1.0 - 1e-9], ids=["above", "below"])
+    def test_refusal_edge(self, tmp_path, capsys, monkeypatch, side):
+        # alpha^-(L - 1/2) = 1e10 * side: one read of the links decides both
+        # the refusal and the route, in lattice_half_nu and in entropy-2d's
+        # check before any solve
+        from rainbow_lab import Lattice2D, lattice_half_nu, spectra
+
+        L = 12
+        alpha = (1e10 * side) ** (-1.0 / (L - 0.5))
+        lat = Lattice2D(L, alpha)
+        solves, svd = [], spectra._svd
+
+        def counted(*args, **kwargs):
+            solves.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_svd", counted)
+        out = tmp_path / "e2d.csv"
+        argv = ["entropy-2d", "--L", "8:12:1", "--alpha", repr(alpha), "--out", str(out)]
+        if side > 1.0:
+            with pytest.raises(spectra.NumericsError, match="ten decades"):
+                lattice_half_nu(lat)
+            assert main(argv) == 3
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "NumericsError"
+            assert "ten decades" in err["message"]
+            assert solves == []
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert lattice_half_nu(lat).size == lat.n_sites // 2
+            assert solves == [(lat.n_sites // 2,) * 2]  # the dense block
+            assert main(argv) == 0
+            assert out.exists()
+
+
 class TestEntropy2DPolarRoute:
     def test_no_dense_matrix_orbitals_or_correlation(self, tmp_path, monkeypatch):
         import dense_oracle as oracle
@@ -1027,6 +1115,18 @@ class TestValidate:
         assert rc == 0
         assert "FAIL" not in out
         assert "oracle equivalence" in out
+
+    def test_a_failing_check_exits_3_with_the_record(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sdrg_entropy", lambda *args: 0.0)
+        assert main(["validate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "NumericsError", "message": "validate: 1 check(s) failed"}
+        lines = captured.out.splitlines()
+        assert "FAIL  sdrg entropy equals bond crossings" in lines
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == "1 failure(s)"
 
 
 class TestFiguresCommands:
