@@ -377,7 +377,7 @@ def cmd_es_collapse(args) -> None:
         # The orbital route, not polar_block: an odd-L half block has one
         # level at nu = 1/2, which the polar route gives as eps = 0 exactly;
         # both filters below would drop it and shift the p labels of a side.
-        occ = occupied_from_svd(chain_svd(profile_from_z(L, z)))
+        occ = occupied_from_svd(chain_svd(profile_from_z(L, z), sites=L))
         eps = entanglement_spectrum(correlation_matrix(occ, range(L)).eigenvalues())  # ascending
         neg, pos = eps[eps < 0][-args.levels:], eps[eps > 0][: args.levels]
         # p = -1/2, -3/2, ... counts down from the level closest to 0

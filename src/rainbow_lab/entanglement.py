@@ -18,10 +18,11 @@ block is the polar factor U V^T.  A block's nu are therefore
 (1 +- sigma)/2, sigma the singular values of its (row sites x column
 sites) sub-block X of U V^T, plus |n_rows - n_cols| levels at exactly
 1/2; ``polar_block`` returns them for any block of one solve
-(``spectra.chain_svd``, ``spectra.sector_svd`` or ``spectra.lattice_svd``),
-so a scan over blocks solves once.  No orbitals or correlation matrix are
-formed, and X is formed on SciPy's BLAS, the library the solve runs on
-(the one-BLAS rule of ``spectra``).
+(``spectra.chain_svd``, ``spectra.sector_svd`` or ``spectra.lattice_svd``)
+within the sites it holds (``SublatticeSVD.sites``), so a scan over blocks
+solves once, and a solve for one block can stop at its last site.  No
+orbitals or correlation matrix are formed, and X is formed on SciPy's
+BLAS, the library the solve runs on (the one-BLAS rule of ``spectra``).
 The 2D lattice's left half holds every y, so its nu are those of its
 y-momentum sectors' left halves (``lattice_half_nu``): polar_block on each
 sector pair's ladder, whose 2L x 2L block is one sector's chain, for the
@@ -48,7 +49,9 @@ side, or that are too strongly graded for that solve take the polar
 route.
 The orbital route (``correlation_matrix`` on occupied orbitals, then
 ``CorrelationMatrix.eigenvalues``) serves only the chain's
-entanglement-spectrum collapse; the tests keep the dense
+entanglement-spectrum collapse, whose orbitals hold the left half's sites
+alone (``chain_svd``'s ``sites``): their rows are the full SVD's up to
+each column's sign, which cancels in C = R R^T.  The tests keep the dense
 correlation-matrix method of Peschel, J. Phys. A 36 L205 (2003), as the
 oracle for both routes.  Its product (``dsyrk``) and eigensolver
 (``dsyevd``) run on SciPy's BLAS too, and are the calls numpy's
@@ -155,7 +158,9 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
     """The nu of a half-filled block, from the sublattice SVD.
 
     X = U[rows] V^T[:, cols] with rows (cols) the block's even (odd)
-    sites, site i being row or column i // 2 of M (``SublatticeSVD``).
+    sites, site i being row or column i // 2 of M (``SublatticeSVD``);
+    ValueError for a site at or past ``svd.sites``, whose row the SVD does
+    not hold.
     X is formed on SciPy's BLAS like the solve itself.  sigma are the
     singular values of X, taken directly rather than from X X^T, whose
     squaring would lose the small sigma that set nu near 1/2.  nu are
@@ -181,7 +186,7 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
             f"{n_zero} zero modes; pass zero_modes='half' "
             "for the particle-hole symmetric filling"
         )
-    block = _distinct_sites(block, 2 * svd.s.size)
+    block = _distinct_sites(block, svd.sites)
     sites = np.asarray(block)
     on_rows = sites % 2 == 0
     rows = sites[on_rows] // 2
@@ -245,7 +250,8 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     flipping f_i is the similarity D K D with D = diag(+-1), which keeps
     the a.
 
-    Every other chain takes ``polar_block(chain_svd(profile), range(L))``.
+    Every other chain takes ``polar_block(chain_svd(profile, sites=L),
+    range(L))``: the left half's rows alone, bitwise the full SVD's.
     Where both routes run they agree to rounding, except on chains so
     localized that their smallest level is near rounding of the largest:
     there ``chain_svd``'s divide and conquer resolves the small singular
@@ -255,7 +261,7 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
     """
     L, c = profile.L, np.abs(profile.couplings)
     if not _folds(c):
-        return polar_block(chain_svd(profile), range(L))
+        return polar_block(chain_svd(profile, sites=L), range(L))
     r, w, f = even_sector(c)
     factor = _cauchy_factor(f, np.abs(w))
     rank = factor.shape[1]

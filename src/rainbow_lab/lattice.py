@@ -160,8 +160,8 @@ def profile_from_z(L: int, z: float) -> CouplingProfile:
     """Rainbow profile parametrized by z = h*L instead of alpha."""
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError(f"L must be a positive integer, got {L!r}")
-    if z < 0:
-        raise ValueError(f"z must be non-negative, got {z!r}")
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"z must be finite and non-negative, got {z!r}")
     h = z / L
     return build_rainbow_profile(L, math.exp(-h / 2.0))
 

@@ -24,9 +24,13 @@ of its spectral radius) come back as exact zeros.  So on both geometries
 a zero mode is a level with s == 0.
 
 ``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
-certifies the SVD with a residual taken on the bands.  The 2D lattice's
-couplings depend on x alone, so a sine transform in y splits it exactly
-into 2L chains, its y-momentum sectors, which pair up into two-leg ladders
+certifies the SVD with a residual taken on the bands.  It can stop at the
+chain's leading sites (``sites``): s stays complete, while U and V^T hold
+only those sites' rows, bitwise the full SVD's, each of them certified.
+A graded chain's dbdsqr then rotates only those rows, half the work for a
+half chain.  The 2D lattice's couplings depend on x alone, so a sine
+transform in y splits it exactly into 2L chains, its y-momentum sectors,
+which pair up into two-leg ladders
 with a 2L x 2L sublattice block each; ``sector_svd`` solves one pair, and
 the lattices whose links span at most SECTOR_MAX_RATIO are solved that
 way, L blocks of 2L x 2L one at a time.  ``lattice_svd`` writes the
@@ -139,38 +143,48 @@ def _bidiagonal_qr(s: np.ndarray, e: np.ndarray, vt, u) -> None:
     _check("dbdsqr", info.value)
 
 
-def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool):
+def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, graded: bool, sites=None):
     """SVD ``B = U S V^T`` of the upper-bidiagonal B with diagonal d and
-    superdiagonal e, returned as (V, s descending, U^T).
+    superdiagonal e, returned as (V, s descending, U^T), with only the rows
+    of V and columns of U^T that a chain's leading ``sites`` sites read:
+    V's first ceil(sites/2) rows and U^T's first floor(sites/2) columns
+    (None: all of them).
 
     Graded B goes to dbdsqr (Demmel-Kahan zero-shift QR, high relative
     accuracy); otherwise dbdsdc (Gu-Eisenstat divide and conquer).  These
     are the solvers LAPACK's dense SVD drivers call after reducing a dense
     matrix to bidiagonal form, a reduction that is the identity on B itself.
+    dbdsqr starts from the leading columns (V^T, NCVT) and rows (U, NRU) of
+    the identity and rotates only those.  Its rotations (dlasr, drot) update
+    each row of U and each column of V^T on its own and its sweeps read d
+    and e alone, so s and the rows it returns are bitwise the full call's.
+    dbdsdc solves in full and is sliced.
     """
     n = d.size
+    sites = 2 * n if sites is None else sites
+    rows, cols = (sites + 1) // 2, sites // 2
     s = np.array(d, dtype=float)  # overwritten with the singular values
     e_work = np.append(e, 0.0)  # length n, so never an empty buffer
-    # LAPACK fills column-major n x n arrays; read back row-major, the
-    # buffer holding U is U^T and the one holding V^T is V.
+    # LAPACK fills column-major arrays; read back row-major, the buffer
+    # holding U (cols x n) is U^T's columns and the one holding V^T
+    # (n x rows) is V's rows.
+    if graded:
+        v_rows, ut_cols = np.eye(rows, n), np.eye(n, cols)
+        _bidiagonal_qr(s, e_work, v_rows, ut_cols)
+        return v_rows, s, ut_cols
     u_buf = np.zeros((n, n))
     vt_buf = np.zeros((n, n))
-    if graded:
-        np.fill_diagonal(u_buf, 1.0)
-        np.fill_diagonal(vt_buf, 1.0)
-        _bidiagonal_qr(s, e_work, vt_buf, u_buf)
-    else:
-        size = ctypes.c_int(n)
-        info = ctypes.c_int(0)
-        work = np.empty(3 * n * n + 4 * n)
-        iwork = np.empty(8 * n, dtype=np.intc)
-        _dbdsdc(
-            b"U", b"I", size, _ptr(s), _ptr(e_work), _ptr(u_buf), size,
-            _ptr(vt_buf), size, None, None, _ptr(work),
-            iwork.ctypes.data_as(_INT), info,
-        )
-        _check("dbdsdc", info.value)
-    return vt_buf, s, u_buf
+    size = ctypes.c_int(n)
+    info = ctypes.c_int(0)
+    work = np.empty(3 * n * n + 4 * n)
+    iwork = np.empty(8 * n, dtype=np.intc)
+    _dbdsdc(
+        b"U", b"I", size, _ptr(s), _ptr(e_work), _ptr(u_buf), size,
+        _ptr(vt_buf), size, None, None, _ptr(work),
+        iwork.ctypes.data_as(_INT), info,
+    )
+    _check("dbdsdc", info.value)
+    return vt_buf[:rows], s, u_buf[:, :cols]
 
 
 def _blas_operand(m: np.ndarray):
@@ -218,14 +232,16 @@ class SublatticeSVD:
     Site i is row ``i // 2`` of M when i is even and column ``i // 2``
     when i is odd, on every geometry solved here: the chain, the sector
     ladder (``sector_svd``) and the dense lattice (``lattice_svd``).
-    ``s`` is descending.
+    ``s`` is descending and complete.  ``u`` and ``vt`` may hold the leading
+    sites only (``chain_svd``'s ``sites``): ``sites`` counts u's rows (the
+    even sites) and vt's columns (the odd ones).
 
     The hopping matrix's levels are ``energies`` (ascending), with orbitals
     ``(u_p, -+v_p)/sqrt(2)`` (``orbitals_from_svd``).  ``residual`` is the
-    largest ``|H psi - E psi|`` over those orbitals.  The zero modes are
-    the levels with ``s == 0``: a chain's bidiagonal SVD is relatively
-    accurate, so only its exact zeros are, and a dense block's levels
-    within rounding of zero are set to 0.0 (``_dense_svd``).
+    largest ``|H psi - E psi|`` over those orbitals, on the sites held.
+    The zero modes are the levels with ``s == 0``: a chain's bidiagonal SVD
+    is relatively accurate, so only its exact zeros are, and a dense
+    block's levels within rounding of zero are set to 0.0 (``_dense_svd``).
     """
 
     u: np.ndarray = field(repr=False)
@@ -234,32 +250,44 @@ class SublatticeSVD:
     residual: float
 
     @property
+    def sites(self) -> int:
+        """The leading sites whose rows u and vt hold."""
+        return self.u.shape[0] + self.vt.shape[1]
+
+    @property
     def energies(self) -> np.ndarray:
         """All levels ``-s`` then ``+s``, ascending."""
         return np.concatenate([-self.s, self.s[::-1]])
 
 
-def _chain_solve(d: np.ndarray, e: np.ndarray) -> SublatticeSVD:
+def _chain_solve(d: np.ndarray, e: np.ndarray, sites=None) -> SublatticeSVD:
     """Certified SVD ``M = U S V^T`` of a chain's lower-bidiagonal block with
-    diagonal d and subdiagonal e.  The SVD is relatively accurate, so only
-    exact zeros are zero modes.
+    diagonal d and subdiagonal e, with the rows of U and columns of V^T of
+    the chain's leading ``sites`` sites (None: every site).  The SVD is
+    relatively accurate, so only exact zeros are zero modes.
 
     The residual ``max(|M v - s u|, |M^T u - s v|)/sqrt(2)`` is that of the
-    orbitals ``(u, +-v)/sqrt(2)``; it is taken on the two bands, so it
-    costs O(n^2) and never forms M.
+    orbitals ``(u, +-v)/sqrt(2)`` on the returned sites; it is taken on the
+    two bands, so it costs O(n sites) and never forms M.  A site's entry
+    reads its two neighbours, so the solve reaches one site past the last
+    one returned.
     """
-    u, s, vt = _bidiagonal_svd(d, e, _graded(d, e))
+    n = d.size
+    sites = 2 * n if sites is None else sites
+    u, s, vt = _bidiagonal_svd(d, e, _graded(d, e), min(sites + 1, 2 * n))
+    rows, cols = (sites + 1) // 2, sites // 2
     # row k of V^T M^T is (M v_k)^T: d * v_k plus e * v_k shifted by one site
-    mv = vt * d
-    mv[:, 1:] += vt[:, :-1] * e
-    mv -= u.T * s[:, None]
+    mv = vt[:, :rows] * d[:rows]
+    mv[:, 1:] += vt[:, : rows - 1] * e[: rows - 1]
+    mv -= u[:rows].T * s[:, None]
     # M^T u_k: d * u_k plus e * u_k shifted back by one site
-    mtu = u * d[:, None]
-    mtu[:-1] += u[1:] * e[:, None]
-    mtu -= vt.T * s
-    residual = max(float(np.max(np.abs(mv))), float(np.max(np.abs(mtu))))
+    mtu = u[:cols] * d[:cols, None]
+    shifted = min(cols, n - 1)
+    mtu[:shifted] += u[1 : shifted + 1] * e[:shifted, None]
+    mtu -= vt[:, :cols].T * s
+    residual = max(float(np.max(np.abs(mv))), float(np.max(np.abs(mtu), initial=0.0)))
     residual = _certify(residual / np.sqrt(2.0), float(s[0]))
-    return SublatticeSVD(u, s, vt, residual)
+    return SublatticeSVD(u[:rows], s, vt[:, :cols], residual)
 
 
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -298,19 +326,25 @@ def _dense_svd(block: np.ndarray) -> SublatticeSVD:
     return SublatticeSVD(u, s, vt, residual)
 
 
-def chain_svd(profile: CouplingProfile) -> SublatticeSVD:
+def chain_svd(profile: CouplingProfile, sites=None) -> SublatticeSVD:
     """Certified sublattice SVD of a chain, straight from its couplings.
 
     ``M^T`` is upper bidiagonal with diagonal ``-c[0::2]/2`` and
     superdiagonal ``-c[1::2]/2`` (c the profile's couplings), so neither
     the hopping matrix nor the orbitals are ever built.  Row i of M is
-    even site 2i, column j odd site 2j + 1.
+    even site 2i, column j odd site 2j + 1.  s is always complete; of U
+    and V^T the SVD holds the rows of the leading ``sites`` sites
+    (``SublatticeSVD.sites``; None: all 2L), bitwise those of the full SVD,
+    and certifies each.  On a graded chain that halves dbdsqr's rotations
+    for the left half (``sites=L``).
 
-    Raises NumericsError when the residual exceeds RESIDUAL_TOL relative to
-    the spectral radius.
+    Raises ValueError unless 1 <= sites <= 2L, and NumericsError when the
+    residual exceeds RESIDUAL_TOL relative to the spectral radius.
     """
     c = profile.couplings
-    return _chain_solve(-c[0::2] / 2.0, -c[1::2] / 2.0)
+    if sites is not None and not 1 <= sites <= c.size + 1:
+        raise ValueError(f"sites must lie in [1, {c.size + 1}], got {sites!r}")
+    return _chain_solve(-c[0::2] / 2.0, -c[1::2] / 2.0, sites)
 
 
 # Largest max/min coupling ratio at which a mirror-symmetric chain's left
@@ -635,12 +669,13 @@ def _orbitals(svd: SublatticeSVD, levels: np.ndarray) -> np.ndarray:
 
     Level k < n (n = s.size) is -s_p with p = k, level k >= n its partner
     +s_p with p = 2n-1-k; the orbital of -+s_p is ``(u_p, -+v_p)/sqrt(2)``,
-    u_p on the even sites and v_p on the odd ones.
+    u_p on the even sites and v_p on the odd ones, over the sites the SVD
+    holds (``SublatticeSVD.sites``).
     """
     n = svd.s.size
     below = levels < n
     p = np.where(below, levels, 2 * n - 1 - levels)
-    orbitals = np.empty((2 * n, levels.size))
+    orbitals = np.empty((svd.sites, levels.size))
     orbitals[0::2] = svd.u[:, p]
     v = svd.vt[p]
     v *= np.where(below, -1.0, 1.0)[:, None]
@@ -650,8 +685,9 @@ def _orbitals(svd: SublatticeSVD, levels: np.ndarray) -> np.ndarray:
 
 
 def orbitals_from_svd(svd: SublatticeSVD) -> np.ndarray:
-    """All orbitals, sign-fixed, column k with the level ``svd.energies[k]``;
-    a (dim)^2 array, for the outputs that print orbitals."""
+    """All orbitals, sign-fixed, column k with the level ``svd.energies[k]``,
+    on the sites the SVD holds: a (dim)^2 array for a full SVD, for the
+    outputs that print orbitals."""
     return _orbitals(svd, np.arange(2 * svd.s.size))
 
 

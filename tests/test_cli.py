@@ -685,6 +685,21 @@ class TestEntropyScan:
                      "--out", str(tmp_path / "e.csv")]) == 2
         assert "h must be" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["es-collapse", "--L", "4", "--z", "nan"],
+        ["es-collapse", "--L", "4", "--z", "inf"],
+        ["velocity-scan", "--L", "10", "--z", "inf"],
+        ["velocity-scan", "--L", "10", "--z", "nan"],
+    ], ids=["es-collapse-nan", "es-collapse-inf", "velocity-scan-inf",
+            "velocity-scan-nan"])
+    def test_non_finite_z_exit_2(self, tmp_path, capsys, argv):
+        # it named alpha, a flag never given ("got nan", "got 0.0")
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("z must be finite and non-negative")
+        assert list(tmp_path.iterdir()) == []
+
     def test_large_order_is_finite(self, tmp_path, monkeypatch):
         # log(nu^n + (1 - nu)^n) underflowed here: S printed inf after a
         # RuntimeWarning, with exit 0.  The printed S is the computed one to
@@ -793,7 +808,7 @@ class TestEsCollapse:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         grid = ["--L", "41:101:15", "--z", "5:35:10"]
         assert main(["es-collapse", *grid, "--out", str(a)]) == 0
-        monkeypatch.setattr(cli, "chain_svd", lambda profile: profile)
+        monkeypatch.setattr(cli, "chain_svd", lambda profile, sites=None: profile)
         monkeypatch.setattr(
             cli, "occupied_from_svd",
             lambda profile: oracle.occupied(

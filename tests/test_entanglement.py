@@ -462,6 +462,15 @@ class TestPolarRoute:
         with pytest.raises(ValueError):
             polar_block(svd, block)
 
+    @pytest.mark.parametrize("sites", [1, 9, 10, 11])
+    def test_block_past_the_svds_sites_rejected(self, sites):
+        # a partial SVD holds rows for its leading sites only
+        svd = chain_svd(profile_from_z(10, 30.0), sites=sites)
+        polar_block(svd, range(sites))
+        for block in ([sites], range(sites + 1)):
+            with pytest.raises(ValueError, match=f"\\[0, {sites}\\)"):
+                polar_block(svd, block)
+
     def test_unknown_policy_rejected(self):
         svd = chain_svd(profile_from_z(10, 1.0))
         with pytest.raises(ValueError, match="policy"):
@@ -566,6 +575,26 @@ class TestHalfchainFold:
         assert not spectra._folds(profile.couplings)
         want = polar_block(chain_svd(profile), range(profile.L))
         assert np.array_equal(fold_nu(profile), want)
+
+    @pytest.mark.parametrize("L", [11, 50, 51, 300, 301])
+    @pytest.mark.parametrize("z", [30.0, 60.0])
+    def test_graded_polar_route_is_the_full_svds_bitwise(self, L, z):
+        # the fallback solves the left half's rows alone (chain_svd's sites)
+        from rainbow_lab import spectra
+
+        profile = profile_from_z(L, z)
+        assert not spectra._folds(profile.couplings)
+        want = polar_block(chain_svd(profile), range(L))
+        assert np.array_equal(fold_nu(profile), want)
+
+    @pytest.mark.parametrize("decades", [1.0, 20.0], ids=["dbdsdc", "dbdsqr"])
+    def test_non_mirror_polar_route_is_the_full_svds_bitwise(self, decades):
+        rng = np.random.default_rng(11)
+        for L in (3, 10, 51, 200):
+            signs = rng.choice([-1.0, 1.0], 2 * L - 1)
+            profile = _chain(signs * 10.0 ** -rng.uniform(0.0, decades, 2 * L - 1))
+            want = polar_block(chain_svd(profile), range(L))
+            assert np.array_equal(fold_nu(profile), want)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 50, 51, 801])
     @pytest.mark.parametrize("z", [0.0, 4.0, 9.0])

@@ -92,6 +92,11 @@ class TestProfileFromZ:
         with pytest.raises(ValueError):
             profile_from_z(10, -0.1)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_names_z(self, z):
+        with pytest.raises(ValueError, match="z must be finite and non-negative"):
+            profile_from_z(10, z)
+
     def test_same_as_alpha_construction(self):
         a = build_rainbow_profile(20, 1.0)
         b = profile_from_z(20, 0.0)

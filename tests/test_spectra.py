@@ -197,8 +197,8 @@ class TestBidiagonalSolver:
     def test_perturbed_vectors_fail_residual(self, monkeypatch, z):
         solve = spectra._bidiagonal_svd
 
-        def perturbed(d, e, graded):
-            v, s, ut = solve(d, e, graded)
+        def perturbed(d, e, graded, sites):
+            v, s, ut = solve(d, e, graded, sites)
             v = v.copy()
             v[0, 0] += 1e-6
             return v, s, ut
@@ -267,8 +267,8 @@ class TestChainSVD:
     def test_perturbed_vectors_fail_residual(self, monkeypatch, z):
         solve = spectra._bidiagonal_svd
 
-        def perturbed(d, e, graded):
-            v, s, ut = solve(d, e, graded)
+        def perturbed(d, e, graded, sites):
+            v, s, ut = solve(d, e, graded, sites)
             ut = ut.copy()
             ut[0, 0] += 1e-6
             return v, s, ut
@@ -286,6 +286,75 @@ class TestChainSVD:
         svd = spectra.chain_svd(profile_from_z(40, 2.0))
         assert svd.u.shape == svd.vt.shape == (40, 40)
 
+
+class TestLeadingSites:
+    """chain_svd(profile, sites=k): the full SVD's rows of U and columns of
+    V^T on the leading k sites, bit for bit, each certified."""
+
+    @staticmethod
+    def _assert_leading(part, full, k):
+        assert part.sites == k
+        assert part.s.tobytes() == full.s.tobytes()
+        assert part.u.tobytes() == full.u[: (k + 1) // 2].tobytes()
+        assert part.vt.tobytes() == full.vt[:, : k // 2].tobytes()
+
+    @pytest.mark.parametrize("graded", [False, True], ids=["dbdsdc", "dbdsqr"])
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 50, 51, 300, 301])
+    @pytest.mark.parametrize("z", [0.0, 4.0, 30.0, 92.0])
+    def test_bitwise_the_full_svds_rows(self, monkeypatch, graded, L, z):
+        monkeypatch.setattr(spectra, "_graded", lambda *bands: graded)
+        profile = profile_from_z(L, z)
+        full = chain_svd(profile)
+        assert full.sites == 2 * L
+        for k in (1, L, L + 1, 2 * L):
+            part = chain_svd(profile, sites=k)
+            self._assert_leading(part, full, k)
+            assert part.residual <= full.residual
+
+    def test_underflowed_chain_keeps_its_zeros(self):
+        with pytest.warns(RuntimeWarning):
+            profile = profile_from_z(10, 2000.0)
+        full = chain_svd(profile)
+        assert np.count_nonzero(full.s == 0.0) > 0
+        for k in (1, 10, 11, 20):
+            part = chain_svd(profile, sites=k)
+            self._assert_leading(part, full, k)
+            with pytest.raises(ZeroModeError):
+                occupied_from_svd(part)
+
+    def test_orbitals_are_the_full_ones_on_the_leading_sites(self):
+        # up to each column's sign, which _fix_phases reads off the rows held
+        profile = profile_from_z(51, 30.0)
+        full = occupied_from_svd(chain_svd(profile))
+        part = occupied_from_svd(chain_svd(profile, sites=51))
+        assert part.shape == (51, 51)
+        assert np.array_equal(np.abs(part), np.abs(full[:51]))
+
+    @pytest.mark.parametrize("sites", [0, -1, 21])
+    def test_sites_outside_the_chain_raise(self, sites):
+        with pytest.raises(ValueError, match="sites"):
+            chain_svd(profile_from_z(10, 1.0), sites=sites)
+
+    @pytest.mark.parametrize("z", [1.0, 30.0], ids=["dbdsdc", "dbdsqr"])
+    @pytest.mark.parametrize("k", [20, 21])
+    @pytest.mark.parametrize("which", ["u", "vt"])
+    def test_perturbed_last_returned_row_fails_residual(self, monkeypatch, z, k, which):
+        # the last returned even site (a row of u) and odd site (a column of
+        # vt) are certified too: the solve reaches one site past them
+        solve = spectra._bidiagonal_svd
+
+        def perturbed(d, e, graded, sites):
+            v, s, ut = solve(d, e, graded, sites)
+            v, ut = v.copy(), ut.copy()
+            if which == "u":
+                v[(k + 1) // 2 - 1, 0] += 1e-6
+            else:
+                ut[0, k // 2 - 1] += 1e-6
+            return v, s, ut
+
+        monkeypatch.setattr(spectra, "_bidiagonal_svd", perturbed)
+        with pytest.raises(NumericsError, match="eigen-residual"):
+            chain_svd(profile_from_z(20, z), sites=k)
 
 def _parent_lattice_spectrum(m, sublattice):
     """The dense route as it was before lattice_svd, restated for the 2D
