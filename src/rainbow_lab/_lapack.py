@@ -163,6 +163,16 @@ def _eigvalsh_evd(a) -> np.ndarray:
     return w
 
 
+def _eigh_tridiagonal(d, e) -> tuple:
+    """``scipy.linalg.eigh_tridiagonal(d, e, check_finite=False)``: (w, q),
+    the eigenvalues, ascending, and the eigenvectors (columns of q) of the
+    symmetric tridiagonal matrix with diagonal d (at least two entries) and
+    off-diagonal e, by dstevd, its default driver (divide and conquer)."""
+    w, q, info = _flapack.dstevd(d, e, compute_v=1)
+    _check("dstevd", info)
+    return w, q
+
+
 def _solve_triangular(r, b) -> np.ndarray:
     """``scipy.linalg.solve_triangular(r, b)`` for a C-ordered upper
     triangular r: dtrtrs on the lower triangular r^T with trans = 1, as

@@ -51,11 +51,12 @@ def _expm1_over_h(h: float, x) -> np.ndarray | float:
 def deformed_length(h: float, L: float) -> float:
     """tilde_L = (e^{hL} - 1)/h, the deformed half-length; equals L at h=0.
 
-    ValueError for h < 0; NumericsError where it overflows (hL near 709.78
-    or above), since every phase that divides by tilde_L would then read 0.
+    ValueError for h < 0 and for a non-finite h; NumericsError where it
+    overflows (hL near 709.78 or above), since every phase that divides by
+    tilde_L would then read 0.
     """
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h!r}")
+    if not 0.0 <= h < math.inf:
+        raise ValueError(f"h must be finite and non-negative, got {h!r}")
     length = float(_expm1_over_h(h, L))
     if length == math.inf:
         raise NumericsError(f"(e^(hL) - 1)/h overflows at h = {h!r}, L = {L!r}")

@@ -25,9 +25,9 @@ orbitals or correlation matrix are formed, and X is formed on SciPy's
 BLAS, the library the solve runs on (the one-BLAS rule of ``spectra``).
 The 2D lattice's left half holds every y, so its nu are those of its
 y-momentum sectors' left halves (``lattice_half_nu``): polar_block on each
-sector pair's ladder, whose 2L x 2L block is one sector's chain, for the
-lattices graded at most ``spectra.SECTOR_MAX_RATIO``, and on the dense
-(2L^2)^2 block for the others.
+sector pair's ladder, whose 2L x 2L block is one sector's tridiagonal
+chain, for the lattices graded at most ``spectra.SECTOR_MAX_RATIO``, and
+on the dense (2L^2)^2 block for the others.
 The half chain of a mirror-symmetric chain is a two-sector problem
 (``halfchain_nu``): its nu are (1 +- sigma)/2 again, with sigma taken from
 the even-parity sector alone (``spectra.even_sector``) in place of the
@@ -282,9 +282,10 @@ def lattice_half_nu(lat: Lattice2D) -> np.ndarray:
     diagonal in the y-momentum sectors, and its nu are those of the sector
     chains' left halves.  When the lattice's links span at most
     ``spectra.SECTOR_MAX_RATIO`` (``spectra._lattice_route``), each sector
-    pair k, 2L + 1 - k (k = 1 .. L) is one ladder with a 2L x 2L sublattice
-    block (``spectra.sector_svd``), whose left half is its sites 0 .. 2L-1:
-    L dgesdd calls of size 2L, one at a time, in place of one of size 2L^2.
+    pair k, 2L + 1 - k (k = 1 .. L) is one ladder whose 2L x 2L sublattice
+    block is the sector's tridiagonal chain (``spectra.sector_svd``), and
+    its left half is its sites 0 .. 2L-1: L dstevd calls of size 2L, one at
+    a time, in place of one dgesdd of size 2L^2.
     Every other lattice takes ``polar_block`` on the dense
     ``spectra.lattice_svd``; ``_lattice_route`` refuses, before either, one
     graded past ten decades.

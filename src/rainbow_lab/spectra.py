@@ -15,12 +15,13 @@ bidiagonal, and bidiagonal SVD determines every singular value to high
 when the smallest couplings are ~1e-300.  A chain's two bands go straight
 to LAPACK's bidiagonal SVD routines (``dbdsdc``, or ``dbdsqr`` once the
 couplings span more than ten decades), so there is no reduction step at
-all.  A dense block goes to LAPACK's ``dgesdd`` (divide and conquer,
-called as ``scipy.linalg.svd`` calls it), which is accurate only relative
-to its largest coupling: a lattice whose couplings span more than ten
+all.  The 2D lattice's solves, a dense block by LAPACK's ``dgesdd``
+(divide and conquer, called as ``scipy.linalg.svd`` calls it) and a
+sector's tridiagonal chain by ``dstevd``, are accurate only relative to
+the largest coupling: a lattice whose couplings span more than ten
 decades raises NumericsError instead of printing entropies it cannot
-resolve, and the levels it cannot tell from zero (within ZERO_MODE_TOL
-of its spectral radius) come back as exact zeros.  So on both geometries
+resolve, and the levels they cannot tell from zero (within ZERO_MODE_TOL
+of the spectral radius) come back as exact zeros.  So on both geometries
 a zero mode is a level with s == 0.
 
 ``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
@@ -30,11 +31,13 @@ only those sites' rows, bitwise the full SVD's, each of them certified.
 A graded chain's dbdsqr then rotates only those rows, half the work for a
 half chain.  The 2D lattice's couplings depend on x alone, so a sine
 transform in y splits it exactly into 2L chains, its y-momentum sectors,
-which pair up into two-leg ladders
-with a 2L x 2L sublattice block each; ``sector_svd`` solves one pair, and
-the lattices whose links span at most SECTOR_MAX_RATIO are solved that
-way, L blocks of 2L x 2L one at a time.  ``lattice_svd`` writes the
-links of the more graded lattices into their dense (2L^2)^2 block M.
+which pair up into two-leg ladders whose sublattice block is one sector's
+chain H_k, symmetric tridiagonal; ``sector_svd`` solves one pair from
+H_k's eigendecomposition by LAPACK's tridiagonal divide and conquer
+(``dstevd``), and the lattices whose links span at most SECTOR_MAX_RATIO
+are solved that way, L chains of 2L sites one at a time.
+``lattice_svd`` writes the links of the more graded lattices into their
+dense (2L^2)^2 block M.
 None of them forms the hopping matrix.  Every SVD numbers its sites by
 one rule: site i is row ``i // 2`` of M when i is even and column
 ``i // 2`` when i is odd, so an SVD keeps no site map.  Entanglement
@@ -82,15 +85,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import _CHAR, _DOUBLE, _INT, NumericsError, _check, _fblas, _lapack, _svd
+from ._lapack import (_CHAR, _DOUBLE, _INT, NumericsError, _check, _eigh_tridiagonal, _fblas,
+                      _lapack, _svd)
 from .lattice import CouplingProfile, Lattice2D, link_amplitudes
 
 RESIDUAL_TOL = 1e-10
 _EPS = 2.0**-53  # LAPACK's unit roundoff, dlamch("Epsilon")
-# A dense block's level within this of its spectral radius (at least 1) is
-# rounding, and ``_dense_svd`` sets it to 0.0: small enough that no real
-# level of a lattice short of the grading refusal is filled at 1/2
-# (``entanglement.polar_block``).
+# A lattice's level within this of its spectral radius (at least 1) is
+# rounding, and ``_dense_svd`` and ``sector_svd`` set it to 0.0: small
+# enough that no real level of a lattice short of the grading refusal is
+# filled at 1/2 (``entanglement.polar_block``).
 ZERO_MODE_TOL = 1e-14
 
 
@@ -99,9 +103,10 @@ class ZeroModeError(NumericsError):
 
 
 def velocity_scaling(z: float) -> float:
-    """The deformed Fermi velocity a(z) = z / (e^z - 1); a(0) = 1."""
-    if z < 0:
-        raise ValueError(f"z must be non-negative, got {z!r}")
+    """The deformed Fermi velocity a(z) = z / (e^z - 1); a(0) = 1.
+    ValueError for z < 0 and for a non-finite z."""
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"z must be finite and non-negative, got {z!r}")
     if z == 0:
         return 1.0
     return z / np.expm1(z)
@@ -240,8 +245,9 @@ class SublatticeSVD:
     ``(u_p, -+v_p)/sqrt(2)`` (``orbitals_from_svd``).  ``residual`` is the
     largest ``|H psi - E psi|`` over those orbitals, on the sites held.
     The zero modes are the levels with ``s == 0``: a chain's bidiagonal SVD
-    is relatively accurate, so only its exact zeros are, and a dense
-    block's levels within rounding of zero are set to 0.0 (``_dense_svd``).
+    is relatively accurate, so only its exact zeros are, and the levels of
+    a dense block or a sector pair within rounding of zero are set to 0.0
+    (``_dense_svd``, ``sector_svd``).
     """
 
     u: np.ndarray = field(repr=False)
@@ -297,18 +303,18 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _dense_svd(block: np.ndarray) -> SublatticeSVD:
-    """Certified SVD of a dense sublattice block by LAPACK's dgesdd
-    (divide and conquer; ``_lapack._svd``).  The levels within
-    ZERO_MODE_TOL of the spectral radius (at least 1) are rounding: they
-    are certified as computed, then set to exactly 0.0, the zero modes.
+    """Certified SVD of the dense lattice's sublattice block
+    (``lattice_svd``) by LAPACK's dgesdd (divide and conquer;
+    ``_lapack._svd``).  The levels within ZERO_MODE_TOL of the spectral
+    radius (at least 1) are rounding: they are certified as computed, then
+    set to exactly 0.0, the zero modes.
 
     A dense SVD is accurate only to rounding times the largest coupling,
-    whatever its driver; relative accuracy belongs to the bidiagonal solve
-    of a chain.  So its callers refuse, before any solve, a lattice whose
-    links span more than ten decades (``_lattice_route``), where the small
-    levels that set its entropies are lost.  They read the links, not the
-    block: a sector block's diagonal (``sector_svd``) can be small on a
-    mild lattice.
+    whatever its driver, and so is a sector pair's tridiagonal solve
+    (``sector_svd``); relative accuracy belongs to the bidiagonal solve of
+    a chain.  So the lattice's solves refuse, before any solve, a lattice
+    whose links span more than ten decades (``_lattice_route``), where the
+    small levels that set its entropies are lost.
     """
     # dgesdd works in place on the F-ordered block.T; the block is rebuilt
     # from its nonzeros afterwards, bitwise, for the residual and the caller
@@ -596,12 +602,14 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
 # Largest coupling ratio alpha^-(L - 1/2) at which a lattice's left half is
 # solved by y-momentum sectors (``sector_svd``) instead of its dense block.
 # Both routes are accurate only relative to the largest coupling, so they
-# drift apart as the lattice grades.  Over 240 lattices (L = 1 .. 24,
-# alpha = 0.38 .. 1, ratio up to 1e10) their left-half S_1 differed by at
-# most 1.1e-12 up to a ratio of 1e3, 7.1e-11 up to 1e6, 1.8e-9 up to 1e8 and
-# 1.5e-7 up to 1e10.  At the largest gap below 1e6, (L, alpha) = (23, 0.55),
-# a 40-digit sector oracle put the sectors 2.2e-12 off and the dense block
-# 7.3e-11 off.
+# drift apart as the lattice grades.  With the sectors on dgesdd, over 240
+# lattices (L = 1 .. 24, alpha = 0.38 .. 1, ratio up to 1e10) the two
+# routes' left-half S_1 differed by at most 1.1e-12 up to a ratio of 1e3,
+# 7.1e-11 up to 1e6, 1.8e-9 up to 1e8 and 1.5e-7 up to 1e10.  Against a
+# 40-digit sector oracle the dstevd sectors read (23, 0.55) 1.1e-13 off
+# (dgesdd sectors 2.2e-12, the dense block 7.3e-11), but up to 2.6e-11 off
+# at L <= 12 near 1e6, where dstevd solves by implicit QL/QR (ROADMAP
+# item 2 has the graded rows).
 SECTOR_MAX_RATIO = 1e6
 
 
@@ -634,9 +642,16 @@ def sector_svd(lat: Lattice2D, k: int) -> SublatticeSVD:
     [[0, H_k], [H_k, 0]] up to site-local rotations, which keep every
     block of whole columns x: site 2x is row x of its sublattice block H_k
     and site 2x + 1 column x, so the pair's left half is sites 0 .. 2L-1.
-    H_k goes to ``_dense_svd``, with its residual certificate and its
-    zero-mode rule; at alpha = 1, H_k = T_x + mu_k I has one exact zero
-    level.
+
+    H_k is symmetric tridiagonal (diagonal mu_k alpha^|x|, off-diagonal the
+    horizontal links' -J/2), so no 2L x 2L block is formed: LAPACK's
+    tridiagonal divide and conquer (``dstevd``) gives H_k = Q Lambda Q^T,
+    and its SVD is exact, s = |lambda| (descending, stable), u = q and
+    v = q sign(lambda).  The residual is ``_dense_svd``'s,
+    max |H_k q - lambda q| / sqrt(2), taken on the two bands, and so is the
+    zero-mode rule: a level within ZERO_MODE_TOL of the spectral radius (at
+    least 1) is set to 0.0.  At alpha = 1, H_k = T_x + mu_k I has one exact
+    zero level.
 
     The caller checks the grading on the lattice's links
     (``_lattice_route``), not on H_k, whose diagonal mu_k alpha^|x| can be
@@ -646,10 +661,20 @@ def sector_svd(lat: Lattice2D, k: int) -> SublatticeSVD:
     if not 1 <= k <= L:
         raise ValueError(f"sector {k!r} outside [1, {L}]")
     vertical, horizontal = link_amplitudes(L, lat.alpha)
-    block = np.diag(-math.cos(math.pi * k / (2 * L + 1)) * vertical)
-    bond = np.arange(2 * L - 1)
-    block[bond, bond + 1] = block[bond + 1, bond] = -horizontal / 2.0
-    return _dense_svd(block)
+    diagonal = -math.cos(math.pi * k / (2 * L + 1)) * vertical
+    off = -horizontal / 2.0
+    w, q = _eigh_tridiagonal(diagonal, off)
+    # H_k q - lambda q, row x: diagonal[x] q[x] + off[x - 1] q[x - 1] + off[x] q[x + 1]
+    hq = q * diagonal[:, None]
+    hq[1:] += q[:-1] * off[:, None]
+    hq[:-1] += q[1:] * off[:, None]
+    hq -= q * w
+    order = np.argsort(-np.abs(w), kind="stable")
+    s = np.abs(w[order])
+    residual = _certify(float(np.max(np.abs(hq))) / np.sqrt(2.0), float(s[0]))
+    s[s <= ZERO_MODE_TOL * max(float(s[0]), 1.0)] = 0.0
+    u = q[:, order]
+    return SublatticeSVD(u, s, (u * np.where(w[order] < 0.0, -1.0, 1.0)).T, residual)
 
 
 def _fix_phases(orbitals: np.ndarray) -> np.ndarray:

@@ -4,10 +4,13 @@ L205 (2003)).
 
 The library never forms these (``spectra.chain_svd`` and
 ``spectra.lattice_svd`` read the sublattice block straight from the
-couplings and the links' amplitudes); the tests build them here from the
-same couplings, so every shipped route has a dense counterpart to agree
-with.  Plain functions: matrices and sublattices are arrays, and nothing
-here validates its input, which comes from the tests alone.
+couplings and the links' amplitudes, ``spectra.sector_svd`` a sector's
+two bands); the tests build them here from the same couplings, so every
+shipped route has a dense counterpart to agree with.  A sector pair's
+dense counterpart is its 2L x 2L block H_k through dgesdd
+(``sector_dense_svd``), the route ``sector_svd`` replaces.  Plain
+functions: matrices and sublattices are arrays, and nothing here
+validates its input, which comes from the tests alone.
 
 The 2D lattice's links are listed here (``lattice_links``), site by site,
 and so is its checkerboard, neither of which the library keeps: a wrong
@@ -129,6 +132,25 @@ def diagonalize(m, sublattice):
     if np.count_nonzero(block) == on_band:
         return spectra._chain_solve(np.diagonal(block), np.diagonal(block, -1))
     return spectra._dense_svd(block)
+
+
+def sector_block(lat, k):
+    """The 2L x 2L dense H_k = T_x + mu_k D_x of the lattice's sector pair
+    k, 2L + 1 - k, from ``link_amplitudes``: diagonal mu_k alpha^|x|,
+    off-diagonal the horizontal links' -J/2."""
+    L = lat.L
+    vertical, horizontal = link_amplitudes(L, lat.alpha)
+    block = np.diag(-math.cos(math.pi * k / (2 * L + 1)) * vertical)
+    bond = np.arange(2 * L - 1)
+    block[bond, bond + 1] = block[bond + 1, bond] = -horizontal / 2.0
+    return block
+
+
+def sector_dense_svd(lat, k):
+    """The sector pair's SVD as the dense route takes it: ``sector_block``
+    through ``spectra._dense_svd`` (dgesdd, its dense residual and its
+    zero-mode rule)."""
+    return spectra._dense_svd(sector_block(lat, k))
 
 
 def zero_modes(svd):

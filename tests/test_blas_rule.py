@@ -136,10 +136,11 @@ def test_halfchain_fold_is_blas_thread_independent():
 
 
 def test_lattice_sectors_are_blas_thread_independent():
-    # a sector pair's 2L x 2L block is small enough that dgesdd and the
-    # polar readout give the same bits on one SciPy BLAS thread and on two,
-    # up to L = 64 (the dense block of the lattices past SECTOR_MAX_RATIO is
-    # not: its dgesdd moves with the thread count)
+    # a sector pair's tridiagonal H_k (2L sites) is small enough that its
+    # dstevd and the polar readout give the same bits on one SciPy BLAS
+    # thread and on two, up to L = 64, where dstevd's divide and conquer
+    # merges blocks of 128 with dgemm (the dense block of the lattices past
+    # SECTOR_MAX_RATIO is not: its dgesdd moves with the thread count)
     lib = _scipy_openblas()
     if lib is None:
         pytest.skip("SciPy does not bundle its own OpenBLAS here")

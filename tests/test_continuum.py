@@ -41,6 +41,12 @@ class TestCoordinateMap:
     def test_zero_h_is_the_identity(self):
         assert deformed_length(0.0, 50) == 50.0
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_h_raises(self, h):
+        # NaN used to read as the h = 0 limit and inf to return NaN
+        with pytest.raises(ValueError, match="h must be finite and non-negative"):
+            deformed_length(h, 10)
+
     @pytest.mark.parametrize("h", [5e-324, 1.5e-323, 1e-310])
     def test_subnormal_h_is_the_identity(self, h):
         # expm1(h x)/h is off by up to 100%, 33% and 5e-14 at these h: the

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -571,10 +573,63 @@ class TestSectorSVD:
             sector_svd(Lattice2D(4, 0.5), k)
 
 
+class TestSectorAgainstDense:
+    """sector_svd (H_k's tridiagonal eigensolve by dstevd) against the dense
+    route it replaced: H_k's 2L x 2L block through dgesdd
+    (``oracle.sector_dense_svd``), on every sector of each lattice."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.9, 0.6, 0.5])
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 24, 64])
+    def test_matches_the_dense_block(self, L, alpha):
+        lat = Lattice2D(L, alpha)
+        # the lattices entropy-2d solves by sectors; on the others, (24, 0.5)
+        # and the L = 64 lattices at alpha <= 0.6 (coupling ratios 1.2e7 to
+        # 1.3e19), neither solve resolves the small levels, so their nu and
+        # zero levels are rounding and only s is compared
+        by_sectors = alpha ** -(L - 0.5) <= spectra.SECTOR_MAX_RATIO
+        left = range(2 * L)
+        for k in range(1, L + 1):
+            got, want = sector_svd(lat, k), oracle.sector_dense_svd(lat, k)
+            # both are accurate to rounding of the largest level
+            assert np.max(np.abs(got.s - want.s)) <= 2 * L * np.finfo(float).eps * want.s[0]
+            if not by_sectors:
+                continue
+            zeros = int(np.count_nonzero(got.s == 0.0))
+            assert zeros == int(np.count_nonzero(want.s == 0.0)) == (alpha == 1.0)
+            nu = polar_block(got, left, zero_modes="half")
+            assert np.max(np.abs(nu - polar_block(want, left, zero_modes="half"))) <= 1e-12
+
+    def test_perturbed_eigenvector_is_refused(self, monkeypatch):
+        solve = spectra._eigh_tridiagonal
+
+        def perturbed(d, e):
+            w, q = solve(d, e)
+            q = q.copy()
+            q[0, 0] += 1e-6
+            return w, q
+
+        monkeypatch.setattr(spectra, "_eigh_tridiagonal", perturbed)
+        for k in range(1, 9):
+            with pytest.raises(NumericsError, match="eigen-residual"):
+                sector_svd(Lattice2D(8, 0.9), k)
+
+    def test_builds_no_dense_block(self, monkeypatch):
+        # neither _dense_svd nor its dgesdd runs on a lattice solved by sectors
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense SVD called")
+
+        monkeypatch.setattr(spectra, "_dense_svd", refuse)
+        monkeypatch.setattr(spectra, "_svd", refuse)
+        lat = Lattice2D(16, 0.8)
+        assert spectra._lattice_route(lat)
+        assert lattice_half_nu(lat).size == 2 * lat.L**2
+
+
 class TestSectorOracle:
     """The y-sector mpmath oracle against the dense route, the shipped
     polar route and entropy-2d's own solve (sectors at (4, 0.5), the dense
-    block at (8, 0.1), a coupling ratio of 3.2e7)."""
+    block at (8, 0.1), a coupling ratio of 3.2e7), and against entropy-2d's
+    sectors near the ratio where it switches to the dense block."""
 
     @pytest.mark.parametrize("L, alpha, bound", [(4, 0.5, 1e-13), (8, 0.1, 1e-10)])
     def test_dense_and_polar_routes_match(self, L, alpha, bound):
@@ -588,6 +643,17 @@ class TestSectorOracle:
         assert abs(dense - want) <= bound
         assert abs(polar - want) <= bound
         assert abs(shipped - want) <= bound
+
+    # the sector lattices nearest SECTOR_MAX_RATIO at L = 8 and 10 (coupling
+    # ratios 9.3e5 and 7.7e5), against the 40-digit oracle: entropy-2d's
+    # dstevd sectors read +8.8e-12 and -8.2e-12 off (the dgesdd sectors
+    # they replaced read +9.9e-14 and +2.8e-14)
+    @pytest.mark.parametrize("L, alpha", [(8, 0.16), (10, 0.24)])
+    def test_sectors_near_the_ratio_limit(self, L, alpha):
+        lat = Lattice2D(L, alpha)
+        assert 1e5 <= alpha ** -(L - 0.5) <= spectra.SECTOR_MAX_RATIO
+        want = oracle.lattice_sector_entropy(lat, dps=40)
+        assert abs(vn_entropy(lattice_half_nu(lat)) - want) <= 1.5e-11
 
 
 class TestOrbitalsFromSVD:
@@ -764,6 +830,12 @@ class TestFermiVelocity:
         _, svd = chain_spectrum(L, z=z)
         a = fermi_velocity(svd)
         assert abs(a / velocity_scaling(z) - 1) < tol
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_z_raises(self, z):
+        # NaN and inf used to return NaN
+        with pytest.raises(ValueError, match="z must be finite and non-negative"):
+            velocity_scaling(z)
 
     def test_analytic_values(self):
         assert velocity_scaling(0.0) == 1.0
