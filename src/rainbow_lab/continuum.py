@@ -6,23 +6,27 @@ eigenvector matching analytic level m is column ``L + m`` of the
 ascending spectrum of a 2L-site chain.
 
 The closed-form wavefunction lives in one vectorized core that samples
-any set of levels in a single broadcast: ``analytic_wavefunction`` asks
-it for one level and returns that level's unit vector, and
-``validity_overlap`` asks for all L occupied levels at once.  It compares
-that continuum state with the exact ground state of one chain, whose
-occupied orbitals come straight from the chain's sublattice SVD
-(``spectra.occupied_from_svd``), so neither side builds a hopping matrix
-or loops over levels.  The continuum state's orbitals are the Q factor of
-the analytic levels' QR, and Q is never formed: the overlap needs only
-Q^T applied to the exact orbitals.  Sweeping it over an (L, z) grid is
-the caller's loop (the CLI's validity-map), and ``overlap_crossing``
-reads off one L's row of overlaps the z where the overlap drops through a
-level.
+any set of levels at any set of sites in a single broadcast
+(``_level_samples``): ``analytic_wavefunction`` asks it for one level on
+all 2L sites and returns that level's unit vector, and
+``validity_overlap`` asks for all L occupied levels on the L left sites.
+It compares that continuum state with the exact ground state of one
+chain, whose occupied orbitals come straight from the chain's sublattice
+SVD (``spectra.occupied_from_svd``), so neither side builds a hopping
+matrix or loops over levels.  The chain is mirror symmetric about its
+central link, and so is every orbital of both states, up to a sign: the
+overlap is a product of two determinants, one per mirror parity, each
+taken on the L left sites.  In each sector the continuum state's orbitals
+are the Q factor of the analytic levels' QR, and Q is never formed: the
+overlap needs only Q^T applied to the exact orbitals.  Sweeping it over
+an (L, z) grid is the caller's loop (the CLI's validity-map), and
+``overlap_crossing`` reads off one L's row of overlaps the z where the
+overlap drops through a level.
 
 Each validity-map point keeps to one BLAS, SciPy's, which the chain solve
-already runs on (the rule of ``spectra``): the QR and its application, the
-Gram product and the LU of the overlap go through SciPy's compiled LAPACK
-and BLAS (the recursive, blocked ``dgeqrt`` and ``dgemqrt``, ``dgemm``,
+already runs on (the rule of ``spectra``): each sector's QR and its
+application, Gram product and LU go through SciPy's compiled LAPACK and
+BLAS (the recursive, blocked ``dgeqrt`` and ``dgemqrt``, ``dgemm``,
 ``dgetrf``), and numpy keeps the elementwise work.
 """
 
@@ -34,7 +38,8 @@ import numpy as np
 
 from ._lapack import _check, _flapack
 from .lattice import profile_from_z, site_labels
-from .spectra import NumericsError, _dgemm, chain_svd, occupied_from_svd
+from .spectra import RESIDUAL_TOL, NumericsError, _dgemm, chain_svd, occupied_from_svd
+
 
 def _expm1_over_h(h: float, x) -> np.ndarray | float:
     """(e^{h x} - 1)/h, and its limit x at h = 0.
@@ -63,28 +68,37 @@ def deformed_length(h: float, L: float) -> float:
     return length
 
 
-def _analytic_levels(ms: np.ndarray, h: float, L: int) -> np.ndarray:
-    """Unit-norm continuum eigenfunctions of the levels `ms` on the 2L
-    lattice sites, one row per level, all in one broadcast.
-
-    NumericsError when a row norm overflows: sum_n e^(h|n|) can pass the
-    float range while tilde_L is still finite (small h, L of a few hundred
-    and up, hL just short of 709.78), and every row would then read 0."""
-    ns = site_labels(L)
+def _level_samples(ms: np.ndarray, h: float, L: int, ns: np.ndarray) -> np.ndarray:
+    """The continuum levels `ms` sampled at the site labels `ns`, one row
+    per level, before normalization, all in one broadcast:
+    e^{h|n|/2} cos(phase), the formula ``analytic_wavefunction`` states."""
     absn = np.abs(ns)
     ms = np.asarray(ms)[:, None]
     ratio = np.asarray(_expm1_over_h(h, absn)) / deformed_length(h, L)
     phase = np.pi * (ns - ms) / 2.0 + np.sign(ns) * (np.pi * (ms + 0.5) / 2.0) * ratio
-    v = np.exp(h * absn / 2.0) * np.cos(phase)
-    # row norms from a stack of (1 x n)(n x 1) products: each is the dot
-    # np.linalg.norm takes of one level, so a row does not depend on which
-    # other levels share the call.  validity_overlap needs that: its
-    # columns are near-dependent past z ~ 1, and QR turns one-ulp changes
-    # of them into O(1) changes of Q.
-    norms = np.sqrt(v[:, None, :] @ v[:, :, None])[:, :, 0]
+    return np.exp(h * absn / 2.0) * np.cos(phase)
+
+
+def _unit_rows(v: np.ndarray, norms: np.ndarray, h: float, L: int) -> np.ndarray:
+    """v's rows divided by their norms (a column).
+
+    NumericsError when a row norm overflows: sum_n e^(h|n|) can pass the
+    float range while tilde_L is still finite (small h, L of a few hundred
+    and up, hL just short of 709.78), and every row would then read 0."""
     if not np.isfinite(norms).all():
         raise NumericsError(f"continuum row norms overflow at h = {h!r}, L = {L!r}")
     return v / norms
+
+
+def _analytic_levels(ms: np.ndarray, h: float, L: int) -> np.ndarray:
+    """Unit-norm continuum eigenfunctions of the levels `ms` on the 2L
+    lattice sites, one row per level, all in one broadcast."""
+    v = _level_samples(ms, h, L, site_labels(L))
+    # row norms from a stack of (1 x n)(n x 1) products: each is the dot
+    # np.linalg.norm takes of one level, so a row does not depend on which
+    # other levels share the call and the wavefunction artifact keeps its bits
+    norms = np.sqrt(v[:, None, :] @ v[:, :, None])[:, :, 0]
+    return _unit_rows(v, norms, h, L)
 
 
 def analytic_wavefunction(m: int, h: float, L: int) -> np.ndarray:
@@ -95,9 +109,37 @@ def analytic_wavefunction(m: int, h: float, L: int) -> np.ndarray:
                             + sign(n) (pi(m+1/2)/2) (e^{h|n|}-1)/(e^{hL}-1) ].
 
     Accurate for |m| << L; deep levels vary on the lattice scale and are
-    not captured (their overlap with the exact orbital falls).
+    not captured (their overlap with the exact orbital falls).  Its mirror
+    parity is (-1)^m: psi_{-n} = (-1)^m psi_n.
     """
     return _analytic_levels(np.array([m]), h, L)[0]
+
+
+def _sector_block(levels: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """C^T = B^T Q of one mirror-parity sector, certified: `levels` holds
+    the sector's analytic levels as unit rows and `exact` (B, C-ordered)
+    its exact orbitals as unit columns, both on the L left sites.
+
+    When the two counts agree, dgeqrt factors the analytic block A =
+    levels^T in place and dgemqrt applies its Q to B, as B^T Q on B's
+    transpose, overwriting it; C's top rows are then Q_A^T B.  When they
+    differ the sector's determinant is 0 and C^T is B^T itself.  Either
+    way C^T C = B^T B, and ValueError is raised unless
+    ||C^T C - I||_F <= 1e-8 (the tolerance slater_amplitudes puts on a
+    state's norm; NaN fails).  The norm is an elementwise sum: a BLAS dot
+    on numpy's library would wake its thread pool."""
+    ct = exact.T
+    if levels.shape[0] == ct.shape[0]:
+        v, t, info = _flapack.dgeqrt(min(32, levels.shape[0]), levels.T, overwrite_a=1)
+        _check("dgeqrt", info)
+        ct, info = _flapack.dgemqrt(v, t, ct, side="R", overwrite_c=1)
+        _check("dgemqrt", info)
+    gram = _dgemm(ct, ct.T)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if not np.sum(gram * gram) <= 1e-16:
+        raise ValueError("exact orbital set is not orthonormal in a mirror-parity sector "
+                         "(||C^T C - I||_F > 1e-8)")
+    return ct
 
 
 def validity_overlap(L: int, z: float) -> float:
@@ -106,40 +148,56 @@ def validity_overlap(L: int, z: float) -> float:
     the continuum holds.
 
     B (2L x L) holds the exact occupied orbitals, and Q_a the continuum's:
-    the orthonormalized analytic levels m = -L..-1, the first L columns of
-    the orthogonal Q of their QR.  Q is never formed.  dgeqrt factors the
-    analytic columns in place, and dgemqrt applies Q to B, as B^T Q on B's
-    transpose, overwriting it; the top L rows of C = Q^T B are Q_a^T B.
+    the orthonormalized analytic levels m = -L..-1.  The chain is mirror
+    symmetric about its central link, so every orbital of either set is
+    even or odd under the mirror, and the even and odd ones are orthogonal:
+    Q_a^T B splits into one block per parity and the overlap is
+    |det(Q_+^T B_+)| |det(Q_-^T B_-)|, each factor on the L left sites
+    (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275).  B_+- holds
+    sqrt(2) times the left-half rows of the exact orbitals p = 0, 2, ..
+    and 1, 3, .. (parity (-1)^p), and Q_+- orthonormalizes the left-half
+    analytic levels of even and of odd m, by the QR that
+    ``_sector_block`` applies to B_+- without forming Q.
 
-    Since Q is orthogonal, C^T C = B^T B: C has orthonormal columns exactly
-    when B has, and Q_a is orthonormal by construction.  So one Gram,
-    ||C^T C - I||_F <= 1e-8 (the tolerance slater_amplitudes puts on a
-    state's norm; NaN fails), certifies both states, and ValueError is
-    raised when it fails.  The norm is an elementwise sum: a BLAS dot on
-    numpy's library would wake its thread pool.  The determinant is
-    dgetrf's on C's top L x L block, read as its transpose; an exact zero
-    pivot returns 0.
+    The exact orbitals come from the chain's leading L + 1 sites, and the
+    parity is certified, not assumed: NumericsError unless
+    |phi_p(L) - (-1)^p phi_p(L-1)| <= RESIDUAL_TOL for every p, the two
+    sites that face each other across the central link.  Each sector's
+    Gram certifies its B (``_sector_block``; ValueError).  Then each
+    square sector's determinant is dgetrf's on its block, read as its
+    transpose; an exact zero pivot returns 0.  For odd L the sectors are
+    not square: the exact state has one more even orbital than the
+    continuum's (ROADMAP item 13), and the overlap is exactly 0.0,
+    returned once both B_+- are certified.
     """
-    exact = occupied_from_svd(chain_svd(profile_from_z(L, z)))
+    exact = occupied_from_svd(chain_svd(profile_from_z(L, z), sites=L + 1))
+    parity = np.where(np.arange(L) % 2, -1.0, 1.0)
+    broken = float(np.max(np.abs(exact[L] - parity * exact[L - 1])))
+    if not broken <= RESIDUAL_TOL:
+        raise NumericsError(f"exact orbitals break mirror parity by {broken:.3e}")
     # no finiteness scan of the levels: deformed_length refuses a tilde_L
-    # that overflows, and the exact solve, first, an underflowed chain
-    levels = _analytic_levels(np.arange(-L, 0), z / L, L)
-    # both are C-ordered, so their transposes are F-ordered and f2py works
-    # on them in place: levels.T is the 2L x L analytic block A, and
-    # exact.T becomes C^T = B^T Q, L x 2L
-    v, t, info = _flapack.dgeqrt(min(32, L), levels.T, overwrite_a=1)
-    _check("dgeqrt", info)
-    ct, info = _flapack.dgemqrt(v, t, exact.T, side="R", overwrite_c=1)
-    _check("dgemqrt", info)
-    gram = _dgemm(ct, ct.T)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    if not np.sum(gram * gram) <= 1e-16:
-        raise ValueError("exact orbital set is not orthonormal (||C^T C - I||_F > 1e-8)")
-    lu, _, info = _flapack.dgetrf(ct[:, :L], overwrite_a=1)
-    if info > 0:  # an exact zero pivot: the determinant is 0
+    # that overflows, and the exact solve, first, an underflowed chain.
+    # The even levels m come first, the L // 2 of them, then the odd ones,
+    # so each sector's rows are one C-ordered block whose transpose dgeqrt
+    # factors in place.  Each row is scaled to unit norm on the L left sites
+    # (sqrt(2) times the unit level's left half, up to rounding) by an
+    # elementwise sum, so no numpy BLAS runs
+    ms = np.arange(-L, 0)
+    v = _level_samples(np.concatenate((ms[L % 2::2], ms[1 - L % 2::2])), z / L, L,
+                       site_labels(L)[:L])
+    levels = _unit_rows(v, np.sqrt(np.sum(v * v, axis=1))[:, None], z / L, L)
+    blocks = [_sector_block(levels[: L // 2], exact[:L, 0::2] * math.sqrt(2.0)),
+              _sector_block(levels[L // 2 :], exact[:L, 1::2] * math.sqrt(2.0))]
+    if L % 2:
         return 0.0
-    _check("dgetrf", info)
-    return float(np.exp(np.sum(np.log(np.abs(np.diag(lu))))))
+    log_det = 0.0
+    for ct in blocks:
+        lu, _, info = _flapack.dgetrf(ct[:, : ct.shape[0]], overwrite_a=1)
+        if info > 0:  # an exact zero pivot: the determinant is 0
+            return 0.0
+        _check("dgetrf", info)
+        log_det += float(np.sum(np.log(np.abs(np.diag(lu)))))
+    return math.exp(log_det)
 
 
 def overlap_crossing(z_values, overlaps, level: float) -> float:

@@ -313,8 +313,8 @@ def _dense_svd(block: np.ndarray) -> SublatticeSVD:
     whatever its driver, and so is a sector pair's tridiagonal solve
     (``sector_svd``); relative accuracy belongs to the bidiagonal solve of
     a chain.  So the lattice's solves refuse, before any solve, a lattice
-    whose links span more than ten decades (``_lattice_route``), where the
-    small levels that set its entropies are lost.
+    whose links span more than ten decades (``_resolvable_links``), where
+    the small levels that set its entropies are lost.
     """
     # dgesdd works in place on the F-ordered block.T; the block is rebuilt
     # from its nonzeros afterwards, bitwise, for the residual and the caller
@@ -581,12 +581,11 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
     left half (x < 0) is sites 0 .. 2L^2 - 1 in both numberings.
 
     Raises NumericsError before any solve when the links span more than ten
-    decades (``_lattice_route``), and after it when the residual exceeds
+    decades (``_resolvable_links``), and after it when the residual exceeds
     RESIDUAL_TOL relative to the spectral radius.
     """
-    _lattice_route(lat)
+    vertical, horizontal = _resolvable_links(lat)
     L, n = lat.L, 2 * lat.L
-    vertical, horizontal = link_amplitudes(L, lat.alpha)
     v, h = -vertical[:, None] / 2.0, -horizontal[:, None] / 2.0
     block = np.zeros((n * L, n * L))
     grid = block.reshape(n, L, n, L)
@@ -613,19 +612,26 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
 SECTOR_MAX_RATIO = 1e6
 
 
-def _lattice_route(lat: Lattice2D) -> bool:
-    """True when the lattice's links span at most SECTOR_MAX_RATIO, where
-    its left half is solved by sectors (``sector_svd``), False where it
-    takes the dense block (``lattice_svd``).  NumericsError when they span
-    more than ten decades (``_graded``), where a dense SVD cannot resolve
-    the small levels."""
+def _resolvable_links(lat: Lattice2D) -> tuple:
+    """The lattice's (vertical, horizontal) link amplitudes
+    (``link_amplitudes``).  NumericsError when they span more than ten
+    decades (``_graded``), where neither the dense block's SVD nor a
+    sector's tridiagonal solve resolves the small levels."""
     vertical, horizontal = link_amplitudes(lat.L, lat.alpha)
     if _graded(vertical, horizontal):
         raise NumericsError(
-            f"dense block of dim {lat.n_sites} has couplings spanning "
+            f"lattice of {lat.n_sites} sites has couplings spanning "
             "more than ten decades; its SVD cannot resolve the small levels"
         )
-    amplitudes = np.concatenate((vertical, horizontal))
+    return vertical, horizontal
+
+
+def _lattice_route(lat: Lattice2D) -> bool:
+    """True when the lattice's links span at most SECTOR_MAX_RATIO, where
+    its left half is solved by sectors (``sector_svd``), False where it
+    takes the dense block (``lattice_svd``); the refusal of
+    ``_resolvable_links`` past ten decades."""
+    amplitudes = np.concatenate(_resolvable_links(lat))
     return float(amplitudes.max()) <= SECTOR_MAX_RATIO * float(amplitudes.min())
 
 
@@ -653,14 +659,16 @@ def sector_svd(lat: Lattice2D, k: int) -> SublatticeSVD:
     least 1) is set to 0.0.  At alpha = 1, H_k = T_x + mu_k I has one exact
     zero level.
 
-    The caller checks the grading on the lattice's links
-    (``_lattice_route``), not on H_k, whose diagonal mu_k alpha^|x| can be
-    small on a mild lattice.  ValueError unless 1 <= k <= L.
+    Like the dense route, it refuses a lattice whose links span more than
+    ten decades (``_resolvable_links``; NumericsError) before any solve:
+    the grading is read on the links, not on H_k, whose diagonal
+    mu_k alpha^|x| can be small on a mild lattice.  ValueError unless
+    1 <= k <= L.
     """
     L = lat.L
     if not 1 <= k <= L:
         raise ValueError(f"sector {k!r} outside [1, {L}]")
-    vertical, horizontal = link_amplitudes(L, lat.alpha)
+    vertical, horizontal = _resolvable_links(lat)
     diagonal = -math.cos(math.pi * k / (2 * L + 1)) * vertical
     off = -horizontal / 2.0
     w, q = _eigh_tridiagonal(diagonal, off)

@@ -27,8 +27,10 @@ match bit for bit.
 ``continuum_occupied`` and ``slater_overlap`` are the validity map's
 explicit-Q route: the continuum state's orthonormal orbitals formed by
 ``qr_q`` (SciPy's economic QR, dgeqrf and dorgqr) and the overlap taken
-between two explicit orbital sets.  ``continuum.validity_overlap``
-applies the QR's Q implicitly instead, and must agree with this route.
+between two explicit orbital sets.  ``full_chain_overlap`` applies the
+QR's Q implicitly on all 2L sites, the route ``continuum.validity_overlap``
+replaced by its two mirror-parity sectors on the L left sites.  The
+library's overlap must agree with both.
 
 ``cauchy_kernel`` forms the half-chain fold's k x k Cauchy kernel and
 ``dpstrf_factor`` factors it by LAPACK's pivoted Cholesky, the dense route
@@ -51,10 +53,10 @@ import mpmath
 import numpy as np
 
 from rainbow_lab import spectra
-from rainbow_lab._lapack import _flapack
+from rainbow_lab._lapack import _check, _flapack
 from rainbow_lab.continuum import _analytic_levels
 from rainbow_lab.entanglement import NU_CLIP, CorrelationMatrix
-from rainbow_lab.lattice import CouplingProfile, link_amplitudes, signed_profile
+from rainbow_lab.lattice import CouplingProfile, link_amplitudes, profile_from_z, signed_profile
 
 
 def chain_hamiltonian(profile):
@@ -253,6 +255,31 @@ def slater_overlap(occ_a, occ_b):
     lu, _, info = _flapack.dgetrf(spectra._dgemm(a.T, b))
     if info > 0:  # an exact zero pivot: the determinant is 0
         return 0.0
+    return float(np.exp(np.sum(np.log(np.abs(np.diag(lu))))))
+
+
+def full_chain_overlap(L, z):
+    """The validity overlap on all 2L sites, the route that
+    ``continuum.validity_overlap`` replaced by its two mirror-parity
+    sectors: dgeqrt factors the 2L x L block of the analytic levels
+    m = -L..-1, dgemqrt applies its Q to the exact occupied orbitals B (as
+    B^T Q, in place), one Gram of C = Q^T B certifies both states (C^T C =
+    B^T B; ValueError past ||C^T C - I||_F = 1e-8), and the overlap is
+    dgetrf's |det| of C's top L x L block."""
+    exact = spectra.occupied_from_svd(spectra.chain_svd(profile_from_z(L, z)))
+    levels = _analytic_levels(np.arange(-L, 0), z / L, L)
+    v, t, info = _flapack.dgeqrt(min(32, L), levels.T, overwrite_a=1)
+    _check("dgeqrt", info)
+    ct, info = _flapack.dgemqrt(v, t, exact.T, side="R", overwrite_c=1)
+    _check("dgemqrt", info)
+    gram = spectra._dgemm(ct, ct.T)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if not np.sum(gram * gram) <= 1e-16:
+        raise ValueError("exact orbital set is not orthonormal (||C^T C - I||_F > 1e-8)")
+    lu, _, info = _flapack.dgetrf(ct[:, :L], overwrite_a=1)
+    if info > 0:  # an exact zero pivot: the determinant is 0
+        return 0.0
+    _check("dgetrf", info)
     return float(np.exp(np.sum(np.log(np.abs(np.diag(lu))))))
 
 

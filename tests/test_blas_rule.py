@@ -28,8 +28,12 @@ PER_POINT = [
     spectra._chain_solve,
     spectra._dense_svd,
     spectra.sector_svd,
+    spectra._resolvable_links,
     entanglement.lattice_half_nu,
     continuum.validity_overlap,
+    continuum._sector_block,
+    continuum._level_samples,
+    continuum._unit_rows,
 ]
 
 # Every function of the per-point modules that does call numpy's BLAS.

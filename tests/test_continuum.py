@@ -204,8 +204,9 @@ def _stacked_occupied(L, h):
 
 
 class TestVectorizedLevels:
-    """validity_overlap builds all levels in one broadcast and applies
-    their QR's Q implicitly; the per-level analytic_wavefunction, the
+    """validity_overlap builds each mirror-parity sector's levels in one
+    broadcast on the L left sites and applies their QR's Q implicitly; the
+    per-level analytic_wavefunction, the 2L-site route it replaced, the
     explicit Q and the dense exact route are its oracles."""
 
     @pytest.mark.parametrize("L", GRID_L)
@@ -241,6 +242,17 @@ class TestVectorizedLevels:
                 want = oracle.slater_overlap(_stacked_occupied(L, z / L), exact)
                 assert abs(validity_overlap(L, z) - want) <= 1e-12, (L, z)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 50, 51, 52, 101, 200, 202, 300])
+    @pytest.mark.parametrize("z", [0.0, 0.03, 0.3, 1.0, 1.03, 4.0, 30.0, 92.0])
+    def test_matches_full_chain_route(self, L, z):
+        # the two parity sectors on the L left sites against the 2L-site
+        # route they replaced; odd L has one more mirror-even exact orbital
+        # than continuum levels (ROADMAP item 13), so its overlap is 0.0
+        got = validity_overlap(L, z)
+        assert abs(got - oracle.full_chain_overlap(L, z)) <= 1e-13
+        if L % 2:
+            assert got == 0.0
+
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 10, 50, 51, 100, 200])
     @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 2.0, 5.0])
     def test_matches_explicit_q_route(self, L, z):
@@ -258,12 +270,28 @@ class TestVectorizedLevels:
         with pytest.raises(ValueError, match="not orthonormal"):
             validity_overlap(10, 1.0)
 
+    @pytest.mark.parametrize("L", [2, 7, 10, 51])
+    def test_swapped_parity_columns_raise(self, monkeypatch, L):
+        # an orbital filed in the other parity's sector is refused by the
+        # mirror certificate at the central link, not answered
+        occupied = continuum.occupied_from_svd
+
+        def swapped(svd):
+            occ = occupied(svd)
+            occ[:, [0, 1]] = occ[:, [1, 0]]
+            return occ
+
+        monkeypatch.setattr(continuum, "occupied_from_svd", swapped)
+        with pytest.raises(NumericsError, match="mirror parity"):
+            validity_overlap(L, 0.5)
+
     def test_pinned_overlaps(self):
-        # recorded with Q applied implicitly (dgeqrt, dgemqrt); at one BLAS
-        # thread, since at L = 200 the last bits of the overlap follow the
-        # thread count's blocking.  (51, 0.5) and (200, 1.0) are rounding:
-        # the odd-L continuum set misses one mirror-even level (ROADMAP
-        # item 13), and 1e-95 is far below the overlap's noise floor
+        # recorded with each parity sector's Q applied implicitly (dgeqrt,
+        # dgemqrt); at one BLAS thread, since at L = 200 the last bits of the
+        # overlap follow the thread count's blocking.  (51, 0.5) is exactly
+        # 0: the odd-L continuum set misses one mirror-even level (ROADMAP
+        # item 13); (200, 1.0) is rounding, 6e-95 being far below the
+        # overlap's noise floor
         code = ("from rainbow_lab import validity_overlap; "
                 "print([validity_overlap(L, z).hex() "
                 "for L, z in ((10, 0.0), (51, 0.5), (200, 1.0))])")
@@ -271,8 +299,8 @@ class TestVectorizedLevels:
                "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == str(["0x1.fa419262cab0ep-1", "0x1.896ce2e067a16p-54",
-                                   "0x1.91a1f43a926f3p-317"])
+        assert out.strip() == str(["0x1.fa419262cab10p-1", "0x0.0p+0",
+                                   "0x1.fe5a75a3a20c7p-314"])
 
     def test_overflowed_deformed_length_raises(self):
         with pytest.warns(RuntimeWarning), pytest.raises(NumericsError, match="overflows"):

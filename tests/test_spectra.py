@@ -582,10 +582,17 @@ class TestSectorAgainstDense:
     @pytest.mark.parametrize("L", [1, 2, 3, 8, 24, 64])
     def test_matches_the_dense_block(self, L, alpha):
         lat = Lattice2D(L, alpha)
-        # the lattices entropy-2d solves by sectors; on the others, (24, 0.5)
-        # and the L = 64 lattices at alpha <= 0.6 (coupling ratios 1.2e7 to
-        # 1.3e19), neither solve resolves the small levels, so their nu and
-        # zero levels are rounding and only s is compared
+        # the L = 64 lattices at alpha <= 0.6 (coupling ratios 1.2e14 and
+        # 1.3e19) span more than ten decades: the sectors refuse them, as
+        # the dense route does, before any solve
+        if alpha ** -(L - 0.5) > 1e10:
+            for k in (1, L):
+                with pytest.raises(NumericsError, match="ten decades"):
+                    sector_svd(lat, k)
+            return
+        # the lattices entropy-2d solves by sectors; on (24, 0.5), coupling
+        # ratio 1.2e7, neither solve resolves the small levels, so its nu
+        # and zero levels are rounding and only s is compared
         by_sectors = alpha ** -(L - 0.5) <= spectra.SECTOR_MAX_RATIO
         left = range(2 * L)
         for k in range(1, L + 1):
