@@ -159,22 +159,22 @@ def validity_overlap(L: int, z: float) -> float:
     analytic levels of even and of odd m, by the QR that
     ``_sector_block`` applies to B_+- without forming Q.
 
-    The exact orbitals come from the chain's leading L + 1 sites, and the
-    parity is certified, not assumed: NumericsError unless
-    |phi_p(L) - (-1)^p phi_p(L-1)| <= RESIDUAL_TOL for every p, the two
-    sites that face each other across the central link.  Each sector's
-    Gram certifies its B (``_sector_block``; ValueError).  Then each
-    square sector's determinant is dgetrf's on its block, read as its
-    transpose; an exact zero pivot returns 0.  For odd L the sectors are
-    not square: the exact state has one more even orbital than the
+    The exact orbitals come from the full chain solve, and their parity is
+    certified, not assumed: NumericsError unless
+    |phi_p(2L-1-i) - (-1)^p phi_p(i)| <= RESIDUAL_TOL for every p and every
+    site i.  Past ``lattice.UNDERFLOW_FLOOR`` (z of about 645 and up) the
+    outer links are numerically decoupled and their orbitals degenerate;
+    the solve can mix those across the mirror (from z = 680 at L = 300,
+    709 at L = 50), and the overlap is then refused, not taken on a state
+    the chain does not fix.
+    Each sector's Gram certifies its B (``_sector_block``; ValueError).
+    Then each square sector's determinant is dgetrf's on its block, read as
+    its transpose; an exact zero pivot returns 0.  For odd L the sectors
+    are not square: the exact state has one more even orbital than the
     continuum's (ROADMAP item 13), and the overlap is exactly 0.0,
     returned once both B_+- are certified.
     """
-    exact = occupied_from_svd(chain_svd(profile_from_z(L, z), sites=L + 1))
-    parity = np.where(np.arange(L) % 2, -1.0, 1.0)
-    broken = float(np.max(np.abs(exact[L] - parity * exact[L - 1])))
-    if not broken <= RESIDUAL_TOL:
-        raise NumericsError(f"exact orbitals break mirror parity by {broken:.3e}")
+    exact = occupied_from_svd(chain_svd(profile_from_z(L, z)))
     # no finiteness scan of the levels: deformed_length refuses a tilde_L
     # that overflows, and the exact solve, first, an underflowed chain.
     # The even levels m come first, the L // 2 of them, then the odd ones,
@@ -186,6 +186,12 @@ def validity_overlap(L: int, z: float) -> float:
     v = _level_samples(np.concatenate((ms[L % 2::2], ms[1 - L % 2::2])), z / L, L,
                        site_labels(L)[:L])
     levels = _unit_rows(v, np.sqrt(np.sum(v * v, axis=1))[:, None], z / L, L)
+    # after the levels, so that an overflowed tilde_L is refused as such;
+    # row L + j faces row L - 1 - j across the central link
+    parity = np.where(np.arange(L) % 2, -1.0, 1.0)
+    broken = float(np.max(np.abs(exact[L:] - parity * exact[L - 1::-1])))
+    if not broken <= RESIDUAL_TOL:
+        raise NumericsError(f"exact orbitals break mirror parity by {broken:.3e}")
     blocks = [_sector_block(levels[: L // 2], exact[:L, 0::2] * math.sqrt(2.0)),
               _sector_block(levels[L // 2 :], exact[:L, 1::2] * math.sqrt(2.0))]
     if L % 2:

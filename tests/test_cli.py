@@ -399,6 +399,18 @@ class TestGeometryFlags:
                 "message": "overflow encountered in expm1"} in err["warnings"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # recorded in the JSON
+    def test_mirror_mixed_chain_exit_3(self, tmp_path, capsys):
+        # past the underflow floor the solve mixes the decoupled outer
+        # orbitals across the mirror; the overlap is refused, not answered
+        rc = main(["validity-map", "--L", "99", "--z", "700:709:9",
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericsError"
+        assert "mirror parity" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_numeric_error_exit_3(self, tmp_path, capsys):
         # uniform couplings tie at the first decimation
         rc = main(["sdrg", "--couplings", "1,1,1", "--out", str(tmp_path / "b.json")])
