@@ -63,7 +63,7 @@ from .qubism import render, slater_amplitudes, write_ppm
 from .sdrg import bond_state_orbitals, rainbow_bonds, render_arcs, sdrg_entropy, sdrg_run
 from .spectra import (
     NumericsError,
-    _lattice_route,
+    _resolvable_links,
     chain_svd,
     fermi_velocity,
     fermi_velocity_fit,
@@ -176,7 +176,10 @@ def _profile(flag: str, value: float, L: int):
         return profile_from_z(L, value)
     if not 0.0 <= value < math.inf:
         raise ValueError(f"h must be finite and non-negative, got {value!r}")
-    return _rainbow_profile(L, math.exp(-value / 2.0), value)
+    alpha = math.exp(-value / 2.0)
+    if alpha == 0.0:
+        raise ValueError(f"h = {value!r} at L = {L} underflows alpha = exp(-h/2) to 0")
+    return _rainbow_profile(L, alpha, value)
 
 
 def _sweep(kernel, points, jobs: int) -> list:
@@ -421,7 +424,7 @@ def cmd_entropy_2d(args) -> None:
 
     lattices = [Lattice2D(L, alpha) for alpha in args.alpha for L in args.L]
     for lat in lattices:  # refuses a graded lattice before any solve
-        _lattice_route(lat)
+        _resolvable_links(lat)
     rows = _sweep(one, lattices, args.jobs)
     fits = []
     for alpha in args.alpha:

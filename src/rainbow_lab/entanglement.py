@@ -18,16 +18,17 @@ block is the polar factor U V^T.  A block's nu are therefore
 (1 +- sigma)/2, sigma the singular values of its (row sites x column
 sites) sub-block X of U V^T, plus |n_rows - n_cols| levels at exactly
 1/2; ``polar_block`` returns them for any block of one solve
-(``spectra.chain_svd``, ``spectra.sector_svd`` or ``spectra.lattice_svd``)
-within the sites it holds (``SublatticeSVD.sites``), so a scan over blocks
-solves once, and a solve for one block can stop at its last site.  No
-orbitals or correlation matrix are formed, and X is formed on SciPy's
-BLAS, the library the solve runs on (the one-BLAS rule of ``spectra``).
+(``spectra.chain_svd`` or ``spectra.lattice_svd``) within the sites it
+holds (``SublatticeSVD.sites``), so a scan over blocks solves once, and a
+solve for one block can stop at its last site.  No orbitals or
+correlation matrix are formed, and X is formed on SciPy's BLAS, the
+library the solve runs on (the one-BLAS rule of ``spectra``).
 The 2D lattice's left half holds every y, so its nu are those of its
-y-momentum sectors' left halves (``lattice_half_nu``): polar_block on each
-sector pair's ladder, whose 2L x 2L block is one sector's tridiagonal
-chain, for the lattices graded at most ``spectra.SECTOR_MAX_RATIO``, and
-on the dense (2L^2)^2 block for the others.
+y-momentum sectors' left halves (``lattice_half_nu``).  For the lattices
+graded at most ``spectra.SECTOR_MAX_RATIO`` they come from each sector's
+L x L left block of sign(H_k) (``spectra._sector_half``), whose zero
+levels take sign 0 and so sit at density 1/2; the others take
+polar_block on the dense (2L^2)^2 block, which has no zero level.
 The half chain of a mirror-symmetric chain is a two-sector problem
 (``halfchain_nu``): its nu are (1 +- sigma)/2 again, with sigma taken from
 the even-parity sector alone (``spectra.even_sector``) in place of the
@@ -75,17 +76,18 @@ from ._lapack import _eigvalsh_evd, _fblas, _svdvals
 from .qubism import AmplitudeTable
 from .lattice import CouplingProfile, Lattice2D
 from .spectra import (
+    SECTOR_MAX_RATIO,
     NumericsError,
     SublatticeSVD,
     ZeroModeError,
     _EPS,
     _dgemm,
     _folds,
-    _lattice_route,
+    _resolvable_links,
+    _sector_half,
     chain_svd,
     even_sector,
     lattice_svd,
-    sector_svd,
 )
 
 NU_CLIP = 1e-14
@@ -154,7 +156,7 @@ def correlation_matrix(occ: np.ndarray, block) -> CorrelationMatrix:
     return CorrelationMatrix(entries=c + np.tril(c, -1).T)
 
 
-def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndarray:
+def polar_block(svd: SublatticeSVD, block) -> np.ndarray:
     """The nu of a half-filled block, from the sublattice SVD.
 
     X = U[rows] V^T[:, cols] with rows (cols) the block's even (odd)
@@ -166,26 +168,12 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
     squaring would lose the small sigma that set nu near 1/2.  nu are
     (1 - sigma)/2, the |n_rows - n_cols| levels at exactly 1/2 and
     (1 + sigma)/2, ascending, clipped to [0, 1]; NumericsError if they
-    stray further.
-
-    zero_modes picks the filling policy when singular values are zero
-    (e.g. the uniform 2D lattice):
-
-    - "error": raise ZeroModeError (the half-filled Slater state is not
-      unique);
-    - "half": they drop out of U V^T, i.e. C = P(E<0) + P(E=0)/2, the
-      zero-energy shell at density 1/2 (the particle-hole symmetric
-      zero-temperature limit; Gaussian, but not a single determinant).
+    stray further.  ZeroModeError when a singular value is zero: the
+    half-filled Slater state is then not unique.
     """
-    if zero_modes not in ("error", "half"):
-        raise ValueError(f"unknown zero-mode policy {zero_modes!r}")
-    keep = np.nonzero(svd.s > 0)[0]
-    n_zero = 2 * (svd.s.size - keep.size)
-    if n_zero and zero_modes == "error":
-        raise ZeroModeError(
-            f"{n_zero} zero modes; pass zero_modes='half' "
-            "for the particle-hole symmetric filling"
-        )
+    n_zero = 2 * int(np.count_nonzero(svd.s == 0))
+    if n_zero:
+        raise ZeroModeError(f"{n_zero} single-particle zero modes; half filling is ambiguous")
     block = _distinct_sites(block, svd.sites)
     sites = np.asarray(block)
     on_rows = sites % 2 == 0
@@ -193,8 +181,6 @@ def polar_block(svd: SublatticeSVD, block, zero_modes: str = "error") -> np.ndar
     cols = sites[~on_rows] // 2
     u = svd.u[_as_slice(rows)]
     vt = svd.vt[:, _as_slice(cols)]
-    if keep.size < svd.s.size:
-        u, vt = u[:, keep], vt[keep]
     return _nu_from_sigma(_svdvals(_dgemm(u, vt)), abs(rows.size - cols.size))
 
 
@@ -276,25 +262,25 @@ def halfchain_nu(profile: CouplingProfile) -> np.ndarray:
 
 def lattice_half_nu(lat: Lattice2D) -> np.ndarray:
     """The nu of the 2D lattice's left half (x < 0), ascending, its zero
-    modes filled at density 1/2 (``polar_block``'s "half").
+    modes filled at density 1/2.
 
-    The left half holds every y, so its correlation matrix is block
-    diagonal in the y-momentum sectors, and its nu are those of the sector
-    chains' left halves.  When the lattice's links span at most
-    ``spectra.SECTOR_MAX_RATIO`` (``spectra._lattice_route``), each sector
-    pair k, 2L + 1 - k (k = 1 .. L) is one ladder whose 2L x 2L sublattice
-    block is the sector's tridiagonal chain (``spectra.sector_svd``), and
-    its left half is its sites 0 .. 2L-1: L dstevd calls of size 2L, one at
-    a time, in place of one dgesdd of size 2L^2.
-    Every other lattice takes ``polar_block`` on the dense
-    ``spectra.lattice_svd``; ``_lattice_route`` refuses, before either, one
-    graded past ten decades.
+    The links are read once (``spectra._resolvable_links``), which refuses
+    a lattice graded past ten decades before any solve.  The left half
+    holds every y, so its correlation matrix is block diagonal in the
+    y-momentum sectors, and its nu are those of the sector chains' left
+    halves.  When the links span at most ``spectra.SECTOR_MAX_RATIO``,
+    each pair k, 2L + 1 - k (k = 1 .. L) gives (1 +- sigma)/2, sigma the
+    singular values of sector k's L x L left block of sign(H_k)
+    (``spectra._sector_half``): L dstevd calls of size 2L, one at a time,
+    in place of one dgesdd of size 2L^2.  Every other lattice takes
+    ``polar_block`` on the dense ``spectra.lattice_svd``.
     """
-    if not _lattice_route(lat):
-        return polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
-    left = range(2 * lat.L)
+    vertical, horizontal = _resolvable_links(lat)
+    links = np.concatenate([vertical, horizontal])
+    if float(links.max()) > SECTOR_MAX_RATIO * float(links.min()):
+        return polar_block(lattice_svd(lat), lat.left_half())
     return np.sort(np.concatenate([
-        polar_block(sector_svd(lat, k), left, zero_modes="half")
+        _nu_from_sigma(_svdvals(_sector_half(vertical, horizontal, k)), 0)
         for k in range(1, lat.L + 1)
     ]))
 

@@ -157,13 +157,17 @@ def _rainbow_profile(L: int, alpha: float, h: float) -> CouplingProfile:
 
 
 def profile_from_z(L: int, z: float) -> CouplingProfile:
-    """Rainbow profile parametrized by z = h*L instead of alpha."""
+    """Rainbow profile parametrized by z = h*L instead of alpha.
+    ValueError, naming z and L, when alpha = exp(-z/(2L)) underflows to 0."""
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError(f"L must be a positive integer, got {L!r}")
     if not 0.0 <= z < math.inf:
         raise ValueError(f"z must be finite and non-negative, got {z!r}")
     h = z / L
-    return build_rainbow_profile(L, math.exp(-h / 2.0))
+    alpha = math.exp(-h / 2.0)
+    if alpha == 0.0:
+        raise ValueError(f"z = {z!r} at L = {L} underflows alpha = exp(-z/(2L)) to 0")
+    return build_rainbow_profile(L, alpha)
 
 
 def signed_profile(couplings) -> np.ndarray:

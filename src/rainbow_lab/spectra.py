@@ -21,8 +21,9 @@ sector's tridiagonal chain by ``dstevd``, are accurate only relative to
 the largest coupling: a lattice whose couplings span more than ten
 decades raises NumericsError instead of printing entropies it cannot
 resolve, and the levels they cannot tell from zero (within ZERO_MODE_TOL
-of the spectral radius) come back as exact zeros.  So on both geometries
-a zero mode is a level with s == 0.
+of the spectral radius) are zero modes: a dense block's come back as
+exact zeros, and a sector's take sign 0, filled at 1/2.  So a
+``SublatticeSVD``'s zero mode is a level with s == 0 on both geometries.
 
 ``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
 certifies the SVD with a residual taken on the bands.  It can stop at the
@@ -31,17 +32,16 @@ only those sites' rows, bitwise the full SVD's, each of them certified.
 A graded chain's dbdsqr then rotates only those rows, half the work for a
 half chain.  The 2D lattice's couplings depend on x alone, so a sine
 transform in y splits it exactly into 2L chains, its y-momentum sectors,
-which pair up into two-leg ladders whose sublattice block is one sector's
-chain H_k, symmetric tridiagonal; ``sector_svd`` solves one pair from
-H_k's eigendecomposition by LAPACK's tridiagonal divide and conquer
-(``dstevd``), and the lattices whose links span at most SECTOR_MAX_RATIO
-are solved that way, L chains of 2L sites one at a time.
-``lattice_svd`` writes the links of the more graded lattices into their
-dense (2L^2)^2 block M.
-None of them forms the hopping matrix.  Every SVD numbers its sites by
-one rule: site i is row ``i // 2`` of M when i is even and column
-``i // 2`` when i is odd, so an SVD keeps no site map.  Entanglement
-needs nothing more than their ``SublatticeSVD`` (see
+each a symmetric tridiagonal H_k of 2L sites.  The lattices whose links
+span at most SECTOR_MAX_RATIO are solved that way, one sector at a time:
+``_sector_half`` takes H_k's eigendecomposition by LAPACK's tridiagonal
+divide and conquer (``dstevd``) and returns the L x L left block of
+sign(H_k), all that the left half's entropy reads.  ``lattice_svd``
+writes the links of the more graded lattices into their dense (2L^2)^2
+block M.  None of them forms the hopping matrix.  Every SVD numbers its
+sites by one rule: site i is row ``i // 2`` of M when i is even and
+column ``i // 2`` when i is odd, so an SVD keeps no site map.
+Entanglement needs nothing more than a ``SublatticeSVD`` (see
 ``entanglement.polar_block``), and neither do the spectral outputs: the
 levels are ``SublatticeSVD.energies``, the ``+-s`` pairs.  The outputs
 that are orbitals assemble them from the same SVD, through one assembly
@@ -92,9 +92,9 @@ from .lattice import CouplingProfile, Lattice2D, link_amplitudes
 RESIDUAL_TOL = 1e-10
 _EPS = 2.0**-53  # LAPACK's unit roundoff, dlamch("Epsilon")
 # A lattice's level within this of its spectral radius (at least 1) is
-# rounding, and ``_dense_svd`` and ``sector_svd`` set it to 0.0: small
-# enough that no real level of a lattice short of the grading refusal is
-# filled at 1/2 (``entanglement.polar_block``).
+# rounding: ``_dense_svd`` sets it to 0.0 and ``_sector_half`` fills it at
+# 1/2.  Small enough that no real level of a lattice short of the grading
+# refusal is taken for one.
 ZERO_MODE_TOL = 1e-14
 
 
@@ -103,12 +103,15 @@ class ZeroModeError(NumericsError):
 
 
 def velocity_scaling(z: float) -> float:
-    """The deformed Fermi velocity a(z) = z / (e^z - 1); a(0) = 1.
-    ValueError for z < 0 and for a non-finite z."""
+    """The deformed Fermi velocity a(z) = z / (e^z - 1); a(0) = 1.  Past
+    z = 709, where e^z nears overflow, it is the limit z e^(-z), taken as
+    exp(ln z - z).  ValueError for z < 0 and for a non-finite z."""
     if not 0.0 <= z < math.inf:
         raise ValueError(f"z must be finite and non-negative, got {z!r}")
     if z == 0:
         return 1.0
+    if z > 709.0:
+        return math.exp(math.log(z) - z)
     return z / np.expm1(z)
 
 
@@ -215,7 +218,8 @@ def _graded(*bands: np.ndarray) -> bool:
     divide and conquer no longer guarantees relative accuracy: a chain then
     takes dbdsqr, and a dense block is refused (``_dense_svd``)."""
     nz = np.abs(np.concatenate([b[b != 0.0] for b in bands]))
-    return bool(nz.size) and float(nz.max() / nz.min()) > 1e10
+    # a product, not max / min, which overflows on subnormal couplings
+    return bool(nz.size) and float(nz.max()) > 1e10 * float(nz.min())
 
 
 def _certify(residual: float, radius: float) -> float:
@@ -235,8 +239,8 @@ class SublatticeSVD:
     sublattice block.
 
     Site i is row ``i // 2`` of M when i is even and column ``i // 2``
-    when i is odd, on every geometry solved here: the chain, the sector
-    ladder (``sector_svd``) and the dense lattice (``lattice_svd``).
+    when i is odd, on both geometries solved this way: the chain and the
+    dense lattice (``lattice_svd``).
     ``s`` is descending and complete.  ``u`` and ``vt`` may hold the leading
     sites only (``chain_svd``'s ``sites``): ``sites`` counts u's rows (the
     even sites) and vt's columns (the odd ones).
@@ -246,8 +250,7 @@ class SublatticeSVD:
     largest ``|H psi - E psi|`` over those orbitals, on the sites held.
     The zero modes are the levels with ``s == 0``: a chain's bidiagonal SVD
     is relatively accurate, so only its exact zeros are, and the levels of
-    a dense block or a sector pair within rounding of zero are set to 0.0
-    (``_dense_svd``, ``sector_svd``).
+    a dense block within rounding of zero are set to 0.0 (``_dense_svd``).
     """
 
     u: np.ndarray = field(repr=False)
@@ -310,8 +313,8 @@ def _dense_svd(block: np.ndarray) -> SublatticeSVD:
     set to exactly 0.0, the zero modes.
 
     A dense SVD is accurate only to rounding times the largest coupling,
-    whatever its driver, and so is a sector pair's tridiagonal solve
-    (``sector_svd``); relative accuracy belongs to the bidiagonal solve of
+    whatever its driver, and so is a sector's tridiagonal solve
+    (``_sector_half``); relative accuracy belongs to the bidiagonal solve of
     a chain.  So the lattice's solves refuse, before any solve, a lattice
     whose links span more than ten decades (``_resolvable_links``), where
     the small levels that set its entropies are lost.
@@ -599,7 +602,7 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
 
 
 # Largest coupling ratio alpha^-(L - 1/2) at which a lattice's left half is
-# solved by y-momentum sectors (``sector_svd``) instead of its dense block.
+# solved by y-momentum sectors (``_sector_half``) instead of its dense block.
 # Both routes are accurate only relative to the largest coupling, so they
 # drift apart as the lattice grades.  With the sectors on dgesdd, over 240
 # lattices (L = 1 .. 24, alpha = 0.38 .. 1, ratio up to 1e10) the two
@@ -626,49 +629,35 @@ def _resolvable_links(lat: Lattice2D) -> tuple:
     return vertical, horizontal
 
 
-def _lattice_route(lat: Lattice2D) -> bool:
-    """True when the lattice's links span at most SECTOR_MAX_RATIO, where
-    its left half is solved by sectors (``sector_svd``), False where it
-    takes the dense block (``lattice_svd``); the refusal of
-    ``_resolvable_links`` past ten decades."""
-    amplitudes = np.concatenate(_resolvable_links(lat))
-    return float(amplitudes.max()) <= SECTOR_MAX_RATIO * float(amplitudes.min())
-
-
-def sector_svd(lat: Lattice2D, k: int) -> SublatticeSVD:
-    """Certified sublattice SVD of the lattice's y-momentum sectors k and
-    2L + 1 - k (1 <= k <= L), as one two-leg ladder of 4L sites.
+def _sector_half(vertical: np.ndarray, horizontal: np.ndarray, k: int) -> np.ndarray:
+    """The certified left block X = sign(H_k)[:L, :L] of the lattice's
+    y-momentum sector k (1 <= k <= L), from its (vertical, horizontal) link
+    amplitudes (``_resolvable_links``).
 
     H = T_x (x) I + D_x (x) T_y: T_x the 2L-site chain of horizontal links,
     D_x = diag(alpha^|x|) and T_y the uniform 2L-site chain, whose levels
     are mu_k = -cos(pi k/(2L + 1)) (Peschel, J. Phys. A 36 L205 (2003)).
-    The sine transform in y maps H to the 2L chains H_k = T_x + mu_k D_x,
-    and sector 2L + 1 - k has -mu_k, so its chain is -Gamma H_k Gamma with
-    Gamma = diag((-1)^x).  The pair is the bipartite ladder
-    [[0, H_k], [H_k, 0]] up to site-local rotations, which keep every
-    block of whole columns x: site 2x is row x of its sublattice block H_k
-    and site 2x + 1 column x, so the pair's left half is sites 0 .. 2L-1.
+    The sine transform in y maps H to the 2L chains H_k = T_x + mu_k D_x.
+    At half filling a sector's left half (x < 0, its first L sites) has
+    C = (1 - X)/2.  Sector 2L + 1 - k has -mu_k, so its chain is
+    -Gamma H_k Gamma with Gamma = diag((-1)^x), and its block -Gamma X Gamma:
+    the pair's 2L levels are (1 +- sigma)/2, sigma the singular values of
+    the symmetric X.
 
     H_k is symmetric tridiagonal (diagonal mu_k alpha^|x|, off-diagonal the
     horizontal links' -J/2), so no 2L x 2L block is formed: LAPACK's
     tridiagonal divide and conquer (``dstevd``) gives H_k = Q Lambda Q^T,
-    and its SVD is exact, s = |lambda| (descending, stable), u = q and
-    v = q sign(lambda).  The residual is ``_dense_svd``'s,
-    max |H_k q - lambda q| / sqrt(2), taken on the two bands, and so is the
-    zero-mode rule: a level within ZERO_MODE_TOL of the spectral radius (at
-    least 1) is set to 0.0.  At alpha = 1, H_k = T_x + mu_k I has one exact
-    zero level.
-
-    Like the dense route, it refuses a lattice whose links span more than
-    ten decades (``_resolvable_links``; NumericsError) before any solve:
-    the grading is read on the links, not on H_k, whose diagonal
-    mu_k alpha^|x| can be small on a mild lattice.  ValueError unless
-    1 <= k <= L.
+    and X = Q[:L] sign(Lambda) Q[:L]^T is one dgemm, its columns in
+    descending |lambda|.  The residual max |H_k q - lambda q| / sqrt(2) is
+    ``_dense_svd``'s, taken on the two bands (NumericsError past
+    RESIDUAL_TOL of the spectral radius), and so is the zero-mode rule: a
+    level within ZERO_MODE_TOL of the spectral radius (at least 1) takes
+    sign 0, the zero-energy state at density 1/2, C = P(E<0) + P(E=0)/2.
+    At alpha = 1, H_k = T_x + mu_k I has one exact zero level.  The
+    grading refusal is read on the links (``_resolvable_links``), not on
+    H_k, whose diagonal mu_k alpha^|x| can be small on a mild lattice.
     """
-    L = lat.L
-    if not 1 <= k <= L:
-        raise ValueError(f"sector {k!r} outside [1, {L}]")
-    vertical, horizontal = _resolvable_links(lat)
+    L = vertical.size // 2
     diagonal = -math.cos(math.pi * k / (2 * L + 1)) * vertical
     off = -horizontal / 2.0
     w, q = _eigh_tridiagonal(diagonal, off)
@@ -677,12 +666,16 @@ def sector_svd(lat: Lattice2D, k: int) -> SublatticeSVD:
     hq[1:] += q[:-1] * off[:, None]
     hq[:-1] += q[1:] * off[:, None]
     hq -= q * w
+    radius = float(np.max(np.abs(w)))
+    _certify(float(np.max(np.abs(hq))) / np.sqrt(2.0), radius)
     order = np.argsort(-np.abs(w), kind="stable")
-    s = np.abs(w[order])
-    residual = _certify(float(np.max(np.abs(hq))) / np.sqrt(2.0), float(s[0]))
-    s[s <= ZERO_MODE_TOL * max(float(s[0]), 1.0)] = 0.0
-    u = q[:, order]
-    return SublatticeSVD(u, s, (u * np.where(w[order] < 0.0, -1.0, 1.0)).T, residual)
+    w = w[order]
+    sign = np.where(np.abs(w) <= ZERO_MODE_TOL * max(radius, 1.0), 0.0, np.sign(w))
+    # q is F-ordered; a C-ordered copy of its rows and the transpose of
+    # left * sign are the operand layouts under which X keeps the bits
+    # entropy-2d has printed
+    left = q[:L, order]
+    return _dgemm(np.ascontiguousarray(left), (left * sign).T)
 
 
 def _fix_phases(orbitals: np.ndarray) -> np.ndarray:

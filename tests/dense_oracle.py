@@ -4,11 +4,14 @@ L205 (2003)).
 
 The library never forms these (``spectra.chain_svd`` and
 ``spectra.lattice_svd`` read the sublattice block straight from the
-couplings and the links' amplitudes, ``spectra.sector_svd`` a sector's
+couplings and the links' amplitudes, ``spectra._sector_half`` a sector's
 two bands); the tests build them here from the same couplings, so every
-shipped route has a dense counterpart to agree with.  A sector pair's
-dense counterpart is its 2L x 2L block H_k through dgesdd
-(``sector_dense_svd``), the route ``sector_svd`` replaces.  Plain
+shipped route has a dense counterpart to agree with.  A y-momentum
+sector's dense counterpart is its 2L x 2L block H_k, the sublattice block
+of the sector pair's two-leg ladder, through dgesdd
+(``sector_dense_svd``).  The library fills zero levels at density 1/2
+only in its sector solve; ``half_filled`` drops them from any SVD, so
+``polar_block`` reads that filling on the dense routes too.  Plain
 functions: matrices and sublattices are arrays, and nothing here
 validates its input, which comes from the tests alone.
 
@@ -153,6 +156,14 @@ def sector_dense_svd(lat, k):
     through ``spectra._dense_svd`` (dgesdd, its dense residual and its
     zero-mode rule)."""
     return spectra._dense_svd(sector_block(lat, k))
+
+
+def half_filled(svd):
+    """The SVD without its zero levels, whose orbitals then drop out of
+    the polar factor U V^T: ``polar_block`` on it fills the zero shell at
+    density 1/2, C = P(E<0) + P(E=0)/2, as ``correlation`` does."""
+    keep = svd.s > 0
+    return spectra.SublatticeSVD(svd.u[:, keep], svd.s[keep], svd.vt[keep], svd.residual)
 
 
 def zero_modes(svd):
@@ -347,8 +358,8 @@ def lattice_sector_entropy(lat, dps=60):
     sine transform in y splits H into the 2L chains
     H_k = T_x + lambda_k D_x, and the left half holds every y, so
     S = sum_k S_k, S_k the entropy of H_k's first L sites.  Levels within
-    10^(-dps/2) of zero are filled at density 1/2, as ``zero_modes="half"``
-    fills them.
+    10^(-dps/2) of zero are filled at density 1/2, as
+    ``entanglement.lattice_half_nu`` fills them.
     """
     L, n = lat.L, 2 * lat.L
     with mpmath.workdps(dps):

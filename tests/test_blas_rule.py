@@ -27,7 +27,7 @@ PER_POINT = [
     spectra._secular_roots,
     spectra._chain_solve,
     spectra._dense_svd,
-    spectra.sector_svd,
+    spectra._sector_half,
     spectra._resolvable_links,
     entanglement.lattice_half_nu,
     continuum.validity_overlap,
@@ -140,8 +140,8 @@ def test_halfchain_fold_is_blas_thread_independent():
 
 
 def test_lattice_sectors_are_blas_thread_independent():
-    # a sector pair's tridiagonal H_k (2L sites) is small enough that its
-    # dstevd and the polar readout give the same bits on one SciPy BLAS
+    # a sector's tridiagonal H_k (2L sites) is small enough that its
+    # dstevd and the left block's readout give the same bits on one SciPy BLAS
     # thread and on two, up to L = 64, where dstevd's divide and conquer
     # merges blocks of 128 with dgemm (the dense block of the lattices past
     # SECTOR_MAX_RATIO is not: its dgesdd moves with the thread count)

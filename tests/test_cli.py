@@ -365,6 +365,29 @@ class TestGeometryFlags:
         assert rc == 2
         assert "alpha" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("flag", ["--z", "--h"])
+    def test_underflowed_alpha_names_the_flag_given(self, tmp_path, capsys, flag):
+        # alpha = e^(-z/(2L)) = e^(-h/2) underflows to 0: the refusal names
+        # the flag and L, not an --alpha the command was never given
+        rc = main(["spectrum", "--L", "4", flag, "1e308", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{flag[2:]} = 1e+308 at L = 4 underflows alpha")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # recorded in the JSON
+    def test_subnormal_lattice_refusal_records_no_overflow(self, tmp_path, capsys):
+        # the grading check multiplies instead of dividing by the subnormal
+        # link, so the record carries no overflow warning
+        rc = main(["entropy-2d", "--L", "2:6:1", "--alpha", "1e-320",
+                   "--out", str(tmp_path / "e2d.csv")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericsError"
+        assert "ten decades" in err["message"]
+        assert "warnings" not in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs_exit_2(self, tmp_path, capsys, jobs):
         # --jobs's own type refuses it, like --jobs two
@@ -1008,7 +1031,7 @@ class TestEntropy2D:
             raise AssertionError(message)
 
         monkeypatch.setattr(cli, "lattice_half_nu", refuse)
-        monkeypatch.setattr(entanglement, "sector_svd", refuse)
+        monkeypatch.setattr(entanglement, "_sector_half", refuse)
         monkeypatch.setattr(entanglement, "lattice_svd", refuse)
 
     def test_too_few_sizes_rejected_before_solving(self, tmp_path, capsys,

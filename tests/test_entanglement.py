@@ -361,7 +361,11 @@ class TestEntropyScan:
         svd = lattice_svd(lat)
         with pytest.raises(ZeroModeError):
             polar_block(svd, lat.left_half())
-        assert vn_entropy(polar_block(svd, lat.left_half(), zero_modes="half")) > 0
+        # entropy-2d fills them at 1/2, as the oracle's half filling does
+        S = vn_entropy(lattice_half_nu(lat))
+        assert S > 0
+        assert S == pytest.approx(
+            vn_entropy(polar_block(oracle.half_filled(svd), lat.left_half())), abs=1e-12)
 
     def test_2d_policy_preserves_mirror_symmetry(self):
         lat = Lattice2D(2, 1.0)
@@ -419,41 +423,45 @@ class TestPolarRoute:
         assert np.array_equal(nu, np.sort(nu))
 
     def test_zero_modes_follow_the_policy(self):
+        # polar_block refuses zero modes, naming no filling of its own;
+        # without them (the oracle's half filling) it reads the zero shell
+        # at density 1/2
         with pytest.warns(RuntimeWarning):
             profile = profile_from_z(10, 2000.0)
         spec = oracle.diagonalize(*oracle.chain_hamiltonian(profile))
         svd = chain_svd(profile)
         with pytest.raises(ZeroModeError):
             oracle.occupied(spec)
-        with pytest.raises(ZeroModeError):
+        with pytest.raises(ZeroModeError) as refused:
             polar_block(svd, range(10))
+        assert str(refused.value) == "12 single-particle zero modes; half filling is ambiguous"
         c_full = oracle.correlation(spec)
         for block in boundary_blocks(20):
             a = np.sort(oracle.restrict(c_full, block).eigenvalues())
-            b = polar_block(svd, block, zero_modes="half")
+            b = polar_block(oracle.half_filled(svd), block)
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_slices_match_the_indexed_product(self):
-        # contiguous sites are read as slices and keep applies only when a
-        # zero mode drops out; nu stays that of the np.ix_ product
+        # contiguous sites are read as slices; nu stays that of the np.ix_
+        # product, on SVDs whose zero modes dropped out too
         from scipy.linalg import svdvals
 
         with pytest.warns(RuntimeWarning):
-            underflowed = chain_svd(profile_from_z(10, 2000.0))
+            underflowed = oracle.half_filled(chain_svd(profile_from_z(10, 2000.0)))
         chain = chain_svd(profile_from_z(40, 3.0))
         lat = Lattice2D(4, 1.0)
         cases = [(chain, range(40)), (chain, range(11, 34)), (underflowed, range(10)),
-                 (lattice_svd(lat), lat.left_half())]
+                 (oracle.half_filled(lattice_svd(lat)), lat.left_half())]
         for svd, block in cases:
             sites = np.asarray(list(block))
             on_rows = sites % 2 == 0
             rows, cols = sites[on_rows] // 2, sites[~on_rows] // 2
-            keep = np.nonzero(svd.s > 0)[0]
-            sigma = svdvals(svd.u[np.ix_(rows, keep)] @ svd.vt[np.ix_(keep, cols)])
+            every = np.arange(svd.s.size)
+            sigma = svdvals(svd.u[np.ix_(rows, every)] @ svd.vt[np.ix_(every, cols)])
             want = np.concatenate([(1.0 - sigma) / 2.0,
                                    np.full(abs(rows.size - cols.size), 0.5),
                                    (1.0 + sigma[::-1]) / 2.0])
-            got = polar_block(svd, block, zero_modes="half")
+            got = polar_block(svd, block)
             assert np.array_equal(got, np.clip(want, 0.0, 1.0))
 
     @pytest.mark.parametrize("block", [[], [1, 1], [-1, 0], [0, 20]])
@@ -470,11 +478,6 @@ class TestPolarRoute:
         for block in ([sites], range(sites + 1)):
             with pytest.raises(ValueError, match=f"\\[0, {sites}\\)"):
                 polar_block(svd, block)
-
-    def test_unknown_policy_rejected(self):
-        svd = chain_svd(profile_from_z(10, 1.0))
-        with pytest.raises(ValueError, match="policy"):
-            polar_block(svd, range(10), zero_modes="fill")
 
     def test_eigenvalue_outside_unit_interval_is_numerical(self, monkeypatch):
         from rainbow_lab import entanglement
@@ -1117,7 +1120,7 @@ class TestLatticePolarRoute:
         svd = lattice_svd(lat)
         for block in self._blocks(lat):
             want = np.sort(oracle.restrict(c_full, block).eigenvalues())
-            got = polar_block(svd, site[block], zero_modes="half")
+            got = polar_block(oracle.half_filled(svd), site[block])
             assert np.max(np.abs(got - want)) <= 1e-11
 
     @pytest.mark.parametrize("L", [1, 2, 4])
@@ -1138,7 +1141,7 @@ class TestLatticePolarRoute:
         want = renyi_entropies(oracle.restrict(c_full, lat.left_half()).eigenvalues(), [1, 2])
         monkeypatch.setattr(spectra, "_orbitals", refuse)
         monkeypatch.setattr(entanglement, "CorrelationMatrix", refuse)
-        nu = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
+        nu = polar_block(oracle.half_filled(lattice_svd(lat)), lat.left_half())
         points = renyi_entropies(nu, [1, 2])
         assert len(points) == len(want)
         for a, b in zip(points, want):
@@ -1158,7 +1161,7 @@ class TestLatticeSectorRoute:
     def test_matches_dense_route(self, L, alpha):
         lat = Lattice2D(L, alpha)
         got = lattice_half_nu(lat)
-        want = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
+        want = polar_block(oracle.half_filled(lattice_svd(lat)), lat.left_half())
         assert np.array_equal(got, np.sort(got))
         assert got.size == want.size == lat.n_sites // 2
         assert np.max(np.abs(got - want)) <= 1e-11
@@ -1169,7 +1172,7 @@ class TestLatticeSectorRoute:
         from rainbow_lab import entanglement
 
         calls = []
-        for name in ("sector_svd", "lattice_svd"):
+        for name in ("_sector_half", "lattice_svd"):
             solve = getattr(entanglement, name)
 
             def spy(*args, _solve=solve, _name=name):
@@ -1187,7 +1190,29 @@ class TestLatticeSectorRoute:
         edge = SECTOR_MAX_RATIO ** (-1.0 / (L - 0.5))
         calls = self._spy(monkeypatch)
         lattice_half_nu(Lattice2D(L, edge * side))
-        assert calls == (["sector_svd"] * L if side > 1.0 else ["lattice_svd"])
+        assert calls == (["_sector_half"] * L if side > 1.0 else ["lattice_svd"])
+
+    def test_links_read_once_and_no_svd_built(self, monkeypatch):
+        # a sector lattice's links are read and graded once, and each sector
+        # goes straight to its left block: no SublatticeSVD, no polar_block
+        from rainbow_lab import entanglement, spectra
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SublatticeSVD or polar_block used")
+
+        reads = []
+        amplitudes = spectra.link_amplitudes
+
+        def spy(*args):
+            reads.append(args)
+            return amplitudes(*args)
+
+        monkeypatch.setattr(spectra, "link_amplitudes", spy)
+        monkeypatch.setattr(spectra, "SublatticeSVD", refuse)
+        monkeypatch.setattr(entanglement, "polar_block", refuse)
+        lat = Lattice2D(8, 0.8)
+        assert lattice_half_nu(lat).size == lat.n_sites // 2
+        assert reads == [(8, 0.8)]
 
     def test_large_lattice_stays_small(self):
         # L = 64: the dense block alone would take (2L^2)^2 doubles, 512 MiB;

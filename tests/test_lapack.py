@@ -21,22 +21,23 @@ import dense_oracle as oracle
 
 # Results of every layer that calls a wrapper, as hex strings: the fold and
 # the polar route (dgemv, dsyrk, dsyevd, dgesdd), the correlation matrix
-# (dsyrk, dsyevd), the dense lattice (dgesdd, dgemm), a sector pair
-# (dstevd), the continuum overlap (dgeqrt, dgemqrt, dgemm, dgetrf) and a
+# (dsyrk, dsyevd), the dense lattice (dgesdd, dgemm), a sector's left block
+# (dstevd, dgemm), the continuum overlap (dgeqrt, dgemqrt, dgemm, dgetrf) and a
 # fit (dtrtrs).
 RESULTS = """
 import numpy as np
 from rainbow_lab import (Lattice2D, chain_svd, correlation_matrix, halfchain_nu,
                          lattice_svd, linear_lsq, occupied_from_svd, polar_block,
                          profile_from_z, validity_overlap)
-from rainbow_lab.spectra import sector_svd
+from rainbow_lab.lattice import link_amplitudes
+from rainbow_lab.spectra import _sector_half
 svd = chain_svd(profile_from_z(30, 2.0))
 values = [
     halfchain_nu(profile_from_z(60, 2.0)),
     polar_block(svd, range(7, 20)),
     correlation_matrix(occupied_from_svd(svd), range(12)).eigenvalues(),
     lattice_svd(Lattice2D(4, 0.7)).s,
-    sector_svd(Lattice2D(16, 0.8), 5).u,
+    _sector_half(*link_amplitudes(16, 0.8), 5),
     [validity_overlap(20, 1.0)],
     list(linear_lsq(np.vander(np.arange(10.0, 20.0), 3), np.log(np.arange(10.0, 20.0)))
          .coefficients.values()),
@@ -152,7 +153,7 @@ class TestWrappersAreScipyBitwise:
 
     @pytest.mark.parametrize("n", [2, 5, 25, 26, 128])
     def test_eigh_tridiagonal(self, n):
-        # sector_svd's H_k: n = 2L from 2 up; dstedc solves n <= 25 by
+        # _sector_half's H_k: n = 2L from 2 up; dstedc solves n <= 25 by
         # implicit QL/QR and larger n by divide and conquer
         d = _operand((n,), "C")
         e = _operand((n - 1,), "C")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,12 @@ class TestProfileFromZ:
     def test_non_finite_z_names_z(self, z):
         with pytest.raises(ValueError, match="z must be finite and non-negative"):
             profile_from_z(10, z)
+
+    @pytest.mark.parametrize("L, z", [(4, 1e308), (1, 1491.0)])
+    def test_underflowed_alpha_names_z_and_L(self, L, z):
+        # alpha = exp(-z/(2L)) is 0.0: the refusal names the z it was given
+        with pytest.raises(ValueError, match=re.escape(f"z = {z!r} at L = {L} underflows alpha")):
+            profile_from_z(L, z)
 
     def test_same_as_alpha_construction(self):
         a = build_rainbow_profile(20, 1.0)
@@ -262,8 +269,9 @@ def test_dense_route_is_gone():
     (dense_oracle.py), and a solve's one result is its SublatticeSVD.  Nor
     does any wrap a result that is one value: a block's nu, a list of
     entropy points, a fit's two arrays, a wavefunction vector or a float;
-    nor keeps a second geometry resolver, a library-side validity sweep or
-    a builder or method that only renames another."""
+    nor keeps a second geometry resolver, a library-side validity sweep,
+    a builder or method that only renames another, or a sector's SVD
+    beside its left block."""
     import importlib
     import pkgutil
 
@@ -276,6 +284,7 @@ def test_dense_route_is_gone():
         "FermiVelocityEstimate", "_curve_xy",
         "_z_from", "_profile_for", "validity_map", "_exact_occupied",
         "uniform_profile", "build_lattice_2d", "spectrum_rows", "EntropyPoint",
+        "sector_svd", "_lattice_route",
     }
     modules = [rainbow_lab] + [
         importlib.import_module(f"rainbow_lab.{info.name}")

@@ -28,8 +28,8 @@ from rainbow_lab.spectra import (
     occupied_from_svd,
     orbitals_from_svd,
     save_orbitals,
-    sector_svd,
 )
+from rainbow_lab.lattice import link_amplitudes
 
 import dense_oracle as oracle
 from conftest import chain_occupied, chain_spectrum
@@ -289,6 +289,32 @@ class TestChainSVD:
         assert svd.u.shape == svd.vt.shape == (40, 40)
 
 
+class TestGradingCheck:
+    """_graded compares max > 1e10 min, a product that stays finite where
+    the quotient max/min overflows on subnormal couplings."""
+
+    def test_subnormal_couplings_raise_only_the_underflow_warning(self):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            profile = build_rainbow_profile(2, 1e-310)
+            svd = chain_svd(profile)
+            assert spectra._graded(profile.couplings)
+        assert [str(w.message) for w in caught] == [
+            "smallest coupling 1.000e-310 is below 1e-280; outer links are numerically decoupled"
+        ]
+        assert svd.s.size == 2
+
+    @pytest.mark.parametrize("ratio", [1.0, 1e5, 9.99e9, 1.001e10, 1e12, 1e300])
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e200])
+    def test_verdict_on_ratios_away_from_1e10(self, ratio, scale):
+        bands = np.array([scale, 0.0, -scale / ratio]), np.array([scale / 2.0])
+        assert spectra._graded(*bands) == (ratio > 1e10)
+        nz = np.abs(np.concatenate([b[b != 0.0] for b in bands]))
+        assert spectra._graded(*bands) == (float(nz.max() / nz.min()) > 1e10)
+
+
 class TestLeadingSites:
     """chain_svd(profile, sites=k): the full SVD's rows of U and columns of
     V^T on the leading k sites, bit for bit, each certified."""
@@ -490,11 +516,13 @@ class TestGradedLatticeRefusal:
             lattice_svd(Lattice2D(12, 0.1))
 
     def test_entropy_2d_solve_refuses_it_too(self, monkeypatch):
-        # lattice_half_nu takes lattice_svd past SECTOR_MAX_RATIO
+        # lattice_half_nu reads the links once, and refuses them before
+        # either route's solve
         def refuse(*args, **kwargs):
             raise AssertionError("solved before the grading check")
 
         monkeypatch.setattr(spectra, "_svd", refuse)
+        monkeypatch.setattr(spectra, "_eigh_tridiagonal", refuse)
         with pytest.raises(NumericsError, match="ten decades"):
             lattice_half_nu(Lattice2D(12, 0.1))
 
@@ -534,77 +562,126 @@ class TestExactZeroModes:
     ])
     def test_lattice_entropy_unchanged(self, L, alpha, want):
         lat = Lattice2D(L, alpha)
-        nu = polar_block(lattice_svd(lat), lat.left_half(), zero_modes="half")
+        nu = polar_block(oracle.half_filled(lattice_svd(lat)), lat.left_half())
         assert vn_entropy(nu).hex() in want
+
+    # the most graded dense lattices of the lattice-2d grid (coupling ratios
+    # 2.2e9 and 1.0e8): their smallest levels, 4.0e-12 and 4.3e-11, are real
+    # ones, far above the zeroing threshold (~1.2e-14), so the dense route
+    # meets no zero level and needs no filling
+    @pytest.mark.parametrize("L, alpha", [(24, 0.4), (24, 0.45)])
+    def test_most_graded_dense_lattices_have_none(self, L, alpha):
+        assert alpha ** -(L - 0.5) > spectra.SECTOR_MAX_RATIO
+        s = lattice_svd(Lattice2D(L, alpha)).s
+        assert np.count_nonzero(s == 0.0) == 0
+        assert s[-1] > 1e-13
+
+
+def _solve_sectors(monkeypatch, lat):
+    """(levels, blocks): each sector k = 1 .. L's left block X from
+    ``spectra._sector_half``, and the levels of H_k that its dstevd call
+    returned."""
+    solve = spectra._eigh_tridiagonal
+    levels = []
+
+    def spy(d, e):
+        w, q = solve(d, e)
+        levels.append(w.copy())
+        return w, q
+
+    monkeypatch.setattr(spectra, "_eigh_tridiagonal", spy)
+    links = link_amplitudes(lat.L, lat.alpha)
+    blocks = [spectra._sector_half(*links, k) for k in range(1, lat.L + 1)]
+    return levels, blocks
+
+
+def _pair_nu(x):
+    """The nu of a sector pair's left half from its block X: (1 +- sigma)/2,
+    sigma the singular values of X, ascending."""
+    sigma = sla.svdvals(x)
+    return np.sort(np.concatenate([(1.0 - sigma) / 2.0, (1.0 + sigma) / 2.0]))
+
+
+def _dense_left_block(svd, L):
+    """X = U[:L] V^T[:, :L] of a sector pair's dense SVD, its zero levels
+    filled at 1/2 (``oracle.half_filled``)."""
+    svd = oracle.half_filled(svd)
+    return svd.u[:L] @ svd.vt[:, :L]
 
 
 class TestSectorSVD:
-    """The sector pairs of a lattice hold the levels of its dense block, and
-    the uniform lattice's zero modes, one per sector."""
+    """The y-momentum sectors of a lattice hold the levels of its dense
+    block, and the uniform lattice's zero modes, one per sector, which the
+    sector's left block fills at 1/2."""
 
     @pytest.mark.parametrize("L, alpha", [(1, 0.5), (3, 1.0), (4, 0.7), (8, 0.5), (8, 1.0)])
-    def test_levels_are_the_dense_blocks(self, L, alpha):
+    def test_levels_are_the_dense_blocks(self, L, alpha, monkeypatch):
         lat = Lattice2D(L, alpha)
-        svds = [sector_svd(lat, k) for k in range(1, L + 1)]
-        got = np.sort(np.concatenate([svd.s for svd in svds]))
+        levels, blocks = _solve_sectors(monkeypatch, lat)
+        # sector k's levels +-|lambda| pair with sector 2L + 1 - k's
+        got = np.sort(np.abs(np.concatenate(levels)))
         want = np.sort(lattice_svd(lat).s)
         assert np.max(np.abs(got - want)) <= 1e-14
-        for svd in svds:
-            assert svd.u.shape == svd.vt.shape == (2 * L, 2 * L)  # 4L sites
-            assert svd.residual <= 1e-13
+        for x in blocks:
+            assert x.shape == (L, L)
+            assert np.max(np.abs(x - x.T)) <= 1e-15
 
     @pytest.mark.parametrize("L", [1, 2, 8, 16, 24])
-    def test_uniform_lattice_keeps_its_zero_modes(self, L):
+    def test_uniform_lattice_keeps_its_zero_modes(self, L, monkeypatch):
         # H_k = T_x + mu_k I has one zero level in each sector: 2L zero
-        # modes over the L pairs, as the dense block counts them
-        svds = [sector_svd(Lattice2D(L, 1.0), k) for k in range(1, L + 1)]
-        assert [int(np.count_nonzero(svd.s == 0.0)) for svd in svds] == [1] * L
-        assert all(np.all(svd.s[svd.s != 0.0] > 1e-3) for svd in svds)
+        # modes over the L pairs, as the dense block counts them.  Its state
+        # q has half its weight on the left half, so filling it at 0 or 1
+        # instead of 1/2 would move X by -+q[:L] q[:L]^T, of trace 1/2
+        lat = Lattice2D(L, 1.0)
+        levels, blocks = _solve_sectors(monkeypatch, lat)
+        for k, (w, x) in enumerate(zip(levels, blocks), start=1):
+            small = np.abs(w) <= spectra.ZERO_MODE_TOL
+            assert np.count_nonzero(small) == 1
+            assert np.all(np.abs(w[~small]) > 1e-3)
+            want = oracle.sector_dense_svd(lat, k)
+            assert np.count_nonzero(want.s == 0.0) == 1
+            assert np.max(np.abs(x - _dense_left_block(want, L))) <= 1e-13
 
     @pytest.mark.parametrize("L", [8, 12])
     @pytest.mark.parametrize("alpha", [0.5, 0.999])
-    def test_graded_lattice_has_none(self, L, alpha):
-        lat = Lattice2D(L, alpha)
-        assert all(not np.any(sector_svd(lat, k).s == 0.0) for k in range(1, L + 1))
-
-    @pytest.mark.parametrize("k", [0, 5, -1])
-    def test_sector_outside_the_pairs_raises(self, k):
-        with pytest.raises(ValueError, match="outside"):
-            sector_svd(Lattice2D(4, 0.5), k)
+    def test_graded_lattice_has_none(self, L, alpha, monkeypatch):
+        levels, _ = _solve_sectors(monkeypatch, Lattice2D(L, alpha))
+        assert min(float(np.min(np.abs(w))) for w in levels) > 1e-10
 
 
 class TestSectorAgainstDense:
-    """sector_svd (H_k's tridiagonal eigensolve by dstevd) against the dense
-    route it replaced: H_k's 2L x 2L block through dgesdd
+    """spectra._sector_half (H_k's tridiagonal eigensolve by dstevd) against
+    the sector pair's dense block H_k through dgesdd
     (``oracle.sector_dense_svd``), on every sector of each lattice."""
 
     @pytest.mark.parametrize("alpha", [1.0, 0.9, 0.6, 0.5])
     @pytest.mark.parametrize("L", [1, 2, 3, 8, 24, 64])
-    def test_matches_the_dense_block(self, L, alpha):
+    def test_matches_the_dense_block(self, L, alpha, monkeypatch):
         lat = Lattice2D(L, alpha)
         # the L = 64 lattices at alpha <= 0.6 (coupling ratios 1.2e14 and
-        # 1.3e19) span more than ten decades: the sectors refuse them, as
-        # the dense route does, before any solve
+        # 1.3e19) span more than ten decades: their links are refused, as
+        # on the dense route, before any solve
         if alpha ** -(L - 0.5) > 1e10:
-            for k in (1, L):
-                with pytest.raises(NumericsError, match="ten decades"):
-                    sector_svd(lat, k)
+            with pytest.raises(NumericsError, match="ten decades"):
+                spectra._resolvable_links(lat)
             return
         # the lattices entropy-2d solves by sectors; on (24, 0.5), coupling
         # ratio 1.2e7, neither solve resolves the small levels, so its nu
-        # and zero levels are rounding and only s is compared
+        # and zero levels are rounding and only the levels are compared
         by_sectors = alpha ** -(L - 0.5) <= spectra.SECTOR_MAX_RATIO
         left = range(2 * L)
+        levels, blocks = _solve_sectors(monkeypatch, lat)
         for k in range(1, L + 1):
-            got, want = sector_svd(lat, k), oracle.sector_dense_svd(lat, k)
+            w, want = levels[k - 1], oracle.sector_dense_svd(lat, k)
             # both are accurate to rounding of the largest level
-            assert np.max(np.abs(got.s - want.s)) <= 2 * L * np.finfo(float).eps * want.s[0]
+            s = np.sort(np.abs(w))[::-1]
+            assert np.max(np.abs(s - want.s)) <= 2 * L * np.finfo(float).eps * want.s[0]
             if not by_sectors:
                 continue
-            zeros = int(np.count_nonzero(got.s == 0.0))
+            zeros = int(np.count_nonzero(np.abs(w) <= spectra.ZERO_MODE_TOL * max(s[0], 1.0)))
             assert zeros == int(np.count_nonzero(want.s == 0.0)) == (alpha == 1.0)
-            nu = polar_block(got, left, zero_modes="half")
-            assert np.max(np.abs(nu - polar_block(want, left, zero_modes="half"))) <= 1e-12
+            nu = _pair_nu(blocks[k - 1])
+            assert np.max(np.abs(nu - polar_block(oracle.half_filled(want), left))) <= 1e-12
 
     def test_perturbed_eigenvector_is_refused(self, monkeypatch):
         solve = spectra._eigh_tridiagonal
@@ -616,9 +693,10 @@ class TestSectorAgainstDense:
             return w, q
 
         monkeypatch.setattr(spectra, "_eigh_tridiagonal", perturbed)
+        links = link_amplitudes(8, 0.9)
         for k in range(1, 9):
             with pytest.raises(NumericsError, match="eigen-residual"):
-                sector_svd(Lattice2D(8, 0.9), k)
+                spectra._sector_half(*links, k)
 
     def test_builds_no_dense_block(self, monkeypatch):
         # neither _dense_svd nor its dgesdd runs on a lattice solved by sectors
@@ -628,7 +706,7 @@ class TestSectorAgainstDense:
         monkeypatch.setattr(spectra, "_dense_svd", refuse)
         monkeypatch.setattr(spectra, "_svd", refuse)
         lat = Lattice2D(16, 0.8)
-        assert spectra._lattice_route(lat)
+        assert lat.alpha ** -(lat.L - 0.5) <= spectra.SECTOR_MAX_RATIO
         assert lattice_half_nu(lat).size == 2 * lat.L**2
 
 
@@ -661,6 +739,14 @@ class TestSectorOracle:
         assert 1e5 <= alpha ** -(L - 0.5) <= spectra.SECTOR_MAX_RATIO
         want = oracle.lattice_sector_entropy(lat, dps=40)
         assert abs(vn_entropy(lattice_half_nu(lat)) - want) <= 1.5e-11
+
+    # the uniform lattice: one zero level per sector, filled at 1/2 by the
+    # sector's left block and by the oracle alike (L = 8 reads 4.6e-14 off)
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
+    def test_uniform_lattice_filling(self, L):
+        lat = Lattice2D(L, 1.0)
+        want = oracle.lattice_sector_entropy(lat, dps=40)
+        assert abs(vn_entropy(lattice_half_nu(lat)) - want) <= 1e-12
 
 
 class TestOrbitalsFromSVD:
@@ -854,6 +940,20 @@ class TestFermiVelocity:
         with mpmath.workdps(60):
             want = float(mpmath.mpf(z) / mpmath.expm1(z))
         assert abs(velocity_scaling(z) / want - 1) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [709.5, 709.78, 710.0, 720.0, 745.0, 800.0, 1e5, 1e300])
+    def test_large_z_takes_the_limit_without_overflow(self, z):
+        # e^z overflows past z = 709.78; z/(e^z - 1) is then z e^(-z) to far
+        # below rounding, which underflows to 0 from z ~ 752 on
+        with mpmath.workdps(60):
+            want = float(mpmath.mpf(z) / mpmath.expm1(z))
+        got = velocity_scaling(z)
+        assert abs(got - want) <= 1e-13 * want + 1e-322
+
+    @pytest.mark.parametrize("z", [1.0, 100.0, 708.5, 709.0])
+    def test_bits_kept_up_to_709(self, z):
+        assert velocity_scaling(z) == z / np.expm1(z)
 
     def test_analytic_monotone_to_one(self):
         zs = np.linspace(0, 3, 20)
