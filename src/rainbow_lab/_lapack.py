@@ -164,12 +164,16 @@ def _eigvalsh_evd(a) -> np.ndarray:
 
 
 def _eigh_tridiagonal(d, e) -> tuple:
-    """``scipy.linalg.eigh_tridiagonal(d, e, check_finite=False)``: (w, q),
-    the eigenvalues, ascending, and the eigenvectors (columns of q) of the
-    symmetric tridiagonal matrix with diagonal d (at least two entries) and
-    off-diagonal e, by dstevd, its default driver (divide and conquer)."""
-    w, q, info = _flapack.dstevd(d, e, compute_v=1)
-    _check("dstevd", info)
+    """``scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stev",
+    check_finite=False)``: (w, q), the eigenvalues, ascending, and the
+    eigenvectors (columns of q) of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, by dstev (implicit QL/QR, dsteqr).  A
+    1 x 1 matrix is its own level, as in SciPy's quick exit (f2py's dstev
+    rejects its empty e)."""
+    if d.size == 1:
+        return np.array([d[0]]), np.ones((1, 1))
+    w, q, info = _flapack.dstev(d, e, compute_v=1)
+    _check("dstev", info)
     return w, q
 
 

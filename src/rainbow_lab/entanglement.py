@@ -26,9 +26,10 @@ library the solve runs on (the one-BLAS rule of ``spectra``).
 The 2D lattice's left half holds every y, so its nu are those of its
 y-momentum sectors' left halves (``lattice_half_nu``).  For the lattices
 graded at most ``spectra.SECTOR_MAX_RATIO`` they come from each sector's
-L x L left block of sign(H_k) (``spectra._sector_half``), whose zero
-levels take sign 0 and so sit at density 1/2; the others take
-polar_block on the dense (2L^2)^2 block, which has no zero level.
+L x L left block of sign(H_k), read off its two L-site mirror-parity
+halves (``spectra._sector_half``), whose zero levels take sign 0 and so
+sit at density 1/2; the others take polar_block on the dense (2L^2)^2
+block, which has no zero level.
 The half chain of a mirror-symmetric chain is a two-sector problem
 (``halfchain_nu``): its nu are (1 +- sigma)/2 again, with sigma taken from
 the even-parity sector alone (``spectra.even_sector``) in place of the
@@ -271,9 +272,11 @@ def lattice_half_nu(lat: Lattice2D) -> np.ndarray:
     halves.  When the links span at most ``spectra.SECTOR_MAX_RATIO``,
     each pair k, 2L + 1 - k (k = 1 .. L) gives (1 +- sigma)/2, sigma the
     singular values of sector k's L x L left block of sign(H_k)
-    (``spectra._sector_half``): L dstevd calls of size 2L, one at a time,
-    in place of one dgesdd of size 2L^2.  Every other lattice takes
-    ``polar_block`` on the dense ``spectra.lattice_svd``.
+    (``spectra._sector_half``), read off H_k's two mirror-parity halves:
+    2L dstev calls of size L, one sector at a time, in place of one dgesdd
+    of size 2L^2.  Every other lattice, graded past SECTOR_MAX_RATIO but
+    within ten decades, takes ``polar_block`` on the dense
+    ``spectra.lattice_svd``.
     """
     vertical, horizontal = _resolvable_links(lat)
     links = np.concatenate([vertical, horizontal])

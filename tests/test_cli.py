@@ -399,12 +399,14 @@ class TestGeometryFlags:
     @pytest.mark.filterwarnings("default::RuntimeWarning")  # recorded in the JSON
     def test_underflowed_chain_exit_3(self, tmp_path, capsys):
         # outer couplings underflow to exactly 0: exact zero modes, and the
-        # underflow warning goes into the error record
+        # underflow warning goes into the error record.  The message names
+        # no way round: the library has no filling policy to choose
         rc = main(["es-collapse", "--L", "10", "--z", "2000",
                    "--out", str(tmp_path / "es.csv")])
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ZeroModeError"
+        assert err["message"] == "12 single-particle zero modes; half filling is ambiguous"
         assert err["warnings"] == [UNDERFLOW_WARNING]
 
     @pytest.mark.filterwarnings("default::RuntimeWarning")  # recorded in the JSON
@@ -1062,8 +1064,8 @@ class TestEntropy2D:
     def test_graded_lattice_exits_3_without_artifact(self, tmp_path, capsys,
                                                      monkeypatch):
         # alpha = 0.3 grades the L >= 20 lattices past ten decades; the
-        # L = 8, 12 and 16 lattices before them are not solved either, on
-        # sectors (L = 8) or on the dense block (L = 12, 16)
+        # L = 8, 12 and 16 lattices before them, each within
+        # SECTOR_MAX_RATIO, are not solved on their sectors either
         self._refuse_solves(monkeypatch, "solved before every lattice was checked")
         out = tmp_path / "e2d.csv"
         rc = main(["entropy-2d", "--L", "8:24:4", "--alpha", "0.3", "--out", str(out)])
@@ -1120,13 +1122,15 @@ class TestEntropy2DPolarRoute:
 
         monkeypatch.setattr(spectra, "_orbitals", refuse)
         monkeypatch.setattr(entanglement, "CorrelationMatrix", refuse)
+        # from L = 1, where each mirror-parity half of a sector is 1 x 1 and
+        # its level is its one diagonal entry
         out = tmp_path / "e2d.csv"
-        rc = main(["entropy-2d", "--L", "2:6:1", "--alpha", "0.5:1:0.5",
+        rc = main(["entropy-2d", "--L", "1:6:1", "--alpha", "0.5:1:0.5",
                    "--out", str(out)])
         assert rc == 0
         monkeypatch.undo()
         _, rows = read_csv(out)
-        assert len(rows) == 10
+        assert len(rows) == 12
         for alpha, L, S, _ in rows:
             lat = Lattice2D(int(L), float(alpha))
             c_full = oracle.lattice_correlation(lat)

@@ -1185,11 +1185,15 @@ class TestLatticeSectorRoute:
     @pytest.mark.parametrize("side", [1.0 + 1e-9, 1.0 - 1e-9], ids=["below", "above"])
     def test_routes_on_each_side_of_the_ratio(self, monkeypatch, side):
         # alpha^-(L - 1/2) = SECTOR_MAX_RATIO at alpha = edge; a larger alpha
-        # grades the lattice less
+        # grades the lattice less.  Just past the edge the lattice lies
+        # inside the ten-decade limit, so it is solved on the dense block,
+        # not refused
         L = 12
         edge = SECTOR_MAX_RATIO ** (-1.0 / (L - 0.5))
+        lat = Lattice2D(L, edge * side)
+        assert lat.alpha ** -(L - 0.5) < 1e10
         calls = self._spy(monkeypatch)
-        lattice_half_nu(Lattice2D(L, edge * side))
+        lattice_half_nu(lat)
         assert calls == (["_sector_half"] * L if side > 1.0 else ["lattice_svd"])
 
     def test_links_read_once_and_no_svd_built(self, monkeypatch):

@@ -22,7 +22,7 @@ import dense_oracle as oracle
 # Results of every layer that calls a wrapper, as hex strings: the fold and
 # the polar route (dgemv, dsyrk, dsyevd, dgesdd), the correlation matrix
 # (dsyrk, dsyevd), the dense lattice (dgesdd, dgemm), a sector's left block
-# (dstevd, dgemm), the continuum overlap (dgeqrt, dgemqrt, dgemm, dgetrf) and a
+# (dstev, dgemm), the continuum overlap (dgeqrt, dgemqrt, dgemm, dgetrf) and a
 # fit (dtrtrs).
 RESULTS = """
 import numpy as np
@@ -151,13 +151,14 @@ class TestWrappersAreScipyBitwise:
         _same(_lapack._eigvalsh_evd(a),
               sla.eigvalsh(a, driver="evd", check_finite=False))
 
-    @pytest.mark.parametrize("n", [2, 5, 25, 26, 128])
+    @pytest.mark.parametrize("n", [1, 2, 5, 25, 26, 128])
     def test_eigh_tridiagonal(self, n):
-        # _sector_half's H_k: n = 2L from 2 up; dstedc solves n <= 25 by
-        # implicit QL/QR and larger n by divide and conquer
+        # _sector_half's mirror-parity halves: n = L from 1 up, n = 1 by
+        # SciPy's quick exit, which calls no LAPACK
         d = _operand((n,), "C")
         e = _operand((n - 1,), "C")
-        _same(_lapack._eigh_tridiagonal(d, e), sla.eigh_tridiagonal(d, e, check_finite=False))
+        _same(_lapack._eigh_tridiagonal(d, e),
+              sla.eigh_tridiagonal(d, e, lapack_driver="stev", check_finite=False))
 
     @pytest.mark.parametrize("order", ["C", "T"])
     @pytest.mark.parametrize("shape", [s for s in SHAPES if all(s)])

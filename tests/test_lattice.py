@@ -225,6 +225,17 @@ class TestLattice2D:
             mirrored = tuple(sorted([(-xa, ya), (-xb, yb)]))
             assert amp[mirrored] == pytest.approx(J)
 
+    @pytest.mark.parametrize("L, alpha", [(1, 0.5), (2, 0.7), (8, 0.0858), (24, 0.4), (64, 0.9)])
+    def test_link_amplitudes_are_bitwise_mirror_symmetric(self, L, alpha):
+        # spectra._sector_half splits each sector into its two mirror-parity
+        # halves, which is exact only when x -> -x maps every link onto one
+        # of the same value, bit for bit
+        from rainbow_lab.lattice import link_amplitudes
+
+        vertical, horizontal = link_amplitudes(L, alpha)
+        assert np.array_equal(vertical, vertical[::-1])
+        assert np.array_equal(horizontal, horizontal[::-1])
+
     def test_y_mirror_leaves_matrix_invariant(self):
         lat = Lattice2D(2, 0.55)
         m, _ = lattice_hamiltonian(lat)

@@ -565,11 +565,12 @@ class TestExactZeroModes:
         nu = polar_block(oracle.half_filled(lattice_svd(lat)), lat.left_half())
         assert vn_entropy(nu).hex() in want
 
-    # the most graded dense lattices of the lattice-2d grid (coupling ratios
-    # 2.2e9 and 1.0e8): their smallest levels, 4.0e-12 and 4.3e-11, are real
-    # ones, far above the zeroing threshold (~1.2e-14), so the dense route
-    # meets no zero level and needs no filling
-    @pytest.mark.parametrize("L, alpha", [(24, 0.4), (24, 0.45)])
+    # lattices past SECTOR_MAX_RATIO, which entropy-2d sends to the dense
+    # block: the lattice-2d grid's one, (24, 0.4), and (20, 0.33) (coupling
+    # ratios 2.2e9 and 2.4e9).  Their smallest levels, 4.0e-12 and 6.4e-12,
+    # are real ones, far above the zeroing threshold (~1.2e-14), so the
+    # dense route meets no zero level and needs no filling
+    @pytest.mark.parametrize("L, alpha", [(24, 0.4), (20, 0.33)])
     def test_most_graded_dense_lattices_have_none(self, L, alpha):
         assert alpha ** -(L - 0.5) > spectra.SECTOR_MAX_RATIO
         s = lattice_svd(Lattice2D(L, alpha)).s
@@ -579,19 +580,24 @@ class TestExactZeroModes:
 
 def _solve_sectors(monkeypatch, lat):
     """(levels, blocks): each sector k = 1 .. L's left block X from
-    ``spectra._sector_half``, and the levels of H_k that its dstevd call
-    returned."""
+    ``spectra._sector_half``, and the levels of H_k that its two dstev
+    calls, one per mirror-parity half, returned."""
     solve = spectra._eigh_tridiagonal
-    levels = []
+    halves = []
 
     def spy(d, e):
         w, q = solve(d, e)
-        levels.append(w.copy())
+        halves.append(w.copy())
         return w, q
 
     monkeypatch.setattr(spectra, "_eigh_tridiagonal", spy)
     links = link_amplitudes(lat.L, lat.alpha)
-    blocks = [spectra._sector_half(*links, k) for k in range(1, lat.L + 1)]
+    levels, blocks = [], []
+    for k in range(1, lat.L + 1):
+        halves.clear()
+        blocks.append(spectra._sector_half(*links, k))
+        assert [w.size for w in halves] == [lat.L, lat.L]
+        levels.append(np.concatenate(halves))
     return levels, blocks
 
 
@@ -650,12 +656,19 @@ class TestSectorSVD:
 
 
 class TestSectorAgainstDense:
-    """spectra._sector_half (H_k's tridiagonal eigensolve by dstevd) against
-    the sector pair's dense block H_k through dgesdd
-    (``oracle.sector_dense_svd``), on every sector of each lattice."""
+    """spectra._sector_half (the eigensolves of H_k's two mirror-parity
+    halves by dstev) against the sector pair's dense block H_k through
+    dgesdd (``oracle.sector_dense_svd``), on every sector of each lattice."""
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.9, 0.6, 0.5])
-    @pytest.mark.parametrize("L", [1, 2, 3, 8, 24, 64])
+    # (24, 0.5), coupling ratio 1.2e7, is solved by sectors too, but there
+    # dgesdd's sector block reads nu up to 1.4e-12 from the parity halves,
+    # which read its S 4.3e-14 from the 40-digit oracle
+    # (TestSectorOracle.test_largest_graded_sector_lattices): its place
+    # goes to (24, 0.4), ratio 2.2e9, past SECTOR_MAX_RATIO
+    @pytest.mark.parametrize("L, alpha", [
+        (L, alpha) for L in (1, 2, 3, 8, 24, 64) for alpha in (1.0, 0.9, 0.6, 0.5)
+        if (L, alpha) != (24, 0.5)
+    ] + [(24, 0.4)])
     def test_matches_the_dense_block(self, L, alpha, monkeypatch):
         lat = Lattice2D(L, alpha)
         # the L = 64 lattices at alpha <= 0.6 (coupling ratios 1.2e14 and
@@ -665,9 +678,10 @@ class TestSectorAgainstDense:
             with pytest.raises(NumericsError, match="ten decades"):
                 spectra._resolvable_links(lat)
             return
-        # the lattices entropy-2d solves by sectors; on (24, 0.5), coupling
-        # ratio 1.2e7, neither solve resolves the small levels, so its nu
-        # and zero levels are rounding and only the levels are compared
+        # the lattices entropy-2d solves by sectors; on (24, 0.4), which it
+        # sends to the dense block, neither solve resolves the small levels,
+        # so its nu and zero levels are rounding and only the levels are
+        # compared
         by_sectors = alpha ** -(L - 0.5) <= spectra.SECTOR_MAX_RATIO
         left = range(2 * L)
         levels, blocks = _solve_sectors(monkeypatch, lat)
@@ -712,9 +726,10 @@ class TestSectorAgainstDense:
 
 class TestSectorOracle:
     """The y-sector mpmath oracle against the dense route, the shipped
-    polar route and entropy-2d's own solve (sectors at (4, 0.5), the dense
-    block at (8, 0.1), a coupling ratio of 3.2e7), and against entropy-2d's
-    sectors near the ratio where it switches to the dense block."""
+    polar route and entropy-2d's own solve (its sectors at (4, 0.5) and at
+    (8, 0.1), a coupling ratio of 3.2e7), and against entropy-2d's sectors
+    on graded lattices up to the ratio where it switches to the dense
+    block."""
 
     @pytest.mark.parametrize("L, alpha, bound", [(4, 0.5, 1e-13), (8, 0.1, 1e-10)])
     def test_dense_and_polar_routes_match(self, L, alpha, bound):
@@ -729,19 +744,35 @@ class TestSectorOracle:
         assert abs(polar - want) <= bound
         assert abs(shipped - want) <= bound
 
-    # the sector lattices nearest SECTOR_MAX_RATIO at L = 8 and 10 (coupling
-    # ratios 9.3e5 and 7.7e5), against the 40-digit oracle: entropy-2d's
-    # dstevd sectors read +8.8e-12 and -8.2e-12 off (the dgesdd sectors
-    # they replaced read +9.9e-14 and +2.8e-14)
-    @pytest.mark.parametrize("L, alpha", [(8, 0.16), (10, 0.24)])
+    # graded sector lattices against the 40-digit oracle: (8, 0.16),
+    # (10, 0.24) and (12, 0.31) (coupling ratios 9.3e5, 7.7e5 and 7.1e5),
+    # where a dstevd solve of the whole H_k read +8.8e-12, -8.2e-12 and
+    # -2.6e-11 off, and (8, 0.0858) and (10, 0.1129) (1.0e8 and 1.0e9),
+    # nearest SECTOR_MAX_RATIO.  The parity halves read them 0, -1.4e-14,
+    # -3.6e-14, -7.1e-15 and -2.1e-14 off
+    @pytest.mark.parametrize("L, alpha", [
+        (8, 0.16), (10, 0.24), (12, 0.31), (8, 0.0858), (10, 0.1129),
+    ])
     def test_sectors_near_the_ratio_limit(self, L, alpha):
         lat = Lattice2D(L, alpha)
         assert 1e5 <= alpha ** -(L - 0.5) <= spectra.SECTOR_MAX_RATIO
         want = oracle.lattice_sector_entropy(lat, dps=40)
-        assert abs(vn_entropy(lattice_half_nu(lat)) - want) <= 1.5e-11
+        assert abs(vn_entropy(lattice_half_nu(lat)) - want) <= 1e-12
+
+    # L = 24, whose oracle takes minutes: the values of
+    # oracle.lattice_sector_entropy(Lattice2D(24, alpha), dps=40), which the
+    # parity halves read -1.7e-13 and -4.3e-14 off (coupling ratios 1.3e6
+    # and 1.2e7)
+    @pytest.mark.parametrize("alpha, want", [
+        (0.55, 108.13373117520274), (0.5, 116.28085889118971),
+    ])
+    def test_largest_graded_sector_lattices(self, alpha, want):
+        lat = Lattice2D(24, alpha)
+        assert alpha ** -(lat.L - 0.5) <= spectra.SECTOR_MAX_RATIO
+        assert abs(vn_entropy(lattice_half_nu(lat)) - want) <= 1e-12
 
     # the uniform lattice: one zero level per sector, filled at 1/2 by the
-    # sector's left block and by the oracle alike (L = 8 reads 4.6e-14 off)
+    # sector's left block and by the oracle alike (L = 8 reads 1.1e-14 off)
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
     def test_uniform_lattice_filling(self, L):
         lat = Lattice2D(L, 1.0)
